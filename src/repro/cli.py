@@ -50,6 +50,11 @@ import sys
 from typing import Optional, Sequence
 
 from repro import __version__
+from repro.service.server import (
+    AUTO_ORDERER,
+    ORDERER_TABLE,
+    resolve_orderer_name,
+)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -74,30 +79,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 #: --orderer`` and ``serve --default-orderer``.  ``auto`` resolves per
 #: utility measure: ``anyk`` when the measure is fully monotonic
 #: (streamed ranked enumeration applies), ``pi`` otherwise.
-ORDERER_CHOICES = ("auto", "pi", "exhaustive", "idrips", "streamer",
-                   "greedy", "anyk")
+ORDERER_CHOICES = (AUTO_ORDERER, *ORDERER_TABLE)
 
 
 def _make_orderer(name: str, utility, **instrumentation):
-    from repro.ordering.anyk import AnyKOrderer
-    from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
-    from repro.ordering.greedy import GreedyOrderer
-    from repro.ordering.idrips import IDripsOrderer
-    from repro.ordering.streamer import StreamerOrderer
-
-    if name == "auto":
-        from repro.service.server import resolve_orderer_name
-
-        name = resolve_orderer_name(name, utility)
-    table = {
-        "pi": PIOrderer,
-        "exhaustive": ExhaustiveOrderer,
-        "idrips": IDripsOrderer,
-        "streamer": StreamerOrderer,
-        "greedy": GreedyOrderer,
-        "anyk": AnyKOrderer,
-    }
-    return table[name](utility, **instrumentation)
+    name = resolve_orderer_name(name, utility)
+    return ORDERER_TABLE[name](utility, **instrumentation)
 
 
 def _make_measure(name: str, domain):

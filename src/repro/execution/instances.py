@@ -83,6 +83,3 @@ def materialize_instances(
             schema_facts[relation].update(rows)
     return source_facts, schema_facts
 
-
-# Backwards-compatible alias used by examples and tests.
-materialize_chain_instances = materialize_instances

@@ -26,6 +26,10 @@ Hits and misses are counted per kind (concrete/abstract) through a
 Structural flags (monotonicity, diminishing returns, context freedom)
 and the independence/preference hooks all delegate to the wrapped
 measure, so an orderer's applicability checks see the true measure.
+
+Which measures may be cached, and where this wrapper sits among the
+others, is the composition rule in :mod:`repro.resilience.measure`;
+the constructor enforces it.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ class CachingUtilityMeasure(UtilityMeasure):
     ) -> None:
         if isinstance(inner, CachingUtilityMeasure):
             raise TypeError("refusing to stack utility caches")
+        if not inner.cacheable:
+            raise TypeError(
+                f"refusing to cache {inner.name!r}: its values follow live "
+                "source health (see repro.resilience.measure)"
+            )
         self.inner = inner
         self.name = f"{inner.name}+memo"
         self.is_fully_monotonic = inner.is_fully_monotonic

@@ -81,7 +81,8 @@ class _ReplayMeasure(UtilityMeasure):
 
     With an empty replay list the wrapper is behaviorally identical to
     the inner measure — the healthy-path identity guarantee rests on
-    that.
+    that.  Always the outermost wrapper (composition rule:
+    :mod:`repro.resilience.measure`).
     """
 
     def __init__(
@@ -93,6 +94,7 @@ class _ReplayMeasure(UtilityMeasure):
         self.is_fully_monotonic = inner.is_fully_monotonic
         self.has_diminishing_returns = inner.has_diminishing_returns
         self.context_free = inner.context_free
+        self.cacheable = inner.cacheable
 
     def new_context(self) -> ExecutionContext:
         context = self.inner.new_context()

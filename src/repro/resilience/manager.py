@@ -209,7 +209,9 @@ class ResilienceManager:
         """Wrap *inner* for adaptive re-ranking (identity when disabled).
 
         ``frozen=True`` pins the tracker's current rates so one request
-        ranks against a consistent snapshot.
+        ranks against a consistent snapshot.  Callers cache the result
+        only if it is still ``cacheable`` (the composition rule in
+        :mod:`repro.resilience.measure`).
         """
         if not self.health_aware:
             return inner

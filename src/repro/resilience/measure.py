@@ -23,11 +23,25 @@ Two properties keep this safe to deploy:
   the tracker's current rates as overrides, so tests and replays see a
   stable ranking even while the live tracker keeps moving.
 
-Do **not** wrap a ``HealthAwareMeasure`` in a
-:class:`~repro.observability.caching.CachingUtilityMeasure`: the cache
-keys utilities by source-name signatures, which do not change when the
-substituted rates do, so cached entries would go stale the moment
-health drifts.
+**The one legal wrapper composition** (every site that stacks measure
+wrappers follows it; :meth:`ResilienceManager.health_measure
+<repro.resilience.manager.ResilienceManager.health_measure>` is the
+one place that picks between the first two):
+
+* a base measure goes under **either**
+  :class:`~repro.observability.caching.CachingUtilityMeasure` **or**
+  :class:`HealthAwareMeasure` — never a cache over a health-aware
+  measure.  The cache keys utilities by source-name signatures, which
+  do not change when the substituted rates do, so cached entries
+  would go stale the moment health drifts.  A live
+  ``HealthAwareMeasure`` therefore declares ``cacheable = False``
+  (wrappers forward the flag) and ``CachingUtilityMeasure`` — hence
+  also ``PlanOrderer(cache=True)`` — refuses such a measure; a
+  :meth:`~HealthAwareMeasure.frozen` copy no longer moves and may be
+  cached;
+* ``_ReplayMeasure`` exists only inside
+  :class:`~repro.ordering.adaptive.AdaptiveOrderer` and is always
+  outermost, over whichever of the two the request was given.
 """
 
 from __future__ import annotations
@@ -104,6 +118,7 @@ class HealthAwareMeasure(UtilityMeasure):
         self.is_fully_monotonic = inner.is_fully_monotonic
         self.has_diminishing_returns = inner.has_diminishing_returns
         self.context_free = inner.context_free
+        self.cacheable = tracker is None and inner.cacheable
 
     # -- substitution ------------------------------------------------------------
 

@@ -56,7 +56,6 @@ from repro.ordering.greedy import GreedyOrderer
 from repro.ordering.idrips import IDripsOrderer
 from repro.ordering.streamer import StreamerOrderer
 from repro.resilience.manager import ResilienceManager
-from repro.resilience.measure import HealthAwareMeasure
 from repro.service.backends import ExecutionBackend
 from repro.service.policy import RequestPolicy
 from repro.service.session import PipelinedSession, SessionReport
@@ -304,20 +303,17 @@ class QueryService:
 
     # -- request plumbing --------------------------------------------------------
 
-    def measure_names(self) -> list[str]:
-        return sorted(self._measure_factories)
-
     def shared_measure(self, name: str) -> UtilityMeasure:
         """The cross-request shared utility measure called *name*.
 
         Without resilience (or with ``health_aware`` off) this is a
         :class:`CachingUtilityMeasure` — request N's utility
         evaluations warm the cache for request N+1.  With health-aware
-        re-ranking it is a :class:`HealthAwareMeasure` instead, and
-        deliberately *uncached*: the cache keys by plan source names,
-        which do not change when the observed failure rates do, so
-        memoized utilities would go stale as source health drifts.
+        re-ranking it is the manager's health-aware wrapper instead,
+        deliberately *uncached* (the composition rule is in
+        :mod:`repro.resilience.measure`).
         """
+        resilience = self.resilience
         with self._measure_lock:
             measure = self._shared_measures.get(name)
             if measure is None:
@@ -328,15 +324,12 @@ class QueryService:
                         f"unknown measure {name!r}; "
                         f"have {sorted(self._measure_factories)}"
                     ) from None
-                if self.resilience is not None and self.resilience.health_aware:
-                    measure = HealthAwareMeasure(
-                        factory(),
-                        self.resilience.tracker,
-                        min_observations=self.resilience.min_observations,
-                    )
-                else:
+                measure = factory()
+                if resilience is not None:
+                    measure = resilience.health_measure(measure)
+                if measure.cacheable:
                     measure = CachingUtilityMeasure(
-                        factory(), registry=self.registry
+                        measure, registry=self.registry
                     )
                 self._shared_measures[name] = measure
         return measure
@@ -501,7 +494,6 @@ class QueryService:
                 queue_depth=self.config.queue_depth,
                 backend=self.backend,
                 tracer=tracer,
-                registry=self.registry,
             )
             batches: list[AnswerBatch] = []
             answers: set = set()

@@ -1,31 +1,33 @@
 """The pipelined anytime session: ordering overlapped with execution.
 
-``Mediator.answer`` is strictly sequential: the orderer cannot start
-computing plan ``i+1`` until plan ``i`` has finished executing.  The
-paper's Section 2 motivation is the opposite — *"the mediator should
-begin executing the best plan while the ordering algorithm computes
-the next ones"*.  :class:`PipelinedSession` realizes that:
+``Mediator.answer`` drives the staged loop of
+:class:`~repro.execution.mediator.AnytimeRun` inline: the orderer
+cannot start computing plan ``i+1`` until plan ``i`` has finished
+executing.  The paper's Section 2 motivation is the opposite — *"the
+mediator should begin executing the best plan while the ordering
+algorithm computes the next ones"*.  :class:`PipelinedSession` is the
+second driver of the same stages, spread over threads:
 
-* a **producer thread** drives the plan orderer and the soundness
-  test, feeding a bounded queue of work items (backpressure keeps the
-  orderer at most ``queue_depth`` plans ahead of execution);
-* a pool of **executor workers** evaluates sound plans concurrently
-  over a read-only view of the source instances, retrying transient
-  backend failures with exponential backoff;
+* a **producer thread** runs the ``plans`` stage (orderer + soundness
+  test), feeding a bounded queue (backpressure keeps the orderer at
+  most ``queue_depth`` plans ahead of execution);
+* a pool of **executor workers** runs the ``execute`` stage
+  concurrently over a read-only view of the source instances, with
+  this session's retry schedule for transient backend failures;
 * the **consumer** (the thread iterating :meth:`stream`) reassembles
-  results into emission order and computes ``new_answers`` against
-  the running union — so the batch stream is *identical*, plan for
-  plan and byte for byte, to the sequential mediator's.
+  results into emission order and runs ``settle`` on each — so the
+  batch stream is *identical*, plan for plan and byte for byte, to the
+  inline driver's.
 
-Why the ordering survives the concurrency: soundness for plan ``i``
-is decided in the producer thread immediately after the orderer
-yields it, *before* the generator is resumed — exactly when the
-sequential mediator decides it.  The orderers' ``on_emit`` callback
-(asked on resumption) therefore sees the same answers in the same
-order, and the emitted plan sequence cannot diverge.  Execution
-results never influence the ordering, only their soundness bits do,
-so running executions out of order is unobservable after the
-consumer's reordering.
+What the core guarantees and what this module adds: the ``plans``
+stage decides soundness for plan ``i`` immediately after the orderer
+yields it, *before* the generator is resumed, whichever thread runs
+it.  The orderers' ``on_emit`` callback (asked on resumption)
+therefore sees the same answers in the same order, and the emitted
+plan sequence cannot diverge.  Execution results never influence the
+ordering, only their soundness bits do, so running executions out of
+order is unobservable once the consumer has put them back in rank
+order — that reassembly is this module's half of the argument.
 
 Deadlines and cancellation are cooperative and clean: on expiry the
 session stops pulling plans, drains in-flight work, and finishes the
@@ -36,24 +38,21 @@ instead of raising, so partial results always reach the caller.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from contextlib import suppress
 from queue import Empty, Full, Queue
 from typing import Iterator, Optional
 
-from repro.errors import (
-    ExecutionError,
-    InternalError,
-    TransientExecutionError,
-)
+from repro.errors import ExecutionError, InternalError
 from repro.datalog.query import ConjunctiveQuery
-from repro.execution.mediator import AnswerBatch, Mediator
-from repro.observability.journal import EventJournal
-from repro.observability.metrics import MetricRegistry
-from repro.observability.tracing import NOOP_TRACER, Stopwatch, Tracer
+from repro.execution.mediator import (
+    AnswerBatch,
+    AnytimeRun,
+    Mediator,
+    SessionReport,
+    StagedPlan,
+)
+from repro.observability.tracing import Tracer
 from repro.ordering.base import PlanOrderer
-from repro.reformulation.plans import QueryPlan
-from repro.reformulation.soundness import plan_query
-from repro.resilience.manager import ResilienceManager
 from repro.service.backends import ExecutionBackend, InMemoryBackend
 from repro.service.policy import RequestPolicy
 from repro.utility.base import UtilityMeasure
@@ -62,122 +61,92 @@ __all__ = ["PipelinedSession", "SessionReport"]
 
 #: Poll granularity for queue hand-offs and condition waits.  Only a
 #: liveness bound (threads notice stop/deadline at least this often);
-#: normal hand-offs are notification-driven and never wait this long.
+#: normal hand-offs and shutdown are notification-driven and never
+#: wait this long.
 _TICK_S = 0.05
 
-
-@dataclass
-class SessionReport:
-    """What happened to one pipelined request.
-
-    The degradation fields (``plans_skipped`` through
-    ``breaker_states``) are always present — callers can rely on every
-    summary record carrying them, zeroed when nothing degraded.  See
-    ``docs/resilience.md``.
-    """
-
-    plans_processed: int = 0
-    sound_plans: int = 0
-    unsound_plans: int = 0
-    answers: int = 0
-    retries: int = 0
-    deadline_exceeded: bool = False
-    cancelled: bool = False
-    satisfied: bool = False  # first_k_answers reached
-    exhausted: bool = False  # plan budget fully drained
-    first_answer_s: Optional[float] = None
-    elapsed_s: float = 0.0
-    plans_skipped: int = 0  # breaker blocked a source, never executed
-    plans_failed: int = 0  # retries exhausted, gracefully dropped
-    sources_skipped: list[str] = field(default_factory=list)
-    answers_partial: bool = False
-    breaker_states: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def status(self) -> str:
-        if self.cancelled:
-            return "cancelled"
-        if self.deadline_exceeded:
-            return "deadline_exceeded"
-        return "ok"
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "status": self.status,
-            "plans_processed": self.plans_processed,
-            "sound_plans": self.sound_plans,
-            "unsound_plans": self.unsound_plans,
-            "answers": self.answers,
-            "retries": self.retries,
-            "deadline_exceeded": self.deadline_exceeded,
-            "cancelled": self.cancelled,
-            "satisfied": self.satisfied,
-            "exhausted": self.exhausted,
-            "first_answer_s": self.first_answer_s,
-            "elapsed_s": self.elapsed_s,
-            "plans_skipped": self.plans_skipped,
-            "plans_failed": self.plans_failed,
-            "sources_skipped": list(self.sources_skipped),
-            "answers_partial": self.answers_partial,
-            "breaker_states": dict(self.breaker_states),
-        }
-
-
-class _WorkItem:
-    """One emitted plan travelling from producer to consumer."""
-
-    __slots__ = (
-        "ordered", "sound", "executable", "answers", "retries",
-        "error", "dropped", "execute_s", "skipped_sources",
-    )
-
-    def __init__(self, ordered, sound: bool, executable) -> None:
-        self.ordered = ordered
-        self.sound = sound
-        self.executable = executable
-        self.answers: frozenset = frozenset()
-        self.retries = 0
-        self.error: Optional[BaseException] = None
-        self.dropped = False  # deadline/cancel hit before execution
-        self.execute_s = 0.0
-        #: Breaker-blocked source names; non-empty means never executed.
-        self.skipped_sources: tuple[str, ...] = ()
-
-
+#: Queue marker: no more plans.  One is enough for the whole pool —
+#: each worker that takes it leaves it for the next.
 _DONE = object()
+
+#: Published after the last plan when the producer drained its budget.
+_EXHAUSTED = object()
 
 
 class _SessionRun:
-    """Shared state of one in-flight pipelined request."""
+    """Thread-shared state of one in-flight pipelined request.
 
-    def __init__(self) -> None:
+    Also the ``backoff`` the execute stage consults: retries stop at
+    the policy's attempt limit or as soon as the request is aborted,
+    and backoff sleeps end early on shutdown or at the deadline.
+    """
+
+    def __init__(self, policy: RequestPolicy, request_id: str) -> None:
         self.cond = threading.Condition()
-        self.results: dict[int, _WorkItem] = {}
+        #: What the consumer finds at each rank: an executed plan, or
+        #: how the stream ends there — ``_EXHAUSTED``, the producer's
+        #: exception, or None for an aborted producer and for a plan a
+        #: worker abandoned unexecuted (deadline or cancellation).
+        self.results: dict[int, object] = {}
         self.stop = threading.Event()
-        self.produced: Optional[int] = None  # total plans, once known
-        self.producer_complete = False  # budget drained (not aborted)
-        self.producer_error: Optional[BaseException] = None
+        self.retry = policy.retry
+        self.deadline = policy.start_deadline()
+        self.token = policy.token()
+        self.request_id = request_id
 
-    def publish(self, item: _WorkItem) -> None:
+    def aborted(self) -> bool:
+        return (
+            self.stop.is_set() or self.token.cancelled or self.deadline.expired
+        )
+
+    def delay(self, failed_attempts: int) -> Optional[float]:
+        if failed_attempts >= self.retry.max_attempts or self.aborted():
+            return None
+        return self.retry.delay(failed_attempts, salt=self.request_id)
+
+    def wait(self, seconds: float) -> None:
+        self.stop.wait(self.deadline.clamp(seconds))
+
+    def publish(self, rank: int, result: object) -> None:
         with self.cond:
-            self.results[item.ordered.rank] = item
+            self.results[rank] = result
             self.cond.notify_all()
 
-    def finish_producing(self, produced: int, complete: bool,
-                         error: Optional[BaseException]) -> None:
+    def take(self, rank: int) -> object:
+        """Block for the result at *rank*; None if the request aborts first."""
+        token, deadline = self.token, self.deadline
         with self.cond:
-            self.produced = produced
-            self.producer_complete = complete
-            self.producer_error = error
-            self.cond.notify_all()
+            while True:
+                if rank in self.results:
+                    return self.results.pop(rank)
+                if token.cancelled or deadline.expired:
+                    return None
+                self.cond.wait(timeout=_TICK_S)
+
+
+def _drain(work_q: Queue) -> None:
+    with suppress(Empty):
+        while True:
+            work_q.get_nowait()
+
+
+def _leave_done(work_q: Queue) -> None:
+    """Put the ``_DONE`` marker (back) for the next worker to find.
+
+    Only called once nothing but markers can enter the queue any more,
+    so a full queue already holds one.
+    """
+    with suppress(Full):
+        work_q.put_nowait(_DONE)
 
 
 class PipelinedSession:
     """Runs queries through a mediator with ordering/execution overlap.
 
     One session instance serves one request at a time (the service
-    layer creates a session per admitted request); the mediator,
-    registry, and backend it wraps may be shared freely.
+    layer creates a session per admitted request); the mediator — and
+    with it the registry, journal and resilience manager every session
+    on it shares — and the backend may be shared freely.
     """
 
     def __init__(
@@ -189,9 +158,6 @@ class PipelinedSession:
         backend: Optional[ExecutionBackend] = None,
         policy: Optional[RequestPolicy] = None,
         tracer: Optional[Tracer] = None,
-        registry: Optional[MetricRegistry] = None,
-        resilience: Optional[ResilienceManager] = None,
-        journal: Optional[EventJournal] = None,
     ) -> None:
         if executor_workers < 1:
             raise ExecutionError("executor_workers must be at least 1")
@@ -203,17 +169,11 @@ class PipelinedSession:
         self.backend = backend if backend is not None else InMemoryBackend()
         self.policy = policy if policy is not None else RequestPolicy()
         self.tracer = tracer if tracer is not None else mediator.tracer
-        self.registry = registry if registry is not None else mediator.registry
-        self.journal = journal if journal is not None else mediator.journal
-        self.resilience = (
-            resilience
-            if resilience is not None
-            else getattr(mediator, "resilience", None)
-        )
         self.last_report: Optional[SessionReport] = None
-        self._plans_pipelined = self.registry.counter("service.plans_pipelined")
-        self._retries = self.registry.counter("service.retries")
-        self._execute_hist = self.registry.histogram("service.execute_s")
+        registry = mediator.registry
+        self._plans_pipelined = registry.counter("service.plans_pipelined")
+        self._retries = registry.counter("service.retries")
+        self._execute_hist = registry.histogram("service.execute_s")
 
     # -- the pipeline ------------------------------------------------------------
 
@@ -225,67 +185,29 @@ class PipelinedSession:
         orderer: Optional[PlanOrderer] = None,
         policy: Optional[RequestPolicy] = None,
         request_id: str = "",
-        adaptive: bool = False,
     ) -> Iterator[AnswerBatch]:
         """Yield answer batches in emission order, pipelined.
 
-        Semantically equivalent to ``Mediator.answer`` (same plans,
-        same order, same batches) with ordering, soundness, and
-        execution overlapped across threads.  After the generator
-        finishes (or is closed early), :attr:`last_report` describes
-        the run.  ``request_id`` correlates this run's journal events
-        (emitted from the producer, executor, and consumer threads —
-        the journal serializes them with one global ``seq``).
-
-        ``adaptive`` (ignored when *orderer* is supplied) wraps the
-        mediator's orderer factory in the health-epoch-watching
-        :class:`~repro.ordering.adaptive.AdaptiveOrderer`.  The epoch
-        is bumped by executor workers (and any concurrent session)
-        recording outcomes into the shared resilience manager; the
-        producer thread notices at its next resumption — between two
-        ``on_emit`` exchanges, which is exactly where the lazy-orderer
-        contract allows re-planning.
+        The same stages as ``Mediator.answer`` (same plans, same
+        order, same batches) with ordering, soundness, and execution
+        overlapped across threads.  After the generator finishes (or
+        is closed early), :attr:`last_report` describes the run.
+        ``request_id`` correlates this run's journal events (emitted
+        from the producer, executor, and consumer threads — the
+        journal serializes them with one global ``seq``).
         """
-        mediator = self.mediator
-        resilience = self.resilience
         policy = policy if policy is not None else self.policy
-        deadline = policy.start_deadline()
-        token = policy.token()
-        report = SessionReport()
-        self.last_report = report
-        journal = self.journal.bind(request_id)
-        watch = Stopwatch().start()
-
+        run = _SessionRun(policy, request_id)
+        token, deadline = run.token, run.deadline
         with self.tracer.span("service.reformulate"):
-            space = mediator.reformulate(query)
-        if orderer is None:
-            orderer = mediator.make_orderer(utility, adaptive=adaptive)
-        bind = getattr(orderer, "bind_journal", None)
-        if bind is not None:
-            bind(journal)
-        adopted_tracer = False
-        if orderer.tracer is NOOP_TRACER and self.tracer.enabled:
-            # The producer thread owns the orderer for the whole run,
-            # so its spans nest under this request's trace safely.
-            orderer.tracer = self.tracer
-            adopted_tracer = True
-        budget = mediator.resolve_budget(space, policy.max_plans)
-
-        run = _SessionRun()
+            core = AnytimeRun(
+                self.mediator, query, utility,
+                orderer=orderer, max_plans=policy.max_plans,
+                request_id=request_id, tracer=self.tracer,
+            )
+        report = self.last_report = core.report
         work_q: Queue = Queue(maxsize=self.queue_depth)
-        database = mediator.execution_database()
-        soundness: dict[tuple[str, ...], bool] = {}
-
-        def on_emit(plan: QueryPlan) -> bool:
-            try:
-                return soundness[plan.key]
-            except KeyError:
-                raise ExecutionError(
-                    f"orderer asked about unprocessed plan {plan}"
-                ) from None
-
-        def aborted() -> bool:
-            return run.stop.is_set() or token.cancelled or deadline.expired
+        database = self.mediator.execution_database()
 
         def put_abortable(item) -> bool:
             """Enqueue unless the session is shutting down."""
@@ -299,101 +221,28 @@ class PipelinedSession:
 
         def produce() -> None:
             produced = 0
-            complete = False
-            error: Optional[BaseException] = None
+            end: object = None  # aborted: deadline, cancel or shutdown
             try:
-                plans = orderer.order(space, budget, on_emit=on_emit)
-                for ordered in plans:
-                    if aborted():
+                plans = core.plans()
+                while not run.aborted():
+                    item = next(plans, None)
+                    if item is None:
+                        end = _EXHAUSTED
                         break
-                    # Soundness is decided here — before the orderer is
-                    # resumed — exactly as in the sequential mediator,
-                    # so on_emit always finds its answer ready.
-                    executable = plan_query(query, ordered.plan)
-                    sound = executable is not None
-                    soundness[ordered.plan.key] = sound
-                    if journal.enabled:
-                        journal.emit(
-                            "plan.emitted",
-                            rank=ordered.rank,
-                            plan=list(ordered.plan.key),
-                            utility=ordered.utility,
-                            sound=sound,
-                        )
+                    if not put_abortable(item):
+                        break
                     produced += 1
-                    if not put_abortable(_WorkItem(ordered, sound, executable)):
-                        produced -= 1
-                        break
-                else:
-                    complete = True
             except BaseException as exc:  # surfaced on the consumer
-                error = exc
+                end = exc
             finally:
-                run.finish_producing(produced, complete, error)
-                for _ in range(self.executor_workers):
-                    if not put_abortable(_DONE):
-                        break
-
-        def execute_with_retries(item: _WorkItem, tracer: Tracer) -> None:
-            attempts = 0
-            sources = (
-                ResilienceManager.sources_of(item.ordered.plan)
-                if resilience is not None
-                else ()
-            )
-            while True:
-                attempts += 1
-                try:
-                    with tracer.span("service.worker.execute"):
-                        with Stopwatch() as attempt_watch:
-                            item.answers = self.backend.execute(
-                                item.executable, database
-                            )
-                    item.execute_s += attempt_watch.elapsed
-                    if resilience is not None:
-                        resilience.record_success(
-                            sources, attempt_watch.elapsed,
-                            request_id=request_id,
-                        )
-                    return
-                except TransientExecutionError as exc:
-                    if resilience is not None:
-                        resilience.record_failure(
-                            sources, exc, request_id=request_id
-                        )
-                    if (
-                        attempts >= policy.retry.max_attempts
-                        or aborted()
-                    ):
-                        item.error = exc
-                        return
-                    item.retries += 1
-                    delay = policy.retry.delay(attempts, salt=request_id)
-                    if journal.enabled:
-                        journal.emit(
-                            "plan.retry",
-                            rank=item.ordered.rank,
-                            attempt=attempts,
-                            delay_s=delay,
-                        )
-                    if delay > 0.0:
-                        # Sleep on the stop event so shutdown and
-                        # cancellation cut the backoff short.
-                        run.stop.wait(deadline.clamp(delay))
-                except BaseException as exc:
-                    # Non-transient failures (PermanentSourceError,
-                    # engine bugs) never retry; source-attributed ones
-                    # still feed the health tracker and breakers.
-                    if resilience is not None and isinstance(
-                        exc, ExecutionError
-                    ):
-                        resilience.record_failure(
-                            sources, exc, request_id=request_id
-                        )
-                    item.error = exc
-                    return
+                run.publish(produced + 1, end)
+                put_abortable(_DONE)
 
         def work(tracer: Tracer) -> None:
+            def run_query(executable: ConjunctiveQuery) -> frozenset:
+                with tracer.span("service.worker.execute"):
+                    return self.backend.execute(executable, database)
+
             while True:
                 try:
                     item = work_q.get(timeout=_TICK_S)
@@ -402,17 +251,12 @@ class PipelinedSession:
                         return
                     continue
                 if item is _DONE:
+                    _leave_done(work_q)
                     return
-                if token.cancelled or deadline.expired:
-                    item.dropped = True
-                elif item.sound:
-                    if resilience is not None:
-                        item.skipped_sources = resilience.admit(
-                            item.ordered.plan, request_id=request_id
-                        )
-                    if not item.skipped_sources:
-                        execute_with_retries(item, tracer)
-                run.publish(item)
+                abandoned = token.cancelled or deadline.expired
+                if not abandoned:
+                    core.execute(item, run_query, run)
+                run.publish(item.ordered.rank, None if abandoned else item)
 
         producer = threading.Thread(
             target=produce, name="repro-service-producer", daemon=True
@@ -434,143 +278,37 @@ class PipelinedSession:
             for i in range(self.executor_workers)
         ]
 
-        seen: set[tuple[object, ...]] = set()
         next_rank = 1
         try:
             producer.start()
             for worker in workers:
                 worker.start()
             while True:
-                with run.cond:
-                    while True:
-                        if next_rank in run.results:
-                            item = run.results.pop(next_rank)
-                            break
-                        if run.produced is not None and next_rank > run.produced:
-                            item = None
-                            break
-                        if token.cancelled or deadline.expired:
-                            item = None
-                            break
-                        run.cond.wait(timeout=_TICK_S)
-                if item is None:
-                    if run.producer_error is not None:
-                        raise run.producer_error
-                    drained = (
-                        run.produced is not None and next_rank > run.produced
-                    )
-                    if drained and run.producer_complete:
+                item = run.take(next_rank)
+                if not isinstance(item, StagedPlan):
+                    if isinstance(item, BaseException):
+                        raise item
+                    if item is _EXHAUSTED:
                         report.exhausted = True
                     elif token.cancelled:
                         report.cancelled = True
-                    elif deadline.expired:
-                        report.deadline_exceeded = True
                     else:
-                        # Producer aborted on deadline/cancel observed
-                        # only in its own thread.
-                        report.cancelled = token.cancelled
-                        report.deadline_exceeded = not token.cancelled
-                    return
-                if item.dropped:
-                    if token.cancelled:
-                        report.cancelled = True
-                    else:
+                        # Deadline — seen here, by a worker that then
+                        # abandoned this plan, or only by the producer
+                        # before it stopped early.
                         report.deadline_exceeded = True
                     return
-                if item.error is not None and (
-                    resilience is None or not resilience.graceful
-                ):
-                    report.retries += item.retries
-                    raise ExecutionError(
-                        f"plan {item.ordered.plan} failed after "
-                        f"{item.retries + 1} attempt(s)"
-                    ) from item.error
-                skipped = bool(item.skipped_sources)
-                failed = item.error is not None
-                new = frozenset(item.answers - seen)
-                seen.update(item.answers)
-                batch = AnswerBatch(
-                    item.ordered.rank,
-                    item.ordered.plan,
-                    item.ordered.utility,
-                    item.sound,
-                    item.answers,
-                    new,
-                    skipped=skipped,
-                    failed=failed,
-                )
-                # Shared-registry updates are serialized: several
-                # sessions may be consuming concurrently in the server.
-                with self.registry.lock:
-                    mediator.record_batch(batch)
+                batch = core.settle(item)
+                with self.mediator.registry.lock:
                     self._plans_pipelined.inc()
                     self._retries.inc(item.retries)
                     if item.execute_s:
                         self._execute_hist.observe(item.execute_s)
-                report.plans_processed += 1
-                report.retries += item.retries
-                if skipped:
-                    report.plans_skipped += 1
-                    for source in item.skipped_sources:
-                        if source not in report.sources_skipped:
-                            report.sources_skipped.append(source)
-                    report.answers_partial = True
-                elif failed:
-                    report.plans_failed += 1
-                    report.answers_partial = True
-                elif batch.sound:
-                    report.sound_plans += 1
-                else:
-                    report.unsound_plans += 1
-                report.answers = len(seen)
-                first_answer = bool(new) and report.first_answer_s is None
-                if first_answer:
-                    # stop() leaves the start instant in place, so the
-                    # final elapsed_s keeps measuring from the same base.
-                    report.first_answer_s = watch.stop()
-                if journal.enabled:
-                    rank = item.ordered.rank
-                    if skipped:
-                        journal.emit(
-                            "plan.skipped",
-                            rank=rank,
-                            sources=list(item.skipped_sources),
-                        )
-                    elif failed:
-                        journal.emit(
-                            "plan.failed",
-                            rank=rank,
-                            error=type(item.error).__name__,
-                        )
-                    elif not batch.sound:
-                        journal.emit("plan.unsound", rank=rank)
-                    else:
-                        journal.emit(
-                            "plan.executed",
-                            rank=rank,
-                            answers=len(item.answers),
-                            new_answers=len(new),
-                            execute_s=item.execute_s,
-                        )
-                        if new:
-                            elapsed = watch.stop()
-                            if first_answer:
-                                journal.emit(
-                                    "answer.first",
-                                    rank=rank,
-                                    elapsed_s=report.first_answer_s,
-                                )
-                            journal.emit(
-                                "answer.progress",
-                                rank=rank,
-                                answers=len(seen),
-                                elapsed_s=elapsed,
-                            )
                 yield batch
                 next_rank += 1
                 if (
                     policy.first_k_answers is not None
-                    and len(seen) >= policy.first_k_answers
+                    and report.answers >= policy.first_k_answers
                 ):
                     report.satisfied = True
                     return
@@ -579,26 +317,22 @@ class PipelinedSession:
             # Unblock a producer stuck on a full queue, then collect
             # the threads; daemon flags are only a last resort.
             while producer.is_alive():
-                try:
-                    while True:
-                        work_q.get_nowait()
-                except Empty:
-                    pass
+                _drain(work_q)
                 producer.join(timeout=_TICK_S)
+            # The producer is gone (its own _DONE may have been refused
+            # or drained above), so nothing refills the queue: empty it
+            # and leave the marker that wakes every worker in turn.
+            _drain(work_q)
+            _leave_done(work_q)
             for worker in workers:
                 worker.join(timeout=5 * _TICK_S)
-            if adopted_tracer:
-                orderer.tracer = NOOP_TRACER
             if self.tracer.enabled:
                 # Workers have quiesced; their private spans fold into
                 # the session tracer so ``--trace`` reports see them.
                 for worker_tracer in worker_tracers:
                     if len(worker_tracer):
                         self.tracer.merge(worker_tracer)
-            if resilience is not None:
-                report.breaker_states = resilience.breaker_states()
-            report.elapsed_s = watch.stop()
-            report.answers = len(seen)
+            core.close()
 
     def run(
         self,
@@ -608,14 +342,12 @@ class PipelinedSession:
         orderer: Optional[PlanOrderer] = None,
         policy: Optional[RequestPolicy] = None,
         request_id: str = "",
-        adaptive: bool = False,
     ) -> tuple[list[AnswerBatch], SessionReport]:
         """Collect the whole stream; returns (batches, report)."""
         batches = list(
             self.stream(
                 query, utility,
                 orderer=orderer, policy=policy, request_id=request_id,
-                adaptive=adaptive,
             )
         )
         report = self.last_report

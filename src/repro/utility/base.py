@@ -88,6 +88,11 @@ class UtilityMeasure(ABC):
     #: True when utility ignores the executed set entirely.
     context_free: bool = True
 
+    #: False when values depend on live source health, so memoizing
+    #: them would go stale; wrappers forward their inner measure's flag
+    #: (composition rule: :mod:`repro.resilience.measure`).
+    cacheable: bool = True
+
     # -- contexts ---------------------------------------------------------------
 
     def new_context(self) -> ExecutionContext:

@@ -15,6 +15,7 @@ correctness tests compare orderers that share the same arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import UtilityError
@@ -28,7 +29,9 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        # Written as ``not <=`` so a NaN bound (every comparison with
+        # NaN is false) is rejected by the same single comparison.
+        if not self.lo <= self.hi:
             raise UtilityError(f"empty interval [{self.lo}, {self.hi}]")
 
     # -- constructors -----------------------------------------------------------
@@ -127,10 +130,17 @@ class Interval:
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def widen(self, amount: float) -> "Interval":
-        """Pad both ends outward by *amount* (>= 0)."""
+        """Pad both ends outward by *amount* (>= 0).
+
+        An infinite bound stays that bound (``inf - inf`` would be NaN).
+        """
         if amount < 0:
             raise UtilityError("widen amount must be non-negative")
-        return Interval(self.lo - amount, self.hi + amount)
+        lo, hi = self.lo, self.hi
+        return Interval(
+            lo if math.isinf(lo) else lo - amount,
+            hi if math.isinf(hi) else hi + amount,
+        )
 
     def __str__(self) -> str:
         if self.is_point:

@@ -137,5 +137,6 @@ class TestReadOnlyDatabase:
         assert ("somebody", "some_movie") in database["v1"]
 
     def test_historical_alias(self, movies):
+        """``execution_database`` is the one name; the alias is gone."""
         mediator = Mediator(movies.catalog, movies.source_facts)
-        assert dict(mediator._database()) == dict(mediator.execution_database())
+        assert not hasattr(mediator, "_database")

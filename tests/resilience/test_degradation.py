@@ -118,13 +118,17 @@ class TestMediatorDegradation:
     def test_non_graceful_mediator_raises(self, movies):
         resilience = ResilienceManager(graceful=False)
         mediator = self.failing_mediator(movies, resilience)
-        with pytest.raises(PermanentSourceError):
+        # One error shape for both drivers of the loop: the session's
+        # "failed after N attempt(s)", chained from the engine's error.
+        with pytest.raises(ExecutionError, match="attempt") as raised:
             list(mediator.answer(movies.query, LinearCost()))
+        assert isinstance(raised.value.__cause__, PermanentSourceError)
 
     def test_no_resilience_keeps_the_legacy_raise(self, movies):
         mediator = self.failing_mediator(movies, None)
-        with pytest.raises(PermanentSourceError):
+        with pytest.raises(ExecutionError, match="attempt") as raised:
             list(mediator.answer(movies.query, LinearCost()))
+        assert isinstance(raised.value.__cause__, PermanentSourceError)
 
     def test_degradation_counters(self, movies):
         resilience = ResilienceManager()

@@ -13,9 +13,13 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.execution.mediator import Mediator
+from repro.observability.caching import CachingUtilityMeasure
+from repro.ordering.adaptive import _ReplayMeasure
 from repro.ordering.bruteforce import PIOrderer
 from repro.resilience.health import SourceHealthTracker
+from repro.resilience.manager import ResilienceManager
 from repro.resilience.measure import MAX_FAILURE_PROB, HealthAwareMeasure
+from repro.service.server import QueryService
 from repro.utility.cost import BindJoinCost, LinearCost
 from repro.workloads.random_lav import ordering_scenario
 
@@ -46,6 +50,45 @@ class TestConstruction:
         assert measure.is_fully_monotonic == inner.is_fully_monotonic
         assert measure.has_diminishing_returns == inner.has_diminishing_returns
         assert measure.context_free == inner.context_free
+
+
+class TestWrapperComposition:
+    """The one legal stack (module docstring of resilience/measure.py):
+    a cache or a health-aware wrapper over the base measure, never the
+    cache over live health; one test per illegal composition."""
+
+    def live(self):
+        return HealthAwareMeasure(LinearCost(), SourceHealthTracker())
+
+    def test_cache_over_live_health_is_refused(self):
+        with pytest.raises(TypeError, match="live source health"):
+            CachingUtilityMeasure(self.live())
+
+    def test_orderer_auto_cache_over_live_health_is_refused(self):
+        with pytest.raises(TypeError, match="live source health"):
+            PIOrderer(self.live(), cache=True)
+
+    def test_cache_over_replayed_live_health_is_refused(self):
+        with pytest.raises(TypeError, match="live source health"):
+            CachingUtilityMeasure(_ReplayMeasure(self.live(), ()))
+
+    def test_frozen_snapshot_may_be_cached(self):
+        frozen = self.live().frozen()
+        assert frozen.cacheable
+        assert CachingUtilityMeasure(frozen).cacheable
+
+    def test_service_picks_exactly_one_wrapper(self, movies):
+        for manager, expected in (
+            (None, CachingUtilityMeasure),
+            (ResilienceManager(health_aware=False), CachingUtilityMeasure),
+            (ResilienceManager(), HealthAwareMeasure),
+        ):
+            service = QueryService(
+                movies.catalog, movies.source_facts, resilience=manager
+            )
+            measure = service.shared_measure("linear")
+            assert type(measure) is expected
+            assert type(measure.inner) is LinearCost
 
 
 class TestSubstitution:

@@ -1,0 +1,63 @@
+"""Session shutdown wakes every thread by notification, never by poll.
+
+``_TICK_S`` is only a liveness bound.  With it stretched to 2 s, any
+shutdown path that relies on a poll expiring — a worker that never got
+its ``_DONE`` marker, a producer left on a full queue — costs at least
+2 s, so 140 back-to-back requests finishing inside that budget shows
+that none of them waited one out.
+"""
+
+import threading
+import time
+
+import pytest
+
+from repro.execution.mediator import Mediator
+from repro.service import session as session_module
+from repro.service.policy import CancellationToken, RequestPolicy
+from repro.service.session import PipelinedSession
+from repro.utility.cost import LinearCost
+
+STRETCHED_TICK_S = 2.0
+
+
+def service_threads():
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-service-")
+    ]
+
+
+@pytest.mark.parametrize("workers,depth", [(2, 8), (3, 1)])
+def test_no_request_waits_out_a_poll(movies, monkeypatch, workers, depth):
+    monkeypatch.setattr(session_module, "_TICK_S", STRETCHED_TICK_S)
+    session = PipelinedSession(
+        Mediator(movies.catalog, movies.source_facts),
+        executor_workers=workers,
+        queue_depth=depth,
+    )
+    utility = LinearCost()
+    started = time.perf_counter()
+    for _ in range(100):
+        batches, report = session.run(movies.query, utility)
+        assert report.exhausted and len(batches) == 9
+    for _ in range(20):
+        _, report = session.run(
+            movies.query, utility, policy=RequestPolicy(first_k_answers=1)
+        )
+        assert report.satisfied
+    for _ in range(20):
+        token = CancellationToken()
+        stream = session.stream(
+            movies.query, utility, policy=RequestPolicy(cancellation=token)
+        )
+        next(stream)
+        token.cancel()
+        list(stream)
+        # A deep queue may have finished every plan before the cancel.
+        report = session.last_report
+        assert report.cancelled or report.exhausted
+    elapsed = time.perf_counter() - started
+    assert elapsed < STRETCHED_TICK_S, f"{elapsed:.2f}s: a shutdown polled"
+    assert service_threads() == []

@@ -1,7 +1,7 @@
 """Tests for interval arithmetic, including hypothesis properties."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import UtilityError
 from repro.utility.intervals import Interval
@@ -84,6 +84,17 @@ class TestArithmetic:
         with pytest.raises(UtilityError):
             Interval(1, 2).widen(-1)
 
+    def test_widen_keeps_infinite_bounds(self):
+        inf = float("inf")
+        assert Interval(inf, inf).widen(inf) == Interval(inf, inf)
+        assert Interval(-inf, 3).widen(1) == Interval(-inf, 4)
+        assert Interval(0, 1).widen(inf) == Interval(-inf, inf)
+
+    @pytest.mark.parametrize("lo,hi", [("nan", 1), (0, "nan"), ("nan", "nan")])
+    def test_nan_bounds_rejected(self, lo, hi):
+        with pytest.raises(UtilityError):
+            Interval(float(lo), float(hi))
+
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -127,6 +138,12 @@ class TestProperties:
         assert product.widen(slack).contains(x * y)
 
     @given(interval_and_member(), interval_and_member())
+    # The quotient overflows to inf, and widening [inf, inf] by inf
+    # used to compute inf - inf = nan.
+    @example(
+        (Interval(260851.0, 260851.0), 260851.0),
+        (Interval(6.3e-304, 6.3e-304), 6.3e-304),
+    )
     @settings(max_examples=150, deadline=None)
     def test_div_contains_members(self, first, second):
         (i1, x), (i2, y) = first, second
