@@ -788,14 +788,15 @@ def _drain_hooked(mediator: Mediator, query, utility) -> int:
 
 
 def _drain_control(mediator: Mediator, query, utility) -> int:
-    """``Mediator.answer``'s body with the journal hooks deleted.
+    """The anytime loop as it was before the journal hooks existed.
 
-    This is the pre-instrumentation loop: same stages (reformulate,
-    order, soundness, execute, record), same per-plan allocations, no
-    ``journal.enabled`` checks.  Kept in lockstep with
-    ``Mediator.answer`` by the equivalence assertion in
-    ``run_profile`` (both drains must produce identical batch counts
-    and answers).
+    A frozen, minimal reference — same stages (reformulate, order,
+    soundness, execute, record), same per-plan allocations, no
+    ``journal.enabled`` checks — and deliberately *not* a mirror of
+    ``Mediator.answer``: it stays as it is while the staged core
+    (``AnytimeRun``) evolves.  What keeps the overhead ratio meaningful
+    is the batch-count guard of ``check_profile`` (both drains must
+    produce the same number of batches).
     """
     orderer = GreedyOrderer(utility)
     space = mediator.reformulate(query)

@@ -25,7 +25,8 @@ Hits and misses are counted per kind (concrete/abstract) through a
 
 Structural flags (monotonicity, diminishing returns, context freedom)
 and the independence/preference hooks all delegate to the wrapped
-measure, so an orderer's applicability checks see the true measure.
+measure (:class:`~repro.utility.base.DelegatingMeasure`), so an
+orderer's applicability checks see the true measure.
 
 Which measures may be cached, and where this wrapper sits among the
 others, is the composition rule in :mod:`repro.resilience.measure`;
@@ -34,11 +35,16 @@ the constructor enforces it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.observability.metrics import MetricRegistry
-from repro.sources.catalog import SourceDescription
-from repro.utility.base import ExecutionContext, PlanLike, Slots, UtilityMeasure
+from repro.utility.base import (
+    DelegatingMeasure,
+    ExecutionContext,
+    PlanLike,
+    Slots,
+    UtilityMeasure,
+)
 from repro.utility.intervals import Interval
 
 __all__ = ["CachingUtilityMeasure"]
@@ -47,7 +53,7 @@ __all__ = ["CachingUtilityMeasure"]
 ContextSignature = tuple[tuple[str, ...], ...]
 
 
-class CachingUtilityMeasure(UtilityMeasure):
+class CachingUtilityMeasure(DelegatingMeasure):
     """Transparent memoization layer over another utility measure."""
 
     def __init__(
@@ -62,11 +68,8 @@ class CachingUtilityMeasure(UtilityMeasure):
                 f"refusing to cache {inner.name!r}: its values follow live "
                 "source health (see repro.resilience.measure)"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.name = f"{inner.name}+memo"
-        self.is_fully_monotonic = inner.is_fully_monotonic
-        self.has_diminishing_returns = inner.has_diminishing_returns
-        self.context_free = inner.context_free
         self.registry = registry if registry is not None else MetricRegistry()
         self._hits = self.registry.counter("utility_cache.hits")
         self._misses = self.registry.counter("utility_cache.misses")
@@ -131,25 +134,6 @@ class CachingUtilityMeasure(UtilityMeasure):
         self._hits.inc()
         self._abstract_hits.inc()
         return interval
-
-    # -- delegation -------------------------------------------------------------
-
-    def new_context(self) -> ExecutionContext:
-        return self.inner.new_context()
-
-    def independent(self, first: PlanLike, second: PlanLike) -> bool:
-        return self.inner.independent(first, second)
-
-    def has_independent_witness(
-        self, slots: Slots, executed: Sequence[PlanLike]
-    ) -> bool:
-        return self.inner.has_independent_witness(slots, executed)
-
-    def all_members_independent(self, slots: Slots, plan: PlanLike) -> bool:
-        return self.inner.all_members_independent(slots, plan)
-
-    def source_preference_key(self, bucket: int, source: SourceDescription) -> float:
-        return self.inner.source_preference_key(bucket, source)
 
     def __repr__(self) -> str:
         return (

@@ -59,6 +59,7 @@ from repro.ordering.base import EmitCallback, OrderedPlan, PlanOrderer
 from repro.ordering.dominance import head_certainly_best
 from repro.reformulation.plans import PlanSpace, QueryPlan
 from repro.utility.base import (
+    DelegatingMeasure,
     ExecutionContext,
     PlanLike,
     Slots,
@@ -69,7 +70,7 @@ from repro.utility.intervals import Interval
 __all__ = ["AdaptiveOrderer"]
 
 
-class _ReplayMeasure(UtilityMeasure):
+class _ReplayMeasure(DelegatingMeasure):
     """A measure whose fresh contexts start with plans already executed.
 
     Restarting an inner orderer mid-stream must not forget the stream's
@@ -88,39 +89,14 @@ class _ReplayMeasure(UtilityMeasure):
     def __init__(
         self, inner: UtilityMeasure, executed: Sequence[PlanLike]
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.executed = tuple(executed)
-        self.name = inner.name
-        self.is_fully_monotonic = inner.is_fully_monotonic
-        self.has_diminishing_returns = inner.has_diminishing_returns
-        self.context_free = inner.context_free
-        self.cacheable = inner.cacheable
 
     def new_context(self) -> ExecutionContext:
         context = self.inner.new_context()
         for plan in self.executed:
             context.record(plan)
         return context
-
-    def evaluate(self, plan: PlanLike, context: ExecutionContext) -> float:
-        return self.inner.evaluate(plan, context)
-
-    def evaluate_slots(self, slots: Slots, context: ExecutionContext) -> Interval:
-        return self.inner.evaluate_slots(slots, context)
-
-    def independent(self, first: PlanLike, second: PlanLike) -> bool:
-        return self.inner.independent(first, second)
-
-    def has_independent_witness(
-        self, slots: Slots, executed: Sequence[PlanLike]
-    ) -> bool:
-        return self.inner.has_independent_witness(slots, executed)
-
-    def all_members_independent(self, slots: Slots, plan: PlanLike) -> bool:
-        return self.inner.all_members_independent(slots, plan)
-
-    def source_preference_key(self, bucket: int, source) -> float:
-        return self.inner.source_preference_key(bucket, source)
 
     def __repr__(self) -> str:
         return f"<_ReplayMeasure {self.name!r} executed={len(self.executed)}>"
@@ -263,14 +239,6 @@ class AdaptiveOrderer(PlanOrderer):
         return shifted, head_value, frontier_hi
 
     # -- ordering ----------------------------------------------------------------
-
-    def order(
-        self,
-        space: PlanSpace,
-        k: int,
-        on_emit: Optional[EmitCallback] = None,
-    ) -> Iterator[OrderedPlan]:
-        return self.order_spaces([space], k, on_emit)
 
     def order_spaces(
         self,

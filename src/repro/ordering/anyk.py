@@ -13,7 +13,8 @@ that to the plan-ordering problem (paper, Definition 2.1).
 **Index-vector view.**  Fix, per bucket, a total order on its sources;
 a concrete plan is then an index vector ``v`` (one index per bucket)
 and the plan space is the product lattice of the vectors.  Two
-enumeration modes share this view:
+enumeration modes share this view and one body — the shared
+:mod:`~repro.ordering.frontier` with lattice cells as candidates:
 
 **Lattice mode** — when the measure is *fully monotonic*
 (:attr:`~repro.utility.base.UtilityMeasure.is_fully_monotonic`), sort
@@ -44,22 +45,14 @@ to lattice cones instead of abstraction trees.  Popping a concrete
 entry emits it (every other unemitted plan sits under some entry whose
 upper bound is no larger); popping a region *refines* it into its
 corner plan plus its one-coordinate successor regions.  Successor
-regions overlap, which is harmless for upper bounds; visited-vector
-sets deduplicate both corners and regions so each is created once and
-memory again stays ``O(popped * n)`` heap entries.
+regions overlap, which is harmless for upper bounds; a visited-vector
+set creates each region (hence each corner) once, so memory again
+stays ``O(popped * n)`` heap entries.
 
-**Tie-breaking** (documented, deterministic): heap order is
-``(-value, kind, plan key)`` with concrete entries (kind 0) before
-region entries (kind 1) at equal value, and lexicographically smaller
-plan keys first.  Any tie choice satisfies Definition 2.1, so
-AnyK's *utility* stream matches the brute-force reference exactly
-while the plan sequence may differ within a tie group — the
-equivalence granularity ``tests/ordering/equivalence.py`` checks.
-
-**Context sensitivity.**  For measures that are not context-free, a
-recorded execution re-scores every heap entry in the new context
-(like Greedy's re-score): the lattice dominance / interval soundness
-arguments are context-independent, so only the keys need refreshing.
+**Tie-breaking** is the frontier's: bound descending, concrete before
+region, smaller plan key first (a region's key is its corner plan's).
+Any tie choice satisfies Definition 2.1; ``tests/ordering/
+equivalence.py`` compares utility streams, not tied plans.
 
 Observability: ``ordering.anyk.pops`` / ``successors`` /
 ``duplicates_skipped`` counters, an ``ordering.anyk.heap_peak`` gauge
@@ -70,22 +63,16 @@ orderer's :class:`~repro.observability.metrics.MetricRegistry`.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from repro.errors import InternalError
 from repro.observability.tracing import Stopwatch
 from repro.ordering.base import EmitCallback, OrderedPlan, PlanOrderer
+from repro.ordering.frontier import Frontier
 from repro.reformulation.plans import PlanSpace, QueryPlan
 from repro.sources.catalog import SourceDescription
-from repro.utility.base import UtilityMeasure
+from repro.utility.base import Slots, UtilityMeasure
 
 __all__ = ["AnyKOrderer"]
-
-#: Heap-entry kinds; concrete sorts before region at equal value.
-_CONCRETE = 0
-_REGION = 1
 
 
 class _SpaceLattice:
@@ -98,12 +85,11 @@ class _SpaceLattice:
     ``CachingUtilityMeasure``) recognize repeats.
     """
 
-    __slots__ = ("space", "sources", "suffixes", "limits")
+    __slots__ = ("sources", "suffixes", "limits")
 
     def __init__(
         self, space: PlanSpace, utility: UtilityMeasure, lattice: bool
     ) -> None:
-        self.space = space
         ordered: list[tuple[SourceDescription, ...]] = []
         for bucket in space.buckets:
             if lattice:
@@ -135,16 +121,6 @@ class _SpaceLattice:
         )
         self.limits = tuple(len(members) for members in self.sources)
 
-    def plan_at(self, vector: tuple[int, ...]) -> QueryPlan:
-        return QueryPlan(
-            tuple(self.sources[i][j] for i, j in enumerate(vector))
-        )
-
-    def slots_at(self, vector: tuple[int, ...]):
-        if self.suffixes is None:
-            raise InternalError("suffix slots requested in lattice mode")
-        return tuple(self.suffixes[i][j] for i, j in enumerate(vector))
-
     def successors(
         self, vector: tuple[int, ...]
     ) -> Iterator[tuple[int, ...]]:
@@ -152,6 +128,34 @@ class _SpaceLattice:
         for i, j in enumerate(vector):
             if j + 1 < self.limits[i]:
                 yield vector[:i] + (j + 1,) + vector[i + 1 :]
+
+
+class _Cell:
+    """A lattice vector in the frontier.
+
+    Concrete: the plan at the vector.  Region: the cone of every plan
+    ``w >= vector``, keyed by its corner plan's key and scored over the
+    per-bucket suffix slots.
+    """
+
+    __slots__ = ("lattice", "vector", "plan", "key")
+
+    def __init__(
+        self, lattice: _SpaceLattice, vector: tuple[int, ...], concrete: bool
+    ) -> None:
+        self.lattice = lattice
+        self.vector = vector
+        corner = tuple(lattice.sources[i][j] for i, j in enumerate(vector))
+        self.plan = QueryPlan(corner) if concrete else None
+        self.key = tuple(source.name for source in corner)
+
+    @property
+    def is_concrete(self) -> bool:
+        return self.plan is not None
+
+    def slots(self) -> Slots:
+        suffixes = self.lattice.suffixes
+        return tuple(suffixes[i][j] for i, j in enumerate(self.vector))
 
 
 class AnyKOrderer(PlanOrderer):
@@ -169,14 +173,6 @@ class AnyKOrderer(PlanOrderer):
         self._heap_peak = self.registry.gauge("ordering.anyk.heap_peak")
         self._delay = self.registry.histogram("ordering.anyk.delay")
 
-    def order(
-        self,
-        space: PlanSpace,
-        k: int,
-        on_emit: Optional[EmitCallback] = None,
-    ) -> Iterator[OrderedPlan]:
-        return self.order_spaces([space], k, on_emit)
-
     def order_spaces(
         self,
         spaces: "list[PlanSpace] | tuple[PlanSpace, ...]",
@@ -184,198 +180,67 @@ class AnyKOrderer(PlanOrderer):
         on_emit: Optional[EmitCallback] = None,
     ) -> Iterator[OrderedPlan]:
         self._check_k(k)
-        if self.utility.is_fully_monotonic:
-            yield from self._order_lattice(spaces, k, on_emit)
-        else:
-            yield from self._order_intervals(spaces, k, on_emit)
-
-    # -- shared plumbing ---------------------------------------------------------
-
-    def _note_heap(self, heap: list) -> None:
-        if len(heap) > self._heap_peak.value:
-            self._heap_peak.set(len(heap))
-
-    # -- lattice mode (fully monotonic measures) ----------------------------------
-
-    def _order_lattice(
-        self,
-        spaces: "list[PlanSpace] | tuple[PlanSpace, ...]",
-        k: int,
-        on_emit: Optional[EmitCallback],
-    ) -> Iterator[OrderedPlan]:
         context = self.utility.new_context()
-        lattices = [
-            _SpaceLattice(space, self.utility, lattice=True)
-            for space in spaces
-        ]
-        tick = itertools.count()
+        # Lattice mode spans the frontier with concrete cells, interval
+        # mode with cones; everything else is shared.
+        exact = self.utility.is_fully_monotonic
 
-        # Heap entries: (-value, kind, plan key, tick, space id, vector,
-        # plan).  The leading triple is the documented tie-break; the
-        # tick only guards against ever comparing the payload.
-        def entry(space_id: int, vector: tuple[int, ...]) -> tuple:
-            plan = lattices[space_id].plan_at(vector)
-            value = self._evaluate_plan(plan, context)
-            return (-value, _CONCRETE, plan.key, next(tick), space_id, vector, plan)
+        def score(cell: _Cell) -> float:
+            if cell.plan is not None:
+                return self._evaluate_plan(cell.plan, context)
+            # A cone's bound is the *upper* end of its utility
+            # interval — sound for every plan in it.
+            return self._evaluate_slots(cell.slots(), context).hi
 
-        seen: set[tuple[int, tuple[int, ...]]] = set()
-        heap: list[tuple] = []
-        for space_id, lattice in enumerate(lattices):
+        frontier = Frontier(score)
+        # Successor vectors are reachable along several coordinates;
+        # the first copy (or its expansion) carries the obligation.
+        seen: set[tuple[_SpaceLattice, tuple[int, ...]]] = set()
+
+        def successors(cell: _Cell) -> Iterator[_Cell]:
+            lattice = cell.lattice
+            for vector in lattice.successors(cell.vector):
+                if (lattice, vector) in seen:
+                    self._duplicates.inc()
+                    continue
+                seen.add((lattice, vector))
+                self._successors.inc()
+                yield _Cell(lattice, vector, concrete=exact)
+
+        def expand(cone: _Cell) -> Iterator[_Cell]:
+            # Any ``w >= v`` other than ``v`` exceeds it in some
+            # coordinate ``i`` and so lies in the cone at ``v + e_i``:
+            # corner plus successor cones cover the cone exactly.
+            self._pops.inc()
+            self.stats.refinements += 1
+            yield _Cell(cone.lattice, cone.vector, concrete=True)
+            yield from successors(cone)
+
+        def uncover(emitted: _Cell) -> Iterable[_Cell]:
+            # Lattice mode: the emitted set stays downward closed, its
+            # Lawler successors are the new minimal unemitted vectors.
+            # Interval mode: the cone that held the plan already
+            # expanded into its successor cones.
+            return successors(emitted) if exact else ()
+
+        for space in spaces:
+            lattice = _SpaceLattice(space, self.utility, lattice=exact)
             root = (0,) * len(lattice.limits)
-            seen.add((space_id, root))
-            heap.append(entry(space_id, root))
-        heapq.heapify(heap)
-        self._note_heap(heap)
+            seen.add((lattice, root))
+            frontier.push(_Cell(lattice, root, concrete=exact))
 
-        carry = 0.0  # resumption work belongs to the *next* delay
-        for rank in range(1, k + 1):
-            if not heap:
+        stream = self._emit_best_first(
+            frontier, context, k, on_emit, expand=expand, uncover=uncover
+        )
+        while True:
+            # One delay = the resumption work after the previous plan
+            # (report, re-score, successors) plus the pops to this one.
+            with Stopwatch() as watch:
+                entry = next(stream, None)
+            if frontier.peak > self._heap_peak.value:
+                self._heap_peak.set(frontier.peak)
+            if entry is None:
                 return
-            with Stopwatch() as watch:
-                neg_value, _kind, _key, _tick, space_id, vector, plan = (
-                    heapq.heappop(heap)
-                )
-                self._pops.inc()
-                self.stats.snapshot_first_plan()
-            self._delay.observe(carry + watch.elapsed)
-            yield OrderedPlan(plan, -neg_value, rank)
-            # Resumed: report the emission first (lazy contract point
-            # 2), then expand successors in the possibly-updated
-            # context.
-            with Stopwatch() as watch:
-                if on_emit is None or on_emit(plan):
-                    context.record(plan)
-                    if not self.utility.context_free:
-                        # Full monotonicity pins the per-bucket order
-                        # across contexts, but the values may drift.
-                        heap = [entry(item[4], item[5]) for item in heap]
-                        heapq.heapify(heap)
-                for successor in lattices[space_id].successors(vector):
-                    if (space_id, successor) in seen:
-                        self._duplicates.inc()
-                        continue
-                    seen.add((space_id, successor))
-                    self._successors.inc()
-                    heapq.heappush(heap, entry(space_id, successor))
-                self._note_heap(heap)
-            carry = watch.elapsed
-
-    # -- interval mode (any measure with sound evaluate_slots) --------------------
-
-    def _order_intervals(
-        self,
-        spaces: "list[PlanSpace] | tuple[PlanSpace, ...]",
-        k: int,
-        on_emit: Optional[EmitCallback],
-    ) -> Iterator[OrderedPlan]:
-        context = self.utility.new_context()
-        lattices = [
-            _SpaceLattice(space, self.utility, lattice=False)
-            for space in spaces
-        ]
-        tick = itertools.count()
-
-        # Entries: (-value, kind, corner plan key, tick, space id,
-        # vector, plan-or-None).  A region's key is the *upper* bound
-        # of its cone's utility interval — sound for every plan in it.
-        def concrete_entry(space_id: int, vector: tuple[int, ...]) -> tuple:
-            plan = lattices[space_id].plan_at(vector)
-            value = self._evaluate_plan(plan, context)
-            return (-value, _CONCRETE, plan.key, next(tick), space_id, vector, plan)
-
-        def region_entry(space_id: int, vector: tuple[int, ...]) -> tuple:
-            lattice = lattices[space_id]
-            interval = self._evaluate_slots(lattice.slots_at(vector), context)
-            corner_key = tuple(
-                lattice.sources[i][j].name for i, j in enumerate(vector)
-            )
-            return (-interval.hi, _REGION, corner_key, next(tick), space_id, vector, None)
-
-        corners_seen: set[tuple[int, tuple[int, ...]]] = set()
-        regions_seen: set[tuple[int, tuple[int, ...]]] = set()
-        heap: list[tuple] = []
-        for space_id, lattice in enumerate(lattices):
-            root = (0,) * len(lattice.limits)
-            regions_seen.add((space_id, root))
-            heap.append(region_entry(space_id, root))
-        heapq.heapify(heap)
-        self._note_heap(heap)
-
-        carry = 0.0  # resumption work belongs to the *next* delay
-        for rank in range(1, k + 1):
-            emitted: Optional[tuple] = None
-            with Stopwatch() as watch:
-                while heap:
-                    head = heapq.heappop(heap)
-                    self._pops.inc()
-                    if head[1] == _CONCRETE:
-                        # Exact value >= every other entry's upper
-                        # bound, and every unemitted plan sits under
-                        # some entry: this is the conditional maximum.
-                        emitted = head
-                        break
-                    self._refine(
-                        head, lattices, heap,
-                        corners_seen, regions_seen,
-                        concrete_entry, region_entry,
-                    )
-                    self._note_heap(heap)
-            if emitted is None:
-                return
-            neg_value, _kind, _key, _tick, space_id, vector, plan = emitted
-            if plan is None:
-                raise InternalError("concrete heap entry lost its plan")
-            self.stats.snapshot_first_plan()
-            self._delay.observe(carry + watch.elapsed)
-            yield OrderedPlan(plan, -neg_value, rank)
-            # Successor regions were already created when this plan's
-            # region refined, so resumption only has to report and —
-            # for context-sensitive measures — re-score the frontier.
-            with Stopwatch() as watch:
-                if on_emit is None or on_emit(plan):
-                    context.record(plan)
-                    if not self.utility.context_free:
-                        heap = [
-                            concrete_entry(item[4], item[5])
-                            if item[1] == _CONCRETE
-                            else region_entry(item[4], item[5])
-                            for item in heap
-                        ]
-                        heapq.heapify(heap)
-                        self._note_heap(heap)
-            carry = watch.elapsed
-
-    def _refine(
-        self,
-        head: tuple,
-        lattices: list[_SpaceLattice],
-        heap: list[tuple],
-        corners_seen: set,
-        regions_seen: set,
-        concrete_entry,
-        region_entry,
-    ) -> None:
-        """Split a region into its corner plan + successor regions.
-
-        Coverage invariant: the region at ``v`` stands for the cone
-        ``{w : w >= v}``; its corner ``v`` plus the cones at ``v + e_i``
-        cover exactly the cone minus nothing — any ``w >= v`` other
-        than ``v`` itself exceeds ``v`` in some coordinate ``i`` and so
-        lies in the cone at ``v + e_i``.  Duplicate corners/regions are
-        skipped: the earlier copy (or its refinement) already carries
-        the coverage obligation.
-        """
-        _neg, _kind, _key, _tick, space_id, vector, _plan = head
-        self.stats.refinements += 1
-        if (space_id, vector) not in corners_seen:
-            corners_seen.add((space_id, vector))
-            heapq.heappush(heap, concrete_entry(space_id, vector))
-        else:
-            self._duplicates.inc()
-        for successor in lattices[space_id].successors(vector):
-            if (space_id, successor) in regions_seen:
-                self._duplicates.inc()
-                continue
-            regions_seen.add((space_id, successor))
-            self._successors.inc()
-            heapq.heappush(heap, region_entry(space_id, successor))
+            self._pops.inc()
+            self._delay.observe(watch.elapsed)
+            yield entry

@@ -29,14 +29,15 @@ hit/miss counters through the same registry.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import OrderingError
 from repro.observability.caching import CachingUtilityMeasure
 from repro.observability.metrics import MetricRegistry
 from repro.observability.tracing import NOOP_TRACER, Stopwatch, Tracer
+from repro.ordering.frontier import Frontier, best_first
 from repro.reformulation.plans import PlanSpace, QueryPlan
 from repro.utility.base import ExecutionContext, Slots, UtilityMeasure
 from repro.utility.intervals import Interval
@@ -137,6 +138,40 @@ for _field in OrderingStats.FIELDS:
 del _field
 
 
+def evaluate_plan(
+    utility: UtilityMeasure,
+    plan: QueryPlan,
+    context: ExecutionContext,
+    stats: OrderingStats,
+    tracer: Tracer = NOOP_TRACER,
+) -> float:
+    """Point-evaluate *plan*, counting and (if enabled) tracing."""
+    if tracer.enabled:
+        with tracer.span("utility.eval"):
+            value = utility.evaluate(plan, context)
+    else:
+        value = utility.evaluate(plan, context)
+    stats.note_concrete_evaluation()
+    return value
+
+
+def evaluate_slots(
+    utility: UtilityMeasure,
+    slots: Slots,
+    context: ExecutionContext,
+    stats: OrderingStats,
+    tracer: Tracer = NOOP_TRACER,
+) -> Interval:
+    """Interval-evaluate an abstract plan's slots, counted/traced."""
+    if tracer.enabled:
+        with tracer.span("utility.eval_slots"):
+            interval = utility.evaluate_slots(slots, context)
+    else:
+        interval = utility.evaluate_slots(slots, context)
+    stats.note_abstract_evaluation()
+    return interval
+
+
 class PlanOrderer(ABC):
     """Base class of all ordering algorithms."""
 
@@ -163,28 +198,45 @@ class PlanOrderer(ABC):
     # -- instrumented evaluation -------------------------------------------------
 
     def _evaluate_plan(self, plan: QueryPlan, context: ExecutionContext) -> float:
-        """Point-evaluate *plan*, counting and (if enabled) tracing."""
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("utility.eval"):
-                value = self.utility.evaluate(plan, context)
-        else:
-            value = self.utility.evaluate(plan, context)
-        self.stats.note_concrete_evaluation()
-        return value
+        return evaluate_plan(self.utility, plan, context, self.stats, self.tracer)
 
     def _evaluate_slots(self, slots: Slots, context: ExecutionContext) -> Interval:
-        """Interval-evaluate an abstract plan's slots, counted/traced."""
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("utility.eval_slots"):
-                interval = self.utility.evaluate_slots(slots, context)
-        else:
-            interval = self.utility.evaluate_slots(slots, context)
-        self.stats.note_abstract_evaluation()
-        return interval
+        return evaluate_slots(self.utility, slots, context, self.stats, self.tracer)
 
-    @abstractmethod
+    # -- the emission loop of the frontier orderers ------------------------------
+
+    def _emit_best_first(
+        self,
+        frontier: Frontier,
+        context: ExecutionContext,
+        k: int,
+        on_emit: Optional[EmitCallback],
+        *,
+        uncover: Callable[[Any], Iterable[Any]],
+        expand: Optional[Callable[[Any], Iterable[Any]]] = None,
+    ) -> Iterator[OrderedPlan]:
+        """Emit the ``k`` best plans of a seeded *frontier*.
+
+        Concrete candidates carry their ``plan``.  On resumption after
+        each yield: report the emission, record it if it counted,
+        re-score the frontier iff the measure reads the context, then
+        score — in the new context — what the emission uncovered
+        (Greedy's split subspaces, AnyK's Lawler successors).  An
+        orderer whose candidates are all concrete passes no ``expand``.
+        """
+        for rank, (candidate, value) in zip(
+            range(1, k + 1), best_first(frontier, expand)
+        ):
+            self.stats.snapshot_first_plan()
+            plan = candidate.plan
+            yield OrderedPlan(plan, value, rank)
+            if on_emit is None or on_emit(plan):
+                context.record(plan)
+                if not self.utility.context_free:
+                    frontier.rescore()
+            for piece in uncover(candidate):
+                frontier.push(piece)
+
     def order(
         self,
         space: PlanSpace,
@@ -212,8 +264,10 @@ class PlanOrderer(ABC):
            point and leaves the orderer reusable for a fresh call.
 
         ``tests/ordering/test_lazy_contract.py`` enforces this for
-        every algorithm.
+        every algorithm.  One space is the one-element case of
+        :meth:`order_spaces`, which is what algorithms implement.
         """
+        return self.order_spaces([space], k, on_emit)
 
     def order_spaces(
         self,

@@ -29,14 +29,6 @@ class ExhaustiveOrderer(PlanOrderer):
 
     name = "exhaustive"
 
-    def order(
-        self,
-        space: PlanSpace,
-        k: int,
-        on_emit: Optional[EmitCallback] = None,
-    ) -> Iterator[OrderedPlan]:
-        return self.order_spaces([space], k, on_emit)
-
     def order_spaces(
         self,
         spaces: "list[PlanSpace] | tuple[PlanSpace, ...]",
@@ -84,14 +76,6 @@ class PIOrderer(PlanOrderer):
     """
 
     name = "PI"
-
-    def order(
-        self,
-        space: PlanSpace,
-        k: int,
-        on_emit: Optional[EmitCallback] = None,
-    ) -> Iterator[OrderedPlan]:
-        return self.order_spaces([space], k, on_emit)
 
     def order_spaces(
         self,

@@ -6,18 +6,20 @@ discards all of ``q``'s concrete plans without computing their
 utilities), and refines a surviving abstract plan, until one concrete
 plan remains.
 
-The implementation realizes this as *best-first search*: candidates
-live in a priority queue ordered by interval upper bound; the top is
-refined if abstract and returned if concrete.  This visits exactly the
-candidates Drips' refine-the-most-promising policy visits, and the
-never-popped heap remainder is the set Drips would have eliminated —
-dominance elimination performed lazily in ``O(log n)`` per step
-instead of by quadratic scanning.  A popped concrete plan has the
+The implementation realizes this as *best-first search* on the shared
+:mod:`~repro.ordering.frontier`: candidates are abstract plans keyed
+by interval upper bound; the top is refined if abstract and returned
+if concrete.  This visits exactly the candidates Drips'
+refine-the-most-promising policy visits, and the never-popped frontier
+remainder is the set Drips would have eliminated — dominance
+elimination performed lazily in ``O(log n)`` per step instead of by
+quadratic scanning.  A popped concrete plan has the
 maximal upper bound, hence utility at least every other candidate's
 whole interval: it is the best plan.
 
-Ties are resolved by the plans' deterministic keys, so the search is
-fully reproducible.
+Ties are resolved by the frontier's one tie-break (a concrete plan
+before an abstract one, then the plans' deterministic keys), so the
+search is fully reproducible.
 
 :func:`drips_search` is shared by :class:`DripsPlanner` (one space,
 one winner) and :class:`~repro.ordering.idrips.IDripsOrderer` (a pool
@@ -26,7 +28,6 @@ of top plans from several spaces).
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional, Sequence
 
 from repro.errors import OrderingError
@@ -38,35 +39,10 @@ from repro.ordering.abstraction import (
     OutputCountHeuristic,
     top_plan,
 )
-from repro.ordering.base import OrderingStats
+from repro.ordering.base import OrderingStats, evaluate_plan, evaluate_slots
+from repro.ordering.frontier import Frontier, best_first
 from repro.reformulation.plans import PlanSpace, QueryPlan
 from repro.utility.base import ExecutionContext, UtilityMeasure
-from repro.utility.intervals import Interval
-
-
-def evaluate_plan_interval(
-    plan: AbstractPlan,
-    utility: UtilityMeasure,
-    context: ExecutionContext,
-    stats: OrderingStats,
-    tracer: Tracer = NOOP_TRACER,
-) -> Interval:
-    """Interval of an abstract plan; point interval of a concrete one."""
-    if plan.is_concrete:
-        if tracer.enabled:
-            with tracer.span("utility.eval"):
-                value = utility.evaluate(plan.concrete_plan(), context)
-        else:
-            value = utility.evaluate(plan.concrete_plan(), context)
-        stats.note_concrete_evaluation()
-        return Interval.point(value)
-    if tracer.enabled:
-        with tracer.span("utility.eval_slots"):
-            interval = utility.evaluate_slots(plan.slots_members(), context)
-    else:
-        interval = utility.evaluate_slots(plan.slots_members(), context)
-    stats.note_abstract_evaluation()
-    return interval
 
 
 def drips_search(
@@ -83,26 +59,28 @@ def drips_search(
     if not pool:
         raise OrderingError("drips_search needs a non-empty pool")
 
-    heap: list[tuple[float, tuple, AbstractPlan, Interval]] = []
-    for plan in pool:
-        interval = evaluate_plan_interval(plan, utility, context, stats, tracer)
-        heapq.heappush(heap, (-interval.hi, plan.key, plan, interval))
-
-    while heap:
-        _neg_hi, _key, plan, interval = heapq.heappop(heap)
+    def upper_bound(plan: AbstractPlan) -> float:
         if plan.is_concrete:
-            # Everything still on the heap is dominated by this plan.
-            stats.eliminations += len(heap)
-            return plan, interval.lo
+            return evaluate_plan(
+                utility, plan.concrete_plan(), context, stats, tracer
+            )
+        return evaluate_slots(
+            utility, plan.slots_members(), context, stats, tracer
+        ).hi
+
+    def refine(plan: AbstractPlan) -> list[AbstractPlan]:
         stats.refinements += 1
-        for child in plan.refine():
-            child_interval = evaluate_plan_interval(
-                child, utility, context, stats, tracer
-            )
-            heapq.heappush(
-                heap, (-child_interval.hi, child.key, child, child_interval)
-            )
-    raise OrderingError("drips_search exhausted the pool without a winner")
+        return plan.refine()
+
+    frontier = Frontier(upper_bound)
+    for plan in pool:
+        frontier.push(plan)
+    found = next(best_first(frontier, refine), None)
+    if found is None:
+        raise OrderingError("drips_search exhausted the pool without a winner")
+    # Everything still on the frontier is dominated by the winner.
+    stats.eliminations += len(frontier)
+    return found
 
 
 class DripsPlanner:

@@ -9,7 +9,9 @@ source always improves the plan, regardless of the executed set.  Then
 * removing an emitted plan splits its space into at most ``m`` disjoint
   subspaces (:meth:`~repro.reformulation.plans.PlanSpace.split_off`);
 * a priority queue over the spaces' best plans yields the global
-  ordering.
+  ordering — the shared :mod:`~repro.ordering.frontier`, with a
+  candidate being a space standing in as its best plan and an
+  emission uncovering the spaces its plan splits off.
 
 The paper proves Greedy returns the correct first ``k`` plans in
 ``O(m * n^2 * k^2)`` time; with the heap used here the typical cost is
@@ -18,18 +20,17 @@ and ``n`` the query length.
 
 Full monotonicity guarantees the per-bucket *order* is stable across
 execution contexts, but for measures that are monotonic yet not
-context-free the utility *values* may still drift, so the heap is
+context-free the utility *values* may still drift, so the frontier is
 re-scored after each recorded execution.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Iterator, Optional
 
 from repro.errors import NotApplicableError
 from repro.ordering.base import EmitCallback, OrderedPlan, PlanOrderer
+from repro.ordering.frontier import Frontier
 from repro.reformulation.plans import PlanSpace, QueryPlan
 from repro.utility.base import UtilityMeasure
 
@@ -46,6 +47,18 @@ def best_plan_of(space: PlanSpace, utility: UtilityMeasure) -> QueryPlan:
     return QueryPlan(tuple(chosen))
 
 
+class _SpaceBest:
+    """A plan space in the frontier, standing in as its best plan."""
+
+    __slots__ = ("space", "plan", "key")
+    is_concrete = True
+
+    def __init__(self, space: PlanSpace, utility: UtilityMeasure) -> None:
+        self.space = space
+        self.plan = best_plan_of(space, utility)
+        self.key = self.plan.key
+
+
 class GreedyOrderer(PlanOrderer):
     """Exact ordering for fully monotonic utility measures."""
 
@@ -59,14 +72,6 @@ class GreedyOrderer(PlanOrderer):
             )
         super().__init__(utility, **instrumentation)
 
-    def order(
-        self,
-        space: PlanSpace,
-        k: int,
-        on_emit: Optional[EmitCallback] = None,
-    ) -> Iterator[OrderedPlan]:
-        return self.order_spaces([space], k, on_emit)
-
     def order_spaces(
         self,
         spaces: "list[PlanSpace] | tuple[PlanSpace, ...]",
@@ -75,29 +80,17 @@ class GreedyOrderer(PlanOrderer):
     ) -> Iterator[OrderedPlan]:
         self._check_k(k)
         context = self.utility.new_context()
-        counter = itertools.count()
+        frontier = Frontier(
+            lambda best: self._evaluate_plan(best.plan, context)
+        )
+        for space in spaces:
+            frontier.push(_SpaceBest(space, self.utility))
 
-        def entry(candidate_space: PlanSpace) -> tuple:
-            plan = best_plan_of(candidate_space, self.utility)
-            value = self._evaluate_plan(plan, context)
-            # Ties broken by plan key for determinism.
-            return (-value, plan.key, next(counter), plan, candidate_space)
-
-        heap = [entry(space) for space in spaces]
-        heapq.heapify(heap)
-        for rank in range(1, k + 1):
-            if not heap:
-                return
-            neg_value, _key, _tick, plan, owner = heapq.heappop(heap)
-            self.stats.snapshot_first_plan()
-            yield OrderedPlan(plan, -neg_value, rank)
-            for subspace in owner.split_off(plan):
+        def split(best: _SpaceBest) -> Iterator[_SpaceBest]:
+            for subspace in best.space.split_off(best.plan):
                 self.stats.spaces_created += 1
-                heapq.heappush(heap, entry(subspace))
-            if on_emit is None or on_emit(plan):
-                context.record(plan)
-                if not self.utility.context_free:
-                    # Monotonicity fixes the per-bucket order, but the
-                    # utility values may shift with the context.
-                    heap = [entry(item[4]) for item in heap]
-                    heapq.heapify(heap)
+                yield _SpaceBest(subspace, self.utility)
+
+        yield from self._emit_best_first(
+            frontier, context, k, on_emit, uncover=split
+        )

@@ -44,14 +44,6 @@ class IDripsOrderer(PlanOrderer):
         super().__init__(utility, **instrumentation)
         self.heuristic = heuristic or OutputCountHeuristic()
 
-    def order(
-        self,
-        space: PlanSpace,
-        k: int,
-        on_emit: Optional[EmitCallback] = None,
-    ) -> Iterator[OrderedPlan]:
-        return self.order_spaces([space], k, on_emit)
-
     def order_spaces(
         self,
         initial_spaces: "list[PlanSpace] | tuple[PlanSpace, ...]",

@@ -90,14 +90,6 @@ class StreamerOrderer(PlanOrderer):
 
     # -- main loop ---------------------------------------------------------------
 
-    def order(
-        self,
-        space: PlanSpace,
-        k: int,
-        on_emit: Optional[EmitCallback] = None,
-    ) -> Iterator[OrderedPlan]:
-        return self.order_spaces([space], k, on_emit)
-
     def order_spaces(
         self,
         spaces: "list[PlanSpace] | tuple[PlanSpace, ...]",

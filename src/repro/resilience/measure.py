@@ -47,12 +47,18 @@ one place that picks between the first two):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.errors import ServiceError
 from repro.resilience.health import SourceHealthTracker
 from repro.sources.catalog import SourceDescription
-from repro.utility.base import ExecutionContext, PlanLike, Slots, UtilityMeasure
+from repro.utility.base import (
+    DelegatingMeasure,
+    ExecutionContext,
+    PlanLike,
+    Slots,
+    UtilityMeasure,
+)
 from repro.utility.intervals import Interval
 
 __all__ = ["HealthAwareMeasure"]
@@ -71,7 +77,7 @@ class _SubstitutedPlan:
         self.sources = sources
 
 
-class HealthAwareMeasure(UtilityMeasure):
+class HealthAwareMeasure(DelegatingMeasure):
     """Wrap *inner*, substituting observed failure rates into its inputs.
 
     Parameters
@@ -106,18 +112,15 @@ class HealthAwareMeasure(UtilityMeasure):
             raise ServiceError(
                 f"min_observations must be >= 1, got {min_observations}"
             )
-        self.inner = inner
+        # Structural properties stay the inner measure's: substitution
+        # only changes each source's failure_prob scalar, which the
+        # flags already account for (e.g. failure-aware BindJoinCost
+        # is not fully monotonic with or without substitution).
+        super().__init__(inner)
         self.tracker = tracker
         self.overrides = dict(overrides) if overrides else {}
         self.min_observations = min_observations
         self.name = f"{inner.name}+health"
-        # Structural properties are the inner measure's: substitution
-        # only changes each source's failure_prob scalar, which the
-        # flags already account for (e.g. failure-aware BindJoinCost
-        # is not fully monotonic with or without substitution).
-        self.is_fully_monotonic = inner.is_fully_monotonic
-        self.has_diminishing_returns = inner.has_diminishing_returns
-        self.context_free = inner.context_free
         self.cacheable = tracker is None and inner.cacheable
 
     # -- substitution ------------------------------------------------------------
@@ -189,29 +192,15 @@ class HealthAwareMeasure(UtilityMeasure):
             min_observations=self.min_observations,
         )
 
-    # -- delegation --------------------------------------------------------------
-
-    def new_context(self) -> ExecutionContext:
-        return self.inner.new_context()
+    # -- substituted evaluation ----------------------------------------------------
+    # (Independence tests compare source *names*, which substitution
+    # preserves, so those hooks forward the original plans.)
 
     def evaluate(self, plan: PlanLike, context: ExecutionContext) -> float:
         return self.inner.evaluate(self._substitute_plan(plan), context)
 
     def evaluate_slots(self, slots: Slots, context: ExecutionContext) -> Interval:
         return self.inner.evaluate_slots(self._substitute_slots(slots), context)
-
-    def independent(self, first: PlanLike, second: PlanLike) -> bool:
-        # Independence tests in the library compare source *names*,
-        # which substitution preserves, so the original plans are fine.
-        return self.inner.independent(first, second)
-
-    def has_independent_witness(
-        self, slots: Slots, executed: Sequence[PlanLike]
-    ) -> bool:
-        return self.inner.has_independent_witness(slots, executed)
-
-    def all_members_independent(self, slots: Slots, plan: PlanLike) -> bool:
-        return self.inner.all_members_independent(slots, plan)
 
     def source_preference_key(self, bucket: int, source: SourceDescription) -> float:
         return self.inner.source_preference_key(bucket, self.substitute(source))

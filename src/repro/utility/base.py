@@ -175,3 +175,45 @@ class UtilityMeasure(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class DelegatingMeasure(UtilityMeasure):
+    """A measure that wraps another and forwards everything to it.
+
+    Mirrors the inner measure's name and structural flags, so an
+    orderer's applicability checks see the true measure, and forwards
+    every hook verbatim; a wrapper overrides only what it changes.
+    Which wrappers may stack, and in what order, is the composition
+    rule in :mod:`repro.resilience.measure`.
+    """
+
+    def __init__(self, inner: UtilityMeasure) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.is_fully_monotonic = inner.is_fully_monotonic
+        self.has_diminishing_returns = inner.has_diminishing_returns
+        self.context_free = inner.context_free
+        self.cacheable = inner.cacheable
+
+    def new_context(self) -> ExecutionContext:
+        return self.inner.new_context()
+
+    def evaluate(self, plan: PlanLike, context: ExecutionContext) -> float:
+        return self.inner.evaluate(plan, context)
+
+    def evaluate_slots(self, slots: Slots, context: ExecutionContext) -> Interval:
+        return self.inner.evaluate_slots(slots, context)
+
+    def independent(self, first: PlanLike, second: PlanLike) -> bool:
+        return self.inner.independent(first, second)
+
+    def has_independent_witness(
+        self, slots: Slots, executed: Sequence[PlanLike]
+    ) -> bool:
+        return self.inner.has_independent_witness(slots, executed)
+
+    def all_members_independent(self, slots: Slots, plan: PlanLike) -> bool:
+        return self.inner.all_members_independent(slots, plan)
+
+    def source_preference_key(self, bucket: int, source: SourceDescription) -> float:
+        return self.inner.source_preference_key(bucket, source)
