@@ -2,18 +2,31 @@
 
 :class:`CachingUtilityMeasure` wraps any
 :class:`~repro.utility.base.UtilityMeasure` and memoizes both point
-and interval evaluations.  Cache keys are canonical *plan signatures*:
+and interval evaluations.  Cache keys are built from identities the
+objects already carry, never recomputed per evaluation:
 
 * a concrete plan is identified by ``plan.key`` (its source names in
-  subgoal order — the same identity the orderers use);
-* an abstract plan by the tuple of per-slot member-name tuples;
-* a context by the ordered keys of its executed plans, or ``()`` for
-  context-free measures, where the executed set provably cannot change
-  the value.
+  subgoal order — the same identity the orderers use, computed once
+  per plan);
+* an abstract plan by its slots themselves: the per-slot member
+  tuples, whose sources hash and compare by name, so equal name
+  tuples are one entry whoever built them;
+* a context by an exact *prefix token*: 0 for no executed plans, and
+  for a longer prefix the integer interned from ``(token of the prefix
+  before, plan.key)`` in a table this cache owns.  Two contexts get the
+  same token iff they executed the same plans in the same order; a
+  context remembers how far it was folded, so an evaluation pays for
+  the plans recorded since the last one, not for the whole prefix.
+  Context-free measures, where the executed set provably cannot change
+  the value, always use 0 and build no table.
 
-The context signature makes the wrapper *exact*: a memoized value is
+The prefix token makes the wrapper *exact*: a memoized value is
 only reused in a context with the identical executed sequence, so
-orderings with and without the cache are byte-identical.  The win
+orderings with and without the cache are byte-identical.  The table
+is allocated under a lock (one cache serves every session thread of a
+``QueryService``) and emptied by :meth:`CachingUtilityMeasure.clear`;
+tokens are never reused, so a context in flight across a clear stays
+exact.  The win
 comes from the orderers' repetition patterns — iDrips rebuilding
 abstract pools each iteration, brute force rescanning surviving plans,
 Greedy re-scoring its heap — which re-evaluate the same signature in
@@ -35,6 +48,8 @@ the constructor enforces it.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from typing import Optional
 
 from repro.observability.metrics import MetricRegistry
@@ -48,9 +63,6 @@ from repro.utility.base import (
 from repro.utility.intervals import Interval
 
 __all__ = ["CachingUtilityMeasure"]
-
-#: Signature of an execution context: the executed plans' keys in order.
-ContextSignature = tuple[tuple[str, ...], ...]
 
 
 class CachingUtilityMeasure(DelegatingMeasure):
@@ -78,13 +90,35 @@ class CachingUtilityMeasure(DelegatingMeasure):
         self._size = self.registry.gauge("utility_cache.entries")
         self._concrete: dict[tuple, float] = {}
         self._abstract: dict[tuple, Interval] = {}
+        # (token of the prefix before, plan.key) -> token of the prefix;
+        # allocated under the lock, never reused (module docstring).
+        self._prefixes: dict[tuple[int, tuple[str, ...]], int] = {}
+        self._prefix_lock = threading.Lock()
+        self._tokens = itertools.count(1)
 
     # -- cache plumbing ---------------------------------------------------------
 
-    def _context_signature(self, context: ExecutionContext) -> ContextSignature:
+    def _context_token(self, context: ExecutionContext) -> int:
+        """The prefix token of ``context.executed`` (module docstring).
+
+        Folds in only the plans recorded since this context was last
+        seen, so the cost is O(1) amortised over a run.
+        """
         if self.inner.context_free:
-            return ()
-        return tuple(plan.key for plan in context.executed)
+            return 0
+        owner, folded, token = context.prefix_cursor
+        if owner is not self:
+            folded = token = 0
+        executed = context.executed
+        if folded != len(executed):
+            with self._prefix_lock:
+                for index in range(folded, len(executed)):
+                    link = (token, executed[index].key)
+                    token = self._prefixes.get(link, 0)
+                    if not token:
+                        token = self._prefixes[link] = next(self._tokens)
+            context.prefix_cursor = (self, len(executed), token)
+        return token
 
     @property
     def hits(self) -> int:
@@ -100,12 +134,14 @@ class CachingUtilityMeasure(DelegatingMeasure):
     def clear(self) -> None:
         self._concrete.clear()
         self._abstract.clear()
+        with self._prefix_lock:
+            self._prefixes.clear()
         self._size.set(0)
 
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, plan: PlanLike, context: ExecutionContext) -> float:
-        key = (plan.key, self._context_signature(context))
+        key = (plan.key, self._context_token(context))
         try:
             value = self._concrete[key]
         except KeyError:
@@ -119,10 +155,7 @@ class CachingUtilityMeasure(DelegatingMeasure):
         return value
 
     def evaluate_slots(self, slots: Slots, context: ExecutionContext) -> Interval:
-        signature = tuple(
-            tuple(source.name for source in members) for members in slots
-        )
-        key = (signature, self._context_signature(context))
+        key = (slots, self._context_token(context))
         try:
             interval = self._abstract[key]
         except KeyError:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.errors import OrderingError
@@ -40,10 +40,13 @@ class AbstractSource:
     bucket_index: int
     members: tuple[SourceDescription, ...]
     children: tuple["AbstractSource", ...] = ()
+    #: The member names, in tree order.
+    key: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.members:
             raise OrderingError("abstract source with no members")
+        object.__setattr__(self, "key", tuple(m.name for m in self.members))
         if self.children:
             child_members = tuple(
                 m for child in self.children for m in child.members
@@ -63,10 +66,6 @@ class AbstractSource:
         if not self.is_leaf or len(self.members) != 1:
             raise OrderingError("only leaves expose a concrete source")
         return self.members[0]
-
-    @property
-    def key(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -165,10 +164,23 @@ class AbstractPlan:
 
     slots: tuple[AbstractSource, ...]
     space_id: int = 0
+    #: Deterministic identity used for tie-breaking.
+    key: tuple[tuple[str, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    is_concrete: bool = field(init=False, repr=False, compare=False)
+    _members: Slots = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_concrete(self) -> bool:
-        return all(slot.is_leaf for slot in self.slots)
+    def __post_init__(self) -> None:
+        # Read on every heap comparison and evaluation: built once here.
+        slots = self.slots
+        object.__setattr__(self, "key", tuple(slot.key for slot in slots))
+        object.__setattr__(
+            self, "is_concrete", all(slot.is_leaf for slot in slots)
+        )
+        object.__setattr__(
+            self, "_members", tuple(slot.members for slot in slots)
+        )
 
     @property
     def size(self) -> int:
@@ -178,11 +190,6 @@ class AbstractPlan:
             total *= len(slot)
         return total
 
-    @property
-    def key(self) -> tuple[tuple[str, ...], ...]:
-        """Deterministic identity used for tie-breaking."""
-        return tuple(slot.key for slot in self.slots)
-
     def concrete_plan(self) -> QueryPlan:
         if not self.is_concrete:
             raise OrderingError(f"plan {self} is still abstract")
@@ -190,7 +197,7 @@ class AbstractPlan:
 
     def slots_members(self) -> Slots:
         """The per-slot member tuples handed to utility measures."""
-        return tuple(slot.members for slot in self.slots)
+        return self._members
 
     def refinement_slot(self) -> int:
         """Default policy: refine the slot with the most members."""

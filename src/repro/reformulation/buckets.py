@@ -34,7 +34,7 @@ def source_covers_subgoal(
     query_head_vars: frozenset[Variable],
 ) -> bool:
     """Can *source* enter the bucket of *subgoal*?"""
-    view = source.view.rename_apart("_src")
+    view = source.renamed_view("_src")
     distinguished = set(view.head.variables())
     for atom in view.body:
         if atom.predicate != subgoal.predicate or atom.arity != subgoal.arity:
@@ -84,7 +84,7 @@ def bucket_candidates(
     return tuple(
         tuple(
             source
-            for source in catalog.sources
+            for source in catalog.sources_for(subgoal.predicate)
             if source_covers_subgoal(source, subgoal, head_vars)
         )
         for subgoal in query.subgoals

@@ -12,7 +12,7 @@ iDrips enumerate past already-emitted plans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.errors import ReformulationError
@@ -26,17 +26,15 @@ class QueryPlan:
     """A concrete conjunctive query plan: one source per subgoal."""
 
     sources: tuple[SourceDescription, ...]
+    #: The plan's identity: its source names in subgoal order.
+    key: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.sources, tuple):
             object.__setattr__(self, "sources", tuple(self.sources))
         if not self.sources:
             raise ReformulationError("a plan needs at least one source")
-
-    @property
-    def key(self) -> tuple[str, ...]:
-        """The plan's identity: its source names in subgoal order."""
-        return tuple(s.name for s in self.sources)
+        object.__setattr__(self, "key", tuple(s.name for s in self.sources))
 
     def __len__(self) -> int:
         return len(self.sources)

@@ -52,7 +52,7 @@ def _assemble(
     # source constants, equalities induced by repeated head columns).
     rho: dict[Variable, Term] = {}
     renamed_views = [
-        source.view.rename_apart(f"_s{slot}")
+        source.renamed_view(f"_s{slot}")
         for slot, source in enumerate(plan.sources)
     ]
     # Per slot: mapping of the view's distinguished variables to the

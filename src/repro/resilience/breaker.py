@@ -216,6 +216,11 @@ class BreakerBoard:
         self.registry = registry if registry is not None else MetricRegistry()
         self._lock = threading.Lock()
         self._breakers: dict[str, CircuitBreaker] = {}
+        # Breakers whose gauge can lag without being touched: never
+        # exported yet, or last exported open or half-open (a closed
+        # breaker only moves when an operation touches it; an open one
+        # also moves with the clock).
+        self._unsettled: dict[str, CircuitBreaker] = {}
 
     def breaker(self, source: str) -> CircuitBreaker:
         with self._lock:
@@ -228,6 +233,7 @@ class BreakerBoard:
                     probe_budget=self.probe_budget,
                     clock=self.clock,
                 )
+                self._unsettled[source] = breaker
         return breaker
 
     def admit(self, sources: Iterable[str]) -> tuple[str, ...]:
@@ -259,12 +265,12 @@ class BreakerBoard:
                 taken.release_probe()
             self.registry.counter("resilience.breaker.skips").inc()
             return (name,)
-        self._export_states()
+        self._export_states(names)
         return ()
 
     def record_success(self, source: str) -> None:
         self.breaker(source).record_success()
-        self._export_states()
+        self._export_states((source,))
 
     def record_failure(self, source: str, *, permanent: bool = False) -> None:
         breaker = self.breaker(source)
@@ -275,7 +281,7 @@ class BreakerBoard:
             breaker.record_failure()
         if breaker.times_opened > before:
             self.registry.counter("resilience.breaker.opened").inc()
-        self._export_states()
+        self._export_states((source,))
 
     def states(self) -> dict[str, str]:
         """Current state of every breaker, by source name."""
@@ -290,18 +296,52 @@ class BreakerBoard:
             if state == BreakerState.OPEN
         )
 
-    def _export_states(self) -> None:
-        for name, state in self.states().items():
-            self.registry.gauge(f"resilience.breaker.{name}.state").set(
-                _STATE_CODES[state]
-            )
+    def _moved(self, touched: Iterable[str]) -> dict[str, CircuitBreaker]:
+        """The registered breakers among *touched*, plus the unsettled."""
+        with self._lock:
+            moved = {
+                name: self._breakers[name]
+                for name in touched
+                if name in self._breakers
+            }
+            moved.update(self._unsettled)
+        return moved
+
+    def moved_states(self, touched: Iterable[str]) -> dict[str, str]:
+        """Current state of every breaker that can have moved, by name.
+
+        That is the registered sources in *touched* plus every breaker
+        not known to be closed: what an operation on *touched* and the
+        clock can have changed, read without a sweep of the board.
+        """
+        moved = self._moved(touched)
+        return {name: moved[name].state for name in sorted(moved)}
+
+    def _export_states(self, touched: Iterable[str]) -> None:
+        """Mirror into the gauges every breaker that can have moved.
+
+        An operation costs what its plan touches, whatever the size of
+        the catalog, and the gauges read what a sweep of the whole
+        board would set.  Exports are serialized under the board's
+        lock, so the last one of a breaker is the freshest.
+        """
+        moved = self._moved(touched)
+        gauge = self.registry.gauge  # the registry does its own locking
+        with self._lock:
+            for name, breaker in moved.items():
+                state = breaker.state
+                gauge(f"resilience.breaker.{name}.state").set(_STATE_CODES[state])
+                if state == BreakerState.CLOSED:
+                    self._unsettled.pop(name, None)
+                else:
+                    self._unsettled[name] = breaker
 
     def reset(self) -> None:
         with self._lock:
-            breakers = tuple(self._breakers.values())
-        for breaker in breakers:
+            breakers = dict(self._breakers)
+        for breaker in breakers.values():
             breaker.reset()
-        self._export_states()
+        self._export_states(breakers)
 
     def __repr__(self) -> str:
         states = self.states()

@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 from repro.errors import PermanentSourceError
 from repro.observability.journal import EventJournal, NOOP_JOURNAL
 from repro.observability.metrics import MetricRegistry
-from repro.resilience.breaker import BreakerBoard
+from repro.resilience.breaker import BreakerBoard, BreakerState
 from repro.resilience.health import HealthEpoch, SourceHealthTracker
 from repro.resilience.measure import HealthAwareMeasure
 from repro.utility.base import PlanLike, UtilityMeasure
@@ -80,11 +80,12 @@ class ResilienceManager:
         #: of never-failed sources, so a healthy run keeps epoch 0 and
         #: the adaptive orderer provably never re-sorts.
         self.epoch = HealthEpoch()
-        # Breaker states as of the last _note_transitions pass.  The
-        # diff baseline must be *remembered*, not re-queried: reading
-        # board.states() lazily advances cooled-down breakers to
-        # half-open, so a fresh "before" snapshot would swallow exactly
-        # the probe transitions the epoch exists to announce.
+        # The breakers last seen open or half-open, by _note_transitions
+        # (closed ones are not kept).  The diff baseline must be
+        # *remembered*, not re-queried: reading a breaker's state lazily
+        # advances a cooled-down one to half-open, so a fresh "before"
+        # snapshot would swallow exactly the probe transitions the
+        # epoch exists to announce.
         self._seen_states: dict[str, str] = {}
         self._seen_lock = threading.Lock()
 
@@ -104,8 +105,9 @@ class ResilienceManager:
         """
         if not self.breakers:
             return ()
-        blocked = self.board.admit(self.sources_of(plan))
-        self._note_transitions(request_id)
+        sources = self.sources_of(plan)
+        blocked = self.board.admit(sources)
+        self._note_transitions(sources, request_id)
         return blocked
 
     # -- outcome recording -------------------------------------------------------
@@ -121,28 +123,37 @@ class ResilienceManager:
                 reason=reason,
             )
 
-    def _note_transitions(self, request_id: str) -> None:
+    def _note_transitions(self, touched: Iterable[str], request_id: str) -> None:
         """Bump the epoch and journal every state change since last look.
 
+        Looks only at what can have changed — the *touched* sources and
+        the breakers that are, or were last seen, not closed — so the
+        cost follows the plan, not the number of registered breakers.
         Runs whether or not the journal is enabled: breaker transitions
         are exactly the moments the adaptive orderer must notice, so
         the epoch bump cannot be tied to observability settings.
         """
-        after = self.board.states()
         with self._seen_lock:
-            seen, self._seen_states = self._seen_states, after
-        for source, state in after.items():
-            previous = seen.get(source, "closed")
-            if state != previous:
-                if self.journal.enabled:
-                    self.journal.emit(
-                        "breaker.transition",
-                        request_id=request_id,
-                        source=source,
-                        from_state=previous,
-                        to_state=state,
-                    )
-                self._bump_epoch("breaker.transition", request_id)
+            watched = (*touched, *self._seen_states)
+        after = self.board.moved_states(watched)
+        changed: list[tuple[str, str, str]] = []
+        with self._seen_lock:
+            for source, state in after.items():
+                previous = self._seen_states.pop(source, BreakerState.CLOSED)
+                if state != BreakerState.CLOSED:
+                    self._seen_states[source] = state
+                if state != previous:
+                    changed.append((source, previous, state))
+        for source, previous, state in changed:
+            if self.journal.enabled:
+                self.journal.emit(
+                    "breaker.transition",
+                    request_id=request_id,
+                    source=source,
+                    from_state=previous,
+                    to_state=state,
+                )
+            self._bump_epoch("breaker.transition", request_id)
 
     def record_success(
         self,
@@ -166,7 +177,7 @@ class ResilienceManager:
             self.board.record_success(source)
         if recovering:
             self._bump_epoch("recovery", request_id)
-        self._note_transitions(request_id)
+        self._note_transitions(sources, request_id)
 
     def record_failure(
         self,
@@ -196,7 +207,7 @@ class ResilienceManager:
                 error=type(error).__name__ if error is not None else "",
             )
         self._bump_epoch("source.failure", request_id)
-        self._note_transitions(request_id)
+        self._note_transitions(targets, request_id)
 
     # -- views -------------------------------------------------------------------
 

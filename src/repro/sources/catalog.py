@@ -29,8 +29,13 @@ class SourceDescription:
     name: str
     view: ConjunctiveQuery
     stats: SourceStats = field(default_factory=SourceStats)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _renamed: dict[str, ConjunctiveQuery] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.name))
         if self.view.head.predicate != self.name:
             raise CatalogError(
                 f"source {self.name!r} has a view head named "
@@ -58,13 +63,26 @@ class SourceDescription:
         """Does the view body mention the given schema relation?"""
         return any(atom.predicate == predicate for atom in self.view.body)
 
+    def renamed_view(self, suffix: str) -> ConjunctiveQuery:
+        """The view with every variable renamed apart by *suffix*.
+
+        Built once per suffix and kept on the description itself, never
+        in a table keyed by source name: names repeat across catalogs
+        with different views.  The bucket test and the soundness check
+        rename the same few views on every request.
+        """
+        view = self._renamed.get(suffix)
+        if view is None:
+            view = self._renamed[suffix] = self.view.rename_apart(suffix)
+        return view
+
     def __str__(self) -> str:
         return str(self.view)
 
     # Identity is by name: a catalog enforces unique names, and the
     # ordering algorithms use sources as dictionary keys heavily.
     def __hash__(self) -> int:
-        return hash(self.name)
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SourceDescription):
@@ -83,6 +101,9 @@ class Catalog:
     def __init__(self, schema: Optional[dict[str, int]] = None) -> None:
         self._schema: dict[str, int] = dict(schema or {})
         self._sources: dict[str, SourceDescription] = {}
+        # predicate -> the sources whose view body mentions it, in
+        # insertion order (bucket member order follows it).
+        self._by_predicate: dict[str, list[SourceDescription]] = {}
 
     # -- schema -----------------------------------------------------------------
 
@@ -125,6 +146,8 @@ class Catalog:
             description = SourceDescription(description.name, description.view, stats)
         self._validate(description)
         self._sources[description.name] = description
+        for predicate in description.view.predicates():
+            self._by_predicate.setdefault(predicate, []).append(description)
         return description
 
     def _validate(self, source: SourceDescription) -> None:
@@ -159,9 +182,7 @@ class Catalog:
 
     def sources_for(self, predicate: str) -> tuple[SourceDescription, ...]:
         """Sources whose view body mentions the given schema relation."""
-        return tuple(
-            s for s in self._sources.values() if s.covers_predicate(predicate)
-        )
+        return tuple(self._by_predicate.get(predicate, ()))
 
     def validate_query(self, query: ConjunctiveQuery) -> None:
         """Check that a user query only uses declared schema relations."""

@@ -59,6 +59,12 @@ class ExecutionContext:
 
     def __init__(self) -> None:
         self.executed: list[PlanLike] = []
+        #: ``(cache, plans folded, token)``: how far a
+        #: :class:`~repro.observability.caching.CachingUtilityMeasure`
+        #: has folded ``executed`` into its prefix token.  Only the
+        #: cache reads or writes it; it relies on ``executed`` growing
+        #: through :meth:`record` alone.
+        self.prefix_cursor: tuple[object, int, int] = (None, 0, 0)
 
     def record(self, plan: PlanLike) -> None:
         """Mark *plan* as executed."""

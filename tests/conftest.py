@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datalog.parser import parse_query
+from repro.datalog.query import ConjunctiveQuery
 from repro.ordering.base import OrderedPlan
 from repro.reformulation.plans import PlanSpace
+from repro.resilience.breaker import CircuitBreaker
+from repro.sources.catalog import Catalog
 from repro.utility.base import UtilityMeasure
 from repro.workloads.movies import MovieDomain, movie_domain
 from repro.workloads.synthetic import SyntheticDomain, SyntheticParams, generate_domain
@@ -38,6 +42,57 @@ def medium_domain() -> SyntheticDomain:
     return generate_domain(
         SyntheticParams(query_length=3, bucket_size=6, seed=5)
     )
+
+
+def clone_catalog(
+    clones: int = 16, width: int = 3, bucket_size: int = 16
+) -> tuple[Catalog, list[ConjunctiveQuery]]:
+    """*clones* disjoint copies of a width x bucket_size domain in one
+    catalog (the shape of the end-to-end benchmark's catalogs), with
+    the product query of each clone: a request touches one clone, the
+    catalog holds all of them."""
+    catalog = Catalog()
+    queries = []
+    for clone in range(clones):
+        for slot in range(width):
+            catalog.add_relation(f"d{clone}r{slot}", 1)
+            for member in range(bucket_size):
+                catalog.add_source(
+                    f"d{clone}v{slot}_{member}(Y) :- d{clone}r{slot}(Y)"
+                )
+        head = ", ".join(f"Y{slot}" for slot in range(width))
+        body = ", ".join(f"d{clone}r{slot}(Y{slot})" for slot in range(width))
+        queries.append(parse_query(f"q({head}) :- {body}"))
+    return catalog, queries
+
+
+@pytest.fixture
+def rename_calls(monkeypatch) -> list[str]:
+    """The suffix of every ``ConjunctiveQuery.rename_apart`` call made
+    during the test: a deterministic count of reformulation work."""
+    calls: list[str] = []
+    rename_apart = ConjunctiveQuery.rename_apart
+
+    def counting(self, suffix):
+        calls.append(suffix)
+        return rename_apart(self, suffix)
+
+    monkeypatch.setattr(ConjunctiveQuery, "rename_apart", counting)
+    return calls
+
+
+@pytest.fixture
+def state_reads(monkeypatch) -> list[int]:
+    """``[n]``: the ``CircuitBreaker.state`` reads made during the test."""
+    reads = [0]
+    state = CircuitBreaker.state
+
+    def counting(self):
+        reads[0] += 1
+        return state.fget(self)
+
+    monkeypatch.setattr(CircuitBreaker, "state", property(counting))
+    return reads
 
 
 def assert_valid_ordering(

@@ -3,14 +3,21 @@ cache-correctness property: orderings with and without the cache must
 be identical, with the cache actually being hit on workloads that
 repeat subplans."""
 
+import itertools
+import sys
+import threading
+
 import pytest
 
 from repro.observability.caching import CachingUtilityMeasure
 from repro.observability.metrics import MetricRegistry
+from repro.ordering.abstraction import OutputCountHeuristic, top_plan
+from repro.ordering.adaptive import _ReplayMeasure
 from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
 from repro.ordering.greedy import GreedyOrderer
 from repro.ordering.idrips import IDripsOrderer
 from repro.ordering.streamer import StreamerOrderer
+from repro.reformulation.plans import QueryPlan
 from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 
@@ -151,3 +158,192 @@ class TestCacheCorrectness:
         hits = orderer.registry.get("utility_cache.hits")
         assert hits is not None
         assert hits.value > 0
+
+
+def tokens_along(cached, plans):
+    """The prefix token after each of *plans* is recorded, from empty."""
+    context = cached.new_context()
+    tokens = [cached._context_token(context)]
+    for plan in plans:
+        context.record(plan)
+        tokens.append(cached._context_token(context))
+    return tokens
+
+
+class TestPrefixTokens:
+    """The context half of a cache key: exact, interned, O(1) amortised."""
+
+    def test_equal_tokens_iff_equal_executed_sequences(self):
+        domain = small_domain_for(1)
+        cached = CachingUtilityMeasure(domain.coverage())
+        plans = list(domain.space.plans())[:5]
+        sequences = [
+            list(picked)
+            for size in range(4)
+            for picked in itertools.permutations(plans, size)
+        ]
+        token_of = {}
+        for sequence in sequences:
+            token = tokens_along(cached, sequence)[-1]
+            keys = tuple(plan.key for plan in sequence)
+            # Same plans in another order are another prefix.
+            assert token_of.setdefault(token, keys) == keys
+        assert len(token_of) == len(sequences)
+        # ... and walking a sequence again finds the same tokens.
+        assert tokens_along(cached, plans) == tokens_along(cached, plans)
+
+    def test_equal_plans_built_apart_share_a_token(self):
+        domain = small_domain_for(1)
+        cached = CachingUtilityMeasure(domain.coverage())
+        plans = list(domain.space.plans())[:3]
+        rebuilt = [QueryPlan(tuple(plan.sources)) for plan in plans]
+        assert tokens_along(cached, plans) == tokens_along(cached, rebuilt)
+
+    def test_replayed_context_equals_the_live_one(self):
+        domain = small_domain_for(2)
+        cached = CachingUtilityMeasure(domain.coverage())
+        plans = list(domain.space.plans())
+        live = cached.new_context()
+        for plan in plans[:4]:
+            live.record(plan)
+            cached.evaluate(plans[9], live)
+        replayed = _ReplayMeasure(cached, plans[:4]).new_context()
+        assert cached._context_token(replayed) == cached._context_token(live)
+        hits = cached.hits
+        assert cached.evaluate(plans[9], replayed) == cached.evaluate(plans[9], live)
+        assert cached.hits == hits + 2
+
+    def test_threads_interning_prefixes_never_share_or_split_a_token(self):
+        # QueryService shares one cache across its session threads.
+        domain = small_domain_for(3)
+        cached = CachingUtilityMeasure(domain.coverage())
+        plans = list(domain.space.plans())
+        threads, share, rounds = 8, 4, 60
+        common = plans[threads * share:]
+        barrier = threading.Barrier(threads)
+        own_runs = [[] for _ in range(threads)]
+        common_runs = [[] for _ in range(threads)]
+
+        def intern(index):
+            mine = plans[index * share:(index + 1) * share]
+            for turn in range(rounds):
+                # Every thread meets a prefix nobody has interned yet.
+                fresh = [plans[turn % len(plans)], plans[-1 - turn % 7], *common]
+                barrier.wait(timeout=10)
+                common_runs[index].append(tuple(tokens_along(cached, fresh)))
+                own_runs[index].append(tuple(tokens_along(cached, mine)[1:]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=intern, args=(i,)) for i in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        # A prefix has one token, whoever interns it first ...
+        assert all(len(set(turn)) == 1 for turn in zip(*common_runs))
+        assert all(len(set(runs)) == 1 for runs in own_runs)
+        # ... and no two prefixes anywhere were handed the same one.
+        handed_out = {token for runs in own_runs for token in runs[0]}
+        handed_out.update(token for run in common_runs[0] for token in run[1:])
+        assert len(handed_out) == len(cached._prefixes)
+        assert len(handed_out) >= threads * share + rounds
+
+    def test_clear_empties_the_table_and_keeps_live_contexts_exact(self):
+        domain = small_domain_for(0)
+        cached = CachingUtilityMeasure(domain.coverage())
+        plans = list(domain.space.plans())
+        context = cached.new_context()
+        context.record(plans[0])
+        before = cached._context_token(context)
+        cached.clear()
+        assert cached._prefixes == {}
+        # A context in flight keeps its token; a prefix interned after
+        # the clear can never be handed the same one.
+        assert cached._context_token(context) == before
+        assert before not in tokens_along(cached, plans[1:4])
+
+    def test_context_free_measure_builds_no_table(self):
+        domain = small_domain_for(0)
+        orderer = IDripsOrderer(domain.linear_cost(), cache=True)
+        orderer.order_list(domain.space, 10)
+        assert orderer.utility.hits > 0
+        assert orderer.utility._prefixes == {}
+
+    def test_a_context_folded_by_another_cache_starts_over(self):
+        domain = small_domain_for(0)
+        first = CachingUtilityMeasure(domain.coverage())
+        second = CachingUtilityMeasure(domain.coverage())
+        plans = list(domain.space.plans())
+        tokens_along(first, plans[:6])  # first's tokens run ahead
+        context = first.new_context()
+        context.record(plans[7])
+        first._context_token(context)
+        assert second._context_token(context) == tokens_along(second, [plans[7]])[-1]
+
+
+class CountingList(list):
+    """``context.executed`` that counts whole-prefix walks."""
+
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+class TestCachedEvaluationWork:
+    """Deterministic work counts: what an evaluation through the cache
+    may not do again, however long the executed prefix is."""
+
+    def context_with_prefix(self, cached, plans):
+        context = cached.new_context()
+        context.executed = CountingList()
+        for plan in plans:
+            context.record(plan)
+        return context
+
+    def test_no_walk_of_the_executed_prefix(self):
+        domain = small_domain_for(4)
+        cached = CachingUtilityMeasure(domain.coverage())
+        plans = list(domain.space.plans())
+        slots = tuple(bucket.sources for bucket in domain.space.buckets)
+        context = self.context_with_prefix(cached, (plans * 6)[:200])
+        assert len(context.executed) == 200
+        CountingList.iterations = 0
+        for plan in plans:
+            cached.evaluate(plan, context)
+            cached.evaluate_slots(slots, context)
+        for plan in plans:  # and again, all hits
+            cached.evaluate(plan, context)
+            cached.evaluate_slots(slots, context)
+        assert (cached.misses, cached.hits) == (len(plans) + 1, 3 * len(plans) - 1)
+        assert CountingList.iterations == 0
+        # One table entry per recorded plan, not per evaluation.
+        assert len(cached._prefixes) == 200
+
+    def test_keys_carry_identities_instead_of_rebuilding_them(self):
+        domain = small_domain_for(4)
+        cached = CachingUtilityMeasure(domain.coverage())
+        plan = next(domain.space.plans())
+        abstract = top_plan(domain.space.buckets, OutputCountHeuristic())
+        context = self.context_with_prefix(cached, [plan])
+        cached.evaluate(plan, context)
+        cached.evaluate_slots(abstract.slots_members(), context)
+        (concrete_key,) = cached._concrete
+        (abstract_key,) = cached._abstract
+        # The very objects the plan carries: no per-call name tuples.
+        assert concrete_key[0] is plan.key
+        assert abstract_key[0] is abstract.slots_members()
+        assert abstract.key is abstract.key
+        assert abstract.slots[0].key is abstract.slots[0].key
+        # Slots that are equal by source name still share the entry.
+        rebuilt = tuple(tuple(members) for members in abstract.slots_members())
+        cached.evaluate_slots(rebuilt, context)
+        assert cached.registry.get("utility_cache.abstract_hits").value == 1

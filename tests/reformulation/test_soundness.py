@@ -96,3 +96,25 @@ class TestSpecializingSources:
         query = parse_query("q(X, Y) :- r(X, Y)")
         w = catalog.source("w")
         assert is_sound(query, QueryPlan((w,)))
+
+
+class TestRenamedOncePerSlot:
+    def test_checks_reuse_the_renamed_views(self, movies, rename_calls):
+        space = build_buckets(movies.query, movies.catalog)
+        plans = list(space.plans())
+        del rename_calls[:]
+        first = [plan_query(movies.query, plan) for plan in plans]
+        # One rename per (source, slot) the plans use, however many
+        # plans share the source.
+        assert sorted(rename_calls) == ["_s0"] * 3 + ["_s1"] * 3
+        del rename_calls[:]
+        assert [plan_query(movies.query, plan) for plan in plans] == first
+        assert rename_calls == []
+
+    def test_one_source_in_two_slots_is_renamed_apart_per_slot(self):
+        catalog = Catalog({"r": 2})
+        w = catalog.add_source("w(X, Y) :- r(X, Y)")
+        query = parse_query("q(X, Z) :- r(X, Y), r(Y, Z)")
+        rewritten = plan_query(query, QueryPlan((w, w)))
+        assert str(rewritten) == "q(X, Z) :- w(X, Y), w(Y, Z)"
+        assert is_sound(query, QueryPlan((w, w)))

@@ -9,6 +9,8 @@ an admission probe.  A healthy run must keep epoch 0 so the adaptive
 orderer provably never re-sorts.
 """
 
+import random
+
 import pytest
 
 from repro.errors import PermanentSourceError
@@ -212,3 +214,91 @@ class TestHealthyRunKeepsEpochZero:
         for (_, wu, _), (_, iu, _) in zip(wrapped, inner):
             assert wu == pytest.approx(iu)
         assert adaptive.reorders == 0
+
+
+class SweepingManager(ResilienceManager):
+    """The reference: diff the state of every breaker on every operation."""
+
+    def _note_transitions(self, touched, request_id):
+        after = self.board.states()
+        seen, self._seen_states = self._seen_states, after
+        for source, state in after.items():
+            previous = seen.get(source, "closed")
+            if state != previous:
+                self.journal.emit(
+                    "breaker.transition", request_id=request_id,
+                    source=source, from_state=previous, to_state=state,
+                )
+                self._bump_epoch("breaker.transition", request_id)
+
+
+class TestTransitionsFollowThePlanNotTheBoard:
+    """``_note_transitions`` looks at the touched sources and the
+    breakers not closed; the journal and the epoch read what a sweep
+    of the whole board would produce."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_journal_and_epoch_equal_a_full_sweep(self, seed):
+        def make(cls):
+            clock = FakeClock()
+            board = BreakerBoard(
+                failure_threshold=2, cooldown_s=5.0, probe_budget=1, clock=clock
+            )
+            journal = EventJournal()
+            manager = cls(board=board, tracker=StubTracker(), journal=journal)
+            return manager, clock, journal
+
+        def apply(manager, clock, kind, names, seconds, request_id):
+            if kind == "admit":
+                return manager.admit(_Plan(*names), request_id=request_id)
+            if kind == "advance":
+                return clock.advance(seconds)
+            if kind == "success":
+                return manager.record_success(names, request_id=request_id)
+            if kind == "trip":  # behind the manager's back, as tests do
+                return manager.board.record_failure(names[0], permanent=True)
+            if kind == "reset":  # likewise
+                return manager.board.reset()
+            error = (
+                PermanentSourceError(names[0], "dead") if kind == "dead" else None
+            )
+            return manager.record_failure(names, error, request_id=request_id)
+
+        rng = random.Random(seed)
+        manager, clock, journal = make(ResilienceManager)
+        reference, reference_clock, reference_journal = make(SweepingManager)
+        names = [f"v{i}" for i in range(8)]
+        kinds = ["admit"] * 8 + ["success"] * 6 + ["failure"] * 4
+        kinds += ["dead", "trip", "reset"] + ["advance"] * 3
+        for index in range(300):
+            step = (
+                rng.choice(kinds),
+                tuple(rng.sample(names, rng.randint(1, 3))),
+                rng.choice((0.5, 3.0, 6.0)),
+                f"r{index}",
+            )
+            assert apply(manager, clock, *step) == apply(
+                reference, reference_clock, *step
+            )
+            assert manager.epoch.value == reference.epoch.value
+        def untimed(journal):
+            return [
+                {k: v for k, v in record.items() if k != "ts"}
+                for record in journal.events()
+            ]
+
+        events = untimed(journal)
+        assert events == untimed(reference_journal)
+        assert any(r["event"] == "breaker.transition" for r in events)
+        journal.validate()
+
+    @pytest.mark.parametrize("registered", [3, 300])
+    def test_state_reads_do_not_grow_with_the_board(self, registered, state_reads):
+        manager = manager_with(FakeClock())
+        manager.record_success([f"v{i}" for i in range(registered)])
+        state_reads[0] = 0
+        plan = _Plan("v0", "v1", "v2")
+        assert manager.admit(plan) == ()
+        manager.record_success(manager.sources_of(plan))
+        # admit: 3 exported + 3 noted; success: 3 x 1 exported + 3 noted.
+        assert state_reads[0] == 12

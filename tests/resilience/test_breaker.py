@@ -1,5 +1,7 @@
 """Tests for per-source circuit breakers and the breaker board."""
 
+import random
+
 import pytest
 
 from repro.errors import ServiceError
@@ -192,3 +194,108 @@ class TestBreakerBoard:
         board.record_failure("v2")
         board.reset()
         assert set(board.states().values()) == {BreakerState.CLOSED}
+
+
+class SweepingBoard(BreakerBoard):
+    """The reference: every operation re-exports every breaker's gauge."""
+
+    def _export_states(self, touched):
+        for name, state in self.states().items():
+            self.registry.gauge(f"resilience.breaker.{name}.state").set(
+                {"closed": 0, "half_open": 1, "open": 2}[state]
+            )
+
+
+def breaker_gauges(board):
+    return {
+        name: metric["value"]
+        for name, metric in board.registry.as_dict().items()
+        if name.endswith(".state")
+    }
+
+
+class TestGaugeExport:
+    """An operation exports the breakers it touched and the ones not
+    known closed; the gauges read what a full sweep would set."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gauges_equal_a_full_sweep_after_every_operation(self, seed):
+        def make(cls):
+            clock = FakeClock()
+            board = cls(
+                failure_threshold=2, cooldown_s=5.0, probe_budget=1,
+                clock=clock, registry=MetricRegistry(),
+            )
+            return board, clock
+
+        def apply(board, clock, kind, picked, seconds):
+            if kind == "admit":
+                return board.admit(picked)
+            if kind == "advance":
+                return clock.advance(seconds)
+            if kind == "reset":
+                return board.reset()
+            if kind == "success":
+                return board.record_success(picked[0])
+            return board.record_failure(picked[0], permanent=kind == "permanent")
+
+        rng = random.Random(seed)
+        board, clock = make(BreakerBoard)
+        reference, reference_clock = make(SweepingBoard)
+        names = [f"v{i}" for i in range(8)]
+        kinds = ["admit"] * 8 + ["success"] * 4 + ["failure"] * 8
+        kinds += ["permanent"] * 2 + ["advance"] * 4 + ["reset"]
+        seen_states = set()
+        for _ in range(300):
+            step = (
+                rng.choice(kinds),
+                tuple(rng.sample(names, rng.randint(1, 3))),
+                rng.choice((0.5, 3.0, 6.0)),
+            )
+            assert apply(board, clock, *step) == apply(
+                reference, reference_clock, *step
+            )
+            assert breaker_gauges(board) == breaker_gauges(reference)
+            seen_states.update(breaker_gauges(board).values())
+        assert seen_states == {0, 1, 2}
+        assert board.states() == reference.states()
+
+    @pytest.mark.parametrize("registered", [3, 300])
+    def test_state_reads_do_not_grow_with_the_board(self, registered, state_reads):
+        board = BreakerBoard(failure_threshold=5, clock=FakeClock())
+        for index in range(registered):
+            board.record_success(f"v{index}")
+        state_reads[0] = 0
+        assert board.admit(("v0", "v1", "v2")) == ()
+        board.record_success("v0")
+        board.record_failure("v1")
+        assert board.moved_states(("v0", "v1", "v2")) == {
+            "v0": "closed", "v1": "closed", "v2": "closed",
+        }
+        # 3 + 1 + 1 + 3, whatever the number of registered breakers.
+        assert state_reads[0] == 8
+
+    def test_an_open_breaker_stays_watched_until_it_closes(self, state_reads):
+        board = BreakerBoard(
+            failure_threshold=1, cooldown_s=5.0, clock=(clock := FakeClock())
+        )
+        board.record_failure("v1")
+        clock.advance(10.0)
+        # Touching v2 alone still sees v1 cool down to half-open.
+        board.record_success("v2")
+        assert breaker_gauges(board)["resilience.breaker.v1.state"] == 1
+        assert board.moved_states(()) == {"v1": "half_open"}
+        assert board.admit(("v1",)) == ()
+        board.record_success("v1")
+        state_reads[0] = 0
+        board.record_success("v2")
+        assert state_reads[0] == 1
+        assert board.moved_states(()) == {}
+
+    def test_reset_sweeps_the_whole_board(self):
+        board = BreakerBoard(failure_threshold=1, clock=FakeClock())
+        for name in ("v1", "v2", "v3"):
+            board.record_failure(name)
+        board.reset()
+        assert set(breaker_gauges(board).values()) == {0}
+        assert len(breaker_gauges(board)) == 3

@@ -6,6 +6,8 @@ from repro.errors import CatalogError
 from repro.datalog.parser import parse_query
 from repro.sources.catalog import Catalog, SourceDescription
 from repro.sources.statistics import SourceStats
+from repro.workloads.random_lav import random_scenario
+from tests.conftest import clone_catalog
 
 
 @pytest.fixture
@@ -105,3 +107,77 @@ class TestValidateQuery:
     def test_wrong_arity(self, catalog):
         with pytest.raises(CatalogError):
             catalog.validate_query(parse_query("q(A) :- play_in(A)"))
+
+
+def scan_sources_for(catalog, predicate):
+    """The reference: a scan of the whole catalog, in insertion order."""
+    return tuple(s for s in catalog.sources if s.covers_predicate(predicate))
+
+
+class TestPredicateIndex:
+    """``sources_for`` reads an index kept by ``add_source``; a full
+    scan stays here as the reference."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_the_scan_on_random_lav(self, seed):
+        catalog = random_scenario(seed, n_relations=4, n_sources=9).catalog
+        for predicate in (*catalog.schema, "no_such_relation"):
+            indexed = catalog.sources_for(predicate)
+            scanned = scan_sources_for(catalog, predicate)
+            # Same objects in the same order, not merely equal names.
+            assert [id(s) for s in indexed] == [id(s) for s in scanned]
+
+    def test_matches_the_scan_on_clones(self):
+        catalog, _ = clone_catalog(clones=4, bucket_size=5)
+        for predicate in catalog.schema:
+            assert catalog.sources_for(predicate) == scan_sources_for(
+                catalog, predicate
+            )
+            assert len(catalog.sources_for(predicate)) == 5
+
+    def test_repeated_predicate_lists_the_source_once(self, catalog):
+        catalog.add_source("v1(A, B) :- play_in(A, M), play_in(B, M)")
+        assert [s.name for s in catalog.sources_for("play_in")] == ["v1"]
+
+    def test_sources_added_after_a_lookup_are_seen(self, catalog):
+        catalog.add_source("v1(M) :- american(M)")
+        assert [s.name for s in catalog.sources_for("american")] == ["v1"]
+        catalog.add_source("v2(A, M) :- play_in(A, M), american(M)")
+        assert [s.name for s in catalog.sources_for("american")] == ["v1", "v2"]
+
+    def test_a_rejected_source_is_not_indexed(self, catalog):
+        catalog.add_source("v1(M) :- american(M)")
+        with pytest.raises(CatalogError):
+            catalog.add_source("v1(A, M) :- play_in(A, M)")
+        assert catalog.sources_for("play_in") == ()
+
+
+class TestCarriedIdentity:
+    def test_hash_and_equality_follow_the_name(self, catalog):
+        source = catalog.add_source("v1(M) :- american(M)")
+        twin = SourceDescription("v1", parse_query("v1(X) :- american(X)"))
+        assert hash(source) == hash(twin) == hash("v1")
+        assert source == twin
+        assert {source: 1}[twin] == 1
+
+    def test_renamed_view_is_built_once_per_suffix(self, catalog):
+        source = catalog.add_source("v1(A, M) :- play_in(A, M), american(M)")
+        renamed = source.renamed_view("_s0")
+        assert renamed == source.view.rename_apart("_s0")
+        assert source.renamed_view("_s0") is renamed
+        assert source.renamed_view("_s1") == source.view.rename_apart("_s1")
+
+    def test_renamed_views_belong_to_the_description_not_the_name(self):
+        # The same name in two catalogs (tests, cluster workers) with
+        # two views: a memo keyed by name would hand one the other's.
+        first = Catalog({"r": 1, "s": 1}).add_source("v(X) :- r(X)")
+        second = Catalog({"r": 1, "s": 1}).add_source("v(X) :- s(X)")
+        assert first.renamed_view("_a").body[0].predicate == "r"
+        assert second.renamed_view("_a").body[0].predicate == "s"
+
+    def test_restated_stats_start_a_fresh_description(self, catalog):
+        source = SourceDescription("v1", parse_query("v1(M) :- american(M)"))
+        source.renamed_view("_a")
+        added = catalog.add_source(source, stats=SourceStats(n_tuples=3))
+        assert added is not source
+        assert added.renamed_view("_a") == source.renamed_view("_a")
