@@ -1,18 +1,16 @@
 """Executing conjunctive queries and plans over in-memory relations.
 
 A database is a mapping ``{relation name: set of value tuples}``.
-Query evaluation is a straightforward left-to-right join with early
-pruning, implemented on top of the datalog engine's body evaluator.
+Query evaluation is a left-to-right join with early pruning: the
+datalog engine's compiled join, projecting head rows from its slots.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from repro.errors import ExecutionError
-from repro.datalog.engine import evaluate_rule_body
+from repro.datalog.engine import evaluate_rule
 from repro.datalog.query import ConjunctiveQuery
-from repro.datalog.terms import Constant, Variable
 from repro.reformulation.plans import QueryPlan
 from repro.reformulation.soundness import plan_query
 
@@ -23,24 +21,12 @@ Database = Mapping[str, set[tuple[object, ...]]]
 def evaluate_conjunctive_query(
     query: ConjunctiveQuery, database: Database
 ) -> set[tuple[object, ...]]:
-    """All answers of *query* over *database*."""
-    answers: set[tuple[object, ...]] = set()
-    for binding in evaluate_rule_body(query.body, database):
-        row = []
-        for arg in query.head.args:
-            if isinstance(arg, Variable):
-                try:
-                    row.append(binding[arg])
-                except KeyError:
-                    raise ExecutionError(
-                        f"unbound head variable {arg} in {query}"
-                    ) from None
-            elif isinstance(arg, Constant):
-                row.append(arg.value)
-            else:
-                row.append(arg)
-        answers.add(tuple(row))
-    return answers
+    """All answers of *query* over *database*.
+
+    Raises :class:`~repro.errors.ExecutionError` for a head variable
+    the body does not bind, whatever the database holds.
+    """
+    return evaluate_rule(query, database)
 
 
 def execute_plan(

@@ -105,6 +105,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 )
             else:
                 self._send(protocol.summary_record(result))
+            # The connection may now sit idle on its next line: do not
+            # keep the request's batches alive meanwhile.
+            del pending, result, on_batch
 
     def _control_reply(self, record: dict, request_id: str) -> dict:
         service = self.server.service

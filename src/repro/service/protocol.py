@@ -114,14 +114,19 @@ RECORD_TYPES: dict[str, frozenset[str]] = {
 _SCALARS = (str, int, float, bool, type(None))
 
 
-def _value(value: object) -> object:
-    return value if isinstance(value, _SCALARS) else str(value)
+def _rows(batch: AnswerBatch) -> tuple[list[list[object]], list[list[object]]]:
+    """The ``answers`` and ``new_answers`` rows of *batch*, JSON-ready.
 
-
-def _rows(answers) -> list[list[object]]:
-    rows = [[_value(v) for v in row] for row in answers]
-    rows.sort(key=repr)
-    return rows
+    Each row is converted, and keyed by its ``repr``, once; ``answers``
+    is sorted once, and ``new_answers`` -- a subset of ``answers`` by
+    construction of a batch -- is read off as the new rows among them:
+    a sub-sequence of a sorted list is sorted.
+    """
+    answers = list(batch.answers)
+    rows = [[v if isinstance(v, _SCALARS) else str(v) for v in row] for row in answers]
+    order = sorted(range(len(rows)), key=list(map(repr, rows)).__getitem__)
+    new = batch.new_answers
+    return [rows[i] for i in order], [rows[i] for i in order if answers[i] in new]
 
 
 def encode_line(record: dict) -> bytes:
@@ -252,6 +257,7 @@ def request_from_record(
 
 
 def batch_record(request_id: str, batch: AnswerBatch) -> dict:
+    answers, new_answers = _rows(batch)
     return {
         "type": "batch",
         "id": request_id,
@@ -261,8 +267,8 @@ def batch_record(request_id: str, batch: AnswerBatch) -> dict:
         "sound": batch.sound,
         "skipped": batch.skipped,
         "failed": batch.failed,
-        "answers": _rows(batch.answers),
-        "new_answers": _rows(batch.new_answers),
+        "answers": answers,
+        "new_answers": new_answers,
     }
 
 

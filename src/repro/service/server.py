@@ -601,3 +601,7 @@ class QueryService:
                     item.request.request_id or "?", "error", error=str(exc)
                 )
             item.resolve(result)
+            # An idle dispatcher blocks in get() above: still bound,
+            # these would pin the finished request's every batch until
+            # this thread's next one.
+            del item, result

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.datalog.parser import parse_query
+from repro.datalog.parser import parse_atom, parse_query
+from repro.datalog.query import ConjunctiveQuery
+from repro.errors import ExecutionError
 from repro.execution.engine import evaluate_conjunctive_query, execute_plan
 from repro.reformulation.buckets import build_buckets
 from repro.reformulation.plans import QueryPlan
@@ -32,6 +34,18 @@ class TestEvaluateQuery:
     def test_empty_relation(self):
         query = parse_query("q(X) :- e(X, Y)")
         assert evaluate_conjunctive_query(query, {}) == set()
+
+    @pytest.mark.parametrize(
+        "database",
+        [{}, {"e": set()}, {"e": {(3, 4)}}, {"e": {(1, 2), (3, 4)}}],
+        ids=["no relation", "empty relation", "no match", "a match"],
+    )
+    def test_unsafe_head_variable_fails_whatever_the_data(self, database):
+        """Decided when the query is compiled: no fact is read first."""
+        unsafe = ConjunctiveQuery(parse_atom("q(X, W)"), (parse_atom("e(X, 2)"),))
+        with pytest.raises(ExecutionError) as raised:
+            evaluate_conjunctive_query(unsafe, database)
+        assert str(raised.value) == f"unbound head variable W in {unsafe}"
 
 
 class TestExecutePlan:

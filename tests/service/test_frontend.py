@@ -1,12 +1,16 @@
 """End-to-end tests of the JSON-lines TCP front end."""
 
+import gc
 import json
 import socket
 import threading
+import weakref
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ProtocolError
+from repro.execution.mediator import AnswerBatch
 from repro.service import protocol
 from repro.service.frontend import connect, start_server
 from repro.service.loadgen import run_load
@@ -64,6 +68,30 @@ class TestQueryOverTCP:
         assert all(b["id"] == "t1" for b in batches)
         assert any(b["new_answers"] for b in batches)
         assert summary["spans"]  # trace_requests=True
+
+    def test_idle_connection_does_not_pin_its_last_result(self, served, movies):
+        service = served.service
+        seen = []
+        original = service.execute
+
+        def remember(request, on_batch=None):
+            result = original(request, on_batch=on_batch)
+            seen.append(weakref.ref(result.batches[0]))
+            return result
+
+        service.execute = remember
+        with connect("127.0.0.1", served.port) as sock:
+            stream = sock.makefile("rwb")
+            replies = roundtrip(stream, protocol.request_record(str(movies.query)))
+            assert replies[-1]["status"] == "ok"
+            # The summary is written before the handler lets go; a
+            # health probe on the same connection is answered only
+            # after it has, with the handler back on its read.
+            stream.write(protocol.encode_line({"type": "health"}))
+            stream.flush()
+            assert protocol.decode_line(stream.readline())["status"] == "ok"
+            gc.collect()
+            assert len(seen) == 1 and seen[0]() is None
 
     def test_persistent_connection_multiple_queries(self, served, movies):
         with connect("127.0.0.1", served.port) as sock:
@@ -191,8 +219,10 @@ class TestProtocolUnits:
     def test_rows_are_sorted_and_json_safe(self):
         sock_free = protocol.encode_line({"rows": [["b", 2], ["a", 1]]})
         assert json.loads(sock_free)  # encodable
-        rows = protocol._rows(frozenset({("b", 2), ("a", 1)}))
-        assert rows == sorted(rows, key=repr)
+        answers = frozenset({("b", 2), ("a", 1), ("c", None)})
+        batch = AnswerBatch(1, SimpleNamespace(key=("v1",)), 0.0, True, answers, answers)
+        rows = protocol.batch_record("r", batch)["answers"]
+        assert rows == sorted(rows, key=repr) and len(rows) == 3
 
 
 class TestLifecycle:

@@ -1,6 +1,8 @@
 """Tests for the multi-query service: concurrency, sharing, shedding."""
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -146,6 +148,33 @@ class TestConcurrency:
             result = pending.wait(timeout=30.0)
             assert result.ok
             assert result.answers
+
+    def test_idle_dispatchers_do_not_pin_their_last_result(self, movies):
+        dispatchers = 4
+        service = make_service(movies, max_concurrent=dispatchers)
+        # Hold every request until all are in flight, so that each
+        # dispatcher thread serves exactly one.
+        together = threading.Barrier(dispatchers)
+        original = service._run_admitted
+
+        def run_together(*args, **kwargs):
+            together.wait(timeout=30.0)
+            return original(*args, **kwargs)
+
+        service._run_admitted = run_together
+        with service:
+            handles = [
+                service.submit(QueryRequest(query=movies.query))
+                for _ in range(dispatchers)
+            ]
+            results = [handle.wait(timeout=30.0) for handle in handles]
+            assert all(result.ok and result.batches for result in results)
+            batches = [weakref.ref(result.batches[0]) for result in results]
+            # The service is idle and started: every dispatcher is
+            # parked on the queue.  Only the caller holds the results.
+            del handles, results
+            gc.collect()
+            assert [ref() for ref in batches] == [None] * dispatchers
 
     def test_submit_requires_started_service(self, movies):
         service = make_service(movies)
