@@ -885,7 +885,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve.add_argument("--max-concurrent", type=int, default=8,
                        help="admission-control concurrency cap")
     serve.add_argument("--backlog", type=int, default=32,
-                       help="bounded work-queue depth before overload")
+                       help="requests that may wait for a slot before overload")
     serve.add_argument("--deadline", type=float, default=None,
                        help="default per-request deadline in seconds")
     serve.add_argument("--workers", type=int, default=1,
@@ -956,7 +956,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cluster.add_argument("--max-concurrent", type=int, default=8,
                          help="per-worker admission-control concurrency cap")
     cluster.add_argument("--backlog", type=int, default=32,
-                         help="per-worker work-queue depth before overload")
+                         help="per-worker requests that may wait for a slot "
+                              "before overload")
     cluster.add_argument("--backlog-per-shard", type=int, default=32,
                          help="router-side relay cap per shard before "
                               "shedding with an overloaded error")

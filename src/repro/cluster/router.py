@@ -48,7 +48,7 @@ from repro.errors import ProtocolError
 from repro.observability.journal import NOOP_JOURNAL, EventJournal
 from repro.observability.metrics import MetricRegistry
 from repro.service import protocol
-from repro.service.frontend import connect
+from repro.service.frontend import JsonLinesHandler, connect
 
 __all__ = ["RouterTCPServer", "start_router"]
 
@@ -82,11 +82,10 @@ class _Backlog:
         self._semaphore.release()
 
 
-class _RouterHandler(socketserver.StreamRequestHandler):
+class _RouterHandler(JsonLinesHandler):
     """One client connection; keeps per-shard worker connections."""
 
     server: "RouterTCPServer"
-    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         super().setup()
@@ -96,53 +95,13 @@ class _RouterHandler(socketserver.StreamRequestHandler):
         self._worker_streams: dict[int, tuple] = {}
 
     def finish(self) -> None:
-        for sock, stream, _port in self._worker_streams.values():
-            for closeable in (stream, sock):
-                try:
-                    closeable.close()
-                except OSError:
-                    pass
-        self._worker_streams.clear()
+        for shard in list(self._worker_streams):
+            self._drop_worker(shard)
         super().finish()
-
-    def handle(self) -> None:
-        try:
-            self._serve_lines()
-        except (OSError, ValueError):
-            pass  # client went away; this connection only
-
-    def _serve_lines(self) -> None:
-        router = self.server
-        for line in self.rfile:
-            if not line.strip():
-                continue
-            request_id = ""
-            try:
-                record = protocol.decode_line(line)
-                request_id = str(record.get("id", ""))
-            except ProtocolError as exc:
-                self._send(
-                    protocol.error_record(request_id, "bad_request", str(exc))
-                )
-                continue
-            kind = record.get("type", "query")
-            if kind in protocol.CONTROL_TYPES:
-                self._send(router.control_reply(record, request_id))
-                continue
-            if kind != "query":
-                self._send(
-                    protocol.error_record(
-                        request_id,
-                        "bad_request",
-                        f"unsupported record type {kind!r}",
-                    )
-                )
-                continue
-            self._route(record, request_id, line)
 
     # -- routing -----------------------------------------------------------------
 
-    def _route(self, record: dict, request_id: str, line: bytes) -> None:
+    def serve_query(self, record: dict, request_id: str, line: bytes) -> None:
         router = self.server
         router.m_requests.inc()
         key = str(record.get("query", ""))
@@ -275,18 +234,6 @@ class _RouterHandler(socketserver.StreamRequestHandler):
                 closeable.close()
             except OSError:
                 pass
-
-    # -- client writes -----------------------------------------------------------
-
-    def _send(self, record: dict) -> None:
-        self._send_raw(protocol.encode_line(record))
-
-    def _send_raw(self, payload: bytes) -> None:
-        try:
-            self.wfile.write(payload)
-            self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client hung up mid-stream; relay winds down
 
 
 class RouterTCPServer(socketserver.ThreadingTCPServer):

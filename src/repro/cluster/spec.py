@@ -58,7 +58,7 @@ class ClusterConfig:
 
     ``backlog_per_shard`` bounds how many relays may be in flight to
     one worker before the router sheds with ``overloaded`` — the
-    cluster-level analogue of the service's bounded work queue.
+    cluster-level analogue of the service's admission gate.
     ``probe_*`` and the breaker knobs govern the supervisor's health
     loop: ``failure_threshold`` consecutive failed probes open a
     shard's breaker, routing fails over to ring neighbours until a

@@ -104,7 +104,7 @@ class ServiceError(ReproError):
 
 
 class ServiceOverloadedError(ServiceError):
-    """The service's bounded work queue is full (backpressure)."""
+    """The admission gate is full, running and waiting (backpressure)."""
 
 
 class ProtocolError(ServiceError):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 from repro.datalog.parser import parse_query
@@ -911,25 +912,19 @@ def _service_section(seed: int, requests: int, concurrency: int) -> dict:
         domain.catalog,
         domain.source_facts,
         measures={"linear": LinearCost},
-        config=ServiceConfig(max_concurrent=concurrency, backlog=requests + 1),
+        config=ServiceConfig(max_concurrent=concurrency),
         journal=journal,
     )
     mix = build_query_mix(
         domain.catalog, 6, seed=seed, include=domain.query
     )
     queries = [parse_query(text) for text in mix]
-    with service:
-        with Stopwatch() as watch:
-            pendings = [
-                service.submit(
-                    QueryRequest(
-                        queries[index % len(queries)],
-                        request_id=f"profile-{index}",
-                    )
-                )
-                for index in range(requests)
-            ]
-            results = [pending.wait(timeout=120.0) for pending in pendings]
+    load = [
+        QueryRequest(queries[index % len(queries)], request_id=f"profile-{index}")
+        for index in range(requests)
+    ]
+    with Stopwatch() as watch, ThreadPoolExecutor(concurrency) as callers:
+        results = list(callers.map(service.execute, load))
     first = [
         result.report.first_answer_s
         for result in results

@@ -6,10 +6,15 @@ persistent: a client may send any number of query records and receives
 each query's batch stream (as plans finish executing, i.e. genuinely
 anytime) followed by a summary record.
 
-Requests are pushed through :meth:`QueryService.submit`, so the
-service's bounded work queue and admission semaphore apply to network
-traffic exactly as to in-process callers; a full backlog surfaces as
-an ``overloaded`` error record on the wire.
+The thread that read a request line carries the request: it calls
+:meth:`QueryService.execute` and writes each batch as the session's
+consumer, so the service's one admission gate applies to network
+traffic exactly as to in-process callers; a request shed there
+surfaces as an ``overloaded`` error record on the wire.
+
+:class:`JsonLinesHandler` is the connection loop itself, shared with
+the cluster router (:mod:`repro.cluster.router`): the one place where
+bytes from a client become records.
 """
 
 from __future__ import annotations
@@ -22,15 +27,20 @@ from typing import Optional
 
 from repro.errors import ProtocolError, ServiceOverloadedError
 from repro.service import protocol
+from repro.service.policy import CancellationToken
 from repro.service.server import QueryService
 
-__all__ = ["ServiceTCPServer", "start_server"]
+__all__ = ["JsonLinesHandler", "ServiceTCPServer", "start_server"]
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: read query lines, stream batch/summary lines."""
+class JsonLinesHandler(socketserver.StreamRequestHandler):
+    """One client connection of a JSON-lines server.
 
-    server: "ServiceTCPServer"
+    Reads bounded lines, answers malformed ones with ``bad_request``
+    and control records with ``server.control_reply(record, id)``, and
+    hands every query record to :meth:`serve_query`.
+    """
+
     # Batches are many small writes that must reach the client *now* —
     # that is the whole anytime point; Nagle+delayed-ACK would add
     # ~40ms per line.
@@ -46,85 +56,107 @@ class _Handler(socketserver.StreamRequestHandler):
             pass
 
     def _serve_lines(self) -> None:
-        service = self.server.service
-        for line in self.rfile:
+        limit = protocol.MAX_REQUEST_LINE_BYTES
+        # One byte over the limit tells a full frame from an over-long
+        # one without ever buffering more than that.
+        while line := self.rfile.readline(limit + 1):
+            if len(line) > limit:
+                self._send(
+                    protocol.error_record(
+                        "", "bad_request", f"request line over {limit} bytes"
+                    )
+                )
+                return  # the rest of the frame is not a request: hang up
             if not line.strip():
                 continue
             request_id = ""
             try:
                 record = protocol.decode_line(line)
                 request_id = str(record.get("id", ""))
-                if record.get("type") in protocol.CONTROL_TYPES:
+                kind = record.get("type", "query")
+                if kind in protocol.CONTROL_TYPES:
                     # Probe/scrape records are answered inline — they
                     # never enter admission control and never touch the
-                    # service counters, so a cluster health probe does
+                    # request counters, so a cluster health probe does
                     # not skew the request metrics it is guarding.
-                    self._send(self._control_reply(record, request_id))
-                    continue
-                request = protocol.request_from_record(
-                    record, default_policy=service.config.default_policy
-                )
+                    self._send(self.server.control_reply(record, request_id))
+                elif kind == "query":
+                    self.serve_query(record, request_id, line)
+                else:
+                    raise ProtocolError(f"unsupported record type {kind!r}")
             except ProtocolError as exc:
-                self._send(protocol.error_record(request_id, "bad_request", str(exc)))
-                continue
-            if not request.request_id:
-                request = dataclasses.replace(
-                    request, request_id=service.next_request_id()
-                )
-            if service.journal.enabled:
-                # The first event of a request's lifecycle: here the
-                # wire-level id and the service-level correlation id
-                # become the same thing.
-                service.journal.emit(
-                    "request.received",
-                    request_id=request.request_id,
-                    query=str(request.query),
-                )
-
-            def on_batch(batch, _id=request.request_id):
-                # Invoked from the dispatcher thread; the handler
-                # thread is parked in wait() meanwhile, so writes
-                # never interleave.
-                self._send(protocol.batch_record(_id, batch))
-
-            try:
-                pending = service.submit(request, on_batch=on_batch)
-            except ServiceOverloadedError as exc:
                 self._send(
-                    protocol.error_record(
-                        request.request_id, "overloaded", str(exc)
-                    )
+                    protocol.error_record(request_id, "bad_request", str(exc))
                 )
-                continue
-            result = pending.wait()
-            if result.status == "error":
-                self._send(
-                    protocol.error_record(
-                        result.request_id, "error", result.error or "unknown"
-                    )
-                )
-            else:
-                self._send(protocol.summary_record(result))
-            # The connection may now sit idle on its next line: do not
-            # keep the request's batches alive meanwhile.
-            del pending, result, on_batch
 
-    def _control_reply(self, record: dict, request_id: str) -> dict:
-        service = self.server.service
-        if record.get("type") == "health":
-            return protocol.health_record(
-                request_id, identity=self.server.identity
-            )
-        return protocol.metrics_record(request_id, service.registry_export())
+    def serve_query(self, record: dict, request_id: str, line: bytes) -> None:
+        """Answer one query record through to its terminal record.
 
-    def _send(self, record: dict) -> None:
+        May raise :class:`~repro.errors.ProtocolError` for a record it
+        cannot accept (answered ``bad_request``).  Whatever it holds is
+        dropped on return, so a connection idling on its next line pins
+        no finished request.
+        """
+        raise NotImplementedError
+
+    def _send(self, record: dict) -> bool:
+        return self._send_raw(protocol.encode_line(record))
+
+    def _send_raw(self, payload: bytes) -> bool:
+        """Write one line; False when the client has hung up."""
         try:
-            self.wfile.write(protocol.encode_line(record))
+            self.wfile.write(payload)
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
-            # Client went away mid-stream; the session notices on its
-            # own (the batch callbacks become no-ops) and winds down.
-            pass
+            return False
+        return True
+
+
+class _Handler(JsonLinesHandler):
+    """A worker's connection: each query runs here, on this thread."""
+
+    server: "ServiceTCPServer"
+
+    def serve_query(self, record: dict, request_id: str, line: bytes) -> None:
+        service = self.server.service
+        request = protocol.request_from_record(
+            record, default_policy=service.config.default_policy
+        )
+        hung_up = CancellationToken()
+        request = dataclasses.replace(
+            request,
+            request_id=request.request_id or service.next_request_id(),
+            policy=dataclasses.replace(request.policy, cancellation=hung_up),
+        )
+        request_id = request.request_id
+        if service.journal.enabled:
+            # The first event of a request's lifecycle: here the
+            # wire-level id and the service-level correlation id
+            # become the same thing.
+            service.journal.emit(
+                "request.received", request_id=request_id, query=str(request.query)
+            )
+
+        def on_batch(batch):
+            # This thread is the session's consumer, so a batch is on
+            # the wire before the next is settled — and a client that
+            # is gone stops paying for plans nobody will read.
+            if not self._send(protocol.batch_record(request_id, batch)):
+                hung_up.cancel()
+
+        try:
+            result = service.execute(request, on_batch=on_batch)
+        except ServiceOverloadedError as exc:
+            self._send(protocol.error_record(request_id, "overloaded", str(exc)))
+            return
+        if result.status == "error":
+            self._send(
+                protocol.error_record(
+                    result.request_id, "error", result.error or "unknown"
+                )
+            )
+        else:
+            self._send(protocol.summary_record(result))
 
 
 class ServiceTCPServer(socketserver.ThreadingTCPServer):
@@ -151,6 +183,13 @@ class ServiceTCPServer(socketserver.ThreadingTCPServer):
     def port(self) -> int:
         return self.server_address[1]
 
+    def control_reply(self, record: dict, request_id: str) -> dict:
+        if record.get("type") == "health":
+            return protocol.health_record(request_id, identity=self.identity)
+        return protocol.metrics_record(
+            request_id, self.service.registry_export()
+        )
+
 
 def start_server(
     service: QueryService,
@@ -164,7 +203,6 @@ def start_server(
     The caller shuts down with ``server.shutdown(); server.server_close()``
     (and then ``service.shutdown()``).
     """
-    service.start()
     server = ServiceTCPServer((host, port), service, identity=identity)
     thread = threading.Thread(
         target=server.serve_forever,

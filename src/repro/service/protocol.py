@@ -35,6 +35,9 @@ Errors (bad request, overload) are terminal for that request::
 
     {"type": "error", "id": "q1", "code": "overloaded", "message": "..."}
 
+A request line longer than :data:`MAX_REQUEST_LINE_BYTES` is answered
+with one ``bad_request`` error, and the server closes the connection.
+
 Besides queries, two **control records** are answered immediately (one
 reply line each) — the cluster layer's probe-and-scrape primitives,
 but any client may send them::
@@ -66,6 +69,7 @@ from repro.service.server import QueryRequest, RequestResult
 
 __all__ = [
     "CONTROL_TYPES",
+    "MAX_REQUEST_LINE_BYTES",
     "PROTOCOL_VERSION",
     "RECORD_TYPES",
     "batch_record",
@@ -80,6 +84,11 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
+
+#: The longest request line, newline included, a server reads; query
+#: lines are under a kilobyte.  A longer one is answered ``bad_request``
+#: and its connection closed, so no client can make a server buffer more.
+MAX_REQUEST_LINE_BYTES = 1 << 20
 
 #: Record types answered with exactly one reply line, no session.
 CONTROL_TYPES = ("health", "metrics")

@@ -17,23 +17,21 @@ Per request: a fresh orderer, a fresh
 tracing is on) a private :class:`~repro.observability.tracing.Tracer`
 whose span tree is returned with the result.
 
-Two throttles implement load-shedding:
-
-* an **admission-control semaphore** caps how many sessions run
-  concurrently (``max_concurrent``);
-* a **bounded work queue** (``backlog``) absorbs bursts ahead of the
-  dispatchers; :meth:`submit` raises
-  :class:`~repro.errors.ServiceOverloadedError` when it is full, which
-  the TCP front end translates into an ``overloaded`` error record —
-  backpressure reaches the client instead of an unbounded queue.
+Every request, in-process or off the wire, runs on the thread that
+called :meth:`QueryService.execute` and passes **one admission gate**:
+at most ``max_concurrent`` run, at most ``backlog`` more wait for a
+slot (then end ``rejected``), and anything beyond that is shed at once
+with :class:`~repro.errors.ServiceOverloadedError`, which the TCP front
+end translates into an ``overloaded`` error record — backpressure
+reaches the client instead of an unbounded queue.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from queue import Full, Queue
 from typing import Callable, Mapping, Optional
 
 from repro.errors import (
@@ -57,7 +55,7 @@ from repro.ordering.idrips import IDripsOrderer
 from repro.ordering.streamer import StreamerOrderer
 from repro.resilience.manager import ResilienceManager
 from repro.service.backends import ExecutionBackend
-from repro.service.policy import RequestPolicy
+from repro.service.policy import Deadline, RequestPolicy
 from repro.service.session import PipelinedSession, SessionReport
 from repro.sources.catalog import Catalog
 from repro.utility.base import UtilityMeasure
@@ -105,7 +103,8 @@ def resolve_orderer_name(name: str, utility: UtilityMeasure) -> str:
     return "anyk" if utility.is_fully_monotonic else "pi"
 
 
-#: Per-batch streaming callback (invoked from the session's thread).
+#: Per-batch streaming callback, invoked on the thread that called
+#: :meth:`QueryService.execute` (it is the session's consumer).
 BatchCallback = Callable[[AnswerBatch], None]
 
 
@@ -135,10 +134,9 @@ class ServiceConfig:
     adaptivity: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.max_concurrent < 1:
-            raise ServiceError("max_concurrent must be at least 1")
-        if self.backlog < 1:
-            raise ServiceError("backlog must be at least 1")
+        for knob in ("max_concurrent", "backlog", "executor_workers", "queue_depth"):
+            if getattr(self, knob) < 1:
+                raise ServiceError(f"{knob} must be at least 1")
         if self.adaptivity not in ("auto", "on", "off"):
             raise ServiceError(
                 f"adaptivity must be 'auto', 'on' or 'off', "
@@ -176,32 +174,6 @@ class RequestResult:
     @property
     def deadline_exceeded(self) -> bool:
         return self.status == "deadline_exceeded"
-
-
-class _Pending:
-    """A queued request waiting for a dispatcher (tiny future)."""
-
-    __slots__ = ("request", "on_batch", "_done", "result")
-
-    def __init__(self, request: QueryRequest, on_batch: Optional[BatchCallback]):
-        self.request = request
-        self.on_batch = on_batch
-        self._done = threading.Event()
-        self.result: Optional[RequestResult] = None
-
-    def resolve(self, result: RequestResult) -> None:
-        self.result = result
-        self._done.set()
-
-    def wait(self, timeout: Optional[float] = None) -> RequestResult:
-        if not self._done.wait(timeout):
-            raise ServiceError("timed out waiting for request result")
-        if self.result is None:
-            raise InternalError("request resolved without a result")
-        return self.result
-
-
-_SHUTDOWN = object()
 
 
 class QueryService:
@@ -248,10 +220,13 @@ class QueryService:
             )
         self._shared_measures: dict[str, UtilityMeasure] = {}
         self._measure_lock = threading.Lock()
-        self._semaphore = threading.Semaphore(self.config.max_concurrent)
-        self._queue: Queue = Queue(maxsize=self.config.backlog)
-        self._dispatchers: list[threading.Thread] = []
-        self._started = False
+        # The admission gate (see execute): a permit to run, and a
+        # place in the building — running or waiting — to shed beyond.
+        self._permits = threading.Semaphore(self.config.max_concurrent)
+        self._places = threading.Semaphore(
+            self.config.max_concurrent + self.config.backlog
+        )
+        self._closed = False
         self._ids = itertools.count(1)
 
         counter = self.registry.counter
@@ -269,37 +244,22 @@ class QueryService:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start(self) -> "QueryService":
-        """Spin up the dispatcher pool for the :meth:`submit` path."""
-        if self._started:
-            return self
-        self._started = True
-        for index in range(self.config.max_concurrent):
-            thread = threading.Thread(
-                target=self._dispatch_loop,
-                name=f"repro-service-dispatch-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._dispatchers.append(thread)
-        return self
-
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop dispatchers after the queued work drains."""
-        if not self._started:
-            return
-        for _ in self._dispatchers:
-            self._queue.put(_SHUTDOWN)
-        for thread in self._dispatchers:
-            thread.join(timeout=timeout)
-        self._dispatchers.clear()
-        self._started = False
+        """Close the gate, then wait up to *timeout* for requests in flight.
 
-    def __enter__(self) -> "QueryService":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
+        Whatever has not been admitted yet, waiting at the gate now or
+        arriving later, ends ``rejected``.
+        """
+        self._closed = True
+        deadline = Deadline.after(timeout)
+        # Holding every permit means nothing is running any more.  They
+        # are given back so that a late arrival reaches the closed flag
+        # at once instead of waiting out its admission timeout.
+        with ExitStack() as held:
+            for _ in range(self.config.max_concurrent):
+                if not self._permits.acquire(timeout=deadline.remaining()):
+                    break
+                held.callback(self._permits.release)
 
     # -- request plumbing --------------------------------------------------------
 
@@ -420,73 +380,95 @@ class QueryService:
     ) -> RequestResult:
         """Run one request to completion on the calling thread.
 
-        Admission control applies: the call blocks until a concurrency
-        slot frees up (bounded by ``admission_timeout_s``, after which
-        the request is *rejected*, not errored).
+        Every caller, in-process or the connection's handler, passes
+        the same gate: at most ``max_concurrent`` requests run, at most
+        ``backlog`` more wait for a permit — each up to
+        ``admission_timeout_s`` or its own deadline, then it is
+        *rejected*, not errored — and anyone beyond that is shed at
+        once with :class:`~repro.errors.ServiceOverloadedError`.  What
+        the gate hands out is given back on every way out of here.
         """
+        config = self.config
         request_id = request.request_id or self.next_request_id()
         self._m_requests.inc()
-        policy = request.policy or self.config.default_policy
-        admit_timeout = self.config.admission_timeout_s
-        if policy.deadline_s is not None:
-            admit_timeout = min(admit_timeout, policy.deadline_s)
-        if not self._semaphore.acquire(timeout=admit_timeout):
-            self._m_rejected.inc()
-            if self.journal.enabled:
-                self.journal.emit(
-                    "request.rejected",
-                    request_id=request_id,
-                    code="admission_timeout",
-                    message="admission timeout",
+        policy = request.policy or config.default_policy
+        with ExitStack() as held:
+            if not self._places.acquire(blocking=False):
+                shed = self._rejected(
+                    request_id,
+                    "overloaded",
+                    f"admission gate full ({config.max_concurrent} running, "
+                    f"{config.backlog} waiting)",
                 )
-            return RequestResult(
-                request_id, "rejected", error="admission timeout"
-            )
-        self._m_accepted.inc()
-        self._g_active.inc()
-        measure_name = request.measure or self.config.default_measure
-        orderer_name = request.orderer or self.config.default_orderer
-        adaptive = self.resolve_adaptivity(policy, orderer_name)
-        if orderer_name == AUTO_ORDERER:
-            try:
-                orderer_name = resolve_orderer_name(
-                    orderer_name, self.shared_measure(measure_name)
+                raise ServiceOverloadedError(shed.error)
+            held.callback(self._places.release)
+            wait = config.admission_timeout_s
+            if policy.deadline_s is not None:
+                wait = min(wait, policy.deadline_s)
+            if not self._permits.acquire(timeout=wait):
+                return self._rejected(
+                    request_id, "admission_timeout", "admission timeout"
                 )
-            except ServiceError:
-                # Unknown measure: leave "auto" in place; the session
-                # below reports the error through the usual path.
-                pass
+            held.callback(self._permits.release)
+            if self._closed:
+                return self._rejected(
+                    request_id, "shutdown", "service is shut down"
+                )
+            self._m_accepted.inc()
+            self._g_active.inc()
+            held.callback(self._g_active.dec)
+            return self._run_admitted(request_id, request, policy, on_batch)
+
+    def _rejected(self, request_id: str, code: str, message: str) -> RequestResult:
+        """Count and journal a request the gate turned away."""
+        self._m_rejected.inc()
         if self.journal.enabled:
             self.journal.emit(
-                "request.admitted",
+                "request.rejected",
                 request_id=request_id,
-                measure=measure_name,
-                orderer=orderer_name,
+                code=code,
+                message=message,
             )
-        try:
-            return self._run_admitted(
-                request_id, request.query, measure_name, orderer_name,
-                policy, on_batch, adaptive=adaptive,
-            )
-        finally:
-            self._g_active.dec()
-            self._semaphore.release()
+        return RequestResult(request_id, "rejected", error=message)
 
     def _run_admitted(
         self,
         request_id: str,
-        query: ConjunctiveQuery,
-        measure_name: str,
-        orderer_name: str,
+        request: QueryRequest,
         policy: RequestPolicy,
         on_batch: Optional[BatchCallback],
-        adaptive: bool = False,
     ) -> RequestResult:
+        """An admitted request, start to finish, inside one error boundary.
+
+        Whatever it raises — a bad name, a failing plan, a measure
+        factory or an ``on_batch`` with a bug — ends in an ``error``
+        result, counted and journaled, for every caller alike.
+        """
+        measure_name = request.measure or self.config.default_measure
+        requested = request.orderer or self.config.default_orderer
+        orderer_name = requested
         tracer = Tracer(enabled=self.config.trace_requests)
+        batches: list[AnswerBatch] = []
+        answers: set = set()
         try:
-            utility = self.shared_measure(measure_name)
+            try:
+                utility = self.shared_measure(measure_name)
+                orderer_name = resolve_orderer_name(requested, utility)
+            finally:
+                # Also for a measure that does not resolve ("auto" then
+                # stays as asked): the error below is an admitted
+                # request's, and the journal says so.
+                if self.journal.enabled:
+                    self.journal.emit(
+                        "request.admitted",
+                        request_id=request_id,
+                        measure=measure_name,
+                        orderer=orderer_name,
+                    )
             orderer = self._make_orderer(
-                orderer_name, utility, adaptive=adaptive
+                orderer_name,
+                utility,
+                adaptive=self.resolve_adaptivity(policy, requested),
             )
             session = PipelinedSession(
                 self.mediator,
@@ -495,10 +477,8 @@ class QueryService:
                 backend=self.backend,
                 tracer=tracer,
             )
-            batches: list[AnswerBatch] = []
-            answers: set = set()
             for batch in session.stream(
-                query,
+                request.query,
                 utility,
                 orderer=orderer,
                 policy=policy,
@@ -513,7 +493,7 @@ class QueryService:
                 raise InternalError(
                     "session stream finished without leaving a report"
                 )
-        except ReproError as exc:
+        except Exception as exc:
             self._m_errors.inc()
             if self.journal.enabled:
                 self.journal.emit(
@@ -525,7 +505,14 @@ class QueryService:
                     elapsed_s=0.0,
                     first_answer_s=None,
                 )
-            return RequestResult(request_id, "error", error=str(exc))
+            # Our own errors are messages for the client; anything else
+            # is a defect, and its type is half of the report.
+            error = (
+                str(exc)
+                if isinstance(exc, ReproError)
+                else f"{type(exc).__name__}: {exc}"
+            )
+            return RequestResult(request_id, "error", error=error)
         result = RequestResult(
             request_id,
             report.status,
@@ -555,53 +542,3 @@ class QueryService:
                 first_answer_s=report.first_answer_s,
             )
         return result
-
-    # -- queued path -------------------------------------------------------------
-
-    def submit(
-        self,
-        request: QueryRequest,
-        on_batch: Optional[BatchCallback] = None,
-    ) -> _Pending:
-        """Enqueue a request for the dispatcher pool.
-
-        Returns a handle whose :meth:`_Pending.wait` blocks for the
-        result.  Raises :class:`~repro.errors.ServiceOverloadedError`
-        immediately when the backlog is full.
-        """
-        if not self._started:
-            raise ServiceError("service not started; call start() first")
-        pending = _Pending(request, on_batch)
-        try:
-            self._queue.put_nowait(pending)
-        except Full:
-            self._m_requests.inc()
-            self._m_rejected.inc()
-            if self.journal.enabled:
-                self.journal.emit(
-                    "request.rejected",
-                    request_id=request.request_id,
-                    code="overloaded",
-                    message=f"work queue full ({self.config.backlog} pending)",
-                )
-            raise ServiceOverloadedError(
-                f"work queue full ({self.config.backlog} pending requests)"
-            ) from None
-        return pending
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            try:
-                result = self.execute(item.request, on_batch=item.on_batch)
-            except BaseException as exc:  # never kill a dispatcher
-                result = RequestResult(
-                    item.request.request_id or "?", "error", error=str(exc)
-                )
-            item.resolve(result)
-            # An idle dispatcher blocks in get() above: still bound,
-            # these would pin the finished request's every batch until
-            # this thread's next one.
-            del item, result

@@ -9,8 +9,10 @@ algorithm computes the next ones"*.  :class:`PipelinedSession` is the
 second driver of the same stages, spread over threads:
 
 * a **producer thread** runs the ``plans`` stage (orderer + soundness
-  test), feeding a bounded queue (backpressure keeps the orderer at
-  most ``queue_depth`` plans ahead of execution);
+  test) from the second plan on — the first is ordered by the consumer
+  before that thread starts, when nothing could overlap with it —
+  feeding a bounded queue (backpressure keeps the orderer at most
+  ``queue_depth`` plans ahead of execution);
 * a pool of **executor workers** runs the ``execute`` stage
   concurrently over a read-only view of the source instances, with
   this session's retry schedule for transient backend failures;
@@ -37,6 +39,7 @@ instead of raising, so partial results always reach the caller.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import suppress
 from queue import Empty, Full, Queue
@@ -219,11 +222,16 @@ class PipelinedSession:
                     continue
             return False
 
+        # One generator for the request: the consumer orders the first
+        # plan on it before the producer starts and puts it back in
+        # front (below); the producer queues that one and orders every
+        # later one.
+        plans = core.plans()
+
         def produce() -> None:
             produced = 0
             end: object = None  # aborted: deadline, cancel or shutdown
             try:
-                plans = core.plans()
                 while not run.aborted():
                     item = next(plans, None)
                     if item is None:
@@ -280,9 +288,25 @@ class PipelinedSession:
 
         next_rank = 1
         try:
-            producer.start()
+            # Workers first: they block on the empty queue at once.  A
+            # CPU-bound producer started first makes this thread wait
+            # out a GIL switch interval inside every later start().
             for worker in workers:
                 worker.start()
+            # The first plan is ordered here, not on the producer.
+            # Nothing can overlap with it — there is no plan to execute
+            # yet — and the producer, CPU-bound from its first
+            # instruction, holds the GIL through start() below for one
+            # switch interval: what it has ready when that interval ends
+            # is what the first batches carry.  This way the whole
+            # interval goes to the plans behind the head, and which of
+            # them make the first batches does not hang on a fraction
+            # of a millisecond of the host's speed.
+            if not run.aborted():
+                head = next(plans, None)
+                if head is not None:
+                    plans = itertools.chain((head,), plans)
+            producer.start()
             while True:
                 item = run.take(next_rank)
                 if not isinstance(item, StagedPlan):

@@ -1,9 +1,11 @@
 """End-to-end tests of the JSON-lines TCP front end."""
 
+import contextlib
 import gc
 import json
 import socket
 import threading
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -11,12 +13,15 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.execution.mediator import AnswerBatch
+from repro.observability.journal import EventJournal
+from repro.resilience.chaos import ChaosBackend, ChaosProfile, FaultProfile
 from repro.service import protocol
 from repro.service.frontend import connect, start_server
 from repro.service.loadgen import run_load
 from repro.service.policy import RequestPolicy, RetryPolicy
 from repro.service.server import QueryService, ServiceConfig
 from repro.utility.cost import LinearCost
+from tests.service.helpers import read_replies, roundtrip, wait_until, wedge
 
 
 @pytest.fixture
@@ -34,19 +39,6 @@ def served(movies):
         server.shutdown()
         server.server_close()
         service.shutdown()
-
-
-def roundtrip(stream, record):
-    stream.write(protocol.encode_line(record))
-    stream.flush()
-    replies = []
-    while True:
-        line = stream.readline()
-        assert line, "server closed the connection mid-request"
-        reply = protocol.decode_line(line)
-        replies.append(reply)
-        if reply["type"] in ("summary", "error"):
-            return replies
 
 
 class TestQueryOverTCP:
@@ -178,6 +170,165 @@ class TestProtocolErrors:
                 stream, protocol.request_record(str(movies.query))
             )
         assert replies[-1]["status"] == "ok"
+
+
+@contextlib.contextmanager
+def serving(service):
+    server, _thread = start_server(service, port=0)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.shutdown()
+
+
+class TestOneRoadOverTCP:
+    """The wire reaches every outcome of ``execute``, on the handler thread."""
+
+    def test_thread_census(self, movies):
+        # At the parent commit start_server also parked max_concurrent
+        # repro-service-dispatch-* threads for the life of the service.
+        before = {thread.name for thread in threading.enumerate()}
+        service = QueryService(
+            movies.catalog, movies.source_facts, measures={"linear": LinearCost}
+        )
+        with serving(service) as server:
+            idle = {thread.name for thread in threading.enumerate()}
+            assert idle - before == {"repro-serve"}
+            with connect("127.0.0.1", server.port) as sock:
+                stream = sock.makefile("rwb")
+                replies = roundtrip(stream, protocol.request_record(str(movies.query)))
+                assert replies[-1]["status"] == "ok"
+                # The summary is the last thing the session's threads
+                # allow: they are joined before execute() returns.
+                assert not [
+                    thread.name
+                    for thread in threading.enumerate()
+                    if thread.name.startswith("repro-service-")
+                ]
+
+    def test_any_exception_is_one_error_record(self, movies):
+        # Fails at the parent commit: a non-ReproError got an error
+        # record from the dispatcher's catch-all but no service.errors
+        # and no request.admitted / request.completed.
+        journal = EventJournal()
+
+        def broken_factory():
+            raise RuntimeError("factory exploded")
+
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            measures={"linear": LinearCost, "broken": broken_factory},
+            journal=journal,
+        )
+        with serving(service) as server, connect("127.0.0.1", server.port) as sock:
+            stream = sock.makefile("rwb")
+            replies = roundtrip(
+                stream,
+                protocol.request_record(
+                    str(movies.query), request_id="boom", measure="broken"
+                ),
+            )
+            assert replies == [
+                protocol.error_record(
+                    "boom", "error", "RuntimeError: factory exploded"
+                )
+            ]
+            # Same connection, next query.
+            assert roundtrip(stream, protocol.request_record(str(movies.query)))[
+                -1
+            ]["status"] == "ok"
+        assert service.registry.counter("service.errors").value == 1
+        assert service.registry.gauge("service.active").value == 0
+        assert [
+            event["event"] for event in journal.events(request_id="boom")
+        ] == ["request.received", "request.admitted", "request.completed"]
+        assert journal.events(request_id="boom")[-1]["status"] == "error"
+
+    def test_overload_and_admission_timeout(self, movies):
+        # Both unreachable on the wire at the parent commit: the pool
+        # was as large as the semaphore, and only the queue could shed.
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            measures={"linear": LinearCost},
+            config=ServiceConfig(
+                max_concurrent=1, backlog=1, admission_timeout_s=0.5
+            ),
+        )
+        release, holding = wedge(service)
+        query = protocol.request_record(str(movies.query))
+        with serving(service) as server, contextlib.ExitStack() as sockets:
+            streams = [
+                sockets.enter_context(
+                    connect("127.0.0.1", server.port)
+                ).makefile("rwb")
+                for _ in range(3)
+            ]
+            running, waiting, shed = streams
+            running.write(protocol.encode_line(query))
+            running.flush()
+            assert holding.wait(timeout=10.0)
+            waiting.write(protocol.encode_line(query))
+            waiting.flush()
+            wait_until(lambda: service._places._value == 0)
+            started = time.monotonic()
+            (reply,) = roundtrip(shed, {**query, "id": "third"})
+            assert time.monotonic() - started < 0.4  # shed at once
+            assert (reply["type"], reply["code"]) == ("error", "overloaded")
+            assert reply["id"] == "third"
+            # The waiter runs out of patience: rejected, not errored.
+            (summary,) = read_replies(waiting)
+            assert (summary["type"], summary["status"]) == ("summary", "rejected")
+            release.set()
+            assert read_replies(running)[-1]["status"] == "ok"
+            # Everything came back: the shed connection is served now.
+            assert roundtrip(shed, query)[-1]["status"] == "ok"
+        assert service.registry.counter("service.rejected").value == 2
+        assert service.registry.gauge("service.active").value == 0
+
+    def test_a_client_that_hangs_up_cancels_its_request(self, medium_domain):
+        # At the parent commit every plan of the space was ordered,
+        # executed and encoded for nobody, and the status was ok.
+        journal = EventJournal()
+        slow = ChaosBackend(
+            ChaosProfile("slow", {}, default=FaultProfile(latency_s=0.01))
+        )
+        service = QueryService(
+            medium_domain.catalog,
+            {},
+            measures={"linear": medium_domain.linear_cost},
+            backend=slow,
+            journal=journal,
+        )
+        space = medium_domain.space.size
+        assert space >= 200
+        with serving(service) as server:
+            sock = connect("127.0.0.1", server.port)
+            stream = sock.makefile("rwb")
+            stream.write(
+                protocol.encode_line(
+                    protocol.request_record(
+                        str(medium_domain.query), request_id="gone"
+                    )
+                )
+            )
+            stream.flush()
+            assert protocol.decode_line(stream.readline())["rank"] == 1
+            stream.close()
+            sock.close()
+            wait_until(
+                lambda: journal.events(event="request.completed"), timeout_s=30.0
+            )
+            slow.interrupt()
+        (completed,) = journal.events(event="request.completed")
+        assert completed["status"] == "cancelled"
+        registry = service.registry
+        assert registry.counter("service.cancelled").value == 1
+        assert registry.gauge("service.active").value == 0
+        assert registry.counter("mediator.plans_processed").value < space // 4
 
 
 class TestProtocolUnits:

@@ -89,15 +89,13 @@ class TestServicePrometheusText:
         )
         server, _thread = start_metrics_server(service.prometheus_text)
         try:
-            with service:
-                from repro.service.server import QueryRequest
+            from repro.service.server import QueryRequest
 
-                pending = service.submit(
-                    QueryRequest(movies.query, request_id="scrape-1")
-                )
-                assert pending.wait(timeout=30.0).ok
-                with _get(server.port, "/metrics") as response:
-                    body = response.read().decode("utf-8")
+            assert service.execute(
+                QueryRequest(movies.query, request_id="scrape-1")
+            ).ok
+            with _get(server.port, "/metrics") as response:
+                body = response.read().decode("utf-8")
         finally:
             server.shutdown()
             server.server_close()

@@ -1,8 +1,7 @@
 """Tests for the multi-query service: concurrency, sharing, shedding."""
 
-import gc
 import threading
-import weakref
+import time
 
 import pytest
 
@@ -10,7 +9,7 @@ from repro.errors import ServiceError, ServiceOverloadedError
 from repro.observability.journal import EventJournal
 from repro.observability.metrics import MetricRegistry
 from repro.service import protocol
-from repro.service.policy import RequestPolicy
+from repro.service.policy import CancellationToken, RequestPolicy
 from repro.service.server import (
     AUTO_ORDERER,
     QueryRequest,
@@ -21,6 +20,7 @@ from repro.service.server import (
 )
 from repro.utility.cost import LinearCost
 from repro.utility.coverage import CoverageUtility
+from tests.service.helpers import wait_until, wedge
 
 
 def make_service(movies, **config_kwargs):
@@ -142,84 +142,226 @@ class TestConcurrency:
         answer_sets = {r.answers for r in results}
         assert len(answer_sets) == 1  # all byte-identical
 
-    def test_submit_path_round_trip(self, movies):
-        with make_service(movies) as service:
-            pending = service.submit(QueryRequest(query=movies.query))
-            result = pending.wait(timeout=30.0)
-            assert result.ok
-            assert result.answers
 
-    def test_idle_dispatchers_do_not_pin_their_last_result(self, movies):
-        dispatchers = 4
-        service = make_service(movies, max_concurrent=dispatchers)
-        # Hold every request until all are in flight, so that each
-        # dispatcher thread serves exactly one.
-        together = threading.Barrier(dispatchers)
-        original = service._run_admitted
+def execute_in_thread(service, request):
+    """Start ``service.execute(request)``; returns (thread, outcomes)."""
+    outcomes: list = []
 
-        def run_together(*args, **kwargs):
-            together.wait(timeout=30.0)
-            return original(*args, **kwargs)
-
-        service._run_admitted = run_together
-        with service:
-            handles = [
-                service.submit(QueryRequest(query=movies.query))
-                for _ in range(dispatchers)
-            ]
-            results = [handle.wait(timeout=30.0) for handle in handles]
-            assert all(result.ok and result.batches for result in results)
-            batches = [weakref.ref(result.batches[0]) for result in results]
-            # The service is idle and started: every dispatcher is
-            # parked on the queue.  Only the caller holds the results.
-            del handles, results
-            gc.collect()
-            assert [ref() for ref in batches] == [None] * dispatchers
-
-    def test_submit_requires_started_service(self, movies):
-        service = make_service(movies)
-        with pytest.raises(ServiceError, match="start"):
-            service.submit(QueryRequest(query=movies.query))
-
-    def test_overload_sheds_with_service_overloaded_error(self, movies):
-        # One slot, a backlog of one, and a slow request wedged in:
-        # the queue fills and further submits must be rejected at once.
-        service = make_service(movies, max_concurrent=1, backlog=1)
-        gate = threading.Event()
-        original = service._run_admitted
-
-        def slow_run(*args, **kwargs):
-            gate.wait(timeout=10.0)
-            return original(*args, **kwargs)
-
-        service._run_admitted = slow_run
-        service.start()
+    def call():
         try:
-            first = service.submit(QueryRequest(query=movies.query))
-            deadline = threading.Event()
-            overloaded = 0
-            # The dispatcher may not have popped `first` yet, so allow
-            # one more submit before rejection is guaranteed.
-            for _ in range(3):
-                try:
-                    service.submit(QueryRequest(query=movies.query))
-                except ServiceOverloadedError:
-                    overloaded += 1
-            assert overloaded >= 1
-            assert not deadline.is_set()
-        finally:
-            gate.set()
-            assert first.wait(timeout=30.0).ok
-            service.shutdown()
+            outcomes.append(service.execute(request))
+        except Exception as exc:  # handed to the asserting thread
+            outcomes.append(exc)
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    return thread, outcomes
+
+
+class TestAdmissionGate:
+    """One gate, one policy, for whoever calls ``execute``."""
+
+    def test_overload_is_shed_at_once_in_process(self, movies):
+        # Unreachable at the parent commit: only submit() could shed.
+        registry = MetricRegistry()
+        journal = EventJournal()
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            measures={"linear": LinearCost},
+            config=ServiceConfig(max_concurrent=1, backlog=1),
+            registry=registry,
+            journal=journal,
+        )
+        release, holding = wedge(service)
+        request = QueryRequest(query=movies.query)
+        running, ran = execute_in_thread(service, request)
+        assert holding.wait(timeout=10.0)
+        waiting, waited = execute_in_thread(service, request)
+        wait_until(lambda: service._places._value == 0)
+        started = time.monotonic()
+        with pytest.raises(ServiceOverloadedError, match="1 waiting"):
+            service.execute(QueryRequest(query=movies.query, request_id="shed"))
+        assert time.monotonic() - started < 1.0
+        (rejected,) = journal.events(event="request.rejected")
+        assert rejected["request_id"] == "shed"
+        assert rejected["code"] == "overloaded"
+        release.set()
+        for thread in (running, waiting):
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert ran[0].ok and waited[0].ok  # the waiter was served, not shed
+        assert registry.counter("service.rejected").value == 1
+        assert registry.counter("service.requests").value == 3
+        assert registry.gauge("service.active").value == 0
+        # The shed request gave nothing back it did not hold.
+        assert service._places._value == 2 and service._permits._value == 1
 
     def test_rejected_when_admission_times_out(self, movies):
         service = make_service(movies, max_concurrent=1, admission_timeout_s=0.05)
-        service._semaphore.acquire()  # wedge the only slot
+        release, holding = wedge(service)
+        running, ran = execute_in_thread(service, QueryRequest(query=movies.query))
+        assert holding.wait(timeout=10.0)
         try:
             result = service.execute(QueryRequest(query=movies.query))
             assert result.status == "rejected"
+            assert result.error == "admission timeout"
         finally:
-            service._semaphore.release()
+            release.set()
+            running.join(timeout=30.0)
+        assert ran[0].ok
+        assert service.execute(QueryRequest(query=movies.query)).ok
+
+    def test_deadline_clamps_the_admission_wait(self, movies):
+        service = make_service(movies, max_concurrent=1)  # 30 s admission timeout
+        release, holding = wedge(service)
+        running, _ran = execute_in_thread(service, QueryRequest(query=movies.query))
+        assert holding.wait(timeout=10.0)
+        try:
+            started = time.monotonic()
+            result = service.execute(
+                QueryRequest(
+                    query=movies.query, policy=RequestPolicy(deadline_s=0.05)
+                )
+            )
+            assert result.status == "rejected"
+            assert time.monotonic() - started < 5.0
+        finally:
+            release.set()
+            running.join(timeout=30.0)
+
+    def test_a_raising_request_gives_its_permit_back(self, movies):
+        # Fails at the parent commit: the factory raised between the
+        # acquire and the try, two of these and every later request
+        # was rejected with service.active stuck at 2.
+        registry = MetricRegistry()
+        journal = EventJournal()
+
+        def broken_factory():
+            raise RuntimeError("factory exploded")
+
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            measures={"linear": LinearCost, "broken": broken_factory},
+            config=ServiceConfig(max_concurrent=2, admission_timeout_s=0.05),
+            registry=registry,
+            journal=journal,
+        )
+        for index in range(2):
+            result = service.execute(
+                QueryRequest(
+                    query=movies.query, measure="broken", request_id=f"bad-{index}"
+                )
+            )
+            assert result.status == "error"
+            assert result.error == "RuntimeError: factory exploded"
+        assert registry.gauge("service.active").value == 0
+        assert service.execute(QueryRequest(query=movies.query)).ok
+        assert registry.counter("service.errors").value == 2
+        assert registry.counter("service.accepted").value == 3
+        # An admitted request's error is journaled as one.
+        assert [
+            event["event"] for event in journal.events(request_id="bad-0")
+        ] == ["request.admitted", "request.completed"]
+        (completed,) = journal.events(
+            event="request.completed", request_id="bad-1"
+        )
+        assert completed["status"] == "error"
+
+    def test_a_raising_callback_is_an_error_result(self, movies):
+        registry = MetricRegistry()
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            measures={"linear": LinearCost},
+            registry=registry,
+        )
+
+        def on_batch(batch):
+            raise KeyError("consumer bug")
+
+        result = service.execute(QueryRequest(query=movies.query), on_batch)
+        assert result.status == "error"
+        assert result.error == "KeyError: 'consumer bug'"
+        assert registry.gauge("service.active").value == 0
+        assert registry.counter("service.errors").value == 1
+
+    def test_cancellation_in_process(self, movies):
+        registry = MetricRegistry()
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            measures={"linear": LinearCost},
+            registry=registry,
+        )
+        token = CancellationToken()
+        token.cancel()
+        result = service.execute(
+            QueryRequest(
+                query=movies.query, policy=RequestPolicy(cancellation=token)
+            )
+        )
+        assert result.status == "cancelled"
+        assert result.batches == []
+        assert registry.counter("service.cancelled").value == 1
+        assert registry.gauge("service.active").value == 0
+
+
+class TestShutdown:
+    def test_shutdown_waits_for_in_flight_and_closes_the_gate(self, movies):
+        journal = EventJournal()
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            measures={"linear": LinearCost},
+            config=ServiceConfig(max_concurrent=2),
+            journal=journal,
+        )
+        release, holding = wedge(service)
+        running, ran = execute_in_thread(service, QueryRequest(query=movies.query))
+        assert holding.wait(timeout=10.0)
+        closer = threading.Thread(target=service.shutdown, args=(30.0,), daemon=True)
+        closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive()  # still waiting for the wedged request
+        release.set()
+        closer.join(timeout=30.0)
+        running.join(timeout=30.0)
+        assert not closer.is_alive() and not running.is_alive()
+        assert ran[0].ok  # in flight at shutdown: finished, not torn
+        started = time.monotonic()
+        late = service.execute(QueryRequest(query=movies.query, request_id="late"))
+        assert late.status == "rejected"
+        assert time.monotonic() - started < 1.0  # at once, no admission wait
+        (rejected,) = journal.events(event="request.rejected")
+        assert (rejected["request_id"], rejected["code"]) == ("late", "shutdown")
+
+    def test_shutdown_gives_up_after_its_timeout(self, movies):
+        service = make_service(movies, max_concurrent=1)
+        release, holding = wedge(service)
+        running, ran = execute_in_thread(service, QueryRequest(query=movies.query))
+        assert holding.wait(timeout=10.0)
+        try:
+            started = time.monotonic()
+            service.shutdown(timeout=0.05)
+            assert time.monotonic() - started < 5.0
+        finally:
+            release.set()
+            running.join(timeout=30.0)
+        assert ran[0].ok
+        service.shutdown()  # idempotent, and quick with nothing in flight
+
+
+class TestServiceConfigValidation:
+    @pytest.mark.parametrize(
+        "knob", ["max_concurrent", "backlog", "executor_workers", "queue_depth"]
+    )
+    def test_counts_must_be_positive(self, knob):
+        # executor_workers=0 / queue_depth=0 used to be accepted, and
+        # then every request ended in an error result.
+        with pytest.raises(ServiceError, match=f"{knob} must be at least 1"):
+            ServiceConfig(**{knob: 0})
 
 
 class TestAutoOrderer:

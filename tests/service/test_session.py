@@ -1,5 +1,7 @@
 """Tests for the pipelined anytime session."""
 
+import threading
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -242,6 +244,70 @@ class TestInstrumentation:
         assert report.elapsed_s > 0.0
         assert report.first_answer_s is not None
         assert 0.0 < report.first_answer_s <= report.elapsed_s
+
+
+class TestThreadStartOrder:
+    def test_executor_workers_start_before_the_producer(self, movies, monkeypatch):
+        # The producer is CPU-bound from its first instruction: started
+        # first, it makes the consumer wait out a GIL switch interval
+        # inside each following Thread.start() (5 ms apiece, on the
+        # way to the first answer).  Workers block on the empty queue.
+        started: list[str] = []
+        original = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts), executor_workers=3
+        )
+        batches, _report = session.run(movies.query, LinearCost())
+        assert batches
+        assert started == [
+            "repro-service-exec-0",
+            "repro-service-exec-1",
+            "repro-service-exec-2",
+            "repro-service-producer",
+        ]
+
+    def test_the_first_plan_is_ordered_before_the_producer_starts(self, movies):
+        # Ordered on the producer, the head spends part of the switch
+        # interval the consumer waits out inside producer.start(): how
+        # many plans are ready when it ends — what the first batches
+        # carry — then hangs on the host's speed.
+        class Recording(PIOrderer):
+            def order(self, *args, **kwargs):
+                for ordered in super().order(*args, **kwargs):
+                    ordered_on.append(threading.current_thread().name)
+                    yield ordered
+
+        ordered_on: list[str] = []
+        session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
+        batches, _report = session.run(
+            movies.query, LinearCost(), orderer=Recording(LinearCost())
+        )
+        assert len(batches) == len(ordered_on) > 1
+        assert ordered_on[0] == threading.current_thread().name
+        assert set(ordered_on[1:]) == {"repro-service-producer"}
+
+    def test_an_aborted_request_orders_no_plan(self, movies):
+        class Untouched(PIOrderer):
+            def order(self, *args, **kwargs):
+                raise AssertionError("ordered a plan for a cancelled request")
+                yield
+
+        token = CancellationToken()
+        token.cancel()
+        session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
+        batches, report = session.run(
+            movies.query,
+            LinearCost(),
+            orderer=Untouched(LinearCost()),
+            policy=RequestPolicy(cancellation=token),
+        )
+        assert batches == [] and report.cancelled
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.errors import ServiceError
 
 
 class TestDemo:
@@ -191,6 +192,15 @@ class TestBenchServe:
             == 0
         )
         assert "completed                4" in capsys.readouterr().out
+
+
+class TestServeValidation:
+    @pytest.mark.parametrize("flag", ["--executor-workers", "--queue-depth"])
+    def test_zero_sized_pipeline_is_refused_before_binding(self, flag):
+        # Port 1 cannot be bound unprivileged: reaching the bind would
+        # raise OSError (or serve forever), not ServiceError.
+        with pytest.raises(ServiceError, match="must be at least 1"):
+            main(["serve", "--port", "1", flag, "0"])
 
 
 class TestForwarding:
