@@ -50,11 +50,8 @@ import sys
 from typing import Optional, Sequence
 
 from repro import __version__
-from repro.service.server import (
-    AUTO_ORDERER,
-    ORDERER_TABLE,
-    resolve_orderer_name,
-)
+from repro.errors import ReproError, ServiceError
+from repro.ordering import AUTO_ORDERER, ORDERER_TABLE, orderer_class
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -77,14 +74,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 #: Orderer names accepted by ``order --algorithm``, ``simulate
 #: --orderer`` and ``serve --default-orderer``.  ``auto`` resolves per
-#: utility measure: ``anyk`` when the measure is fully monotonic
-#: (streamed ranked enumeration applies), ``pi`` otherwise.
+#: utility measure (the rule is :mod:`repro.ordering.regimes`).
 ORDERER_CHOICES = (AUTO_ORDERER, *ORDERER_TABLE)
 
 
 def _make_orderer(name: str, utility, **instrumentation):
-    name = resolve_orderer_name(name, utility)
-    return ORDERER_TABLE[name](utility, **instrumentation)
+    return orderer_class(name, utility)(utility, **instrumentation)
 
 
 def _make_measure(name: str, domain):
@@ -351,6 +346,24 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``serve`` flags that only the single-process server reads:
+#: ``WorkerSpec`` has no field for them, so ``serve --workers N`` refuses
+#: them instead of silently dropping them.
+_SINGLE_PROCESS_FLAGS = (
+    "--adaptive",
+    "--trace",
+    "--default-measure",
+    "--queue-depth",
+    "--executor-workers",
+    "--breaker-cooldown",
+    "--min-observations",
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
@@ -360,6 +373,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import QueryService, ServiceConfig
 
     if getattr(args, "workers", 1) > 1:
+        dropped = [
+            flag
+            for flag in _SINGLE_PROCESS_FLAGS
+            if getattr(args, _dest(flag)) != args.single_process_defaults[flag]
+        ]
+        if dropped:
+            raise ServiceError(
+                f"serve --workers {args.workers} cannot pass "
+                f"{', '.join(dropped)} on to its workers; leave that out "
+                "or serve one process"
+            )
         return _cmd_cluster(args)
     catalog, facts, measures, _ = _service_workload(args.workload, args.seed)
     overrides = {
@@ -894,8 +918,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve.add_argument("--default-orderer", default="auto",
                        choices=ORDERER_CHOICES,
                        help="orderer for requests that do not name one "
-                            "(auto: anyk for fully-monotonic measures, "
-                            "pi otherwise)")
+                            "(auto: anyk for fully monotonic measures, "
+                            "streamer under diminishing returns, idrips "
+                            "otherwise)")
     serve.add_argument("--trace", action="store_true",
                        help="attach per-request span trees to summaries")
     serve.add_argument("--chaos", metavar="PROFILE", default=None,
@@ -940,6 +965,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve.add_argument("--journal", metavar="PATH", default=None,
                        help="record the correlated event journal as JSON "
                             "lines to PATH")
+    serve.set_defaults(single_process_defaults={
+        flag: serve.get_default(_dest(flag)) for flag in _SINGLE_PROCESS_FLAGS
+    })
 
     cluster = sub.add_parser("cluster",
                              help="sharded router/worker cluster")
@@ -1096,24 +1124,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       help="HTTP timeout for --url (seconds)")
 
     args = parser.parse_args(argv)
-    if args.command == "demo":
-        return _cmd_demo(args)
-    if args.command == "order":
-        return _cmd_order(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "bench-serve":
-        return _cmd_bench_serve(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "metrics-dump":
-        return _cmd_metrics_dump(args)
+    try:
+        if args.command == "demo":
+            return _cmd_demo(args)
+        if args.command == "order":
+            return _cmd_order(args)
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        if args.command == "serve":
+            return _cmd_serve(args)
+        if args.command == "cluster":
+            return _cmd_cluster(args)
+        if args.command == "bench-serve":
+            return _cmd_bench_serve(args)
+        if args.command == "lint":
+            return _cmd_lint(args)
+        if args.command == "profile":
+            return _cmd_profile(args)
+        if args.command == "metrics-dump":
+            return _cmd_metrics_dump(args)
+    except ReproError as exc:
+        # The library's own refusals (an orderer that does not apply to
+        # the measure, a zero-sized pipeline) are messages for the user;
+        # anything else is a defect and keeps its traceback.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command}")
 
 

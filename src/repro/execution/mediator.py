@@ -37,8 +37,8 @@ from repro.execution.engine import evaluate_conjunctive_query
 from repro.observability.journal import EventJournal, NOOP_JOURNAL
 from repro.observability.metrics import MetricRegistry
 from repro.observability.tracing import NOOP_TRACER, Stopwatch, Tracer
+from repro.ordering import AUTO_ORDERER, orderer_class
 from repro.ordering.base import OrderedPlan, PlanOrderer
-from repro.ordering.bruteforce import PIOrderer
 from repro.reformulation.buckets import build_buckets
 from repro.reformulation.inverse_rules import answer_with_inverse_rules
 from repro.reformulation.plans import PlanSpace, QueryPlan
@@ -420,7 +420,7 @@ class Mediator:
         self.source_facts = {
             name: set(facts) for name, facts in source_facts.items()
         }
-        self.orderer_factory = orderer_factory or PIOrderer
+        self.orderer_factory = orderer_factory
         self.registry = registry if registry is not None else MetricRegistry()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         #: Lifecycle event stream (see repro.observability.journal);
@@ -501,8 +501,9 @@ class Mediator:
         return space.size if max_plans is None else min(max_plans, space.size)
 
     def make_orderer(self, utility: UtilityMeasure) -> PlanOrderer:
-        """An orderer from the configured factory."""
-        return self.orderer_factory(utility)
+        """An orderer from the configured factory, else ``auto``'s choice."""
+        factory = self.orderer_factory or orderer_class(AUTO_ORDERER, utility)
+        return factory(utility)
 
     # -- the inline driver -------------------------------------------------------
 

@@ -47,12 +47,6 @@ def _streamer(measure: Callable[[SyntheticDomain], object]) -> AlgorithmSpec:
     return AlgorithmSpec("Streamer", lambda d: StreamerOrderer(measure(d)))
 
 
-def _anyk(measure: Callable[[SyntheticDomain], object]) -> AlgorithmSpec:
-    # Applicable to every measure: lattice mode when fully monotonic,
-    # interval (region-refinement) mode otherwise.
-    return AlgorithmSpec("AnyK", lambda d: AnyKOrderer(measure(d)))
-
-
 def _coverage(domain: SyntheticDomain) -> object:
     return domain.coverage()
 
@@ -77,65 +71,32 @@ def _named(name: str, spec: AlgorithmSpec) -> AlgorithmSpec:
     return AlgorithmSpec(name, spec.build)
 
 
-def _panel(
-    panel_id: str,
-    title: str,
-    k: int,
-    algorithms: tuple[AlgorithmSpec, ...],
-) -> PanelSpec:
-    return PanelSpec(panel_id, title, k, algorithms)
-
+#: Figure 6's four measure families; each is plotted at k = 1, 10, 100.
+_FAMILIES: tuple[tuple[str, str, tuple[AlgorithmSpec, ...]], ...] = (
+    # (a)-(c): plan coverage -- Streamer applicable (diminishing returns).
+    ("abc", "plan coverage",
+     (_pi(_coverage), _idrips(_coverage), _streamer(_coverage))),
+    # (d)-(f): cost with source failure, no caching -- full independence.
+    ("def", "failure cost (no caching)",
+     (_pi(_failure_nocache), _idrips(_failure_nocache),
+      _streamer(_failure_nocache))),
+    # (g)-(i): cost with failure + caching -- diminishing returns fails,
+    # Streamer is not applicable (paper, Section 6).
+    ("ghi", "failure cost (caching)",
+     (_pi(_failure_cache), _idrips(_failure_cache))),
+    # (j)-(l): average monetary cost per tuple, both caching options.
+    ("jkl", "monetary cost/tuple",
+     (_pi(_monetary_nocache), _idrips(_monetary_nocache),
+      _streamer(_monetary_nocache),
+      _named("PI+cache", _pi(_monetary_cache)),
+      _named("iDrips+cache", _idrips(_monetary_cache)))),
+)
 
 #: Every Figure 6 panel, keyed a-l as in the paper.
 PANELS: dict[str, PanelSpec] = {
-    # (a)-(c): plan coverage -- Streamer applicable (diminishing returns).
-    "a": _panel("6.a", "plan coverage, 1st plan", 1,
-                (_pi(_coverage), _idrips(_coverage), _streamer(_coverage),
-                 _anyk(_coverage))),
-    "b": _panel("6.b", "plan coverage, 10th plan", 10,
-                (_pi(_coverage), _idrips(_coverage), _streamer(_coverage),
-                 _anyk(_coverage))),
-    "c": _panel("6.c", "plan coverage, 100th plan", 100,
-                (_pi(_coverage), _idrips(_coverage), _streamer(_coverage),
-                 _anyk(_coverage))),
-    # (d)-(f): cost with source failure, no caching -- full independence.
-    "d": _panel("6.d", "failure cost (no caching), 1st plan", 1,
-                (_pi(_failure_nocache), _idrips(_failure_nocache),
-                 _streamer(_failure_nocache), _anyk(_failure_nocache))),
-    "e": _panel("6.e", "failure cost (no caching), 10th plan", 10,
-                (_pi(_failure_nocache), _idrips(_failure_nocache),
-                 _streamer(_failure_nocache), _anyk(_failure_nocache))),
-    "f": _panel("6.f", "failure cost (no caching), 100th plan", 100,
-                (_pi(_failure_nocache), _idrips(_failure_nocache),
-                 _streamer(_failure_nocache), _anyk(_failure_nocache))),
-    # (g)-(i): cost with failure + caching -- diminishing returns fails,
-    # Streamer is not applicable (paper, Section 6); AnyK falls back to
-    # its interval (region-refinement) mode and stays exact.
-    "g": _panel("6.g", "failure cost (caching), 1st plan", 1,
-                (_pi(_failure_cache), _idrips(_failure_cache),
-                 _anyk(_failure_cache))),
-    "h": _panel("6.h", "failure cost (caching), 10th plan", 10,
-                (_pi(_failure_cache), _idrips(_failure_cache),
-                 _anyk(_failure_cache))),
-    "i": _panel("6.i", "failure cost (caching), 100th plan", 100,
-                (_pi(_failure_cache), _idrips(_failure_cache),
-                 _anyk(_failure_cache))),
-    # (j)-(l): average monetary cost per tuple, both caching options.
-    "j": _panel("6.j", "monetary cost/tuple, 1st plan", 1,
-                (_pi(_monetary_nocache), _idrips(_monetary_nocache),
-                 _streamer(_monetary_nocache), _anyk(_monetary_nocache),
-                 _named("PI+cache", _pi(_monetary_cache)),
-                 _named("iDrips+cache", _idrips(_monetary_cache)))),
-    "k": _panel("6.k", "monetary cost/tuple, 10th plan", 10,
-                (_pi(_monetary_nocache), _idrips(_monetary_nocache),
-                 _streamer(_monetary_nocache), _anyk(_monetary_nocache),
-                 _named("PI+cache", _pi(_monetary_cache)),
-                 _named("iDrips+cache", _idrips(_monetary_cache)))),
-    "l": _panel("6.l", "monetary cost/tuple, 100th plan", 100,
-                (_pi(_monetary_nocache), _idrips(_monetary_nocache),
-                 _streamer(_monetary_nocache), _anyk(_monetary_nocache),
-                 _named("PI+cache", _pi(_monetary_cache)),
-                 _named("iDrips+cache", _idrips(_monetary_cache)))),
+    letter: PanelSpec(f"6.{letter}", f"{title}, {nth} plan", k, algorithms)
+    for letters, title, algorithms in _FAMILIES
+    for letter, (k, nth) in zip(letters, ((1, "1st"), (10, "10th"), (100, "100th")))
 }
 
 

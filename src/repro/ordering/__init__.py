@@ -18,8 +18,13 @@
 * :class:`~repro.ordering.adaptive.AdaptiveOrderer` -- wraps any of
   the above and re-sorts the residual plan space mid-stream when the
   resilience layer's health epoch shows the ranking may have shifted.
+
+Callers holding an orderer *name* (service, CLI, the mediator's default)
+use :data:`ORDERER_TABLE` / :func:`orderer_class`; ``"auto"`` resolves
+per measure by the one rule in :mod:`repro.ordering.regimes`.
 """
 
+from repro.errors import OrderingError
 from repro.ordering.adaptive import AdaptiveOrderer
 from repro.ordering.anyk import AnyKOrderer
 
@@ -36,9 +41,33 @@ from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
 from repro.ordering.drips import DripsPlanner, drips_search
 from repro.ordering.greedy import GreedyOrderer
 from repro.ordering.idrips import IDripsOrderer
+from repro.ordering.regimes import AUTO_ORDERER, resolve_orderer_name
 from repro.ordering.streamer import StreamerOrderer
+from repro.utility.base import UtilityMeasure
+
+#: Every orderer addressable by name (CLI flags, wire requests).
+ORDERER_TABLE: dict[str, type[PlanOrderer]] = {
+    "pi": PIOrderer,
+    "exhaustive": ExhaustiveOrderer,
+    "idrips": IDripsOrderer,
+    "streamer": StreamerOrderer,
+    "greedy": GreedyOrderer,
+    "anyk": AnyKOrderer,
+}
+
+
+def orderer_class(name: str, utility: UtilityMeasure) -> type[PlanOrderer]:
+    """The orderer class called *name*, ``"auto"`` resolved for *utility*."""
+    try:
+        return ORDERER_TABLE[resolve_orderer_name(name, utility)]
+    except KeyError:
+        raise OrderingError(
+            f"unknown orderer {name!r}; have {sorted(ORDERER_TABLE)}"
+        ) from None
+
 
 __all__ = [
+    "AUTO_ORDERER",
     "AbstractPlan",
     "AdaptiveOrderer",
     "AnyKOrderer",
@@ -49,6 +78,7 @@ __all__ = [
     "ExtensionSimilarityHeuristic",
     "GreedyOrderer",
     "IDripsOrderer",
+    "ORDERER_TABLE",
     "OrderedPlan",
     "OrderingStats",
     "OutputCountHeuristic",
@@ -57,4 +87,6 @@ __all__ = [
     "RandomHeuristic",
     "StreamerOrderer",
     "drips_search",
+    "orderer_class",
+    "resolve_orderer_name",
 ]

@@ -141,8 +141,8 @@ class AdaptiveOrderer(PlanOrderer):
         live tracker; with a static measure the wrapper still works but
         every re-check scores identically.
     inner_factory:
-        Builds the wrapped orderer from a measure (any entry of the
-        service's ``ORDERER_TABLE``, or a lambda).  Called once up
+        Builds the wrapped orderer from a measure (any entry of
+        :data:`repro.ordering.ORDERER_TABLE`, or a lambda).  Called once up
         front — applicability errors (e.g. Greedy over a
         non-monotonic measure) surface at construction, exactly as
         they would without the wrapper — and once per restart.

@@ -7,51 +7,35 @@ full Cartesian product.  The any-k line of work (Lawler 1972;
 Tziavelis et al., "Any-k Algorithms for Enumerating Ranked Answers to
 Conjunctive Queries") shows that the next-best element of a product
 space can be produced with near-constant delay without ever touching
-more than a thin frontier of the product.  :class:`AnyKOrderer` brings
-that to the plan-ordering problem (paper, Definition 2.1).
+more than a thin frontier of the product — for a ranking function that
+is monotone over the lattice walked.  :class:`AnyKOrderer` brings that
+to the plan-ordering problem (paper, Definition 2.1) for exactly those
+measures, the *fully monotonic* ones
+(:attr:`~repro.utility.base.UtilityMeasure.is_fully_monotonic`); for
+the others the paper's own algorithms are the answer
+(:mod:`repro.ordering.regimes`) and the constructor refuses, as
+Greedy's does.
 
 **Index-vector view.**  Fix, per bucket, a total order on its sources;
 a concrete plan is then an index vector ``v`` (one index per bucket)
-and the plan space is the product lattice of the vectors.  Two
-enumeration modes share this view and one body — the shared
-:mod:`~repro.ordering.frontier` with lattice cells as candidates:
-
-**Lattice mode** — when the measure is *fully monotonic*
-(:attr:`~repro.utility.base.UtilityMeasure.is_fully_monotonic`), sort
+and the plan space is the product lattice of the vectors.  Sort
 each bucket descending by the measure's
 :meth:`~repro.utility.base.UtilityMeasure.source_preference_key`.
 Full monotonicity makes utility antitone in every coordinate, in every
 execution context: the plan at vector ``v`` is at least as good as any
-``w >= v`` (componentwise).  A priority queue seeded with ``(0, ..,
-0)`` therefore enumerates exactly: pop the best frontier plan, emit
-it, and push its *Lawler successors* — the vectors deviating by ``+1``
-in exactly one coordinate.  The emitted set stays downward closed and
-the heap holds the minimal vectors of its complement, so every
-unemitted plan is dominated by some heap entry.  Time to the first
-plan is one utility evaluation (after an ``O(n * m log m)`` bucket
-sort); each further plan costs at most ``n`` evaluations; memory is
-``O(popped * n)`` vectors for query length ``n``, never ``O(m^n)``.
+``w >= v`` (componentwise).  The shared :mod:`~repro.ordering.frontier`
+seeded with ``(0, .., 0)`` therefore enumerates exactly: pop the best
+frontier plan, emit it, and push its *Lawler successors* — the vectors
+deviating by ``+1`` in exactly one coordinate.  The emitted set stays
+downward closed and the heap holds the minimal vectors of its
+complement, so every unemitted plan is dominated by some heap entry.
+Time to the first plan is one utility evaluation (after an ``O(n * m
+log m)`` bucket sort); each further plan costs at most ``n``
+evaluations; memory is ``O(popped * n)`` vectors for query length
+``n``, never ``O(m^n)``.
 
-**Interval mode** — for every other measure (coverage, failure-aware
-or caching costs, monetary), per-bucket preference orders do not
-exist, so exact frontier pruning is impossible coordinate-wise.
-Instead the heap mixes *concrete* entries (exact utility) with
-*region* entries: the region at ``v`` stands for every plan ``w >= v``
-and is keyed by the upper bound of the measure's sound
-:meth:`~repro.utility.base.UtilityMeasure.evaluate_slots` interval
-over the per-bucket suffix slots ``bucket_i[v_i:]`` — the same
-dominance-interval machinery Drips uses (paper, Section 5.1), applied
-to lattice cones instead of abstraction trees.  Popping a concrete
-entry emits it (every other unemitted plan sits under some entry whose
-upper bound is no larger); popping a region *refines* it into its
-corner plan plus its one-coordinate successor regions.  Successor
-regions overlap, which is harmless for upper bounds; a visited-vector
-set creates each region (hence each corner) once, so memory again
-stays ``O(popped * n)`` heap entries.
-
-**Tie-breaking** is the frontier's: bound descending, concrete before
-region, smaller plan key first (a region's key is its corner plan's).
-Any tie choice satisfies Definition 2.1; ``tests/ordering/
+**Tie-breaking** is the frontier's: utility descending, smaller plan
+key first.  Any tie choice satisfies Definition 2.1; ``tests/ordering/
 equivalence.py`` compares utility streams, not tied plans.
 
 Observability: ``ordering.anyk.pops`` / ``successors`` /
@@ -63,61 +47,38 @@ orderer's :class:`~repro.observability.metrics.MetricRegistry`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.observability.tracing import Stopwatch
 from repro.ordering.base import EmitCallback, OrderedPlan, PlanOrderer
 from repro.ordering.frontier import Frontier
+from repro.ordering.regimes import not_applicable
 from repro.reformulation.plans import PlanSpace, QueryPlan
-from repro.sources.catalog import SourceDescription
-from repro.utility.base import Slots, UtilityMeasure
+from repro.utility.base import UtilityMeasure
 
 __all__ = ["AnyKOrderer"]
 
 
 class _SpaceLattice:
-    """One plan space viewed as an index-vector lattice.
+    """One plan space viewed as an index-vector lattice."""
 
-    Holds the per-bucket source order and the precomputed suffix
-    tuples ``sources[i][j:]`` so interval mode hands *identical* tuple
-    objects to ``evaluate_slots`` for the same cone — which lets
-    caching measures (e.g. ``CoverageUtility``'s slot cache,
-    ``CachingUtilityMeasure``) recognize repeats.
-    """
+    __slots__ = ("sources", "limits")
 
-    __slots__ = ("sources", "suffixes", "limits")
-
-    def __init__(
-        self, space: PlanSpace, utility: UtilityMeasure, lattice: bool
-    ) -> None:
-        ordered: list[tuple[SourceDescription, ...]] = []
-        for bucket in space.buckets:
-            if lattice:
-                # Descending preference: index 0 is the bucket's best
-                # source, so utility is antitone in every coordinate.
-                members = tuple(
-                    sorted(
-                        bucket.sources,
-                        key=lambda s: (
-                            utility.source_preference_key(bucket.index, s),
-                            s.name,
-                        ),
-                        reverse=True,
-                    )
+    def __init__(self, space: PlanSpace, utility: UtilityMeasure) -> None:
+        # Descending preference: index 0 is the bucket's best source,
+        # so utility is antitone in every coordinate.
+        self.sources = tuple(
+            tuple(
+                sorted(
+                    bucket.sources,
+                    key=lambda s: (
+                        utility.source_preference_key(bucket.index, s),
+                        s.name,
+                    ),
+                    reverse=True,
                 )
-            else:
-                members = bucket.sources
-            ordered.append(members)
-        self.sources = tuple(ordered)
-        # Suffix tuples are an interval-mode concern; lattice mode
-        # never touches them, keeping its first-plan setup to the sort.
-        self.suffixes = (
-            None
-            if lattice
-            else tuple(
-                tuple(members[j:] for j in range(len(members)))
-                for members in self.sources
             )
+            for bucket in space.buckets
         )
         self.limits = tuple(len(members) for members in self.sources)
 
@@ -131,31 +92,18 @@ class _SpaceLattice:
 
 
 class _Cell:
-    """A lattice vector in the frontier.
-
-    Concrete: the plan at the vector.  Region: the cone of every plan
-    ``w >= vector``, keyed by its corner plan's key and scored over the
-    per-bucket suffix slots.
-    """
+    """A lattice vector in the frontier, standing in as its plan."""
 
     __slots__ = ("lattice", "vector", "plan", "key")
+    is_concrete = True
 
-    def __init__(
-        self, lattice: _SpaceLattice, vector: tuple[int, ...], concrete: bool
-    ) -> None:
+    def __init__(self, lattice: _SpaceLattice, vector: tuple[int, ...]) -> None:
         self.lattice = lattice
         self.vector = vector
-        corner = tuple(lattice.sources[i][j] for i, j in enumerate(vector))
-        self.plan = QueryPlan(corner) if concrete else None
-        self.key = tuple(source.name for source in corner)
-
-    @property
-    def is_concrete(self) -> bool:
-        return self.plan is not None
-
-    def slots(self) -> Slots:
-        suffixes = self.lattice.suffixes
-        return tuple(suffixes[i][j] for i, j in enumerate(self.vector))
+        self.plan = QueryPlan(
+            tuple(lattice.sources[i][j] for i, j in enumerate(vector))
+        )
+        self.key = self.plan.key
 
 
 class AnyKOrderer(PlanOrderer):
@@ -164,6 +112,8 @@ class AnyKOrderer(PlanOrderer):
     name = "anyk"
 
     def __init__(self, utility: UtilityMeasure, **instrumentation: object) -> None:
+        if not utility.is_fully_monotonic:
+            raise not_applicable("AnyK", "a fully monotonic measure", utility)
         super().__init__(utility, **instrumentation)
         self._pops = self.registry.counter("ordering.anyk.pops")
         self._successors = self.registry.counter("ordering.anyk.successors")
@@ -181,60 +131,35 @@ class AnyKOrderer(PlanOrderer):
     ) -> Iterator[OrderedPlan]:
         self._check_k(k)
         context = self.utility.new_context()
-        # Lattice mode spans the frontier with concrete cells, interval
-        # mode with cones; everything else is shared.
-        exact = self.utility.is_fully_monotonic
-
-        def score(cell: _Cell) -> float:
-            if cell.plan is not None:
-                return self._evaluate_plan(cell.plan, context)
-            # A cone's bound is the *upper* end of its utility
-            # interval — sound for every plan in it.
-            return self._evaluate_slots(cell.slots(), context).hi
-
-        frontier = Frontier(score)
+        frontier = Frontier(
+            lambda cell: self._evaluate_plan(cell.plan, context)
+        )
         # Successor vectors are reachable along several coordinates;
-        # the first copy (or its expansion) carries the obligation.
+        # the first copy carries the obligation.
         seen: set[tuple[_SpaceLattice, tuple[int, ...]]] = set()
 
-        def successors(cell: _Cell) -> Iterator[_Cell]:
-            lattice = cell.lattice
-            for vector in lattice.successors(cell.vector):
+        def successors(emitted: _Cell) -> Iterator[_Cell]:
+            # The emitted set stays downward closed: its Lawler
+            # successors are the new minimal unemitted vectors.
+            lattice = emitted.lattice
+            for vector in lattice.successors(emitted.vector):
                 if (lattice, vector) in seen:
                     self._duplicates.inc()
                     continue
                 seen.add((lattice, vector))
                 self._successors.inc()
-                yield _Cell(lattice, vector, concrete=exact)
-
-        def expand(cone: _Cell) -> Iterator[_Cell]:
-            # Any ``w >= v`` other than ``v`` exceeds it in some
-            # coordinate ``i`` and so lies in the cone at ``v + e_i``:
-            # corner plus successor cones cover the cone exactly.
-            self._pops.inc()
-            self.stats.refinements += 1
-            yield _Cell(cone.lattice, cone.vector, concrete=True)
-            yield from successors(cone)
-
-        def uncover(emitted: _Cell) -> Iterable[_Cell]:
-            # Lattice mode: the emitted set stays downward closed, its
-            # Lawler successors are the new minimal unemitted vectors.
-            # Interval mode: the cone that held the plan already
-            # expanded into its successor cones.
-            return successors(emitted) if exact else ()
+                yield _Cell(lattice, vector)
 
         for space in spaces:
-            lattice = _SpaceLattice(space, self.utility, lattice=exact)
-            root = (0,) * len(lattice.limits)
-            seen.add((lattice, root))
-            frontier.push(_Cell(lattice, root, concrete=exact))
+            lattice = _SpaceLattice(space, self.utility)
+            frontier.push(_Cell(lattice, (0,) * len(lattice.limits)))
 
         stream = self._emit_best_first(
-            frontier, context, k, on_emit, expand=expand, uncover=uncover
+            frontier, context, k, on_emit, uncover=successors
         )
         while True:
             # One delay = the resumption work after the previous plan
-            # (report, re-score, successors) plus the pops to this one.
+            # (report, re-score, successors) plus the pop to this one.
             with Stopwatch() as watch:
                 entry = next(stream, None)
             if frontier.peak > self._heap_peak.value:

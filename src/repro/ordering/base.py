@@ -172,6 +172,12 @@ def evaluate_slots(
     return interval
 
 
+def _no_regions(candidate: Any) -> Iterable[Any]:
+    raise OrderingError(
+        f"candidate {candidate.key} of an emission loop is not concrete"
+    )
+
+
 class PlanOrderer(ABC):
     """Base class of all ordering algorithms."""
 
@@ -213,19 +219,18 @@ class PlanOrderer(ABC):
         on_emit: Optional[EmitCallback],
         *,
         uncover: Callable[[Any], Iterable[Any]],
-        expand: Optional[Callable[[Any], Iterable[Any]]] = None,
     ) -> Iterator[OrderedPlan]:
         """Emit the ``k`` best plans of a seeded *frontier*.
 
-        Concrete candidates carry their ``plan``.  On resumption after
-        each yield: report the emission, record it if it counted,
-        re-score the frontier iff the measure reads the context, then
-        score — in the new context — what the emission uncovered
-        (Greedy's split subspaces, AnyK's Lawler successors).  An
-        orderer whose candidates are all concrete passes no ``expand``.
+        Every candidate is concrete and carries its ``plan``; there is
+        nothing to expand.  On resumption after each yield:
+        report the emission, record it if it counted, re-score the
+        frontier iff the measure reads the context, then score — in
+        the new context — what the emission uncovered (Greedy's split
+        subspaces, AnyK's Lawler successors).
         """
         for rank, (candidate, value) in zip(
-            range(1, k + 1), best_first(frontier, expand)
+            range(1, k + 1), best_first(frontier, _no_regions)
         ):
             self.stats.snapshot_first_plan()
             plan = candidate.plan

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.errors import NotApplicableError
 from repro.ordering.base import EmitCallback, OrderedPlan, PlanOrderer
 from repro.ordering.frontier import Frontier
+from repro.ordering.regimes import not_applicable
 from repro.reformulation.plans import PlanSpace, QueryPlan
 from repro.utility.base import UtilityMeasure
 
@@ -66,10 +66,7 @@ class GreedyOrderer(PlanOrderer):
 
     def __init__(self, utility: UtilityMeasure, **instrumentation: object) -> None:
         if not utility.is_fully_monotonic:
-            raise NotApplicableError(
-                f"Greedy requires a fully monotonic measure; "
-                f"{utility.name!r} is not"
-            )
+            raise not_applicable("Greedy", "a fully monotonic measure", utility)
         super().__init__(utility, **instrumentation)
 
     def order_spaces(

@@ -53,7 +53,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, Optional
 
-from repro.errors import NotApplicableError, OrderingError
+from repro.errors import OrderingError
 from repro.ordering.abstraction import (
     AbstractionHeuristic,
     OutputCountHeuristic,
@@ -61,6 +61,7 @@ from repro.ordering.abstraction import (
 )
 from repro.ordering.base import EmitCallback, OrderedPlan, PlanOrderer
 from repro.ordering.dominance import DominanceGraph, Node, NodeKey
+from repro.ordering.regimes import not_applicable
 from repro.reformulation.plans import PlanSpace, QueryPlan
 from repro.utility.base import ExecutionContext, UtilityMeasure
 from repro.utility.intervals import Interval
@@ -81,9 +82,8 @@ class StreamerOrderer(PlanOrderer):
         **instrumentation: object,
     ) -> None:
         if not utility.has_diminishing_returns:
-            raise NotApplicableError(
-                f"Streamer requires utility-diminishing returns; "
-                f"{utility.name!r} does not provide it"
+            raise not_applicable(
+                "Streamer", "utility-diminishing returns", utility
             )
         super().__init__(utility, **instrumentation)
         self.heuristic = heuristic or OutputCountHeuristic()

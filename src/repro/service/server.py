@@ -47,12 +47,15 @@ from repro.observability.journal import EventJournal, NOOP_JOURNAL
 from repro.observability.metrics import MetricRegistry
 from repro.observability.prometheus import render_registry
 from repro.observability.tracing import Tracer
-from repro.ordering.adaptive import AdaptiveOrderer
-from repro.ordering.anyk import AnyKOrderer
-from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
-from repro.ordering.greedy import GreedyOrderer
-from repro.ordering.idrips import IDripsOrderer
-from repro.ordering.streamer import StreamerOrderer
+# The table and the ``auto`` rule are repro.ordering's; they are
+# re-exported because clients of the service address orderers by name.
+from repro.ordering import (
+    AUTO_ORDERER,
+    ORDERER_TABLE,
+    AdaptiveOrderer,
+    orderer_class,
+    resolve_orderer_name,
+)
 from repro.resilience.manager import ResilienceManager
 from repro.service.backends import ExecutionBackend
 from repro.service.policy import Deadline, RequestPolicy
@@ -70,38 +73,6 @@ __all__ = [
     "ORDERER_TABLE",
     "resolve_orderer_name",
 ]
-
-#: Orderer constructors addressable over the wire.
-ORDERER_TABLE: dict[str, Callable[[UtilityMeasure], object]] = {
-    "pi": PIOrderer,
-    "exhaustive": ExhaustiveOrderer,
-    "idrips": IDripsOrderer,
-    "streamer": StreamerOrderer,
-    "greedy": GreedyOrderer,
-    "anyk": AnyKOrderer,
-}
-
-#: The measure-dependent default: requests (and configs) naming this
-#: pseudo-orderer resolve per measure via :func:`resolve_orderer_name`.
-AUTO_ORDERER = "auto"
-
-
-def resolve_orderer_name(name: str, utility: UtilityMeasure) -> str:
-    """Resolve ``"auto"`` against a measure's structural flags.
-
-    Fully monotonic measures get :class:`AnyKOrderer` — its lattice
-    mode emits the first plan without materializing the product space,
-    with a stream byte-identical to PI's (the equivalence sweeps in
-    ``tests/ordering`` are the guarantee).  Everything else keeps the
-    conservative PI default, whose interval refinement is the paper's
-    reference behavior for non-monotonic measures.  Explicit names
-    pass through untouched, so ``--default-orderer pi`` and per-request
-    ``orderer`` overrides behave exactly as before.
-    """
-    if name != AUTO_ORDERER:
-        return name
-    return "anyk" if utility.is_fully_monotonic else "pi"
-
 
 #: Per-batch streaming callback, invoked on the thread that called
 #: :meth:`QueryService.execute` (it is the session's consumer).
@@ -297,13 +268,7 @@ class QueryService:
     def _make_orderer(
         self, name: str, utility: UtilityMeasure, *, adaptive: bool = False
     ):
-        name = resolve_orderer_name(name, utility)
-        try:
-            factory = ORDERER_TABLE[name]
-        except KeyError:
-            raise ServiceError(
-                f"unknown orderer {name!r}; have {sorted(ORDERER_TABLE)}"
-            ) from None
+        factory = orderer_class(name, utility)
         if adaptive and self.resilience is not None:
             return AdaptiveOrderer(
                 utility,

@@ -223,14 +223,14 @@ def test_journal_on_stream_is_identical(seed, measure_name):
 class TestAnyKJournalCorrelation:
     """``plan.emitted`` events from an AnyK-backed ``Mediator.answer``.
 
-    AnyK enumerates by descending conditional utility (linear cost is
-    context-free, coverage has diminishing returns — either way the
-    emitted utilities must never increase), the ranks must be the
+    AnyK enumerates by descending utility (both measures are fully
+    monotonic and context-free on the LAV scenarios, so the emitted
+    utilities must never increase), the ranks must be the
     contiguous emission order, and the journal must correlate the whole
     run under the one request_id in causal ``seq`` order.
     """
 
-    MEASURES = ("linear_cost", "coverage")
+    MEASURES = ("linear_cost", "bind_join_cost")
 
     def _run(self, seed: int, measure_name: str):
         from repro.ordering.anyk import AnyKOrderer

@@ -41,8 +41,8 @@ SWEEP_SEEDS = tuple(range(20))
 SWEEP_MEASURES = ("linear_cost", "bind_join_cost", "coverage", "monetary")
 
 #: The fully monotonic subset on LAV scenarios (uniform transfer makes
-#: bind-join monotonic there) — where iDrips, Greedy and AnyK's
-#: lattice mode are all exact and comparable.
+#: bind-join monotonic there) — where iDrips, Greedy and AnyK are
+#: all exact and comparable.
 MONOTONIC_SWEEP_MEASURES = ("linear_cost", "bind_join_cost")
 
 
@@ -56,21 +56,21 @@ def applicable_orderers(make_measure):
     """Every orderer sound for the measure, brute force (the oracle)
     first.
 
-    Exhaustive, PI, iDrips and AnyK handle any measure; Streamer needs
-    diminishing returns and Greedy full monotonicity (paper, Sections
-    4-5), so they join only when the measure's flags allow.
+    Exhaustive, PI and iDrips handle any measure; Streamer needs
+    diminishing returns, Greedy and AnyK full monotonicity (paper,
+    Sections 4-5), so they join only when the measure's flags allow.
     """
     orderers = [
         ExhaustiveOrderer(make_measure()),
         PIOrderer(make_measure()),
         IDripsOrderer(make_measure()),
-        AnyKOrderer(make_measure()),
     ]
     probe = make_measure()
     if probe.has_diminishing_returns:
         orderers.append(StreamerOrderer(make_measure()))
     if probe.is_fully_monotonic:
         orderers.append(GreedyOrderer(make_measure()))
+        orderers.append(AnyKOrderer(make_measure()))
     return orderers
 
 

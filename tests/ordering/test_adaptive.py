@@ -43,11 +43,11 @@ INNER_FACTORIES = {
 
 def factory_names(probe):
     """Inner orderers applicable to *probe*, mirroring the service table."""
-    names = ["exhaustive", "pi", "idrips", "anyk"]
+    names = ["exhaustive", "pi", "idrips"]
     if probe.has_diminishing_returns:
         names.append("streamer")
     if probe.is_fully_monotonic:
-        names.append("greedy")
+        names += ["greedy", "anyk"]
     return names
 
 

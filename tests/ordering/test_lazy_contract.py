@@ -29,16 +29,14 @@ def _adaptive(measure):
 
 
 # (orderer class, measure factory name) — each paired with a measure
-# the algorithm is applicable to.  AnyK appears twice: linear cost
-# drives its monotone-lattice mode, coverage its interval mode.
+# the algorithm is applicable to.
 CASES = [
     ("exhaustive", ExhaustiveOrderer, "linear_cost"),
     ("pi", PIOrderer, "linear_cost"),
     ("idrips", IDripsOrderer, "linear_cost"),
     ("greedy", GreedyOrderer, "linear_cost"),  # fully monotonic
     ("streamer", StreamerOrderer, "coverage"),  # diminishing returns
-    ("anyk-lattice", AnyKOrderer, "linear_cost"),
-    ("anyk-interval", AnyKOrderer, "coverage"),
+    ("anyk", AnyKOrderer, "linear_cost"),  # fully monotonic
     ("adaptive", _adaptive, "coverage"),  # wrapper forwards the contract
 ]
 

@@ -20,6 +20,7 @@ from repro.service.frontend import connect, start_server
 from repro.service.loadgen import run_load
 from repro.service.policy import RequestPolicy, RetryPolicy
 from repro.service.server import QueryService, ServiceConfig
+from repro.service.workloads import service_workload
 from repro.utility.cost import LinearCost
 from tests.service.helpers import read_replies, roundtrip, wait_until, wedge
 
@@ -246,6 +247,31 @@ class TestOneRoadOverTCP:
             event["event"] for event in journal.events(request_id="boom")
         ] == ["request.received", "request.admitted", "request.completed"]
         assert journal.events(request_id="boom")[-1]["status"] == "error"
+
+    def test_an_inapplicable_orderer_is_one_error_record(self):
+        catalog, facts, measures, query = service_workload("random-lav", 0)
+        service = QueryService(catalog, facts, measures=measures)
+        with serving(service) as server, connect("127.0.0.1", server.port) as sock:
+            stream = sock.makefile("rwb")
+            replies = roundtrip(
+                stream,
+                protocol.request_record(
+                    str(query), request_id="na", measure="coverage", orderer="anyk"
+                ),
+            )
+            assert replies == [
+                protocol.error_record(
+                    "na",
+                    "error",
+                    "AnyK requires a fully monotonic measure, which "
+                    "'coverage+memo' does not provide; 'auto' picks "
+                    "'streamer' for it",
+                )
+            ]
+            # Same connection, same measure, orderer left to the server.
+            assert roundtrip(
+                stream, protocol.request_record(str(query), measure="coverage")
+            )[-1]["status"] == "ok"
 
     def test_overload_and_admission_timeout(self, movies):
         # Both unreachable on the wire at the parent commit: the pool

@@ -365,7 +365,7 @@ class TestServiceConfigValidation:
 
 
 class TestAutoOrderer:
-    """The "auto" pseudo-orderer resolves per measure's monotonicity."""
+    """The "auto" pseudo-orderer resolves per measure's structural flags."""
 
     def test_auto_is_the_config_default(self):
         assert ServiceConfig().default_orderer == AUTO_ORDERER
@@ -376,9 +376,26 @@ class TestAutoOrderer:
         assert utility.is_fully_monotonic
         assert resolve_orderer_name(AUTO_ORDERER, utility) == "anyk"
 
-    def test_non_monotonic_measure_resolves_to_pi(self):
-        assert not CoverageUtility.is_fully_monotonic
-        assert resolve_orderer_name(AUTO_ORDERER, CoverageUtility) == "pi"
+    @pytest.mark.parametrize(
+        "monotonic, diminishing, expected",
+        [
+            (True, True, "anyk"),
+            (True, False, "anyk"),
+            (False, True, "streamer"),
+            (False, False, "idrips"),
+        ],
+    )
+    def test_the_rule_reads_the_structural_flags(
+        self, monotonic, diminishing, expected
+    ):
+        class Flags(LinearCost):
+            is_fully_monotonic = monotonic
+            has_diminishing_returns = diminishing
+
+        assert resolve_orderer_name(AUTO_ORDERER, Flags()) == expected
+
+    def test_coverage_resolves_to_streamer_never_pi(self):
+        assert resolve_orderer_name(AUTO_ORDERER, CoverageUtility) == "streamer"
 
     def test_explicit_names_pass_through(self, movies):
         service = make_service(movies)

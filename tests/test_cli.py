@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import main
-from repro.errors import ServiceError
 
 
 class TestDemo:
@@ -54,6 +53,35 @@ class TestOrder:
             )
             == 0
         )
+
+    @pytest.mark.parametrize(
+        "algorithm, measure, picks",
+        [("greedy", "coverage", "streamer"), ("anyk", "failure-caching", "idrips")],
+    )
+    def test_inapplicable_orderer_is_one_line_not_a_traceback(
+        self, capsys, algorithm, measure, picks
+    ):
+        code = main(
+            ["order", "--algorithm", algorithm, "--measure", measure,
+             "--bucket-size", "4", "-k", "2"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: ")
+        assert "fully monotonic" in line and f"'auto' picks {picks!r}" in line
+
+    @pytest.mark.parametrize(
+        "measure, name",
+        [("coverage", "Streamer"), ("failure-caching", "iDrips"), ("linear", "anyk")],
+    )
+    def test_auto_orders_with_the_regime_winner(self, capsys, measure, name):
+        assert main(
+            ["order", "--algorithm", "auto", "--measure", measure,
+             "--bucket-size", "4", "-k", "2"]
+        ) == 0
+        assert f"with {name} " in capsys.readouterr().out
 
     def test_counters_printed(self, capsys):
         main(["order", "--algorithm", "streamer", "--bucket-size", "4", "-k", "2"])
@@ -196,11 +224,35 @@ class TestBenchServe:
 
 class TestServeValidation:
     @pytest.mark.parametrize("flag", ["--executor-workers", "--queue-depth"])
-    def test_zero_sized_pipeline_is_refused_before_binding(self, flag):
+    def test_zero_sized_pipeline_is_refused_before_binding(self, flag, capsys):
         # Port 1 cannot be bound unprivileged: reaching the bind would
-        # raise OSError (or serve forever), not ServiceError.
-        with pytest.raises(ServiceError, match="must be at least 1"):
-            main(["serve", "--port", "1", flag, "0"])
+        # raise OSError (or serve forever), not end in a ServiceError's
+        # one-line refusal.
+        assert main(["serve", "--port", "1", flag, "0"]) == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--adaptive", "off"],
+            ["--adaptive"],
+            ["--trace"],
+            ["--default-measure", "failure"],
+            ["--queue-depth", "1"],
+            ["--executor-workers", "1"],
+            ["--breaker-cooldown", "0.05"],
+            ["--min-observations", "1"],
+            ["--adaptive", "off", "--trace"],
+        ],
+        ids=" ".join,
+    )
+    def test_workers_refuses_the_flags_a_cluster_would_drop(self, flags, capsys):
+        # Port 1 again: a cluster that started would fail to bind.
+        assert main(["serve", "--port", "1", "--workers", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        for flag in flags:
+            if flag.startswith("--"):
+                assert flag in err
 
 
 class TestForwarding:
