@@ -10,7 +10,10 @@ The thread that read a request line carries the request: it calls
 :meth:`QueryService.execute` and writes each batch as the session's
 consumer, so the service's one admission gate applies to network
 traffic exactly as to in-process callers; a request shed there
-surfaces as an ``overloaded`` error record on the wire.
+surfaces as an ``overloaded`` error record on the wire.  Its batch lines
+come from one :class:`~repro.service.protocol.BatchLines` per request,
+which encodes each distinct answer row once and is dropped with the
+request.
 
 :class:`JsonLinesHandler` is the connection loop itself, shared with
 the cluster router (:mod:`repro.cluster.router`): the one place where
@@ -137,11 +140,13 @@ class _Handler(JsonLinesHandler):
                 "request.received", request_id=request_id, query=str(request.query)
             )
 
+        lines = protocol.BatchLines(request_id)
+
         def on_batch(batch):
             # This thread is the session's consumer, so a batch is on
             # the wire before the next is settled — and a client that
             # is gone stops paying for plans nobody will read.
-            if not self._send(protocol.batch_record(request_id, batch)):
+            if not self._send_raw(lines.line(batch)):
                 hung_up.cancel()
 
         try:

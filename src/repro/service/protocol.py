@@ -54,12 +54,23 @@ cross-shard aggregation.
 Values inside answer tuples are JSON scalars when possible and
 ``str()``-ified otherwise; rows are sorted so payloads are stable
 across runs and safe to diff in tests.
+
+A served request encodes each distinct answer row once: its
+:class:`BatchLines` keeps the rows it has written, as a sort key and a
+JSON fragment each, and builds the lines that repeat a row from those
+(most rows of a batch's ``answers`` were new in an earlier batch).  The
+line bytes are unchanged -- those of ``encode_line(batch_record(id,
+batch))``; :func:`batch_record` stays the one-shot, decoded form and the
+reference the encoder is tested against.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import ParseError, ProtocolError
 from repro.datalog.parser import parse_query
@@ -68,6 +79,7 @@ from repro.service.policy import RequestPolicy, RetryPolicy
 from repro.service.server import QueryRequest, RequestResult
 
 __all__ = [
+    "BatchLines",
     "CONTROL_TYPES",
     "MAX_REQUEST_LINE_BYTES",
     "PROTOCOL_VERSION",
@@ -122,6 +134,42 @@ RECORD_TYPES: dict[str, frozenset[str]] = {
 
 _SCALARS = (str, int, float, bool, type(None))
 
+#: The JSON dialect of every line: sorted keys, ASCII only, ``str()``
+#: for a value JSON has no type for.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
+def _chunk_encoder():
+    """``_ENCODER``'s text of one value, in chunks, without its set-up cost.
+
+    ``_ENCODER.encode`` builds a fresh encoder on every call, which is
+    most of the price of encoding one short row; the stdlib's C encoder,
+    built once with the same settings, writes the same text.  Where the
+    C encoder is absent, ``encode`` itself.
+    """
+    if c_make_encoder is None:
+        return lambda value, _indent: (_ENCODER.encode(value),)
+    return c_make_encoder(
+        None,  # no circular-reference markers: rows and fields are flat
+        _ENCODER.default,
+        encode_basestring_ascii,
+        None,
+        _ENCODER.key_separator,
+        _ENCODER.item_separator,
+        _ENCODER.sort_keys,
+        _ENCODER.skipkeys,
+        _ENCODER.allow_nan,
+    )
+
+
+#: ``(value, 0)`` -> the chunks of *value*'s JSON text as
+#: :func:`encode_line` writes it (the C encoder's calling convention).
+_json_chunks = _chunk_encoder()
+
+
+def _json_text(value: object) -> str:
+    return "".join(_json_chunks(value, 0))
+
 
 def _rows(batch: AnswerBatch) -> tuple[list[list[object]], list[list[object]]]:
     """The ``answers`` and ``new_answers`` rows of *batch*, JSON-ready.
@@ -138,9 +186,32 @@ def _rows(batch: AnswerBatch) -> tuple[list[list[object]], list[list[object]]]:
     return [rows[i] for i in order], [rows[i] for i in order if answers[i] in new]
 
 
+#: The value types whose equal values share one wire form, and which
+#: :func:`_rows` passes through unchanged.  A row with any other value
+#: can equal a row the mediator already announced and still be written
+#: differently (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``), so
+#: :class:`BatchLines` keeps no such row.
+_PLAIN = frozenset({str, type(None)})
+
+
+def _row_entries(rows: Iterable[tuple]) -> Iterator[tuple[str, str]]:
+    """Each of *rows*, all values plain, as :func:`_rows` keys and writes it.
+
+    That is (``repr`` of the row as a list, its JSON text).
+    """
+    values = list(map(list, rows))
+    return zip(map(repr, values), map("".join, map(_json_chunks, values, repeat(0))))
+
+
+def _joined(entries: list[tuple[str, str]]) -> str:
+    """The JSON texts of *entries*, in key order, as one array's inside."""
+    entries.sort(key=itemgetter(0))
+    return ", ".join([text for _, text in entries])
+
+
 def encode_line(record: dict) -> bytes:
     """One wire line (including the terminating newline)."""
-    return (json.dumps(record, sort_keys=True, default=str) + "\n").encode("utf-8")
+    return (_ENCODER.encode(record) + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes | str) -> dict:
@@ -266,7 +337,12 @@ def request_from_record(
 
 
 def batch_record(request_id: str, batch: AnswerBatch) -> dict:
-    answers, new_answers = _rows(batch)
+    return _batch_record(request_id, batch, *_rows(batch))
+
+
+def _batch_record(
+    request_id: str, batch: AnswerBatch, answers: list, new_answers: list
+) -> dict:
     return {
         "type": "batch",
         "id": request_id,
@@ -279,6 +355,59 @@ def batch_record(request_id: str, batch: AnswerBatch) -> dict:
         "answers": answers,
         "new_answers": new_answers,
     }
+
+
+class BatchLines:
+    """One request's batch lines, with each distinct answer row encoded once.
+
+    ``line(batch)`` is byte for byte ``encode_line(batch_record(request_id,
+    batch))``.  A row is encoded, to its sort key and JSON text, the first
+    time a line lists it -- by how ``AnytimeRun.settle`` builds batches,
+    when a batch announces it new -- and every later line that repeats it
+    reads the table.  ``new_answers`` is chosen by row, never by text:
+    distinct rows can share a wire form (a function term and its
+    ``str()``).  Once a line lists an untabled row with a value outside
+    :data:`_PLAIN`, the table is dropped and that line and every later
+    one are encoded whole, as :func:`batch_record` does.  The other
+    fields are :func:`batch_record`'s too, encoded with both arrays empty
+    and the arrays spliced in.  Create one per request and drop it with
+    the request: the table holds every plain row the request listed.
+    """
+
+    def __init__(self, request_id: str) -> None:
+        self._request_id = request_id
+        self._rows: Optional[dict[tuple, tuple[str, str]]] = {}
+
+    def line(self, batch: AnswerBatch) -> bytes:
+        rows, answers = self._rows, batch.answers
+        if rows is not None:
+            fresh = answers.difference(rows)
+            # Stops at the first value that is not plain.
+            if not _PLAIN.issuperset(map(type, chain.from_iterable(fresh))):
+                self._rows = rows = None
+        if rows is None:
+            return encode_line(batch_record(self._request_id, batch))
+        entries = list(_row_entries(fresh))
+        rows.update(zip(fresh, entries))
+        if len(fresh) < len(answers):
+            entries = list(map(rows.__getitem__, answers))
+        listed = _joined(entries)
+        new = batch.new_answers
+        announced = (
+            listed
+            if new == answers
+            else _joined(list(map(rows.__getitem__, new & answers)))
+        )
+        # Neither key text can occur elsewhere in the record: inside a
+        # JSON string every '"' is escaped.
+        head, rest = _json_text(_batch_record(self._request_id, batch, [], [])).split(
+            '"answers": []', 1
+        )
+        middle, tail = rest.split('"new_answers": []', 1)
+        return (
+            f'{head}"answers": [{listed}]{middle}'
+            f'"new_answers": [{announced}]{tail}\n'
+        ).encode("utf-8")
 
 
 def summary_record(result: RequestResult) -> dict:

@@ -12,8 +12,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ProtocolError
-from repro.execution.mediator import AnswerBatch
+from repro.execution.mediator import AnswerBatch, Mediator
 from repro.observability.journal import EventJournal
+from repro.ordering.bruteforce import PIOrderer
 from repro.resilience.chaos import ChaosBackend, ChaosProfile, FaultProfile
 from repro.service import protocol
 from repro.service.frontend import connect, start_server
@@ -85,6 +86,60 @@ class TestQueryOverTCP:
             assert protocol.decode_line(stream.readline())["status"] == "ok"
             gc.collect()
             assert len(seen) == 1 and seen[0]() is None
+
+    def test_overlapping_plans_are_served_as_one_shot_lines(
+        self, served, movies, monkeypatch
+    ):
+        utility = LinearCost()
+        batches = list(
+            Mediator(movies.catalog, movies.source_facts).answer(
+                movies.query, utility, orderer=PIOrderer(utility)
+            )
+        )
+        # The plans overlap: some rows of `answers` were new earlier.
+        assert sum(len(b.answers) for b in batches) > sum(
+            len(b.new_answers) for b in batches
+        )
+        tables = []
+
+        class Recorded(protocol.BatchLines):
+            def __init__(self, request_id):
+                super().__init__(request_id)
+                tables.append(weakref.ref(self))
+
+        monkeypatch.setattr(protocol, "BatchLines", Recorded)
+        query = protocol.request_record(
+            str(movies.query), request_id="ov", measure="linear", orderer="pi"
+        )
+        with connect("127.0.0.1", served.port) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(protocol.encode_line(query))
+            stream.flush()
+            lines = [stream.readline() for _ in batches]
+            assert protocol.decode_line(stream.readline())["type"] == "summary"
+            assert lines == [
+                protocol.encode_line(protocol.batch_record("ov", b)) for b in batches
+            ]
+            # Answered only once the handler is back on its read, with
+            # the request's row table dropped.
+            stream.write(protocol.encode_line({"type": "health"}))
+            stream.flush()
+            assert protocol.decode_line(stream.readline())["status"] == "ok"
+            gc.collect()
+            assert len(tables) == 1 and tables[0]() is None
+
+    def test_a_served_batch_line_has_exactly_the_record_type_keys(
+        self, served, movies
+    ):
+        # CON005 holds dict literals to RECORD_TYPES; a line spliced
+        # from strings is held to it here.
+        with connect("127.0.0.1", served.port) as sock:
+            stream = sock.makefile("rwb")
+            replies = roundtrip(stream, protocol.request_record(str(movies.query)))
+        batches = [reply for reply in replies if reply["type"] == "batch"]
+        assert batches
+        for batch in batches:
+            assert set(batch) == protocol.RECORD_TYPES["batch"] | {"type"}
 
     def test_persistent_connection_multiple_queries(self, served, movies):
         with connect("127.0.0.1", served.port) as sock:
