@@ -1,87 +1,68 @@
-"""Two-level static analysis for the repro codebase and its scenarios.
+"""Static analysis for the repro codebase and its scenarios.
 
-The package hosts a shared diagnostics core (rule registry, severities,
-reporters, baseline files) and three rule families:
+The package hosts a shared diagnostics core (the rule table,
+severities, a text report) and three rule families:
 
-* the **scenario linter** (:mod:`repro.analysis.scenario`) checks a
-  source catalog against a user query — unsafe views, unrecoverable
-  head variables, dead sources, empty buckets, redundant views, and
-  sampled spot-checks of utility-measure property flags;
+* the **scenario linter** (:mod:`repro.analysis.scenario`) spot-checks
+  each utility measure's declared structural flags on the bundled
+  workloads — the same checker the property tests use as their oracle;
 * the **code linter** (:mod:`repro.analysis.code_rules`) enforces this
   repo's concurrency and contract discipline on the source tree —
   lock discipline, the lazy-orderer contract, production asserts,
-  swallowed broad excepts, and mutable default arguments;
+  swallowed broad excepts, bare sleeps, and library prints;
 * the **concurrency analyzer** (:mod:`repro.analysis.concurrency`)
   joins every module into one program model and reports lock-order
   deadlock cycles, thread-escaping unguarded state, blocking calls
-  under held mutexes, and journal/wire contract violations.
+  under held mutexes, and journal emit sites off the event schema.
 
 Entry points: ``repro lint`` on the command line, or
 :func:`repro.analysis.runner.run_lint` programmatically.
 """
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.diagnostics import (
     Diagnostic,
     Location,
     Severity,
-    max_severity,
+    render_text,
     sort_diagnostics,
+    summarize,
 )
 from repro.analysis.registry import (
-    DEFAULT_REGISTRY,
     FAMILY_CODE,
     FAMILY_CONCURRENCY,
     FAMILY_SCENARIO,
+    RULES,
     Rule,
-    RuleRegistry,
-)
-from repro.analysis.reporting import (
-    render_json,
-    render_sarif,
-    render_text,
-    summarize,
 )
 from repro.analysis.runner import (
     BUILTIN_SCENARIOS,
-    LintResult,
+    builtin_scenarios,
     lint_code,
     lint_concurrency,
-    lint_concurrency_sources,
-    lint_scenario,
     lint_scenarios,
-    lint_source,
+    load_modules,
     run_lint,
 )
 from repro.analysis.scenario import ScenarioContext
 
 __all__ = [
     "BUILTIN_SCENARIOS",
-    "DEFAULT_REGISTRY",
     "Diagnostic",
     "FAMILY_CODE",
     "FAMILY_CONCURRENCY",
     "FAMILY_SCENARIO",
-    "LintResult",
     "Location",
+    "RULES",
     "Rule",
-    "RuleRegistry",
     "ScenarioContext",
     "Severity",
-    "apply_baseline",
+    "builtin_scenarios",
     "lint_code",
     "lint_concurrency",
-    "lint_concurrency_sources",
-    "lint_scenario",
     "lint_scenarios",
-    "lint_source",
-    "load_baseline",
-    "max_severity",
-    "render_json",
-    "render_sarif",
+    "load_modules",
     "render_text",
     "run_lint",
     "sort_diagnostics",
     "summarize",
-    "write_baseline",
 ]

@@ -117,10 +117,18 @@ def self_attribute(node: ast.AST) -> Optional[str]:
     return None
 
 
+#: Last words of a name that make it a lock, condition or semaphore.
+_LOCK_WORDS = frozenset({"lock", "rlock", "cond", "condition", "semaphore"})
+
+
 def is_lock_name(name: str) -> bool:
-    """Does an attribute name look like a lock/condition/semaphore?"""
-    lowered = name.lower()
-    return "lock" in lowered or "semaphore" in lowered or "cond" in lowered
+    """Does an attribute name name a lock/condition/semaphore?
+
+    Its last ``_``-separated word must be one: ``_lock``, ``cond`` and
+    ``_measure_lock`` are locks; ``_clock``, ``_seconds``,
+    ``_blocking`` and ``_lock_depth`` are not.
+    """
+    return name.lower().rsplit("_", 1)[-1] in _LOCK_WORDS
 
 
 def lock_context_attr(item: ast.withitem) -> Optional[tuple[str, ...]]:
@@ -129,13 +137,6 @@ def lock_context_attr(item: ast.withitem) -> Optional[tuple[str, ...]]:
     if chain and chain[0] == "self" and len(chain) >= 2 and is_lock_name(chain[-1]):
         return chain
     return None
-
-
-def function_defs(node: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """All function definitions in *node*, nested ones included."""
-    for child in ast.walk(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield child
 
 
 def class_defs(tree: ast.Module) -> Iterator[ast.ClassDef]:
@@ -194,9 +195,3 @@ def names_in(node: ast.AST) -> set[str]:
     return {
         child.id for child in ast.walk(node) if isinstance(child, ast.Name)
     }
-
-
-def calls_in(node: ast.AST) -> Iterator[ast.Call]:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            yield child

@@ -16,7 +16,6 @@ encode *this repo's* invariants:
   :class:`~repro.errors.InternalError` instead.
 * ``COD004 broad-except`` — ``except Exception`` that neither
   re-raises nor uses the caught exception swallows failures silently.
-* ``COD005 mutable-default-arg`` — the classic shared-default trap.
 * ``COD006 bare-sleep`` — ``time.sleep`` in service/resilience code is
   an uninterruptible pause; shutdown and cancellation must be able to
   wake every wait, so pauses go through an event-like ``.wait()``
@@ -70,7 +69,6 @@ def _diagnostic(
             getattr(node, "col_offset", -1) + 1,
         ),
         fix_hint=fix_hint,
-        family=FAMILY_CODE,
         data=data,
     )
 
@@ -405,57 +403,6 @@ def check_broad_except(module: CodeModule) -> Iterator[Diagnostic]:
         )
 
 
-# -- COD005: mutable default arguments ---------------------------------------------
-
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-_MUTABLE_CALLS = ("list", "dict", "set", "defaultdict", "deque", "Counter")
-
-
-def _mutable_default(default: ast.expr) -> Optional[str]:
-    if isinstance(default, _MUTABLE_LITERALS):
-        return ast.unparse(default)
-    if (
-        isinstance(default, ast.Call)
-        and isinstance(default.func, ast.Name)
-        and default.func.id in _MUTABLE_CALLS
-    ):
-        return ast.unparse(default)
-    return None
-
-
-@rule(
-    "COD005",
-    "mutable-default-arg",
-    FAMILY_CODE,
-    Severity.WARNING,
-    "mutable default argument shared across calls",
-    "Default values are evaluated once at def time; a list/dict/set "
-    "default silently becomes cross-call shared state.",
-)
-def check_mutable_default(module: CodeModule) -> Iterator[Diagnostic]:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        defaults = [
-            *node.args.defaults,
-            *(d for d in node.args.kw_defaults if d is not None),
-        ]
-        for default in defaults:
-            rendered = _mutable_default(default)
-            if rendered is None:
-                continue
-            yield _diagnostic(
-                module,
-                "COD005",
-                Severity.WARNING,
-                default,
-                f"function {node.name!r} has mutable default {rendered}",
-                fix_hint="default to None and create the container inside "
-                "the function body",
-                function=node.name,
-            )
-
-
 # -- COD006: bare time.sleep -------------------------------------------------------
 
 
@@ -522,19 +469,20 @@ def check_bare_sleep(module: CodeModule) -> Iterator[Diagnostic]:
 
 # -- COD007: print in library code -------------------------------------------------
 
-#: Path suffixes (``/``-normalized) where printing to stdout IS the
-#: job: the CLI, module entry points, and the experiment reporters.
-_PRINT_ALLOWED_SUFFIXES = (
-    "cli.py",
-    "__main__.py",
-    "experiments/figure6.py",
-    "experiments/report.py",
+#: Trailing path components where printing to stdout IS the job: the
+#: CLI, module entry points, and the experiment reporters.
+_PRINT_ALLOWED_TAILS = (
+    ("cli.py",),
+    ("__main__.py",),
+    ("experiments", "figure6.py"),
+    ("experiments", "report.py"),
 )
 
 
 def _print_allowed(path: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return normalized.endswith(_PRINT_ALLOWED_SUFFIXES)
+    # Whole components: ``service/loadgen_cli.py`` is library code.
+    parts = tuple(path.replace("\\", "/").split("/"))
+    return any(parts[-len(tail):] == tail for tail in _PRINT_ALLOWED_TAILS)
 
 
 @rule(

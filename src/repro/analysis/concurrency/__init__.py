@@ -1,11 +1,11 @@
-"""The whole-program concurrency rule family (CON001–CON005).
+"""The whole-program concurrency rule family (CON001–CON004).
 
 A two-phase pass over the entire source tree:
 
 1. **fact extraction** (:mod:`~repro.analysis.concurrency.facts`) —
    each module is independently reduced to lock attributes, per-method
-   acquisition/access/call/blocking summaries, thread spawns, journal
-   emit sites, and wire-record literals;
+   acquisition/access/call/blocking summaries, thread spawns, and
+   journal emit sites;
 2. **whole-program solve** (:mod:`~repro.analysis.concurrency.model`)
    — the facts are joined into one :class:`ProgramModel`: lock aliases
    unified, the call graph resolved, may-acquire/may-block summaries
@@ -15,9 +15,9 @@ The rules (:mod:`~repro.analysis.concurrency.rules`,
 :mod:`~repro.analysis.concurrency.contracts`) then read the model:
 deadlock cycles (CON001), thread-escaping unguarded state (CON002),
 blocking under a held mutex (CON003), and conformance of journal
-events / wire records to their live schemas (CON004/CON005).
+emit sites to the live event schema (CON004).
 
-Entry point: :func:`analyze` — or ``repro lint --concurrency`` /
+Entry point: :func:`build_model` — or ``repro lint --concurrency`` /
 ``repro lint --select CON`` from the command line.
 """
 

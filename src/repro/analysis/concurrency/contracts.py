@@ -1,20 +1,14 @@
-"""CON004/CON005: static contract conformance against the live schemas.
+"""CON004: journal emit sites checked against the live schema.
 
-Rather than keeping a parallel copy of the contracts, both checkers
-import the real tables at check time — :data:`EVENT_SCHEMA` from
-:mod:`repro.observability.journal` and :data:`RECORD_TYPES` from
-:mod:`repro.service.protocol` — so the linter can never drift from the
-runtime validators.
-
-* ``CON004 journal-contract`` — every ``journal.emit("<event>", ...)``
-  call site must name a schema event and pass its required fields as
-  literal keywords.  Sites with a dynamic event name or ``**kwargs``
-  are skipped (the runtime validator owns those).
-* ``CON005 wire-record-contract`` — every ``{"type": ...}`` dict
-  literal in a wire-aware module (under ``service/``/``cluster/``, or
-  importing ``repro.service.protocol``) must name a known record type
-  and carry that type's required keys.  Dicts with dynamic keys are
-  held to the type check only.
+Rather than keeping a parallel copy of the contract, the checker
+imports the real table at check time — :data:`EVENT_SCHEMA` from
+:mod:`repro.observability.journal` — so the linter can never drift
+from the runtime validator.  Every ``journal.emit("<event>", ...)``
+call site must name a schema event and pass its required fields as
+literal keywords.  Sites with a dynamic event name or ``**kwargs`` are
+skipped (the runtime validator owns those).  The journal does not
+validate on emit, so a bad site on a path no test drives surfaces only
+in the tooling that reads the journal later.
 """
 
 from __future__ import annotations
@@ -26,18 +20,6 @@ from repro.analysis.diagnostics import Diagnostic, Location, Severity
 from repro.analysis.registry import FAMILY_CONCURRENCY, rule
 
 
-def _event_schema() -> dict[str, frozenset[str]]:
-    from repro.observability.journal import EVENT_SCHEMA
-
-    return EVENT_SCHEMA
-
-
-def _record_types() -> dict[str, frozenset[str]]:
-    from repro.service.protocol import RECORD_TYPES
-
-    return RECORD_TYPES
-
-
 @rule(
     "CON004",
     "journal-contract",
@@ -45,17 +27,18 @@ def _record_types() -> dict[str, frozenset[str]]:
     Severity.ERROR,
     "journal.emit call site violates EVENT_SCHEMA",
     "The journal schema is a contract with external log tooling; an "
-    "unknown event type or a missing required field raises at runtime "
-    "on exactly the code path that is already failing — catch it "
-    "statically instead.",
+    "unknown event type or a missing required field breaks that "
+    "tooling on exactly the code path that is already failing — catch "
+    "it statically instead.",
 )
 def check_journal_contract(model: ProgramModel) -> Iterator[Diagnostic]:
-    schema = _event_schema()
+    from repro.observability.journal import EVENT_SCHEMA
+
     for module in model.modules:
         for site in module.emits:
             if site.event is None:
                 continue  # dynamic event name: runtime validator owns it
-            required = schema.get(site.event)
+            required = EVENT_SCHEMA.get(site.event)
             if required is None:
                 yield Diagnostic(
                     rule="CON004",
@@ -67,7 +50,6 @@ def check_journal_contract(model: ProgramModel) -> Iterator[Diagnostic]:
                     location=Location(module.path, site.line),
                     fix_hint="add the event type to EVENT_SCHEMA or fix "
                     "the typo; the vocabulary is closed by design",
-                    family=FAMILY_CONCURRENCY,
                     data={"event": site.event},
                 )
                 continue
@@ -87,70 +69,5 @@ def check_journal_contract(model: ProgramModel) -> Iterator[Diagnostic]:
                     location=Location(module.path, site.line),
                     fix_hint="pass every field EVENT_SCHEMA requires as "
                     "a literal keyword argument",
-                    family=FAMILY_CONCURRENCY,
                     data={"event": site.event, "missing": missing},
-                )
-
-
-def _wire_aware(module) -> bool:
-    normalized = module.path.replace("\\", "/")
-    if "/service/" in normalized or "/cluster/" in normalized:
-        return True
-    return "repro.service.protocol" in module.imports
-
-
-@rule(
-    "CON005",
-    "wire-record-contract",
-    FAMILY_CONCURRENCY,
-    Severity.ERROR,
-    "wire-protocol record literal violates the record-type table",
-    "Frontend, router, and workers speak one JSON-lines protocol; a "
-    "record literal with an unknown type or a missing required key is "
-    "a frame every peer will reject (or worse, misroute).",
-)
-def check_wire_record_contract(model: ProgramModel) -> Iterator[Diagnostic]:
-    table = _record_types()
-    for module in model.modules:
-        if not _wire_aware(module):
-            continue
-        for record in module.records:
-            required = table.get(record.type_value)
-            if required is None:
-                yield Diagnostic(
-                    rule="CON005",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"wire record literal has unknown type "
-                        f"{record.type_value!r}; known types: "
-                        f"{', '.join(sorted(table))}"
-                    ),
-                    location=Location(module.path, record.line),
-                    fix_hint="use a protocol.py constructor "
-                    "(batch_record, error_record, ...) instead of a "
-                    "hand-rolled literal",
-                    family=FAMILY_CONCURRENCY,
-                    data={"type": record.type_value},
-                )
-                continue
-            if record.keys is None:
-                continue  # dynamic keys may supply the rest
-            missing = sorted(required - record.keys)
-            if missing:
-                yield Diagnostic(
-                    rule="CON005",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"wire record literal of type "
-                        f"{record.type_value!r} is missing required "
-                        f"key(s) {', '.join(missing)}"
-                    ),
-                    location=Location(module.path, record.line),
-                    fix_hint="include every key RECORD_TYPES requires, "
-                    "or build the record through protocol.py",
-                    family=FAMILY_CONCURRENCY,
-                    data={
-                        "type": record.type_value,
-                        "missing": missing,
-                    },
                 )

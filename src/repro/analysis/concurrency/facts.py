@@ -187,16 +187,6 @@ class EmitSite:
     receiver: str
 
 
-@dataclass(frozen=True)
-class RecordLiteral:
-    """One ``{"type": ...}`` dict literal (for CON005)."""
-
-    type_value: str
-    #: Literal string keys, or None when the dict has dynamic parts.
-    keys: Optional[frozenset[str]]
-    line: int
-
-
 @dataclass
 class ModuleFacts:
     """The phase-1 summary of one parsed module."""
@@ -206,8 +196,6 @@ class ModuleFacts:
     classes: dict[str, ClassFacts] = field(default_factory=dict)
     functions: dict[str, MethodFacts] = field(default_factory=dict)
     emits: list[EmitSite] = field(default_factory=list)
-    records: list[RecordLiteral] = field(default_factory=list)
-    imports: set[str] = field(default_factory=set)
 
 
 # -- small helpers ------------------------------------------------------------------
@@ -266,32 +254,6 @@ def _has_timeout(call: ast.Call) -> bool:
     if call.args:
         return True
     return any(kw.arg in ("timeout",) for kw in call.keywords)
-
-
-def _is_nonblocking(call: ast.Call) -> bool:
-    for kw in call.keywords:
-        if kw.arg in ("timeout",):
-            return True
-        if kw.arg in ("block", "blocking"):
-            if isinstance(kw.value, ast.Constant) and kw.value.value is False:
-                return True
-    return False
-
-
-def _queue_like(receiver: Chain, local_types: dict[str, str],
-                cls: Optional[ClassFacts]) -> bool:
-    last = receiver[-1].lower()
-    if "queue" in last or last == "q" or last.endswith("_q"):
-        return True
-    if receiver[0] == "self" and cls is not None and len(receiver) == 2:
-        return cls.attr_types.get(receiver[1], "") in (
-            "Queue", "LifoQueue", "PriorityQueue", "SimpleQueue"
-        )
-    if len(receiver) == 1:
-        return local_types.get(receiver[0], "") in (
-            "Queue", "LifoQueue", "PriorityQueue", "SimpleQueue"
-        )
-    return False
 
 
 def _joinable(receiver: Chain, local_types: dict[str, str]) -> bool:
@@ -647,15 +609,6 @@ class _FunctionWalker:
                 f"{'.'.join(chain)}()", "socket I/O", call.lineno, held,
                 receiver,
             )
-        if last in ("get", "put") and receiver:
-            if _is_nonblocking(call):
-                return None
-            if not _queue_like(receiver, self.local_types, self.cls):
-                return None
-            return BlockingCall(
-                f"{'.'.join(chain)}() without timeout",
-                "queue wait", call.lineno, held, receiver,
-            )
         if last == "join" and receiver and not _has_timeout(call):
             if not _joinable(receiver, self.local_types):
                 return None
@@ -799,51 +752,6 @@ def _extract_emits(tree: ast.Module, path: str) -> list[EmitSite]:
     return emits
 
 
-def _extract_records(tree: ast.Module, path: str) -> list[RecordLiteral]:
-    records: list[RecordLiteral] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Dict):
-            continue
-        type_value: Optional[str] = None
-        keys: set[str] = set()
-        dynamic = False
-        for key, value in zip(node.keys, node.values):
-            if key is None:  # **splat
-                dynamic = True
-                continue
-            if not (isinstance(key, ast.Constant) and isinstance(
-                key.value, str
-            )):
-                dynamic = True
-                continue
-            keys.add(key.value)
-            if key.value == "type":
-                if isinstance(value, ast.Constant) and isinstance(
-                    value.value, str
-                ):
-                    type_value = value.value
-        if type_value is None:
-            continue
-        records.append(
-            RecordLiteral(
-                type_value,
-                None if dynamic else frozenset(keys),
-                node.lineno,
-            )
-        )
-    return records
-
-
-def _extract_imports(tree: ast.Module) -> set[str]:
-    imports: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imports.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            imports.add(node.module)
-    return imports
-
-
 def extract_module(module: CodeModule) -> ModuleFacts:
     """Reduce one parsed module to its concurrency facts."""
     facts = ModuleFacts(path=module.path, module=module)
@@ -863,6 +771,4 @@ def extract_module(module: CodeModule) -> ModuleFacts:
             walker = _FunctionWalker(m_facts, facts.functions, {}, None)
             walker.walk_body(stmt.body)
     facts.emits = _extract_emits(module.tree, module.path)
-    facts.records = _extract_records(module.tree, module.path)
-    facts.imports = _extract_imports(module.tree)
     return facts

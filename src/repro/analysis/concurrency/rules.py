@@ -12,7 +12,7 @@ Each checker receives a resolved
   subclass ``run``) and non-thread code, written on at least one side,
   with no common guarding lock;
 * ``CON003 blocking-under-lock`` — socket I/O, subprocess spawns,
-  timeout-less queue/join/wait operations while holding a mutex
+  timeout-less join/wait operations while holding a mutex
   (directly or through a resolved call chain).  Semaphores are exempt:
   holding an admission slot across work is their purpose.
 """
@@ -22,11 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.analysis.concurrency.facts import Access, ClassFacts
-from repro.analysis.concurrency.model import (
-    MUTEX_KINDS,
-    ProgramModel,
-    Witness,
-)
+from repro.analysis.concurrency.model import MUTEX_KINDS, ProgramModel
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
 from repro.analysis.registry import FAMILY_CONCURRENCY, rule
 
@@ -46,7 +42,6 @@ def _diagnostic(
         message=message,
         location=Location(path, line),
         fix_hint=fix_hint,
-        family=FAMILY_CONCURRENCY,
         data=data,
     )
 
@@ -287,7 +282,7 @@ def _mutex_held(
     FAMILY_CONCURRENCY,
     Severity.WARNING,
     "potentially unbounded blocking call while holding a lock",
-    "Socket I/O, subprocess spawns, or timeout-less queue/join/wait "
+    "Socket I/O, subprocess spawns, or timeout-less join/wait "
     "calls under a held mutex stall every other thread that needs the "
     "lock for as long as the peer takes; the critical section's "
     "latency becomes unbounded.",

@@ -1,38 +1,29 @@
 """The shared diagnostics vocabulary of the static-analysis layer.
 
-Both rule families — the scenario linter over catalogs/queries and the
-AST lint pass over the codebase — report their findings as
-:class:`Diagnostic` records: rule id, severity, location, message, and
-an optional fix hint.  A diagnostic also knows how to compute a stable
-:meth:`~Diagnostic.fingerprint` so known findings can be parked in a
-baseline file (:mod:`repro.analysis.baseline`) without pinning line
-numbers.
+Every rule family — the scenario linter over catalogs/queries, the AST
+lint pass over the codebase and the whole-program concurrency pass —
+reports its findings as :class:`Diagnostic` records: rule id, severity,
+location, message, and an optional fix hint.  :func:`render_text` is
+the one report format.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 
 class Severity(enum.IntEnum):
-    """Finding severities, ordered so comparisons mean what they say."""
+    """Finding severities, ordered so comparisons mean what they say.
 
-    INFO = 10
+    Both fail a lint run; the severity only says how sure the rule is
+    that the finding is a defect.
+    """
+
     WARNING = 20
     ERROR = 30
-
-    @classmethod
-    def from_name(cls, name: str) -> "Severity":
-        try:
-            return cls[name.strip().upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {name!r}; expected one of "
-                f"{', '.join(s.name.lower() for s in cls)}"
-            ) from None
 
     def __str__(self) -> str:
         return self.name.lower()
@@ -69,51 +60,14 @@ class Diagnostic:
     message: str
     location: Location
     fix_hint: str = ""
-    #: Which rule family produced this: ``code`` or ``scenario``.
-    family: str = "code"
     #: Extra structured context (plan keys, source names, ...).
     data: Mapping[str, object] = field(default_factory=dict)
 
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Deliberately excludes line/column so a finding survives
-        unrelated edits above it; includes the file and the message so
-        two identical mistakes in different places stay distinct.
-        """
-        payload = f"{self.rule}\x1f{self.location.file}\x1f{self.message}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-    def format(self, *, show_hint: bool = True) -> str:
-        text = (
-            f"{self.location}: {self.rule} {self.severity}: {self.message}"
-        )
-        if show_hint and self.fix_hint:
+    def __str__(self) -> str:
+        text = f"{self.location}: {self.rule} {self.severity}: {self.message}"
+        if self.fix_hint:
             text += f"  [hint: {self.fix_hint}]"
         return text
-
-    def as_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {
-            "rule": self.rule,
-            "severity": str(self.severity),
-            "family": self.family,
-            "file": self.location.file,
-            "line": self.location.line,
-            "column": self.location.column,
-            "message": self.message,
-            "fingerprint": self.fingerprint(),
-        }
-        if self.fix_hint:
-            payload["fix_hint"] = self.fix_hint
-        if self.data:
-            payload["data"] = dict(self.data)
-        return payload
-
-    def with_severity(self, severity: Severity) -> "Diagnostic":
-        return replace(self, severity=severity)
-
-    def __str__(self) -> str:
-        return self.format()
 
 
 def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
@@ -130,10 +84,21 @@ def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
     )
 
 
-def max_severity(diagnostics: Iterable[Diagnostic]) -> Severity | None:
-    """The highest severity present, or None for an empty run."""
-    best: Severity | None = None
-    for diagnostic in diagnostics:
-        if best is None or diagnostic.severity > best:
-            best = diagnostic.severity
-    return best
+def summarize(diagnostics: Sequence[Diagnostic]) -> str:
+    """``2 errors, 1 warning`` — or ``no findings``."""
+    if not diagnostics:
+        return "no findings"
+    counts = Counter(d.severity for d in diagnostics)
+    parts = []
+    for severity in sorted(counts, reverse=True):
+        n = counts[severity]
+        noun = str(severity) + ("s" if n != 1 else "")
+        parts.append(f"{n} {noun}")
+    return ", ".join(parts)
+
+
+def render_text(diagnostics: Sequence[Diagnostic]) -> str:
+    """One finding per line, canonical order, summary trailer."""
+    lines = [str(d) for d in sort_diagnostics(diagnostics)]
+    lines.append(summarize(diagnostics))
+    return "\n".join(lines)

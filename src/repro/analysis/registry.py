@@ -1,10 +1,11 @@
-"""The rule registry: every lint rule, both families, in one catalog.
+"""The rule table: every lint rule, all three families, in one catalog.
 
-A rule is a pure metadata record (:class:`Rule`) plus a checker
-callable.  Code checkers receive a
-:class:`~repro.analysis.astutils.CodeModule`; scenario checkers receive
-a :class:`~repro.analysis.scenario.ScenarioContext`.  Both return an
-iterable of :class:`~repro.analysis.diagnostics.Diagnostic`.
+A rule is a metadata record (:class:`Rule`) carrying its checker.  Code
+checkers receive a :class:`~repro.analysis.astutils.CodeModule`;
+concurrency checkers the joined
+:class:`~repro.analysis.concurrency.model.ProgramModel`; scenario
+checkers a :class:`~repro.analysis.scenario.ScenarioContext`.  All
+return an iterable of :class:`~repro.analysis.diagnostics.Diagnostic`.
 
 Rule selection follows the familiar ``--select``/``--ignore``
 convention: a pattern matches a rule when it equals the rule's id or
@@ -14,8 +15,8 @@ slug, or is a prefix of the id (so ``COD`` selects every code rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import AnalysisError
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -30,14 +31,15 @@ FAMILY_CONCURRENCY = "concurrency"
 
 @dataclass(frozen=True)
 class Rule:
-    """Metadata of one lint rule."""
+    """One lint rule: its metadata and its checker."""
 
     id: str
     slug: str
     family: str
     severity: Severity
     summary: str
-    rationale: str = ""
+    rationale: str
+    check: Checker = field(compare=False, repr=False)
 
     def matches(self, pattern: str) -> bool:
         pattern = pattern.strip()
@@ -49,90 +51,9 @@ class Rule:
         )
 
 
-class RuleRegistry:
-    """Get-by-id collection of rules and their checkers."""
-
-    def __init__(self) -> None:
-        self._rules: dict[str, Rule] = {}
-        self._checkers: dict[str, Checker] = {}
-
-    def register(self, rule: Rule, checker: Checker) -> None:
-        if rule.id in self._rules:
-            raise AnalysisError(f"duplicate rule id {rule.id!r}")
-        if any(r.slug == rule.slug for r in self._rules.values()):
-            raise AnalysisError(f"duplicate rule slug {rule.slug!r}")
-        if rule.family not in (
-            FAMILY_CODE, FAMILY_SCENARIO, FAMILY_CONCURRENCY
-        ):
-            raise AnalysisError(f"unknown rule family {rule.family!r}")
-        self._rules[rule.id] = rule
-        self._checkers[rule.id] = checker
-
-    # -- lookup -----------------------------------------------------------------
-
-    def rules(self, family: Optional[str] = None) -> tuple[Rule, ...]:
-        return tuple(
-            rule
-            for rule in sorted(self._rules.values(), key=lambda r: r.id)
-            if family is None or rule.family == family
-        )
-
-    def get(self, rule_id: str) -> Rule:
-        try:
-            return self._rules[rule_id]
-        except KeyError:
-            raise AnalysisError(f"unknown rule {rule_id!r}") from None
-
-    def checker(self, rule_id: str) -> Checker:
-        self.get(rule_id)
-        return self._checkers[rule_id]
-
-    def find(self, pattern: str) -> tuple[Rule, ...]:
-        """Every rule the select/ignore *pattern* matches."""
-        return tuple(r for r in self.rules() if r.matches(pattern))
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules())
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __contains__(self, rule_id: object) -> bool:
-        return rule_id in self._rules
-
-    # -- selection --------------------------------------------------------------
-
-    def resolve_selection(
-        self,
-        family: str,
-        select: Sequence[str] = (),
-        ignore: Sequence[str] = (),
-    ) -> tuple[Rule, ...]:
-        """The rules of *family* to run under ``--select``/``--ignore``.
-
-        Unknown patterns are an error — a typo in ``--select`` silently
-        running nothing is the worst failure mode a linter can have.
-        """
-        for pattern in (*select, *ignore):
-            if not self.find(pattern):
-                known = ", ".join(
-                    f"{r.id} ({r.slug})" for r in self.rules()
-                )
-                raise AnalysisError(
-                    f"pattern {pattern!r} matches no rule; known rules: {known}"
-                )
-        chosen = []
-        for rule in self.rules(family):
-            if select and not any(rule.matches(p) for p in select):
-                continue
-            if any(rule.matches(p) for p in ignore):
-                continue
-            chosen.append(rule)
-        return tuple(chosen)
-
-
-#: The process-wide default registry all shipped rules register into.
-DEFAULT_REGISTRY = RuleRegistry()
+#: Every shipped rule by id, filled by :func:`rule` as the rule
+#: modules are imported.
+RULES: dict[str, Rule] = {}
 
 
 def rule(
@@ -141,17 +62,44 @@ def rule(
     family: str,
     severity: Severity,
     summary: str,
-    rationale: str = "",
-    registry: Optional[RuleRegistry] = None,
+    rationale: str,
 ) -> Callable[[Checker], Checker]:
-    """Decorator registering a checker under the given metadata."""
-
-    target = registry if registry is not None else DEFAULT_REGISTRY
+    """Decorator adding a checker to :data:`RULES` under the metadata."""
 
     def decorate(checker: Checker) -> Checker:
-        target.register(
-            Rule(rule_id, slug, family, severity, summary, rationale), checker
+        if rule_id in RULES:
+            raise AnalysisError(f"duplicate rule id {rule_id!r}")
+        if any(r.slug == slug for r in RULES.values()):
+            raise AnalysisError(f"duplicate rule slug {slug!r}")
+        RULES[rule_id] = Rule(
+            rule_id, slug, family, severity, summary, rationale, checker
         )
         return checker
 
     return decorate
+
+
+def select_rules(
+    family: str,
+    select: Sequence[str] = (),
+    ignore: Sequence[str] = (),
+) -> tuple[Rule, ...]:
+    """The rules of *family* to run under ``--select``/``--ignore``.
+
+    Unknown patterns are an error — a typo in ``--select`` silently
+    running nothing is the worst failure mode a linter can have.
+    """
+    shipped = [RULES[rule_id] for rule_id in sorted(RULES)]
+    for pattern in (*select, *ignore):
+        if not any(r.matches(pattern) for r in shipped):
+            known = ", ".join(f"{r.id} ({r.slug})" for r in shipped)
+            raise AnalysisError(
+                f"pattern {pattern!r} matches no rule; known rules: {known}"
+            )
+    return tuple(
+        r
+        for r in shipped
+        if r.family == family
+        and (not select or any(r.matches(p) for p in select))
+        and not any(r.matches(p) for p in ignore)
+    )

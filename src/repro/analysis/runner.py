@@ -1,66 +1,34 @@
-"""Orchestration: discover targets, run rule families, decide exit codes.
+"""Orchestration: discover targets, run rule families, filter allows.
 
-The runner is what ``repro lint`` calls: it walks Python files for the
-code family, builds the bundled scenarios for the scenario family,
-applies ``--select``/``--ignore``, inline ``# lint: allow[...]``
-suppressions, and the optional baseline file, and folds the surviving
-diagnostics into an exit code:
-
-* ``0`` — nothing at or above the failure threshold,
-* ``1`` — findings at or above the threshold,
-* ``2`` — the analysis itself could not run (bad arguments, unreadable
-  files, broken baselines) — reported as :class:`AnalysisError`.
+The runner is what ``repro lint`` calls: it parses Python files for the
+code and concurrency families, builds the bundled scenarios for the
+scenario family, applies ``--select``/``--ignore`` and inline
+``# lint: allow[...]`` suppressions, and returns the surviving
+diagnostics in canonical order.  Any finding fails the run; an
+:class:`~repro.errors.AnalysisError` means the analysis itself could
+not run (bad pattern, unreadable file, unknown scenario).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
-# Importing the rule modules registers their checkers.
+# Importing the rule modules registers their checkers (the concurrency
+# and scenario ones come with build_model and ScenarioContext below).
 from repro.analysis import code_rules as _code_rules  # noqa: F401
-from repro.analysis import concurrency as _concurrency_rules  # noqa: F401
-from repro.analysis import scenario as _scenario_rules  # noqa: F401
 from repro.analysis.astutils import CodeModule
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.concurrency import build_model
-from repro.analysis.diagnostics import Diagnostic, Severity, sort_diagnostics
+from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
 from repro.analysis.registry import (
-    DEFAULT_REGISTRY,
     FAMILY_CODE,
     FAMILY_CONCURRENCY,
     FAMILY_SCENARIO,
     Rule,
-    RuleRegistry,
+    select_rules,
 )
 from repro.analysis.scenario import ScenarioContext
 from repro.errors import AnalysisError
-
-EXIT_CLEAN = 0
-EXIT_FINDINGS = 1
-EXIT_USAGE = 2
-
-
-@dataclass
-class LintResult:
-    """Everything one lint run produced."""
-
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: Findings dropped by the baseline file.
-    suppressed: int = 0
-    #: Which rule families actually ran.
-    families: tuple[str, ...] = ()
-    #: The file paths / scenario names that were analyzed.
-    targets: tuple[str, ...] = ()
-
-    def exit_code(self, fail_on: Severity = Severity.WARNING) -> int:
-        if any(d.severity >= fail_on for d in self.diagnostics):
-            return EXIT_FINDINGS
-        return EXIT_CLEAN
-
-
-# -- code family -------------------------------------------------------------------
 
 
 def discover_python_files(paths: Sequence[str]) -> list[str]:
@@ -82,122 +50,83 @@ def discover_python_files(paths: Sequence[str]) -> list[str]:
     return sorted(found)
 
 
+def load_modules(paths: Sequence[str]) -> list[CodeModule]:
+    """Parse every ``.py`` file under *paths*."""
+    return [CodeModule.from_file(path) for path in discover_python_files(paths)]
+
+
+def _unsuppressed(
+    modules: Sequence[CodeModule],
+    findings: Iterable[tuple[Rule, Diagnostic]],
+) -> list[Diagnostic]:
+    """Drop findings an inline ``# lint: allow[...]`` covers."""
+    by_path = {module.path: module for module in modules}
+    kept = []
+    for rule, diagnostic in findings:
+        module = by_path.get(diagnostic.location.file)
+        if module is not None and module.allowed(
+            diagnostic.location.line, rule.id, rule.slug
+        ):
+            continue
+        kept.append(diagnostic)
+    return sort_diagnostics(kept)
+
+
 def lint_code(
-    paths: Sequence[str],
+    modules: Sequence[CodeModule],
     select: Sequence[str] = (),
     ignore: Sequence[str] = (),
-    registry: RuleRegistry = DEFAULT_REGISTRY,
-) -> LintResult:
-    """Run the code rule family over the given files/directories."""
-    rules = registry.resolve_selection(FAMILY_CODE, select, ignore)
-    files = discover_python_files(paths)
-    diagnostics: list[Diagnostic] = []
-    for path in files:
-        module = CodeModule.from_file(path)
-        diagnostics.extend(_lint_module(module, rules, registry))
-    return LintResult(
-        diagnostics=sort_diagnostics(diagnostics),
-        families=(FAMILY_CODE,),
-        targets=tuple(files),
+) -> list[Diagnostic]:
+    """Run the per-file code rules over parsed modules."""
+    rules = select_rules(FAMILY_CODE, select, ignore)
+    return _unsuppressed(
+        modules,
+        (
+            (rule, diagnostic)
+            for module in modules
+            for rule in rules
+            for diagnostic in rule.check(module)
+        ),
     )
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    select: Sequence[str] = (),
-    ignore: Sequence[str] = (),
-    registry: RuleRegistry = DEFAULT_REGISTRY,
-) -> list[Diagnostic]:
-    """Lint one in-memory module (the fixture tests' entry point)."""
-    rules = registry.resolve_selection(FAMILY_CODE, select, ignore)
-    module = CodeModule.from_source(source, path)
-    return sort_diagnostics(_lint_module(module, rules, registry))
-
-
-def _lint_module(
-    module: CodeModule, rules: Iterable[Rule], registry: RuleRegistry
-) -> list[Diagnostic]:
-    diagnostics = []
-    for rule in rules:
-        checker = registry.checker(rule.id)
-        for diagnostic in checker(module):
-            if module.allowed(diagnostic.location.line, rule.id, rule.slug):
-                continue
-            diagnostics.append(diagnostic)
-    return diagnostics
-
-
-# -- concurrency family ------------------------------------------------------------
 
 
 def lint_concurrency(
-    paths: Sequence[str],
+    modules: Sequence[CodeModule],
     select: Sequence[str] = (),
     ignore: Sequence[str] = (),
-    registry: RuleRegistry = DEFAULT_REGISTRY,
-) -> LintResult:
-    """Run the whole-program concurrency pass over files/directories.
+) -> list[Diagnostic]:
+    """Run the whole-program concurrency pass over parsed modules.
 
-    Unlike the per-file code family, all modules are parsed first
-    (phase 1: fact extraction) and the rules run once over the joined
-    :class:`~repro.analysis.concurrency.model.ProgramModel` (phase 2).
-    Inline ``# lint: allow[...]`` directives still apply — findings
-    are mapped back to their module for suppression filtering.
+    Unlike the per-file code family, all modules are reduced to facts
+    first and the rules run once over the joined
+    :class:`~repro.analysis.concurrency.model.ProgramModel`.
     """
-    rules = registry.resolve_selection(FAMILY_CONCURRENCY, select, ignore)
-    files = discover_python_files(paths)
-    modules = [CodeModule.from_file(path) for path in files]
-    diagnostics = _lint_program(modules, rules, registry)
-    return LintResult(
-        diagnostics=diagnostics,
-        families=(FAMILY_CONCURRENCY,),
-        targets=tuple(files),
+    rules = select_rules(FAMILY_CONCURRENCY, select, ignore)
+    if not rules:
+        return []
+    model = build_model(modules)
+    return _unsuppressed(
+        modules,
+        ((rule, diagnostic) for rule in rules for diagnostic in rule.check(model)),
     )
 
 
-def lint_concurrency_sources(
-    sources: Sequence[tuple[str, str]],
+def lint_scenarios(
+    contexts: Sequence[ScenarioContext],
     select: Sequence[str] = (),
     ignore: Sequence[str] = (),
-    registry: RuleRegistry = DEFAULT_REGISTRY,
 ) -> list[Diagnostic]:
-    """Run the concurrency pass over in-memory ``(path, source)``
-    pairs — the fixture tests' entry point."""
-    rules = registry.resolve_selection(FAMILY_CONCURRENCY, select, ignore)
-    modules = [
-        CodeModule.from_source(source, path) for path, source in sources
-    ]
-    return _lint_program(modules, rules, registry)
+    """Run the scenario rules over scenario contexts."""
+    rules = select_rules(FAMILY_SCENARIO, select, ignore)
+    return sort_diagnostics(
+        diagnostic
+        for context in contexts
+        for rule in rules
+        for diagnostic in rule.check(context)
+    )
 
 
-def _lint_program(
-    modules: Sequence[CodeModule],
-    rules: Iterable[Rule],
-    registry: RuleRegistry,
-) -> list[Diagnostic]:
-    if not rules:
-        return []
-    by_path = {module.path: module for module in modules}
-    model = build_model(modules)
-    diagnostics = []
-    for rule in rules:
-        checker = registry.checker(rule.id)
-        for diagnostic in checker(model):
-            module = by_path.get(diagnostic.location.file)
-            if module is not None and module.allowed(
-                diagnostic.location.line, rule.id, rule.slug
-            ):
-                continue
-            diagnostics.append(diagnostic)
-    return sort_diagnostics(diagnostics)
-
-
-# -- scenario family ---------------------------------------------------------------
-
-#: Lazily-built named scenario factories, so ``repro lint --scenario``
-#: works out of the box on the bundled workloads.
-ScenarioFactory = Callable[[], ScenarioContext]
+# -- the bundled scenarios ---------------------------------------------------------
 
 
 def _movies_scenario() -> ScenarioContext:
@@ -233,7 +162,6 @@ def _cameras_scenario() -> ScenarioContext:
             BindJoinCost(domain_sizes=500.0),
             CoverageUtility(domain.model),
         ),
-        model=domain.model,
     )
 
 
@@ -248,7 +176,6 @@ def _paper_example_scenario() -> ScenarioContext:
         catalog=domain.catalog,
         query=domain.query,
         measures=(LinearCost(), CoverageUtility(domain.model)),
-        model=domain.model,
     )
 
 
@@ -267,7 +194,6 @@ def _synthetic_scenario() -> ScenarioContext:
             domain.failure_cost(),
             domain.monetary(),
         ),
-        model=domain.model,
     )
 
 
@@ -285,16 +211,12 @@ def _random_lav_scenario() -> ScenarioContext:
             domain.bind_join_cost(),
             domain.coverage(),
         ),
-        model=domain.model,
-        # The random-LAV generator deliberately draws views that may
-        # cover no query subgoal — that incompleteness is the point of
-        # the cross-validation workload (see workloads/random_lav.py).
-        # At seed 0 the dead source is src1; waived, not fixed.
-        waived=frozenset({("SCN003", "src1")}),
     )
 
 
-BUILTIN_SCENARIOS: dict[str, ScenarioFactory] = {
+#: Lazily-built named scenario factories, so ``repro lint --scenario``
+#: works out of the box on the bundled workloads.
+BUILTIN_SCENARIOS: dict[str, Callable[[], ScenarioContext]] = {
     "movies": _movies_scenario,
     "cameras": _cameras_scenario,
     "paper-example": _paper_example_scenario,
@@ -303,106 +225,41 @@ BUILTIN_SCENARIOS: dict[str, ScenarioFactory] = {
 }
 
 
-def lint_scenarios(
-    names: Sequence[str] = (),
-    select: Sequence[str] = (),
-    ignore: Sequence[str] = (),
-    registry: RuleRegistry = DEFAULT_REGISTRY,
-    contexts: Optional[Sequence[ScenarioContext]] = None,
-) -> LintResult:
-    """Run the scenario rule family over named or explicit scenarios."""
-    rules = registry.resolve_selection(FAMILY_SCENARIO, select, ignore)
-    if contexts is None:
-        chosen = tuple(names) or tuple(BUILTIN_SCENARIOS)
-        built: list[ScenarioContext] = []
-        for name in chosen:
-            try:
-                factory = BUILTIN_SCENARIOS[name]
-            except KeyError:
-                known = ", ".join(sorted(BUILTIN_SCENARIOS))
-                raise AnalysisError(
-                    f"unknown scenario {name!r}; bundled scenarios: {known}"
-                ) from None
-            built.append(factory())
-        contexts = built
-    diagnostics: list[Diagnostic] = []
-    for context in contexts:
-        for rule in rules:
-            checker = registry.checker(rule.id)
-            diagnostics.extend(checker(context))
-    return LintResult(
-        diagnostics=sort_diagnostics(diagnostics),
-        families=(FAMILY_SCENARIO,),
-        targets=tuple(c.name for c in contexts),
-    )
-
-
-def lint_scenario(
-    context: ScenarioContext,
-    select: Sequence[str] = (),
-    ignore: Sequence[str] = (),
-    registry: RuleRegistry = DEFAULT_REGISTRY,
-) -> list[Diagnostic]:
-    """Lint one scenario context (the scenario tests' entry point)."""
-    return lint_scenarios(
-        select=select, ignore=ignore, registry=registry, contexts=[context]
-    ).diagnostics
-
-
-# -- combining families and the baseline -------------------------------------------
+def builtin_scenarios(names: Sequence[str] = ()) -> list[ScenarioContext]:
+    """The named bundled scenarios (all of them by default)."""
+    built = []
+    for name in names or BUILTIN_SCENARIOS:
+        try:
+            factory = BUILTIN_SCENARIOS[name]
+        except KeyError:
+            known = ", ".join(sorted(BUILTIN_SCENARIOS))
+            raise AnalysisError(
+                f"unknown scenario {name!r}; bundled scenarios: {known}"
+            ) from None
+        built.append(factory())
+    return built
 
 
 def run_lint(
     *,
-    code_paths: Sequence[str] = (),
+    code_paths: Sequence[str] = ("src/repro",),
     scenario_names: Sequence[str] = (),
     run_code: bool = False,
     run_scenarios: bool = False,
     run_concurrency: bool = False,
     select: Sequence[str] = (),
     ignore: Sequence[str] = (),
-    baseline_path: Optional[str] = None,
-    registry: RuleRegistry = DEFAULT_REGISTRY,
-) -> LintResult:
-    """One ``repro lint`` invocation: families, selection, baseline."""
-    if not run_code and not run_scenarios and not run_concurrency:
-        raise AnalysisError(
-            "nothing to lint: enable --code, --scenario, and/or "
-            "--concurrency"
-        )
+) -> list[Diagnostic]:
+    """One ``repro lint`` invocation: the chosen families, one report."""
     diagnostics: list[Diagnostic] = []
-    families: list[str] = []
-    targets: list[str] = []
-    if run_code:
-        result = lint_code(
-            code_paths or ("src/repro",), select, ignore, registry
-        )
-        diagnostics.extend(result.diagnostics)
-        families.extend(result.families)
-        targets.extend(result.targets)
-    if run_concurrency:
-        result = lint_concurrency(
-            code_paths or ("src/repro",), select, ignore, registry
-        )
-        diagnostics.extend(result.diagnostics)
-        families.extend(result.families)
-        for target in result.targets:
-            if target not in targets:
-                targets.append(target)
+    if run_code or run_concurrency:
+        modules = load_modules(code_paths)
+        if run_code:
+            diagnostics.extend(lint_code(modules, select, ignore))
+        if run_concurrency:
+            diagnostics.extend(lint_concurrency(modules, select, ignore))
     if run_scenarios:
-        result = lint_scenarios(scenario_names, select, ignore, registry)
-        diagnostics.extend(result.diagnostics)
-        families.extend(result.families)
-        targets.extend(result.targets)
-    suppressed = 0
-    if baseline_path is not None:
-        fingerprints = load_baseline(baseline_path)
-        diagnostics, suppressed = apply_baseline(
-            sort_diagnostics(diagnostics), fingerprints
+        diagnostics.extend(
+            lint_scenarios(builtin_scenarios(scenario_names), select, ignore)
         )
-    return LintResult(
-        diagnostics=sort_diagnostics(diagnostics),
-        suppressed=suppressed,
-        families=tuple(families),
-        targets=tuple(targets),
-    )
+    return sort_diagnostics(diagnostics)

@@ -1,37 +1,19 @@
-"""The scenario rule family: lint a source catalog against a query.
+"""The scenario rule family: a utility measure's declared flags, checked.
 
-A *scenario* is everything a mediator session needs — catalog, user
-query, the utility measures the experiments run, and optionally the
-extension/overlap model.  The rules cross-check that bundle before a
-single plan executes:
+A *scenario* is what a mediator session orders plans over: a catalog,
+a user query, and the utility measures the experiments run.  The
+orderers trust a measure's declared structure without checking it:
+Greedy and any-k need ``is_fully_monotonic``, Streamer needs
+``has_diminishing_returns`` (paper, Section 3), and every interval
+orderer needs ``evaluate_slots`` to bound ``evaluate``.
 
-* ``SCN001 unsafe-view`` — the query or a view has head variables that
-  no body atom restricts (range-unrestricted output columns).
-* ``SCN002 unrecoverable-head-variable`` — a query head variable sits
-  at a subgoal position that *every* covering source projects away
-  (all inverse rules carry a Skolem there), so no plan can return it.
-* ``SCN003 dead-source`` — a catalog source that enters no bucket of
-  the query: it will never appear in any plan.
-* ``SCN004 empty-bucket`` — a subgoal no source covers; the plan space
-  is empty and reformulation will fail outright.
-* ``SCN005 redundant-view`` — two sources with logically equivalent
-  views (via :mod:`repro.datalog.containment`) that are also
-  indistinguishable to the orderers (same statistics, same extensions
-  where modeled).  One of them is dead weight in every bucket.
-* ``SCN006 measure-property`` — sampled counterexample search against
-  each utility measure's declared structural flags: interval soundness,
-  full monotonicity (preference keys vs. point utilities), context
-  freeness, and utility-diminishing returns.
-* ``SCN007 monotonicity-misdeclaration`` — the operational consequence
-  of ``is_fully_monotonic`` that Greedy actually relies on: the plan
-  assembled from each bucket's best source by preference key must be
-  unbeaten by any sampled plan, and restricting the slots to exactly
-  that plan must collapse ``evaluate_slots`` onto its utility.
-
-The rules are deliberately conservative where the semantics are
-open-world: sources with equivalent views but different statistics are
-*not* redundant (the paper's sources are incomplete, so equal
-definitions do not imply equal contents).
+``SCN006 measure-property`` searches a deterministic sample of
+concrete plans for a counterexample to each of those flags.  The same
+checker is the test suite's measure-property oracle
+(``tests/property/test_interval_soundness.py``): there it runs on
+small synthetic spaces, which the sample covers exhaustively; here on
+the bundled workloads.  A finding is a genuine counterexample, silence
+on a sampled space is not a certificate.
 """
 
 from __future__ import annotations
@@ -43,36 +25,31 @@ from typing import Iterator, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
 from repro.analysis.registry import FAMILY_SCENARIO, rule
-from repro.datalog.containment import are_equivalent
 from repro.datalog.query import ConjunctiveQuery
-from repro.datalog.terms import Atom, Variable
 from repro.errors import ReproError, UtilityError
 from repro.reformulation.buckets import bucket_candidates
-from repro.reformulation.inverse_rules import exported_position_map
 from repro.reformulation.plans import QueryPlan
 from repro.sources.catalog import Catalog, SourceDescription
-from repro.sources.overlap import OverlapModel
 from repro.utility.base import UtilityMeasure
+from repro.utility.intervals import Interval
 
-#: How many concrete plans SCN006 samples per measure.
-_SAMPLE_PLANS = 40
-#: Tolerance for float comparisons in the property spot-checks.
+#: How many concrete plans SCN006 samples per scenario; spaces up to
+#: this size are enumerated whole.
+_SAMPLE_PLANS = 64
+#: How many sampled plans the execution walk records, one at a time.
+_EXECUTED = 4
+#: Relative tolerance for float comparisons in the checks.
 _EPS = 1e-9
 
 
 @dataclass
 class ScenarioContext:
-    """One lintable scenario: catalog + query + measures (+ model)."""
+    """One lintable scenario: catalog + query + measures."""
 
     name: str
     catalog: Catalog
     query: ConjunctiveQuery
     measures: tuple[UtilityMeasure, ...] = ()
-    model: Optional[OverlapModel] = None
-    #: Structural findings the scenario declares intentional, as
-    #: ``(rule_id, subject)`` pairs — e.g. ``("SCN003", "v_noise_3")``
-    #: for a deliberately unusable source in a stress workload.
-    waived: frozenset[tuple[str, str]] = frozenset()
     _candidates: Optional[tuple[tuple[SourceDescription, ...], ...]] = field(
         default=None, repr=False, compare=False
     )
@@ -83,297 +60,34 @@ class ScenarioContext:
             self._candidates = bucket_candidates(self.query, self.catalog)
         return self._candidates
 
-    def is_waived(self, rule_id: str, subject: str) -> bool:
-        return (rule_id, subject) in self.waived
+
+def _slack(*values: float) -> float:
+    return _EPS * max(1.0, *(abs(value) for value in values))
+
+
+def _contains(interval: Interval, value: float) -> bool:
+    slack = _slack(interval.lo, interval.hi, value)
+    return interval.lo - slack <= value <= interval.hi + slack
 
 
 def _diagnostic(
     context: ScenarioContext,
-    rule_id: str,
-    severity: Severity,
+    measure: UtilityMeasure,
     message: str,
-    fix_hint: str = "",
+    fix_hint: str,
     **data: object,
 ) -> Diagnostic:
     return Diagnostic(
-        rule=rule_id,
-        severity=severity,
-        message=message,
+        rule="SCN006",
+        severity=Severity.ERROR,
+        message=f"measure {measure.name!r}: {message}",
         location=Location(context.name),
         fix_hint=fix_hint,
-        family=FAMILY_SCENARIO,
-        data=data,
+        data={"measure": measure.name, **data},
     )
 
 
-# -- SCN001: unsafe / range-unrestricted views -------------------------------------
-
-
-def _unrestricted_head_vars(query: ConjunctiveQuery) -> tuple[Variable, ...]:
-    body_vars = {v for atom in query.body for v in atom.variables()}
-    return tuple(v for v in query.head.variables() if v not in body_vars)
-
-
-@rule(
-    "SCN001",
-    "unsafe-view",
-    FAMILY_SCENARIO,
-    Severity.ERROR,
-    "query or view head variable unrestricted by the body",
-    "A head variable no body atom mentions ranges over the whole "
-    "domain; neither query evaluation nor view expansion is defined "
-    "for it.",
-)
-def check_unsafe_view(context: ScenarioContext) -> Iterator[Diagnostic]:
-    loose = _unrestricted_head_vars(context.query)
-    if loose:
-        names = ", ".join(v.name for v in loose)
-        yield _diagnostic(
-            context,
-            "SCN001",
-            Severity.ERROR,
-            f"query {context.query.name!r} is unsafe: head variable(s) "
-            f"{names} never occur in the body",
-            fix_hint="add a body atom restricting the variable, or drop "
-            "it from the head",
-            query=context.query.name,
-            variables=[v.name for v in loose],
-        )
-    for source in context.catalog.sources:
-        loose = _unrestricted_head_vars(source.view)
-        if loose:
-            names = ", ".join(v.name for v in loose)
-            yield _diagnostic(
-                context,
-                "SCN001",
-                Severity.ERROR,
-                f"view of source {source.name!r} is unsafe: head "
-                f"variable(s) {names} never occur in the body",
-                fix_hint="restrict the variable in the view body or "
-                "remove the output column",
-                source=source.name,
-                variables=[v.name for v in loose],
-            )
-
-
-# -- SCN002: unrecoverable head variables ------------------------------------------
-
-
-@rule(
-    "SCN002",
-    "unrecoverable-head-variable",
-    FAMILY_SCENARIO,
-    Severity.ERROR,
-    "query head variable every covering source projects away",
-    "If every inverse rule for a relation carries a Skolem term at some "
-    "position, no source exposes that column; a query head variable "
-    "there can never be recovered, so no plan returns it.",
-)
-def check_unrecoverable_head_variable(
-    context: ScenarioContext,
-) -> Iterator[Diagnostic]:
-    head_vars = frozenset(context.query.head.variables())
-    reported: set[tuple[str, str]] = set()
-    for subgoal in context.query.subgoals:
-        exported = exported_position_map(
-            context.catalog, subgoal.predicate, subgoal.arity
-        )
-        if not any(exported):
-            # No source covers the relation at all; that is SCN004's
-            # finding, not a projection problem.
-            continue
-        for position, arg in enumerate(subgoal.args):
-            if not (isinstance(arg, Variable) and arg in head_vars):
-                continue
-            if exported[position]:
-                continue
-            key = (arg.name, subgoal.predicate)
-            if key in reported:
-                continue
-            reported.add(key)
-            yield _diagnostic(
-                context,
-                "SCN002",
-                Severity.ERROR,
-                f"head variable {arg.name} of query "
-                f"{context.query.name!r} is unrecoverable: every source "
-                f"covering {subgoal.predicate!r} projects position "
-                f"{position} away (Skolem term in all inverse rules)",
-                fix_hint=f"add a source exposing column {position} of "
-                f"{subgoal.predicate!r}, or drop {arg.name} from the "
-                f"query head",
-                variable=arg.name,
-                predicate=subgoal.predicate,
-                position=position,
-            )
-
-
-# -- SCN003: dead sources ----------------------------------------------------------
-
-
-@rule(
-    "SCN003",
-    "dead-source",
-    FAMILY_SCENARIO,
-    Severity.WARNING,
-    "catalog source that joins no bucket of the query",
-    "A source outside every bucket cannot appear in any plan: it is "
-    "catalog noise for this query, or the catalog/query pair has a "
-    "typo.",
-)
-def check_dead_source(context: ScenarioContext) -> Iterator[Diagnostic]:
-    alive = {
-        source.name
-        for members in context.candidates()
-        for source in members
-    }
-    for source in context.catalog.sources:
-        if source.name in alive:
-            continue
-        if context.is_waived("SCN003", source.name):
-            continue
-        yield _diagnostic(
-            context,
-            "SCN003",
-            Severity.WARNING,
-            f"source {source.name!r} enters no bucket of query "
-            f"{context.query.name!r}",
-            fix_hint="remove the source from this scenario, fix its "
-            "view, or waive the finding if the dead weight is "
-            "intentional",
-            source=source.name,
-        )
-
-
-# -- SCN004: empty buckets ---------------------------------------------------------
-
-
-@rule(
-    "SCN004",
-    "empty-bucket",
-    FAMILY_SCENARIO,
-    Severity.ERROR,
-    "query subgoal no source covers",
-    "An empty bucket makes the plan space empty: reformulation raises "
-    "and the query is unanswerable from the available sources.",
-)
-def check_empty_bucket(context: ScenarioContext) -> Iterator[Diagnostic]:
-    for index, members in enumerate(context.candidates()):
-        if members:
-            continue
-        subgoal = context.query.subgoal(index)
-        yield _diagnostic(
-            context,
-            "SCN004",
-            Severity.ERROR,
-            f"no source covers subgoal {index} ({subgoal}) of query "
-            f"{context.query.name!r}",
-            fix_hint="add a source whose view mentions "
-            f"{subgoal.predicate!r} with the needed columns exposed",
-            bucket=index,
-            predicate=subgoal.predicate,
-        )
-
-
-# -- SCN005: redundant views -------------------------------------------------------
-
-
-def _equivalent_views(
-    first: SourceDescription, second: SourceDescription
-) -> bool:
-    """Equivalence of the view *definitions*, head names aside.
-
-    Containment mappings must match head predicates, and two sources
-    necessarily have distinct ones; rename both heads to a common
-    placeholder so only the logic is compared.
-    """
-
-    def renamed(view: ConjunctiveQuery) -> ConjunctiveQuery:
-        return ConjunctiveQuery(Atom("__view__", view.head.args), view.body)
-
-    return are_equivalent(renamed(first.view), renamed(second.view))
-
-
-def _indistinguishable(
-    context: ScenarioContext,
-    first: SourceDescription,
-    second: SourceDescription,
-) -> bool:
-    """Are two equivalent-view sources identical to every orderer?"""
-    if first.stats != second.stats:
-        return False
-    if context.model is None:
-        return True
-    for bucket, members in enumerate(context.candidates()):
-        names = {s.name for s in members}
-        if first.name not in names or second.name not in names:
-            continue
-        has_first = context.model.has_extension(bucket, first.name)
-        has_second = context.model.has_extension(bucket, second.name)
-        if has_first != has_second:
-            return False
-        if has_first and context.model.extension(
-            bucket, first.name
-        ) != context.model.extension(bucket, second.name):
-            return False
-    # No modeled extensions differed: stats equality already decided.
-    return True
-
-
-@rule(
-    "SCN005",
-    "redundant-view",
-    FAMILY_SCENARIO,
-    Severity.WARNING,
-    "two sources indistinguishable in definition, stats, and extension",
-    "Logically equivalent views alone are fine (sources are "
-    "incomplete), but when statistics and modeled extensions coincide "
-    "too, the duplicate only inflates every bucket and plan space.",
-)
-def check_redundant_view(context: ScenarioContext) -> Iterator[Diagnostic]:
-    # Group by a cheap signature first so the O(n^2) containment tests
-    # only run within plausible groups.
-    by_signature: dict[tuple[int, tuple[str, ...]], list[SourceDescription]] = {}
-    for source in context.catalog.sources:
-        signature = (
-            source.arity,
-            tuple(sorted(a.predicate for a in source.body)),
-        )
-        by_signature.setdefault(signature, []).append(source)
-    for group in by_signature.values():
-        for first, second in itertools.combinations(group, 2):
-            if not _equivalent_views(first, second):
-                continue
-            if not _indistinguishable(context, first, second):
-                continue
-            if context.is_waived(
-                "SCN005", f"{first.name}/{second.name}"
-            ) or context.is_waived("SCN005", f"{second.name}/{first.name}"):
-                continue
-            yield _diagnostic(
-                context,
-                "SCN005",
-                Severity.WARNING,
-                f"sources {first.name!r} and {second.name!r} are "
-                f"redundant: equivalent views, equal statistics"
-                + (
-                    ", equal modeled extensions"
-                    if context.model is not None
-                    else ""
-                ),
-                fix_hint="drop one of the two sources, or give them "
-                "distinguishing statistics/extensions",
-                first=first.name,
-                second=second.name,
-            )
-
-
-# -- SCN006: utility-measure property spot-checks ----------------------------------
-
-
-def _sample_plans(
-    context: ScenarioContext, rng: random.Random
-) -> list[QueryPlan]:
+def _sample_plans(context: ScenarioContext) -> list[QueryPlan]:
     """Up to ``_SAMPLE_PLANS`` concrete plans, deterministically."""
     candidates = context.candidates()
     if any(not members for members in candidates):
@@ -381,29 +95,23 @@ def _sample_plans(
     size = 1
     for members in candidates:
         size *= len(members)
-    plans: list[QueryPlan] = []
     if size <= _SAMPLE_PLANS:
-        plans.extend(
-            QueryPlan(combo)
-            for combo in itertools.product(*candidates)
-        )
-    else:
-        seen: set[tuple[str, ...]] = set()
-        while len(plans) < _SAMPLE_PLANS:
-            combo = tuple(rng.choice(members) for members in candidates)
-            plan = QueryPlan(combo)
-            if plan.key not in seen:
-                seen.add(plan.key)
-                plans.append(plan)
-    return plans
+        return [QueryPlan(combo) for combo in itertools.product(*candidates)]
+    rng = random.Random(0)
+    plans: dict[tuple[str, ...], QueryPlan] = {}
+    while len(plans) < _SAMPLE_PLANS:
+        plan = QueryPlan(tuple(rng.choice(members) for members in candidates))
+        plans.setdefault(plan.key, plan)
+    return list(plans.values())
 
 
-def _supports_model(context: ScenarioContext, measure: UtilityMeasure) -> bool:
+def _supports_model(
+    context: ScenarioContext,
+    measure: UtilityMeasure,
+    plans: Sequence[QueryPlan],
+) -> bool:
     """Can the measure evaluate this scenario's plans at all?"""
     try:
-        plans = _sample_plans(context, random.Random(0))
-        if not plans:
-            return False
         fresh = measure.new_context()
         measure.evaluate(plans[0], fresh)
         measure.evaluate_slots(context.candidates(), fresh)
@@ -412,39 +120,112 @@ def _supports_model(context: ScenarioContext, measure: UtilityMeasure) -> bool:
     return True
 
 
-def _check_interval_soundness(
+def _check_point_slots(
     context: ScenarioContext,
     measure: UtilityMeasure,
     plans: Sequence[QueryPlan],
 ) -> Iterator[Diagnostic]:
-    candidates = context.candidates()
+    """Slots holding one source each must evaluate to that plan's point."""
     fresh = measure.new_context()
-    interval = measure.evaluate_slots(candidates, fresh)
     for plan in plans:
         value = measure.evaluate(plan, fresh)
-        if interval.lo - _EPS <= value <= interval.hi + _EPS:
+        interval = measure.evaluate_slots(
+            tuple((source,) for source in plan.sources), fresh
+        )
+        slack = _slack(interval.lo, interval.hi, value)
+        if abs(interval.lo - value) <= slack and abs(interval.hi - value) <= slack:
             continue
         yield _diagnostic(
             context,
-            "SCN006",
-            Severity.ERROR,
-            f"measure {measure.name!r}: interval evaluation is unsound: "
-            f"evaluate_slots gave [{interval.lo:g}, {interval.hi:g}] but "
-            f"plan {plan} evaluates to {value:g}",
-            fix_hint="evaluate_slots must bound evaluate() for every "
-            "concrete plan of the slots",
-            measure=measure.name,
+            measure,
+            f"slots restricted to plan {plan} evaluate to {interval}, not "
+            f"to the plan's own utility {value:g}",
+            "evaluate_slots on singleton slots must be the point "
+            "evaluate() gives; interval pruning reads this bound",
             plan=list(plan.key),
         )
-        return  # one counterexample per measure is enough
+        return  # one counterexample per check is enough
+
+
+def _check_executions(
+    context: ScenarioContext,
+    measure: UtilityMeasure,
+    plans: Sequence[QueryPlan],
+) -> Iterator[Diagnostic]:
+    """Walk one execution context from empty through ``_EXECUTED`` plans.
+
+    At every step ``evaluate_slots`` over the whole space must bound
+    every sampled plan; from one step to the next a context-free
+    measure's values must hold still, and one with diminishing returns
+    must never rise.
+    """
+    slots = context.candidates()
+    executed = measure.new_context()
+    found: dict[str, Diagnostic] = {}
+    previous: list[float] = []
+    for step in range(min(_EXECUTED, len(plans)) + 1):
+        if step:
+            executed.record(plans[step - 1])
+        interval = measure.evaluate_slots(slots, executed)
+        values = [measure.evaluate(plan, executed) for plan in plans]
+        for plan, value in zip(plans, values):
+            if "interval" in found or _contains(interval, value):
+                continue
+            found["interval"] = _diagnostic(
+                context,
+                measure,
+                f"interval evaluation is unsound: after {step} "
+                f"execution(s) evaluate_slots gave {interval} but plan "
+                f"{plan} evaluates to {value:g}",
+                "evaluate_slots must bound evaluate() for every concrete "
+                "plan of the slots, in every execution context",
+                plan=list(plan.key),
+            )
+        for plan, before, after in zip(plans, previous, values):
+            if (
+                measure.context_free
+                and "context_free" not in found
+                and abs(after - before) > _slack(before, after)
+            ):
+                found["context_free"] = _diagnostic(
+                    context,
+                    measure,
+                    f"claims context freeness but plan {plan} moves from "
+                    f"{before:g} to {after:g} when execution {step} is "
+                    f"recorded",
+                    "clear context_free (and re-derive "
+                    "has_diminishing_returns)",
+                    plan=list(plan.key),
+                )
+            if (
+                measure.has_diminishing_returns
+                and "diminishing" not in found
+                and after > before + _slack(before, after)
+            ):
+                found["diminishing"] = _diagnostic(
+                    context,
+                    measure,
+                    f"claims diminishing returns but plan {plan} improves "
+                    f"from {before:g} to {after:g} when execution {step} "
+                    f"is recorded",
+                    "clear has_diminishing_returns (Streamer must not run "
+                    "on this measure)",
+                    plan=list(plan.key),
+                )
+        previous = values
+    yield from found.values()
 
 
 def _check_full_monotonicity(
     context: ScenarioContext,
     measure: UtilityMeasure,
     plans: Sequence[QueryPlan],
-    rng: random.Random,
 ) -> Iterator[Diagnostic]:
+    """Upgrading any bucket to its preferred source never lowers utility.
+
+    This is the exchange argument Greedy stands on: per bucket, the
+    source with the best preference key composes into the best plan.
+    """
     candidates = context.candidates()
     try:
         keys = [
@@ -457,112 +238,41 @@ def _check_full_monotonicity(
     except UtilityError as exc:
         yield _diagnostic(
             context,
-            "SCN006",
-            Severity.ERROR,
-            f"measure {measure.name!r} claims full monotonicity but "
-            f"defines no source preference key ({exc})",
-            fix_hint="implement source_preference_key or clear "
-            "is_fully_monotonic",
-            measure=measure.name,
+            measure,
+            f"claims full monotonicity but defines no source preference "
+            f"key ({exc})",
+            "implement source_preference_key or clear is_fully_monotonic",
         )
         return
+    preferred = [
+        max(members, key=lambda s: (keys[bucket][s.name], s.name))
+        for bucket, members in enumerate(candidates)
+    ]
     fresh = measure.new_context()
     for plan in plans:
-        bucket = rng.randrange(len(candidates))
-        members = candidates[bucket]
-        if len(members) < 2:
-            continue
-        alternative = rng.choice(members)
-        current = plan.sources[bucket]
-        if alternative.name == current.name:
-            continue
-        # The preferred source must never yield the worse plan.
-        delta_key = keys[bucket][alternative.name] - keys[bucket][current.name]
-        if delta_key == 0:
-            continue
-        swapped = QueryPlan(
-            plan.sources[:bucket] + (alternative,) + plan.sources[bucket + 1 :]
-        )
-        delta_utility = measure.evaluate(swapped, fresh) - measure.evaluate(
-            plan, fresh
-        )
-        if delta_key > 0 and delta_utility < -_EPS:
+        before = measure.evaluate(plan, fresh)
+        for bucket, best in enumerate(preferred):
+            current = plan.sources[bucket]
+            if keys[bucket][best.name] <= keys[bucket][current.name]:
+                continue
+            upgraded = QueryPlan(
+                plan.sources[:bucket] + (best,) + plan.sources[bucket + 1 :]
+            )
+            after = measure.evaluate(upgraded, fresh)
+            if after >= before - _slack(before, after):
+                continue
             yield _diagnostic(
                 context,
-                "SCN006",
-                Severity.ERROR,
-                f"measure {measure.name!r}: full monotonicity violated: "
-                f"in bucket {bucket}, {alternative.name!r} is preferred "
-                f"over {current.name!r} (key {delta_key:+g}) yet swapping "
-                f"it into plan {plan} lowers utility by {-delta_utility:g}",
-                fix_hint="clear is_fully_monotonic or fix the "
-                "preference key",
-                measure=measure.name,
+                measure,
+                f"full monotonicity violated: in bucket {bucket}, "
+                f"{best.name!r} is preferred over {current.name!r} yet "
+                f"swapping it into plan {plan} lowers utility by "
+                f"{before - after:g}",
+                "clear is_fully_monotonic or fix source_preference_key; "
+                "Greedy would emit a suboptimal plan here",
                 bucket=bucket,
             )
             return
-
-
-def _check_context_freeness(
-    context: ScenarioContext,
-    measure: UtilityMeasure,
-    plans: Sequence[QueryPlan],
-) -> Iterator[Diagnostic]:
-    if len(plans) < 2:
-        return
-    fresh = measure.new_context()
-    loaded = measure.new_context()
-    for executed in plans[: max(1, len(plans) // 4)]:
-        loaded.record(executed)
-    for plan in plans:
-        before = measure.evaluate(plan, fresh)
-        after = measure.evaluate(plan, loaded)
-        if abs(before - after) <= _EPS:
-            continue
-        yield _diagnostic(
-            context,
-            "SCN006",
-            Severity.ERROR,
-            f"measure {measure.name!r} claims context freeness but plan "
-            f"{plan} evaluates to {before:g} on an empty context and "
-            f"{after:g} after {len(loaded)} executions",
-            fix_hint="clear context_free (and re-derive "
-            "has_diminishing_returns)",
-            measure=measure.name,
-            plan=list(plan.key),
-        )
-        return
-
-
-def _check_diminishing_returns(
-    context: ScenarioContext,
-    measure: UtilityMeasure,
-    plans: Sequence[QueryPlan],
-) -> Iterator[Diagnostic]:
-    if measure.context_free or len(plans) < 2:
-        return  # trivially diminishing; nothing to sample
-    fresh = measure.new_context()
-    loaded = measure.new_context()
-    for executed in plans[: max(1, len(plans) // 4)]:
-        loaded.record(executed)
-    for plan in plans:
-        before = measure.evaluate(plan, fresh)
-        after = measure.evaluate(plan, loaded)
-        if after <= before + _EPS:
-            continue
-        yield _diagnostic(
-            context,
-            "SCN006",
-            Severity.ERROR,
-            f"measure {measure.name!r} claims diminishing returns but "
-            f"plan {plan} improves from {before:g} to {after:g} as the "
-            f"executed set grows",
-            fix_hint="clear has_diminishing_returns (Streamer must not "
-            "run on this measure)",
-            measure=measure.name,
-            plan=list(plan.key),
-        )
-        return
 
 
 @rule(
@@ -571,125 +281,19 @@ def _check_diminishing_returns(
     FAMILY_SCENARIO,
     Severity.ERROR,
     "utility measure's declared structural flags fail a sampled check",
-    "The orderers trust is_fully_monotonic / context_free / "
-    "has_diminishing_returns blindly (Greedy and Streamer are unsound "
-    "without them); a sampled counterexample proves a flag is a lie.",
+    "The orderers trust evaluate_slots, is_fully_monotonic, "
+    "context_free and has_diminishing_returns blindly (Greedy and "
+    "Streamer are unsound without them); a sampled counterexample "
+    "proves a flag is a lie.",
 )
 def check_measure_properties(context: ScenarioContext) -> Iterator[Diagnostic]:
-    rng = random.Random(0)
-    plans = _sample_plans(context, rng)
+    plans = _sample_plans(context)
     if not plans:
         return
     for measure in context.measures:
-        if not _supports_model(context, measure):
+        if not _supports_model(context, measure, plans):
             continue
-        yield from _check_interval_soundness(context, measure, plans)
+        yield from _check_point_slots(context, measure, plans)
+        yield from _check_executions(context, measure, plans)
         if measure.is_fully_monotonic:
-            yield from _check_full_monotonicity(context, measure, plans, rng)
-        if measure.context_free:
-            yield from _check_context_freeness(context, measure, plans)
-        if measure.has_diminishing_returns:
-            yield from _check_diminishing_returns(context, measure, plans)
-
-
-# -- SCN007: the greedy consequence of full monotonicity ---------------------------
-
-
-def _greedy_plan_by_keys(
-    context: ScenarioContext, measure: UtilityMeasure
-) -> Optional[QueryPlan]:
-    """The plan Greedy would build: per bucket, the best preference key.
-
-    Ties break on source name so the check is deterministic.  Raises
-    :class:`UtilityError` when the measure defines no preference key —
-    callers skip then, because SCN006 already reports that mismatch.
-    """
-    choices = []
-    for bucket, members in enumerate(context.candidates()):
-        if not members:
-            return None
-        choices.append(
-            max(
-                members,
-                key=lambda source: (
-                    measure.source_preference_key(bucket, source),
-                    source.name,
-                ),
-            )
-        )
-    return QueryPlan(tuple(choices))
-
-
-@rule(
-    "SCN007",
-    "monotonicity-misdeclaration",
-    FAMILY_SCENARIO,
-    Severity.ERROR,
-    "greedy-by-preference-key plan is beaten despite is_fully_monotonic",
-    "SCN006 spot-checks single swaps; this rule checks the exchange "
-    "argument Greedy actually stands on: under full monotonicity the "
-    "per-bucket best preference keys compose into an unbeaten plan, "
-    "and slots restricted to exactly that plan leave evaluate_slots "
-    "a point interval around its utility.",
-)
-def check_monotonicity_misdeclaration(
-    context: ScenarioContext,
-) -> Iterator[Diagnostic]:
-    rng = random.Random(0)
-    plans = _sample_plans(context, rng)
-    if not plans:
-        return
-    for measure in context.measures:
-        if not measure.is_fully_monotonic:
-            continue
-        if not _supports_model(context, measure):
-            continue
-        try:
-            greedy = _greedy_plan_by_keys(context, measure)
-        except UtilityError:
-            continue  # no preference key at all: SCN006's finding
-        if greedy is None:
-            continue
-        fresh = measure.new_context()
-        greedy_value = measure.evaluate(greedy, fresh)
-        for plan in plans:
-            value = measure.evaluate(plan, fresh)
-            if value <= greedy_value + _EPS:
-                continue
-            yield _diagnostic(
-                context,
-                "SCN007",
-                Severity.ERROR,
-                f"measure {measure.name!r} misdeclares full "
-                f"monotonicity: greedy-by-key plan {greedy} has utility "
-                f"{greedy_value:g} but sampled plan {plan} reaches "
-                f"{value:g}",
-                fix_hint="clear is_fully_monotonic or fix "
-                "source_preference_key; Greedy would emit a "
-                "suboptimal first plan here",
-                measure=measure.name,
-                greedy=list(greedy.key),
-                better=list(plan.key),
-            )
-            break  # one counterexample per measure is enough
-        else:
-            # Unbeaten: the singleton restriction must collapse onto it.
-            restricted = tuple((source,) for source in greedy.sources)
-            interval = measure.evaluate_slots(restricted, fresh)
-            if not (
-                interval.lo - _EPS <= greedy_value <= interval.hi + _EPS
-            ):
-                yield _diagnostic(
-                    context,
-                    "SCN007",
-                    Severity.ERROR,
-                    f"measure {measure.name!r}: slots restricted to the "
-                    f"greedy plan {greedy} evaluate to "
-                    f"[{interval.lo:g}, {interval.hi:g}], which misses "
-                    f"the plan's own utility {greedy_value:g}",
-                    fix_hint="evaluate_slots on singleton slots must "
-                    "bound the one remaining plan; interval pruning "
-                    "reads this bound",
-                    measure=measure.name,
-                    greedy=list(greedy.key),
-                )
+            yield from _check_full_monotonicity(context, measure, plans)

@@ -31,8 +31,9 @@ Commands
     ``--router N`` drives an in-process cluster and reports per-shard
     percentiles and the shard-imbalance ratio.
 ``lint``
-    Static analysis (:mod:`repro.analysis`): the AST code rules over a
-    source tree and/or the scenario rules over bundled workloads.
+    Static analysis (:mod:`repro.analysis`): the AST code rules and the
+    whole-program concurrency rules over a source tree, and the
+    measure-property rule over the bundled workloads.
 ``profile``
     Headless perf-baseline run (:mod:`repro.experiments.profile`):
     ordering throughput, observability-hook overhead ratios, service
@@ -762,19 +763,11 @@ def _split_patterns(values: Optional[Sequence[str]]) -> tuple[str, ...]:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        DEFAULT_REGISTRY,
-        Severity,
-        render_json,
-        render_sarif,
-        render_text,
-        write_baseline,
-    )
-    from repro.analysis.runner import EXIT_USAGE, run_lint
-    from repro.errors import AnalysisError
+    from repro.analysis import RULES, render_text, run_lint
 
     if args.list_rules:
-        for rule in DEFAULT_REGISTRY:
+        for rule_id in sorted(RULES):
+            rule = RULES[rule_id]
             print(
                 f"{rule.id}  {rule.slug:28s} {rule.family:12s} "
                 f"{str(rule.severity):8s} {rule.summary}"
@@ -782,60 +775,24 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
 
     # Family flags narrow the run; with none given, all families run.
+    # A bad pattern, path or workload is an AnalysisError: exit 2.
     explicit = args.code or args.scenario or args.concurrency
-    run_code = args.code or not explicit
-    run_scenarios = args.scenario or not explicit
-    run_concurrency = args.concurrency or not explicit
+    diagnostics = run_lint(
+        code_paths=tuple(args.paths),
+        scenario_names=tuple(args.workload or ()),
+        run_code=args.code or not explicit,
+        run_scenarios=args.scenario or not explicit,
+        run_concurrency=args.concurrency or not explicit,
+        select=_split_patterns(args.select),
+        ignore=_split_patterns(args.ignore),
+    )
     try:
-        fail_on = Severity.from_name(args.fail_on)
-        result = run_lint(
-            code_paths=tuple(args.paths),
-            scenario_names=tuple(args.workload or ()),
-            run_code=run_code,
-            run_scenarios=run_scenarios,
-            run_concurrency=run_concurrency,
-            select=_split_patterns(args.select),
-            ignore=_split_patterns(args.ignore),
-            baseline_path=args.baseline,
-        )
-        if args.write_baseline:
-            count = write_baseline(args.write_baseline, result.diagnostics)
-            print(f"wrote {count} fingerprints to {args.write_baseline}")
-            return 0
-    except (AnalysisError, ValueError) as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.format == "json":
-        report = render_json(
-            result.diagnostics,
-            suppressed=result.suppressed,
-            families=result.families,
-            targets=result.targets,
-        )
-    elif args.format == "sarif":
-        report = render_sarif(
-            result.diagnostics, families=result.families
-        )
-    else:
-        report = render_text(
-            result.diagnostics,
-            suppressed=result.suppressed,
-            show_hints=not args.no_hints,
-        )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-            handle.write("\n")
-        print(f"wrote report to {args.output}")
-    else:
-        try:
-            print(report)
-        except BrokenPipeError:
-            # Downstream pager/head closed early; the exit code is the
-            # contract, not the truncated output.
-            pass
-    return result.exit_code(fail_on)
+        print(render_text(diagnostics))
+    except BrokenPipeError:
+        # Downstream pager/head closed early; the exit code is the
+        # contract, not the truncated output.
+        pass
+    return 1 if diagnostics else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1049,10 +1006,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="write the load report (including the "
                             "degradation summary) to PATH as JSON")
 
-    lint = sub.add_parser("lint", help="static analysis (code + scenarios)")
+    lint = sub.add_parser(
+        "lint", help="static analysis (code, concurrency, scenarios)"
+    )
     lint.add_argument("paths", nargs="*", default=["src/repro"],
-                      help="files/directories for the code rules "
-                           "(default: src/repro)")
+                      help="files/directories for the code and concurrency "
+                           "rules (default: src/repro)")
     lint.add_argument("--code", action="store_true",
                       help="run only the AST code rules")
     lint.add_argument("--scenario", action="store_true",
@@ -1066,20 +1025,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       help="comma-separated rule ids/slugs/prefixes to run")
     lint.add_argument("--ignore", action="append", metavar="RULES",
                       help="comma-separated rule ids/slugs/prefixes to skip")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    lint.add_argument("--output", metavar="PATH", default=None,
-                      help="write the report to PATH instead of stdout")
-    lint.add_argument("--baseline", metavar="PATH", default=None,
-                      help="suppress findings fingerprinted in PATH")
-    lint.add_argument("--write-baseline", metavar="PATH", default=None,
-                      help="record current findings as the new baseline")
-    lint.add_argument("--fail-on", default="warning",
-                      choices=("info", "warning", "error"),
-                      help="lowest severity that fails the run "
-                           "(default: warning)")
-    lint.add_argument("--no-hints", action="store_true",
-                      help="omit fix hints from text output")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
 

@@ -1,13 +1,15 @@
 """End-to-end tests for ``repro lint``."""
 
-import json
-
 import pytest
 
 from repro.cli import main
 
 BAD_MODULE = """\
-def pick(items, seen=[]):
+import time
+
+
+def pick(items):
+    time.sleep(0.1)
     assert items
     return items[0]
 """
@@ -57,11 +59,8 @@ class TestExitCodes:
         assert main(["lint", "--code", bad_file]) == 1
         out = capsys.readouterr().out
         assert "COD003" in out
-        assert "COD005" in out
-
-    def test_fail_on_error_ignores_warnings(self, bad_file):
-        assert main(["lint", "--code", bad_file, "--select", "COD005",
-                     "--fail-on", "error"]) == 0
+        assert "COD006" in out
+        assert out.rstrip().endswith("2 errors")
 
     def test_bad_select_pattern_exits_two(self, clean_file, capsys):
         assert main(["lint", "--code", clean_file,
@@ -71,6 +70,38 @@ class TestExitCodes:
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main(["lint", "--code", str(tmp_path / "absent")]) == 2
         assert "no such file" in capsys.readouterr().err
+
+
+class TestRuleSelection:
+    def test_select_narrows_the_run(self, bad_file, capsys):
+        assert main(["lint", "--code", bad_file, "--select", "COD003"]) == 1
+        out = capsys.readouterr().out
+        assert "COD003" in out
+        assert "COD006" not in out
+
+    def test_select_by_slug(self, bad_file, capsys):
+        assert main(["lint", "--code", bad_file,
+                     "--select", "bare-sleep"]) == 1
+        assert capsys.readouterr().out.rstrip().endswith("1 error")
+
+    def test_comma_separated_ignore_clears_the_run(self, bad_file, capsys):
+        assert main(["lint", "--code", bad_file,
+                     "--ignore", "COD003, COD006"]) == 0
+        assert "no findings" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", [
+        ["--format", "json"],
+        ["--output", "report.json"],
+        ["--baseline", "baseline.json"],
+        ["--write-baseline", "baseline.json"],
+        ["--fail-on", "error"],
+        ["--no-hints"],
+    ])
+    def test_removed_options_are_usage_errors(self, clean_file, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--code", clean_file, *option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConcurrencyFlag:
@@ -95,23 +126,17 @@ class TestConcurrencyFlag:
         payload_out = capsys.readouterr().out
         assert "CON003" in payload_out
 
-    def test_sarif_output(self, blocking_file, capsys):
-        code = main(["lint", "--concurrency", blocking_file,
-                     "--format", "sarif"])
-        assert code == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        (run,) = log["runs"]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        (result,) = run["results"]
-        assert result["ruleId"] == "CON003"
-        assert result["partialFingerprints"]["reproLint/v1"]
-
 
 class TestScenarioFlag:
     def test_named_workload_runs_clean(self, capsys):
         assert main(["lint", "--scenario", "--workload", "movies"]) == 0
         assert "no findings" in capsys.readouterr().out
+
+    def test_workload_is_repeatable(self, capsys):
+        # The second name is linted too: a bad one there fails the run.
+        assert main(["lint", "--scenario", "--workload", "movies",
+                     "--workload", "nope"]) == 2
+        assert "'nope'" in capsys.readouterr().err
 
     def test_unknown_workload_exits_two(self, capsys):
         assert main(["lint", "--scenario", "--workload", "nope"]) == 2
@@ -119,46 +144,11 @@ class TestScenarioFlag:
 
 
 class TestOutputFormats:
-    def test_json_report_shape(self, bad_file, capsys):
-        assert main(["lint", "--code", bad_file, "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tool"] == "repro-lint"
-        assert payload["families"] == ["code"]
-        assert payload["summary"]["total"] == 2
-        assert {d["rule"] for d in payload["diagnostics"]} == {
-            "COD003", "COD005"
-        }
-
-    def test_output_flag_writes_a_file(self, bad_file, tmp_path, capsys):
-        report = tmp_path / "report.json"
-        code = main(["lint", "--code", bad_file, "--format", "json",
-                     "--output", str(report)])
-        assert code == 1
-        assert json.loads(report.read_text())["summary"]["total"] == 2
-        assert "wrote report to" in capsys.readouterr().out
-
-    def test_no_hints_strips_fix_hints(self, bad_file, capsys):
-        main(["lint", "--code", bad_file, "--no-hints"])
-        assert "[hint:" not in capsys.readouterr().out
-
     def test_list_rules_prints_the_catalog(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("COD001", "COD002", "COD003", "COD004", "COD005",
-                        "CON001", "CON002", "CON003", "CON004", "CON005",
-                        "SCN001", "SCN002", "SCN003", "SCN004", "SCN005",
-                        "SCN006", "SCN007"):
+        for rule_id in ("COD001", "COD002", "COD003", "COD004", "COD006",
+                        "COD007", "CON001", "CON002", "CON003", "CON004",
+                        "SCN006"):
             assert rule_id in out
-
-
-class TestBaselineWorkflow:
-    def test_write_then_apply(self, bad_file, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["lint", "--code", bad_file,
-                     "--write-baseline", baseline]) == 0
-        assert "wrote 2 fingerprints" in capsys.readouterr().out
-        assert main(["lint", "--code", bad_file,
-                     "--baseline", baseline]) == 0
-        out = capsys.readouterr().out
-        assert "no findings" in out
-        assert "2 suppressed by baseline" in out
+        assert len(out.splitlines()) == 11

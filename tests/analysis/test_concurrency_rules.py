@@ -1,14 +1,21 @@
-"""Fixture corpus for the concurrency rule family (CON001–CON005).
+"""Fixture corpus for the concurrency rule family (CON001–CON004).
 
 Every rule gets at least one seeded-bug fixture (known-true-positive)
 and a paired clean fixture differing only in the property under test,
-both run through :func:`lint_concurrency_sources` — the same two-phase
+both run through :func:`lint_concurrency` — the same two-phase
 pipeline ``repro lint --concurrency`` uses, minus the filesystem.
 """
 
 import pytest
 
-from repro.analysis.runner import lint_concurrency_sources
+from repro.analysis.astutils import CodeModule
+from repro.analysis.concurrency import build_model
+from repro.analysis.runner import lint_concurrency
+
+
+def lint_concurrency_sources(sources, **kwargs):
+    modules = [CodeModule.from_source(source, path) for path, source in sources]
+    return lint_concurrency(modules, **kwargs)
 
 
 def rules_hit(*sources, **kwargs):
@@ -91,6 +98,57 @@ class TestPotentialDeadlock:
             ("fx/ordered.py", ORDERED_LOCKS_SRC), select=["CON001"]
         ) == []
 
+    def test_plain_lock_reacquired_through_a_call(self):
+        findings = lint_concurrency_sources(
+            [("fx/reentry.py", REENTRY_SRC)], select=["CON001"]
+        )
+        assert [f.rule for f in findings] == ["CON001"]
+        assert "non-reentrant lock Board._lock" in findings[0].message
+
+    def test_rlock_reentry_is_clean(self):
+        reentrant = REENTRY_SRC.replace("threading.Lock()", "threading.RLock()")
+        assert rules_hit(("fx/reentry.py", reentrant), select=["CON001"]) == []
+
+
+REENTRY_SRC = '''
+import threading
+
+
+class Board:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._states = {}
+
+    def states(self):
+        with self._lock:
+            return dict(self._states)
+
+    def describe(self):
+        with self._lock:
+            return len(self.states())
+'''
+
+
+CLOCKED_SRC = '''
+import threading
+
+
+class Meter:
+    def __init__(self, clock, seconds, blocking):
+        self._lock = threading.Lock()
+        self._clock = clock
+        self._seconds = seconds
+        self._blocking = blocking
+'''
+
+
+class TestLockNodes:
+    def test_lock_words_match_whole_words(self):
+        # "_clock" and "_blocking" hold "lock", "_seconds" holds "cond":
+        # none of them names a lock, so none is a lock-order node.
+        model = build_model([CodeModule.from_source(CLOCKED_SRC, "fx/meter.py")])
+        assert sorted(model.kinds) == ["Meter._lock"]
+
 
 # -- CON002: unguarded shared state ------------------------------------------------
 
@@ -151,6 +209,36 @@ class TestUnguardedSharedState:
             ("fx/guarded.py", GUARDED_SRC), select=["CON002"]
         ) == []
 
+    def test_thread_subclass_run_is_a_thread_entry(self):
+        findings = lint_concurrency_sources(
+            [("fx/subclass.py", SUBCLASS_SRC)], select=["CON002"]
+        )
+        assert [f.rule for f in findings] == ["CON002"]
+        assert findings[0].data["thread_method"] == "run"
+
+    def test_state_only_read_on_both_sides_is_clean(self):
+        read_only = SUBCLASS_SRC.replace(
+            "self.done += 1", "print(self.done)"
+        )
+        assert rules_hit(("fx/subclass.py", read_only), select=["CON002"]) == []
+
+
+SUBCLASS_SRC = '''
+import threading
+
+
+class Replayer(threading.Thread):
+    def __init__(self):
+        super().__init__(daemon=True)
+        self.done = 0
+
+    def run(self):
+        self.done += 1
+
+    def progress(self):
+        return self.done
+'''
+
 
 # -- CON003: blocking under a held mutex -------------------------------------------
 
@@ -208,6 +296,61 @@ class TestBlockingUnderLock:
         )
         assert rules_hit(("fx/waived.py", waived), select=["CON003"]) == []
 
+    def test_timeoutless_join_under_lock(self):
+        findings = lint_concurrency_sources(
+            [("fx/joins.py", JOIN_SRC)], select=["CON003"]
+        )
+        assert [f.data["kind"] for f in findings] == ["join"]
+
+    def test_bounded_join_under_lock_is_clean(self):
+        bounded = JOIN_SRC.replace(".join()", ".join(timeout=1.0)")
+        assert rules_hit(("fx/joins.py", bounded), select=["CON003"]) == []
+
+    def test_blocking_reached_through_a_call_chain(self):
+        findings = lint_concurrency_sources(
+            [("fx/chain.py", CHAIN_SRC)], select=["CON003"]
+        )
+        assert [f.rule for f in findings] == ["CON003"]
+        assert findings[0].data["callee"] == "Relay._push"
+
+    def test_holding_a_semaphore_is_exempt(self):
+        admission = BLOCKING_SRC.replace(
+            "threading.Lock()", "threading.Semaphore(4)"
+        )
+        assert rules_hit(("fx/admit.py", admission), select=["CON003"]) == []
+
+
+JOIN_SRC = '''
+import threading
+
+
+class Pool:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._worker_thread = threading.Thread(target=print)
+
+    def close(self):
+        with self._lock:
+            self._worker_thread.join()
+'''
+
+CHAIN_SRC = '''
+import threading
+
+
+class Relay:
+    def __init__(self, sock):
+        self._lock = threading.Lock()
+        self.sock = sock
+
+    def _push(self, data):
+        self.sock.sendall(data)
+
+    def send(self, data):
+        with self._lock:
+            self._push(data)
+'''
+
 
 # -- CON004: journal emit sites vs EVENT_SCHEMA ------------------------------------
 
@@ -250,58 +393,6 @@ class TestJournalContract:
         ) == []
 
 
-# -- CON005: wire-record literals vs RECORD_TYPES ----------------------------------
-
-BAD_RECORDS_SRC = '''
-def bad(request_id):
-    return {"type": "bogus", "id": request_id}
-
-
-def partial(request_id):
-    return {"type": "error", "id": request_id}
-'''
-
-GOOD_RECORDS_SRC = '''
-def complete(request_id):
-    return {
-        "type": "error",
-        "id": request_id,
-        "code": "overloaded",
-        "message": "busy",
-    }
-
-
-def probe():
-    return {"type": "health"}
-'''
-
-
-class TestWireRecordContract:
-    def test_unknown_type_and_missing_keys(self):
-        findings = lint_concurrency_sources(
-            [("src/repro/service/fx_bad.py", BAD_RECORDS_SRC)],
-            select=["CON005"],
-        )
-        messages = sorted(f.message for f in findings)
-        assert len(findings) == 2
-        assert any("unknown type" in m for m in messages)
-        assert any("code" in m and "message" in m for m in messages)
-
-    def test_complete_records_are_clean(self):
-        assert rules_hit(
-            ("src/repro/service/fx_good.py", GOOD_RECORDS_SRC),
-            select=["CON005"],
-        ) == []
-
-    def test_modules_outside_the_wire_are_exempt(self):
-        # Same literals, but the module neither lives under service/
-        # nor imports the protocol: CON005 does not apply.
-        assert rules_hit(
-            ("src/repro/utility/fx_bad.py", BAD_RECORDS_SRC),
-            select=["CON005"],
-        ) == []
-
-
 # -- cross-rule: the corpus as one program -----------------------------------------
 
 
@@ -313,10 +404,9 @@ class TestWholeCorpus:
                 ("fx/unguarded.py", UNGUARDED_SRC),
                 ("fx/blocking.py", BLOCKING_SRC),
                 ("fx/bad_emits.py", BAD_EMITS_SRC),
-                ("src/repro/service/fx_bad.py", BAD_RECORDS_SRC),
             )
         )
-        assert hits == {"CON001", "CON002", "CON003", "CON004", "CON005"}
+        assert hits == {"CON001", "CON002", "CON003", "CON004"}
 
     def test_the_clean_corpus_is_silent(self):
         assert rules_hit(
@@ -324,7 +414,6 @@ class TestWholeCorpus:
             ("fx/guarded.py", GUARDED_SRC),
             ("fx/nonblocking.py", NONBLOCKING_SRC),
             ("fx/good_emits.py", GOOD_EMITS_SRC),
-            ("src/repro/service/fx_good.py", GOOD_RECORDS_SRC),
         ) == []
 
     def test_unknown_select_pattern_is_an_error(self):

@@ -1,0 +1,263 @@
+"""Every kept lint rule catches a seeded defect in the real source tree.
+
+Each row names a rule, a file under ``src/repro``, a snippet that
+occurs exactly once in it, and its replacement.  Each replacement
+seeds a defect of the kind the rule exists for that no other tier-1
+test catches.  A rule's first row is the audit mutation that decided
+it stays (see ``docs/analysis.md``); a second row, where there is one,
+plants the same kind of defect in another file or shape.  SCN006 has
+one row: other interval slips in the bundled measures are either
+caught by the ordering goldens or too small to cross a sampled plan.
+
+Mutations are applied in memory only: the code and concurrency rules
+lint the mutated text; for the scenario rule the mutated module is
+executed and its classes rebound wherever the tree imported them, so
+the bundled scenarios build with them.
+
+A row whose snippet has drifted out of its file fails, naming the row.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.analysis import RULES
+from repro.analysis.astutils import CodeModule
+from repro.analysis.runner import (
+    builtin_scenarios,
+    lint_code,
+    lint_concurrency,
+    lint_scenarios,
+    load_modules,
+)
+
+PACKAGE = Path(repro.__file__).parent
+
+ROWS = [
+    # A lock-free read of state every other method reads under the lock.
+    ("COD001", "observability/journal.py",
+     "    def __len__(self) -> int:\n"
+     "        with self._lock:\n"
+     "            return len(self._events)\n",
+     "    def __len__(self) -> int:\n"
+     "        return len(self._events)\n"),
+    # A chaos counter bumped outside the lock that guards its other bump.
+    ("COD001", "resilience/chaos.py",
+     "            if fault.permanent_outage:\n"
+     "                with self._lock:\n"
+     "                    self.outages_hit += 1\n",
+     "            if fault.permanent_outage:\n"
+     "                self.outages_hit += 1\n"),
+    # Greedy enumerates each whole plan space before its first plan.
+    ("COD002", "ordering/greedy.py",
+     "        for space in spaces:\n"
+     "            frontier.push(_SpaceBest(space, self.utility))\n",
+     "        for space in spaces:\n"
+     "            list(space.plans())\n"
+     "            frontier.push(_SpaceBest(space, self.utility))\n"),
+    # Streamer enumerates each space to skip the empty ones.
+    ("COD002", "ordering/streamer.py",
+     "        for space_id, space in enumerate(spaces):\n"
+     "            root = graph.add_plan(\n",
+     "        for space_id, space in enumerate(spaces):\n"
+     "            if not list(space.plans()):\n"
+     "                continue\n"
+     "            root = graph.add_plan(\n"),
+    # An invariant that python -O stops checking.
+    ("COD003", "ordering/bruteforce.py",
+     "            if best_key is None:\n"
+     "                raise InternalError(\n"
+     '                    "non-empty remaining set produced no best plan"\n'
+     "                )\n",
+     "            assert best_key is not None, (\n"
+     '                "non-empty remaining set produced no best plan"\n'
+     "            )\n"),
+    ("COD003", "service/session.py",
+     "        if report is None:\n"
+     '            raise InternalError("stream() finished without leaving a '
+     'report")\n',
+     "        assert report is not None, "
+     '"stream() finished without leaving a report"\n'),
+    # The producer's failure never reaches the consumer.
+    ("COD004", "service/session.py",
+     "            except BaseException as exc:  # surfaced on the consumer\n"
+     "                end = exc\n",
+     "            except BaseException:\n"
+     "                pass\n"),
+    # Closing a worker connection now hides every error, not just OSError.
+    ("COD004", "cluster/router.py",
+     "                closeable.close()\n"
+     "            except OSError:\n"
+     "                pass\n",
+     "                closeable.close()\n"
+     "            except Exception:\n"
+     "                pass\n"),
+    # The probe loop sleeps through stop().
+    ("COD006", "cluster/supervisor.py",
+     "        while not self._stop.wait(self.config.probe_interval_s):\n",
+     "        while not self._stop.is_set():\n"
+     "            time.sleep(self.config.probe_interval_s)\n"),
+    # A session's retry backoff no longer ends when the session stops.
+    ("COD006", "service/session.py",
+     "    def wait(self, seconds: float) -> None:\n"
+     "        self.stop.wait(self.deadline.clamp(seconds))\n",
+     "    def wait(self, seconds: float) -> None:\n"
+     "        from time import sleep\n"
+     "\n"
+     "        sleep(self.deadline.clamp(seconds))\n"),
+    # A debug line on stdout for every served request.
+    ("COD007", "service/server.py",
+     "        with self.registry.lock:\n"
+     "            self._m_completed.inc()\n",
+     '        print(f"{request_id}: {report.status}")\n'
+     "        with self.registry.lock:\n"
+     "            self._m_completed.inc()\n"),
+    ("COD007", "resilience/manager.py",
+     "        value = self.epoch.bump()\n",
+     "        value = self.epoch.bump()\n"
+     '        print(f"health epoch {value}: {reason}")\n'),
+    # Registry lock, then measure lock: the reverse of shared_measure.
+    ("CON001", "service/server.py",
+     "        with self.registry.lock:\n"
+     "            self._m_completed.inc()\n",
+     "        with self.registry.lock:\n"
+     "            self.shared_measure(measure_name)\n"
+     "            self._m_completed.inc()\n"),
+    # The board's plain Lock taken again by states() inside __repr__.
+    ("CON001", "resilience/breaker.py",
+     "    def __repr__(self) -> str:\n"
+     "        states = self.states()\n",
+     "    def __repr__(self) -> str:\n"
+     "        with self._lock:\n"
+     "            states = self.states()\n"),
+    # The producer thread writes the report the consumer owns.
+    ("CON002", "service/session.py",
+     "                    if item is None:\n"
+     "                        end = _EXHAUSTED\n",
+     "                    if item is None:\n"
+     "                        self.last_report.exhausted = True\n"
+     "                        end = _EXHAUSTED\n"),
+    # A progress reading of counters the load thread is still bumping.
+    ("CON002", "service/loadgen.py",
+     "    def run(self) -> None:\n"
+     "        # A worker thread must never die with a traceback: every\n",
+     "    def in_flight(self) -> int:\n"
+     "        return self.sent - self.completed\n"
+     "\n"
+     "    def run(self) -> None:\n"
+     "        # A worker thread must never die with a traceback: every\n"),
+    # A pipe read while holding the routing-table lock.
+    ("CON003", "cluster/supervisor.py",
+     "                try:\n"
+     "                    message = conn.recv()\n",
+     "                try:\n"
+     "                    with self._lock:\n"
+     "                        message = conn.recv()\n"),
+    # A health probe's whole round trip under the routing-table lock.
+    ("CON003", "cluster/supervisor.py",
+     "        with connect(host, port, "
+     "timeout=self.config.probe_timeout_s) as sock:\n",
+     "        with self._lock, connect(\n"
+     "            host, port, timeout=self.config.probe_timeout_s\n"
+     "        ) as sock:\n"),
+    # A journal event without a field the schema requires.
+    ("CON004", "cluster/supervisor.py",
+     '                "cluster.worker", shard=handle.shard, '
+     'state="restart_failed"\n',
+     '                "cluster.worker", state="restart_failed"\n'),
+    ("CON004", "cluster/supervisor.py",
+     '                "cluster.worker", shard=handle.shard, '
+     'state="abandoned"\n',
+     '                "cluster.worker", state="abandoned"\n'),
+    # Failure-aware bind-join intervals forget the success probability.
+    ("SCN006", "utility/cost.py",
+     "        if self.failure_aware:\n"
+     "            cost = cost / success\n"
+     "        return -cost\n"
+     "\n"
+     "    # -- monotonicity",
+     "        return -cost\n"
+     "\n"
+     "    # -- monotonicity"),
+]
+
+
+@pytest.fixture(scope="module")
+def tree():
+    return load_modules([str(PACKAGE)])
+
+
+@pytest.fixture(scope="module")
+def clean_findings(tree):
+    """Every kept rule's findings on the unmutated tree."""
+    return [
+        *lint_code(tree),
+        *lint_concurrency(tree),
+        *lint_scenarios(builtin_scenarios()),
+    ]
+
+
+def mutated(path, snippet, replacement):
+    source = (PACKAGE / path).read_text(encoding="utf-8")
+    count = source.count(snippet)
+    assert count == 1, (
+        f"the snippet occurs {count} times in {path}; update its row"
+    )
+    return source.replace(snippet, replacement)
+
+
+def rebind_module(path, source, monkeypatch):
+    """Run *source* as the module at *path*; rebind its classes everywhere."""
+    name = "repro." + path[: -len(".py")].replace("/", ".")
+    namespace = {"__name__": name, "__file__": str(PACKAGE / path)}
+    exec(compile(source, str(PACKAGE / path), "exec"), namespace)
+    originals = {
+        value: namespace[attr]
+        for attr, value in vars(sys.modules[name]).items()
+        if isinstance(value, type) and value.__module__ == name
+    }
+    for module in list(sys.modules.values()):
+        for attr, value in list(vars(module).items()):
+            if isinstance(value, type) and value in originals:
+                monkeypatch.setattr(module, attr, originals[value])
+
+
+def test_every_kept_rule_has_a_row():
+    assert sorted({row[0] for row in ROWS}) == sorted(RULES)
+
+
+def row_ids():
+    """``COD001-1``, ``COD001-2``, …: the rule and the row's number in it."""
+    ids = []
+    for rule, *_ in ROWS:
+        ids.append(f"{rule}-{sum(i.startswith(rule) for i in ids) + 1}")
+    return ids
+
+
+@pytest.mark.parametrize(
+    "rule, path, snippet, replacement", ROWS, ids=row_ids()
+)
+def test_rule_catches_its_seeded_mutation(
+    rule, path, snippet, replacement, tree, clean_findings, monkeypatch
+):
+    assert [d for d in clean_findings if d.rule == rule] == []
+    source = mutated(path, snippet, replacement)
+    target = str(PACKAGE / path)
+    if rule.startswith("COD"):
+        findings = lint_code(
+            [CodeModule.from_source(source, target)], select=[rule]
+        )
+    elif rule.startswith("CON"):
+        modules = [
+            CodeModule.from_source(source, target) if m.path == target else m
+            for m in tree
+        ]
+        findings = lint_concurrency(modules, select=[rule])
+    else:
+        rebind_module(path, source, monkeypatch)
+        findings = lint_scenarios(builtin_scenarios(), select=[rule])
+        target = findings[0].location.file if findings else target
+    assert findings, f"{rule} missed its seeded mutation in {path}"
+    assert all(d.location.file == target for d in findings)

@@ -1,67 +1,58 @@
-"""Tests for rule registration and --select/--ignore resolution."""
+"""Tests for the rule table and --select/--ignore resolution."""
 
 import pytest
 
 import repro.analysis  # noqa: F401 — importing registers the shipped rules
+from repro.analysis import registry
 from repro.analysis.diagnostics import Severity
 from repro.analysis.registry import (
-    DEFAULT_REGISTRY,
     FAMILY_CODE,
+    FAMILY_CONCURRENCY,
     FAMILY_SCENARIO,
+    RULES,
     Rule,
-    RuleRegistry,
     rule,
+    select_rules,
 )
 from repro.errors import AnalysisError
 
 
-def make_rule(rule_id="TST001", slug="test-rule", family=FAMILY_CODE):
-    return Rule(rule_id, slug, family, Severity.WARNING, "a test rule")
+def make_rule(rule_id="TST001", slug="test-rule"):
+    return Rule(rule_id, slug, FAMILY_CODE, Severity.WARNING, "a test rule",
+                "", lambda _context: ())
 
 
-def no_findings(_context):
-    return ()
+def ids(rules):
+    return [r.id for r in rules]
 
 
 class TestRegistration:
-    def test_register_and_lookup(self):
-        registry = RuleRegistry()
-        registry.register(make_rule(), no_findings)
-        assert "TST001" in registry
-        assert registry.get("TST001").slug == "test-rule"
-        assert registry.checker("TST001") is no_findings
+    def test_decorator_files_the_checker_under_its_metadata(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(registry, "RULES", {})
 
-    def test_duplicate_id_rejected(self):
-        registry = RuleRegistry()
-        registry.register(make_rule(), no_findings)
-        with pytest.raises(AnalysisError, match="duplicate rule id"):
-            registry.register(make_rule(slug="other-slug"), no_findings)
-
-    def test_duplicate_slug_rejected(self):
-        registry = RuleRegistry()
-        registry.register(make_rule(), no_findings)
-        with pytest.raises(AnalysisError, match="duplicate rule slug"):
-            registry.register(make_rule(rule_id="TST002"), no_findings)
-
-    def test_unknown_family_rejected(self):
-        registry = RuleRegistry()
-        with pytest.raises(AnalysisError, match="family"):
-            registry.register(make_rule(family="vibes"), no_findings)
-
-    def test_unknown_rule_lookup_raises(self):
-        with pytest.raises(AnalysisError, match="unknown rule"):
-            RuleRegistry().get("NOPE01")
-
-    def test_decorator_registers_into_given_registry(self):
-        registry = RuleRegistry()
-
-        @rule("TST009", "decorated", FAMILY_SCENARIO, Severity.INFO,
-              "decorated rule", registry=registry)
         def checker(_context):
             return ()
 
-        assert registry.get("TST009").family == FAMILY_SCENARIO
-        assert registry.checker("TST009") is checker
+        assert rule("TST001", "test-rule", FAMILY_CODE, Severity.WARNING,
+                    "a test rule", "why")(checker) is checker
+        (registered,) = registry.RULES.values()
+        assert registered.id == "TST001"
+        assert registered.slug == "test-rule"
+        assert registered.check is checker
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(AnalysisError, match="duplicate rule id"):
+            rule("COD001", "fresh-slug", FAMILY_CODE, Severity.ERROR,
+                 "dup", "dup")(lambda _context: ())
+        assert RULES["COD001"].slug == "lock-discipline"
+
+    def test_duplicate_slug_rejected(self):
+        with pytest.raises(AnalysisError, match="duplicate rule slug"):
+            rule("TST002", "lock-discipline", FAMILY_CODE, Severity.ERROR,
+                 "dup", "dup")(lambda _context: ())
+        assert "TST002" not in RULES
 
 
 class TestMatching:
@@ -79,51 +70,52 @@ class TestMatching:
 
 
 class TestSelection:
-    @pytest.fixture
-    def registry(self):
-        registry = RuleRegistry()
-        registry.register(make_rule("TST001", "first"), no_findings)
-        registry.register(make_rule("TST002", "second"), no_findings)
-        registry.register(
-            make_rule("SCX001", "scenario-one", FAMILY_SCENARIO), no_findings
-        )
-        return registry
+    def test_no_patterns_selects_whole_family(self):
+        assert ids(select_rules(FAMILY_CONCURRENCY)) == [
+            "CON001", "CON002", "CON003", "CON004"
+        ]
 
-    def test_no_patterns_selects_whole_family(self, registry):
-        chosen = registry.resolve_selection(FAMILY_CODE)
-        assert [r.id for r in chosen] == ["TST001", "TST002"]
+    def test_select_narrows(self):
+        assert ids(select_rules(FAMILY_CODE, select=["COD002"])) == ["COD002"]
 
-    def test_select_narrows(self, registry):
-        chosen = registry.resolve_selection(FAMILY_CODE, select=["TST002"])
-        assert [r.id for r in chosen] == ["TST002"]
+    def test_select_by_slug(self):
+        assert ids(select_rules(FAMILY_CODE, select=["bare-sleep"])) == [
+            "COD006"
+        ]
 
-    def test_select_by_slug(self, registry):
-        chosen = registry.resolve_selection(FAMILY_CODE, select=["first"])
-        assert [r.id for r in chosen] == ["TST001"]
+    def test_ignore_wins_over_select(self):
+        chosen = select_rules(FAMILY_CODE, select=["COD"], ignore=["COD001"])
+        assert "COD001" not in ids(chosen)
+        assert "COD002" in ids(chosen)
 
-    def test_ignore_wins_over_select(self, registry):
-        chosen = registry.resolve_selection(
-            FAMILY_CODE, select=["TST"], ignore=["TST001"]
-        )
-        assert [r.id for r in chosen] == ["TST002"]
-
-    def test_unknown_pattern_is_an_error(self, registry):
+    def test_unknown_pattern_is_an_error(self):
         with pytest.raises(AnalysisError, match="matches no rule"):
-            registry.resolve_selection(FAMILY_CODE, select=["TYPO"])
+            select_rules(FAMILY_CODE, select=["TYPO"])
 
-    def test_family_filter_keeps_other_family_out(self, registry):
-        chosen = registry.resolve_selection(FAMILY_CODE, select=["SCX", "TST"])
-        assert [r.id for r in chosen] == ["TST001", "TST002"]
+    def test_family_filter_keeps_other_family_out(self):
+        chosen = select_rules(FAMILY_SCENARIO, select=["SCN", "COD"])
+        assert ids(chosen) == ["SCN006"]
 
 
 class TestShippedCatalog:
     def test_all_shipped_rules_present(self):
-        ids = {r.id for r in DEFAULT_REGISTRY}
-        assert {"COD001", "COD002", "COD003", "COD004", "COD005"} <= ids
-        assert {"SCN001", "SCN002", "SCN003", "SCN004", "SCN005",
-                "SCN006"} <= ids
+        assert sorted(RULES) == [
+            "COD001", "COD002", "COD003", "COD004", "COD006", "COD007",
+            "CON001", "CON002", "CON003", "CON004",
+            "SCN006",
+        ]
 
     def test_shipped_rules_document_themselves(self):
-        for shipped in DEFAULT_REGISTRY:
+        for shipped in RULES.values():
             assert shipped.summary
             assert shipped.rationale
+
+    def test_id_prefix_names_the_family(self):
+        # ``--select COD`` means "the code family" only while this holds.
+        prefixes = {
+            FAMILY_CODE: "COD",
+            FAMILY_CONCURRENCY: "CON",
+            FAMILY_SCENARIO: "SCN",
+        }
+        for shipped in RULES.values():
+            assert shipped.id.startswith(prefixes[shipped.family]), shipped.id

@@ -1,13 +1,9 @@
-"""Tests for the text and JSON reporters."""
+"""Tests for the text report."""
 
-import json
-
-import repro.analysis.runner  # noqa: F401 - registers all rule families
-from repro.analysis.diagnostics import Diagnostic, Location, Severity
-from repro.analysis.reporting import (
-    TOOL_NAME,
-    render_json,
-    render_sarif,
+from repro.analysis.diagnostics import (
+    Diagnostic,
+    Location,
+    Severity,
     render_text,
     summarize,
 )
@@ -37,7 +33,7 @@ class TestSummarize:
         assert text == "2 errors, 1 warning"
 
     def test_singular_noun(self):
-        assert summarize([make(Severity.INFO)]) == "1 info"
+        assert summarize([make(Severity.ERROR)]) == "1 error"
 
 
 class TestRenderText:
@@ -54,96 +50,6 @@ class TestRenderText:
         ])
         assert text.index("a.py") < text.index("z.py")
 
-    def test_suppressed_counter_in_trailer(self):
-        text = render_text([make()], suppressed=4)
-        assert "(4 suppressed by baseline)" in text
-
-    def test_hints_are_optional(self):
-        noisy = render_text([make(fix_hint="try harder")])
-        quiet = render_text([make(fix_hint="try harder")], show_hints=False)
-        assert "try harder" in noisy
-        assert "try harder" not in quiet
-
-
-class TestRenderJson:
-    def test_shape(self):
-        payload = json.loads(render_json(
-            [make(Severity.ERROR)],
-            suppressed=1,
-            families=["code"],
-            targets=["f.py"],
-        ))
-        assert payload["tool"] == TOOL_NAME
-        assert payload["families"] == ["code"]
-        assert payload["targets"] == ["f.py"]
-        summary = payload["summary"]
-        assert summary["total"] == 1
-        assert summary["by_severity"]["error"] == 1
-        assert summary["by_severity"]["info"] == 0
-        assert summary["max_severity"] == "error"
-        assert summary["suppressed_by_baseline"] == 1
-        (record,) = payload["diagnostics"]
-        assert record["rule"] == "COD999"
-        assert record["fingerprint"]
-
-    def test_empty_run(self):
-        payload = json.loads(render_json([]))
-        assert payload["summary"]["total"] == 0
-        assert payload["summary"]["max_severity"] is None
-        assert payload["diagnostics"] == []
-
-
-class TestRenderSarif:
-    def run_of(self, *diagnostics, **kwargs):
-        log = json.loads(render_sarif(list(diagnostics), **kwargs))
-        assert log["version"] == "2.1.0"
-        (run,) = log["runs"]
-        return run
-
-    def test_driver_and_result_shape(self):
-        diagnostic = make(Severity.ERROR, message="boom", line=7)
-        run = self.run_of(diagnostic)
-        assert run["tool"]["driver"]["name"] == TOOL_NAME
-        (result,) = run["results"]
-        assert result["ruleId"] == "COD999"
-        assert result["level"] == "error"
-        assert result["message"]["text"] == "boom"
-        physical = result["locations"][0]["physicalLocation"]
-        assert physical["artifactLocation"]["uri"] == "f.py"
-        assert physical["region"]["startLine"] == 7
-
-    def test_severity_levels_map_to_sarif(self):
-        run = self.run_of(
-            make(Severity.ERROR, message="a"),
-            make(Severity.WARNING, message="b"),
-            make(Severity.INFO, message="c"),
-        )
-        levels = sorted(r["level"] for r in run["results"])
-        assert levels == ["error", "note", "warning"]
-
-    def test_partial_fingerprint_matches_baseline_identity(self):
-        diagnostic = make()
-        run = self.run_of(diagnostic)
-        (result,) = run["results"]
-        fingerprints = result["partialFingerprints"]
-        assert fingerprints["reproLint/v1"] == diagnostic.fingerprint()
-
-    def test_line_zero_omits_the_region(self):
-        # Scenario findings locate at a scenario name, not a line.
-        run = self.run_of(make(line=0))
-        physical = run["results"][0]["locations"][0]["physicalLocation"]
-        assert "region" not in physical
-
-    def test_rule_catalog_restricted_to_families(self):
-        run = self.run_of(families=["concurrency"])
-        ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert ids == {"CON001", "CON002", "CON003", "CON004", "CON005"}
-        assert run["results"] == []
-
-    def test_full_catalog_without_family_filter(self):
-        run = self.run_of()
-        families = {
-            rule["properties"]["family"]
-            for rule in run["tool"]["driver"]["rules"]
-        }
-        assert families == {"code", "scenario", "concurrency"}
+    def test_hints_follow_the_message(self):
+        text = render_text([make(message="boom", fix_hint="try harder")])
+        assert "boom  [hint: try harder]" in text

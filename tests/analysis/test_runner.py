@@ -1,22 +1,24 @@
-"""Tests for target discovery, family orchestration, and exit codes."""
+"""Tests for target discovery and family orchestration."""
 
 import pytest
 
-from repro.analysis.baseline import write_baseline
-from repro.analysis.diagnostics import Severity
 from repro.analysis.runner import (
     BUILTIN_SCENARIOS,
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
+    builtin_scenarios,
     discover_python_files,
     lint_code,
     lint_scenarios,
+    load_modules,
     run_lint,
 )
 from repro.errors import AnalysisError
 
 BAD_MODULE = """\
-def pick(items, seen=[]):
+import time
+
+
+def pick(items):
+    time.sleep(0.1)
     assert items
     return items[0]
 """
@@ -57,72 +59,29 @@ class TestDiscovery:
 
 class TestLintCode:
     def test_reports_findings_with_real_locations(self, tree):
-        result = lint_code([str(tree)])
-        assert [d.rule for d in result.diagnostics] == ["COD005", "COD003"]
-        assert all("bad.py" in d.location.file for d in result.diagnostics)
-        assert result.families == ("code",)
-
-    def test_exit_code_thresholds(self, tree):
-        result = lint_code([str(tree)])
-        assert result.exit_code() == EXIT_FINDINGS
-        assert result.exit_code(fail_on=Severity.ERROR) == EXIT_FINDINGS
-        clean = lint_code([str(tree / "pkg" / "clean.py")])
-        assert clean.exit_code() == EXIT_CLEAN
-
-    def test_warning_only_run_passes_an_error_threshold(self, tree):
-        result = lint_code([str(tree)], select=["COD005"])
-        assert result.exit_code() == EXIT_FINDINGS
-        assert result.exit_code(fail_on=Severity.ERROR) == EXIT_CLEAN
+        diagnostics = lint_code(load_modules([str(tree)]))
+        assert [d.rule for d in diagnostics] == ["COD006", "COD003"]
+        assert all("bad.py" in d.location.file for d in diagnostics)
 
 
 class TestScenarioFamily:
     def test_unknown_scenario_name_is_a_usage_error(self):
         with pytest.raises(AnalysisError, match="unknown scenario"):
-            lint_scenarios(names=["nope"])
+            builtin_scenarios(["nope"])
 
     def test_bundled_scenarios_are_clean(self):
-        # Satellite guarantee: the shipped workloads carry no
-        # un-waived scenario findings.
-        result = lint_scenarios()
-        assert result.diagnostics == []
-        assert set(result.targets) == set(BUILTIN_SCENARIOS)
+        # The shipped workloads' measures hold to their declared flags.
+        contexts = builtin_scenarios()
+        assert lint_scenarios(contexts) == []
+        assert {c.name for c in contexts} == set(BUILTIN_SCENARIOS)
 
 
 class TestRunLint:
-    def test_requires_at_least_one_family(self):
-        with pytest.raises(AnalysisError, match="nothing to lint"):
-            run_lint(run_code=False, run_scenarios=False)
-
     def test_combines_families(self, tree):
-        result = run_lint(
+        diagnostics = run_lint(
             code_paths=[str(tree)],
             scenario_names=["movies"],
             run_code=True,
             run_scenarios=True,
         )
-        assert result.families == ("code", "scenario")
-        assert "movies" in result.targets
-        assert [d.rule for d in result.diagnostics] == ["COD005", "COD003"]
-
-    def test_baseline_suppresses_known_findings(self, tree, tmp_path):
-        first = run_lint(code_paths=[str(tree)], run_code=True)
-        baseline = str(tmp_path / "baseline.json")
-        assert write_baseline(baseline, first.diagnostics) == 2
-        second = run_lint(
-            code_paths=[str(tree)], run_code=True, baseline_path=baseline
-        )
-        assert second.diagnostics == []
-        assert second.suppressed == 2
-        assert second.exit_code() == EXIT_CLEAN
-
-    def test_new_findings_survive_the_baseline(self, tree, tmp_path):
-        baseline = str(tmp_path / "baseline.json")
-        first = run_lint(
-            code_paths=[str(tree)], run_code=True, select=["COD003"]
-        )
-        write_baseline(baseline, first.diagnostics)
-        second = run_lint(
-            code_paths=[str(tree)], run_code=True, baseline_path=baseline
-        )
-        assert [d.rule for d in second.diagnostics] == ["COD005"]
-        assert second.suppressed == 1
+        assert [d.rule for d in diagnostics] == ["COD006", "COD003"]

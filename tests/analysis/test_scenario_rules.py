@@ -1,222 +1,53 @@
-"""Fixture tests for the scenario rule family.
+"""Fixture tests for the scenario rule family (SCN006).
 
-Each rule gets a deliberately broken catalog/query pair (known-bad) and
-a well-formed one (known-clean); SCN006 additionally gets utility
-measures whose declared structural flags lie.
+Each check of SCN006 gets a utility measure whose declared structural
+flags lie (known-bad) next to honest measures (known-clean).
 """
 
 import pytest
 
-from repro.analysis.runner import lint_scenario
-from repro.analysis.scenario import ScenarioContext
+from repro.analysis.diagnostics import Severity
+from repro.analysis.runner import (
+    BUILTIN_SCENARIOS,
+    builtin_scenarios,
+    lint_scenarios,
+)
+from repro.analysis.scenario import (
+    ScenarioContext,
+    _sample_plans,
+    _supports_model,
+)
 from repro.datalog.parser import parse_query
-from repro.datalog.query import ConjunctiveQuery
-from repro.datalog.terms import Atom, Variable
-from repro.sources.catalog import Catalog, SourceDescription
+from repro.errors import UtilityError
+from repro.sources.catalog import Catalog
 from repro.sources.statistics import SourceStats
 from repro.utility.base import UtilityMeasure
 from repro.utility.cost import LinearCost
 from repro.utility.intervals import Interval
 
-
-def scenario(catalog, query, **kwargs):
-    if isinstance(query, str):
-        query = parse_query(query)
-    return ScenarioContext(name="fixture", catalog=catalog, query=query,
-                           **kwargs)
-
-
-def rules_hit(context, **kwargs):
-    return [d.rule for d in lint_scenario(context, **kwargs)]
+QUERY = "q(X) :- r(X)"
 
 
 @pytest.fixture
-def clean_catalog():
-    catalog = Catalog({"r": 2, "s": 2})
-    catalog.add_source("v1(X, Y) :- r(X, Y)")
-    catalog.add_source("v2(Y, Z) :- s(Y, Z)")
+def catalog():
+    catalog = Catalog({"r": 1})
+    catalog.add_source("v1(X) :- r(X)")
+    catalog.add_source("v2(X) :- r(X)", stats=SourceStats(n_tuples=7))
     return catalog
 
 
-CLEAN_QUERY = "q(X, Z) :- r(X, Y), s(Y, Z)"
+def lint_measures(catalog, *measures, query=QUERY):
+    context = ScenarioContext(
+        name="fixture",
+        catalog=catalog,
+        query=parse_query(query),
+        measures=measures,
+    )
+    return lint_scenarios([context], select=["SCN006"])
 
 
-class TestCleanScenario:
-    def test_well_formed_catalog_reports_nothing(self, clean_catalog):
-        context = scenario(clean_catalog, CLEAN_QUERY,
-                           measures=(LinearCost(),))
-        assert rules_hit(context) == []
-
-
-class TestUnsafeView:
-    def test_catches_unsafe_query(self, clean_catalog):
-        # The parser refuses unsafe queries, so build one directly: the
-        # head variable W never occurs in the body.
-        unsafe = ConjunctiveQuery(
-            Atom("q", (Variable("X"), Variable("W"))),
-            (Atom("r", (Variable("X"), Variable("Y"))),),
-        )
-        context = scenario(clean_catalog, unsafe)
-        (finding,) = lint_scenario(context, select=["SCN001"])
-        assert finding.rule == "SCN001"
-        assert "W" in finding.message
-
-    def test_catches_unsafe_source_view(self):
-        # SourceDescription validates safety on construction, so smuggle
-        # an unsafe view past __post_init__ the way a future loader bug
-        # would: by building the frozen dataclass without running it.
-        view = ConjunctiveQuery(
-            Atom("v1", (Variable("X"), Variable("W"))),
-            (Atom("r", (Variable("X"), Variable("Y"))),),
-        )
-        source = object.__new__(SourceDescription)
-        object.__setattr__(source, "name", "v1")
-        object.__setattr__(source, "view", view)
-        object.__setattr__(source, "stats", SourceStats())
-
-        class StubCatalog:
-            sources = (source,)
-
-        context = scenario(StubCatalog(), "q(X) :- r(X, Y)")
-        (finding,) = lint_scenario(context, select=["SCN001"])
-        assert "source 'v1'" in finding.message
-
-    def test_clean_safe_query(self, clean_catalog):
-        context = scenario(clean_catalog, CLEAN_QUERY)
-        assert rules_hit(context, select=["SCN001"]) == []
-
-
-class TestUnrecoverableHeadVariable:
-    def test_catches_head_variable_every_source_projects_away(self):
-        catalog = Catalog({"r": 2})
-        catalog.add_source("v1(X) :- r(X, Y)")  # hides column 1
-        context = scenario(catalog, "q(X, Y) :- r(X, Y)")
-        (finding,) = lint_scenario(context, select=["SCN002"])
-        assert finding.rule == "SCN002"
-        assert "position 1" in finding.message
-        assert finding.data["variable"] == "Y"
-
-    def test_clean_when_some_source_exposes_the_column(self):
-        catalog = Catalog({"r": 2})
-        catalog.add_source("v1(X) :- r(X, Y)")
-        catalog.add_source("v2(X, Y) :- r(X, Y)")
-        context = scenario(catalog, "q(X, Y) :- r(X, Y)")
-        assert rules_hit(context, select=["SCN002"]) == []
-
-    def test_uncovered_relation_is_not_this_rules_business(self):
-        catalog = Catalog({"r": 2, "s": 2})
-        catalog.add_source("v1(X, Y) :- r(X, Y)")
-        context = scenario(catalog, "q(X, Z) :- r(X, Y), s(Y, Z)")
-        assert rules_hit(context, select=["SCN002"]) == []
-
-
-class TestDeadSource:
-    def test_catches_source_outside_every_bucket(self):
-        # dead hides column 1 of r, which carries the query head
-        # variable Y — so it covers neither subgoal of the query.
-        catalog = Catalog({"r": 2, "s": 2})
-        catalog.add_source("v1(X, Y) :- r(X, Y)")
-        catalog.add_source("v2(Y, Z) :- s(Y, Z)")
-        catalog.add_source("dead(X) :- r(X, Y)")
-        context = scenario(catalog, "q(X, Y) :- r(X, Y), s(Y, Z)")
-        findings = lint_scenario(context, select=["SCN003"])
-        assert [d.rule for d in findings] == ["SCN003"]
-        assert findings[0].data["source"] == "dead"
-
-    def test_waiver_silences_an_intentional_dead_source(self):
-        catalog = Catalog({"r": 2, "s": 2})
-        catalog.add_source("v1(X, Y) :- r(X, Y)")
-        catalog.add_source("v2(Y, Z) :- s(Y, Z)")
-        catalog.add_source("dead(X) :- r(X, Y)")
-        context = scenario(
-            catalog,
-            "q(X, Y) :- r(X, Y), s(Y, Z)",
-            waived=frozenset({("SCN003", "dead")}),
-        )
-        assert rules_hit(context, select=["SCN003"]) == []
-
-    def test_clean_when_every_source_joins_a_bucket(self, clean_catalog):
-        context = scenario(clean_catalog, CLEAN_QUERY)
-        assert rules_hit(context, select=["SCN003"]) == []
-
-
-class TestEmptyBucket:
-    def test_catches_uncovered_subgoal(self):
-        catalog = Catalog({"r": 2, "s": 2})
-        catalog.add_source("v1(X, Y) :- r(X, Y)")
-        context = scenario(catalog, CLEAN_QUERY)
-        (finding,) = lint_scenario(context, select=["SCN004"])
-        assert finding.rule == "SCN004"
-        assert finding.data == {"bucket": 1, "predicate": "s"}
-
-    def test_clean_when_every_subgoal_is_covered(self, clean_catalog):
-        context = scenario(clean_catalog, CLEAN_QUERY)
-        assert rules_hit(context, select=["SCN004"]) == []
-
-
-class TestRedundantView:
-    def test_catches_equivalent_views_with_equal_stats(self, clean_catalog):
-        clean_catalog.add_source("v1b(A, B) :- r(A, B)")  # = v1, same stats
-        context = scenario(clean_catalog, CLEAN_QUERY)
-        (finding,) = lint_scenario(context, select=["SCN005"])
-        assert finding.rule == "SCN005"
-        assert {finding.data["first"], finding.data["second"]} == {"v1", "v1b"}
-
-    def test_different_stats_break_the_tie(self, clean_catalog):
-        # Equal definitions alone are fine: sources are incomplete, so
-        # the two may well hold different tuples — and the orderers can
-        # tell them apart through their statistics.
-        clean_catalog.add_source(
-            "v1b(A, B) :- r(A, B)", stats=SourceStats(n_tuples=7)
-        )
-        context = scenario(clean_catalog, CLEAN_QUERY)
-        assert rules_hit(context, select=["SCN005"]) == []
-
-    def test_waiver_by_pair_in_either_order(self, clean_catalog):
-        clean_catalog.add_source("v1b(A, B) :- r(A, B)")
-        context = scenario(
-            clean_catalog, CLEAN_QUERY,
-            waived=frozenset({("SCN005", "v1b/v1")}),
-        )
-        assert rules_hit(context, select=["SCN005"]) == []
-
-
-class TestRedundantViewContainmentEdgeCases:
-    """Satellite: shapes where equivalence must NOT be inferred."""
-
-    def test_repeated_head_variables_are_not_redundant(self):
-        catalog = Catalog({"r": 2})
-        catalog.add_source("v1(X, X) :- r(X, X)")
-        catalog.add_source("v2(X, Y) :- r(X, Y)")
-        context = scenario(catalog, "q(X, Y) :- r(X, Y)")
-        assert rules_hit(context, select=["SCN005"]) == []
-
-    def test_constant_in_view_body_is_not_redundant(self):
-        catalog = Catalog({"r": 2})
-        catalog.add_source("v1(X) :- r(X, c)")
-        catalog.add_source("v2(X) :- r(X, Y)")
-        context = scenario(catalog, "q(X) :- r(X, Y)")
-        assert rules_hit(context, select=["SCN005"]) == []
-
-    def test_self_join_view_is_not_redundant_with_single_atom_view(self):
-        catalog = Catalog({"r": 2})
-        catalog.add_source("v1(X, Y) :- r(X, Y)")
-        catalog.add_source("v2(X, Y) :- r(X, Z), r(Z, Y)")
-        context = scenario(catalog, "q(X, Y) :- r(X, Y)")
-        assert rules_hit(context, select=["SCN005"]) == []
-
-    def test_renamed_self_join_views_are_redundant(self):
-        # The positive control: equivalence up to variable renaming
-        # (with equal stats) must still be caught.
-        catalog = Catalog({"r": 2})
-        catalog.add_source("v1(X, Y) :- r(X, Z), r(Z, Y)")
-        catalog.add_source("v2(A, B) :- r(A, M), r(M, B)")
-        context = scenario(catalog, "q(X, Y) :- r(X, Z), r(Z, Y)")
-        hits = rules_hit(context, select=["SCN005"])
-        assert hits == ["SCN005"]
-
-
-# -- SCN006: lying measure flags ---------------------------------------------------
+def messages(catalog, *measures):
+    return [d.message for d in lint_measures(catalog, *measures)]
 
 
 class ConstantMeasure(UtilityMeasure):
@@ -262,68 +93,11 @@ class ContextDependentButClaimsFree(ConstantMeasure):
         return Interval(1.0, 1000.0)
 
 
-class GrowingReturnsMeasure(ConstantMeasure):
+class GrowingReturnsMeasure(ContextDependentButClaimsFree):
     """Claims diminishing returns while utility grows with history."""
 
     name = "growing-returns"
     context_free = False
-    has_diminishing_returns = True
-
-    def evaluate(self, plan, context):
-        return 1.0 + len(context.executed)
-
-    def evaluate_slots(self, slots, context):
-        return Interval(1.0, 1000.0)
-
-
-class TestMeasureProperties:
-    @pytest.fixture
-    def catalog(self):
-        catalog = Catalog({"r": 1})
-        catalog.add_source("v1(X) :- r(X)")
-        catalog.add_source("v2(X) :- r(X)", stats=SourceStats(n_tuples=7))
-        return catalog
-
-    QUERY = "q(X) :- r(X)"
-
-    def test_honest_measure_is_clean(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(ConstantMeasure(), LinearCost()))
-        assert rules_hit(context, select=["SCN006"]) == []
-
-    def test_catches_unsound_interval(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(UnsoundIntervalMeasure(),))
-        (finding,) = lint_scenario(context, select=["SCN006"])
-        assert "interval evaluation is unsound" in finding.message
-
-    def test_catches_monotonicity_claim_without_key(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(KeylessMonotonicMeasure(),))
-        (finding,) = lint_scenario(context, select=["SCN006"])
-        assert "no source preference key" in finding.message
-
-    def test_catches_context_freeness_lie(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(ContextDependentButClaimsFree(),))
-        (finding,) = lint_scenario(context, select=["SCN006"])
-        assert "claims context freeness" in finding.message
-
-    def test_catches_diminishing_returns_lie(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(GrowingReturnsMeasure(),))
-        (finding,) = lint_scenario(context, select=["SCN006"])
-        assert "claims diminishing returns" in finding.message
-
-    def test_empty_plan_space_skips_the_spot_checks(self):
-        catalog = Catalog({"r": 1, "s": 1})
-        catalog.add_source("v1(X) :- r(X)")
-        context = scenario(catalog, "q(X) :- r(X), s(X)",
-                           measures=(UnsoundIntervalMeasure(),))
-        assert rules_hit(context, select=["SCN006"]) == []
-
-
-# -- SCN007: the greedy consequence of full monotonicity ---------------------------
 
 
 class SourceSensitiveMeasure(UtilityMeasure):
@@ -334,11 +108,8 @@ class SourceSensitiveMeasure(UtilityMeasure):
     context_free = True
     has_diminishing_returns = True
 
-    def _value(self, plan):
-        return 2.0 if any(s.name == "v2" for s in plan.sources) else 1.0
-
     def evaluate(self, plan, context):
-        return self._value(plan)
+        return 2.0 if any(s.name == "v2" for s in plan.sources) else 1.0
 
     def evaluate_slots(self, slots, context):
         names = {s.name for members in slots for s in members}
@@ -362,7 +133,7 @@ class ReversedKeyMeasure(SourceSensitiveMeasure):
 
 
 class PointBlindMeasure(SourceSensitiveMeasure):
-    """Unbeaten greedy plan, but singleton slots miss its utility."""
+    """Sound on whole slots, but singleton slots miss the plan's utility."""
 
     name = "point-blind"
 
@@ -372,44 +143,113 @@ class PointBlindMeasure(SourceSensitiveMeasure):
         return Interval(1.0, 2.0)
 
 
-class TestMonotonicityMisdeclaration:
-    @pytest.fixture
-    def catalog(self):
-        catalog = Catalog({"r": 1})
-        catalog.add_source("v1(X) :- r(X)")
-        catalog.add_source("v2(X) :- r(X)", stats=SourceStats(n_tuples=7))
-        return catalog
+class TestMeasureProperties:
+    def test_honest_measures_are_clean(self, catalog):
+        assert messages(
+            catalog, ConstantMeasure(), LinearCost(), SourceSensitiveMeasure()
+        ) == []
 
-    QUERY = "q(X) :- r(X)"
-
-    def test_honest_key_is_clean(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(SourceSensitiveMeasure(),))
-        assert rules_hit(context, select=["SCN007"]) == []
-
-    def test_catches_reversed_preference_key(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(ReversedKeyMeasure(),))
-        (finding,) = lint_scenario(context, select=["SCN007"])
-        assert "misdeclares full monotonicity" in finding.message
-        assert finding.data["greedy"] == ["v1"]
-        assert finding.data["better"] == ["v2"]
+    def test_catches_unsound_interval(self, catalog):
+        found = messages(catalog, UnsoundIntervalMeasure())
+        assert any("interval evaluation is unsound" in m for m in found)
 
     def test_catches_singleton_interval_miss(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(PointBlindMeasure(),))
-        findings = lint_scenario(context, select=["SCN007"])
-        assert any(
-            "misses the plan's own utility" in f.message for f in findings
+        (message,) = messages(catalog, PointBlindMeasure())
+        assert "not to the plan's own utility" in message
+
+    def test_catches_monotonicity_claim_without_key(self, catalog):
+        (message,) = messages(catalog, KeylessMonotonicMeasure())
+        assert "no source preference key" in message
+
+    def test_catches_reversed_preference_key(self, catalog):
+        (finding,) = lint_measures(catalog, ReversedKeyMeasure())
+        assert "full monotonicity violated" in finding.message
+        assert finding.data["bucket"] == 0
+
+    def test_catches_context_freeness_lie(self, catalog):
+        found = messages(catalog, ContextDependentButClaimsFree())
+        assert any("claims context freeness" in m for m in found)
+
+    def test_catches_diminishing_returns_lie(self, catalog):
+        found = messages(catalog, GrowingReturnsMeasure())
+        assert any("claims diminishing returns" in m for m in found)
+        assert not any("context freeness" in m for m in found)
+
+    def test_empty_plan_space_skips_the_spot_checks(self):
+        catalog = Catalog({"r": 1, "s": 1})
+        catalog.add_source("v1(X) :- r(X)")
+        assert lint_measures(
+            catalog, UnsoundIntervalMeasure(), query="q(X) :- r(X), s(X)"
+        ) == []
+
+    def test_exchange_check_runs_only_on_monotonicity_claims(self, catalog):
+        class UnclaimedReversedKey(ReversedKeyMeasure):
+            is_fully_monotonic = False
+
+        assert messages(catalog, UnclaimedReversedKey()) == []
+
+    def test_honestly_declared_history_dependence_is_clean(self, catalog):
+        class HonestGrowth(ConstantMeasure):
+            name = "honest-growth"
+            context_free = False
+            has_diminishing_returns = False
+
+            def evaluate(self, plan, context):
+                return 1.0 + len(context.executed)
+
+            def evaluate_slots(self, slots, context):
+                return Interval.point(1.0 + len(context.executed))
+
+        assert messages(catalog, HonestGrowth()) == []
+
+    def test_measures_that_cannot_evaluate_the_scenario_are_skipped(
+        self, catalog
+    ):
+        class Inapplicable(UnsoundIntervalMeasure):
+            def evaluate(self, plan, context):
+                raise UtilityError("no overlap model for this catalog")
+
+        assert messages(catalog, Inapplicable()) == []
+
+    def test_one_counterexample_per_check(self, catalog):
+        # Both plans miss the interval after every recorded execution;
+        # the report names the lie once.
+        found = messages(catalog, UnsoundIntervalMeasure())
+        unsound = [m for m in found if "interval evaluation is unsound" in m]
+        assert len(unsound) == 1
+
+    def test_findings_point_at_the_scenario_and_the_measure(self, catalog):
+        (finding,) = lint_measures(catalog, PointBlindMeasure())
+        assert finding.rule == "SCN006"
+        assert finding.severity is Severity.ERROR
+        assert finding.location.file == "fixture"
+        assert finding.data["measure"] == "point-blind"
+        assert finding.fix_hint
+
+    def test_large_spaces_are_sampled_deterministically(self):
+        catalog = Catalog({"r": 1, "s": 1, "t": 1})
+        for relation in "rst":
+            for i in range(5):
+                catalog.add_source(f"{relation}{i}(X) :- {relation}(X)")
+        context = ScenarioContext(
+            name="wide",
+            catalog=catalog,
+            query=parse_query("q(X) :- r(X), s(X), t(X)"),
         )
+        first = [plan.key for plan in _sample_plans(context)]
+        assert len(first) == len(set(first)) == 64  # of 125 plans
+        assert [plan.key for plan in _sample_plans(context)] == first
 
-    def test_keyless_claim_is_left_to_scn006(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(KeylessMonotonicMeasure(),))
-        assert rules_hit(context, select=["SCN007"]) == []
-        assert rules_hit(context, select=["SCN006"]) == ["SCN006"]
 
-    def test_non_monotonic_measures_are_skipped(self, catalog):
-        context = scenario(catalog, self.QUERY,
-                           measures=(ConstantMeasure(),))
-        assert rules_hit(context, select=["SCN007"]) == []
+class TestBundledScenarios:
+    # SCN006 skips a scenario with an empty plan space and a measure
+    # that cannot evaluate it; silence on a bundled workload must mean
+    # every measure was checked, not that none was.
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_every_measure_is_checked(self, name):
+        (context,) = builtin_scenarios([name])
+        plans = _sample_plans(context)
+        assert plans
+        assert context.measures
+        for measure in context.measures:
+            assert _supports_model(context, measure, plans), measure.name

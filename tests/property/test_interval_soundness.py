@@ -3,15 +3,16 @@
 This is the single invariant the Drips family's exactness rests on
 (paper, Section 5.1): the interval of an abstract plan must contain
 the utility of *all* concrete plans it represents, in every execution
-context.
+context.  The oracle for it and for the measures' other declared flags
+is the ``SCN006`` lint rule (:mod:`repro.analysis.scenario`), run here
+over every plan of small random synthetic spaces.
 """
-
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.reformulation.plans import QueryPlan
+from repro.analysis.runner import lint_scenarios
+from repro.analysis.scenario import ScenarioContext
 from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 
@@ -43,36 +44,28 @@ def measures_of(domain):
     ]
 
 
-@given(domains(), st.integers(0, 3))
+def measure_findings(domain, kind):
+    """SCN006's findings of one *kind* on the domain, every plan sampled."""
+    context = ScenarioContext(
+        name="synthetic",
+        catalog=domain.catalog,
+        query=domain.query,
+        measures=tuple(measures_of(domain)),
+    )
+    findings = lint_scenarios([context], select=["SCN006"])
+    return [d.message for d in findings if kind in d.message]
+
+
+@given(domains())
 @settings(max_examples=40, deadline=None)
-def test_interval_contains_every_member(domain, executed_count):
-    slots = tuple(tuple(b.sources) for b in domain.space.buckets)
-    plans = list(domain.space.plans())
-    for measure in measures_of(domain):
-        context = measure.new_context()
-        for plan in plans[:executed_count]:
-            context.record(plan)
-        interval = measure.evaluate_slots(slots, context)
-        for plan in plans:
-            value = measure.evaluate(plan, context)
-            slack = 1e-9 * max(1.0, abs(interval.lo), abs(interval.hi))
-            assert interval.lo - slack <= value <= interval.hi + slack, (
-                f"{measure.name}: {value} outside {interval} for {plan}"
-            )
+def test_interval_contains_every_member(domain):
+    assert measure_findings(domain, "interval evaluation is unsound") == []
 
 
 @given(domains())
 @settings(max_examples=30, deadline=None)
 def test_singleton_slots_give_point_interval_equal_to_evaluate(domain):
-    plans = list(domain.space.plans())
-    plan = plans[len(plans) // 2]
-    slots = tuple((s,) for s in plan.sources)
-    for measure in measures_of(domain):
-        context = measure.new_context()
-        interval = measure.evaluate_slots(slots, context)
-        value = measure.evaluate(plan, context)
-        assert interval.lo == pytest.approx(value, abs=1e-12)
-        assert interval.hi == pytest.approx(value, abs=1e-12)
+    assert measure_findings(domain, "not to the plan's own utility") == []
 
 
 @given(domains())
@@ -118,15 +111,4 @@ def test_independence_oracle_is_sound(domain, probe_index):
 def test_diminishing_returns_flag_is_honest(domain):
     """Measures advertising diminishing returns must never increase a
     plan's utility as more plans execute."""
-    plans = list(domain.space.plans())
-    for measure in measures_of(domain):
-        if not measure.has_diminishing_returns:
-            continue
-        context = measure.new_context()
-        probe = plans[-1]
-        previous = measure.evaluate(probe, context)
-        for executed in plans[:4]:
-            context.record(executed)
-            value = measure.evaluate(probe, context)
-            assert value <= previous + 1e-12, measure.name
-            previous = value
+    assert measure_findings(domain, "claims diminishing returns") == []
