@@ -904,9 +904,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="per-request pipeline depth between ordering "
                             "and execution; 1 keeps the producer close "
                             "enough to execution for mid-stream re-ordering "
-                            "to affect not-yet-emitted plans")
+                            "to affect not-yet-emitted plans (a pipeline "
+                            "runs only over a blocking backend, e.g. with "
+                            "--chaos; in-memory requests run inline)")
     serve.add_argument("--executor-workers", type=int, default=None,
-                       help="per-request plan-execution threads")
+                       help="per-request plan-execution threads (blocking "
+                            "backends only, as --queue-depth)")
     serve.add_argument("--breaker-cooldown", type=float, default=None,
                        metavar="SECONDS",
                        help="with --chaos: open-breaker cooldown before a "

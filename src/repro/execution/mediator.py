@@ -19,9 +19,10 @@ That loop exists once, as the five stages of :class:`AnytimeRun`
 :meth:`Mediator.answer` is the inline one: a single thread pulls a
 plan, executes it through :meth:`Mediator.execute_query` and settles
 it before asking for the next.  The :mod:`repro.service` layer's
-``PipelinedSession`` calls the same stage functions from a producer
-thread, a worker pool and its consumer, and adds only what threads
-need (queues, rank reassembly, deadlines, shutdown).
+``PipelinedSession`` calls the same stage functions: on its caller's
+thread in the same order when its backend never blocks, and otherwise
+from a producer thread, a worker pool and its consumer, adding only
+what threads need (queues, rank reassembly, deadlines, shutdown).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ This package turns the library into a servable system (the ROADMAP's
 production direction):
 
 * :mod:`repro.service.session` — :class:`PipelinedSession`: ordering,
-  soundness, and execution overlapped across threads, emitting a
-  batch stream identical to the sequential mediator's;
+  soundness, and execution inline over a backend that never blocks,
+  overlapped across threads over one that does, emitting a batch
+  stream identical to the sequential mediator's either way;
 * :mod:`repro.service.policy` — per-request deadlines, plan/answer
   budgets, cooperative cancellation, and retry backoff;
 * :mod:`repro.service.backends` — the execution backend interface,

@@ -2,11 +2,14 @@
 
 The sequential mediator always evaluates plans in-process over the
 in-memory source instances.  The service layer routes execution
-through a small backend interface instead, for two reasons:
+through a small backend interface instead, for three reasons:
 
 * executor *workers* run concurrently, so the backend contract is
   explicit about what they receive — an executable source-level query
   and a **read-only** database view;
+* whether a request gets those workers at all is the backend's call:
+  ``blocking`` says whether ``execute`` can wait, and only a wait
+  leaves ordering something to overlap with;
 * real sources flake.  :class:`FlakyBackend` injects transient
   failures mirroring the virtual-clock simulator's per-source failure
   model, which is what gives the retry-with-backoff policy something
@@ -54,6 +57,13 @@ def deterministic_draw(seed: int, signature: str, attempt: int) -> float:
 class ExecutionBackend(ABC):
     """Evaluates one executable plan query over the source instances."""
 
+    #: Can ``execute`` wait on something other than this process's CPU
+    #: (a remote source, injected latency, a retry's backoff)?  A
+    #: session reads it once per request, before plan 1: only a
+    #: blocking backend gets the producer and worker threads, because
+    #: only its waits leave the interpreter free to order ahead.
+    blocking: bool = True
+
     @abstractmethod
     def execute(
         self, executable: ConjunctiveQuery, database: Database
@@ -65,6 +75,10 @@ class ExecutionBackend(ABC):
 
 class InMemoryBackend(ExecutionBackend):
     """The default: direct evaluation, never fails."""
+
+    #: CPU-bound Python under one GIL: threads would add start-ups and
+    #: hand-offs to a request, never overlap.
+    blocking = False
 
     def execute(
         self, executable: ConjunctiveQuery, database: Database

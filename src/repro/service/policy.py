@@ -1,8 +1,8 @@
 """Per-request execution policies: deadlines, budgets, cancellation, retries.
 
 A :class:`RequestPolicy` travels with one query through the service
-stack.  All of its knobs are *cooperative*: the pipelined session
-checks the deadline and the cancellation token between units of work
+stack.  All of its knobs are *cooperative*: the session, inline or
+pipelined, checks the deadline and the cancellation token between units of work
 (one plan pulled from the orderer, one execution attempt), so a policy
 can never tear a request mid-plan — partial results are always a
 clean prefix of the batch stream.

@@ -83,6 +83,11 @@ BatchCallback = Callable[[AnswerBatch], None]
 class ServiceConfig:
     """Concurrency and defaulting knobs of a :class:`QueryService`.
 
+    ``executor_workers`` and ``queue_depth`` size a session's pipeline,
+    which only a blocking backend gets: over ``InMemoryBackend`` (the
+    default) a request runs inline on its caller's thread and starts
+    no thread at all.
+
     ``adaptivity`` is the server-wide default for mid-stream
     re-ordering (requests override it via
     ``RequestPolicy.adaptivity``): ``"on"`` / ``"off"`` force it, and

@@ -1,49 +1,42 @@
-"""The pipelined anytime session: ordering overlapped with execution.
+"""The service's anytime session: inline, or pipelined where it pays.
 
 ``Mediator.answer`` drives the staged loop of
-:class:`~repro.execution.mediator.AnytimeRun` inline: the orderer
-cannot start computing plan ``i+1`` until plan ``i`` has finished
-executing.  The paper's Section 2 motivation is the opposite — *"the
+:class:`~repro.execution.mediator.AnytimeRun` inline, one plan at a
+time.  The paper's Section 2 motivation is to overlap the two — *"the
 mediator should begin executing the best plan while the ordering
-algorithm computes the next ones"*.  :class:`PipelinedSession` is the
-second driver of the same stages, spread over threads:
+algorithm computes the next ones"* — but that only pays while execution
+*waits*: CPU-bound execution under one GIL leaves ordering nothing to
+overlap with.  So :class:`PipelinedSession` asks its backend once, before
+plan 1 (:attr:`~repro.service.backends.ExecutionBackend.blocking`).  A
+backend that never waits gets every stage on the calling thread, as the
+inline driver runs them: no thread, queue or hand-off.  One that blocks
+gets the **pipeline**: a producer thread runs the ``plans`` stage
+(orderer + soundness test) into a queue at most ``queue_depth`` plans
+ahead of execution, and ``executor_workers`` threads run the
+``execute`` stage over a read-only view of the source instances, with
+this session's retry schedule for transient backend failures.
 
-* a **producer thread** runs the ``plans`` stage (orderer + soundness
-  test) from the second plan on — the first is ordered by the consumer
-  before that thread starts, when nothing could overlap with it —
-  feeding a bounded queue (backpressure keeps the orderer at most
-  ``queue_depth`` plans ahead of execution);
-* a pool of **executor workers** runs the ``execute`` stage
-  concurrently over a read-only view of the source instances, with
-  this session's retry schedule for transient backend failures;
-* the **consumer** (the thread iterating :meth:`stream`) reassembles
-  results into emission order and runs ``settle`` on each — so the
-  batch stream is *identical*, plan for plan and byte for byte, to the
-  inline driver's.
+Either way the **consumer** (the thread iterating :meth:`stream`) takes
+plans in rank order and settles each in one loop, so the batch stream
+is the inline driver's, plan for plan and byte for byte.  The ``plans``
+stage decides plan ``i``'s soundness before the orderer is resumed,
+whichever thread runs it, so the emitted plan sequence cannot diverge;
+execution results never influence the ordering, so executing plans out
+of order is unobservable once the consumer has put them back in rank
+order — that reassembly is the pipeline's half of the argument.
 
-What the core guarantees and what this module adds: the ``plans``
-stage decides soundness for plan ``i`` immediately after the orderer
-yields it, *before* the generator is resumed, whichever thread runs
-it.  The orderers' ``on_emit`` callback (asked on resumption)
-therefore sees the same answers in the same order, and the emitted
-plan sequence cannot diverge.  Execution results never influence the
-ordering, only their soundness bits do, so running executions out of
-order is unobservable once the consumer has put them back in rank
-order — that reassembly is this module's half of the argument.
-
-Deadlines and cancellation are cooperative and clean: on expiry the
-session stops pulling plans, drains in-flight work, and finishes the
-batch stream early; :attr:`SessionReport.deadline_exceeded` is set
-instead of raising, so partial results always reach the caller.
+Deadlines and cancellation are cooperative: checked between plans, they
+end the stream early with :attr:`SessionReport.deadline_exceeded` or
+``cancelled`` set instead of raising, so partial results always reach
+the caller.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-from contextlib import suppress
+from contextlib import contextmanager, nullcontext, suppress
 from queue import Empty, Full, Queue
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.errors import ExecutionError, InternalError
 from repro.datalog.query import ConjunctiveQuery
@@ -72,12 +65,12 @@ _TICK_S = 0.05
 #: each worker that takes it leaves it for the next.
 _DONE = object()
 
-#: Published after the last plan when the producer drained its budget.
+#: Where the stream ends when the plan budget is drained.
 _EXHAUSTED = object()
 
 
 class _SessionRun:
-    """Thread-shared state of one in-flight pipelined request.
+    """The abort state of one in-flight request, and the pipeline's results.
 
     Also the ``backoff`` the execute stage consults: retries stop at
     the policy's attempt limit or as soon as the request is aborted,
@@ -86,10 +79,9 @@ class _SessionRun:
 
     def __init__(self, policy: RequestPolicy, request_id: str) -> None:
         self.cond = threading.Condition()
-        #: What the consumer finds at each rank: an executed plan, or
-        #: how the stream ends there — ``_EXHAUSTED``, the producer's
-        #: exception, or None for an aborted producer and for a plan a
-        #: worker abandoned unexecuted (deadline or cancellation).
+        #: The pipeline's result at each rank: an executed plan, or how
+        #: the stream ends there — ``_EXHAUSTED``, the producer's
+        #: exception, or None (an aborted producer or abandoned plan).
         self.results: dict[int, object] = {}
         self.stop = threading.Event()
         self.retry = policy.retry
@@ -116,15 +108,14 @@ class _SessionRun:
             self.cond.notify_all()
 
     def take(self, rank: int) -> object:
-        """Block for the result at *rank*; None if the request aborts first."""
-        token, deadline = self.token, self.deadline
+        """Block for the result at *rank*; None once the request aborts,
+        even if that result is already published."""
         with self.cond:
-            while True:
+            while not self.aborted():
                 if rank in self.results:
                     return self.results.pop(rank)
-                if token.cancelled or deadline.expired:
-                    return None
                 self.cond.wait(timeout=_TICK_S)
+        return None
 
 
 def _drain(work_q: Queue) -> None:
@@ -144,12 +135,13 @@ def _leave_done(work_q: Queue) -> None:
 
 
 class PipelinedSession:
-    """Runs queries through a mediator with ordering/execution overlap.
+    """Runs queries through a mediator, pipelined over a blocking backend.
 
     One session instance serves one request at a time (the service
     layer creates a session per admitted request); the mediator — and
     with it the registry, journal and resilience manager every session
     on it shares — and the backend may be shared freely.
+    ``executor_workers`` and ``queue_depth`` size the pipeline only.
     """
 
     def __init__(
@@ -178,8 +170,6 @@ class PipelinedSession:
         self._retries = registry.counter("service.retries")
         self._execute_hist = registry.histogram("service.execute_s")
 
-    # -- the pipeline ------------------------------------------------------------
-
     def stream(
         self,
         query: ConjunctiveQuery,
@@ -189,19 +179,16 @@ class PipelinedSession:
         policy: Optional[RequestPolicy] = None,
         request_id: str = "",
     ) -> Iterator[AnswerBatch]:
-        """Yield answer batches in emission order, pipelined.
+        """Yield answer batches in emission order.
 
-        The same stages as ``Mediator.answer`` (same plans, same
-        order, same batches) with ordering, soundness, and execution
-        overlapped across threads.  After the generator finishes (or
-        is closed early), :attr:`last_report` describes the run.
-        ``request_id`` correlates this run's journal events (emitted
-        from the producer, executor, and consumer threads — the
-        journal serializes them with one global ``seq``).
+        The stages of ``Mediator.answer`` — same plans, same order,
+        same batches — on this thread, or overlapped across threads
+        over a blocking backend.  After the generator finishes (or is
+        closed early), :attr:`last_report` describes the run;
+        ``request_id`` correlates its journal events.
         """
         policy = policy if policy is not None else self.policy
         run = _SessionRun(policy, request_id)
-        token, deadline = run.token, run.deadline
         with self.tracer.span("service.reformulate"):
             core = AnytimeRun(
                 self.mediator, query, utility,
@@ -209,8 +196,72 @@ class PipelinedSession:
                 request_id=request_id, tracer=self.tracer,
             )
         report = self.last_report = core.report
+        plans = core.plans()
+        backend, database = self.backend, self.mediator.execution_database()
+
+        def executor(tracer: Tracer) -> Callable[[StagedPlan], None]:
+            def run_query(executable: ConjunctiveQuery) -> frozenset:
+                with tracer.span("service.worker.execute"):
+                    return backend.execute(executable, database)
+
+            return lambda item: core.execute(item, run_query, run)
+
+        # Decided once, before plan 1: threads buy overlap only while
+        # execution waits, and whether it can is the backend's to say.
+        if backend.blocking:
+            source = self._pipeline(run, plans, executor)
+        else:
+            execute = executor(self.tracer)
+
+            def take(_rank: int) -> object:
+                if run.aborted():
+                    return None
+                item = next(plans, _EXHAUSTED)
+                if item is not _EXHAUSTED:
+                    execute(item)
+                return item
+
+            source = nullcontext(take)
+        try:
+            with source as take_next:
+                rank = 1
+                while True:
+                    item = take_next(rank)
+                    if not isinstance(item, StagedPlan):
+                        if isinstance(item, BaseException):
+                            raise item
+                        if item is _EXHAUSTED:
+                            report.exhausted = True
+                        elif run.token.cancelled:
+                            report.cancelled = True
+                        else:
+                            # Deadline — seen by take, by a worker that
+                            # then abandoned this plan, or only by the
+                            # producer before it stopped early.
+                            report.deadline_exceeded = True
+                        return
+                    batch = core.settle(item)
+                    with self.mediator.registry.lock:
+                        self._plans_pipelined.inc()
+                        self._retries.inc(item.retries)
+                        if item.execute_s:
+                            self._execute_hist.observe(item.execute_s)
+                    yield batch
+                    rank += 1
+                    if (
+                        policy.first_k_answers is not None
+                        and report.answers >= policy.first_k_answers
+                    ):
+                        report.satisfied = True
+                        return
+        finally:
+            core.close()
+
+    @contextmanager
+    def _pipeline(self, run: _SessionRun, plans: Iterator[StagedPlan], executor):
+        """Start the producer and the workers and yield ``run.take``;
+        on the way out, stop every thread and collect it."""
         work_q: Queue = Queue(maxsize=self.queue_depth)
-        database = self.mediator.execution_database()
 
         def put_abortable(item) -> bool:
             """Enqueue unless the session is shutting down."""
@@ -221,12 +272,6 @@ class PipelinedSession:
                 except Full:
                     continue
             return False
-
-        # One generator for the request: the consumer orders the first
-        # plan on it before the producer starts and puts it back in
-        # front (below); the producer queues that one and orders every
-        # later one.
-        plans = core.plans()
 
         def produce() -> None:
             produced = 0
@@ -247,10 +292,7 @@ class PipelinedSession:
                 put_abortable(_DONE)
 
         def work(tracer: Tracer) -> None:
-            def run_query(executable: ConjunctiveQuery) -> frozenset:
-                with tracer.span("service.worker.execute"):
-                    return self.backend.execute(executable, database)
-
+            execute = executor(tracer)
             while True:
                 try:
                     item = work_q.get(timeout=_TICK_S)
@@ -261,17 +303,17 @@ class PipelinedSession:
                 if item is _DONE:
                     _leave_done(work_q)
                     return
-                abandoned = token.cancelled or deadline.expired
+                abandoned = run.aborted()
                 if not abandoned:
-                    core.execute(item, run_query, run)
+                    execute(item)
                 run.publish(item.ordered.rank, None if abandoned else item)
 
         producer = threading.Thread(
             target=produce, name="repro-service-producer", daemon=True
         )
         # Tracers are single-threaded recorders, so every worker gets a
-        # private one; the consumer folds them into the session tracer
-        # after the workers have quiesced (see the ``finally`` below).
+        # private one; they fold into the session tracer after the
+        # workers have quiesced (see the ``finally`` below).
         worker_tracers = [
             Tracer(enabled=self.tracer.enabled)
             for _ in range(self.executor_workers)
@@ -285,57 +327,14 @@ class PipelinedSession:
             )
             for i in range(self.executor_workers)
         ]
-
-        next_rank = 1
         try:
             # Workers first: they block on the empty queue at once.  A
             # CPU-bound producer started first makes this thread wait
             # out a GIL switch interval inside every later start().
             for worker in workers:
                 worker.start()
-            # The first plan is ordered here, not on the producer.
-            # Nothing can overlap with it — there is no plan to execute
-            # yet — and the producer, CPU-bound from its first
-            # instruction, holds the GIL through start() below for one
-            # switch interval: what it has ready when that interval ends
-            # is what the first batches carry.  This way the whole
-            # interval goes to the plans behind the head, and which of
-            # them make the first batches does not hang on a fraction
-            # of a millisecond of the host's speed.
-            if not run.aborted():
-                head = next(plans, None)
-                if head is not None:
-                    plans = itertools.chain((head,), plans)
             producer.start()
-            while True:
-                item = run.take(next_rank)
-                if not isinstance(item, StagedPlan):
-                    if isinstance(item, BaseException):
-                        raise item
-                    if item is _EXHAUSTED:
-                        report.exhausted = True
-                    elif token.cancelled:
-                        report.cancelled = True
-                    else:
-                        # Deadline — seen here, by a worker that then
-                        # abandoned this plan, or only by the producer
-                        # before it stopped early.
-                        report.deadline_exceeded = True
-                    return
-                batch = core.settle(item)
-                with self.mediator.registry.lock:
-                    self._plans_pipelined.inc()
-                    self._retries.inc(item.retries)
-                    if item.execute_s:
-                        self._execute_hist.observe(item.execute_s)
-                yield batch
-                next_rank += 1
-                if (
-                    policy.first_k_answers is not None
-                    and report.answers >= policy.first_k_answers
-                ):
-                    report.satisfied = True
-                    return
+            yield run.take
         finally:
             run.stop.set()
             # Unblock a producer stuck on a full queue, then collect
@@ -356,7 +355,6 @@ class PipelinedSession:
                 for worker_tracer in worker_tracers:
                     if len(worker_tracer):
                         self.tracer.merge(worker_tracer)
-            core.close()
 
     def run(
         self,

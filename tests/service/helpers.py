@@ -1,9 +1,22 @@
-"""Helpers shared by the service tests: wire round trips, wedged requests."""
+"""Helpers shared by the service tests: wire round trips, wedged
+requests, and one backend per session path."""
 
 import threading
 import time
 
+from repro.resilience.chaos import ChaosBackend, ChaosProfile
 from repro.service import protocol
+from repro.service.backends import InMemoryBackend
+
+
+def calm_chaos():
+    """A blocking backend that injects nothing: the pipelined path."""
+    return ChaosBackend(ChaosProfile("calm", {}))
+
+
+#: A session runs inline over a backend that never blocks and through
+#: its pipeline over one that does; tests of the session take both.
+BACKENDS = {"inline": InMemoryBackend, "pipelined": calm_chaos}
 
 
 def read_replies(stream):

@@ -1,10 +1,11 @@
-"""Acceptance sweep: the pipelined session equals the sequential mediator.
+"""Acceptance sweep: the session equals the sequential mediator.
 
-For 20 random-LAV scenarios x 4 utility measures, the pipelined
-session must emit the *identical* batch stream as ``Mediator.answer``:
-same plans (by key) in the same order, the same answer sets, and the
-same ``new_answers`` deltas.  This is the contract that makes the
-service layer a pure performance feature — concurrency may reorder
+For 20 random-LAV scenarios x 4 utility measures, the session must
+emit the *identical* batch stream as ``Mediator.answer`` on both of its
+paths — inline over a backend that never blocks, pipelined over one
+that does: same plans (by key) in the same order, the same answer sets,
+and the same ``new_answers`` deltas.  This is the contract that makes
+the service layer a pure performance feature — concurrency may reorder
 execution internally but can never change what a client observes.
 """
 
@@ -16,6 +17,7 @@ from repro.execution.mediator import Mediator
 from repro.ordering.bruteforce import PIOrderer
 from repro.service.session import PipelinedSession
 from repro.workloads.random_lav import ordering_scenario
+from tests.service.helpers import BACKENDS
 
 RANDOM_LAV_SEEDS = list(range(20))
 RANDOM_LAV_MEASURES = ("linear_cost", "bind_join_cost", "coverage", "monetary")
@@ -39,9 +41,10 @@ def sequential_stream(seed: int, measure_name: str):
     )
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("measure_name", RANDOM_LAV_MEASURES)
 @pytest.mark.parametrize("seed", RANDOM_LAV_SEEDS)
-def test_pipelined_stream_matches_sequential(seed, measure_name):
+def test_pipelined_stream_matches_sequential(seed, measure_name, backend):
     expected = sequential_stream(seed, measure_name)
     scenario = lav_scenario(seed)
     utility = getattr(scenario, measure_name)()
@@ -49,6 +52,7 @@ def test_pipelined_stream_matches_sequential(seed, measure_name):
         Mediator(scenario.scenario.catalog, scenario.scenario.source_facts),
         executor_workers=3,
         queue_depth=4,
+        backend=BACKENDS[backend](),
     )
     batches, report = session.run(
         scenario.scenario.query, utility, orderer=PIOrderer(utility)
@@ -62,9 +66,10 @@ def test_pipelined_stream_matches_sequential(seed, measure_name):
     assert report.exhausted
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("seed", RANDOM_LAV_SEEDS[::5])
-def test_union_of_answers_matches_certain_answers_path(seed):
-    """Spot-check end-to-end soundness: the pipelined union equals the
+def test_union_of_answers_matches_certain_answers_path(seed, backend):
+    """Spot-check end-to-end soundness: the session's union equals the
     sequential union (which the execution suite ties to certain
     answers elsewhere)."""
     scenario = lav_scenario(seed)
@@ -73,7 +78,9 @@ def test_union_of_answers_matches_certain_answers_path(seed):
         scenario.scenario.catalog, scenario.scenario.source_facts
     )
     expected = mediator.answer_all(scenario.scenario.query, utility)
-    session = PipelinedSession(mediator, executor_workers=2)
+    session = PipelinedSession(
+        mediator, executor_workers=2, backend=BACKENDS[backend]()
+    )
     batches, _ = session.run(scenario.scenario.query, utility)
     union = set().union(*(b.answers for b in batches)) if batches else set()
     assert union == expected

@@ -1,6 +1,7 @@
-"""Tests for the pipelined anytime session."""
+"""Tests for the anytime session, inline and pipelined."""
 
 import threading
+import time
 
 import pytest
 
@@ -10,10 +11,12 @@ from repro.observability.metrics import MetricRegistry
 from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.ordering.bruteforce import PIOrderer
 from repro.ordering.greedy import GreedyOrderer
-from repro.service.backends import FlakyBackend
+from repro.service.backends import FlakyBackend, InMemoryBackend
 from repro.service.policy import CancellationToken, RequestPolicy, RetryPolicy
+from repro.service.server import QueryRequest, QueryService
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
+from tests.service.helpers import BACKENDS, calm_chaos
 
 
 def batch_signature(batch):
@@ -27,9 +30,12 @@ def batch_signature(batch):
     )
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 class TestEquivalenceWithSequentialMediator:
     @pytest.mark.parametrize("workers,depth", [(1, 1), (2, 4), (4, 8)])
-    def test_identical_batch_stream_on_movies(self, movies, workers, depth):
+    def test_identical_batch_stream_on_movies(
+        self, movies, backend, workers, depth
+    ):
         utility = LinearCost()
         sequential = Mediator(movies.catalog, movies.source_facts)
         expected = [
@@ -40,7 +46,8 @@ class TestEquivalenceWithSequentialMediator:
         ]
         mediator = Mediator(movies.catalog, movies.source_facts)
         session = PipelinedSession(
-            mediator, executor_workers=workers, queue_depth=depth
+            mediator, executor_workers=workers, queue_depth=depth,
+            backend=BACKENDS[backend](),
         )
         batches, report = session.run(
             movies.query, utility, orderer=PIOrderer(utility)
@@ -50,7 +57,7 @@ class TestEquivalenceWithSequentialMediator:
         assert report.exhausted
         assert report.plans_processed == len(expected)
 
-    def test_greedy_orderer_with_on_emit_feedback(self, movies):
+    def test_greedy_orderer_with_on_emit_feedback(self, movies, backend):
         """Greedy consults on_emit (conditional utility) — the sharpest
         check that the producer answers soundness before resumption."""
         utility = LinearCost()
@@ -62,16 +69,20 @@ class TestEquivalenceWithSequentialMediator:
             )
         ]
         mediator = Mediator(movies.catalog, movies.source_facts)
-        session = PipelinedSession(mediator, executor_workers=3)
+        session = PipelinedSession(
+            mediator, executor_workers=3, backend=BACKENDS[backend]()
+        )
         batches, _ = session.run(
             movies.query, utility, orderer=GreedyOrderer(utility)
         )
         assert [batch_signature(b) for b in batches] == expected
 
-    def test_repeated_runs_are_deterministic(self, movies):
+    def test_repeated_runs_are_deterministic(self, movies, backend):
         utility = LinearCost()
         mediator = Mediator(movies.catalog, movies.source_facts)
-        session = PipelinedSession(mediator, executor_workers=4)
+        session = PipelinedSession(
+            mediator, executor_workers=4, backend=BACKENDS[backend]()
+        )
         first, _ = session.run(movies.query, utility)
         second, _ = session.run(movies.query, utility)
         assert [batch_signature(b) for b in first] == [
@@ -79,24 +90,31 @@ class TestEquivalenceWithSequentialMediator:
         ]
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 class TestBudgets:
-    def test_max_plans_truncates_like_mediator(self, movies):
+    def test_max_plans_truncates_like_mediator(self, movies, backend):
         utility = LinearCost()
         sequential = Mediator(movies.catalog, movies.source_facts)
         expected = [
             batch_signature(b)
             for b in sequential.answer(movies.query, utility, max_plans=3)
         ]
-        session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts),
+            backend=BACKENDS[backend](),
+        )
         batches, report = session.run(
             movies.query, utility, policy=RequestPolicy(max_plans=3)
         )
         assert [batch_signature(b) for b in batches] == expected
         assert report.plans_processed == 3
 
-    def test_first_k_answers_stops_early(self, movies):
+    def test_first_k_answers_stops_early(self, movies, backend):
         utility = LinearCost()
-        session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts),
+            backend=BACKENDS[backend](),
+        )
         batches, report = session.run(
             movies.query, utility, policy=RequestPolicy(first_k_answers=2)
         )
@@ -109,9 +127,13 @@ class TestBudgets:
         assert len(batches) < len(full)
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 class TestDeadlinesAndCancellation:
-    def test_expired_deadline_returns_partial_not_raises(self, movies):
-        session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
+    def test_expired_deadline_returns_partial_not_raises(self, movies, backend):
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts),
+            backend=BACKENDS[backend](),
+        )
         batches, report = session.run(
             movies.query, LinearCost(), policy=RequestPolicy(deadline_s=0.0)
         )
@@ -120,10 +142,13 @@ class TestDeadlinesAndCancellation:
         assert report.status == "deadline_exceeded"
         assert not report.cancelled
 
-    def test_pre_cancelled_token_reports_cancelled(self, movies):
+    def test_pre_cancelled_token_reports_cancelled(self, movies, backend):
         token = CancellationToken()
         token.cancel()
-        session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts),
+            backend=BACKENDS[backend](),
+        )
         batches, report = session.run(
             movies.query,
             LinearCost(),
@@ -132,12 +157,13 @@ class TestDeadlinesAndCancellation:
         assert batches == []
         assert report.status == "cancelled"
 
-    def test_cancel_mid_stream(self, movies):
+    def test_cancel_mid_stream(self, movies, backend):
         token = CancellationToken()
         session = PipelinedSession(
             Mediator(movies.catalog, movies.source_facts),
             executor_workers=1,
             queue_depth=1,
+            backend=BACKENDS[backend](),
         )
         stream = session.stream(
             movies.query,
@@ -150,15 +176,38 @@ class TestDeadlinesAndCancellation:
         remaining = list(stream)
         report = session.last_report
         assert report.cancelled
-        # The stream ended cleanly; whatever drained before the token
-        # was observed is a clean prefix.
-        ranks = [first.rank] + [b.rank for b in remaining]
-        assert ranks == list(range(1, len(ranks) + 1))
+        # Nothing is delivered once the token is cancelled.
+        assert remaining == []
 
-    def test_early_consumer_break_leaves_session_reusable(self, movies):
+    def test_cancel_from_on_batch_delivers_no_further_batch(self, movies, backend):
+        # Fails at the parent commit on the pipeline: take() returned a
+        # rank already published before it looked at the token, so with
+        # every plan executed ahead (the sleep below) the cancelled
+        # request delivered all nine batches and ended ok.
+        token = CancellationToken()
+        delivered = []
+
+        def on_batch(batch):
+            delivered.append(batch.rank)
+            time.sleep(0.2)  # a pipeline's workers run every plan meanwhile
+            token.cancel()
+
+        service = QueryService(
+            movies.catalog, movies.source_facts, backend=BACKENDS[backend]()
+        )
+        result = service.execute(
+            QueryRequest(movies.query, policy=RequestPolicy(cancellation=token)),
+            on_batch=on_batch,
+        )
+        assert delivered == [1]
+        assert result.status == "cancelled"
+
+    def test_early_consumer_break_leaves_session_reusable(self, movies, backend):
         utility = LinearCost()
         session = PipelinedSession(
-            Mediator(movies.catalog, movies.source_facts), queue_depth=2
+            Mediator(movies.catalog, movies.source_facts),
+            queue_depth=2,
+            backend=BACKENDS[backend](),
         )
         stream = session.stream(movies.query, utility)
         next(stream)
@@ -246,68 +295,69 @@ class TestInstrumentation:
         assert 0.0 < report.first_answer_s <= report.elapsed_s
 
 
-class TestThreadStartOrder:
-    def test_executor_workers_start_before_the_producer(self, movies, monkeypatch):
+def started_threads(movies, monkeypatch, backend):
+    """Names of the threads one full movies request starts, in order."""
+    started: list[str] = []
+    original = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    session = PipelinedSession(
+        Mediator(movies.catalog, movies.source_facts),
+        executor_workers=3,
+        backend=backend,
+    )
+    batches, report = session.run(movies.query, LinearCost())
+    assert report.exhausted and len(batches) == 9
+    return started
+
+
+class TestThreadCensus:
+    def test_an_in_memory_request_starts_no_thread(self, movies, monkeypatch):
+        assert started_threads(movies, monkeypatch, InMemoryBackend()) == []
+
+    def test_a_blocking_backend_starts_its_workers_before_its_producer(
+        self, movies, monkeypatch
+    ):
         # The producer is CPU-bound from its first instruction: started
         # first, it makes the consumer wait out a GIL switch interval
-        # inside each following Thread.start() (5 ms apiece, on the
-        # way to the first answer).  Workers block on the empty queue.
-        started: list[str] = []
-        original = threading.Thread.start
-
-        def recording_start(thread):
-            started.append(thread.name)
-            original(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", recording_start)
-        session = PipelinedSession(
-            Mediator(movies.catalog, movies.source_facts), executor_workers=3
-        )
-        batches, _report = session.run(movies.query, LinearCost())
-        assert batches
-        assert started == [
+        # inside each following Thread.start().  Workers block on the
+        # empty queue.
+        assert started_threads(movies, monkeypatch, calm_chaos()) == [
             "repro-service-exec-0",
             "repro-service-exec-1",
             "repro-service-exec-2",
             "repro-service-producer",
         ]
 
-    def test_the_first_plan_is_ordered_before_the_producer_starts(self, movies):
-        # Ordered on the producer, the head spends part of the switch
-        # interval the consumer waits out inside producer.start(): how
-        # many plans are ready when it ends — what the first batches
-        # carry — then hangs on the host's speed.
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_an_aborted_request_orders_no_plan(self, movies, backend):
+        # Recorded, not raised: a cancelled pipeline never surfaces the
+        # producer's exception.
+        ordered_on: list[str] = []
+
         class Recording(PIOrderer):
             def order(self, *args, **kwargs):
-                for ordered in super().order(*args, **kwargs):
-                    ordered_on.append(threading.current_thread().name)
-                    yield ordered
-
-        ordered_on: list[str] = []
-        session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
-        batches, _report = session.run(
-            movies.query, LinearCost(), orderer=Recording(LinearCost())
-        )
-        assert len(batches) == len(ordered_on) > 1
-        assert ordered_on[0] == threading.current_thread().name
-        assert set(ordered_on[1:]) == {"repro-service-producer"}
-
-    def test_an_aborted_request_orders_no_plan(self, movies):
-        class Untouched(PIOrderer):
-            def order(self, *args, **kwargs):
-                raise AssertionError("ordered a plan for a cancelled request")
-                yield
+                ordered_on.append(threading.current_thread().name)
+                yield from super().order(*args, **kwargs)
 
         token = CancellationToken()
         token.cancel()
-        session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts),
+            backend=BACKENDS[backend](),
+        )
         batches, report = session.run(
             movies.query,
             LinearCost(),
-            orderer=Untouched(LinearCost()),
+            orderer=Recording(LinearCost()),
             policy=RequestPolicy(cancellation=token),
         )
         assert batches == [] and report.cancelled
+        assert ordered_on == []
 
 
 class TestValidation:

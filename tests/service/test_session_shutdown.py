@@ -4,7 +4,9 @@
 shutdown path that relies on a poll expiring — a worker that never got
 its ``_DONE`` marker, a producer left on a full queue — costs at least
 2 s, so 140 back-to-back requests finishing inside that budget shows
-that none of them waited one out.
+that none of them waited one out.  The pipelined arm is the one with
+threads to shut down; the inline arm holds the same requests to the
+same budget without any.
 """
 
 import threading
@@ -17,6 +19,7 @@ from repro.service import session as session_module
 from repro.service.policy import CancellationToken, RequestPolicy
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
+from tests.service.helpers import BACKENDS
 
 STRETCHED_TICK_S = 2.0
 
@@ -29,13 +32,15 @@ def service_threads():
     ]
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("workers,depth", [(2, 8), (3, 1)])
-def test_no_request_waits_out_a_poll(movies, monkeypatch, workers, depth):
+def test_no_request_waits_out_a_poll(movies, monkeypatch, workers, depth, backend):
     monkeypatch.setattr(session_module, "_TICK_S", STRETCHED_TICK_S)
     session = PipelinedSession(
         Mediator(movies.catalog, movies.source_facts),
         executor_workers=workers,
         queue_depth=depth,
+        backend=BACKENDS[backend](),
     )
     utility = LinearCost()
     started = time.perf_counter()
