@@ -1,13 +1,13 @@
 """Any-k ranked enumeration: first-plan delay and peak memory.
 
-ROADMAP item 1's raw-speed unlock: AnyK seeds one lattice root per
-plan space and pays per *pop*, so its time-to-first-plan and its peak
-allocation stay near-flat while iDrips' grow with the product space
-(iDrips abstracts over the materialized buckets before it can emit).
-These cells substantiate the BENCH_PR6.json gate — ``repro profile
---anyk --check`` enforces the >= 10x first-plan speedup on the
-~10^5-plan space in CI; the benchmark records the same spaces with
-per-cell counters for diffing.
+AnyK seeds one lattice root per plan space and pays per *pop*, so its
+time-to-first-plan and its peak allocation stay near-flat while
+iDrips' grow with the product space (iDrips abstracts over the
+materialized buckets before it can emit).  These cells reproduce the
+measured table in ``docs/ordering.md``, with per-cell counters for
+diffing.  The gate is deterministic and lives in tier-1:
+``tests/ordering/test_call_counts.py`` holds AnyK's first plan to
+``1 + width`` distinct evaluations on the 12^3 and 47^3 spaces.
 
 Bucket sizes 22 / 47 / 100 at query length 3 give 10^4, ~10^5 and
 10^6-plan spaces.

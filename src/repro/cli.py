@@ -35,10 +35,11 @@ Commands
     whole-program concurrency rules over a source tree, and the
     measure-property rule over the bundled workloads.
 ``profile``
-    Headless perf-baseline run (:mod:`repro.experiments.profile`):
-    ordering throughput, observability-hook overhead ratios, service
-    latency percentiles — written as the CI artifact
-    ``BENCH_PR5.json``; ``--check`` enforces the overhead bound.
+    Headless baselines (:mod:`repro.experiments.profile`):
+    ``--cluster`` measures router-fronted scale-out
+    (``BENCH_PR7.json``), ``--adaptive`` cold-start time-to-first-answer
+    with and without mid-stream re-ordering (``BENCH_PR9.json``);
+    ``--check`` enforces the mode's gate.
 ``metrics-dump``
     Convert a ``--metrics-out`` JSON export (or scrape a running
     ``/metrics`` endpoint) to Prometheus text on stdout.
@@ -555,176 +556,59 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     return 0 if report.errors == 0 else 1
 
 
-def _cmd_anyk_profile(args: argparse.Namespace) -> int:
-    import json
-    from datetime import datetime, timezone
-
-    from repro.experiments.profile import check_anyk_profile, run_anyk_profile
-
-    payload = run_anyk_profile(
-        seed=args.seed,
-        quick=args.quick,
-        rounds=args.rounds,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    for section in payload["spaces"]:
-        anyk = section["anyk"]
-        idrips = section["idrips"]
-        print(
-            f"anyk        {section['space_size']:>9,} plans "
-            f"(bucket {section['bucket_size']}): first plan "
-            f"{anyk['first_plan_median_s'] * 1e3:.2f} ms vs iDrips "
-            f"{idrips['first_plan_median_s'] * 1e3:.2f} ms "
-            f"({section['first_plan_speedup']:.1f}x); peak "
-            f"{anyk['first_plan_peak_kib']:,.0f} KiB vs "
-            f"{idrips['first_plan_peak_kib']:,.0f} KiB"
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline written to {args.out}")
-    if args.check:
-        problems = check_anyk_profile(payload)
-        for problem in problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("check passed: AnyK first-plan delay within the speedup gate")
-    return 0
-
-
-def _cmd_adaptive_profile(args: argparse.Namespace) -> int:
-    import json
-    from datetime import datetime, timezone
-
-    from repro.experiments.profile import (
-        check_adaptive_profile,
-        run_adaptive_profile,
-    )
-
-    payload = run_adaptive_profile(
-        seed=args.seed,
-        quick=args.quick,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    for arm in ("fixed", "adaptive"):
-        data = payload["arms"][arm]
-        print(
-            f"{arm:<11} first answer p50 {data['ttfa_p50_s'] * 1e3:7.1f} ms, "
-            f"p90 {data['ttfa_p90_s'] * 1e3:7.1f} ms over {data['trials']} "
-            f"cold-start trials ({sum(data['reorders'])} re-orders)"
-        )
-    print(
-        f"ratio       adaptive/fixed TTFA p90 "
-        f"{payload['ttfa_p90_ratio']:.2f}x "
-        f"(gate {payload['gate']['max_ttfa_ratio']:.2f}x); healthy streams "
-        f"{'identical' if payload['healthy']['identical'] else 'DIVERGED'}"
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline written to {args.out}")
-    if args.check:
-        problems = check_adaptive_profile(payload)
-        for problem in problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("check passed: adaptive TTFA within the ratio gate")
-    return 0
-
-
-def _cmd_cluster_profile(args: argparse.Namespace) -> int:
-    import json
-    from datetime import datetime, timezone
-
-    from repro.experiments.profile import (
-        check_cluster_profile,
-        run_cluster_profile,
-    )
-
-    payload = run_cluster_profile(
-        seed=args.seed,
-        quick=args.quick,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    base = payload["arms"]["single"]["throughput_rps"]
-    print(f"single      {base:7.1f} req/s (1 process)")
-    for key in sorted(payload["scaling"]):
-        arm = payload["arms"][key]
-        print(
-            f"{key:<11} {arm['throughput_rps']:7.1f} req/s "
-            f"({payload['scaling'][key]:.2f}x, imbalance "
-            f"{arm.get('shard_imbalance', 0.0):.2f})"
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline written to {args.out}")
-    if args.check:
-        problems = check_cluster_profile(payload)
-        for problem in problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("check passed: cluster scale-out within the scaling gates")
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
     from datetime import datetime, timezone
 
-    from repro.experiments.profile import check_profile, run_profile
+    from repro.experiments import profile
 
-    if args.anyk:
-        return _cmd_anyk_profile(args)
+    timestamp = datetime.now(timezone.utc).isoformat()
     if args.cluster:
-        return _cmd_cluster_profile(args)
-    if args.adaptive:
-        return _cmd_adaptive_profile(args)
-    payload = run_profile(
-        seed=args.seed,
-        quick=args.quick,
-        rounds=args.rounds,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    ordering = payload["ordering"]
-    overhead = payload["overhead"]
-    service = payload["service"]
-    print(
-        f"ordering    greedy {ordering['greedy']['plans_per_s']:,.0f} plans/s, "
-        f"pi {ordering['pi']['plans_per_s']:,.0f} plans/s, "
-        f"anyk {ordering['anyk']['plans_per_s']:,.0f} plans/s "
-        f"(k={ordering['k']}, space={ordering['space_size']})"
-    )
-    print(
-        f"overhead    journal off x{overhead['journal_off_ratio']:.3f}, "
-        f"on x{overhead['journal_on_ratio']:.3f}, "
-        f"tracing x{overhead['tracing_on_ratio']:.3f} "
-        f"(control {overhead['control_median_s'] * 1e3:.3f} ms/drain)"
-    )
-    print(
-        f"service     {service['completed']}/{service['requests']} ok at "
-        f"{service['throughput_rps']:,.0f} req/s; first-answer "
-        f"p50={service['first_answer']['p50_s'] * 1e3:.2f} ms "
-        f"p99={service['first_answer']['p99_s'] * 1e3:.2f} ms"
-    )
+        payload = profile.run_cluster_profile(
+            seed=args.seed, quick=args.quick, timestamp=timestamp
+        )
+        base = payload["arms"]["single"]["throughput_rps"]
+        print(f"single      {base:7.1f} req/s (1 process)")
+        for key in sorted(payload["scaling"]):
+            arm = payload["arms"][key]
+            print(
+                f"{key:<11} {arm['throughput_rps']:7.1f} req/s "
+                f"({payload['scaling'][key]:.2f}x, imbalance "
+                f"{arm.get('shard_imbalance', 0.0):.2f})"
+            )
+        check = profile.check_cluster_profile
+        verdict = "cluster scale-out within the scaling gates"
+    else:
+        payload = profile.run_adaptive_profile(
+            seed=args.seed, quick=args.quick, timestamp=timestamp
+        )
+        for arm in ("fixed", "adaptive"):
+            data = payload["arms"][arm]
+            print(
+                f"{arm:<11} first answer p50 {data['ttfa_p50_s'] * 1e3:7.1f} ms, "
+                f"p90 {data['ttfa_p90_s'] * 1e3:7.1f} ms over {data['trials']} "
+                f"cold-start trials ({sum(data['reorders'])} re-orders)"
+            )
+        print(
+            f"ratio       adaptive/fixed TTFA p90 "
+            f"{payload['ttfa_p90_ratio']:.2f}x "
+            f"(gate {payload['gate']['max_ttfa_ratio']:.2f}x); healthy streams "
+            f"{'identical' if payload['healthy']['identical'] else 'DIVERGED'}"
+        )
+        check = profile.check_adaptive_profile
+        verdict = "adaptive TTFA within the ratio gate"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"baseline written to {args.out}")
     if args.check:
-        problems = check_profile(payload)
+        problems = check(payload)
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)
         if problems:
             return 1
-        print("check passed: disabled journal hooks within the overhead bound")
+        print(f"check passed: {verdict}")
     return 0
 
 
@@ -1032,33 +916,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       help="print the rule catalog and exit")
 
     profile = sub.add_parser("profile",
-                             help="headless perf baseline (BENCH_PR5.json)")
+                             help="headless cluster or adaptive baseline "
+                                  "(BENCH_PR7.json, BENCH_PR9.json)")
     profile.add_argument("--out", metavar="PATH", default=None,
                          help="write the baseline document to PATH as JSON")
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--rounds", type=int, default=None,
-                         help="interleaved measurement rounds per section")
     profile.add_argument("--quick", action="store_true",
-                         help="fewer rounds/requests (smoke mode)")
-    profile.add_argument("--anyk", action="store_true",
-                         help="run the AnyK-vs-iDrips first-plan baseline "
-                              "(BENCH_PR6.json) instead of the PR5 sections")
-    profile.add_argument("--cluster", action="store_true",
-                         help="run the cluster scale-out baseline "
-                              "(BENCH_PR7.json): single process vs 2 and 4 "
-                              "router-fronted workers on a sleep-bound "
-                              "workload")
-    profile.add_argument("--adaptive", action="store_true",
-                         help="run the adaptive-vs-fixed ordering baseline "
-                              "(BENCH_PR9.json): cold-start time-to-first-"
-                              "answer with and without mid-stream "
-                              "re-ordering under seeded outage chaos")
+                         help="fewer requests/trials (smoke mode)")
+    mode = profile.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--cluster", action="store_true",
+                      help="run the cluster scale-out baseline "
+                           "(BENCH_PR7.json): single process vs 2 and 4 "
+                           "router-fronted workers on a sleep-bound "
+                           "workload")
+    mode.add_argument("--adaptive", action="store_true",
+                      help="run the adaptive-vs-fixed ordering baseline "
+                           "(BENCH_PR9.json): cold-start time-to-first-"
+                           "answer with and without mid-stream "
+                           "re-ordering under seeded outage chaos")
     profile.add_argument("--check", action="store_true",
-                         help="fail (exit 1) when disabled journal hooks "
-                              "exceed the 5%% overhead bound (with --anyk: "
-                              "the first-plan speedup gate; with --cluster: "
-                              "the throughput scaling gates; with "
-                              "--adaptive: the TTFA ratio gate)")
+                         help="fail (exit 1) when the baseline misses its "
+                              "gate (--cluster: the throughput scaling "
+                              "gates; --adaptive: the TTFA ratio gate)")
 
     dump = sub.add_parser("metrics-dump",
                           help="metrics JSON export -> Prometheus text")

@@ -164,8 +164,8 @@ class AnytimeRun:
         self.journal = mediator.journal.bind(request_id)
         # Read once: the flag cannot change mid-run, and every stage
         # consults it per plan (BoundJournal.enabled is a property — a
-        # plain bool keeps the disabled path near-free; ``repro
-        # profile`` gates this in CI).
+        # plain bool keeps the disabled path near-free; a tier-1 test
+        # pins that a disabled journal's ``emit`` is never called).
         self.journaling = self.journal.enabled
         self.report = SessionReport()
         self.watch = Stopwatch().start()

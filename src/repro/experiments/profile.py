@@ -1,61 +1,39 @@
-"""The perf-baseline harness behind ``repro profile``.
+"""The two baselines behind ``repro profile``.
 
-Runs the repository's hot paths headlessly — no pytest, no sockets
-unless asked — and produces one JSON document (``BENCH_PR5.json`` in
-CI) that later runs diff against:
+Each mode runs headlessly and produces one JSON document that a
+``check_*`` function gates:
 
-* **ordering** — plans-per-second of the Greedy and PI orderers on
-  the camera domain (the ``bench_greedy`` cell);
-* **overhead** — the cost of the observability hooks on the mediator
-  loop: the hooked ``Mediator.answer`` with journalling *off* (the
-  default everyone pays) and *on*, and with tracing on, each as a
-  ratio over a hand-inlined control loop with no journal hooks at
-  all.  The ``journal_off_ratio`` is the number CI bounds (≤ 1.05):
-  disabled instrumentation must stay within noise of free;
-* **service** — time-to-first-answer and total latency percentiles of
-  the in-process :class:`~repro.service.server.QueryService` under a
-  concurrent query mix;
-* **deterministic** — a timing-free fingerprint of the same workload
-  (answer counts, journal event counts, an answer checksum), byte-
-  reproducible under a fixed seed, so a diff separates "got slower"
-  from "computes something else now".
+* **cluster** (``--cluster``, ``BENCH_PR7.json``) — aggregate
+  throughput of a single-process server against 2 and 4 router-fronted
+  worker processes on the same sleep-bound chaos workload and the same
+  shard-stratified query mix; the check bounds each arm's scale-out;
+* **adaptive** (``--adaptive``, ``BENCH_PR9.json``) — cold-start
+  time-to-first-answer with and without mid-stream re-ordering under a
+  seeded outage of the statically best-ranked source; the check
+  bounds the adaptive/fixed TTFA p90 ratio and requires byte-identical
+  healthy streams.
 
-Rounds are interleaved (control, hooked, control, ...) and medians
-reported, which keeps the ratios stable on noisy CI machines.  This
-module computes and returns; the CLI does the printing.
+What a request costs end to end, layer by layer, is measured by
+``benchmarks/e2e``; the evaluation-count contracts of the orderers are
+tier-1 tests.  This module computes and returns; the CLI does the
+printing.
 """
 
 from __future__ import annotations
 
 import hashlib
-import statistics
-import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.datalog.parser import parse_query
-from repro.execution.mediator import AnswerBatch, Mediator
 from repro.resilience.chaos import ChaosBackend, ChaosProfile, FaultProfile
 from repro.resilience.manager import ResilienceManager
 from repro.observability.journal import EventJournal
-from repro.observability.tracing import Stopwatch, Tracer
-from repro.ordering.anyk import AnyKOrderer
-from repro.ordering.bruteforce import PIOrderer
-from repro.ordering.greedy import GreedyOrderer
-from repro.ordering.idrips import IDripsOrderer
 from repro.service.loadgen import build_query_mix, percentile
 from repro.service.policy import RequestPolicy, RetryPolicy
 from repro.service.server import QueryRequest, QueryService, ServiceConfig
-from repro.utility.cost import BindJoinCost, LinearCost
-from repro.workloads.cameras import camera_domain
-from repro.workloads.movies import movie_domain
-from repro.workloads.synthetic import SyntheticParams, generate_domain
+from repro.utility.cost import BindJoinCost
 
 __all__ = [
-    "run_profile",
-    "check_profile",
-    "run_anyk_profile",
-    "check_anyk_profile",
     "run_cluster_profile",
     "check_cluster_profile",
     "run_adaptive_profile",
@@ -69,23 +47,6 @@ __all__ = [
 
 #: Bump when the document layout changes incompatibly.
 BASELINE_SCHEMA_VERSION = 1
-
-#: CI bound: hooked-but-disabled journalling may cost at most this
-#: fraction over the no-hooks control loop (see ``check_profile``).
-MAX_JOURNAL_OFF_OVERHEAD = 0.05
-
-#: Bucket sizes for the AnyK first-plan baseline: 22^3 ≈ 10^4,
-#: 47^3 ≈ 10^5 and 100^3 = 10^6 plans at query length 3.
-ANYK_BUCKET_SIZES = (22, 47, 100)
-ANYK_QUICK_BUCKET_SIZES = (12, 22)
-
-#: CI bound: AnyK's time-to-first-plan must be at most 1/10th of
-#: iDrips' on the gate space (see ``check_anyk_profile``).
-MIN_ANYK_SPEEDUP = 10.0
-
-#: The gate applies to the smallest measured space of at least this
-#: many plans (the "10^5-plan space" of the acceptance criteria).
-ANYK_GATE_MIN_SPACE = 100_000
 
 #: Cluster scale-out arms measured by ``run_cluster_profile`` (worker
 #: counts beyond the single-process baseline) and the CI bounds on
@@ -120,165 +81,8 @@ MAX_ADAPTIVE_TTFA_RATIO = 0.8
 #: sources N workers overlap N times as many source waits.  The
 #: scaling numbers are honest for I/O-bound mediation (the paper's
 #: setting: remote sources dominated by network latency) and say
-#: nothing about CPU-bound ordering, which ``run_profile`` measures.
+#: nothing about CPU-bound ordering, which ``benchmarks/e2e`` measures.
 CLUSTER_CHAOS_SCALE = 10.0
-
-
-def _median_of(fn: Callable[[], object], rounds: int) -> float:
-    times = []
-    for _ in range(rounds):
-        with Stopwatch() as watch:
-            fn()
-        times.append(watch.elapsed)
-    return statistics.median(times)
-
-
-# -- ordering throughput ----------------------------------------------------------
-
-
-def _ordering_section(seed: int, rounds: int, k: int) -> dict:
-    domain = camera_domain(seed)
-    section: dict[str, object] = {"k": k, "space_size": domain.space.size}
-    for name, factory in (
-        ("greedy", GreedyOrderer),
-        ("pi", PIOrderer),
-        ("anyk", AnyKOrderer),
-    ):
-        def once() -> None:
-            factory(LinearCost()).order_list(domain.space, k)
-
-        median_s = _median_of(once, rounds)
-        section[name] = {
-            "median_s": median_s,
-            "plans_per_s": k / median_s if median_s > 0 else 0.0,
-        }
-    return section
-
-
-# -- AnyK first-plan delay vs iDrips ----------------------------------------------
-
-
-def _first_plan_memory(make_first_plan: Callable[[], None]) -> float:
-    """Peak traced allocation (KiB) over one first-plan pull.
-
-    Measured in a separate run from the timings: tracemalloc slows
-    allocation severely, so timing under it would distort the delay
-    medians (for both algorithms, but unevenly — iDrips allocates the
-    whole product space, AnyK does not).
-    """
-    tracemalloc.start()
-    try:
-        make_first_plan()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / 1024.0
-
-
-def _anyk_space_section(bucket_size: int, seed: int, rounds: int) -> dict:
-    domain = generate_domain(
-        SyntheticParams(query_length=3, bucket_size=bucket_size, seed=seed)
-    )
-    space = domain.space
-    section: dict[str, object] = {
-        "bucket_size": bucket_size,
-        "query_length": 3,
-        "space_size": space.size,
-    }
-    for name, factory in (("anyk", AnyKOrderer), ("idrips", IDripsOrderer)):
-        def first_plan(make=factory) -> None:
-            generator = make(LinearCost()).order(space, 1)
-            next(generator)
-            generator.close()
-
-        section[name] = {
-            "first_plan_median_s": _median_of(first_plan, rounds),
-            "first_plan_peak_kib": _first_plan_memory(first_plan),
-        }
-    anyk_s = section["anyk"]["first_plan_median_s"]  # type: ignore[index]
-    idrips_s = section["idrips"]["first_plan_median_s"]  # type: ignore[index]
-    section["first_plan_speedup"] = idrips_s / anyk_s if anyk_s > 0 else 0.0
-    return section
-
-
-def run_anyk_profile(
-    *,
-    seed: int = 0,
-    quick: bool = False,
-    rounds: Optional[int] = None,
-    timestamp: Optional[str] = None,
-) -> dict:
-    """The AnyK-vs-iDrips first-plan baseline (``BENCH_PR6.json``).
-
-    For each generated plan space (10^4–10^6 plans at query length 3,
-    linear cost) this measures the median time-to-first-plan of both
-    orderers plus their tracemalloc peak over the same pull.  iDrips
-    materializes and abstracts the whole product space before its
-    first emission; AnyK seeds one lattice root per space, so both the
-    delay and the peak grow with the space for iDrips but not AnyK.
-    """
-    rounds = rounds if rounds is not None else (2 if quick else 5)
-    sizes = ANYK_QUICK_BUCKET_SIZES if quick else ANYK_BUCKET_SIZES
-    payload: dict[str, object] = {
-        "schema": BASELINE_SCHEMA_VERSION,
-        "kind": "anyk",
-        "seed": seed,
-        "quick": quick,
-        "rounds": rounds,
-        "measure": "linear",
-        "gate": {
-            "min_speedup": MIN_ANYK_SPEEDUP,
-            "min_space_size": ANYK_GATE_MIN_SPACE,
-        },
-        "spaces": [
-            _anyk_space_section(bucket_size, seed, rounds)
-            for bucket_size in sizes
-        ],
-    }
-    if timestamp is not None:
-        payload["timestamp"] = timestamp
-    return payload
-
-
-def check_anyk_profile(
-    payload: dict,
-    *,
-    min_speedup: float = MIN_ANYK_SPEEDUP,
-    min_space: int = ANYK_GATE_MIN_SPACE,
-) -> list[str]:
-    """Regression findings in an AnyK baseline; empty means pass.
-
-    The CI gate from the acceptance criteria: on the smallest measured
-    space of at least ``min_space`` plans, AnyK's first-plan delay must
-    be at most ``1/min_speedup`` of iDrips'.
-    """
-    spaces = payload.get("spaces")
-    if not isinstance(spaces, list) or not spaces:
-        return ["anyk baseline document has no spaces section"]
-    eligible = [
-        section
-        for section in spaces
-        if isinstance(section, dict)
-        and isinstance(section.get("space_size"), int)
-        and section["space_size"] >= min_space
-    ]
-    if not eligible:
-        return [
-            f"no measured space has >= {min_space} plans "
-            "(rerun without --quick to produce the gate space)"
-        ]
-    gate_section = min(eligible, key=lambda section: section["space_size"])
-    speedup = gate_section.get("first_plan_speedup")
-    if not isinstance(speedup, (int, float)):
-        return ["gate space section has no first_plan_speedup"]
-    problems: list[str] = []
-    if speedup < min_speedup:
-        problems.append(
-            f"AnyK first-plan speedup {speedup:.1f}x over iDrips on the "
-            f"{gate_section['space_size']}-plan space is below the "
-            f"{min_speedup:.0f}x gate"
-        )
-    return problems
 
 
 # -- cluster scale-out ------------------------------------------------------------
@@ -672,11 +476,15 @@ def run_adaptive_profile(
             for index in range(trials)
         ]
         ttfas = [run["ttfa_s"] for run in runs]
+        # A trial with no first answer has no TTFA (None): the
+        # percentiles cover the answered trials, and the check reports
+        # the others.
+        answered = [ttfa for ttfa in ttfas if ttfa is not None]
         arms[arm] = {
             "trials": trials,
             "ttfa_s": ttfas,
-            "ttfa_p50_s": percentile(ttfas, 0.50),
-            "ttfa_p90_s": percentile(ttfas, 0.90),
+            "ttfa_p50_s": percentile(answered, 0.50),
+            "ttfa_p90_s": percentile(answered, 0.90),
             "reorders": [run["reorders"] for run in runs],
             "statuses": [run["status"] for run in runs],
             "answers": [run["answers"] for run in runs],
@@ -730,9 +538,9 @@ def check_adaptive_profile(
 
     The CI gate from the acceptance criteria: adaptive TTFA p90 at
     most ``max_ratio`` of fixed-order under the outage chaos; every
-    trial completes ``ok``; the fixed arm never re-orders while every
-    adaptive trial re-orders at least once; and the healthy streams
-    are identical.
+    trial completes ``ok`` with a first answer; the fixed arm never
+    re-orders while every adaptive trial re-orders at least once; and
+    the healthy streams are identical.
     """
     arms = payload.get("arms")
     if not isinstance(arms, dict) or not {"fixed", "adaptive"} <= set(arms):
@@ -744,6 +552,13 @@ def check_adaptive_profile(
         if bad:
             problems.append(
                 f"{name} arm saw non-ok statuses under chaos: {bad}"
+            )
+        ttfas = arms[name].get("ttfa_s") or []
+        unanswered = sum(1 for ttfa in ttfas if ttfa is None)
+        if unanswered:
+            problems.append(
+                f"{name} arm: {unanswered} of {len(ttfas)} trials got no "
+                "first answer"
             )
     fixed_reorders = arms["fixed"].get("reorders") or []
     if any(fixed_reorders):
@@ -772,297 +587,5 @@ def check_adaptive_profile(
     if not isinstance(healthy, dict) or healthy.get("identical") is not True:
         problems.append(
             "healthy streams differ between adaptive and fixed arms"
-        )
-    return problems
-
-
-# -- observability-hook overhead --------------------------------------------------
-
-
-def _drain_hooked(mediator: Mediator, query, utility) -> int:
-    """The real mediator loop (journal hooks present on every branch)."""
-    count = 0
-    orderer = GreedyOrderer(utility)
-    for _batch in mediator.answer(query, utility, orderer=orderer):
-        count += 1
-    return count
-
-
-def _drain_control(mediator: Mediator, query, utility) -> int:
-    """The anytime loop as it was before the journal hooks existed.
-
-    A frozen, minimal reference — same stages (reformulate, order,
-    soundness, execute, record), same per-plan allocations, no
-    ``journal.enabled`` checks — and deliberately *not* a mirror of
-    ``Mediator.answer``: it stays as it is while the staged core
-    (``AnytimeRun``) evolves.  What keeps the overhead ratio meaningful
-    is the batch-count guard of ``check_profile`` (both drains must
-    produce the same number of batches).
-    """
-    orderer = GreedyOrderer(utility)
-    space = mediator.reformulate(query)
-    soundness: dict[tuple[str, ...], bool] = {}
-
-    def on_emit(plan) -> bool:
-        return soundness[plan.key]
-
-    seen: set[tuple[object, ...]] = set()
-    resilience = mediator.resilience
-    count = 0
-    for ordered in orderer.order(space, space.size, on_emit=on_emit):
-        executable = mediator.check_soundness(query, ordered.plan)
-        sound = executable is not None
-        soundness[ordered.plan.key] = sound
-        if not sound:
-            batch = AnswerBatch(
-                ordered.rank, ordered.plan, ordered.utility,
-                False, frozenset(), frozenset(),
-            )
-            mediator.record_batch(batch)
-            count += 1
-            continue
-        # The resilience conditionals predate the journal and stay in
-        # the control loop; only the journal hooks are deleted.
-        blocked = (
-            resilience.admit(ordered.plan) if resilience is not None else ()
-        )
-        if blocked:
-            batch = AnswerBatch(
-                ordered.rank, ordered.plan, ordered.utility,
-                True, frozenset(), frozenset(), skipped=True,
-            )
-            mediator.record_batch(batch)
-            count += 1
-            continue
-        sources = (
-            ResilienceManager.sources_of(ordered.plan)
-            if resilience is not None
-            else ()
-        )
-        with Stopwatch() as exec_watch:
-            answers = mediator.execute_query(executable)
-        if resilience is not None:
-            resilience.record_success(sources, exec_watch.elapsed)
-        new = frozenset(answers - seen)
-        seen.update(answers)
-        batch = AnswerBatch(
-            ordered.rank, ordered.plan, ordered.utility, True, answers, new
-        )
-        mediator.record_batch(batch)
-        count += 1
-    return count
-
-
-def _overhead_section(rounds: int, repeats: int) -> dict:
-    """Interleaved medians of the control loop vs the hooked variants."""
-    domain = movie_domain()
-    utility = LinearCost()
-
-    plain = Mediator(domain.catalog, domain.source_facts)
-    journal_on = Mediator(
-        domain.catalog, domain.source_facts, journal=EventJournal()
-    )
-    tracing_on = Mediator(
-        domain.catalog, domain.source_facts, tracer=Tracer(enabled=True)
-    )
-
-    # The control loop must be the same computation or the ratio is
-    # meaningless; equal batch counts over the full drain check that.
-    hooked_batches = _drain_hooked(plain, domain.query, utility)
-    control_batches = _drain_control(plain, domain.query, utility)
-
-    variants: dict[str, Callable[[], object]] = {
-        "control": lambda: _drain_control(plain, domain.query, utility),
-        "journal_off": lambda: _drain_hooked(plain, domain.query, utility),
-        "journal_on": lambda: _drain_hooked(journal_on, domain.query, utility),
-        "tracing_on": lambda: _drain_hooked(tracing_on, domain.query, utility),
-    }
-    samples: dict[str, list[float]] = {name: [] for name in variants}
-    for _round in range(rounds):
-        journal_on.journal.reset()  # keep the buffer from growing round over round
-        for name, fn in variants.items():
-            with Stopwatch() as watch:
-                for _ in range(repeats):
-                    fn()
-            samples[name].append(watch.elapsed / repeats)
-    medians = {name: statistics.median(times) for name, times in samples.items()}
-    control = medians["control"]
-    section: dict[str, object] = {
-        "rounds": rounds,
-        "repeats": repeats,
-        "batches": hooked_batches,
-        "control_batches": control_batches,
-        "control_median_s": control,
-    }
-    for name in ("journal_off", "journal_on", "tracing_on"):
-        section[f"{name}_median_s"] = medians[name]
-        section[f"{name}_ratio"] = (
-            medians[name] / control if control > 0 else 1.0
-        )
-    return section
-
-
-# -- service latency under load ---------------------------------------------------
-
-
-def _service_section(seed: int, requests: int, concurrency: int) -> dict:
-    domain = movie_domain()
-    journal = EventJournal()
-    service = QueryService(
-        domain.catalog,
-        domain.source_facts,
-        measures={"linear": LinearCost},
-        config=ServiceConfig(max_concurrent=concurrency),
-        journal=journal,
-    )
-    mix = build_query_mix(
-        domain.catalog, 6, seed=seed, include=domain.query
-    )
-    queries = [parse_query(text) for text in mix]
-    load = [
-        QueryRequest(queries[index % len(queries)], request_id=f"profile-{index}")
-        for index in range(requests)
-    ]
-    with Stopwatch() as watch, ThreadPoolExecutor(concurrency) as callers:
-        results = list(callers.map(service.execute, load))
-    first = [
-        result.report.first_answer_s
-        for result in results
-        if result.report is not None
-        and result.report.first_answer_s is not None
-    ]
-    total = [
-        result.report.elapsed_s
-        for result in results
-        if result.report is not None
-    ]
-    completed = sum(1 for result in results if result.ok)
-    journal.validate()
-    return {
-        "requests": requests,
-        "concurrency": concurrency,
-        "completed": completed,
-        "duration_s": watch.elapsed,
-        "throughput_rps": completed / watch.elapsed if watch.elapsed else 0.0,
-        "first_answer": {
-            "count": len(first),
-            "p50_s": percentile(first, 0.50),
-            "p90_s": percentile(first, 0.90),
-            "p99_s": percentile(first, 0.99),
-        },
-        "total": {
-            "count": len(total),
-            "p50_s": percentile(total, 0.50),
-            "p90_s": percentile(total, 0.90),
-            "p99_s": percentile(total, 0.99),
-        },
-        "journal_events": len(journal),
-    }
-
-
-# -- deterministic fingerprint ----------------------------------------------------
-
-
-def _deterministic_section(seed: int) -> dict:
-    """Timing-free facts a fixed seed must always reproduce."""
-    domain = movie_domain()
-    journal = EventJournal()
-    mediator = Mediator(domain.catalog, domain.source_facts, journal=journal)
-    utility = LinearCost()
-    batches = list(
-        mediator.answer(
-            domain.query, utility,
-            orderer=GreedyOrderer(utility), request_id="fingerprint",
-        )
-    )
-    journal.validate()
-    answers = sorted(
-        {row for batch in batches for row in batch.new_answers}
-    )
-    digest = hashlib.sha256(repr(answers).encode("utf-8")).hexdigest()
-    events_by_type: dict[str, int] = {}
-    for record in journal.events():
-        events_by_type[record["event"]] = (
-            events_by_type.get(record["event"], 0) + 1
-        )
-    mix = build_query_mix(domain.catalog, 6, seed=seed, include=domain.query)
-    mix_digest = hashlib.sha256("\n".join(mix).encode("utf-8")).hexdigest()
-    return {
-        "plans": len(batches),
-        "sound_plans": sum(1 for batch in batches if batch.sound),
-        "answers": len(answers),
-        "answer_sha256": digest,
-        "query_mix_sha256": mix_digest,
-        "journal_events": events_by_type,
-    }
-
-
-# -- entry points -----------------------------------------------------------------
-
-
-def run_profile(
-    *,
-    seed: int = 0,
-    quick: bool = False,
-    rounds: Optional[int] = None,
-    timestamp: Optional[str] = None,
-) -> dict:
-    """Run every section and return the baseline document.
-
-    ``quick`` trims rounds and request counts for tests and local
-    smoke runs; CI uses the defaults.  ``timestamp`` is caller-
-    supplied metadata (the harness itself never reads a clock, so two
-    runs of the same build differ only in the timing numbers).
-    """
-    rounds = rounds if rounds is not None else (3 if quick else 7)
-    repeats = 3 if quick else 10
-    requests = 8 if quick else 32
-    payload: dict[str, object] = {
-        "schema": BASELINE_SCHEMA_VERSION,
-        "seed": seed,
-        "quick": quick,
-        "ordering": _ordering_section(
-            seed, rounds=rounds, k=10 if quick else 25
-        ),
-        "overhead": _overhead_section(rounds=rounds, repeats=repeats),
-        "service": _service_section(seed, requests=requests, concurrency=4),
-        "deterministic": _deterministic_section(seed),
-    }
-    if timestamp is not None:
-        payload["timestamp"] = timestamp
-    return payload
-
-
-def check_profile(
-    payload: dict, *, max_overhead: float = MAX_JOURNAL_OFF_OVERHEAD
-) -> list[str]:
-    """Regression findings in a baseline document; empty means pass.
-
-    The hard CI gate: disabled journal hooks on the mediator loop may
-    cost at most ``max_overhead`` (fractional) over the hook-free
-    control loop; and the control loop must still be the same
-    computation as the hooked one (equal batch counts), otherwise the
-    ratio proves nothing.
-    """
-    problems: list[str] = []
-    overhead = payload.get("overhead")
-    if not isinstance(overhead, dict):
-        return ["baseline document has no overhead section"]
-    if overhead.get("batches") != overhead.get("control_batches"):
-        problems.append(
-            "control loop diverged from Mediator.answer: "
-            f"{overhead.get('control_batches')} batches vs "
-            f"{overhead.get('batches')} — the overhead ratio is invalid"
-        )
-    ratio = overhead.get("journal_off_ratio")
-    limit = 1.0 + max_overhead
-    if not isinstance(ratio, (int, float)):
-        problems.append("overhead section has no journal_off_ratio")
-    elif ratio > limit:
-        problems.append(
-            f"journal hooks cost {(ratio - 1.0) * 100:.1f}% with the journal "
-            f"disabled (limit {max_overhead * 100:.0f}%): "
-            f"{overhead.get('journal_off_median_s')}s vs "
-            f"{overhead.get('control_median_s')}s control"
         )
     return problems

@@ -1,119 +1,12 @@
-"""Tests for the perf-baseline harness behind ``repro profile``."""
-
-import json
+"""Tests for the cluster and adaptive baselines behind ``repro profile``."""
 
 import pytest
 
+from repro.experiments import profile
 from repro.experiments.profile import (
-    BASELINE_SCHEMA_VERSION,
+    check_adaptive_profile,
     check_cluster_profile,
-    check_profile,
-    run_profile,
 )
-
-
-@pytest.fixture(scope="module")
-def baseline():
-    """One shared quick run; the sections are read-only below."""
-    return run_profile(seed=0, quick=True, rounds=1)
-
-
-class TestRunProfile:
-    def test_document_structure(self, baseline):
-        assert baseline["schema"] == BASELINE_SCHEMA_VERSION
-        assert baseline["seed"] == 0
-        assert baseline["quick"] is True
-        assert set(baseline) >= {
-            "ordering", "overhead", "service", "deterministic",
-        }
-
-    def test_ordering_section(self, baseline):
-        ordering = baseline["ordering"]
-        assert ordering["space_size"] >= ordering["k"] >= 1
-        for orderer in ("greedy", "pi"):
-            assert ordering[orderer]["median_s"] > 0.0
-            assert ordering[orderer]["plans_per_s"] > 0.0
-
-    def test_overhead_section_is_internally_consistent(self, baseline):
-        overhead = baseline["overhead"]
-        # The control loop must be the same computation as the hooked
-        # one, or every ratio in the section is meaningless.
-        assert overhead["batches"] == overhead["control_batches"] > 0
-        assert overhead["control_median_s"] > 0.0
-        for name in ("journal_off", "journal_on", "tracing_on"):
-            assert overhead[f"{name}_median_s"] > 0.0
-            assert overhead[f"{name}_ratio"] > 0.0
-
-    def test_service_section(self, baseline):
-        service = baseline["service"]
-        assert service["completed"] == service["requests"]
-        assert service["throughput_rps"] > 0.0
-        assert service["journal_events"] > 0
-        assert service["first_answer"]["count"] >= 1
-        assert (
-            service["total"]["p50_s"]
-            <= service["total"]["p90_s"]
-            <= service["total"]["p99_s"]
-        )
-
-    def test_timestamp_only_when_supplied(self, baseline):
-        assert "timestamp" not in baseline
-        stamped = {"overhead": dict(baseline["overhead"])}
-        assert "timestamp" not in stamped  # caller adds it, never the harness
-
-    def test_document_is_json_serializable(self, baseline):
-        parsed = json.loads(json.dumps(baseline, sort_keys=True))
-        assert parsed["schema"] == BASELINE_SCHEMA_VERSION
-
-
-class TestDeterministicSection:
-    def test_reproducible_under_fixed_seed(self, baseline):
-        again = run_profile(seed=0, quick=True, rounds=1)
-        assert again["deterministic"] == baseline["deterministic"]
-
-    def test_fingerprint_fields(self, baseline):
-        section = baseline["deterministic"]
-        assert section["plans"] >= section["sound_plans"] >= 1
-        assert section["answers"] >= 1
-        assert len(section["answer_sha256"]) == 64
-        assert len(section["query_mix_sha256"]) == 64
-        assert section["journal_events"].get("plan.emitted", 0) >= 1
-        assert section["journal_events"].get("answer.first") == 1
-
-
-class TestCheckProfile:
-    def test_healthy_document_passes(self, baseline):
-        # Generous bound: the quick run's timings are noisy, but the
-        # structural checks must all pass on a real document.
-        assert check_profile(baseline, max_overhead=5.0) == []
-
-    def test_missing_overhead_section_fails(self):
-        problems = check_profile({})
-        assert problems and "overhead" in problems[0]
-
-    def test_overhead_bound_enforced(self, baseline):
-        doctored = dict(baseline)
-        doctored["overhead"] = dict(baseline["overhead"])
-        doctored["overhead"]["journal_off_ratio"] = 1.5
-        (problem,) = check_profile(doctored, max_overhead=0.05)
-        assert "journal hooks cost" in problem
-        assert "50.0%" in problem
-
-    def test_diverged_control_loop_fails(self, baseline):
-        doctored = dict(baseline)
-        doctored["overhead"] = dict(baseline["overhead"])
-        doctored["overhead"]["control_batches"] = (
-            doctored["overhead"]["batches"] + 1
-        )
-        problems = check_profile(doctored, max_overhead=5.0)
-        assert any("diverged" in problem for problem in problems)
-
-    def test_missing_ratio_fails(self, baseline):
-        doctored = dict(baseline)
-        doctored["overhead"] = dict(baseline["overhead"])
-        del doctored["overhead"]["journal_off_ratio"]
-        problems = check_profile(doctored, max_overhead=5.0)
-        assert any("journal_off_ratio" in problem for problem in problems)
 
 
 class TestStratifiedClusterMix:
@@ -210,6 +103,109 @@ class TestCheckClusterProfile:
         doc["arms"]["workers_4"]["completed"] = 40
         problems = check_cluster_profile(doc)
         assert any("40 of 48" in p for p in problems)
+
+
+def adaptive_document():
+    """A healthy adaptive baseline: every field the check and the CLI
+    read, two trials per arm."""
+
+    def arm(ttfa, reorders):
+        return {
+            "trials": 2,
+            "ttfa_s": [ttfa, ttfa],
+            "ttfa_p50_s": ttfa,
+            "ttfa_p90_s": ttfa,
+            "reorders": [reorders, reorders],
+            "statuses": ["ok", "ok"],
+            "answers": [3, 3],
+            "plans_failed": 2,
+        }
+
+    return {
+        "arms": {"fixed": arm(0.2, 0), "adaptive": arm(0.1, 1)},
+        "ttfa_p90_ratio": 0.5,
+        "gate": {"max_ttfa_ratio": 0.8},
+        "healthy": {"identical": True},
+    }
+
+
+class TestCheckAdaptiveProfile:
+    """One doctored document per finding; each yields exactly that one."""
+
+    def test_healthy_document_passes(self):
+        assert check_adaptive_profile(adaptive_document()) == []
+
+    def test_missing_arms_fail(self):
+        (problem,) = check_adaptive_profile({"arms": {"fixed": {}}})
+        assert "no fixed/adaptive arms" in problem
+
+    def test_non_ok_status_fails(self):
+        doc = adaptive_document()
+        doc["arms"]["adaptive"]["statuses"] = ["ok", "deadline_exceeded"]
+        (problem,) = check_adaptive_profile(doc)
+        assert "adaptive arm saw non-ok statuses" in problem
+        assert "deadline_exceeded" in problem
+
+    def test_unanswered_trial_fails(self):
+        doc = adaptive_document()
+        doc["arms"]["fixed"]["ttfa_s"] = [None, 0.2]
+        (problem,) = check_adaptive_profile(doc)
+        assert problem == "fixed arm: 1 of 2 trials got no first answer"
+
+    def test_fixed_arm_reordered_fails(self):
+        doc = adaptive_document()
+        doc["arms"]["fixed"]["reorders"] = [0, 2]
+        (problem,) = check_adaptive_profile(doc)
+        assert "fixed arm re-ordered" in problem
+
+    def test_adaptive_trial_never_reordered_fails(self):
+        doc = adaptive_document()
+        doc["arms"]["adaptive"]["reorders"] = [1, 0]
+        (problem,) = check_adaptive_profile(doc)
+        assert "never re-ordered" in problem
+
+    def test_ratio_over_the_gate_fails(self):
+        doc = adaptive_document()
+        doc["ttfa_p90_ratio"] = 0.9
+        (problem,) = check_adaptive_profile(doc)
+        assert "0.90x fixed-order (gate 0.80x)" in problem
+
+    def test_healthy_streams_differ_fails(self):
+        doc = adaptive_document()
+        doc["healthy"]["identical"] = False
+        (problem,) = check_adaptive_profile(doc)
+        assert "healthy streams differ" in problem
+
+
+class TestRunAdaptiveProfile:
+    def test_unanswered_trial_is_a_finding_not_a_crash(self, monkeypatch):
+        """A trial with no first answer (``ttfa_s`` None) used to reach
+        the percentile sort and raise TypeError."""
+
+        def trial(scenario, *, adaptivity, chaos_seed):
+            answered = adaptivity == "on" or chaos_seed != 0
+            return {
+                "status": "ok",
+                "answers": 3 if answered else 0,
+                "ttfa_s": (0.02 if adaptivity == "on" else 0.05)
+                if answered else None,
+                "plans_failed": 2,
+                "reorders": 1 if adaptivity == "on" else 0,
+            }
+
+        def digest(scenario, *, adaptivity):
+            return {"status": "ok", "batches": 16, "stream_sha256": "0" * 64}
+
+        monkeypatch.setattr(profile, "adaptive_trial", trial)
+        monkeypatch.setattr(profile, "adaptive_stream_digest", digest)
+        payload = profile.run_adaptive_profile(trials=2)
+        fixed = payload["arms"]["fixed"]
+        assert fixed["ttfa_s"] == [None, 0.05]
+        assert fixed["ttfa_p50_s"] == fixed["ttfa_p90_s"] == 0.05
+        assert payload["ttfa_p90_ratio"] == pytest.approx(0.4)
+        assert check_adaptive_profile(payload) == [
+            "fixed arm: 1 of 2 trials got no first answer"
+        ]
 
 
 @pytest.mark.slow

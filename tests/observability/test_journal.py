@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.execution.mediator import Mediator
 from repro.observability.journal import (
     ENVELOPE_FIELDS,
     EVENT_SCHEMA,
@@ -15,6 +16,10 @@ from repro.observability.journal import (
     read_jsonl,
     validate_event,
 )
+from repro.service.server import QueryRequest, QueryService
+from repro.service.session import PipelinedSession
+from repro.utility.cost import LinearCost
+from tests.service.helpers import BACKENDS
 
 #: One representative payload per event type, used to prove the whole
 #: vocabulary round-trips through emit -> validate -> jsonl -> parse.
@@ -198,6 +203,53 @@ class TestEventJournal:
         assert len(journal) == 4 * per_thread
         seqs = sorted(r["seq"] for r in journal.events())
         assert seqs == list(range(1, 4 * per_thread + 1))
+
+
+def _drain_mediator(movies):
+    mediator = Mediator(movies.catalog, movies.source_facts)
+    return list(mediator.answer(movies.query, LinearCost()))
+
+
+def _drain_session(backend):
+    def drain(movies):
+        mediator = Mediator(movies.catalog, movies.source_facts)
+        session = PipelinedSession(mediator, backend=BACKENDS[backend]())
+        batches, _report = session.run(movies.query, LinearCost())
+        return batches
+
+    return drain
+
+
+def _drain_service(movies):
+    service = QueryService(movies.catalog, movies.source_facts)
+    try:
+        return service.execute(QueryRequest(movies.query)).batches
+    finally:
+        service.shutdown()
+
+
+#: Every driver of the anytime loop, each with the default journal.
+DRAINS = {
+    "mediator": _drain_mediator,
+    "session-inline": _drain_session("inline"),
+    "session-pipelined": _drain_session("pipelined"),
+    "service": _drain_service,
+}
+
+
+@pytest.mark.parametrize("path", sorted(DRAINS))
+def test_disabled_journal_is_never_called(path, movies, monkeypatch):
+    """With the default ``NOOP_JOURNAL`` no request calls ``emit`` at
+    all: every hook on the request path is behind an ``enabled`` guard,
+    so disabled journalling costs a flag read per stage, not a call."""
+    calls = []
+    monkeypatch.setattr(
+        EventJournal, "emit",
+        lambda self, event, **fields: calls.append(event),
+    )
+    batches = DRAINS[path](movies)
+    assert any(batch.new_answers for batch in batches)
+    assert calls == []
 
 
 class TestReadJsonl:

@@ -101,10 +101,15 @@ def test_anyk_budget_holds_on_bind_join():
     assert measure.misses <= 1 + K * fuzz.space.width
 
 
-def test_first_plan_touches_width_plus_one_evaluations(wide_domain):
+@pytest.mark.parametrize("bucket_size", [12, 47])
+def test_first_plan_touches_width_plus_one_evaluations(bucket_size):
     """k=1 for the frontier algorithms: the root plan plus at most one
-    deviation per bucket."""
+    deviation per bucket, on 1 728 plans and on 103 823 alike — the
+    any-k contract that first-plan work does not grow with the space."""
+    domain = generate_domain(
+        SyntheticParams(query_length=3, bucket_size=bucket_size, seed=0)
+    )
     for cls in (GreedyOrderer, AnyKOrderer):
-        measure = CachingUtilityMeasure(wide_domain.linear_cost())
-        cls(measure).order_list(wide_domain.space, 1)
-        assert measure.misses <= 1 + wide_domain.space.width
+        measure = CachingUtilityMeasure(domain.linear_cost())
+        cls(measure).order_list(domain.space, 1)
+        assert measure.misses <= 1 + domain.space.width

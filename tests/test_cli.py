@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from tests.experiments.test_profile import adaptive_document
 
 
 class TestDemo:
@@ -272,6 +275,33 @@ class TestForwarding:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+
+class TestProfile:
+    def test_a_mode_is_required(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile"])
+        assert excinfo.value.code == 2
+        assert "--cluster" in capsys.readouterr().err
+
+    def test_failed_check_exits_1_and_still_writes_out(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.experiments import profile
+
+        doc = adaptive_document()
+        doc["healthy"]["identical"] = False
+        monkeypatch.setattr(
+            profile, "run_adaptive_profile", lambda **kwargs: doc
+        )
+        out = tmp_path / "adaptive.json"
+        code = main(["profile", "--adaptive", "--check", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "healthy streams DIVERGED" in captured.out
+        assert "FAIL: healthy streams differ" in captured.err
+        assert "check passed" not in captured.out
+        assert json.loads(out.read_text()) == doc
 
 
 class TestBenchServeRouter:
