@@ -34,12 +34,6 @@ Commands
     Static analysis (:mod:`repro.analysis`): the AST code rules and the
     whole-program concurrency rules over a source tree, and the
     measure-property rule over the bundled workloads.
-``profile``
-    Headless baselines (:mod:`repro.experiments.profile`):
-    ``--cluster`` measures router-fronted scale-out
-    (``BENCH_PR7.json``), ``--adaptive`` cold-start time-to-first-answer
-    with and without mid-stream re-ordering (``BENCH_PR9.json``);
-    ``--check`` enforces the mode's gate.
 ``metrics-dump``
     Convert a ``--metrics-out`` JSON export (or scrape a running
     ``/metrics`` endpoint) to Prometheus text on stdout.
@@ -556,62 +550,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     return 0 if report.errors == 0 else 1
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-    from datetime import datetime, timezone
-
-    from repro.experiments import profile
-
-    timestamp = datetime.now(timezone.utc).isoformat()
-    if args.cluster:
-        payload = profile.run_cluster_profile(
-            seed=args.seed, quick=args.quick, timestamp=timestamp
-        )
-        base = payload["arms"]["single"]["throughput_rps"]
-        print(f"single      {base:7.1f} req/s (1 process)")
-        for key in sorted(payload["scaling"]):
-            arm = payload["arms"][key]
-            print(
-                f"{key:<11} {arm['throughput_rps']:7.1f} req/s "
-                f"({payload['scaling'][key]:.2f}x, imbalance "
-                f"{arm.get('shard_imbalance', 0.0):.2f})"
-            )
-        check = profile.check_cluster_profile
-        verdict = "cluster scale-out within the scaling gates"
-    else:
-        payload = profile.run_adaptive_profile(
-            seed=args.seed, quick=args.quick, timestamp=timestamp
-        )
-        for arm in ("fixed", "adaptive"):
-            data = payload["arms"][arm]
-            print(
-                f"{arm:<11} first answer p50 {data['ttfa_p50_s'] * 1e3:7.1f} ms, "
-                f"p90 {data['ttfa_p90_s'] * 1e3:7.1f} ms over {data['trials']} "
-                f"cold-start trials ({sum(data['reorders'])} re-orders)"
-            )
-        print(
-            f"ratio       adaptive/fixed TTFA p90 "
-            f"{payload['ttfa_p90_ratio']:.2f}x "
-            f"(gate {payload['gate']['max_ttfa_ratio']:.2f}x); healthy streams "
-            f"{'identical' if payload['healthy']['identical'] else 'DIVERGED'}"
-        )
-        check = profile.check_adaptive_profile
-        verdict = "adaptive TTFA within the ratio gate"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline written to {args.out}")
-    if args.check:
-        problems = check(payload)
-        for problem in problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print(f"check passed: {verdict}")
-    return 0
-
-
 def _cmd_metrics_dump(args: argparse.Namespace) -> int:
     import json
 
@@ -915,30 +853,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
 
-    profile = sub.add_parser("profile",
-                             help="headless cluster or adaptive baseline "
-                                  "(BENCH_PR7.json, BENCH_PR9.json)")
-    profile.add_argument("--out", metavar="PATH", default=None,
-                         help="write the baseline document to PATH as JSON")
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--quick", action="store_true",
-                         help="fewer requests/trials (smoke mode)")
-    mode = profile.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--cluster", action="store_true",
-                      help="run the cluster scale-out baseline "
-                           "(BENCH_PR7.json): single process vs 2 and 4 "
-                           "router-fronted workers on a sleep-bound "
-                           "workload")
-    mode.add_argument("--adaptive", action="store_true",
-                      help="run the adaptive-vs-fixed ordering baseline "
-                           "(BENCH_PR9.json): cold-start time-to-first-"
-                           "answer with and without mid-stream "
-                           "re-ordering under seeded outage chaos")
-    profile.add_argument("--check", action="store_true",
-                         help="fail (exit 1) when the baseline misses its "
-                              "gate (--cluster: the throughput scaling "
-                              "gates; --adaptive: the TTFA ratio gate)")
-
     dump = sub.add_parser("metrics-dump",
                           help="metrics JSON export -> Prometheus text")
     dump.add_argument("path", nargs="?", default=None,
@@ -966,8 +880,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_bench_serve(args)
         if args.command == "lint":
             return _cmd_lint(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
         if args.command == "metrics-dump":
             return _cmd_metrics_dump(args)
     except ReproError as exc:

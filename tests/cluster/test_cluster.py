@@ -352,6 +352,150 @@ class TestSpecValidation:
             )
 
 
+def peak_in_flight(events):
+    """Most requests between ``request.admitted`` and ``.completed`` at once."""
+    live = peak = 0
+    for event in events:
+        live += 1 if event["event"] == "request.admitted" else -1
+        peak = max(peak, live)
+    return peak
+
+
+MAX_CONCURRENT = 4
+QUERIES_PER_SHARD = 4
+CAPACITY_REQUESTS = 64
+LIFECYCLE = ("request.admitted", "request.completed")
+
+
+def capacity_mix():
+    """Four distinct movie queries per shard of a 2-ring, owners alternating.
+
+    ``run_load`` replays the mix round-robin, so alternating owners keep
+    both shards busy and each gets exactly half of the requests.
+    """
+    from repro.cluster.hashing import ConsistentHashRing
+    from repro.service.loadgen import build_query_mix
+
+    catalog = service_workload("movies", 0)[0]
+    ring = ConsistentHashRing(range(2))
+    owned = {0: [], 1: []}
+    for text in build_query_mix(catalog, 64, seed=0):
+        queries = owned[ring.shard_for(text)]
+        if len(queries) < QUERIES_PER_SHARD:
+            queries.append(text)
+    return [text for pair in zip(owned[0], owned[1]) for text in pair]
+
+
+class TestCapacity:
+    """What scale-out buys: admission slots, counted from the journals.
+
+    With sleep-bound sources (the ``slow`` chaos profile at 100 ms per
+    access) a worker overlaps ``max_concurrent`` requests' source waits,
+    and N workers overlap N times as many.  Each shard's journal holds
+    its admitted -> completed intervals, so the capacity is read as an
+    exact count, not inferred from a throughput ratio.  One short-lived
+    cluster serves the whole class.
+    """
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """(mix, load report, {shard: its lifecycle events in seq order})."""
+        from repro.observability.journal import read_jsonl
+        from repro.resilience.chaos import bundled_profile
+        from repro.service.loadgen import run_load
+
+        mix = capacity_mix()
+        config = ClusterConfig(workers=2)
+        specs = worker_specs(
+            config,
+            max_concurrent=MAX_CONCURRENT,
+            chaos=bundled_profile("slow").with_scaled_latency(10.0).as_dict(),
+            journal_dir=str(tmp_path_factory.mktemp("capacity")),
+        )
+        # Sixteen connections at once overflow the router's listen
+        # backlog, and the late ones get in about a second later (a TCP
+        # retransmit); the budget keeps both shards full after that.
+        with Cluster(specs, config) as cluster:
+            report = run_load(
+                "127.0.0.1", cluster.port, mix,
+                requests=CAPACITY_REQUESTS, concurrency=16, timeout_s=60.0,
+            )
+        journals = {}
+        for spec in specs:
+            # One process writes the file in ``seq`` order, its exact
+            # order of events.
+            with open(spec.journal_path, encoding="utf-8") as handle:
+                journals[spec.shard] = [
+                    event
+                    for event in read_jsonl(handle)
+                    if event["event"] in LIFECYCLE
+                ]
+        return mix, report, journals
+
+    def test_mix_gives_each_shard_its_own_distinct_queries(self):
+        from repro.cluster.hashing import ConsistentHashRing
+
+        mix = capacity_mix()
+        ring = ConsistentHashRing(range(2))
+        assert len(set(mix)) == len(mix) == 2 * QUERIES_PER_SHARD
+        assert [ring.shard_for(text) for text in mix] == [0, 1] * 4
+
+    def test_every_request_completes_without_error(self, run):
+        _mix, report, _journals = run
+        assert report.errors == 0
+        assert report.rejected == 0
+        assert report.completed == report.sent == CAPACITY_REQUESTS
+
+    def test_each_query_is_served_by_its_ring_shard(self, run):
+        _mix, report, _journals = run
+        half = CAPACITY_REQUESTS // 2
+        assert report.shard_requests == {0: half, 1: half}
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_each_shard_journals_exactly_its_requests(self, run, shard):
+        from repro.cluster.hashing import ConsistentHashRing
+
+        mix, _report, journals = run
+        ring = ConsistentHashRing(range(2))
+        expected = {
+            f"load-{index}"
+            for index in range(CAPACITY_REQUESTS)
+            if ring.shard_for(mix[index % len(mix)]) == shard
+        }
+        for kind in LIFECYCLE:
+            ids = [
+                event["request_id"]
+                for event in journals[shard]
+                if event["event"] == kind
+            ]
+            assert sorted(ids) == sorted(expected)
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_each_shard_completes_every_request_ok(self, run, shard):
+        _mix, _report, journals = run
+        statuses = {
+            event["status"]
+            for event in journals[shard]
+            if event["event"] == "request.completed"
+        }
+        assert statuses == {"ok"}
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_each_shard_fills_exactly_its_slots(self, run, shard):
+        _mix, _report, journals = run
+        assert peak_in_flight(journals[shard]) == MAX_CONCURRENT
+
+    def test_the_cluster_fills_the_sum_of_its_shards_slots(self, run):
+        _mix, _report, journals = run
+        everywhere = journals[0] + journals[1]
+        # Across processes only the wall clock orders events; at equal
+        # stamps a completion goes first, so the count never overstates.
+        everywhere.sort(
+            key=lambda e: (e["ts"], e["event"] == "request.admitted")
+        )
+        assert peak_in_flight(everywhere) == 2 * MAX_CONCURRENT
+
+
 class TestLoadgenAgainstRouter:
     def test_run_load_collects_per_shard_stats(self, cluster):
         from repro.service.loadgen import run_load

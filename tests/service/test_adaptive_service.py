@@ -14,7 +14,12 @@ import pytest
 from repro.errors import ProtocolError, ServiceError
 from repro.observability.journal import EventJournal
 from repro.resilience.breaker import BreakerBoard
-from repro.resilience.chaos import ChaosBackend, bundled_profile
+from repro.resilience.chaos import (
+    ChaosBackend,
+    ChaosProfile,
+    FaultProfile,
+    bundled_profile,
+)
 from repro.resilience.manager import ResilienceManager
 from repro.service import protocol
 from repro.service.policy import RequestPolicy, RetryPolicy
@@ -25,11 +30,31 @@ from repro.service.server import (
     ServiceConfig,
 )
 from repro.utility.cost import BindJoinCost, LinearCost
-from repro.workloads.movies import movie_domain
+from repro.workloads.random_lav import ordering_scenario
 
 FAST_POLICY = RequestPolicy(
     retry=RetryPolicy(max_attempts=2, base_s=0.001, cap_s=0.002)
 )
+
+#: The head-outage setting.  On the random-LAV scenario at seed 3 the
+#: statically best-ranked plans all read ``src0``; every access to it
+#: stalls 20 ms and then fails, so each doomed plan burns two stalls and
+#: one backoff before degrading to the next plan.
+OUTAGE_SCENARIO_SEED = 3
+OUTAGE_CHAOS = ChaosProfile(
+    name="head-outage",
+    faults={"src0": FaultProfile(transient_prob=1.0, latency_s=0.02)},
+)
+OUTAGE_RETRY = RetryPolicy(max_attempts=2, base_s=0.005, cap_s=0.01)
+#: A one-deep pipeline keeps the producer close to execution, so the
+#: first failure can still re-order plans not yet emitted.
+OUTAGE_QUEUE_DEPTH = 1
+OUTAGE_EXECUTOR_WORKERS = 1
+
+
+@pytest.fixture(scope="module")
+def outage_scenario():
+    return ordering_scenario(OUTAGE_SCENARIO_SEED)
 
 
 def adaptive_service(
@@ -56,6 +81,36 @@ def adaptive_service(
         ),
         backend=backend,
         resilience=resilience,
+        journal=journal,
+    )
+
+
+def outage_service(scenario, *, adaptivity, backend=None, journal=None):
+    """The failure-aware random-LAV service of the head-outage setting.
+
+    Breakers are off: they would skip every doomed plan in both arms
+    alike and hide the ordering-level effect.
+    """
+    return QueryService(
+        scenario.scenario.catalog,
+        scenario.scenario.source_facts,
+        measures={
+            "failure": lambda: BindJoinCost(
+                access_overhead=1.0,
+                domain_sizes=scenario.domain_sizes,
+                uniform_transfer=True,
+                failure_aware=True,
+            )
+        },
+        config=ServiceConfig(
+            default_policy=RequestPolicy(retry=OUTAGE_RETRY),
+            default_measure="failure",
+            adaptivity=adaptivity,
+            queue_depth=OUTAGE_QUEUE_DEPTH,
+            executor_workers=OUTAGE_EXECUTOR_WORKERS,
+        ),
+        backend=backend,
+        resilience=ResilienceManager(min_observations=1, breakers=False),
         journal=journal,
     )
 
@@ -176,17 +231,27 @@ class TestFeedbackLoopEndToEnd:
         finally:
             service.shutdown()
 
+    @pytest.mark.parametrize("workload", ["movies", "random-lav"])
     def test_healthy_service_stream_is_identical_adaptive_on_vs_off(
-        self, movies
+        self, workload, movies, outage_scenario
     ):
+        # No failure, so the epoch never moves and the adaptive wrapper
+        # is invisible: same plans, utilities, ranks and verdicts.
         def run(adaptivity):
-            service = adaptive_service(
-                movies,
-                adaptivity=adaptivity,
-                resilience=ResilienceManager(),
-            )
+            if workload == "movies":
+                service = adaptive_service(
+                    movies,
+                    adaptivity=adaptivity,
+                    resilience=ResilienceManager(),
+                )
+                query = movies.query
+            else:
+                service = outage_service(
+                    outage_scenario, adaptivity=adaptivity
+                )
+                query = outage_scenario.scenario.query
             try:
-                result = service.execute(QueryRequest(movies.query))
+                result = service.execute(QueryRequest(query))
                 assert result.ok
                 return [
                     (batch.rank, batch.plan.key, batch.utility, batch.sound)
@@ -195,4 +260,131 @@ class TestFeedbackLoopEndToEnd:
             finally:
                 service.shutdown()
 
-        assert run("on") == run("off")
+        stream = run("on")
+        assert stream
+        assert stream == run("off")
+
+
+class ColdStart:
+    """One cold-start head-outage request, read back from its journal."""
+
+    def __init__(self, scenario, adaptivity):
+        journal = EventJournal()
+        service = outage_service(
+            scenario,
+            adaptivity=adaptivity,
+            backend=ChaosBackend(OUTAGE_CHAOS, seed=0),
+            journal=journal,
+        )
+        try:
+            self.result = service.execute(
+                QueryRequest(scenario.scenario.query, request_id="cold")
+            )
+        finally:
+            service.shutdown()
+        journal.validate()
+        self.events = journal.events(request_id="cold")
+        (self.first,) = self.of("answer.first")
+        self.failed = [
+            e["rank"]
+            for e in self.of("plan.failed")
+            if e["seq"] < self.first["seq"]
+        ]
+        self.reorders = self.of("plan.reordered")
+        #: The emitted plans (tuples of source names), in rank order.
+        self.emitted = [tuple(e["plan"]) for e in self.of("plan.emitted")]
+
+    def of(self, kind):
+        return [e for e in self.events if e["event"] == kind]
+
+
+class TestHeadOutage:
+    """A cold-start request while the best-ranked source is down.
+
+    Both arms start with an empty health tracker, so they share the
+    static ranking; what differs is how many doomed plans run before
+    the first answer.  Those are counted from the journal, not timed.
+    """
+
+    @pytest.fixture(scope="class")
+    def fixed(self, outage_scenario):
+        return ColdStart(outage_scenario, "off")
+
+    @pytest.fixture(scope="class")
+    def adaptive(self, outage_scenario):
+        return ColdStart(outage_scenario, "on")
+
+    @pytest.mark.parametrize("arm", ["fixed", "adaptive"])
+    def test_both_arms_complete_ok(self, request, arm):
+        assert request.getfixturevalue(arm).result.status == "ok"
+
+    def test_fixed_order_answers_first_at_rank_8(self, fixed):
+        assert fixed.first["rank"] == 8
+
+    def test_fixed_order_runs_every_doomed_head_plan(self, fixed):
+        # The fixed order wades through every doomed head plan.
+        assert fixed.failed == [1, 2, 3, 4]
+
+    def test_fixed_order_never_reorders(self, fixed):
+        assert fixed.reorders == []
+
+    @pytest.mark.parametrize("arm", ["fixed", "adaptive"])
+    def test_every_doomed_plan_reads_the_failed_source(self, request, arm):
+        run = request.getfixturevalue(arm)
+        assert run.failed
+        for rank in run.failed:
+            assert "src0" in run.emitted[rank - 1]
+
+    def test_adaptive_order_runs_fewer_doomed_plans(self, fixed, adaptive):
+        # Only the plans already queued, executing or held by the
+        # producer when the first failure lands run doomed.
+        window = OUTAGE_QUEUE_DEPTH + OUTAGE_EXECUTOR_WORKERS + 1
+        assert len(adaptive.failed) <= window < len(fixed.failed)
+
+    def test_adaptive_order_reorders_exactly_once(self, adaptive):
+        # The first failure bumps the health epoch, and the next plan
+        # the producer orders re-sorts the rest once.
+        assert len(adaptive.reorders) == 1
+
+    def test_the_reorder_follows_the_first_source_failure(self, adaptive):
+        # The failed access is journaled before it bumps the epoch; the
+        # plan's own ``plan.failed`` (after its retry) may come later.
+        (reorder,) = adaptive.reorders
+        (first_failure, *_) = adaptive.of("source.failure")
+        assert first_failure["sources"] == ["src0"]
+        assert first_failure["seq"] < reorder["seq"]
+        assert reorder["epoch"] >= 1
+
+    def test_the_reorder_demotes_a_head_on_the_failed_source(self, adaptive):
+        (reorder,) = adaptive.reorders
+        assert "src0" in reorder["old_head"]
+        assert reorder["head_utility"] < reorder["frontier_hi"]
+
+    def test_after_the_reorder_healthy_plans_come_first(self, adaptive):
+        (reorder,) = adaptive.reorders
+        rest = adaptive.emitted[reorder["rank"] - 1:]
+        reads_src0 = ["src0" in plan for plan in rest]
+        assert reads_src0 == sorted(reads_src0)
+        assert not reads_src0[0]
+
+    def test_adaptive_order_answers_first_at_an_earlier_rank(
+        self, fixed, adaptive
+    ):
+        assert adaptive.first["rank"] < fixed.first["rank"]
+
+    def test_both_orders_share_the_static_head(self, fixed, adaptive):
+        (reorder,) = adaptive.reorders
+        head = reorder["rank"] - 1
+        assert head >= 1
+        assert adaptive.emitted[:head] == fixed.emitted[:head]
+
+    def test_both_orders_emit_the_same_plans(self, fixed, adaptive):
+        # Re-ordering permutes the plan space; it drops no plan.
+        assert len(adaptive.emitted) == len(set(adaptive.emitted))
+        assert sorted(adaptive.emitted) == sorted(fixed.emitted)
+
+    def test_both_orders_return_the_same_answers(self, fixed, adaptive):
+        # The doomed plans are redundant with healthy ones: re-ordering
+        # changes when answers arrive, never which.
+        assert len(adaptive.result.answers) == len(fixed.result.answers)
+        assert set(adaptive.result.answers) == set(fixed.result.answers)

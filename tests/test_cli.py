@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main
-from tests.experiments.test_profile import adaptive_document
 
 
 class TestDemo:
@@ -276,32 +275,18 @@ class TestForwarding:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
-
-class TestProfile:
-    def test_a_mode_is_required(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["profile"], ["profile", "--cluster"], ["profile", "--adaptive"]],
+    )
+    def test_profile_is_not_a_command(self, capsys, argv):
+        # The cluster and adaptive gates are tier-1 tests now
+        # (tests/cluster/test_cluster.py::TestCapacity and
+        # tests/service/test_adaptive_service.py::TestHeadOutage).
         with pytest.raises(SystemExit) as excinfo:
-            main(["profile"])
+            main(argv)
         assert excinfo.value.code == 2
-        assert "--cluster" in capsys.readouterr().err
-
-    def test_failed_check_exits_1_and_still_writes_out(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        from repro.experiments import profile
-
-        doc = adaptive_document()
-        doc["healthy"]["identical"] = False
-        monkeypatch.setattr(
-            profile, "run_adaptive_profile", lambda **kwargs: doc
-        )
-        out = tmp_path / "adaptive.json"
-        code = main(["profile", "--adaptive", "--check", "--out", str(out)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "healthy streams DIVERGED" in captured.out
-        assert "FAIL: healthy streams differ" in captured.err
-        assert "check passed" not in captured.out
-        assert json.loads(out.read_text()) == doc
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
 
 
 class TestBenchServeRouter:
