@@ -19,17 +19,15 @@ Commands
     on the virtual-clock simulator, best-first versus worst-first.
 ``serve``
     Start the JSON-lines TCP query service over a workload's catalog
-    (:mod:`repro.service`); ``--workers N`` scales out to a sharded
-    cluster.
-``cluster``
-    Start a sharded cluster explicitly: N worker processes behind a
-    consistent-hash router with cross-shard metric aggregation
-    (:mod:`repro.cluster`).
+    (:mod:`repro.service`).  Its flags describe one
+    :class:`~repro.cluster.spec.WorkerSpec`; ``--workers N`` serves that
+    spec from N worker processes behind a consistent-hash router with
+    cross-shard metric aggregation (:mod:`repro.cluster`).
 ``bench-serve``
-    Replay a random query mix against a served catalog and report
-    throughput plus first/last-answer latency percentiles;
-    ``--router N`` drives an in-process cluster and reports per-shard
-    percentiles and the shard-imbalance ratio.
+    Replay a random query mix against a running server or router
+    (``--connect``, default ``serve``'s address) and report throughput
+    plus first/last-answer latency percentiles; through a router the
+    report adds per-shard percentiles and the shard-imbalance ratio.
 ``lint``
     Static analysis (:mod:`repro.analysis`): the AST code rules and the
     whole-program concurrency rules over a source tree, and the
@@ -46,7 +44,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro import __version__
-from repro.errors import ReproError, ServiceError
+from repro.errors import ReproError
 from repro.ordering import AUTO_ORDERER, ORDERER_TABLE, orderer_class
 
 
@@ -224,320 +222,164 @@ def _simulate_adaptive(args: argparse.Namespace, domain, sim_seed: int):
     return report, orderer.reorders
 
 
-def _service_workload(name: str, seed: int):
-    """(catalog, source_facts, measure factories, canonical query)."""
-    from repro.service.workloads import service_workload
-
-    return service_workload(name, seed)
+def _given(**values) -> dict:
+    """The keyword arguments whose flag was given (``None``: keep the default)."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
-def _chaos_setup(args: argparse.Namespace):
-    """(backend, resilience) for the serve/bench-serve chaos flags."""
-    backend = None
-    resilience = None
-    if getattr(args, "chaos", None):
-        from repro.resilience import ResilienceManager
-        from repro.resilience.chaos import ChaosBackend, bundled_profile
-
-        backend = ChaosBackend(
-            bundled_profile(args.chaos), seed=getattr(args, "chaos_seed", 0)
-        )
-        manager_kwargs: dict = {}
-        cooldown = getattr(args, "breaker_cooldown", None)
-        if cooldown is not None:
-            from repro.resilience.breaker import BreakerBoard
-
-            manager_kwargs["board"] = BreakerBoard(cooldown_s=cooldown)
-        min_observations = getattr(args, "min_observations", None)
-        if min_observations is not None:
-            manager_kwargs["min_observations"] = min_observations
-        resilience = ResilienceManager(
-            breakers=not getattr(args, "no_breakers", False),
-            **manager_kwargs,
-        )
-    return backend, resilience
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """Serve a sharded cluster (``repro cluster`` / ``serve --workers N``)."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Serve one :class:`WorkerSpec`: in this process, or on N workers."""
+    import os
     import signal
     import threading
+    from contextlib import ExitStack
 
-    from repro.cluster.runtime import Cluster, worker_specs
-    from repro.cluster.spec import ClusterConfig
+    from repro.cluster.spec import ClusterConfig, WorkerSpec
+    from repro.service.policy import RequestPolicy
+    from repro.service.server import ServiceConfig
 
+    cluster_config = ClusterConfig(
+        workers=args.workers, host=args.host, backlog_per_shard=args.backlog
+    )
     chaos = None
     if args.chaos:
         from repro.resilience.chaos import bundled_profile
 
-        # Workers live in other processes: chaos crosses as a plain
-        # dict (picklable) and is rebuilt per shard.
+        # A plain dict, so the spec pickles into worker processes.
         chaos = bundled_profile(args.chaos).as_dict()
-    workers = getattr(args, "workers", 2)
-    config = ClusterConfig(
-        workers=workers,
-        host=args.host,
-        backlog_per_shard=getattr(args, "backlog_per_shard", None)
-        or args.backlog,
-    )
-    specs = worker_specs(
-        config,
+    spec = WorkerSpec(
+        shard=0,
         workload=args.workload,
         seed=args.seed,
-        max_concurrent=args.max_concurrent,
-        backlog=args.backlog,
-        default_orderer=args.default_orderer,
-        deadline_s=args.deadline,
+        host=args.host,
+        config=ServiceConfig(
+            max_concurrent=args.max_concurrent,
+            backlog=args.backlog,
+            default_orderer=args.default_orderer,
+            default_policy=RequestPolicy(deadline_s=args.deadline),
+            trace_requests=args.trace,
+            adaptivity=args.adaptive,
+            **_given(
+                default_measure=args.default_measure,
+                queue_depth=args.queue_depth,
+                executor_workers=args.executor_workers,
+            ),
+        ),
         chaos=chaos,
         chaos_seed=args.chaos_seed,
         breakers=not args.no_breakers,
-        journal_dir=getattr(args, "journal_dir", None),
+        **_given(
+            breaker_cooldown_s=args.breaker_cooldown,
+            min_observations=args.min_observations,
+        ),
     )
-    journal = None
-    journal_sink = None
-    if args.journal:
-        from repro.observability.journal import EventJournal
-
-        journal_sink = open(args.journal, "w", encoding="utf-8")
-        journal = EventJournal(stream=journal_sink)
-    cluster = Cluster(specs, config, journal=journal)
-    port = cluster.start(host=args.host, port=args.port)
-    metrics_server = None
-    if args.metrics_port is not None:
-        from repro.service.metricsd import start_metrics_server
-
-        metrics_server, _mthread = start_metrics_server(
-            cluster.prometheus_text, host=args.host, port=args.metrics_port
-        )
-        print(
-            f"cluster metrics on "
-            f"http://{args.host}:{metrics_server.port}/metrics",
-            flush=True,
-        )
-    stop = threading.Event()
-    try:
-        signal.signal(signal.SIGINT, lambda *_: stop.set())
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    except ValueError:
-        pass  # not on the main thread (e.g. under a test harness)
     chaos_note = f"; chaos: {args.chaos}" if args.chaos else ""
-    print(
-        f"routing {args.workload} on {args.host}:{port} across "
-        f"{workers} workers{chaos_note} (Ctrl-C to stop)",
-        flush=True,
-    )
-    try:
-        while not stop.is_set():
-            stop.wait(0.2)
-    except KeyboardInterrupt:
-        pass
-    print("shutting down", flush=True)
-    if metrics_server is not None:
-        metrics_server.shutdown()
-        metrics_server.server_close()
-    cluster.stop()
-    if journal_sink is not None:
-        journal_sink.close()
-        print(f"journal written to {args.journal}", flush=True)
-    return 0
+    # Unwinds in reverse: metrics endpoint, then the server or cluster,
+    # then the journal file — also when starting any of them fails.
+    with ExitStack() as cleanup:
+        journal = None
+        if args.journal:
+            from repro.observability.journal import EventJournal
 
-
-#: ``serve`` flags that only the single-process server reads:
-#: ``WorkerSpec`` has no field for them, so ``serve --workers N`` refuses
-#: them instead of silently dropping them.
-_SINGLE_PROCESS_FLAGS = (
-    "--adaptive",
-    "--trace",
-    "--default-measure",
-    "--queue-depth",
-    "--executor-workers",
-    "--breaker-cooldown",
-    "--min-observations",
-)
-
-
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
-    from repro.service.frontend import start_server
-    from repro.service.policy import RequestPolicy
-    from repro.service.server import QueryService, ServiceConfig
-
-    if getattr(args, "workers", 1) > 1:
-        dropped = [
-            flag
-            for flag in _SINGLE_PROCESS_FLAGS
-            if getattr(args, _dest(flag)) != args.single_process_defaults[flag]
-        ]
-        if dropped:
-            raise ServiceError(
-                f"serve --workers {args.workers} cannot pass "
-                f"{', '.join(dropped)} on to its workers; leave that out "
-                "or serve one process"
+            journal = EventJournal(
+                stream=cleanup.enter_context(
+                    open(args.journal, "w", encoding="utf-8")
+                )
             )
-        return _cmd_cluster(args)
-    catalog, facts, measures, _ = _service_workload(args.workload, args.seed)
-    overrides = {
-        name: value
-        for name, value in (
-            ("default_measure", getattr(args, "default_measure", None)),
-            ("queue_depth", getattr(args, "queue_depth", None)),
-            ("executor_workers", getattr(args, "executor_workers", None)),
-        )
-        if value is not None
-    }
-    config = ServiceConfig(
-        max_concurrent=args.max_concurrent,
-        backlog=args.backlog,
-        default_orderer=args.default_orderer,
-        default_policy=RequestPolicy(deadline_s=args.deadline),
-        trace_requests=args.trace,
-        adaptivity=args.adaptive,
-        **overrides,
-    )
-    backend, resilience = _chaos_setup(args)
-    journal = None
-    journal_sink = None
+        if cluster_config.workers == 1:
+            from repro.cluster.worker import build_worker_service
+            from repro.service.frontend import start_server
+
+            service = build_worker_service(spec, journal=journal)
+            cleanup.callback(service.shutdown)
+            server, _thread = start_server(
+                service, host=args.host, port=args.port
+            )
+            cleanup.callback(server.server_close)
+            cleanup.callback(server.shutdown)
+            prometheus_text, metrics_label = service.prometheus_text, "metrics"
+            banner = (
+                f"serving {args.workload} on "
+                f"{server.server_address[0]}:{server.port} "
+                f"(measures: {', '.join(service.measure_names)}{chaos_note}; "
+                "Ctrl-C to stop)"
+            )
+        else:
+            from repro.cluster.runtime import Cluster, worker_specs
+
+            # Shard k journals beside the router's journal.
+            journal_dir = (
+                os.path.dirname(os.path.abspath(args.journal))
+                if args.journal
+                else None
+            )
+            cluster = Cluster(
+                worker_specs(cluster_config, spec, journal_dir=journal_dir),
+                cluster_config,
+                journal=journal,
+            )
+            cleanup.callback(cluster.stop)
+            port = cluster.start(host=args.host, port=args.port)
+            prometheus_text, metrics_label = (
+                cluster.prometheus_text,
+                "cluster metrics",
+            )
+            banner = (
+                f"routing {args.workload} on {args.host}:{port} across "
+                f"{cluster_config.workers} workers{chaos_note} (Ctrl-C to stop)"
+            )
+        if args.metrics_port is not None:
+            from repro.service.metricsd import start_metrics_server
+
+            metrics_server, _mthread = start_metrics_server(
+                prometheus_text, host=args.host, port=args.metrics_port
+            )
+            cleanup.callback(metrics_server.server_close)
+            cleanup.callback(metrics_server.shutdown)
+            print(
+                f"{metrics_label} on "
+                f"http://{args.host}:{metrics_server.port}/metrics",
+                flush=True,
+            )
+        stop = threading.Event()
+        try:
+            # SIGTERM too, so `kill` from CI (where a backgrounded process
+            # ignores SIGINT) still shuts down cleanly.
+            signal.signal(signal.SIGINT, lambda *_: stop.set())
+            signal.signal(signal.SIGTERM, lambda *_: stop.set())
+        except ValueError:
+            pass  # not on the main thread (e.g. under a test harness)
+        print(banner, flush=True)
+        try:
+            while not stop.is_set():
+                stop.wait(0.2)
+        except KeyboardInterrupt:
+            pass
+        print("shutting down", flush=True)
     if args.journal:
-        from repro.observability.journal import EventJournal
-
-        journal_sink = open(args.journal, "w", encoding="utf-8")
-        journal = EventJournal(stream=journal_sink)
-    service = QueryService(
-        catalog,
-        facts,
-        measures=measures,
-        config=config,
-        backend=backend,
-        resilience=resilience,
-        journal=journal,
-    )
-    metrics_server = None
-    if args.metrics_port is not None:
-        from repro.service.metricsd import start_metrics_server
-
-        metrics_server, _mthread = start_metrics_server(
-            service.prometheus_text, host=args.host, port=args.metrics_port
-        )
-        print(
-            f"metrics on http://{args.host}:{metrics_server.port}/metrics",
-            flush=True,
-        )
-    server, _thread = start_server(service, host=args.host, port=args.port)
-    stop = threading.Event()
-    try:
-        # SIGTERM too, so `kill` from CI (where a backgrounded process
-        # ignores SIGINT) still shuts down cleanly.
-        signal.signal(signal.SIGINT, lambda *_: stop.set())
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    except ValueError:
-        pass  # not on the main thread (e.g. under a test harness)
-    chaos_note = f"; chaos: {args.chaos}" if args.chaos else ""
-    print(
-        f"serving {args.workload} on {server.server_address[0]}:{server.port} "
-        f"(measures: {', '.join(sorted(measures))}{chaos_note}; "
-        "Ctrl-C to stop)",
-        flush=True,
-    )
-    try:
-        while not stop.is_set():
-            stop.wait(0.2)
-    except KeyboardInterrupt:
-        pass
-    print("shutting down", flush=True)
-    server.shutdown()
-    server.server_close()
-    service.shutdown()
-    if metrics_server is not None:
-        metrics_server.shutdown()
-        metrics_server.server_close()
-    if journal_sink is not None:
-        journal_sink.close()
         print(f"journal written to {args.journal}", flush=True)
     return 0
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
     from repro.service.loadgen import build_query_mix, run_load
+    from repro.service.workloads import service_workload
 
-    catalog, facts, measures, query = _service_workload(args.workload, args.seed)
+    catalog, _facts, _measures, query = service_workload(args.workload, args.seed)
     mix = build_query_mix(catalog, args.queries, seed=args.seed, include=query)
-    server = service = cluster = None
-    if args.connect and args.router:
-        print("bench-serve: --connect and --router are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.connect:
-        host, _, port_text = args.connect.rpartition(":")
-        host = host or "127.0.0.1"
-        port = int(port_text)
-    elif args.router:
-        from repro.cluster.runtime import Cluster, worker_specs
-        from repro.cluster.spec import ClusterConfig
-
-        chaos = None
-        if args.chaos:
-            from repro.resilience.chaos import bundled_profile
-
-            chaos = bundled_profile(args.chaos).as_dict()
-        config = ClusterConfig(workers=args.router)
-        specs = worker_specs(
-            config,
-            workload=args.workload,
-            seed=args.seed,
-            max_concurrent=args.max_concurrent,
-            chaos=chaos,
-            chaos_seed=args.chaos_seed,
-            breakers=not args.no_breakers,
-        )
-        cluster = Cluster(specs, config)
-        host, port = "127.0.0.1", cluster.start()
-    else:
-        from repro.service.frontend import start_server
-        from repro.service.server import QueryService, ServiceConfig
-
-        backend, resilience = _chaos_setup(args)
-        service = QueryService(
-            catalog,
-            facts,
-            measures=measures,
-            config=ServiceConfig(
-                max_concurrent=args.max_concurrent,
-                adaptivity=args.adaptive,
-            ),
-            backend=backend,
-            resilience=resilience,
-        )
-        server, _thread = start_server(service)
-        host, port = "127.0.0.1", server.port
-    try:
-        report = run_load(
-            host,
-            port,
-            mix,
-            requests=args.requests,
-            concurrency=args.concurrency,
-            deadline_s=args.deadline,
-            first_k_answers=args.first_k,
-        )
-    finally:
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
-        if cluster is not None:
-            cluster.stop()
-    target = args.workload
-    if args.router:
-        target = f"{args.workload} via {args.router}-worker router"
+    host, _, port_text = args.connect.rpartition(":")
+    report = run_load(
+        host or "127.0.0.1",
+        int(port_text),
+        mix,
+        requests=args.requests,
+        concurrency=args.concurrency,
+        deadline_s=args.deadline,
+        first_k_answers=args.first_k,
+    )
     print(
         f"{args.requests} requests x {args.concurrency} connections "
-        f"over {len(mix)} queries ({target}):"
+        f"over {len(mix)} queries ({args.workload} at {args.connect}):"
     )
     print(report.format_table())
     if args.degradation_out:
@@ -686,14 +528,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve.add_argument("--port", type=int, default=7462,
                        help="TCP port (0 picks a free one)")
     serve.add_argument("--max-concurrent", type=int, default=8,
-                       help="admission-control concurrency cap")
+                       help="admission-control concurrency cap (per "
+                            "worker)")
     serve.add_argument("--backlog", type=int, default=32,
-                       help="requests that may wait for a slot before overload")
+                       help="requests that may wait for a slot before "
+                            "overload (per worker; with --workers N also "
+                            "the router's in-flight relays per shard)")
     serve.add_argument("--deadline", type=float, default=None,
                        help="default per-request deadline in seconds")
     serve.add_argument("--workers", type=int, default=1,
-                       help="run a sharded cluster instead: N worker "
-                            "processes behind a consistent-hash router")
+                       help="serve from N worker processes behind a "
+                            "consistent-hash router (every flag applies to "
+                            "each worker)")
     serve.add_argument("--default-orderer", default="auto",
                        choices=ORDERER_CHOICES,
                        help="orderer for requests that do not name one "
@@ -706,7 +552,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="inject a bundled chaos profile (smoke, slow, "
                             "truncating) and enable the resilience layer")
     serve.add_argument("--chaos-seed", type=int, default=0,
-                       help="seed for deterministic chaos failure draws")
+                       help="seed for deterministic chaos failure draws "
+                            "(worker k draws with seed + k)")
     serve.add_argument("--no-breakers", action="store_true",
                        help="with --chaos: keep health tracking and graceful "
                             "degradation but never skip plans behind breakers")
@@ -746,87 +593,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "http://HOST:PORT/metrics (0 picks a free port)")
     serve.add_argument("--journal", metavar="PATH", default=None,
                        help="record the correlated event journal as JSON "
-                            "lines to PATH")
-    serve.set_defaults(single_process_defaults={
-        flag: serve.get_default(_dest(flag)) for flag in _SINGLE_PROCESS_FLAGS
-    })
-
-    cluster = sub.add_parser("cluster",
-                             help="sharded router/worker cluster")
-    cluster.add_argument("--workload", default="movies",
-                         choices=("movies", "random-lav"))
-    cluster.add_argument("--seed", type=int, default=0,
-                         help="workload seed (random-lav)")
-    cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument("--port", type=int, default=7462,
-                         help="router TCP port (0 picks a free one); "
-                              "workers always bind OS-assigned ports")
-    cluster.add_argument("--workers", type=int, default=2,
-                         help="number of worker processes (shards)")
-    cluster.add_argument("--max-concurrent", type=int, default=8,
-                         help="per-worker admission-control concurrency cap")
-    cluster.add_argument("--backlog", type=int, default=32,
-                         help="per-worker requests that may wait for a slot "
-                              "before overload")
-    cluster.add_argument("--backlog-per-shard", type=int, default=32,
-                         help="router-side relay cap per shard before "
-                              "shedding with an overloaded error")
-    cluster.add_argument("--deadline", type=float, default=None,
-                         help="default per-request deadline in seconds")
-    cluster.add_argument("--default-orderer", default="auto",
-                         choices=ORDERER_CHOICES,
-                         help="orderer for requests that do not name one")
-    cluster.add_argument("--chaos", metavar="PROFILE", default=None,
-                         help="inject a bundled chaos profile in every "
-                              "worker (decorrelated seeds per shard)")
-    cluster.add_argument("--chaos-seed", type=int, default=0,
-                         help="base seed for deterministic chaos draws")
-    cluster.add_argument("--no-breakers", action="store_true",
-                         help="with --chaos: disable per-source breaker "
-                              "skipping inside workers")
-    cluster.add_argument("--metrics-port", type=int, default=None,
-                         help="expose the cross-shard merged registry on "
-                              "http://HOST:PORT/metrics (0 picks a port)")
-    cluster.add_argument("--journal", metavar="PATH", default=None,
-                         help="router/supervisor event journal (JSON lines)")
-    cluster.add_argument("--journal-dir", metavar="DIR", default=None,
-                         help="per-worker journals as "
-                              "DIR/journal-shard<k>.jsonl")
+                            "lines to PATH (with --workers N: the router's; "
+                            "shard k writes journal-shard<k>.jsonl beside "
+                            "it)")
 
     bench = sub.add_parser("bench-serve",
                            help="load-generate against the query service")
     bench.add_argument("--workload", default="movies",
                        choices=("movies", "random-lav"))
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--connect", metavar="HOST:PORT", default=None,
-                       help="drive an already-running server instead of "
-                            "starting one in-process")
-    bench.add_argument("--router", type=int, metavar="N", default=None,
-                       help="drive an in-process N-worker cluster through "
-                            "its router; the report adds per-shard "
-                            "latency percentiles and the imbalance ratio")
+    bench.add_argument("--connect", metavar="HOST:PORT",
+                       default="127.0.0.1:7462",
+                       help="the server or cluster router to drive "
+                            "(default: serve's default address)")
     bench.add_argument("--requests", type=int, default=50)
     bench.add_argument("--concurrency", type=int, default=4,
                        help="concurrent client connections")
     bench.add_argument("--queries", type=int, default=8,
                        help="size of the random query mix")
-    bench.add_argument("--max-concurrent", type=int, default=8,
-                       help="server concurrency cap (in-process mode)")
     bench.add_argument("--deadline", type=float, default=None,
                        help="per-request deadline in seconds")
     bench.add_argument("--first-k", type=int, default=None,
                        help="stop each request after k answers")
-    bench.add_argument("--chaos", metavar="PROFILE", default=None,
-                       help="in-process mode: serve under a bundled chaos "
-                            "profile with the resilience layer enabled")
-    bench.add_argument("--chaos-seed", type=int, default=0,
-                       help="seed for deterministic chaos failure draws")
-    bench.add_argument("--no-breakers", action="store_true",
-                       help="with --chaos: disable breaker skipping")
-    bench.add_argument("--adaptive", nargs="?", const="on", default="auto",
-                       choices=("auto", "on", "off"),
-                       help="in-process mode: mid-stream re-ordering from "
-                            "live source health (bare --adaptive forces on)")
     bench.add_argument("--degradation-out", metavar="PATH", default=None,
                        help="write the load report (including the "
                             "degradation summary) to PATH as JSON")
@@ -874,8 +662,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_simulate(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "cluster":
-            return _cmd_cluster(args)
         if args.command == "bench-serve":
             return _cmd_bench_serve(args)
         if args.command == "lint":

@@ -54,6 +54,8 @@ __all__ = ["RouterTCPServer", "start_router"]
 
 #: Reply types that end one request's relay.
 _TERMINAL_TYPES = ("summary", "error")
+#: Socket timeout of a relay connection to a worker.
+RELAY_TIMEOUT_S = 60.0
 
 
 def tag_line(line: bytes, shard: int) -> bytes:
@@ -220,7 +222,7 @@ class _RouterHandler(JsonLinesHandler):
                 return cached[1]
             self._drop_worker(shard)  # restarted on a new port
         host = router.supervisor.host_of(shard)
-        sock = connect(host, port, timeout=router.config.relay_timeout_s)
+        sock = connect(host, port, timeout=RELAY_TIMEOUT_S)
         stream = sock.makefile("rwb")
         self._worker_streams[shard] = (sock, stream, port)
         return stream
@@ -259,9 +261,7 @@ class RouterTCPServer(socketserver.ThreadingTCPServer):
             registry if registry is not None else supervisor.registry
         )
         self.journal = journal if journal is not None else NOOP_JOURNAL
-        self.ring = ConsistentHashRing(
-            supervisor.shards, replicas=self.config.replicas
-        )
+        self.ring = ConsistentHashRing(supervisor.shards)
         self._merged_export = merged_export
         self._backlogs = {
             shard: _Backlog(self.config.backlog_per_shard)

@@ -1,7 +1,7 @@
 """One object that runs a whole cluster: ``Cluster``.
 
 Glue over the subsystem's parts — builds the per-shard
-:class:`WorkerSpec` list from one workload description, starts the
+:class:`WorkerSpec` list from one template spec, starts the
 :class:`ClusterSupervisor` and :class:`RouterTCPServer`, and owns
 **cross-shard metric aggregation**: :meth:`merged_registry` scrapes
 every worker's registry export over the control channel and folds
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import threading
+from dataclasses import replace
 from typing import Optional
 
 from repro.cluster.router import RouterTCPServer, start_router
@@ -31,48 +32,28 @@ __all__ = ["Cluster", "worker_specs"]
 
 def worker_specs(
     config: ClusterConfig,
+    template: WorkerSpec = WorkerSpec(shard=0),
     *,
-    workload: str = "movies",
-    seed: int = 0,
-    max_concurrent: int = 8,
-    backlog: int = 32,
-    default_orderer: str = "auto",
-    deadline_s: Optional[float] = None,
-    chaos: Optional[dict] = None,
-    chaos_seed: int = 0,
-    breakers: bool = True,
     journal_dir: Optional[str] = None,
 ) -> list[WorkerSpec]:
-    """One :class:`WorkerSpec` per shard, identical except identity.
+    """One copy of *template* per shard, identical except identity.
 
     Chaos seeds are decorrelated per shard (``chaos_seed + shard``) so
     the shards do not fail in lockstep; journal files are
     ``journal-shard<k>.jsonl`` under *journal_dir*.
     """
-    specs = []
-    for shard in range(config.workers):
-        journal_path = None
-        if journal_dir is not None:
-            journal_path = os.path.join(
-                journal_dir, f"journal-shard{shard}.jsonl"
-            )
-        specs.append(
-            WorkerSpec(
-                shard=shard,
-                workload=workload,
-                seed=seed,
-                host=config.host,
-                max_concurrent=max_concurrent,
-                backlog=backlog,
-                default_orderer=default_orderer,
-                deadline_s=deadline_s,
-                chaos=chaos,
-                chaos_seed=chaos_seed + shard,
-                breakers=breakers,
-                journal_path=journal_path,
-            )
+    return [
+        replace(
+            template,
+            shard=shard,
+            host=config.host,
+            chaos_seed=template.chaos_seed + shard,
+            journal_path=None
+            if journal_dir is None
+            else os.path.join(journal_dir, f"journal-shard{shard}.jsonl"),
         )
-    return specs
+        for shard in range(config.workers)
+    ]
 
 
 class Cluster:

@@ -43,6 +43,11 @@ from repro.service.frontend import connect
 
 __all__ = ["ClusterSupervisor", "WorkerHandle"]
 
+#: How long a spawned worker may take to report ready.
+STARTUP_TIMEOUT_S = 60.0
+#: Socket timeout of one health probe or metrics scrape.
+PROBE_TIMEOUT_S = 5.0
+
 
 class WorkerHandle:
     """One shard's process, port, breaker, and restart budget."""
@@ -116,7 +121,7 @@ class ClusterSupervisor:
         self._started = True
         for handle in self._handles.values():
             self._spawn(handle)
-        self._await_ready(set(self._handles), self.config.startup_timeout_s)
+        self._await_ready(set(self._handles), STARTUP_TIMEOUT_S)
         self._probe_thread = threading.Thread(
             target=self._probe_loop, name="repro-cluster-probe", daemon=True
         )
@@ -253,7 +258,7 @@ class ClusterSupervisor:
         if port is None:
             raise ServiceError(f"shard {shard} has no port (down?)")
         host = self._handles[shard].spec.host
-        with connect(host, port, timeout=self.config.probe_timeout_s) as sock:
+        with connect(host, port, timeout=PROBE_TIMEOUT_S) as sock:
             stream = sock.makefile("rwb")
             stream.write(protocol.encode_line(record))
             stream.flush()
@@ -316,10 +321,7 @@ class ClusterSupervisor:
             # the probe-loop window where a respawned worker would
             # outlive the supervisor.
             return
-        if (
-            not self.config.restart_crashed
-            or handle.restarts >= self.config.max_restarts_per_shard
-        ):
+        if handle.restarts >= self.config.max_restarts_per_shard:
             self.journal.emit(
                 "cluster.worker", shard=handle.shard, state="abandoned"
             )
@@ -328,7 +330,7 @@ class ClusterSupervisor:
         self._m_restarts.inc()
         self._spawn(handle)
         try:
-            self._await_ready({handle.shard}, self.config.startup_timeout_s)
+            self._await_ready({handle.shard}, STARTUP_TIMEOUT_S)
         except ServiceError:
             self.journal.emit(
                 "cluster.worker", shard=handle.shard, state="restart_failed"

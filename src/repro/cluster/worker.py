@@ -28,9 +28,9 @@ from typing import Optional
 
 from repro.cluster.spec import WorkerSpec
 from repro.observability.journal import EventJournal
+from repro.observability.metrics import MetricRegistry
 from repro.service.frontend import start_server
-from repro.service.policy import RequestPolicy
-from repro.service.server import QueryService, ServiceConfig
+from repro.service.server import QueryService
 from repro.service.workloads import service_workload
 
 __all__ = ["build_worker_service", "worker_main"]
@@ -39,29 +39,32 @@ __all__ = ["build_worker_service", "worker_main"]
 def build_worker_service(
     spec: WorkerSpec, *, journal: Optional[EventJournal] = None
 ) -> QueryService:
-    """A fully wired :class:`QueryService` for *spec* (also used in tests)."""
+    """The :class:`QueryService` *spec* describes: a worker's, or ``serve``'s."""
     catalog, facts, measures, _ = service_workload(spec.workload, spec.seed)
     backend = None
     resilience = None
     if spec.chaos:
         from repro.resilience import ResilienceManager
+        from repro.resilience.breaker import BreakerBoard
         from repro.resilience.chaos import ChaosBackend, ChaosProfile
 
         backend = ChaosBackend(
             ChaosProfile.from_dict(spec.chaos), seed=spec.chaos_seed
         )
-        resilience = ResilienceManager(breakers=spec.breakers)
-    config = ServiceConfig(
-        max_concurrent=spec.max_concurrent,
-        backlog=spec.backlog,
-        default_orderer=spec.default_orderer,
-        default_policy=RequestPolicy(deadline_s=spec.deadline_s),
-    )
+        registry = MetricRegistry()
+        resilience = ResilienceManager(
+            board=BreakerBoard(
+                cooldown_s=spec.breaker_cooldown_s, registry=registry
+            ),
+            registry=registry,
+            breakers=spec.breakers,
+            min_observations=spec.min_observations,
+        )
     return QueryService(
         catalog,
         facts,
         measures=measures,
-        config=config,
+        config=spec.config,
         backend=backend,
         resilience=resilience,
         journal=journal,

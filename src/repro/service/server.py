@@ -192,7 +192,7 @@ class QueryService:
         if self.config.default_measure not in self._measure_factories:
             raise ServiceError(
                 f"default measure {self.config.default_measure!r} is not "
-                f"among {sorted(self._measure_factories)}"
+                f"among {self.measure_names}"
             )
         self._shared_measures: dict[str, UtilityMeasure] = {}
         self._measure_lock = threading.Lock()
@@ -239,6 +239,11 @@ class QueryService:
 
     # -- request plumbing --------------------------------------------------------
 
+    @property
+    def measure_names(self) -> list[str]:
+        """The measures a request may name, sorted."""
+        return sorted(self._measure_factories)
+
     def shared_measure(self, name: str) -> UtilityMeasure:
         """The cross-request shared utility measure called *name*.
 
@@ -258,7 +263,7 @@ class QueryService:
                 except KeyError:
                     raise ServiceError(
                         f"unknown measure {name!r}; "
-                        f"have {sorted(self._measure_factories)}"
+                        f"have {self.measure_names}"
                     ) from None
                 measure = factory()
                 if resilience is not None:

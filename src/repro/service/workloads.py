@@ -1,10 +1,10 @@
 """Named service workloads: catalog + facts + measures + a query.
 
 One resolver shared by everything that boots a service around a
-bundled workload — the CLI's ``serve``/``bench-serve``, the perf
-baseline, and each cluster worker process (which must be able to
+bundled workload — :func:`repro.cluster.worker.build_worker_service`,
+which ``serve`` and every cluster worker process use (a worker must
 rebuild its service from a picklable name+seed, not from live
-objects).
+objects), and ``bench-serve``'s query mix.
 """
 
 from __future__ import annotations

@@ -157,10 +157,9 @@ ROWS = [
      "                        message = conn.recv()\n"),
     # A health probe's whole round trip under the routing-table lock.
     ("CON003", "cluster/supervisor.py",
-     "        with connect(host, port, "
-     "timeout=self.config.probe_timeout_s) as sock:\n",
+     "        with connect(host, port, timeout=PROBE_TIMEOUT_S) as sock:\n",
      "        with self._lock, connect(\n"
-     "            host, port, timeout=self.config.probe_timeout_s\n"
+     "            host, port, timeout=PROBE_TIMEOUT_S\n"
      "        ) as sock:\n"),
     # A journal event without a field the schema requires.
     ("CON004", "cluster/supervisor.py",

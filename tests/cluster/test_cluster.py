@@ -7,6 +7,7 @@ crash/restart tests get their own short-lived clusters.
 
 import json
 import threading
+from dataclasses import replace
 import time
 import urllib.request
 
@@ -15,6 +16,7 @@ import pytest
 from repro.cluster.runtime import Cluster, worker_specs
 from repro.cluster.router import tag_line
 from repro.cluster.spec import ClusterConfig, WorkerSpec
+from repro.cluster.worker import build_worker_service
 from repro.errors import ServiceError
 from repro.observability.journal import EventJournal
 from repro.observability.metrics import MetricRegistry
@@ -22,6 +24,8 @@ from repro.observability.prometheus import render_registry
 from repro.service import protocol
 from repro.service.frontend import connect
 from repro.service.metricsd import start_metrics_server
+from repro.service.policy import RequestPolicy
+from repro.service.server import ServiceConfig
 from repro.service.workloads import service_workload
 
 pytestmark = pytest.mark.slow
@@ -330,11 +334,32 @@ class TestSpecValidation:
         with pytest.raises(ServiceError):
             ClusterConfig(backlog_per_shard=0)
 
-    def test_worker_specs_are_picklable(self):
+    @pytest.mark.parametrize(
+        "template",
+        [
+            WorkerSpec(shard=0, chaos={"faults": {}}),
+            WorkerSpec(
+                shard=0,
+                config=ServiceConfig(
+                    max_concurrent=3,
+                    queue_depth=1,
+                    default_measure="failure",
+                    default_policy=RequestPolicy(deadline_s=2.5),
+                    trace_requests=True,
+                    adaptivity="on",
+                ),
+                breaker_cooldown_s=0.05,
+                min_observations=1,
+            ),
+        ],
+        ids=["chaos", "service-config"],
+    )
+    def test_worker_specs_are_picklable(self, template):
         import pickle
 
-        specs = worker_specs(ClusterConfig(workers=3), chaos={"faults": {}})
+        specs = worker_specs(ClusterConfig(workers=3), template)
         assert pickle.loads(pickle.dumps(specs)) == specs
+        assert all(spec.config == template.config for spec in specs)
 
     def test_journal_dir_names_per_shard_files(self, tmp_path):
         specs = worker_specs(
@@ -350,6 +375,65 @@ class TestSpecValidation:
             ClusterSupervisor(
                 [WorkerSpec(shard=0), WorkerSpec(shard=0)]
             )
+
+
+#: A non-default value for each spec field the built service reads,
+#: and where the service keeps it.
+SPEC_FIELDS = [
+    ("config", ServiceConfig(max_concurrent=3, trace_requests=True),
+     lambda service: service.config),
+    ("breaker_cooldown_s", 0.05,
+     lambda service: service.resilience.board.cooldown_s),
+    ("min_observations", 1,
+     lambda service: service.resilience.min_observations),
+    ("chaos_seed", 7, lambda service: service.backend.seed),
+    ("breakers", False, lambda service: service.resilience.breakers),
+]
+
+
+class TestBuildWorkerService:
+    @staticmethod
+    def read(spec, reader):
+        service = build_worker_service(spec)
+        try:
+            return reader(service)
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize(
+        "name, value, reader", SPEC_FIELDS,
+        ids=[name for name, _value, _reader in SPEC_FIELDS],
+    )
+    def test_the_service_honours_every_spec_field(self, name, value, reader):
+        from repro.resilience.chaos import bundled_profile
+
+        base = WorkerSpec(shard=0, chaos=bundled_profile("smoke").as_dict())
+        assert self.read(base, reader) != value
+        spec = replace(base, **{name: value})
+        got = self.read(spec, reader)
+        assert got == value
+        if name == "config":
+            assert got is spec.config
+
+    def test_breaker_gauges_reach_the_service_metrics(self):
+        # A spec'd cooldown must not move the board off the manager's
+        # registry, or its breaker series vanish from /metrics.
+        from repro.resilience.chaos import bundled_profile
+
+        service = build_worker_service(
+            WorkerSpec(
+                shard=0,
+                chaos=bundled_profile("smoke").as_dict(),
+                breaker_cooldown_s=0.05,
+            )
+        )
+        try:
+            assert (
+                service.resilience.board.registry
+                is service.resilience.registry
+            )
+        finally:
+            service.shutdown()
 
 
 def peak_in_flight(events):
@@ -406,10 +490,14 @@ class TestCapacity:
 
         mix = capacity_mix()
         config = ClusterConfig(workers=2)
+        template = WorkerSpec(
+            shard=0,
+            config=ServiceConfig(max_concurrent=MAX_CONCURRENT),
+            chaos=bundled_profile("slow").with_scaled_latency(10.0).as_dict(),
+        )
         specs = worker_specs(
             config,
-            max_concurrent=MAX_CONCURRENT,
-            chaos=bundled_profile("slow").with_scaled_latency(10.0).as_dict(),
+            template,
             journal_dir=str(tmp_path_factory.mktemp("capacity")),
         )
         # Sixteen connections at once overflow the router's listen

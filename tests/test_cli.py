@@ -189,12 +189,30 @@ class TestSimulate:
         assert len(outputs) > 1
 
 
+@pytest.fixture(scope="module")
+def served_movies():
+    """A movie-workload server on a free port, as ``serve`` starts one."""
+    from repro.cluster.spec import WorkerSpec
+    from repro.cluster.worker import build_worker_service
+    from repro.service.frontend import start_server
+
+    service = build_worker_service(WorkerSpec(shard=0))
+    server, _thread = start_server(service, port=0)
+    try:
+        yield f"127.0.0.1:{server.port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.shutdown()
+
+
 class TestBenchServe:
-    def test_micro_load_in_process(self, capsys):
+    def test_micro_load_over_connect(self, capsys, served_movies):
         assert (
             main(
                 [
                     "bench-serve",
+                    "--connect", served_movies,
                     "--requests", "6",
                     "--concurrency", "2",
                     "--queries", "3",
@@ -203,16 +221,18 @@ class TestBenchServe:
             == 0
         )
         out = capsys.readouterr().out
+        assert f"(movies at {served_movies})" in out
         assert "completed                6" in out
         assert "errors                   0" in out
         assert "throughput [req/s]" in out
         assert "first-answer latency" in out
 
-    def test_first_k_budget_applies(self, capsys):
+    def test_first_k_budget_applies(self, capsys, served_movies):
         assert (
             main(
                 [
                     "bench-serve",
+                    "--connect", served_movies,
                     "--requests", "4",
                     "--concurrency", "1",
                     "--queries", "2",
@@ -223,38 +243,161 @@ class TestBenchServe:
         )
         assert "completed                4" in capsys.readouterr().out
 
+    def test_connect_defaults_to_serves_port(self, monkeypatch):
+        import repro.service.loadgen as loadgen
+
+        seen = []
+
+        def fake_run_load(host, port, mix, **kwargs):
+            seen.append((host, port))
+            raise _Captured
+
+        monkeypatch.setattr(loadgen, "run_load", fake_run_load)
+        with pytest.raises(_Captured):
+            main(["bench-serve"])
+        assert seen == [("127.0.0.1", 7462)]
+
 
 class TestServeValidation:
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("flag", ["--executor-workers", "--queue-depth"])
-    def test_zero_sized_pipeline_is_refused_before_binding(self, flag, capsys):
+    def test_zero_sized_pipeline_is_refused_before_binding(
+        self, flag, workers, capsys
+    ):
         # Port 1 cannot be bound unprivileged: reaching the bind would
         # raise OSError (or serve forever), not end in a ServiceError's
-        # one-line refusal.
-        assert main(["serve", "--port", "1", flag, "0"]) == 2
+        # one-line refusal.  With two workers the spec's ServiceConfig
+        # refuses before any process is spawned.
+        assert main(
+            ["serve", "--port", "1", "--workers", workers, flag, "0"]
+        ) == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_no_workers_is_refused_not_served(
+        self, workers, capsys, monkeypatch
+    ):
+        import repro.service.frontend as frontend
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve bound a server with no workers")
+
+        monkeypatch.setattr(frontend, "start_server", no_server)
+        assert main(["serve", "--workers", workers]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"repro: workers must be >= 1, got {workers}"
+
+
+class _Captured(Exception):
+    """Raised by the fake cluster once it holds serve's specs."""
+
+
+@pytest.fixture()
+def cluster_specs(monkeypatch):
+    """``cluster_specs(*flags)``: the specs ``serve --workers 2`` builds."""
+    import repro.cluster.runtime as runtime
+
+    captured = {}
+
+    class FakeCluster:
+        def __init__(self, specs, config=None, *, journal=None):
+            captured["specs"] = specs
+            captured["config"] = config
+            raise _Captured
+
+    monkeypatch.setattr(runtime, "Cluster", FakeCluster)
+
+    def run(*flags):
+        with pytest.raises(_Captured):
+            main(["serve", "--workers", "2", *flags])
+        return captured["specs"]
+
+    run.captured = captured
+    return run
+
+
+#: The flags ``serve --workers N`` once refused, and where each lands.
+CARRIED_FLAGS = [
+    (["--adaptive", "off"], lambda spec: spec.config.adaptivity, "off"),
+    (["--adaptive"], lambda spec: spec.config.adaptivity, "on"),
+    (["--trace"], lambda spec: spec.config.trace_requests, True),
+    (["--default-measure", "failure"],
+     lambda spec: spec.config.default_measure, "failure"),
+    (["--queue-depth", "1"], lambda spec: spec.config.queue_depth, 1),
+    (["--executor-workers", "1"],
+     lambda spec: spec.config.executor_workers, 1),
+    (["--breaker-cooldown", "0.05"],
+     lambda spec: spec.breaker_cooldown_s, 0.05),
+    (["--min-observations", "1"], lambda spec: spec.min_observations, 1),
+]
+
+
+class TestServeWorkers:
     @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--adaptive", "off"],
-            ["--adaptive"],
-            ["--trace"],
-            ["--default-measure", "failure"],
-            ["--queue-depth", "1"],
-            ["--executor-workers", "1"],
-            ["--breaker-cooldown", "0.05"],
-            ["--min-observations", "1"],
-            ["--adaptive", "off", "--trace"],
-        ],
-        ids=" ".join,
+        "flags, read, expected", CARRIED_FLAGS,
+        ids=[" ".join(flags) for flags, _read, _expected in CARRIED_FLAGS],
     )
-    def test_workers_refuses_the_flags_a_cluster_would_drop(self, flags, capsys):
-        # Port 1 again: a cluster that started would fail to bind.
-        assert main(["serve", "--port", "1", "--workers", "2", *flags]) == 2
-        err = capsys.readouterr().err
-        for flag in flags:
-            if flag.startswith("--"):
-                assert flag in err
+    def test_every_flag_reaches_every_shard(
+        self, cluster_specs, flags, read, expected
+    ):
+        specs = cluster_specs("--chaos", "smoke", *flags)
+        assert [spec.shard for spec in specs] == [0, 1]
+        for spec in specs:
+            assert read(spec) == expected
+        # Without the flag, every shard keeps the default.
+        for spec in cluster_specs("--chaos", "smoke"):
+            assert read(spec) != expected
+
+    def test_shards_differ_only_in_identity(self, cluster_specs):
+        from dataclasses import replace
+
+        first, second = cluster_specs(
+            "--chaos", "smoke", "--chaos-seed", "7", "--trace"
+        )
+        assert (first.chaos_seed, second.chaos_seed) == (7, 8)
+        assert replace(second, shard=0, chaos_seed=7) == first
+
+    def test_backlog_is_also_the_routers_per_shard_cap(self, cluster_specs):
+        specs = cluster_specs("--backlog", "5")
+        assert cluster_specs.captured["config"].backlog_per_shard == 5
+        assert all(spec.config.backlog == 5 for spec in specs)
+
+    def test_shard_journals_sit_beside_the_router_journal(
+        self, cluster_specs, tmp_path
+    ):
+        specs = cluster_specs("--journal", str(tmp_path / "cluster.jsonl"))
+        assert [spec.journal_path for spec in specs] == [
+            str(tmp_path / "journal-shard0.jsonl"),
+            str(tmp_path / "journal-shard1.jsonl"),
+        ]
+
+    @pytest.mark.slow
+    def test_trace_spans_come_back_through_the_router(
+        self, cluster_specs, monkeypatch
+    ):
+        from repro.service import protocol
+        from repro.service.frontend import connect
+
+        specs = cluster_specs("--trace")
+        monkeypatch.undo()  # the real Cluster again
+        from repro.cluster.runtime import Cluster
+
+        with Cluster(specs) as cluster:
+            with connect("127.0.0.1", cluster.port) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(protocol.encode_line(protocol.request_record(
+                    "q(M, R) :- play_in(ford, M), review_of(R, M)",
+                    request_id="traced",
+                )))
+                stream.flush()
+                while True:
+                    reply = protocol.decode_line(stream.readline())
+                    if reply["type"] in ("summary", "error"):
+                        break
+        assert reply["type"] == "summary"
+        assert reply["status"] == "ok"
+        assert reply["shard"] in (0, 1)
+        assert reply["spans"]
 
 
 class TestForwarding:
@@ -288,30 +431,22 @@ class TestForwarding:
         assert excinfo.value.code == 2
         assert "invalid choice: 'profile'" in capsys.readouterr().err
 
+    def test_cluster_is_not_a_command(self, capsys):
+        # `serve --workers N` is the one way to start a cluster.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err
 
-class TestBenchServeRouter:
-    def test_router_and_connect_are_mutually_exclusive(self, capsys):
-        code = main(
-            ["bench-serve", "--router", "2", "--connect", "127.0.0.1:1"]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    @pytest.mark.slow
-    def test_router_mode_reports_per_shard(self, capsys):
-        assert (
-            main(
-                [
-                    "bench-serve",
-                    "--router", "2",
-                    "--requests", "10",
-                    "--concurrency", "2",
-                    "--queries", "4",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "via 2-worker router" in out
-        assert "shard imbalance" in out
-        assert "errors                   0" in out
+    @pytest.mark.parametrize(
+        "flags",
+        [["--router", "2"], ["--router", "2", "--adaptive", "on"],
+         ["--chaos", "smoke"], ["--max-concurrent", "2"]],
+        ids=" ".join,
+    )
+    def test_bench_serve_starts_no_server(self, capsys, flags):
+        # bench-serve is a client: the server's flags belong on `serve`.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench-serve", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
