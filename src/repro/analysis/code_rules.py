@@ -470,12 +470,11 @@ def check_bare_sleep(module: CodeModule) -> Iterator[Diagnostic]:
 # -- COD007: print in library code -------------------------------------------------
 
 #: Trailing path components where printing to stdout IS the job: the
-#: CLI, module entry points, and the experiment reporters.
+#: CLI, module entry points, and the experiment CLI.
 _PRINT_ALLOWED_TAILS = (
     ("cli.py",),
     ("__main__.py",),
     ("experiments", "figure6.py"),
-    ("experiments", "report.py"),
 )
 
 

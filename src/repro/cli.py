@@ -9,11 +9,9 @@ Commands
     Order a synthetic domain's plans with a chosen algorithm and
     utility measure; prints the ordering and the evaluation counters.
 ``experiments``
-    The Figure 6 panel tables (forwards to
+    The Figure 6 panel tables, and EXPERIMENTS.md's count tables
+    checked (``--check``) or regenerated (``--write``) (forwards to
     :mod:`repro.experiments.figure6`).
-``report``
-    Markdown result report (forwards to
-    :mod:`repro.experiments.report`).
 ``simulate``
     Order a synthetic domain by expected cost, then execute the plans
     on the virtual-clock simulator, best-first versus worst-first.
@@ -469,10 +467,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.experiments.figure6 import main as fig_main
 
         return fig_main(argv[1:])
-    if argv and argv[0] == "report":
-        from repro.experiments.report import main as report_main
-
-        return report_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -502,8 +496,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     order.add_argument("--metrics-out", metavar="PATH", default=None,
                        help="write metrics + span timings as JSON to PATH")
 
-    sub.add_parser("experiments", help="Figure 6 tables (forwarded)")
-    sub.add_parser("report", help="markdown result report (forwarded)")
+    sub.add_parser(
+        "experiments", help="Figure 6 tables, EXPERIMENTS.md counts (forwarded)"
+    )
 
     simulate = sub.add_parser("simulate", help="virtual-clock execution demo")
     simulate.add_argument("--bucket-size", type=int, default=8)

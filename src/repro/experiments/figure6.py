@@ -2,9 +2,10 @@
 
 Figure 6 has twelve panels: four utility measures, each at k = 1, 10
 and 100, plotting time-to-k-th-plan against bucket size for PI,
-iDrips, and (where applicable) Streamer.  The in-text claims
-(Streamer's first-iteration evaluation fraction, the overlap-rate and
-query-length sweeps) are exposed as separate runners.
+iDrips, and (where applicable) Streamer.  The in-text sweeps are
+:func:`overlap_sweep_spec` and :func:`query_length_spec`;
+:mod:`repro.experiments.counts` turns the panels, the sweeps and the
+other in-text claims into EXPERIMENTS.md's count tables.
 
 Run from the command line::
 
@@ -12,6 +13,8 @@ Run from the command line::
     python -m repro.experiments.figure6 --quick    # small sizes
     python -m repro.experiments.figure6 --full     # paper-scale sweep
     python -m repro.experiments.figure6 --panel a b c
+    python -m repro.experiments.figure6 --check EXPERIMENTS.md [--cheap]
+    python -m repro.experiments.figure6 --write EXPERIMENTS.md
 """
 
 from __future__ import annotations
@@ -175,6 +178,27 @@ def run_panels(
     return results
 
 
+def _count_tables(path: str, *, cheap: bool, write: bool) -> int:
+    """Diff, or regenerate, the count tables of the file at *path*."""
+    # Imported here: the count tables are built from this module's specs.
+    from repro.experiments import counts
+
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    generated = counts.generate(cheap=cheap)
+    if write:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(counts.write(text, generated))
+        print(f"wrote {len(generated)} count tables to {path}")
+        return 0
+    problems = counts.check(text, generated)
+    for problem in problems:
+        print(problem)
+    rows = sum(len(table_rows) for table_rows in generated.values())
+    print(f"{path}: {rows} generated rows, {len(problems)} difference(s)")
+    return 1 if problems else 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -183,13 +207,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true", help="small bucket sizes")
     parser.add_argument("--full", action="store_true", help="paper-scale sizes")
     parser.add_argument(
-        "--sweeps", action="store_true", help="also run overlap/query-length sweeps"
-    )
-    parser.add_argument(
         "--breakdown",
         action="store_true",
         help="print per-algorithm evaluation breakdowns "
-        "(includes the all-four-algorithms linear-cost panel)",
+        "(includes the all-five-algorithms linear-cost panel)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -198,7 +219,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write every panel's rows (timings + evaluation counters) "
         "as JSON to PATH",
     )
+    tables = parser.add_mutually_exclusive_group()
+    tables.add_argument(
+        "--check",
+        metavar="PATH",
+        help="diff the count tables in PATH (EXPERIMENTS.md) against the "
+        "code; exit 1 on any difference",
+    )
+    tables.add_argument(
+        "--write", metavar="PATH", help="regenerate the count tables in PATH"
+    )
+    parser.add_argument(
+        "--cheap",
+        action="store_true",
+        help="with --check: only the rows the tier-1 test diffs",
+    )
     args = parser.parse_args(argv)
+    if args.cheap and not args.check:
+        parser.error("--cheap needs --check")
+    if args.check or args.write:
+        return _count_tables(
+            args.check or args.write, cheap=args.cheap, write=bool(args.write)
+        )
 
     sizes = DEFAULT_SIZES
     if args.quick:
@@ -215,20 +257,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print()
 
     if args.breakdown:
-        four_way = run_panel(breakdown_spec(), bucket_sizes=sizes)
-        results.append(four_way)
-        print(four_way.format_table())
+        five_way = run_panel(breakdown_spec(), bucket_sizes=sizes)
+        results.append(five_way)
+        print(five_way.format_table())
         print()
-        print(four_way.format_breakdown())
+        print(five_way.format_breakdown())
         print()
-
-    if args.sweeps:
-        for rate in (0.1, 0.3, 0.5, 0.7):
-            print(run_panel(overlap_sweep_spec(rate)).format_table())
-            print()
-        for length in (1, 2, 3, 4, 5):
-            print(run_panel(query_length_spec(length)).format_table())
-            print()
 
     if args.metrics_out:
         payload = {result.spec.panel_id: result.as_dict() for result in results}

@@ -71,7 +71,7 @@ class ResilienceManager:
         self.graceful = graceful
         #: With breakers off, plans always execute (health tracking and
         #: graceful degradation still apply) — the control arm of the
-        #: breakers-on/off comparison in ``benchmarks/bench_resilience.py``.
+        #: breakers-on/off comparison in ``tests/resilience/test_degradation.py``.
         self.breakers = breakers
         self.min_observations = min_observations
         #: Monotone version of "the health picture changed".  Bumped on

@@ -509,7 +509,6 @@ class TestLibraryPrint:
             "src/repro/cli.py",
             "src/repro/__main__.py",
             "src/repro/experiments/figure6.py",
-            "src/repro/experiments/report.py",
         ):
             assert (
                 lint_source(
@@ -533,7 +532,7 @@ class TestLibraryPrint:
         assert (
             lint_source(
                 'print("x")\n',
-                path="src\\repro\\experiments\\report.py",
+                path="src\\repro\\experiments\\figure6.py",
                 select=["COD007"],
             )
             == []

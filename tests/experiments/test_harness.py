@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.figure6 import (
     PANELS,
+    main as figure6_main,
     overlap_sweep_spec,
     query_length_spec,
 )
@@ -123,6 +124,23 @@ class TestBreakdown:
         result = run_panel(breakdown_spec(k=3, cache=True), bucket_sizes=(4,))
         assert any(row.cache_misses > 0 for row in result.rows)
         assert all(row.cache_hits >= 0 for row in result.rows)
+
+    def test_figure6_breakdown_flag(self, capsys):
+        assert figure6_main(["--quick", "--panel", "a", "--breakdown"]) == 0
+        out = capsys.readouterr().out
+        assert "evaluation breakdown" in out
+        assert "Greedy" in out
+
+    def test_figure6_metrics_out(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "panels.json"
+        assert figure6_main(
+            ["--quick", "--panel", "a", "--metrics-out", str(path)]
+        ) == 0
+        assert f"wrote panel metrics to {path}" in capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert payload["6.a"]["rows"]
 
     def test_as_dict_round_trips_through_json(self):
         import json

@@ -17,8 +17,10 @@ from repro.execution.mediator import Mediator
 from repro.resilience.chaos import ChaosBackend, bundled_profile
 from repro.resilience.manager import ResilienceManager
 from repro.service.policy import RequestPolicy, RetryPolicy
+from repro.service.server import QueryRequest, QueryService, ServiceConfig
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
+from repro.workloads.movies import movie_domain
 
 FAST_RETRY = RetryPolicy(max_attempts=2, base_s=0.001, cap_s=0.002)
 
@@ -192,3 +194,78 @@ class TestSessionDegradation:
         assert report.sources_skipped == []
         assert not report.answers_partial
         assert set(report.breaker_states.values()) <= {"closed"}
+
+
+class TestBreakersOnAndOff:
+    """Twelve movie requests, healthy and under the smoke chaos with
+    breakers on and off: chaos costs answers, never requests, and
+    breakers bound the work wasted on the permanently dead source at
+    the price of the plans they skip."""
+
+    REQUESTS = 12
+
+    @staticmethod
+    def serve(arm):
+        movies = movie_domain()
+        backend = None
+        resilience = ResilienceManager()
+        if arm != "healthy":
+            backend = ChaosBackend(
+                bundled_profile("smoke").with_scaled_latency(0.0), seed=7
+            )
+            resilience = ResilienceManager(breakers=arm == "breakers-on")
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            measures={"linear": LinearCost},
+            config=ServiceConfig(default_policy=RequestPolicy(retry=FAST_RETRY)),
+            backend=backend,
+            resilience=resilience,
+        )
+        try:
+            results = [
+                service.execute(QueryRequest(movies.query, request_id=f"r{index}"))
+                for index in range(TestBreakersOnAndOff.REQUESTS)
+            ]
+        finally:
+            service.shutdown()
+        return results, backend
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {
+            arm: self.serve(arm)
+            for arm in ("healthy", "breakers-on", "breakers-off")
+        }
+
+    def test_every_request_completes_ok(self, runs):
+        for results, _backend in runs.values():
+            assert {result.status for result in results} == {"ok"}
+
+    def test_healthy_requests_degrade_nothing(self, runs):
+        for result in runs["healthy"][0]:
+            assert result.report.plans_failed == 0
+            assert result.report.plans_skipped == 0
+
+    @pytest.mark.parametrize("arm", ["breakers-on", "breakers-off"])
+    def test_chaos_loses_answers_but_never_invents_them(self, runs, arm):
+        healthy = max(len(result.answers) for result in runs["healthy"][0])
+        answered = [len(result.answers) for result in runs[arm][0]]
+        assert max(answered) <= healthy
+        assert sum(answered) > 0
+
+    def test_breakers_bound_the_dead_sources_hits(self, runs):
+        on = runs["breakers-on"][1].outages_hit
+        off = runs["breakers-off"][1].outages_hit
+        # Without breakers every request re-pays the dead source.
+        assert off >= self.REQUESTS
+        assert on < off
+        assert on <= 6
+
+    def test_only_breakers_skip_plans(self, runs):
+        skipped = {
+            arm: sum(result.report.plans_skipped for result in runs[arm][0])
+            for arm in ("breakers-on", "breakers-off")
+        }
+        assert skipped["breakers-on"] > 0
+        assert skipped["breakers-off"] == 0

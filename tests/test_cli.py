@@ -405,9 +405,12 @@ class TestForwarding:
         assert main(["experiments", "--quick", "--panel", "a"]) == 0
         assert "Panel 6.a" in capsys.readouterr().out
 
-    def test_report_forwarding(self, capsys):
-        assert main(["report", "--quick", "--panel", "a"]) == 0
-        assert "Panel 6.a" in capsys.readouterr().out
+    def test_report_is_not_a_command(self, capsys):
+        # EXPERIMENTS.md's count tables come from `experiments --write`.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--quick", "--panel", "a"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
