@@ -8,9 +8,8 @@ file and the code are compared exactly.  A table sits between
 ``<!-- counts:NAME -->`` and ``<!-- /counts -->``; its rows and columns
 are the :data:`TABLES` entry of that name::
 
-    python -m repro experiments --check EXPERIMENTS.md           # every row
-    python -m repro experiments --check EXPERIMENTS.md --cheap   # tier-1's rows
-    python -m repro experiments --write EXPERIMENTS.md           # regenerate
+    python -m repro experiments --check EXPERIMENTS.md   # every row
+    python -m repro experiments --write EXPERIMENTS.md   # regenerate
 
 A row is *cheap* when it computes in a fraction of a second; the tier-1
 test diffs those, and a CI step diffs every row.  Wall-clock times are
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.errors import InternalError
-from repro.experiments.figure6 import PANELS, overlap_sweep_spec, query_length_spec
+from repro.experiments.figure6 import PANELS, SWEEPS
 from repro.experiments.harness import AlgorithmSpec, PanelSpec
 from repro.ordering.abstraction import (
     AbstractionHeuristic,
@@ -196,17 +195,14 @@ TABLES: tuple[CountTable, ...] = (
     CountTable(
         "overlap",
         ("overlap rate", "PI", "Streamer"),
-        tuple(
-            _sweep(rate, overlap_sweep_spec(rate), cheap=False)
-            for rate in (0.1, 0.3, 0.5, 0.7, 0.9)
-        ),
+        tuple(_sweep(spec.overlap_rate, spec, cheap=False) for spec in SWEEPS["overlap"]),
     ),
     CountTable(
         "query-length",
         ("query length", "PI", "iDrips", "Streamer"),
         tuple(
-            _sweep(length, query_length_spec(length), cheap=length <= 4)
-            for length in (1, 2, 3, 4, 5)
+            _sweep(spec.query_length, spec, cheap=spec.query_length <= 4)
+            for spec in SWEEPS["qlen"]
         ),
     ),
     CountTable(
@@ -286,7 +282,15 @@ def check(text: str, generated: Mapping[CountTable, Rows]) -> list[str]:
                 f"{table.header_lines()}"
             )
         width = len(table.rows[0].labels)
-        found = {_cells(line)[:width]: line for line in block[2:]}
+        found: dict[tuple[str, ...], str] = {}
+        for line in block[2:]:
+            labels = _cells(line)[:width]
+            if labels in found:
+                problems.append(
+                    f"{table.name}: rows {found[labels]!r} and {line!r} "
+                    "share their labels"
+                )
+            found[labels] = line
         for labels, cells in rows.items():
             expected = _line(labels + cells)
             line = found.pop(labels, None)

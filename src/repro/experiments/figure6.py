@@ -13,7 +13,8 @@ Run from the command line::
     python -m repro.experiments.figure6 --quick    # small sizes
     python -m repro.experiments.figure6 --full     # paper-scale sweep
     python -m repro.experiments.figure6 --panel a b c
-    python -m repro.experiments.figure6 --check EXPERIMENTS.md [--cheap]
+    python -m repro.experiments.figure6 --panel overlap qlen   # the sweeps
+    python -m repro.experiments.figure6 --check EXPERIMENTS.md
     python -m repro.experiments.figure6 --write EXPERIMENTS.md
 """
 
@@ -167,25 +168,35 @@ def query_length_spec(query_length: int, k: int = 10) -> PanelSpec:
     )
 
 
+#: The in-text sweeps by ``--panel`` name, one spec per swept value.
+SWEEPS: dict[str, tuple[PanelSpec, ...]] = {
+    "overlap": tuple(overlap_sweep_spec(rate) for rate in (0.1, 0.3, 0.5, 0.7, 0.9)),
+    "qlen": tuple(query_length_spec(length) for length in (1, 2, 3, 4, 5)),
+}
+
+
 def run_panels(
     panel_ids: Sequence[str],
     bucket_sizes: Sequence[int],
 ) -> list[PanelResult]:
     results = []
     for panel_id in panel_ids:
-        spec = PANELS[panel_id]
-        results.append(run_panel(spec, bucket_sizes=bucket_sizes))
+        if panel_id in SWEEPS:
+            # A sweep fixes its own bucket size.
+            results.extend(run_panel(spec) for spec in SWEEPS[panel_id])
+        else:
+            results.append(run_panel(PANELS[panel_id], bucket_sizes=bucket_sizes))
     return results
 
 
-def _count_tables(path: str, *, cheap: bool, write: bool) -> int:
+def _count_tables(path: str, *, write: bool) -> int:
     """Diff, or regenerate, the count tables of the file at *path*."""
     # Imported here: the count tables are built from this module's specs.
     from repro.experiments import counts
 
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    generated = counts.generate(cheap=cheap)
+    generated = counts.generate()
     if write:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(counts.write(text, generated))
@@ -202,7 +213,11 @@ def _count_tables(path: str, *, cheap: bool, write: bool) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--panel", nargs="*", default=sorted(PANELS), help="panels to run (a-l)"
+        "--panel",
+        nargs="*",
+        choices=[*sorted(PANELS), *SWEEPS],
+        default=sorted(PANELS),
+        help="panels to run (a-l), or the overlap-rate / query-length sweep",
     )
     parser.add_argument("--quick", action="store_true", help="small bucket sizes")
     parser.add_argument("--full", action="store_true", help="paper-scale sizes")
@@ -210,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--breakdown",
         action="store_true",
         help="print per-algorithm evaluation breakdowns "
-        "(includes the all-five-algorithms linear-cost panel)",
+        "(includes the all-four-algorithms linear-cost panel)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -229,18 +244,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     tables.add_argument(
         "--write", metavar="PATH", help="regenerate the count tables in PATH"
     )
-    parser.add_argument(
-        "--cheap",
-        action="store_true",
-        help="with --check: only the rows the tier-1 test diffs",
-    )
     args = parser.parse_args(argv)
-    if args.cheap and not args.check:
-        parser.error("--cheap needs --check")
     if args.check or args.write:
-        return _count_tables(
-            args.check or args.write, cheap=args.cheap, write=bool(args.write)
-        )
+        return _count_tables(args.check or args.write, write=bool(args.write))
 
     sizes = DEFAULT_SIZES
     if args.quick:
@@ -257,11 +263,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print()
 
     if args.breakdown:
-        five_way = run_panel(breakdown_spec(), bucket_sizes=sizes)
-        results.append(five_way)
-        print(five_way.format_table())
+        four_way = run_panel(breakdown_spec(), bucket_sizes=sizes)
+        results.append(four_way)
+        print(four_way.format_table())
         print()
-        print(five_way.format_breakdown())
+        print(four_way.format_breakdown())
         print()
 
     if args.metrics_out:

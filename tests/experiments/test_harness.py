@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import figure6
 from repro.experiments.figure6 import (
     PANELS,
     main as figure6_main,
@@ -130,6 +131,13 @@ class TestBreakdown:
         out = capsys.readouterr().out
         assert "evaluation breakdown" in out
         assert "Greedy" in out
+
+    def test_figure6_runs_a_sweep_by_name(self, capsys, monkeypatch):
+        short = (query_length_spec(1), query_length_spec(2))
+        monkeypatch.setattr(figure6, "SWEEPS", {"qlen": short})
+        assert figure6_main(["--panel", "qlen"]) == 0
+        out = capsys.readouterr().out
+        assert "Panel qlen-1" in out and "Panel qlen-2" in out
 
     def test_figure6_metrics_out(self, capsys, tmp_path):
         import json

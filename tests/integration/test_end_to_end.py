@@ -14,6 +14,10 @@ from repro.execution.engine import evaluate_conjunctive_query
 from repro.workloads.movies import movie_domain
 from repro.workloads.synthetic import SyntheticParams, generate_domain
 
+#: The two orderers the anytime claims are checked under.
+ORDERERS = (PIOrderer, StreamerOrderer)
+ORDERER_IDS = ("PI", "Streamer")
+
 
 class TestThreeReformulationBackendsAgree:
     """Bucket+soundness, MiniCon, and inverse rules must compute the
@@ -38,10 +42,14 @@ class TestThreeReformulationBackendsAgree:
 
 
 class TestOrderedMediationOnSynthetic:
-    @pytest.fixture(params=[0, 1])
+    @pytest.fixture(
+        params=[(0, 6), (1, 6), (0, 10)],
+        ids=lambda param: f"seed{param[0]}-bucket{param[1]}",
+    )
     def setup(self, request):
+        seed, bucket_size = request.param
         domain = generate_domain(
-            SyntheticParams(query_length=2, bucket_size=6, seed=request.param)
+            SyntheticParams(query_length=2, bucket_size=bucket_size, seed=seed)
         )
         source_facts, _ = materialize_instances(domain.space, domain.model)
         return domain, Mediator(domain.catalog, source_facts)
@@ -56,20 +64,22 @@ class TestOrderedMediationOnSynthetic:
             total |= batch.answers
         assert total == mediator.certain_answers(domain.query)
 
-    def test_first_plans_carry_most_answers(self, setup):
-        """Anytime property: the first quarter of plans yields well
-        over half of the answers under coverage ordering."""
+    @pytest.mark.parametrize("make", ORDERERS, ids=ORDERER_IDS)
+    def test_first_plans_carry_most_answers(self, setup, make):
+        """Anytime property: under coverage ordering the first quarter
+        of plans yields well over half of the answers, and a tenth of
+        the plan space (at least three plans) already half."""
         domain, mediator = setup
         utility = domain.coverage()
         batches = list(
-            mediator.answer(
-                domain.query, utility, orderer=StreamerOrderer(utility)
-            )
+            mediator.answer(domain.query, utility, orderer=make(utility))
         )
         all_count = sum(b.new_count for b in batches)
         quarter = batches[: max(1, len(batches) // 4)]
         early = sum(b.new_count for b in quarter)
         assert early > all_count / 2
+        tenth = batches[: max(3, domain.space.size // 10)]
+        assert sum(b.new_count for b in tenth) >= all_count / 2
 
     def test_predicted_coverage_matches_execution(self, setup):
         domain, mediator = setup

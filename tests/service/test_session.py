@@ -16,6 +16,7 @@ from repro.service.policy import CancellationToken, RequestPolicy, RetryPolicy
 from repro.service.server import QueryRequest, QueryService
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
+from repro.workloads.movies import movie_domain
 from tests.service.helpers import BACKENDS, calm_chaos
 
 
@@ -293,6 +294,58 @@ class TestInstrumentation:
         assert report.elapsed_s > 0.0
         assert report.first_answer_s is not None
         assert 0.0 < report.first_answer_s <= report.elapsed_s
+
+
+class PaddedBackend(InMemoryBackend):
+    """In-memory execution behind a fixed sleep per plan, so execution
+    dominates ordering: the regime the pipeline is for."""
+
+    def __init__(self, blocking: bool) -> None:
+        self.blocking = blocking
+
+    def execute(self, executable, database):
+        time.sleep(PAD_S)
+        return super().execute(executable, database)
+
+
+#: Per-plan execution padding: large against ordering (< 1 ms a plan),
+#: small against the suite (9 plans, two runs).
+PAD_S = 0.02
+#: Scheduler-noise allowance for both comparisons.
+SLACK_S = 0.25
+
+
+class TestPipeliningNeverDelays:
+    """Overlapping ordering with execution can only move answers
+    earlier: the producer does the sequential loop's per-plan work
+    before each hand-off.  The sequential side is the same session over
+    the same padded backend declared non-blocking, which runs every
+    stage inline as ``Mediator.answer`` does."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        movies, reports = movie_domain(), {}
+        for name, blocking in (("sequential", False), ("pipelined", True)):
+            session = PipelinedSession(
+                Mediator(movies.catalog, movies.source_facts),
+                executor_workers=3,
+                queue_depth=8,
+                backend=PaddedBackend(blocking),
+            )
+            _, reports[name] = session.run(
+                movies.query, LinearCost(), orderer=PIOrderer(LinearCost())
+            )
+        return reports
+
+    def test_first_answer_no_later_than_sequential(self, reports):
+        sequential, pipelined = reports["sequential"], reports["pipelined"]
+        assert sequential.first_answer_s is not None
+        assert pipelined.first_answer_s <= sequential.first_answer_s + SLACK_S
+
+    def test_full_drain_no_later_than_sequential(self, reports):
+        sequential, pipelined = reports["sequential"], reports["pipelined"]
+        assert pipelined.exhausted and sequential.exhausted
+        assert pipelined.elapsed_s <= sequential.elapsed_s + SLACK_S
 
 
 def started_threads(movies, monkeypatch, backend):
