@@ -544,8 +544,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve.add_argument("--trace", action="store_true",
                        help="attach per-request span trees to summaries")
     serve.add_argument("--chaos", metavar="PROFILE", default=None,
-                       help="inject a bundled chaos profile (smoke, slow, "
-                            "truncating) and enable the resilience layer")
+                       help="inject a bundled chaos profile (smoke or "
+                            "flapping) and enable the resilience layer")
     serve.add_argument("--chaos-seed", type=int, default=0,
                        help="seed for deterministic chaos failure draws "
                             "(worker k draws with seed + k)")

@@ -44,9 +44,9 @@ def build_worker_service(
     backend = None
     resilience = None
     if spec.chaos:
-        from repro.resilience import ResilienceManager
         from repro.resilience.breaker import BreakerBoard
         from repro.resilience.chaos import ChaosBackend, ChaosProfile
+        from repro.resilience.manager import ResilienceManager
 
         backend = ChaosBackend(
             ChaosProfile.from_dict(spec.chaos), seed=spec.chaos_seed

@@ -295,11 +295,10 @@ class AnytimeRun:
                 if delay > 0.0:
                     backoff.wait(delay)
             else:
-                elapsed = perf_counter() - started
-                item.execute_s += elapsed
+                item.execute_s += perf_counter() - started
                 if resilience is not None:
                     resilience.record_success(
-                        sources, elapsed, request_id=self.request_id
+                        sources, request_id=self.request_id
                     )
                 return
 
@@ -309,14 +308,13 @@ class AnytimeRun:
         Dedups against the running answer union, folds the batch into
         the ``mediator.*`` counters and the report, and journals the
         outcome.  A failed plan is degraded to an empty ``failed``
-        batch under a graceful resilience manager and raised otherwise.
+        batch under a resilience manager and raised without one.
         """
         report, ordered, error = self.report, item.ordered, item.error
         report.retries += item.retries
         failed = error is not None
         if failed:
-            resilience = self.mediator.resilience
-            if resilience is None or not resilience.graceful:
+            if self.mediator.resilience is None:
                 # Drift resolved: one error shape for both drivers (the
                 # sequential loop used to re-raise the engine's own).
                 raise ExecutionError(

@@ -92,9 +92,9 @@ class ExecutionSimulator:
         self.caching = caching
         self.max_attempts = max_attempts
         #: Optional observer: every simulated source access feeds the
-        #: tracker with its outcome and virtual latency, so simulations
-        #: can demonstrate the observed rates converging on the catalog
-        #: priors that generated them.
+        #: tracker with its outcome, so simulations can demonstrate the
+        #: observed rates converging on the catalog priors that
+        #: generated them.
         self.health = health
         self._rng = random.Random(seed)
         self._clock = 0.0
@@ -169,14 +169,11 @@ class ExecutionSimulator:
                 # The failed access still pays its overhead.
                 cost += self.access_overhead
                 if self.health is not None:
-                    self.health.record_failure(
-                        source.name, self.access_overhead
-                    )
+                    self.health.record_failure(source.name)
                 return cost, flow, slot, cache_hits
-            access_cost = self.access_overhead + stats.transfer_cost * flow
-            cost += access_cost
+            cost += self.access_overhead + stats.transfer_cost * flow
             if self.health is not None:
-                self.health.record_success(source.name, access_cost)
+                self.health.record_success(source.name)
             if self.caching:
                 self._cache.add(op)
         return cost, flow, None, cache_hits

@@ -1,67 +1,28 @@
 """Resilience: source health, circuit breakers, chaos, degradation.
 
-A production mediator must keep answering — with honestly reported
-partial coverage — while real sources degrade.  This package provides
-the pieces, threaded through the execution and service layers:
+The paper's failure-aware measure ranks plans by ``prod_i (1 - f_i)``
+over static catalog priors.  This package replaces those priors with
+the failure rates a serving mediator observes, and keeps requests
+answering, with honestly reported partial coverage, while sources
+fail:
 
-* :mod:`repro.resilience.health` — per-source EWMA failure rates and
-  latencies, fed by every backend execution;
-* :mod:`repro.resilience.breaker` — per-source circuit breakers with
-  probe budgets, consulted before plans execute;
+* :mod:`repro.resilience.health` — per-source EWMA failure rates fed
+  by every execution, and the health epoch that versions them;
+* :mod:`repro.resilience.breaker` — per-source circuit breakers,
+  consulted before plans execute; a half-open breaker admits one
+  probe;
 * :mod:`repro.resilience.measure` — :class:`HealthAwareMeasure`,
   substituting observed failure rates for catalog priors so ordering
   adapts to live source health;
-* :mod:`repro.resilience.chaos` — composable per-source fault
-  profiles (transient errors, latency, outages, truncation) for
-  testing the above under fire;
+* :mod:`repro.resilience.chaos` — per-source fault profiles
+  (transient errors, latency, outages, flapping) and the backend that
+  injects them;
 * :mod:`repro.resilience.manager` — the facade the mediator and
   sessions talk to.
 
-The chaos names are loaded lazily (PEP 562): :mod:`~.chaos` builds on
-the service backend interface, while the mediator imports the manager
-from here — eager chaos imports would close that loop into a cycle.
+Import from the modules: :mod:`~.chaos` builds on the service backend
+interface, which the mediator's import of :mod:`~.manager` must not
+pull in.
 
 See ``docs/resilience.md`` for the full model.
 """
-
-from repro.resilience.breaker import BreakerBoard, BreakerState, CircuitBreaker
-from repro.resilience.health import SourceHealth, SourceHealthTracker
-from repro.resilience.manager import ResilienceManager
-from repro.resilience.measure import HealthAwareMeasure
-
-__all__ = [
-    "BreakerBoard",
-    "BreakerState",
-    "CircuitBreaker",
-    "BUNDLED_PROFILES",
-    "ChaosBackend",
-    "ChaosProfile",
-    "FaultProfile",
-    "bundled_profile",
-    "SourceHealth",
-    "SourceHealthTracker",
-    "ResilienceManager",
-    "HealthAwareMeasure",
-]
-
-_CHAOS_NAMES = frozenset(
-    {
-        "BUNDLED_PROFILES",
-        "ChaosBackend",
-        "ChaosProfile",
-        "FaultProfile",
-        "bundled_profile",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _CHAOS_NAMES:
-        from repro.resilience import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _CHAOS_NAMES)

@@ -1,4 +1,4 @@
-"""Per-source circuit breakers with probe budgets.
+"""Per-source circuit breakers.
 
 A breaker guards one source name and moves through the classic three
 states:
@@ -7,16 +7,16 @@ states:
   ``failure_threshold`` of them in a row trips the breaker open;
 * **open** — the source is presumed down; every admission check fails
   until ``cooldown_s`` has elapsed on the injected clock;
-* **half-open** — after the cooldown, up to ``probe_budget`` in-flight
-  probe executions are admitted.  One probe success closes the
-  breaker; one probe failure re-opens it with a fresh cooldown.
+* **half-open** — after the cooldown, one probe execution is
+  admitted at a time.  The probe's success closes the breaker; its
+  failure re-opens it with a fresh cooldown.
 
 The mediator and the pipelined session never consult breakers
 directly; they go through :class:`BreakerBoard`, which owns one
 breaker per source name and offers an all-or-nothing
 :meth:`BreakerBoard.admit` for a plan's whole source set — a plan is
 only worth executing if *every* source it touches is admitted, so the
-board peeks every breaker first and only then consumes probe slots.
+board peeks every breaker first and only then takes probe slots.
 
 The clock is injectable (``clock=time.monotonic`` by default) so state
 transitions are testable without real sleeps.
@@ -64,7 +64,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 3,
         cooldown_s: float = 5.0,
-        probe_budget: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
@@ -73,12 +72,9 @@ class CircuitBreaker:
             )
         if cooldown_s < 0:
             raise ServiceError(f"cooldown_s must be >= 0, got {cooldown_s}")
-        if probe_budget < 1:
-            raise ServiceError(f"probe_budget must be >= 1, got {probe_budget}")
         self.source = source
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
-        self.probe_budget = probe_budget
         self.clock = clock
         # Reentrant: the state helpers below take the lock themselves so
         # they are safe both standalone and from the locked public
@@ -87,7 +83,7 @@ class CircuitBreaker:
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_in_flight = 0
+        self._probing = False
         self.times_opened = 0
 
     # -- internal state transitions ----------------------------------------------
@@ -99,14 +95,14 @@ class CircuitBreaker:
                 and self.clock() - self._opened_at >= self.cooldown_s
             ):
                 self._state = BreakerState.HALF_OPEN
-                self._probes_in_flight = 0
+                self._probing = False
 
     def _trip(self) -> None:
         with self._lock:
             self._state = BreakerState.OPEN
             self._opened_at = self.clock()
             self._consecutive_failures = 0
-            self._probes_in_flight = 0
+            self._probing = False
             self.times_opened += 1
 
     # -- admission ---------------------------------------------------------------
@@ -124,21 +120,16 @@ class CircuitBreaker:
             self._maybe_half_open()
             if self._state == BreakerState.CLOSED:
                 return True
-            if self._state == BreakerState.HALF_OPEN:
-                return self._probes_in_flight < self.probe_budget
-            return False
+            return self._state == BreakerState.HALF_OPEN and not self._probing
 
     def admit(self) -> bool:
-        """Admit one execution, consuming a probe slot when half-open."""
+        """Admit one execution, taking the probe slot when half-open."""
         with self._lock:
             self._maybe_half_open()
             if self._state == BreakerState.CLOSED:
                 return True
-            if (
-                self._state == BreakerState.HALF_OPEN
-                and self._probes_in_flight < self.probe_budget
-            ):
-                self._probes_in_flight += 1
+            if self._state == BreakerState.HALF_OPEN and not self._probing:
+                self._probing = True
                 return True
             return False
 
@@ -150,16 +141,13 @@ class CircuitBreaker:
             if self._state == BreakerState.HALF_OPEN:
                 # The probed source answered: it is back.
                 self._state = BreakerState.CLOSED
-                self._probes_in_flight = 0
+                self._probing = False
 
     def release_probe(self) -> None:
         """Return an admitted-but-unused probe slot (admission rollback)."""
         with self._lock:
-            if (
-                self._state == BreakerState.HALF_OPEN
-                and self._probes_in_flight > 0
-            ):
-                self._probes_in_flight -= 1
+            if self._state == BreakerState.HALF_OPEN:
+                self._probing = False
 
     def record_failure(self) -> None:
         with self._lock:
@@ -184,7 +172,7 @@ class CircuitBreaker:
         with self._lock:
             self._state = BreakerState.CLOSED
             self._consecutive_failures = 0
-            self._probes_in_flight = 0
+            self._probing = False
 
     def __repr__(self) -> str:
         return f"<CircuitBreaker {self.source!r} {self.state}>"
@@ -205,13 +193,11 @@ class BreakerBoard:
         *,
         failure_threshold: int = 3,
         cooldown_s: float = 5.0,
-        probe_budget: int = 1,
         clock: Callable[[], float] = time.monotonic,
         registry: Optional[MetricRegistry] = None,
     ) -> None:
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
-        self.probe_budget = probe_budget
         self.clock = clock
         self.registry = registry if registry is not None else MetricRegistry()
         self._lock = threading.Lock()
@@ -230,7 +216,6 @@ class BreakerBoard:
                     source,
                     failure_threshold=self.failure_threshold,
                     cooldown_s=self.cooldown_s,
-                    probe_budget=self.probe_budget,
                     clock=self.clock,
                 )
                 self._unsettled[source] = breaker
@@ -239,9 +224,9 @@ class BreakerBoard:
     def admit(self, sources: Iterable[str]) -> tuple[str, ...]:
         """Try to admit a plan touching *sources*; return blockers.
 
-        Two-phase: first peek every breaker without consuming probe
-        budget; only if all would admit, actually consume probe slots
-        for the half-open ones.  An empty return tuple means the plan
+        Two-phase: first peek every breaker without taking a probe
+        slot; only if all would admit, take the slots of the half-open
+        ones.  An empty return tuple means the plan
         is admitted.  Otherwise the sorted blocking source names are
         returned and *nothing* was consumed — a plan blocked on one
         dead source must not eat another source's probe slot.
@@ -259,7 +244,7 @@ class BreakerBoard:
             if breaker.admit():
                 admitted.append(breaker)
                 continue
-            # Raced with another thread consuming the last probe slot:
+            # Raced with another thread taking the probe slot:
             # roll back what we took and report the blocker.
             for taken in admitted:
                 taken.release_probe()
@@ -288,13 +273,6 @@ class BreakerBoard:
         with self._lock:
             breakers = tuple(self._breakers.items())
         return {name: breaker.state for name, breaker in sorted(breakers)}
-
-    def open_sources(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for name, state in self.states().items()
-            if state == BreakerState.OPEN
-        )
 
     def _moved(self, touched: Iterable[str]) -> dict[str, CircuitBreaker]:
         """The registered breakers among *touched*, plus the unsettled."""
@@ -335,13 +313,6 @@ class BreakerBoard:
                     self._unsettled.pop(name, None)
                 else:
                     self._unsettled[name] = breaker
-
-    def reset(self) -> None:
-        with self._lock:
-            breakers = dict(self._breakers)
-        for breaker in breakers.values():
-            breaker.reset()
-        self._export_states(breakers)
 
     def __repr__(self) -> str:
         states = self.states()

@@ -1,8 +1,6 @@
-"""Composable fault injection for execution backends.
+"""Fault injection for execution backends.
 
-Where :class:`~repro.service.backends.FlakyBackend` can only fail a
-whole plan execution with one probability, chaos profiles describe
-faults **per source**, in four composable dimensions:
+Chaos profiles describe faults **per source**, along these axes:
 
 * ``transient_prob`` — each attempt touching the source fails with
   this probability (a :class:`~repro.errors.SourceFailureError`, which
@@ -12,8 +10,6 @@ faults **per source**, in four composable dimensions:
 * ``permanent_outage`` — every attempt fails with a
   :class:`~repro.errors.PermanentSourceError`, which is *not*
   retryable: the breaker opens instead of the retry budget burning;
-* ``truncate_to`` — the source answers but incompletely, capping the
-  plan's answer set (the ``answers_partial`` degradation flag);
 * ``flap_period`` / ``flap_down`` — deterministic periodic
   outage→recovery: of every ``flap_period`` accesses to the source,
   the first ``flap_down`` fail like a permanent outage and the rest
@@ -22,27 +18,23 @@ faults **per source**, in four composable dimensions:
   re-promoted once it answers again — where ``permanent_outage`` only
   ever demotes.
 
-Failure draws reuse :func:`~repro.service.backends.deterministic_draw`
-keyed on ``(seed, source, plan signature, attempt)``, so a chaos run
-is a pure function of its configuration — replayable under any thread
+Failure draws come from :func:`deterministic_draw` keyed on ``(seed,
+source, plan signature, attempt)``, so whether a given attempt fails
+is a pure function of the configuration, whatever the thread
 schedule.  Latency injection waits on an interruptible event rather
 than ``time.sleep`` so shutdown never blocks on a fault profile.
 """
 
 from __future__ import annotations
 
+import random
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 from repro.errors import PermanentSourceError, ServiceError, SourceFailureError
 from repro.datalog.query import ConjunctiveQuery
-from repro.service.backends import (
-    Database,
-    ExecutionBackend,
-    InMemoryBackend,
-    deterministic_draw,
-)
+from repro.service.backends import Database, ExecutionBackend, InMemoryBackend
 
 __all__ = [
     "FaultProfile",
@@ -50,7 +42,13 @@ __all__ = [
     "ChaosBackend",
     "bundled_profile",
     "BUNDLED_PROFILES",
+    "deterministic_draw",
 ]
+
+
+def deterministic_draw(seed: int, signature: str, attempt: int) -> float:
+    """A uniform [0, 1) draw that depends only on its arguments."""
+    return random.Random(f"{seed}:{signature}:{attempt}").random()
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +58,6 @@ class FaultProfile:
     transient_prob: float = 0.0
     latency_s: float = 0.0
     permanent_outage: bool = False
-    truncate_to: Optional[int] = None
     flap_period: Optional[int] = None
     flap_down: int = 0
 
@@ -71,8 +68,6 @@ class FaultProfile:
             )
         if self.latency_s < 0:
             raise ServiceError(f"latency_s must be >= 0: {self.latency_s}")
-        if self.truncate_to is not None and self.truncate_to < 0:
-            raise ServiceError(f"truncate_to must be >= 0: {self.truncate_to}")
         if self.flap_period is not None:
             if self.flap_period < 1:
                 raise ServiceError(
@@ -91,16 +86,8 @@ class FaultProfile:
             self.transient_prob == 0.0
             and self.latency_s == 0.0
             and not self.permanent_outage
-            and self.truncate_to is None
             and self.flap_period is None
         )
-
-    @property
-    def _flap_duty(self) -> float:
-        """Fraction of accesses spent down (0 when not flapping)."""
-        if self.flap_period is None:
-            return 0.0
-        return self.flap_down / self.flap_period
 
     def flap_down_at(self, access: int) -> bool:
         """Is the source down for its *access*-th access (1-based)?
@@ -112,25 +99,6 @@ class FaultProfile:
         if self.flap_period is None:
             return False
         return (access - 1) % self.flap_period < self.flap_down
-
-    def compose(self, other: "FaultProfile") -> "FaultProfile":
-        """Stack *other* on top of this profile (worst of each axis)."""
-        truncations = [
-            t for t in (self.truncate_to, other.truncate_to) if t is not None
-        ]
-        # Flap schedules do not merge meaningfully; keep the one that
-        # is down the larger fraction of the time (self wins ties).
-        flappier = (
-            other if other._flap_duty > self._flap_duty else self
-        )
-        return FaultProfile(
-            transient_prob=max(self.transient_prob, other.transient_prob),
-            latency_s=self.latency_s + other.latency_s,
-            permanent_outage=self.permanent_outage or other.permanent_outage,
-            truncate_to=min(truncations) if truncations else None,
-            flap_period=flappier.flap_period,
-            flap_down=flappier.flap_down,
-        )
 
     def as_dict(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -150,39 +118,6 @@ class ChaosProfile:
 
     def profile_for(self, source: str) -> FaultProfile:
         return self.faults.get(source, self.default)
-
-    @property
-    def faulted_sources(self) -> tuple[str, ...]:
-        return tuple(sorted(self.faults))
-
-    def compose(self, other: "ChaosProfile") -> "ChaosProfile":
-        """Stack two profiles source-wise."""
-        merged = {
-            source: self.profile_for(source).compose(other.profile_for(source))
-            for source in {*self.faults, *other.faults}
-        }
-        return ChaosProfile(
-            name=f"{self.name}+{other.name}",
-            faults=merged,
-            default=self.default.compose(other.default),
-        )
-
-    def with_scaled_latency(self, factor: float) -> "ChaosProfile":
-        """The same profile with every latency multiplied by *factor*.
-
-        Smoke jobs use this to keep injected delays test-sized without
-        redefining the rest of a bundled profile.
-        """
-        return ChaosProfile(
-            name=self.name,
-            faults={
-                source: replace(fault, latency_s=fault.latency_s * factor)
-                for source, fault in self.faults.items()
-            },
-            default=replace(
-                self.default, latency_s=self.default.latency_s * factor
-            ),
-        )
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -211,7 +146,7 @@ class ChaosProfile:
             raise ServiceError(f"malformed chaos profile: {exc}") from exc
 
 
-#: Profiles shippable by name through the CLI and CI smoke jobs.  The
+#: The profiles ``serve --chaos`` ships, one per CI chaos job.  The
 #: ``smoke`` profile targets the movie workload: one review source is
 #: permanently dead and one source per bucket flakes at 35%, which
 #: forces breaker opens and fallback plans while v1/v6 keep a path to
@@ -224,16 +159,6 @@ BUNDLED_PROFILES: dict[str, ChaosProfile] = {
             "v4": FaultProfile(permanent_outage=True),
             "v5": FaultProfile(transient_prob=0.35, latency_s=0.002),
         },
-    ),
-    "slow": ChaosProfile(
-        name="slow",
-        faults={},
-        default=FaultProfile(latency_s=0.01),
-    ),
-    "truncating": ChaosProfile(
-        name="truncating",
-        faults={},
-        default=FaultProfile(truncate_to=1),
     ),
     # Periodic outage→recovery on the movie workload's review/actor
     # sources: plans over v3/v5 are repeatedly demoted and re-promoted
@@ -291,7 +216,6 @@ class ChaosBackend(ExecutionBackend):
         self._accesses: dict[str, int] = {}
         self.failures_injected = 0
         self.outages_hit = 0
-        self.truncations = 0
         # Latency injection waits on this event instead of sleeping, so
         # a shutdown (or test teardown) can interrupt in-flight delays.
         self._interrupt = threading.Event()
@@ -311,7 +235,6 @@ class ChaosBackend(ExecutionBackend):
         with self._lock:
             attempt = self._attempts.get(signature, 0) + 1
             self._attempts[signature] = attempt
-        truncate_to: Optional[int] = None
         for source in self._sources_of(executable):
             fault = self.profile.profile_for(source)
             if fault.is_noop:
@@ -352,22 +275,7 @@ class ChaosBackend(ExecutionBackend):
                         f"chaos[{self.profile.name}]: transient failure of "
                         f"{source} (attempt {attempt})",
                     )
-            if fault.truncate_to is not None:
-                cap = fault.truncate_to
-                truncate_to = cap if truncate_to is None else min(truncate_to, cap)
-        answers = self.inner.execute(executable, database)
-        if truncate_to is not None and len(answers) > truncate_to:
-            with self._lock:
-                self.truncations += 1
-            # Deterministic truncation: keep the smallest rows in sort
-            # order so repeated runs lose the same tuples.
-            kept = sorted(answers, key=repr)[:truncate_to]
-            return frozenset(kept)
-        return answers
-
-    def attempts_for(self, executable: ConjunctiveQuery) -> int:
-        with self._lock:
-            return self._attempts.get(str(executable), 0)
+        return self.inner.execute(executable, database)
 
     def __repr__(self) -> str:
         with self._lock:

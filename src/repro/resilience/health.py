@@ -1,17 +1,15 @@
-"""Per-source health: EWMA failure rates and latencies.
+"""Per-source health: EWMA failure rates.
 
 The paper's fourth utility measure ranks plans by the probability that
 every source access succeeds (Figure 6's "failure" measure), but the
 catalog's ``failure_prob`` values are static priors.  A serving
 mediator sees the truth on every execution; this module accumulates it.
 
-:class:`SourceHealthTracker` keeps, per source name, exponentially
-weighted moving averages of
-
-* the **failure rate** — each observation contributes 1.0 (failure)
-  or 0.0 (success), so the EWMA is a recency-biased failure
-  probability directly substitutable for the catalog prior; and
-* the **latency** of successful accesses in seconds.
+:class:`SourceHealthTracker` keeps, per source name, an
+exponentially weighted moving average of the **failure rate**: each
+observation contributes 1.0 (failure) or 0.0 (success), so the EWMA
+is a recency-biased failure probability directly substitutable for
+the catalog prior.
 
 All updates are thread-safe (executor workers of many concurrent
 sessions feed one tracker) and mirrored into a
@@ -26,10 +24,12 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ServiceError
 from repro.observability.metrics import MetricRegistry
 
 __all__ = ["HealthEpoch", "SourceHealth", "SourceHealthTracker"]
+
+#: The EWMA weight of the newest observation.
+ALPHA = 0.2
 
 
 class HealthEpoch:
@@ -79,7 +79,6 @@ class SourceHealth:
     successes: int
     failures: int
     failure_ewma: float
-    latency_ewma_s: float
 
     @property
     def observations(self) -> int:
@@ -92,76 +91,60 @@ class SourceHealth:
             "failures": self.failures,
             "observations": self.observations,
             "failure_ewma": self.failure_ewma,
-            "latency_ewma_s": self.latency_ewma_s,
         }
 
 
 class _Cell:
     """Mutable per-source accumulator (guarded by the tracker lock)."""
 
-    __slots__ = ("successes", "failures", "failure_ewma", "latency_ewma_s")
+    __slots__ = ("successes", "failures", "failure_ewma")
 
     def __init__(self) -> None:
         self.successes = 0
         self.failures = 0
         self.failure_ewma = 0.0
-        self.latency_ewma_s = 0.0
 
 
 class SourceHealthTracker:
-    """Thread-safe EWMA failure/latency tracking per source name.
+    """Thread-safe EWMA failure tracking per source name.
 
-    ``alpha`` is the usual EWMA smoothing factor: the weight of the
-    newest observation.  The first observation initializes the average
-    (no bias toward an arbitrary starting value).
+    Each observation moves the average by :data:`ALPHA` of its
+    distance; the first observation initializes it (no bias toward an
+    arbitrary starting value).
     """
 
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.2,
-        registry: Optional[MetricRegistry] = None,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ServiceError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+    def __init__(self, *, registry: Optional[MetricRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricRegistry()
         self._lock = threading.Lock()
         self._cells: dict[str, _Cell] = {}
 
     # -- recording ---------------------------------------------------------------
 
-    def record_success(self, source: str, latency_s: float = 0.0) -> None:
-        """One successful access of *source* taking *latency_s*."""
-        self._record(source, failed=False, latency_s=latency_s)
+    def record_success(self, source: str) -> None:
+        """One successful access of *source*."""
+        self._record(source, failed=False)
 
-    def record_failure(self, source: str, latency_s: float = 0.0) -> None:
-        """One failed access of *source* (latency up to the failure)."""
-        self._record(source, failed=True, latency_s=latency_s)
+    def record_failure(self, source: str) -> None:
+        """One failed access of *source*."""
+        self._record(source, failed=True)
 
-    def _record(self, source: str, *, failed: bool, latency_s: float) -> None:
+    def _record(self, source: str, *, failed: bool) -> None:
         outcome = 1.0 if failed else 0.0
         with self._lock:
             cell = self._cells.get(source)
             if cell is None:
                 cell = self._cells[source] = _Cell()
                 cell.failure_ewma = outcome
-                cell.latency_ewma_s = latency_s
             else:
-                cell.failure_ewma += self.alpha * (outcome - cell.failure_ewma)
-                cell.latency_ewma_s += self.alpha * (
-                    latency_s - cell.latency_ewma_s
-                )
+                cell.failure_ewma += ALPHA * (outcome - cell.failure_ewma)
             if failed:
                 cell.failures += 1
             else:
                 cell.successes += 1
             failure_ewma = cell.failure_ewma
-            latency_ewma = cell.latency_ewma_s
             total = cell.successes + cell.failures
         prefix = f"resilience.health.{source}"
         self.registry.gauge(f"{prefix}.failure_rate").set(failure_ewma)
-        self.registry.gauge(f"{prefix}.latency_s").set(latency_ewma)
         self.registry.gauge(f"{prefix}.observations").set(total)
 
     # -- queries -----------------------------------------------------------------
@@ -192,23 +175,13 @@ class SourceHealthTracker:
                 return None
             return cell.failure_ewma
 
-    def latency(self, source: str) -> Optional[float]:
-        """The observed EWMA access latency in seconds, if any."""
-        with self._lock:
-            cell = self._cells.get(source)
-            return None if cell is None else cell.latency_ewma_s
-
     def health(self, source: str) -> Optional[SourceHealth]:
         with self._lock:
             cell = self._cells.get(source)
             if cell is None:
                 return None
             return SourceHealth(
-                source,
-                cell.successes,
-                cell.failures,
-                cell.failure_ewma,
-                cell.latency_ewma_s,
+                source, cell.successes, cell.failures, cell.failure_ewma
             )
 
     def snapshot(self) -> dict[str, SourceHealth]:
@@ -222,11 +195,7 @@ class SourceHealthTracker:
                 result[name] = record
         return result
 
-    def reset(self) -> None:
-        with self._lock:
-            self._cells.clear()
-
     def __repr__(self) -> str:
         with self._lock:
             tracked = len(self._cells)
-        return f"<SourceHealthTracker alpha={self.alpha} sources={tracked}>"
+        return f"<SourceHealthTracker sources={tracked}>"

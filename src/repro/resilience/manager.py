@@ -17,11 +17,9 @@ surface the execution layers actually need:
   observed failure rates (see
   :class:`~repro.resilience.measure.HealthAwareMeasure`).
 
-``graceful`` controls what a consumer does with a plan that failed all
-its retries: gracefully degrade (emit a failed batch, keep going) or
-abort the request as before.  ``health_aware`` controls whether the
-service substitutes observed rates into its measures.  Both default on;
-tests and benchmarks toggle them to isolate effects.
+A plan that failed all its retries under a manager degrades to a
+failed batch and the request goes on; without one, the request
+aborts.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ class ResilienceManager:
         tracker: Optional[SourceHealthTracker] = None,
         board: Optional[BreakerBoard] = None,
         registry: Optional[MetricRegistry] = None,
-        health_aware: bool = True,
-        graceful: bool = True,
         breakers: bool = True,
         min_observations: int = 3,
         journal: Optional[EventJournal] = None,
@@ -67,8 +63,6 @@ class ResilienceManager:
             else SourceHealthTracker(registry=registry)
         )
         self.board = board if board is not None else BreakerBoard(registry=registry)
-        self.health_aware = health_aware
-        self.graceful = graceful
         #: With breakers off, plans always execute (health tracking and
         #: graceful degradation still apply) — the control arm of the
         #: breakers-on/off comparison in ``tests/resilience/test_degradation.py``.
@@ -156,11 +150,7 @@ class ResilienceManager:
             self._bump_epoch("breaker.transition", request_id)
 
     def record_success(
-        self,
-        sources: Iterable[str],
-        latency_s: float = 0.0,
-        *,
-        request_id: str = "",
+        self, sources: Iterable[str], *, request_id: str = ""
     ) -> None:
         """One successful plan execution touching *sources*.
 
@@ -173,7 +163,7 @@ class ResilienceManager:
         sources = tuple(sources)
         recovering = any(self.tracker.failures(s) > 0 for s in sources)
         for source in sources:
-            self.tracker.record_success(source, latency_s)
+            self.tracker.record_success(source)
             self.board.record_success(source)
         if recovering:
             self._bump_epoch("recovery", request_id)
@@ -183,7 +173,6 @@ class ResilienceManager:
         self,
         sources: Iterable[str],
         error: Optional[BaseException] = None,
-        latency_s: float = 0.0,
         *,
         request_id: str = "",
     ) -> None:
@@ -197,7 +186,7 @@ class ResilienceManager:
         permanent = isinstance(error, PermanentSourceError)
         targets = (blamed,) if blamed is not None else tuple(sources)
         for source in targets:
-            self.tracker.record_failure(source, latency_s)
+            self.tracker.record_failure(source)
             self.board.record_failure(source, permanent=permanent)
         if self.journal.enabled:
             self.journal.emit(
@@ -214,25 +203,15 @@ class ResilienceManager:
     def breaker_states(self) -> dict[str, str]:
         return self.board.states()
 
-    def health_measure(
-        self, inner: UtilityMeasure, *, frozen: bool = False
-    ) -> UtilityMeasure:
-        """Wrap *inner* for adaptive re-ranking (identity when disabled).
+    def health_measure(self, inner: UtilityMeasure) -> HealthAwareMeasure:
+        """Wrap *inner* for adaptive re-ranking.
 
-        ``frozen=True`` pins the tracker's current rates so one request
-        ranks against a consistent snapshot.  Callers cache the result
-        only if it is still ``cacheable`` (the composition rule in
+        The result is never ``cacheable`` (the composition rule in
         :mod:`repro.resilience.measure`).
         """
-        if not self.health_aware:
-            return inner
-        measure = HealthAwareMeasure(
+        return HealthAwareMeasure(
             inner, self.tracker, min_observations=self.min_observations
         )
-        return measure.frozen() if frozen else measure
 
     def __repr__(self) -> str:
-        return (
-            f"<ResilienceManager health_aware={self.health_aware} "
-            f"graceful={self.graceful} breakers={self.breaker_states()}>"
-        )
+        return f"<ResilienceManager breakers={self.breaker_states()}>"

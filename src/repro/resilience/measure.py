@@ -11,34 +11,26 @@ rate observed by a :class:`~repro.resilience.health.SourceHealthTracker`
 iDrips and Streamer then rank plans by *live* source health with no
 changes of their own.
 
-Two properties keep this safe to deploy:
-
-* **Exact pass-through.**  When no source has a substituted rate —
-  tracker empty, below the observation floor, or no tracker at all —
-  every call delegates directly to the inner measure on the *original*
-  objects, so utilities (and therefore batch streams) are bit-identical
-  to the unwrapped measure.
-* **Deterministic replay.**  ``overrides`` pins specific sources to
-  fixed rates regardless of the tracker, and :meth:`frozen` captures
-  the tracker's current rates as overrides, so tests and replays see a
-  stable ranking even while the live tracker keeps moving.
+**Exact pass-through** keeps this safe to deploy: when no source has
+a substituted rate (tracker empty, or below the observation floor),
+every call delegates directly to the inner measure on the *original*
+objects, so utilities (and therefore batch streams) are bit-identical
+to the unwrapped measure.
 
 **The one legal wrapper composition** (every site that stacks measure
-wrappers follows it; :meth:`ResilienceManager.health_measure
-<repro.resilience.manager.ResilienceManager.health_measure>` is the
-one place that picks between the first two):
+wrappers follows it; :meth:`QueryService.shared_measure
+<repro.service.server.QueryService.shared_measure>` is the one place
+that picks between the first two):
 
 * a base measure goes under **either**
   :class:`~repro.observability.caching.CachingUtilityMeasure` **or**
   :class:`HealthAwareMeasure` — never a cache over a health-aware
   measure.  The cache keys utilities by source-name signatures, which
   do not change when the substituted rates do, so cached entries
-  would go stale the moment health drifts.  A live
+  would go stale the moment health drifts.  A
   ``HealthAwareMeasure`` therefore declares ``cacheable = False``
   (wrappers forward the flag) and ``CachingUtilityMeasure`` — hence
-  also ``PlanOrderer(cache=True)`` — refuses such a measure; a
-  :meth:`~HealthAwareMeasure.frozen` copy no longer moves and may be
-  cached;
+  also ``PlanOrderer(cache=True)`` — refuses such a measure;
 * ``_ReplayMeasure`` exists only inside
   :class:`~repro.ordering.adaptive.AdaptiveOrderer` and is always
   outermost, over whichever of the two the request was given.
@@ -47,7 +39,7 @@ one place that picks between the first two):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.errors import ServiceError
 from repro.resilience.health import SourceHealthTracker
@@ -86,11 +78,7 @@ class HealthAwareMeasure(DelegatingMeasure):
         Any utility measure.  Structural flags (monotonicity,
         diminishing returns, context-freeness) are mirrored from it.
     tracker:
-        Source of observed EWMA failure rates; optional when
-        ``overrides`` provides them.
-    overrides:
-        ``{source_name: failure_rate}`` taking precedence over the
-        tracker — the deterministic-replay mode.
+        Source of observed EWMA failure rates.
     min_observations:
         Sample floor below which a tracker rate is ignored and the
         catalog prior kept.
@@ -99,15 +87,10 @@ class HealthAwareMeasure(DelegatingMeasure):
     def __init__(
         self,
         inner: UtilityMeasure,
-        tracker: Optional[SourceHealthTracker] = None,
+        tracker: SourceHealthTracker,
         *,
-        overrides: Optional[Mapping[str, float]] = None,
         min_observations: int = 3,
     ) -> None:
-        if tracker is None and overrides is None:
-            raise ServiceError(
-                "HealthAwareMeasure needs a tracker, overrides, or both"
-            )
         if min_observations < 1:
             raise ServiceError(
                 f"min_observations must be >= 1, got {min_observations}"
@@ -118,19 +101,14 @@ class HealthAwareMeasure(DelegatingMeasure):
         # is not fully monotonic with or without substitution).
         super().__init__(inner)
         self.tracker = tracker
-        self.overrides = dict(overrides) if overrides else {}
         self.min_observations = min_observations
         self.name = f"{inner.name}+health"
-        self.cacheable = tracker is None and inner.cacheable
+        self.cacheable = False  # the rates move under a cache's keys
 
     # -- substitution ------------------------------------------------------------
 
     def observed_rate(self, source: str) -> Optional[float]:
         """The failure rate to substitute for *source*, if any."""
-        if source in self.overrides:
-            return self.overrides[source]
-        if self.tracker is None:
-            return None
         return self.tracker.failure_rate(
             source, min_observations=self.min_observations
         )
@@ -170,28 +148,6 @@ class HealthAwareMeasure(DelegatingMeasure):
             rebuilt.append(new_members)
         return tuple(rebuilt) if changed else slots
 
-    def frozen(self) -> "HealthAwareMeasure":
-        """A replayable copy: current tracker rates pinned as overrides.
-
-        The copy never consults the tracker again, so one request (or
-        one test) ranks against a consistent health snapshot even while
-        concurrent executions keep updating the live tracker.
-        """
-        overrides = dict(self.overrides)
-        if self.tracker is not None:
-            for name, health in self.tracker.snapshot().items():
-                if (
-                    name not in overrides
-                    and health.observations >= self.min_observations
-                ):
-                    overrides[name] = health.failure_ewma
-        return HealthAwareMeasure(
-            self.inner,
-            None,
-            overrides=overrides,
-            min_observations=self.min_observations,
-        )
-
     # -- substituted evaluation ----------------------------------------------------
     # (Independence tests compare source *names*, which substitution
     # preserves, so those hooks forward the original plans.)
@@ -206,5 +162,4 @@ class HealthAwareMeasure(DelegatingMeasure):
         return self.inner.source_preference_key(bucket, self.substitute(source))
 
     def __repr__(self) -> str:
-        mode = "overrides" if self.tracker is None else "live"
-        return f"<HealthAwareMeasure {self.name!r} mode={mode}>"
+        return f"<HealthAwareMeasure {self.name!r}>"

@@ -9,8 +9,7 @@ production direction):
   stream identical to the sequential mediator's either way;
 * :mod:`repro.service.policy` — per-request deadlines, plan/answer
   budgets, cooperative cancellation, and retry backoff;
-* :mod:`repro.service.backends` — the execution backend interface,
-  including deterministic failure injection for retry demos;
+* :mod:`repro.service.backends` — the execution backend interface;
 * :mod:`repro.service.server` — :class:`QueryService`: many
   concurrent requests over one shared catalog, statistics, and
   utility-measure cache, with admission control and backpressure;
@@ -22,7 +21,7 @@ production direction):
 See ``docs/service.md`` for the architecture tour.
 """
 
-from repro.service.backends import ExecutionBackend, FlakyBackend, InMemoryBackend
+from repro.service.backends import ExecutionBackend, InMemoryBackend
 from repro.service.policy import (
     CancellationToken,
     Deadline,
@@ -41,7 +40,6 @@ __all__ = [
     "CancellationToken",
     "Deadline",
     "ExecutionBackend",
-    "FlakyBackend",
     "InMemoryBackend",
     "PipelinedSession",
     "QueryRequest",

@@ -247,12 +247,11 @@ class QueryService:
     def shared_measure(self, name: str) -> UtilityMeasure:
         """The cross-request shared utility measure called *name*.
 
-        Without resilience (or with ``health_aware`` off) this is a
-        :class:`CachingUtilityMeasure` — request N's utility
-        evaluations warm the cache for request N+1.  With health-aware
-        re-ranking it is the manager's health-aware wrapper instead,
-        deliberately *uncached* (the composition rule is in
-        :mod:`repro.resilience.measure`).
+        Without resilience this is a :class:`CachingUtilityMeasure` —
+        request N's utility evaluations warm the cache for request
+        N+1.  With a resilience manager it is the manager's
+        health-aware wrapper instead, deliberately *uncached* (the
+        composition rule is in :mod:`repro.resilience.measure`).
         """
         resilience = self.resilience
         with self._measure_lock:

@@ -473,7 +473,7 @@ def capacity_mix():
 class TestCapacity:
     """What scale-out buys: admission slots, counted from the journals.
 
-    With sleep-bound sources (the ``slow`` chaos profile at 100 ms per
+    With sleep-bound sources (a chaos profile adding 100 ms to every
     access) a worker overlaps ``max_concurrent`` requests' source waits,
     and N workers overlap N times as many.  Each shard's journal holds
     its admitted -> completed intervals, so the capacity is read as an
@@ -485,7 +485,7 @@ class TestCapacity:
     def run(self, tmp_path_factory):
         """(mix, load report, {shard: its lifecycle events in seq order})."""
         from repro.observability.journal import read_jsonl
-        from repro.resilience.chaos import bundled_profile
+        from repro.resilience.chaos import ChaosProfile, FaultProfile
         from repro.service.loadgen import run_load
 
         mix = capacity_mix()
@@ -493,7 +493,9 @@ class TestCapacity:
         template = WorkerSpec(
             shard=0,
             config=ServiceConfig(max_concurrent=MAX_CONCURRENT),
-            chaos=bundled_profile("slow").with_scaled_latency(10.0).as_dict(),
+            chaos=ChaosProfile(
+                "slow", {}, default=FaultProfile(latency_s=0.1)
+            ).as_dict(),
         )
         specs = worker_specs(
             config,

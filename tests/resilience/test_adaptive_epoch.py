@@ -41,17 +41,15 @@ class StubTracker:
     def failures(self, source: str) -> int:
         return self._failures.get(source, 0)
 
-    def record_success(self, source: str, latency_s: float = 0.0) -> None:
+    def record_success(self, source: str) -> None:
         pass
 
-    def record_failure(self, source: str, latency_s: float = 0.0) -> None:
+    def record_failure(self, source: str) -> None:
         self._failures[source] = self.failures(source) + 1
 
 
 def manager_with(clock, **kwargs):
-    board = BreakerBoard(
-        failure_threshold=1, cooldown_s=5.0, probe_budget=1, clock=clock
-    )
+    board = BreakerBoard(failure_threshold=1, cooldown_s=5.0, clock=clock)
     return ResilienceManager(board=board, tracker=StubTracker(), **kwargs)
 
 
@@ -241,9 +239,7 @@ class TestTransitionsFollowThePlanNotTheBoard:
     def test_journal_and_epoch_equal_a_full_sweep(self, seed):
         def make(cls):
             clock = FakeClock()
-            board = BreakerBoard(
-                failure_threshold=2, cooldown_s=5.0, probe_budget=1, clock=clock
-            )
+            board = BreakerBoard(failure_threshold=2, cooldown_s=5.0, clock=clock)
             journal = EventJournal()
             manager = cls(board=board, tracker=StubTracker(), journal=journal)
             return manager, clock, journal
@@ -257,8 +253,6 @@ class TestTransitionsFollowThePlanNotTheBoard:
                 return manager.record_success(names, request_id=request_id)
             if kind == "trip":  # behind the manager's back, as tests do
                 return manager.board.record_failure(names[0], permanent=True)
-            if kind == "reset":  # likewise
-                return manager.board.reset()
             error = (
                 PermanentSourceError(names[0], "dead") if kind == "dead" else None
             )
@@ -269,7 +263,7 @@ class TestTransitionsFollowThePlanNotTheBoard:
         reference, reference_clock, reference_journal = make(SweepingManager)
         names = [f"v{i}" for i in range(8)]
         kinds = ["admit"] * 8 + ["success"] * 6 + ["failure"] * 4
-        kinds += ["dead", "trip", "reset"] + ["advance"] * 3
+        kinds += ["dead", "trip"] + ["advance"] * 3
         for index in range(300):
             step = (
                 rng.choice(kinds),

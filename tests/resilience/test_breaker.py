@@ -24,7 +24,7 @@ class FakeClock:
 
 def breaker(**kwargs):
     clock = kwargs.pop("clock", FakeClock())
-    defaults = dict(failure_threshold=3, cooldown_s=5.0, probe_budget=1)
+    defaults = dict(failure_threshold=3, cooldown_s=5.0)
     defaults.update(kwargs)
     return CircuitBreaker("v1", clock=clock, **defaults), clock
 
@@ -85,16 +85,16 @@ class TestStateMachine:
         clock.advance(1.5)
         assert b.can_admit()
 
-    def test_probe_budget_bounds_concurrent_probes(self):
-        b, clock = breaker(failure_threshold=1, probe_budget=2)
+    def test_half_open_admits_exactly_one_probe(self):
+        b, clock = breaker(failure_threshold=1)
         b.record_failure()
         clock.advance(10.0)
         assert b.admit()
-        assert b.admit()
-        assert not b.admit()  # budget exhausted
+        assert not b.admit()  # the probe is out
+        assert b.state == BreakerState.HALF_OPEN
 
     def test_release_probe_returns_the_slot_without_closing(self):
-        b, clock = breaker(failure_threshold=1, probe_budget=1)
+        b, clock = breaker(failure_threshold=1)
         b.record_failure()
         clock.advance(10.0)
         assert b.admit()
@@ -126,7 +126,6 @@ class TestStateMachine:
         [
             {"failure_threshold": 0},
             {"cooldown_s": -1.0},
-            {"probe_budget": 0},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -137,7 +136,7 @@ class TestStateMachine:
 class TestBreakerBoard:
     def board(self, **kwargs):
         clock = kwargs.pop("clock", FakeClock())
-        defaults = dict(failure_threshold=1, cooldown_s=5.0, probe_budget=1)
+        defaults = dict(failure_threshold=1, cooldown_s=5.0)
         defaults.update(kwargs)
         return BreakerBoard(clock=clock, **defaults), clock
 
@@ -149,7 +148,7 @@ class TestBreakerBoard:
         board, _ = self.board()
         board.record_failure("v2")
         assert board.admit(("v1", "v2")) == ("v2",)
-        assert board.open_sources() == ("v2",)
+        assert board.states()["v2"] == BreakerState.OPEN
 
     def test_blocked_plan_consumes_no_probe_slot(self):
         board, clock = self.board()
@@ -188,14 +187,6 @@ class TestBreakerBoard:
         assert metrics["resilience.breaker.skips"]["value"] == 2
         assert metrics["resilience.breaker.v1.state"]["value"] == 2  # open
 
-    def test_reset_closes_every_breaker(self):
-        board, _ = self.board()
-        board.record_failure("v1")
-        board.record_failure("v2")
-        board.reset()
-        assert set(board.states().values()) == {BreakerState.CLOSED}
-
-
 class SweepingBoard(BreakerBoard):
     """The reference: every operation re-exports every breaker's gauge."""
 
@@ -223,7 +214,7 @@ class TestGaugeExport:
         def make(cls):
             clock = FakeClock()
             board = cls(
-                failure_threshold=2, cooldown_s=5.0, probe_budget=1,
+                failure_threshold=2, cooldown_s=5.0,
                 clock=clock, registry=MetricRegistry(),
             )
             return board, clock
@@ -233,8 +224,6 @@ class TestGaugeExport:
                 return board.admit(picked)
             if kind == "advance":
                 return clock.advance(seconds)
-            if kind == "reset":
-                return board.reset()
             if kind == "success":
                 return board.record_success(picked[0])
             return board.record_failure(picked[0], permanent=kind == "permanent")
@@ -244,7 +233,7 @@ class TestGaugeExport:
         reference, reference_clock = make(SweepingBoard)
         names = [f"v{i}" for i in range(8)]
         kinds = ["admit"] * 8 + ["success"] * 4 + ["failure"] * 8
-        kinds += ["permanent"] * 2 + ["advance"] * 4 + ["reset"]
+        kinds += ["permanent"] * 2 + ["advance"] * 4
         seen_states = set()
         for _ in range(300):
             step = (
@@ -291,11 +280,3 @@ class TestGaugeExport:
         board.record_success("v2")
         assert state_reads[0] == 1
         assert board.moved_states(()) == {}
-
-    def test_reset_sweeps_the_whole_board(self):
-        board = BreakerBoard(failure_threshold=1, clock=FakeClock())
-        for name in ("v1", "v2", "v3"):
-            board.record_failure(name)
-        board.reset()
-        assert set(breaker_gauges(board).values()) == {0}
-        assert len(breaker_gauges(board)) == 3

@@ -1,4 +1,4 @@
-"""Tests for composable fault profiles and the chaos backend."""
+"""Tests for fault profiles and the chaos backend."""
 
 import time
 
@@ -41,25 +41,11 @@ class TestFaultProfile:
             {"transient_prob": -0.1},
             {"transient_prob": 1.5},
             {"latency_s": -1.0},
-            {"truncate_to": -1},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ServiceError):
             FaultProfile(**kwargs)
-
-    def test_compose_takes_the_worst_of_each_axis(self):
-        first = FaultProfile(transient_prob=0.2, latency_s=0.1, truncate_to=5)
-        second = FaultProfile(
-            transient_prob=0.5, latency_s=0.2, permanent_outage=True,
-            truncate_to=3,
-        )
-        combined = first.compose(second)
-        assert combined.transient_prob == pytest.approx(0.5)
-        assert combined.latency_s == pytest.approx(0.3)  # latencies add
-        assert combined.permanent_outage
-        assert combined.truncate_to == 3
-
 
 class TestChaosProfile:
     def test_profile_for_falls_back_to_default(self):
@@ -70,29 +56,10 @@ class TestChaosProfile:
         )
         assert profile.profile_for("v1").transient_prob == pytest.approx(0.5)
         assert profile.profile_for("v9").latency_s == pytest.approx(0.01)
-        assert profile.faulted_sources == ("v1",)
 
-    def test_compose_is_source_wise(self):
-        left = ChaosProfile("l", faults={"v1": FaultProfile(transient_prob=0.3)})
-        right = ChaosProfile("r", faults={"v1": FaultProfile(latency_s=0.1)})
-        merged = left.compose(right)
-        assert merged.name == "l+r"
-        fault = merged.profile_for("v1")
-        assert fault.transient_prob == pytest.approx(0.3)
-        assert fault.latency_s == pytest.approx(0.1)
-
-    def test_scaled_latency(self):
-        profile = ChaosProfile(
-            "p",
-            faults={"v1": FaultProfile(latency_s=0.4)},
-            default=FaultProfile(latency_s=0.2),
-        )
-        scaled = profile.with_scaled_latency(0.5)
-        assert scaled.profile_for("v1").latency_s == pytest.approx(0.2)
-        assert scaled.profile_for("v9").latency_s == pytest.approx(0.1)
-
-    def test_dict_roundtrip(self):
-        profile = BUNDLED_PROFILES["smoke"]
+    @pytest.mark.parametrize("name", sorted(BUNDLED_PROFILES))
+    def test_dict_roundtrip(self, name):
+        profile = BUNDLED_PROFILES[name]
         rebuilt = ChaosProfile.from_dict(profile.as_dict())
         assert rebuilt.as_dict() == profile.as_dict()
 
@@ -101,6 +68,7 @@ class TestChaosProfile:
             ChaosProfile.from_dict({"faults": {"v1": {"nonsense": 1}}})
 
     def test_bundled_lookup(self):
+        assert sorted(BUNDLED_PROFILES) == ["flapping", "smoke"]
         assert bundled_profile("smoke").name == "smoke"
         with pytest.raises(ServiceError, match="unknown chaos profile"):
             bundled_profile("hurricane")
@@ -132,16 +100,6 @@ class TestFlapping:
 
     def test_no_flap_means_never_down(self):
         assert not FaultProfile().flap_down_at(1)
-
-    def test_compose_keeps_the_flappier_schedule(self):
-        mild = FaultProfile(flap_period=10, flap_down=1)
-        harsh = FaultProfile(flap_period=4, flap_down=3)
-        combined = mild.compose(harsh)
-        assert combined.flap_period == 4
-        assert combined.flap_down == 3
-        # Equal-duty ties go to the left operand's schedule.
-        same_duty = FaultProfile(flap_period=20, flap_down=2)
-        assert mild.compose(same_duty).flap_period == 10
 
     def test_backend_demotes_and_repromotes_in_access_order(self):
         profile = ChaosProfile(
@@ -233,27 +191,22 @@ class TestChaosBackend:
         assert "ok" in first and "fail" in first
         assert outcomes(seed=4) != first  # the seed actually matters
 
-    def test_attempts_are_counted_per_plan_signature(self):
-        profile = ChaosProfile("calm", faults={})
-        backend = ChaosBackend(profile)
-        query = executable("v1")
-        other = executable("v2")
-        backend.execute(query, DATABASE)
-        backend.execute(query, DATABASE)
-        backend.execute(other, DATABASE)
-        assert backend.attempts_for(query) == 2
-        assert backend.attempts_for(other) == 1
-
-    def test_truncation_caps_the_answer_set_deterministically(self):
+    def test_attempts_are_numbered_per_plan_signature(self):
         profile = ChaosProfile(
-            "trunc", faults={"v1": FaultProfile(truncate_to=2)}
+            "down", faults={}, default=FaultProfile(transient_prob=1.0)
         )
         backend = ChaosBackend(profile)
-        first = backend.execute(executable("v1"), DATABASE)
-        second = backend.execute(executable("v1"), DATABASE)
-        assert len(first) == 2
-        assert first == second  # same tuples survive every time
-        assert backend.truncations == 2
+
+        def attempt_named(query):
+            with pytest.raises(SourceFailureError) as err:
+                backend.execute(query, DATABASE)
+            return str(err.value).rsplit("(", 1)[1]
+
+        query, other = executable("v1"), executable("v2")
+        assert attempt_named(query) == "attempt 1)"
+        assert attempt_named(query) == "attempt 2)"
+        assert attempt_named(other) == "attempt 1)"
+        assert attempt_named(query) == "attempt 3)"
 
     def test_interrupt_cancels_injected_latency(self):
         profile = ChaosProfile(

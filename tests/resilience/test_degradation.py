@@ -14,7 +14,12 @@ from repro.errors import (
     SourceFailureError,
 )
 from repro.execution.mediator import Mediator
-from repro.resilience.chaos import ChaosBackend, bundled_profile
+from repro.resilience.chaos import (
+    ChaosBackend,
+    ChaosProfile,
+    FaultProfile,
+    bundled_profile,
+)
 from repro.resilience.manager import ResilienceManager
 from repro.service.policy import RequestPolicy, RetryPolicy
 from repro.service.server import QueryRequest, QueryService, ServiceConfig
@@ -69,17 +74,11 @@ class TestResilienceManager:
         manager.record_failure(("v1",), PermanentSourceError("v1", "dead"))
         assert manager.breaker_states() == {"v1": "open"}
 
-    def test_health_measure_is_identity_when_disabled(self):
-        manager = ResilienceManager(health_aware=False)
-        inner = LinearCost()
-        assert manager.health_measure(inner) is inner
-
-    def test_health_measure_wraps_and_freezes(self):
+    def test_health_measure_wraps_the_live_tracker(self):
         manager = ResilienceManager()
         live = manager.health_measure(LinearCost())
         assert live.tracker is manager.tracker
-        frozen = manager.health_measure(LinearCost(), frozen=True)
-        assert frozen.tracker is None
+        assert not live.cacheable
 
 
 class TestMediatorDegradation:
@@ -116,15 +115,6 @@ class TestMediatorDegradation:
         for batch in failed + skipped:
             assert batch.answers == frozenset()
             assert batch.new_answers == frozenset()
-
-    def test_non_graceful_mediator_raises(self, movies):
-        resilience = ResilienceManager(graceful=False)
-        mediator = self.failing_mediator(movies, resilience)
-        # One error shape for both drivers of the loop: the session's
-        # "failed after N attempt(s)", chained from the engine's error.
-        with pytest.raises(ExecutionError, match="attempt") as raised:
-            list(mediator.answer(movies.query, LinearCost()))
-        assert isinstance(raised.value.__cause__, PermanentSourceError)
 
     def test_no_resilience_keeps_the_legacy_raise(self, movies):
         mediator = self.failing_mediator(movies, None)
@@ -203,6 +193,15 @@ class TestBreakersOnAndOff:
     the price of the plans they skip."""
 
     REQUESTS = 12
+    #: The smoke profile without v5's 2 ms: these runs count, not time.
+    CHAOS = ChaosProfile(
+        "smoke",
+        {
+            "v3": FaultProfile(transient_prob=0.35),
+            "v4": FaultProfile(permanent_outage=True),
+            "v5": FaultProfile(transient_prob=0.35),
+        },
+    )
 
     @staticmethod
     def serve(arm):
@@ -210,9 +209,7 @@ class TestBreakersOnAndOff:
         backend = None
         resilience = ResilienceManager()
         if arm != "healthy":
-            backend = ChaosBackend(
-                bundled_profile("smoke").with_scaled_latency(0.0), seed=7
-            )
+            backend = ChaosBackend(TestBreakersOnAndOff.CHAOS, seed=7)
             resilience = ResilienceManager(breakers=arm == "breakers-on")
         service = QueryService(
             movies.catalog,

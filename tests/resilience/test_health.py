@@ -4,34 +4,26 @@ import threading
 
 import pytest
 
-from repro.errors import ServiceError
 from repro.observability.metrics import MetricRegistry
 from repro.resilience.health import SourceHealthTracker
 
 
 class TestRecording:
     def test_first_observation_initializes_the_average(self):
-        tracker = SourceHealthTracker(alpha=0.2)
+        tracker = SourceHealthTracker()
         tracker.record_failure("v1")
         assert tracker.failure_rate("v1") == pytest.approx(1.0)
-        tracker2 = SourceHealthTracker(alpha=0.2)
+        tracker2 = SourceHealthTracker()
         tracker2.record_success("v1")
         assert tracker2.failure_rate("v1") == pytest.approx(0.0)
 
     def test_ewma_update_is_recency_biased(self):
-        tracker = SourceHealthTracker(alpha=0.5)
+        tracker = SourceHealthTracker()
         tracker.record_failure("v1")  # ewma = 1.0
-        tracker.record_success("v1")  # 1.0 + 0.5 * (0 - 1.0) = 0.5
-        assert tracker.failure_rate("v1") == pytest.approx(0.5)
-        tracker.record_success("v1")  # 0.25
-        assert tracker.failure_rate("v1") == pytest.approx(0.25)
-
-    def test_latency_ewma_tracks_successful_accesses(self):
-        tracker = SourceHealthTracker(alpha=0.5)
-        tracker.record_success("v1", latency_s=0.4)
-        assert tracker.latency("v1") == pytest.approx(0.4)
-        tracker.record_success("v1", latency_s=0.2)
-        assert tracker.latency("v1") == pytest.approx(0.3)
+        tracker.record_success("v1")  # 1.0 + 0.2 * (0 - 1.0) = 0.8
+        assert tracker.failure_rate("v1") == pytest.approx(0.8)
+        tracker.record_success("v1")  # 0.64
+        assert tracker.failure_rate("v1") == pytest.approx(0.64)
 
     def test_counts_and_snapshot(self):
         tracker = SourceHealthTracker()
@@ -65,39 +57,23 @@ class TestQueries:
     def test_unknown_source_has_no_rate(self):
         tracker = SourceHealthTracker()
         assert tracker.failure_rate("ghost") is None
-        assert tracker.latency("ghost") is None
         assert tracker.observations("ghost") == 0
-
-    def test_reset_clears_everything(self):
-        tracker = SourceHealthTracker()
-        tracker.record_failure("v1")
-        tracker.reset()
-        assert tracker.failure_rate("v1") is None
-        assert tracker.snapshot() == {}
 
 
 class TestRegistryExport:
     def test_gauges_mirror_the_cells(self):
         registry = MetricRegistry()
-        tracker = SourceHealthTracker(alpha=0.5, registry=registry)
-        tracker.record_failure("v1", latency_s=0.1)
-        tracker.record_success("v1", latency_s=0.3)
+        tracker = SourceHealthTracker(registry=registry)
+        tracker.record_failure("v1")
+        tracker.record_success("v1")
         metrics = registry.as_dict()
         assert metrics["resilience.health.v1.failure_rate"]["value"] == (
-            pytest.approx(0.5)
-        )
-        assert metrics["resilience.health.v1.latency_s"]["value"] == (
-            pytest.approx(0.2)
+            pytest.approx(0.8)
         )
         assert metrics["resilience.health.v1.observations"]["value"] == 2
 
 
-class TestValidationAndConcurrency:
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
-    def test_invalid_alpha_rejected(self, alpha):
-        with pytest.raises(ServiceError):
-            SourceHealthTracker(alpha=alpha)
-
+class TestConcurrency:
     def test_concurrent_recording_loses_no_observations(self):
         tracker = SourceHealthTracker()
         per_thread = 200

@@ -94,7 +94,7 @@ class DoomedBackend(InMemoryBackend):
         return super().execute(executable, database)
 
 
-def quiet_manager(*, graceful=True, open_source=None):
+def quiet_manager(*, open_source=None):
     """A manager whose breakers never trip mid-run.
 
     Failures recorded by concurrent workers would otherwise race with
@@ -102,8 +102,7 @@ def quiet_manager(*, graceful=True, open_source=None):
     front, where both drivers see it from the first plan on.
     """
     manager = ResilienceManager(
-        board=BreakerBoard(failure_threshold=10**6, cooldown_s=3600.0),
-        graceful=graceful,
+        board=BreakerBoard(failure_threshold=10**6, cooldown_s=3600.0)
     )
     if open_source is not None:
         manager.board.record_failure(open_source, permanent=True)
@@ -225,18 +224,6 @@ class TestFailurePathEquivalence:
         assert any(failed for *_, failed, _ in inline[0]), "nothing failed"
         assert_equivalent(inline, pipelined)
 
-    @pytest.mark.parametrize("error_kind", ["permanent", "bug"])
-    def test_non_graceful_manager_raises_alike(
-        self, case_name, workers, depth, error_kind
-    ):
-        case = CASES[case_name]()
-        inline = run_inline(case, quiet_manager(graceful=False), error_kind)
-        pipelined = run_pipelined(
-            case, quiet_manager(graceful=False), error_kind, workers, depth
-        )
-        assert "attempt" in str(inline[1])
-        assert_equivalent(inline, pipelined)
-
     def test_force_open_breaker_skips_alike(self, case_name, workers, depth):
         case = CASES[case_name]()
         dead_source = case[3]
@@ -253,9 +240,14 @@ class TestFailurePathEquivalence:
         assert not any(failed for *_, failed, _ in inline[0])
         assert_equivalent(inline, pipelined)
 
-    def test_no_manager_raises_alike(self, case_name, workers, depth):
+    @pytest.mark.parametrize("error_kind", ["permanent", "bug"])
+    def test_no_manager_raises_alike(
+        self, case_name, workers, depth, error_kind
+    ):
         case = CASES[case_name]()
-        inline = run_inline(case, None, "permanent")
-        pipelined = run_pipelined(case, None, "permanent", workers, depth)
-        assert isinstance(inline[1].__cause__, PermanentSourceError)
+        inline = run_inline(case, None, error_kind)
+        pipelined = run_pipelined(case, None, error_kind, workers, depth)
+        assert "attempt" in str(inline[1])
+        cause = type(make_error(error_kind, case[3]))
+        assert type(inline[1].__cause__) is cause
         assert_equivalent(inline, pipelined)

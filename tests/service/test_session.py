@@ -5,13 +5,14 @@ import time
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TransientExecutionError
 from repro.execution.mediator import Mediator
 from repro.observability.metrics import MetricRegistry
 from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.ordering.bruteforce import PIOrderer
 from repro.ordering.greedy import GreedyOrderer
-from repro.service.backends import FlakyBackend, InMemoryBackend
+from repro.resilience.chaos import ChaosBackend, ChaosProfile, FaultProfile
+from repro.service.backends import InMemoryBackend
 from repro.service.policy import CancellationToken, RequestPolicy, RetryPolicy
 from repro.service.server import QueryRequest, QueryService
 from repro.service.session import PipelinedSession
@@ -219,9 +220,26 @@ class TestDeadlinesAndCancellation:
         assert full[0].rank == 1
 
 
+class FailFirst(ChaosBackend):
+    """A calm chaos backend failing the first *n* attempts of each plan."""
+
+    def __init__(self, n):
+        super().__init__(ChaosProfile("calm", {}))
+        self.n = n
+        self.attempts = {}
+
+    def execute(self, executable, database):
+        signature = str(executable)
+        with self._lock:
+            attempt = self.attempts[signature] = self.attempts.get(signature, 0) + 1
+        if attempt <= self.n:
+            raise TransientExecutionError(f"attempt {attempt} of {signature}")
+        return super().execute(executable, database)
+
+
 class TestRetries:
     def test_transient_failures_are_retried_to_success(self, movies):
-        backend = FlakyBackend(failure_prob=0.0, fail_first=2)
+        backend = FailFirst(2)
         session = PipelinedSession(
             Mediator(movies.catalog, movies.source_facts), backend=backend
         )
@@ -232,11 +250,11 @@ class TestRetries:
         assert report.status == "ok"
         assert report.exhausted
         assert report.retries >= 2
-        assert backend.failures_injected > 0
+        assert set(backend.attempts.values()) == {3}  # two failed, one ran
         assert any(b.answers for b in batches)
 
     def test_exhausted_retries_raise_execution_error(self, movies):
-        backend = FlakyBackend(failure_prob=0.0, fail_first=5)
+        backend = FailFirst(5)
         session = PipelinedSession(
             Mediator(movies.catalog, movies.source_facts), backend=backend
         )
@@ -254,15 +272,19 @@ class TestRetries:
         expected = [
             batch_signature(b) for b in sequential.answer(movies.query, utility)
         ]
-        backend = FlakyBackend(failure_prob=0.4, seed=11)
+        backend = ChaosBackend(
+            ChaosProfile("flaky", {}, default=FaultProfile(transient_prob=0.4)),
+            seed=11,
+        )
         session = PipelinedSession(
             Mediator(movies.catalog, movies.source_facts), backend=backend
         )
         policy = RequestPolicy(
             retry=RetryPolicy(max_attempts=50, base_s=0.0, cap_s=0.0)
         )
-        batches, _ = session.run(movies.query, utility, policy=policy)
+        batches, report = session.run(movies.query, utility, policy=policy)
         assert [batch_signature(b) for b in batches] == expected
+        assert report.retries == backend.failures_injected > 0
 
 
 class TestInstrumentation:

@@ -273,19 +273,30 @@ class TestServeValidation:
         ) == 2
         assert "must be at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_no_workers_is_refused_not_served(
-        self, workers, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+            (["--workers", "-1"], "workers must be >= 1, got -1"),
+            (["--chaos", "truncating"],
+             "unknown chaos profile 'truncating' (bundled: flapping, smoke)"),
+            (["--chaos", "slow"],
+             "unknown chaos profile 'slow' (bundled: flapping, smoke)"),
+        ],
+        ids=["workers-0", "workers--1", "chaos-truncating", "chaos-slow"],
+    )
+    def test_a_refusal_binds_no_server(
+        self, flags, message, capsys, monkeypatch
     ):
         import repro.service.frontend as frontend
 
         def no_server(*args, **kwargs):
-            raise AssertionError("serve bound a server with no workers")
+            raise AssertionError("serve bound a server it should refuse")
 
         monkeypatch.setattr(frontend, "start_server", no_server)
-        assert main(["serve", "--workers", workers]) == 2
+        assert main(["serve", *flags]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"repro: workers must be >= 1, got {workers}"
+        assert line == f"repro: {message}"
 
 
 class _Captured(Exception):
