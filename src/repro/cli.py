@@ -236,9 +236,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.policy import RequestPolicy
     from repro.service.server import ServiceConfig
 
-    cluster_config = ClusterConfig(
-        workers=args.workers, host=args.host, backlog_per_shard=args.backlog
-    )
+    cluster_config = ClusterConfig(backlog_per_shard=args.backlog)
     chaos = None
     if args.chaos:
         from repro.resilience.chaos import bundled_profile
@@ -249,7 +247,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shard=0,
         workload=args.workload,
         seed=args.seed,
-        host=args.host,
         config=ServiceConfig(
             max_concurrent=args.max_concurrent,
             backlog=args.backlog,
@@ -284,7 +281,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     open(args.journal, "w", encoding="utf-8")
                 )
             )
-        if cluster_config.workers == 1:
+        if args.workers == 1:
             from repro.cluster.worker import build_worker_service
             from repro.service.frontend import start_server
 
@@ -312,7 +309,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 else None
             )
             cluster = Cluster(
-                worker_specs(cluster_config, spec, journal_dir=journal_dir),
+                worker_specs(args.workers, spec, journal_dir=journal_dir),
                 cluster_config,
                 journal=journal,
             )
@@ -324,7 +321,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             banner = (
                 f"routing {args.workload} on {args.host}:{port} across "
-                f"{cluster_config.workers} workers{chaos_note} (Ctrl-C to stop)"
+                f"{args.workers} workers{chaos_note} (Ctrl-C to stop)"
             )
         if args.metrics_port is not None:
             from repro.service.metricsd import start_metrics_server

@@ -9,26 +9,17 @@ so a given query always lands on the shard whose utility cache it
 warmed last time.
 
 * :mod:`repro.cluster.hashing` — the consistent-hash ring (stable
-  across processes and runs; ~1/N of keys move when a shard joins).
+  across processes and runs).
 * :mod:`repro.cluster.spec` — picklable worker/cluster configuration.
 * :mod:`repro.cluster.worker` — the spawned worker entry point.
 * :mod:`repro.cluster.supervisor` — process lifecycle: spawn, health
-  probes behind per-shard circuit breakers, crash restarts.
+  probes behind per-shard circuit breakers, crash restarts, the
+  cross-shard metric merge.
 * :mod:`repro.cluster.router` — the front TCP server: hash admission,
   bounded per-shard backlogs, shard-tagged relays, failover.
 * :mod:`repro.cluster.runtime` — ties the above into one
-  :class:`Cluster` with cross-shard metric aggregation.
+  :class:`~repro.cluster.runtime.Cluster`.
 
-See ``docs/cluster.md``.
+Import from the modules; the package re-exports nothing.  See
+``docs/cluster.md``.
 """
-
-from repro.cluster.hashing import ConsistentHashRing
-from repro.cluster.runtime import Cluster
-from repro.cluster.spec import ClusterConfig, WorkerSpec
-
-__all__ = [
-    "Cluster",
-    "ClusterConfig",
-    "ConsistentHashRing",
-    "WorkerSpec",
-]

@@ -7,14 +7,14 @@ lacks:
   must agree on placements, and Python's builtin ``hash`` is salted
   per process (``PYTHONHASHSEED``).  Ring points therefore come from
   SHA-256, which is stable everywhere.
-* **minimal disruption** — adding or removing one shard must remap
-  only ~1/N of the key space, not reshuffle everything, or every
-  membership change would cold-start every per-shard utility cache.
+* **minimal disruption** — a ring with one more shard places all but
+  ~1/N of the key space where the smaller ring did, rather than
+  reshuffling everything the way ``% N`` would.
 
-Each shard contributes ``replicas`` virtual points so the arcs even
-out; a key routes to the first shard point at or after its own hash,
-wrapping around.  :meth:`candidates` walks onward around the ring —
-the failover order when the primary shard's breaker is open.
+Each shard contributes :data:`REPLICAS` virtual points so the arcs
+even out; a key routes to the first shard point at or after its own
+hash, wrapping around.  :meth:`candidates` walks onward around the
+ring — the failover order when the primary shard's breaker is open.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ import bisect
 import hashlib
 from typing import Iterable, Iterator
 
-from repro.errors import ServiceError
+__all__ = ["ConsistentHashRing", "REPLICAS"]
 
-__all__ = ["ConsistentHashRing"]
+#: Virtual ring points per shard.
+REPLICAS = 64
 
 
 def _point(label: str) -> int:
@@ -37,62 +38,18 @@ def _point(label: str) -> int:
 class ConsistentHashRing:
     """SHA-256 consistent hashing of string keys onto integer shards."""
 
-    def __init__(self, shards: Iterable[int], *, replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ServiceError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
-        self._shards: set[int] = set()
-        self._points: list[int] = []
-        self._owners: list[int] = []
-        for shard in shards:
-            self.add(shard)
-        if not self._shards:
-            raise ServiceError("ring needs at least one shard")
-
-    # -- membership --------------------------------------------------------------
-
-    def add(self, shard: int) -> None:
-        if shard in self._shards:
-            raise ServiceError(f"shard {shard} already on the ring")
-        self._shards.add(shard)
-        for replica in range(self.replicas):
-            point = _point(f"shard-{shard}:{replica}")
-            index = bisect.bisect_left(self._points, point)
-            self._points.insert(index, point)
-            self._owners.insert(index, shard)
-
-    def remove(self, shard: int) -> None:
-        if shard not in self._shards:
-            raise ServiceError(f"shard {shard} not on the ring")
-        if len(self._shards) == 1:
-            raise ServiceError("cannot remove the last shard")
-        self._shards.discard(shard)
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != shard
-        ]
-        self._points = [point for point, _ in keep]
-        self._owners = [owner for _, owner in keep]
-
-    @property
-    def shards(self) -> tuple[int, ...]:
-        return tuple(sorted(self._shards))
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, shard: int) -> bool:
-        return shard in self._shards
-
-    # -- lookup ------------------------------------------------------------------
+    def __init__(self, shards: Iterable[int]) -> None:
+        ring = sorted(
+            (_point(f"shard-{shard}:{replica}"), shard)
+            for shard in shards
+            for replica in range(REPLICAS)
+        )
+        self._points = [point for point, _ in ring]
+        self._owners = [owner for _, owner in ring]
 
     def shard_for(self, key: str) -> int:
         """The shard owning *key*: first ring point at/after its hash."""
-        index = bisect.bisect_left(self._points, _point(key))
-        if index == len(self._points):
-            index = 0
-        return self._owners[index]
+        return next(self.candidates(key))
 
     def candidates(self, key: str) -> Iterator[int]:
         """All shards in ring order from *key*: primary, then failovers.
@@ -108,9 +65,3 @@ class ConsistentHashRing:
             if owner not in seen:
                 seen.add(owner)
                 yield owner
-
-    def __repr__(self) -> str:
-        return (
-            f"<ConsistentHashRing shards={self.shards} "
-            f"replicas={self.replicas}>"
-        )

@@ -31,22 +31,20 @@ a failed health probe.
 
 Control records are answered by the router itself: ``health`` with
 its role and worker count, ``metrics`` with the **cluster-wide merged
-export** (every shard scraped and folded via
-:meth:`MetricRegistry.merge`, plus the router's own counters).
+export** (:meth:`ClusterSupervisor.merged_registry`).
 """
 
 from __future__ import annotations
 
 import socketserver
 import threading
-from typing import Callable, Optional
 
 from repro.cluster.hashing import ConsistentHashRing
 from repro.cluster.spec import ClusterConfig
 from repro.cluster.supervisor import ClusterSupervisor
+from repro.cluster.worker import HOST
 from repro.errors import ProtocolError
 from repro.observability.journal import NOOP_JOURNAL, EventJournal
-from repro.observability.metrics import MetricRegistry
 from repro.service import protocol
 from repro.service.frontend import JsonLinesHandler, connect
 
@@ -59,29 +57,13 @@ RELAY_TIMEOUT_S = 60.0
 
 
 def tag_line(line: bytes, shard: int) -> bytes:
-    """Splice ``"shard": k`` into one encoded reply line.
+    """Splice ``"shard": k`` into one reply line the relay decoded.
 
     Works on the bytes directly — the relayed stream stays exactly
-    what the worker wrote, plus the tag.  A line that does not look
-    like an encoded object (defensive; ours always do) passes through
-    untagged rather than corrupted.
+    what the worker wrote, plus the tag.  The line is a JSON object,
+    so once trailing whitespace is gone its last byte is ``}``.
     """
-    if line.endswith(b"}\n"):
-        return line[:-2] + b', "shard": %d}\n' % shard
-    return line
-
-
-class _Backlog:
-    """Bounded in-flight relay slots for one shard."""
-
-    def __init__(self, limit: int) -> None:
-        self._semaphore = threading.BoundedSemaphore(limit)
-
-    def try_acquire(self) -> bool:
-        return self._semaphore.acquire(blocking=False)
-
-    def release(self) -> None:
-        self._semaphore.release()
+    return line.rstrip()[:-1] + b', "shard": %d}\n' % shard
 
 
 class _RouterHandler(JsonLinesHandler):
@@ -110,8 +92,8 @@ class _RouterHandler(JsonLinesHandler):
         for attempt, shard in enumerate(router.ring.candidates(key)):
             if not router.supervisor.routable(shard):
                 continue
-            backlog = router.backlog(shard)
-            if not backlog.try_acquire():
+            backlog = router.backlogs[shard]
+            if not backlog.acquire(blocking=False):
                 router.m_overloaded.inc()
                 self._send(
                     protocol.error_record(
@@ -126,14 +108,12 @@ class _RouterHandler(JsonLinesHandler):
                 outcome = self._relay(shard, line, request_id)
             finally:
                 backlog.release()
-            router.supervisor.record_relay_outcome(
-                shard, outcome != "failed"
-            )
+            router.supervisor.record_relay_outcome(shard, outcome == "done")
             if outcome == "done":
                 if attempt:
                     router.m_failovers.inc()
                 router.m_routed.inc()
-                router.shard_counter(shard).inc()
+                router.m_shard_routed[shard].inc()
                 if router.journal.enabled:
                     router.journal.emit(
                         "cluster.routed", request_id=request_id, shard=shard
@@ -221,8 +201,7 @@ class _RouterHandler(JsonLinesHandler):
             if cached[2] == port:
                 return cached[1]
             self._drop_worker(shard)  # restarted on a new port
-        host = router.supervisor.host_of(shard)
-        sock = connect(host, port, timeout=RELAY_TIMEOUT_S)
+        sock = connect(HOST, port, timeout=RELAY_TIMEOUT_S)
         stream = sock.makefile("rwb")
         self._worker_streams[shard] = (sock, stream, port)
         return stream
@@ -248,45 +227,35 @@ class RouterTCPServer(socketserver.ThreadingTCPServer):
         self,
         address: tuple[str, int],
         supervisor: ClusterSupervisor,
-        config: Optional[ClusterConfig] = None,
+        config: ClusterConfig,
         *,
-        registry: Optional[MetricRegistry] = None,
-        journal: Optional[EventJournal] = None,
-        merged_export: Optional[Callable[[], dict]] = None,
+        journal: EventJournal = NOOP_JOURNAL,
     ) -> None:
         super().__init__(address, _RouterHandler)
         self.supervisor = supervisor
-        self.config = config if config is not None else supervisor.config
-        self.registry = (
-            registry if registry is not None else supervisor.registry
-        )
-        self.journal = journal if journal is not None else NOOP_JOURNAL
+        self.config = config
+        self.journal = journal
         self.ring = ConsistentHashRing(supervisor.shards)
-        self._merged_export = merged_export
-        self._backlogs = {
-            shard: _Backlog(self.config.backlog_per_shard)
+        #: Bounded in-flight relay slots per shard.
+        self.backlogs = {
+            shard: threading.BoundedSemaphore(config.backlog_per_shard)
             for shard in supervisor.shards
         }
-        self.m_requests = self.registry.counter("cluster.requests")
-        self.m_routed = self.registry.counter("cluster.routed")
-        self.m_failovers = self.registry.counter("cluster.failovers")
-        self.m_overloaded = self.registry.counter("cluster.overloaded")
-        self.m_shard_failed = self.registry.counter("cluster.shard_failed")
-        self.m_unavailable = self.registry.counter("cluster.unavailable")
-        self._shard_counters = {
-            shard: self.registry.counter(f"cluster.shard{shard}.routed")
+        registry = supervisor.registry
+        self.m_requests = registry.counter("cluster.requests")
+        self.m_routed = registry.counter("cluster.routed")
+        self.m_failovers = registry.counter("cluster.failovers")
+        self.m_overloaded = registry.counter("cluster.overloaded")
+        self.m_shard_failed = registry.counter("cluster.shard_failed")
+        self.m_unavailable = registry.counter("cluster.unavailable")
+        self.m_shard_routed = {
+            shard: registry.counter(f"cluster.shard{shard}.routed")
             for shard in supervisor.shards
         }
 
     @property
     def port(self) -> int:
         return self.server_address[1]
-
-    def backlog(self, shard: int) -> _Backlog:
-        return self._backlogs[shard]
-
-    def shard_counter(self, shard: int):
-        return self._shard_counters[shard]
 
     def control_reply(self, record: dict, request_id: str) -> dict:
         if record.get("type") == "health":
@@ -298,21 +267,21 @@ class RouterTCPServer(socketserver.ThreadingTCPServer):
                     "breakers": self.supervisor.breaker_states(),
                 },
             )
-        if self._merged_export is not None:
-            metrics = self._merged_export()
-        else:
-            metrics = self.registry.as_dict()
-        return protocol.metrics_record(request_id, metrics)
+        return protocol.metrics_record(
+            request_id, self.supervisor.merged_registry().as_dict()
+        )
 
 
 def start_router(
     supervisor: ClusterSupervisor,
+    config: ClusterConfig,
     host: str = "127.0.0.1",
     port: int = 0,
-    **kwargs,
+    *,
+    journal: EventJournal = NOOP_JOURNAL,
 ) -> tuple[RouterTCPServer, threading.Thread]:
     """Serve the router in a background thread; ``port=0`` picks one."""
-    server = RouterTCPServer((host, port), supervisor, **kwargs)
+    server = RouterTCPServer((host, port), supervisor, config, journal=journal)
     thread = threading.Thread(
         target=server.serve_forever,
         kwargs={"poll_interval": 0.05},

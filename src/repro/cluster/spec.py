@@ -39,7 +39,6 @@ class WorkerSpec:
     shard: int
     workload: str = "movies"
     seed: int = 0
-    host: str = "127.0.0.1"
     config: ServiceConfig = field(default_factory=ServiceConfig)
     chaos: Optional[dict] = None
     chaos_seed: int = 0
@@ -60,29 +59,18 @@ class WorkerSpec:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Router + supervisor knobs.
+    """The router's one knob.
 
     ``backlog_per_shard`` bounds how many relays may be in flight to
     one worker before the router sheds with ``overloaded`` — the
-    cluster-level analogue of the service's admission gate.
-    ``probe_interval_s`` and the breaker knobs govern the supervisor's
-    health loop: ``failure_threshold`` consecutive failed probes open a
-    shard's breaker, routing fails over to ring neighbours until a
-    successful probe closes it again.  A crashed worker is respawned up
-    to ``max_restarts_per_shard`` times.
+    cluster-level analogue of the service's admission gate.  The
+    supervisor's probe, breaker and restart settings are constants in
+    :mod:`repro.cluster.supervisor`.
     """
 
-    workers: int = 2
-    host: str = "127.0.0.1"
     backlog_per_shard: int = 32
-    probe_interval_s: float = 0.25
-    max_restarts_per_shard: int = 5
-    failure_threshold: int = 3
-    cooldown_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {self.workers}")
         if self.backlog_per_shard < 1:
             raise ServiceError(
                 f"backlog_per_shard must be >= 1, got {self.backlog_per_shard}"

@@ -10,14 +10,14 @@ routing table honest:
   everything a worker needs crosses as a picklable
   :class:`~repro.cluster.spec.WorkerSpec`.
 * **probe** — a background loop sends ``{"type": "health"}`` to every
-  shard each ``probe_interval_s`` and feeds the outcome into a
+  shard each :data:`PROBE_INTERVAL_S` and feeds the outcome into a
   per-shard :class:`~repro.resilience.breaker.CircuitBreaker` — the
   exact breaker the per-source resilience layer uses, reused one
   level up.  The router consults these breakers for admission, so an
   unhealthy shard drains to its ring neighbours and half-open probes
   let it back in gradually.
 * **restart** — a dead process (crash, ``kill -9``) is respawned from
-  its spec, up to ``max_restarts_per_shard`` times, on a fresh port;
+  its spec, up to :data:`MAX_RESTARTS_PER_SHARD` times, on a fresh port;
   the port table is updated atomically so relays reconnect to the new
   incarnation.  Every transition is journalled as ``cluster.worker``.
 
@@ -32,8 +32,8 @@ import threading
 import time
 from typing import Optional
 
-from repro.cluster.spec import ClusterConfig, WorkerSpec
-from repro.cluster.worker import worker_main
+from repro.cluster.spec import WorkerSpec
+from repro.cluster.worker import HOST, worker_main
 from repro.errors import ServiceError
 from repro.observability.journal import NOOP_JOURNAL, EventJournal
 from repro.observability.metrics import MetricRegistry
@@ -47,6 +47,14 @@ __all__ = ["ClusterSupervisor", "WorkerHandle"]
 STARTUP_TIMEOUT_S = 60.0
 #: Socket timeout of one health probe or metrics scrape.
 PROBE_TIMEOUT_S = 5.0
+#: Seconds between two passes of the probe loop.
+PROBE_INTERVAL_S = 0.25
+#: Consecutive failed probes or relays that open a shard's breaker, and
+#: how long it stays open before a half-open probe.
+FAILURE_THRESHOLD = 3
+COOLDOWN_S = 1.0
+#: Respawns of one shard before it is abandoned.
+MAX_RESTARTS_PER_SHARD = 5
 
 
 class WorkerHandle:
@@ -59,8 +67,9 @@ class WorkerHandle:
         #: Parent end of this incarnation's private ready pipe.
         self.ready_conn = None
         self.port: Optional[int] = None
-        self.pid: Optional[int] = None
         self.restarts = 0
+        #: Set once the restart budget is spent; the shard stays down.
+        self.abandoned = False
 
     @property
     def shard(self) -> int:
@@ -74,29 +83,24 @@ class ClusterSupervisor:
     """Spawns and watches one worker process per shard."""
 
     def __init__(
-        self,
-        specs: list[WorkerSpec],
-        config: Optional[ClusterConfig] = None,
-        *,
-        journal: Optional[EventJournal] = None,
-        registry: Optional[MetricRegistry] = None,
+        self, specs: list[WorkerSpec], *, journal: EventJournal = NOOP_JOURNAL
     ) -> None:
         if not specs:
             raise ServiceError("need at least one worker spec")
         shards = [spec.shard for spec in specs]
         if len(set(shards)) != len(shards):
             raise ServiceError(f"duplicate shard ids in specs: {shards}")
-        self.config = config if config is not None else ClusterConfig()
-        self.journal = journal if journal is not None else NOOP_JOURNAL
-        self.registry = registry if registry is not None else MetricRegistry()
+        self.journal = journal
+        #: The router's and supervisor's own ``cluster.*`` series.
+        self.registry = MetricRegistry()
         self._ctx = multiprocessing.get_context("spawn")
         self._handles = {
             spec.shard: WorkerHandle(
                 spec,
                 CircuitBreaker(
                     f"shard-{spec.shard}",
-                    failure_threshold=self.config.failure_threshold,
-                    cooldown_s=self.config.cooldown_s,
+                    failure_threshold=FAILURE_THRESHOLD,
+                    cooldown_s=COOLDOWN_S,
                 ),
             )
             for spec in specs
@@ -106,7 +110,6 @@ class ClusterSupervisor:
         self._probe_thread: Optional[threading.Thread] = None
         self._m_restarts = self.registry.counter("cluster.worker_restarts")
         self._m_probe_fail = self.registry.counter("cluster.probe_failures")
-        self._started = False
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -116,9 +119,6 @@ class ClusterSupervisor:
 
     def start(self) -> None:
         """Spawn every worker and block until all report ready."""
-        if self._started:
-            raise ServiceError("supervisor already started")
-        self._started = True
         for handle in self._handles.values():
             self._spawn(handle)
         self._await_ready(set(self._handles), STARTUP_TIMEOUT_S)
@@ -149,7 +149,6 @@ class ClusterSupervisor:
             handle.process = process
             handle.ready_conn = parent_conn
             handle.port = None
-            handle.pid = None
         self.journal.emit(
             "cluster.worker", shard=handle.shard, state="spawned"
         )
@@ -175,15 +174,15 @@ class ClusterSupervisor:
                 shard = conns[conn]
                 handle = self._handles[shard]
                 try:
-                    message = conn.recv()
+                    port = conn.recv()
                 except (EOFError, OSError):
                     raise ServiceError(
                         f"worker for shard {shard} died before "
                         "reporting ready"
                     ) from None
                 with self._lock:
-                    handle.port = int(message["port"])
-                    handle.pid = int(message["pid"])
+                    handle.port = port
+                # A ready worker is immediately routable again.
                 handle.breaker.reset()
                 pending.discard(shard)
                 self.journal.emit(
@@ -226,9 +225,6 @@ class ClusterSupervisor:
         with self._lock:
             return handle.port
 
-    def host_of(self, shard: int) -> str:
-        return self._handles[shard].spec.host
-
     def routable(self, shard: int) -> bool:
         """Admit new relays?  Requires a port and a non-open breaker."""
         handle = self._handles[shard]
@@ -257,8 +253,7 @@ class ClusterSupervisor:
         port = self.port_of(shard)
         if port is None:
             raise ServiceError(f"shard {shard} has no port (down?)")
-        host = self._handles[shard].spec.host
-        with connect(host, port, timeout=PROBE_TIMEOUT_S) as sock:
+        with connect(HOST, port, timeout=PROBE_TIMEOUT_S) as sock:
             stream = sock.makefile("rwb")
             stream.write(protocol.encode_line(record))
             stream.flush()
@@ -295,14 +290,34 @@ class ClusterSupervisor:
             )
         return metrics
 
+    def merged_registry(self) -> MetricRegistry:
+        """Own counters + every reachable shard's scraped export.
+
+        Folded with :meth:`MetricRegistry.merge`: counters sum, gauges
+        last-write, histograms bucket-wise.  A shard that is down or
+        mid-restart is skipped rather than failing the whole scrape —
+        partial visibility beats none while a worker restarts; the
+        ``cluster.worker_restarts`` counter records that something is
+        missing.
+        """
+        merged = MetricRegistry().merge(self.registry)
+        for shard in self.shards:
+            try:
+                merged.merge(self.scrape(shard))
+            except (OSError, ValueError, ServiceError):
+                continue
+        return merged
+
     # -- the probe/restart loop --------------------------------------------------
 
     def _probe_loop(self) -> None:
-        while not self._stop.wait(self.config.probe_interval_s):
+        while not self._stop.wait(PROBE_INTERVAL_S):
             for shard in self.shards:
                 if self._stop.is_set():
                     return
                 handle = self._handles[shard]
+                if handle.abandoned:
+                    continue
                 if not handle.alive():
                     self._handle_death(handle)
                     continue
@@ -321,7 +336,8 @@ class ClusterSupervisor:
             # the probe-loop window where a respawned worker would
             # outlive the supervisor.
             return
-        if handle.restarts >= self.config.max_restarts_per_shard:
+        if handle.restarts >= MAX_RESTARTS_PER_SHARD:
+            handle.abandoned = True
             self.journal.emit(
                 "cluster.worker", shard=handle.shard, state="abandoned"
             )
@@ -336,15 +352,6 @@ class ClusterSupervisor:
                 "cluster.worker", shard=handle.shard, state="restart_failed"
             )
             return
-        # A ready worker is immediately routable again.
-        handle.breaker.reset()
         self.journal.emit(
             "cluster.worker", shard=handle.shard, state="restarted"
         )
-
-    def __enter__(self) -> "ClusterSupervisor":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -4,8 +4,8 @@
 context: a module-level function (so it pickles by reference) that
 rebuilds a full :class:`~repro.service.server.QueryService` from its
 :class:`~repro.cluster.spec.WorkerSpec`, binds the JSON-lines TCP
-front end on an OS-assigned port, reports that port back over the
-ready pipe, and then parks until told to stop.
+front end on an OS-assigned loopback port, reports that port back
+over the ready pipe, and then parks until told to stop.
 
 Workers are **shared nothing**: each has its own utility caches,
 metric registry, resilience manager, and (optionally) journal file.
@@ -33,7 +33,11 @@ from repro.service.frontend import start_server
 from repro.service.server import QueryService
 from repro.service.workloads import service_workload
 
-__all__ = ["build_worker_service", "worker_main"]
+__all__ = ["HOST", "build_worker_service", "worker_main"]
+
+#: Where every worker listens: the router on the same host is its one
+#: client, so a worker is never reachable from outside.
+HOST = "127.0.0.1"
 
 
 def build_worker_service(
@@ -75,12 +79,12 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
     """Run one worker until SIGTERM.  Spawned by the supervisor.
 
     *ready_conn* is this incarnation's own pipe end; exactly one
-    message — ``{"shard": ..., "port": ..., "pid": ...}`` — is sent
-    once the TCP front end is accepting, which is the supervisor's cue
-    that the shard is routable.  A private pipe per spawn (rather than
-    one queue shared across generations) means a SIGKILLed predecessor
-    can never wedge a successor's ready report: a queue's feeder-thread
-    lock dies with its holder, a fresh pipe has no shared state at all.
+    message — the front end's port — is sent once it is accepting,
+    which is the supervisor's cue that the shard is routable.  A
+    private pipe per spawn (rather than one queue shared across
+    generations) means a SIGKILLed predecessor can never wedge a
+    successor's ready report: a queue's feeder-thread lock dies with
+    its holder, a fresh pipe has no shared state at all.
     """
     journal = None
     journal_sink = None
@@ -90,25 +94,17 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
     service = build_worker_service(spec, journal=journal)
     server, _thread = start_server(
         service,
-        host=spec.host,
+        host=HOST,
         port=0,
         identity={"shard": spec.shard, "pid": os.getpid()},
     )
     stop = threading.Event()
-    try:
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
-        signal.signal(signal.SIGINT, lambda *_: stop.set())
-    except ValueError:
-        pass  # not the main thread (in-process harness)
-    ready_conn.send(
-        {"shard": spec.shard, "port": server.port, "pid": os.getpid()}
-    )
+    signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    signal.signal(signal.SIGINT, lambda *_: stop.set())
+    ready_conn.send(server.port)
     ready_conn.close()
-    try:
-        while not stop.is_set():
-            stop.wait(0.2)
-    except KeyboardInterrupt:
-        pass
+    while not stop.is_set():
+        stop.wait(0.2)
     server.shutdown()
     server.server_close()
     service.shutdown()

@@ -96,9 +96,9 @@ ROWS = [
      "                pass\n"),
     # The probe loop sleeps through stop().
     ("COD006", "cluster/supervisor.py",
-     "        while not self._stop.wait(self.config.probe_interval_s):\n",
+     "        while not self._stop.wait(PROBE_INTERVAL_S):\n",
      "        while not self._stop.is_set():\n"
-     "            time.sleep(self.config.probe_interval_s)\n"),
+     "            time.sleep(PROBE_INTERVAL_S)\n"),
     # A session's retry backoff no longer ends when the session stops.
     ("COD006", "service/session.py",
      "    def wait(self, seconds: float) -> None:\n"
@@ -151,15 +151,15 @@ ROWS = [
     # A pipe read while holding the routing-table lock.
     ("CON003", "cluster/supervisor.py",
      "                try:\n"
-     "                    message = conn.recv()\n",
+     "                    port = conn.recv()\n",
      "                try:\n"
      "                    with self._lock:\n"
-     "                        message = conn.recv()\n"),
+     "                        port = conn.recv()\n"),
     # A health probe's whole round trip under the routing-table lock.
     ("CON003", "cluster/supervisor.py",
-     "        with connect(host, port, timeout=PROBE_TIMEOUT_S) as sock:\n",
+     "        with connect(HOST, port, timeout=PROBE_TIMEOUT_S) as sock:\n",
      "        with self._lock, connect(\n"
-     "            host, port, timeout=PROBE_TIMEOUT_S\n"
+     "            HOST, port, timeout=PROBE_TIMEOUT_S\n"
      "        ) as sock:\n"),
     # A journal event without a field the schema requires.
     ("CON004", "cluster/supervisor.py",

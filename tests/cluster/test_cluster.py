@@ -60,7 +60,7 @@ def wait_router_idle(cluster, timeout_s=10.0):
     """
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        snapshot = cluster.registry.as_dict()
+        snapshot = cluster.supervisor.registry.as_dict()
         settled = sum(
             snapshot[name]["value"]
             for name in (
@@ -78,9 +78,7 @@ def wait_router_idle(cluster, timeout_s=10.0):
 
 @pytest.fixture(scope="module")
 def cluster():
-    journal = EventJournal()
-    config = ClusterConfig(workers=2, probe_interval_s=0.2)
-    instance = Cluster(worker_specs(config), config, journal=journal)
+    instance = Cluster(worker_specs(2), journal=EventJournal())
     instance.start()
     try:
         yield instance
@@ -90,7 +88,7 @@ def cluster():
 
 class TestRouting:
     def test_query_round_trip_is_shard_tagged(self, cluster):
-        with connect("127.0.0.1", cluster.port) as sock:
+        with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             replies = send_request(stream, QUERY, "r1")
         summary = replies[-1]
@@ -104,7 +102,7 @@ class TestRouting:
 
     def test_same_query_sticks_to_one_shard(self, cluster):
         shards = set()
-        with connect("127.0.0.1", cluster.port) as sock:
+        with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             for i in range(5):
                 replies = send_request(stream, QUERY, f"sticky-{i}")
@@ -112,13 +110,13 @@ class TestRouting:
         assert len(shards) == 1  # cache affinity: one owner per query
 
     def test_routing_matches_the_ring(self, cluster):
-        with connect("127.0.0.1", cluster.port) as sock:
+        with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             replies = send_request(stream, QUERY, "ring-1")
         assert replies[-1]["shard"] == cluster.router.ring.shard_for(QUERY)
 
     def test_bad_request_answered_by_router(self, cluster):
-        with connect("127.0.0.1", cluster.port) as sock:
+        with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             stream.write(b'{"type": "query"}\n')
             stream.flush()
@@ -127,7 +125,7 @@ class TestRouting:
         assert reply["code"] == "bad_request"
 
     def test_router_health_identifies_itself(self, cluster):
-        with connect("127.0.0.1", cluster.port) as sock:
+        with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             stream.write(protocol.encode_line({"type": "health", "id": "h"}))
             stream.flush()
@@ -138,7 +136,7 @@ class TestRouting:
         assert set(reply["breakers"]) == {"shard-0", "shard-1"}
 
     def test_routed_events_are_journalled(self, cluster):
-        with connect("127.0.0.1", cluster.port) as sock:
+        with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             send_request(stream, QUERY, "journal-1")
         # The emit happens a hair after the client sees the summary
@@ -158,7 +156,7 @@ class TestRouting:
 class TestAggregation:
     def test_cluster_metrics_equal_merged_shard_scrapes(self, cluster):
         # Drive some traffic first so the merge is not vacuous.
-        with connect("127.0.0.1", cluster.port) as sock:
+        with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             for i in range(3):
                 send_request(stream, QUERY, f"agg-{i}")
@@ -166,14 +164,14 @@ class TestAggregation:
         # Quiesced now: control scrapes do not move any counters, so
         # the independent client-side merge must match the cluster's
         # own byte for byte.
-        expected = MetricRegistry().merge(cluster.registry)
+        expected = MetricRegistry().merge(cluster.supervisor.registry)
         for shard in cluster.supervisor.shards:
             expected.merge(cluster.supervisor.scrape(shard))
         assert cluster.prometheus_text() == render_registry(expected)
 
     def test_counters_sum_across_shards(self, cluster):
         wait_router_idle(cluster)
-        merged = cluster.merged_export()
+        merged = cluster.supervisor.merged_registry().as_dict()
         requests_at_shards = sum(
             cluster.supervisor.scrape(shard)["service.requests"]["value"]
             for shard in cluster.supervisor.shards
@@ -196,14 +194,16 @@ class TestAggregation:
 
     def test_metrics_control_record_returns_the_merge(self, cluster):
         wait_router_idle(cluster)
-        with connect("127.0.0.1", cluster.port) as sock:
+        with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             stream.write(protocol.encode_line({"type": "metrics", "id": "m"}))
             stream.flush()
             reply = protocol.decode_line(stream.readline())
         assert reply["type"] == "metrics"
         # Same instant, quiesced: must equal an independent merge.
-        assert reply["metrics"] == cluster.merged_export()
+        assert reply["metrics"] == (
+            cluster.supervisor.merged_registry().as_dict()
+        )
 
 
 class TestTagLine:
@@ -214,28 +214,20 @@ class TestTagLine:
         assert record["shard"] == 3
         assert record["id"] == "x"
 
-    def test_tag_is_pure_splice(self):
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b""])
+    def test_tag_is_pure_splice(self, end):
         # Everything the worker wrote survives byte-for-byte; only the
-        # tag is inserted before the closing brace.
-        line = protocol.encode_line({"a": 1, "b": [1, 2]})
-        tagged = tag_line(line, 7)
-        assert tagged == line[:-2] + b', "shard": 7}\n'
-
-    def test_non_object_lines_pass_through(self):
-        assert tag_line(b"garbage\n", 1) == b"garbage\n"
+        # tag is inserted before the closing brace, whatever ends the
+        # line (a worker that dies mid-write leaves no newline).
+        line = protocol.encode_line({"a": 1, "b": [1, 2]})[:-1]
+        tagged = tag_line(line + end, 7)
+        assert tagged == line[:-1] + b', "shard": 7}\n'
 
 
 class TestCrashRecovery:
     @pytest.fixture()
     def crashy_cluster(self):
-        config = ClusterConfig(
-            workers=2,
-            probe_interval_s=0.1,
-            cooldown_s=0.3,
-            failure_threshold=1,
-        )
-        journal = EventJournal()
-        instance = Cluster(worker_specs(config), config, journal=journal)
+        instance = Cluster(worker_specs(2), journal=EventJournal())
         instance.start()
         try:
             yield instance
@@ -266,7 +258,7 @@ class TestCrashRecovery:
         self._wait_restarted(cluster, shard, old_port)
         assert handle.restarts == 1
         assert cluster.supervisor.port_of(shard) != old_port
-        with connect("127.0.0.1", cluster.port) as sock:
+        with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             replies = send_request(stream, QUERY, "after-restart")
         assert replies[-1]["type"] == "summary"
@@ -291,7 +283,7 @@ class TestCrashRecovery:
         def client(worker_id):
             for i in range(10):
                 try:
-                    with connect("127.0.0.1", cluster.port, timeout=60) as s:
+                    with connect("127.0.0.1", cluster.router.port, timeout=60) as s:
                         stream = s.makefile("rwb")
                         replies = send_request(
                             stream, QUERY, f"crash-{worker_id}-{i}"
@@ -330,7 +322,7 @@ class TestSpecValidation:
 
     def test_cluster_config_validates(self):
         with pytest.raises(ServiceError):
-            ClusterConfig(workers=0)
+            worker_specs(0)
         with pytest.raises(ServiceError):
             ClusterConfig(backlog_per_shard=0)
 
@@ -357,14 +349,12 @@ class TestSpecValidation:
     def test_worker_specs_are_picklable(self, template):
         import pickle
 
-        specs = worker_specs(ClusterConfig(workers=3), template)
+        specs = worker_specs(3, template)
         assert pickle.loads(pickle.dumps(specs)) == specs
         assert all(spec.config == template.config for spec in specs)
 
     def test_journal_dir_names_per_shard_files(self, tmp_path):
-        specs = worker_specs(
-            ClusterConfig(workers=2), journal_dir=str(tmp_path)
-        )
+        specs = worker_specs(2, journal_dir=str(tmp_path))
         assert specs[0].journal_path.endswith("journal-shard0.jsonl")
         assert specs[1].journal_path.endswith("journal-shard1.jsonl")
 
@@ -489,7 +479,6 @@ class TestCapacity:
         from repro.service.loadgen import run_load
 
         mix = capacity_mix()
-        config = ClusterConfig(workers=2)
         template = WorkerSpec(
             shard=0,
             config=ServiceConfig(max_concurrent=MAX_CONCURRENT),
@@ -498,18 +487,22 @@ class TestCapacity:
             ).as_dict(),
         )
         specs = worker_specs(
-            config,
+            2,
             template,
             journal_dir=str(tmp_path_factory.mktemp("capacity")),
         )
         # Sixteen connections at once overflow the router's listen
         # backlog, and the late ones get in about a second later (a TCP
         # retransmit); the budget keeps both shards full after that.
-        with Cluster(specs, config) as cluster:
+        cluster = Cluster(specs)
+        port = cluster.start()
+        try:
             report = run_load(
-                "127.0.0.1", cluster.port, mix,
+                "127.0.0.1", port, mix,
                 requests=CAPACITY_REQUESTS, concurrency=16, timeout_s=60.0,
             )
+        finally:
+            cluster.stop()
         journals = {}
         for spec in specs:
             # One process writes the file in ``seq`` order, its exact
@@ -591,7 +584,7 @@ class TestLoadgenAgainstRouter:
         from repro.service.loadgen import run_load
 
         report = run_load(
-            "127.0.0.1", cluster.port, [QUERY], requests=8, concurrency=2
+            "127.0.0.1", cluster.router.port, [QUERY], requests=8, concurrency=2
         )
         assert report.completed == 8
         assert report.errors == 0

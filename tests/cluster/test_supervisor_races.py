@@ -1,7 +1,6 @@
-"""Regression tests for supervisor shutdown races (no real processes).
+"""Supervisor lifecycle tests with stub processes (no real processes).
 
-Both races were found by auditing the probe loop for PR 8's
-concurrency pass:
+Two shutdown races were found by auditing the probe loop:
 
 * ``_handle_death`` used to respawn a crashed worker even after
   ``stop()`` had begun terminating everything — the respawned process
@@ -10,16 +9,21 @@ concurrency pass:
   the probe thread reassigns it inside ``_spawn`` — a torn read could
   terminate the old incarnation and leak the new one.
 
-The tests drive ``_handle_death``/``stop`` directly with stub
-processes, so they stay fast and deterministic.
+The tests drive ``_handle_death``/``stop``/``_probe_loop`` directly
+with stub processes, so they stay fast and deterministic.  The worker
+states tier-1's real clusters never reach — ``restart_failed`` and
+``abandoned`` — are driven here too.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+from types import SimpleNamespace
+
 import pytest
 
-from repro.cluster.spec import ClusterConfig, WorkerSpec
-from repro.cluster.supervisor import ClusterSupervisor
+from repro.cluster.spec import WorkerSpec
+from repro.cluster.supervisor import MAX_RESTARTS_PER_SHARD, ClusterSupervisor
 from repro.observability.journal import EventJournal
 
 
@@ -45,6 +49,9 @@ class _StubProcess:
     def join(self, timeout=None) -> None:
         self.calls.append("join")
 
+    def start(self) -> None:
+        self.calls.append("start")
+
 
 class _StubConn:
     def __init__(self) -> None:
@@ -56,11 +63,7 @@ class _StubConn:
 
 @pytest.fixture
 def supervisor():
-    return ClusterSupervisor(
-        [WorkerSpec(shard=0)],
-        ClusterConfig(workers=1, max_restarts_per_shard=3),
-        journal=EventJournal(),
-    )
+    return ClusterSupervisor([WorkerSpec(shard=0)], journal=EventJournal())
 
 
 def worker_states(supervisor):
@@ -157,3 +160,56 @@ class TestStopLocking:
 
         # One entry for the process snapshot, one for the pipe swap.
         assert recording.entries >= 2
+
+
+class _Ticks:
+    """A stop event that lets the probe loop make *n* passes."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def wait(self, timeout=None) -> bool:
+        self.n -= 1
+        return self.n < 0
+
+    def is_set(self) -> bool:
+        return self.n < 0
+
+
+def assert_down(supervisor):
+    assert supervisor.port_of(0) is None
+    assert not supervisor.routable(0)
+    assert supervisor.breaker_states() == {"shard-0": "open"}
+
+
+class TestUnreachedStates:
+    def test_a_spent_budget_is_abandoned_once_not_every_tick(self, supervisor):
+        handle = supervisor._handles[0]
+        handle.process = _StubProcess(alive=False)
+        handle.port = 7000
+        handle.restarts = MAX_RESTARTS_PER_SHARD
+        supervisor._stop = _Ticks(5)
+
+        supervisor._probe_loop()
+
+        assert worker_states(supervisor) == ["died", "abandoned"]
+        assert_down(supervisor)
+
+    def test_a_ready_pipe_eof_is_restart_failed(self, supervisor):
+        # The respawned worker closes its pipe end without reporting.
+        supervisor._ctx = SimpleNamespace(
+            Pipe=multiprocessing.Pipe,
+            Process=lambda **kwargs: _StubProcess(alive=False),
+        )
+        handle = supervisor._handles[0]
+        handle.process = _StubProcess(alive=False)
+        handle.port = 7000
+
+        supervisor._handle_death(handle)
+        handle.ready_conn.close()
+
+        assert worker_states(supervisor) == [
+            "died", "spawned", "restart_failed"
+        ]
+        assert handle.restarts == 1
+        assert_down(supervisor)

@@ -33,11 +33,9 @@ def port(request, movies):
     if request.param == "router":
         # A supervisor that was told where its one worker listens
         # instead of spawning it: routing, relay and breaker are real.
-        supervisor = ClusterSupervisor(
-            [WorkerSpec(shard=0)], ClusterConfig(workers=1)
-        )
+        supervisor = ClusterSupervisor([WorkerSpec(shard=0)])
         supervisor._handles[0].port = servers[0].port
-        servers.append(start_router(supervisor)[0])
+        servers.append(start_router(supervisor, ClusterConfig())[0])
     try:
         yield servers[-1].port
     finally:

@@ -393,8 +393,9 @@ class TestServeWorkers:
         monkeypatch.undo()  # the real Cluster again
         from repro.cluster.runtime import Cluster
 
-        with Cluster(specs) as cluster:
-            with connect("127.0.0.1", cluster.port) as sock:
+        cluster = Cluster(specs)
+        try:
+            with connect("127.0.0.1", cluster.start()) as sock:
                 stream = sock.makefile("rwb")
                 stream.write(protocol.encode_line(protocol.request_record(
                     "q(M, R) :- play_in(ford, M), review_of(R, M)",
@@ -405,6 +406,8 @@ class TestServeWorkers:
                     reply = protocol.decode_line(stream.readline())
                     if reply["type"] in ("summary", "error"):
                         break
+        finally:
+            cluster.stop()
         assert reply["type"] == "summary"
         assert reply["status"] == "ok"
         assert reply["shard"] in (0, 1)
