@@ -232,11 +232,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
     from contextlib import ExitStack
 
-    from repro.cluster.spec import ClusterConfig, WorkerSpec
+    from repro.cluster.spec import WorkerSpec
+    from repro.observability.journal import NOOP_JOURNAL, EventJournal
     from repro.service.policy import RequestPolicy
     from repro.service.server import ServiceConfig
 
-    cluster_config = ClusterConfig(backlog_per_shard=args.backlog)
     chaos = None
     if args.chaos:
         from repro.resilience.chaos import bundled_profile
@@ -269,19 +269,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
     )
     chaos_note = f"; chaos: {args.chaos}" if args.chaos else ""
+    specs = None
+    if args.workers != 1:
+        from repro.cluster.runtime import worker_specs
+
+        # Shard k journals beside the router's journal.  Built before
+        # any file is opened, so a refused worker count touches nothing.
+        specs = worker_specs(
+            args.workers,
+            spec,
+            journal_dir=os.path.dirname(os.path.abspath(args.journal))
+            if args.journal
+            else None,
+        )
     # Unwinds in reverse: metrics endpoint, then the server or cluster,
     # then the journal file — also when starting any of them fails.
     with ExitStack() as cleanup:
-        journal = None
+        journal = NOOP_JOURNAL
         if args.journal:
-            from repro.observability.journal import EventJournal
-
             journal = EventJournal(
                 stream=cleanup.enter_context(
                     open(args.journal, "w", encoding="utf-8")
                 )
             )
-        if args.workers == 1:
+        if specs is None:
             from repro.cluster.worker import build_worker_service
             from repro.service.frontend import start_server
 
@@ -300,18 +311,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "Ctrl-C to stop)"
             )
         else:
-            from repro.cluster.runtime import Cluster, worker_specs
+            from repro.cluster.runtime import Cluster
 
-            # Shard k journals beside the router's journal.
-            journal_dir = (
-                os.path.dirname(os.path.abspath(args.journal))
-                if args.journal
-                else None
-            )
             cluster = Cluster(
-                worker_specs(args.workers, spec, journal_dir=journal_dir),
-                cluster_config,
-                journal=journal,
+                specs, backlog_per_shard=args.backlog, journal=journal
             )
             cleanup.callback(cluster.stop)
             port = cluster.start(host=args.host, port=args.port)

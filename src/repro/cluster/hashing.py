@@ -47,15 +47,12 @@ class ConsistentHashRing:
         self._points = [point for point, _ in ring]
         self._owners = [owner for _, owner in ring]
 
-    def shard_for(self, key: str) -> int:
-        """The shard owning *key*: first ring point at/after its hash."""
-        return next(self.candidates(key))
-
     def candidates(self, key: str) -> Iterator[int]:
         """All shards in ring order from *key*: primary, then failovers.
 
-        Yields each shard exactly once; exhausting the iterator means
-        every shard was tried.
+        The primary owns *key*: its point is the first at or after the
+        key's hash.  Yields each shard exactly once; exhausting the
+        iterator means every shard was tried.
         """
         start = bisect.bisect_left(self._points, _point(key))
         seen: set[int] = set()

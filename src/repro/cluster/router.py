@@ -40,10 +40,9 @@ import socketserver
 import threading
 
 from repro.cluster.hashing import ConsistentHashRing
-from repro.cluster.spec import ClusterConfig
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.cluster.worker import HOST
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ServiceError
 from repro.observability.journal import NOOP_JOURNAL, EventJournal
 from repro.service import protocol
 from repro.service.frontend import JsonLinesHandler, connect
@@ -100,7 +99,7 @@ class _RouterHandler(JsonLinesHandler):
                         request_id,
                         "overloaded",
                         f"shard {shard} backlog full "
-                        f"({router.config.backlog_per_shard} in flight)",
+                        f"({router.backlog_per_shard} in flight)",
                     )
                 )
                 return
@@ -227,18 +226,22 @@ class RouterTCPServer(socketserver.ThreadingTCPServer):
         self,
         address: tuple[str, int],
         supervisor: ClusterSupervisor,
-        config: ClusterConfig,
+        backlog_per_shard: int,
         *,
         journal: EventJournal = NOOP_JOURNAL,
     ) -> None:
+        if backlog_per_shard < 1:
+            raise ServiceError(
+                f"backlog_per_shard must be >= 1, got {backlog_per_shard}"
+            )
         super().__init__(address, _RouterHandler)
         self.supervisor = supervisor
-        self.config = config
+        self.backlog_per_shard = backlog_per_shard
         self.journal = journal
         self.ring = ConsistentHashRing(supervisor.shards)
         #: Bounded in-flight relay slots per shard.
         self.backlogs = {
-            shard: threading.BoundedSemaphore(config.backlog_per_shard)
+            shard: threading.BoundedSemaphore(backlog_per_shard)
             for shard in supervisor.shards
         }
         registry = supervisor.registry
@@ -274,14 +277,16 @@ class RouterTCPServer(socketserver.ThreadingTCPServer):
 
 def start_router(
     supervisor: ClusterSupervisor,
-    config: ClusterConfig,
+    backlog_per_shard: int,
     host: str = "127.0.0.1",
     port: int = 0,
     *,
     journal: EventJournal = NOOP_JOURNAL,
 ) -> tuple[RouterTCPServer, threading.Thread]:
     """Serve the router in a background thread; ``port=0`` picks one."""
-    server = RouterTCPServer((host, port), supervisor, config, journal=journal)
+    server = RouterTCPServer(
+        (host, port), supervisor, backlog_per_shard, journal=journal
+    )
     thread = threading.Thread(
         target=server.serve_forever,
         kwargs={"poll_interval": 0.05},

@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.cluster.router import RouterTCPServer, start_router
-from repro.cluster.spec import ClusterConfig, WorkerSpec
+from repro.cluster.spec import WorkerSpec
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.errors import ServiceError
 from repro.observability.journal import NOOP_JOURNAL, EventJournal
@@ -59,11 +59,11 @@ class Cluster:
     def __init__(
         self,
         specs: list[WorkerSpec],
-        config: ClusterConfig = ClusterConfig(),
         *,
+        backlog_per_shard: int = 32,
         journal: EventJournal = NOOP_JOURNAL,
     ) -> None:
-        self.config = config
+        self.backlog_per_shard = backlog_per_shard
         self.journal = journal
         self.supervisor = ClusterSupervisor(specs, journal=journal)
         self.router: Optional[RouterTCPServer] = None
@@ -72,7 +72,11 @@ class Cluster:
         """Start workers, then the router; returns the router port."""
         self.supervisor.start()
         self.router, _thread = start_router(
-            self.supervisor, self.config, host, port, journal=self.journal
+            self.supervisor,
+            self.backlog_per_shard,
+            host,
+            port,
+            journal=self.journal,
         )
         return self.router.port
 

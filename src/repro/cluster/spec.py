@@ -1,4 +1,4 @@
-"""Picklable descriptions of a served catalog and of a cluster.
+"""A picklable description of one served catalog.
 
 A worker process is started with the ``spawn`` context (see
 :mod:`repro.cluster.supervisor` for why), so everything it needs must
@@ -19,7 +19,7 @@ from repro.errors import ServiceError
 from repro.service.server import ServiceConfig
 from repro.service.workloads import WORKLOAD_NAMES
 
-__all__ = ["ClusterConfig", "WorkerSpec"]
+__all__ = ["WorkerSpec"]
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,3 @@ class WorkerSpec:
                 f"have {', '.join(WORKLOAD_NAMES)}"
             )
 
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """The router's one knob.
-
-    ``backlog_per_shard`` bounds how many relays may be in flight to
-    one worker before the router sheds with ``overloaded`` — the
-    cluster-level analogue of the service's admission gate.  The
-    supervisor's probe, breaker and restart settings are constants in
-    :mod:`repro.cluster.supervisor`.
-    """
-
-    backlog_per_shard: int = 32
-
-    def __post_init__(self) -> None:
-        if self.backlog_per_shard < 1:
-            raise ServiceError(
-                f"backlog_per_shard must be >= 1, got {self.backlog_per_shard}"
-            )

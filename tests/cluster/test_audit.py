@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import repro.cluster
-from repro.cluster import hashing, router, supervisor
+from repro.cluster import hashing, router, spec, supervisor
 from repro.cluster.hashing import ConsistentHashRing
 from repro.cluster.router import RouterTCPServer, tag_line
 from repro.cluster.runtime import Cluster
-from repro.cluster.spec import ClusterConfig, WorkerSpec
+from repro.cluster.spec import WorkerSpec
 from repro.cluster.supervisor import ClusterSupervisor, WorkerHandle
 from repro.cluster.worker import worker_main
 from repro.errors import ServiceError
@@ -47,6 +47,22 @@ def fields(cls):
     return {field.name for field in dataclasses.fields(cls)}
 
 
+def cluster_config_fields():
+    """``ClusterConfig``'s fields, should the class come back."""
+    config = getattr(spec, "ClusterConfig", None)
+    return set() if config is None else fields(config)
+
+
+def knobs():
+    """What a caller can set on a cluster, its supervisor or its router."""
+    return (
+        cluster_config_fields()
+        | params(Cluster)
+        | params(ClusterSupervisor)
+        | params(RouterTCPServer)
+    )
+
+
 def source(function):
     return inspect.getsource(function)
 
@@ -65,8 +81,8 @@ def refuses_an_empty_ring():
 
 def router_falls_back():
     parameters = inspect.signature(RouterTCPServer).parameters
-    return bool({"registry", "merged_export"} & set(parameters)) or (
-        parameters["config"].default is not inspect.Parameter.empty
+    return bool({"registry", "merged_export", "config"} & set(parameters)) or (
+        parameters["backlog_per_shard"].default is not inspect.Parameter.empty
     )
 
 
@@ -80,6 +96,8 @@ PRESENT = {
             {"__len__", "__contains__", "__repr__", "shards"}
             & set(vars(ConsistentHashRing))
         ),
+    "`ConsistentHashRing.shard_for`":
+        lambda: hasattr(ConsistentHashRing, "shard_for"),
     "`ConsistentHashRing(replicas=)`":
         lambda: "replicas" in params(ConsistentHashRing)
         or hashing.REPLICAS != 64,
@@ -90,22 +108,23 @@ PRESENT = {
         or hasattr(RouterTCPServer, "shard_counter"),
     "the router's `config` / `registry` / `merged_export` fallbacks":
         router_falls_back,
-    "`ClusterConfig.host`": lambda: "host" in fields(ClusterConfig),
+    "`ClusterConfig`": lambda: hasattr(spec, "ClusterConfig"),
+    "`ClusterConfig.host`": lambda: "host" in cluster_config_fields(),
     "`WorkerSpec.host`, `supervisor.host_of`":
         lambda: "host" in fields(WorkerSpec)
         or hasattr(ClusterSupervisor, "host_of"),
-    "`ClusterConfig.workers`": lambda: "workers" in fields(ClusterConfig),
+    "`ClusterConfig.workers`": lambda: "workers" in cluster_config_fields(),
     "`probe_interval_s`":
-        lambda: "probe_interval_s" in fields(ClusterConfig)
+        lambda: "probe_interval_s" in knobs()
         or supervisor.PROBE_INTERVAL_S != 0.25,
     "`failure_threshold`":
-        lambda: "failure_threshold" in fields(ClusterConfig)
+        lambda: "failure_threshold" in knobs()
         or supervisor.FAILURE_THRESHOLD != 3,
     "`cooldown_s`":
-        lambda: "cooldown_s" in fields(ClusterConfig)
+        lambda: "cooldown_s" in knobs()
         or supervisor.COOLDOWN_S != 1.0,
     "`max_restarts_per_shard`":
-        lambda: "max_restarts_per_shard" in fields(ClusterConfig)
+        lambda: "max_restarts_per_shard" in knobs()
         or supervisor.MAX_RESTARTS_PER_SHARD != 5,
     "`WorkerHandle.pid`": lambda: "pid" in vars(handle()),
     "the second `breaker.reset()` in `_handle_death`":
@@ -133,7 +152,7 @@ PRESENT = {
     "ring-order failover (`candidates`)":
         lambda: sorted(ConsistentHashRing(range(3)).candidates("q")) == [0, 1, 2],
     "the per-shard relay backlog (`backlog_per_shard`)":
-        lambda: "backlog_per_shard" in fields(ClusterConfig),
+        lambda: "backlog_per_shard" in params(RouterTCPServer),
     "relay outcomes on the shard breaker":
         lambda: "record_relay_outcome" in source(router._RouterHandler),
     "the `shard_failed` record":

@@ -14,8 +14,9 @@ import urllib.request
 import pytest
 
 from repro.cluster.runtime import Cluster, worker_specs
-from repro.cluster.router import tag_line
-from repro.cluster.spec import ClusterConfig, WorkerSpec
+from repro.cluster.router import RouterTCPServer, tag_line
+from repro.cluster.spec import WorkerSpec
+from repro.cluster.supervisor import ClusterSupervisor
 from repro.cluster.worker import build_worker_service
 from repro.errors import ServiceError
 from repro.observability.journal import EventJournal
@@ -113,7 +114,8 @@ class TestRouting:
         with connect("127.0.0.1", cluster.router.port) as sock:
             stream = sock.makefile("rwb")
             replies = send_request(stream, QUERY, "ring-1")
-        assert replies[-1]["shard"] == cluster.router.ring.shard_for(QUERY)
+        owner = next(cluster.router.ring.candidates(QUERY))
+        assert replies[-1]["shard"] == owner
 
     def test_bad_request_answered_by_router(self, cluster):
         with connect("127.0.0.1", cluster.router.port) as sock:
@@ -250,7 +252,7 @@ class TestCrashRecovery:
 
     def test_killed_worker_is_restarted_and_serves_again(self, crashy_cluster):
         cluster = crashy_cluster
-        shard = cluster.router.ring.shard_for(QUERY)
+        shard = next(cluster.router.ring.candidates(QUERY))
         old_port = cluster.supervisor.port_of(shard)
         handle = cluster.supervisor._handles[shard]
         handle.process.kill()
@@ -276,7 +278,7 @@ class TestCrashRecovery:
         # single request must get a terminal record (summary or error),
         # never a hang or a dropped stream.
         cluster = crashy_cluster
-        shard = cluster.router.ring.shard_for(QUERY)
+        shard = next(cluster.router.ring.candidates(QUERY))
         outcomes: list[str] = []
         lock = threading.Lock()
 
@@ -323,8 +325,9 @@ class TestSpecValidation:
     def test_cluster_config_validates(self):
         with pytest.raises(ServiceError):
             worker_specs(0)
-        with pytest.raises(ServiceError):
-            ClusterConfig(backlog_per_shard=0)
+        supervisor = ClusterSupervisor([WorkerSpec(shard=0)])
+        with pytest.raises(ServiceError, match="backlog_per_shard must be"):
+            RouterTCPServer(("127.0.0.1", 0), supervisor, 0)
 
     @pytest.mark.parametrize(
         "template",
@@ -454,7 +457,7 @@ def capacity_mix():
     ring = ConsistentHashRing(range(2))
     owned = {0: [], 1: []}
     for text in build_query_mix(catalog, 64, seed=0):
-        queries = owned[ring.shard_for(text)]
+        queries = owned[next(ring.candidates(text))]
         if len(queries) < QUERIES_PER_SHARD:
             queries.append(text)
     return [text for pair in zip(owned[0], owned[1]) for text in pair]
@@ -521,7 +524,7 @@ class TestCapacity:
         mix = capacity_mix()
         ring = ConsistentHashRing(range(2))
         assert len(set(mix)) == len(mix) == 2 * QUERIES_PER_SHARD
-        assert [ring.shard_for(text) for text in mix] == [0, 1] * 4
+        assert [next(ring.candidates(text)) for text in mix] == [0, 1] * 4
 
     def test_every_request_completes_without_error(self, run):
         _mix, report, _journals = run
@@ -543,7 +546,7 @@ class TestCapacity:
         expected = {
             f"load-{index}"
             for index in range(CAPACITY_REQUESTS)
-            if ring.shard_for(mix[index % len(mix)]) == shard
+            if next(ring.candidates(mix[index % len(mix)])) == shard
         }
         for kind in LIFECYCLE:
             ids = [

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster.hashing import ConsistentHashRing
 from repro.cluster.router import start_router
-from repro.cluster.spec import ClusterConfig, WorkerSpec
+from repro.cluster.spec import WorkerSpec
 from repro.cluster.supervisor import FAILURE_THRESHOLD, ClusterSupervisor
 from repro.service import protocol
 from repro.service.frontend import connect
@@ -23,7 +23,7 @@ from tests.service.helpers import roundtrip
 
 QUERY = "q(X) :- r(X)"
 #: The shard a two-shard ring routes QUERY to first, and its neighbour.
-PRIMARY = ConsistentHashRing(range(2)).shard_for(QUERY)
+PRIMARY = next(ConsistentHashRing(range(2)).candidates(QUERY))
 OTHER = 1 - PRIMARY
 
 
@@ -78,17 +78,17 @@ class ScriptedShard(socketserver.ThreadingTCPServer):
 
 @pytest.fixture
 def cluster():
-    """``cluster(*scripts, config=...)``: a router whose shard k runs scripts[k]."""
+    """``cluster(*scripts)``: a router whose shard k runs scripts[k]."""
     servers = []
 
-    def build(*scripts, config=ClusterConfig()):
+    def build(*scripts, backlog_per_shard=32):
         supervisor = ClusterSupervisor(
             [WorkerSpec(shard=shard) for shard in range(len(scripts))]
         )
         for shard, script in enumerate(scripts):
             servers.append(ScriptedShard(script))
             supervisor._handles[shard].port = servers[-1].server_address[1]
-        router = start_router(supervisor, config)[0]
+        router = start_router(supervisor, backlog_per_shard)[0]
         servers.append(router)
         return router
 
@@ -183,7 +183,7 @@ class TestShedding:
     def test_a_full_backlog_is_overloaded(self, cluster, client):
         router = cluster(
             *two_shards("summary", "summary"),
-            config=ClusterConfig(backlog_per_shard=1),
+            backlog_per_shard=1,
         )
         me = client(router)
         router.backlogs[PRIMARY].acquire()

@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.cluster.router import start_router
-from repro.cluster.spec import ClusterConfig, WorkerSpec
+from repro.cluster.spec import WorkerSpec
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.service import protocol
 from repro.service.frontend import connect, start_server
@@ -35,7 +35,7 @@ def port(request, movies):
         # instead of spawning it: routing, relay and breaker are real.
         supervisor = ClusterSupervisor([WorkerSpec(shard=0)])
         supervisor._handles[0].port = servers[0].port
-        servers.append(start_router(supervisor, ClusterConfig())[0])
+        servers.append(start_router(supervisor, 32)[0])
     try:
         yield servers[-1].port
     finally:

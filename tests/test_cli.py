@@ -298,6 +298,15 @@ class TestServeValidation:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"repro: {message}"
 
+    def test_a_refused_worker_count_leaves_the_journal_alone(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "cluster.jsonl"
+        journal.write_text("kept\n", encoding="utf-8")
+        assert main(["serve", "--workers", "0", "--journal", str(journal)]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert journal.read_text(encoding="utf-8") == "kept\n"
+
 
 class _Captured(Exception):
     """Raised by the fake cluster once it holds serve's specs."""
@@ -311,9 +320,10 @@ def cluster_specs(monkeypatch):
     captured = {}
 
     class FakeCluster:
-        def __init__(self, specs, config=None, *, journal=None):
+        def __init__(self, specs, *, backlog_per_shard, journal):
             captured["specs"] = specs
-            captured["config"] = config
+            captured["backlog_per_shard"] = backlog_per_shard
+            captured["journal"] = journal
             raise _Captured
 
     monkeypatch.setattr(runtime, "Cluster", FakeCluster)
@@ -370,7 +380,7 @@ class TestServeWorkers:
 
     def test_backlog_is_also_the_routers_per_shard_cap(self, cluster_specs):
         specs = cluster_specs("--backlog", "5")
-        assert cluster_specs.captured["config"].backlog_per_shard == 5
+        assert cluster_specs.captured["backlog_per_shard"] == 5
         assert all(spec.config.backlog == 5 for spec in specs)
 
     def test_shard_journals_sit_beside_the_router_journal(
@@ -381,6 +391,19 @@ class TestServeWorkers:
             str(tmp_path / "journal-shard0.jsonl"),
             str(tmp_path / "journal-shard1.jsonl"),
         ]
+
+    @pytest.mark.parametrize("journalled", [False, True])
+    def test_the_cluster_always_gets_an_event_journal(
+        self, cluster_specs, tmp_path, journalled
+    ):
+        from repro.observability.journal import EventJournal
+
+        flags = ["--journal", str(tmp_path / "cluster.jsonl")] * journalled
+        cluster_specs(*flags)
+        journal = cluster_specs.captured["journal"]
+        # The supervisor and router emit on it unconditionally.
+        assert isinstance(journal, EventJournal)
+        assert journal.enabled == journalled
 
     @pytest.mark.slow
     def test_trace_spans_come_back_through_the_router(
