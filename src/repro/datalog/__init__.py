@@ -7,32 +7,17 @@ used both to execute concrete query plans and to evaluate inverse-rule
 programs.
 """
 
-from repro.datalog.containment import find_containment_mapping, is_contained
-from repro.datalog.engine import evaluate_program, evaluate_rule_body
-from repro.datalog.parser import parse_atom, parse_program, parse_query, parse_rule
-from repro.datalog.program import Program, Rule
+from repro.datalog.containment import is_contained
+from repro.datalog.parser import parse_atom, parse_query
 from repro.datalog.query import ConjunctiveQuery
-from repro.datalog.terms import Atom, Constant, FunctionTerm, Term, Variable
-from repro.datalog.unification import match_atom, unify_atoms, unify_terms
+from repro.datalog.terms import Atom, Constant, Variable
 
 __all__ = [
     "Atom",
     "ConjunctiveQuery",
     "Constant",
-    "FunctionTerm",
-    "Program",
-    "Rule",
-    "Term",
     "Variable",
-    "evaluate_program",
-    "evaluate_rule_body",
-    "find_containment_mapping",
     "is_contained",
-    "match_atom",
     "parse_atom",
-    "parse_program",
     "parse_query",
-    "parse_rule",
-    "unify_atoms",
-    "unify_terms",
 ]

@@ -98,8 +98,3 @@ def is_contained(inner: ConjunctiveQuery, outer: ConjunctiveQuery) -> bool:
     ``is_contained(q1, q2)`` decides ``q1 subseteq q2`` on all databases.
     """
     return find_containment_mapping(outer, inner) is not None
-
-
-def are_equivalent(first: ConjunctiveQuery, second: ConjunctiveQuery) -> bool:
-    """Return True iff the two queries are logically equivalent."""
-    return is_contained(first, second) and is_contained(second, first)

@@ -248,15 +248,11 @@ def evaluate_rule(
 def evaluate_program(
     program: Program,
     edb: Mapping[str, Iterable[tuple[object, ...]]],
-    max_rounds: Optional[int] = None,
 ) -> Database:
     """Compute the fixpoint of *program* over the facts in *edb*.
 
     Returns a database containing both the EDB facts and all derived
-    IDB facts.  ``max_rounds`` bounds the number of semi-naive rounds
-    (useful as a safety net for programs with Skolem terms, which in
-    pathological recursive cases may not terminate); None means no
-    bound.
+    IDB facts.
     """
     database: Database = {pred: set(facts) for pred, facts in edb.items()}
     # Round 0: naive firing over the EDB.
@@ -268,15 +264,10 @@ def evaluate_program(
             database.setdefault(rule.head.predicate, set()).update(fresh)
             delta.setdefault(rule.head.predicate, set()).update(fresh)
 
-    rounds = 0
     while delta:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
         next_delta: Database = {}
         for rule in program.rules:
-            if not any(atom.predicate in delta for atom in rule.body):
-                continue
+            # A rule with no delta predicate in its body joins nothing.
             new = evaluate_rule(rule, database, delta)
             fresh = new - database.get(rule.head.predicate, set())
             if fresh:
@@ -291,17 +282,14 @@ def answer_query(
     program: Program,
     edb: Mapping[str, Iterable[tuple[object, ...]]],
     query_predicate: str,
-    drop_skolems: bool = True,
 ) -> set[tuple[object, ...]]:
     """Evaluate *program* and return the facts of *query_predicate*.
 
-    With ``drop_skolems`` (the default), answers containing Skolem
-    function terms are filtered out: those are not certain answers.
+    Answers containing Skolem function terms are dropped: those are not
+    certain answers.
     """
     database = evaluate_program(program, edb)
     answers = database.get(query_predicate, set())
-    if not drop_skolems:
-        return set(answers)
     return {
         row
         for row in answers

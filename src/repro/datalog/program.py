@@ -10,10 +10,9 @@ terms; the engine handles these transparently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import DatalogError
-from repro.datalog.terms import Atom, FunctionTerm
+from repro.datalog.terms import Atom
 
 
 @dataclass(frozen=True)
@@ -32,9 +31,6 @@ class Rule:
         body_vars = {v for atom in self.body for v in atom.variables()}
         return all(v in body_vars for v in self.head.variables())
 
-    def head_has_function_terms(self) -> bool:
-        return any(isinstance(arg, FunctionTerm) for arg in self.head.args)
-
     def __str__(self) -> str:
         body = ", ".join(str(a) for a in self.body)
         return f"{self.head} :- {body}"
@@ -52,53 +48,6 @@ class Program:
         for rule in self.rules:
             if not rule.is_safe():
                 raise DatalogError(f"unsafe rule: {rule}")
-
-    def idb_predicates(self) -> frozenset[str]:
-        """Predicates defined by some rule head."""
-        return frozenset(rule.head.predicate for rule in self.rules)
-
-    def edb_predicates(self) -> frozenset[str]:
-        """Body predicates never defined by a rule head."""
-        idb = self.idb_predicates()
-        return frozenset(
-            atom.predicate
-            for rule in self.rules
-            for atom in rule.body
-            if atom.predicate not in idb
-        )
-
-    def rules_for(self, predicate: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.head.predicate == predicate)
-
-    def is_recursive(self) -> bool:
-        """True when some IDB predicate (transitively) depends on itself."""
-        deps: dict[str, set[str]] = {}
-        idb = self.idb_predicates()
-        for rule in self.rules:
-            deps.setdefault(rule.head.predicate, set()).update(
-                atom.predicate for atom in rule.body if atom.predicate in idb
-            )
-        # DFS for a cycle in the dependency graph.
-        visiting: set[str] = set()
-        done: set[str] = set()
-
-        def has_cycle(node: str) -> bool:
-            if node in done:
-                return False
-            if node in visiting:
-                return True
-            visiting.add(node)
-            for succ in deps.get(node, ()):
-                if has_cycle(succ):
-                    return True
-            visiting.discard(node)
-            done.add(node)
-            return False
-
-        return any(has_cycle(p) for p in idb)
-
-    def extended(self, extra: Iterable[Rule]) -> "Program":
-        return Program(self.rules + tuple(extra))
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)

@@ -10,10 +10,9 @@ over different vocabularies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import DatalogError
-from repro.datalog.terms import Atom, Constant, Substitution, Variable
+from repro.datalog.terms import Atom, Substitution, Variable
 
 
 @dataclass(frozen=True)
@@ -56,15 +55,6 @@ class ConjunctiveQuery:
                 seen.setdefault(var, None)
         return tuple(seen)
 
-    def distinguished_variables(self) -> tuple[Variable, ...]:
-        """Variables of the head (the query's output variables)."""
-        return self.head.variables()
-
-    def existential_variables(self) -> tuple[Variable, ...]:
-        """Body variables that do not occur in the head."""
-        head_vars = set(self.head.variables())
-        return tuple(v for v in self.variables() if v not in head_vars)
-
     def predicates(self) -> tuple[str, ...]:
         """Distinct body predicates in order of first occurrence."""
         seen: dict[str, None] = {}
@@ -100,32 +90,6 @@ class ConjunctiveQuery:
         mapping = {v: Variable(v.name + suffix) for v in self.variables()}
         return self.substitute(mapping)
 
-    def freeze(self) -> dict[str, set[tuple[object, ...]]]:
-        """Build the canonical database of the query.
-
-        Each variable is replaced by a fresh constant; the resulting
-        ground body atoms become facts.  Query containment reduces to
-        evaluating one query over the other's canonical database.
-        """
-        mapping: Substitution = {
-            v: Constant(("_frozen", v.name)) for v in self.variables()
-        }
-        facts: dict[str, set[tuple[object, ...]]] = {}
-        for atom in self.body:
-            ground = atom.substitute(mapping)
-            values = tuple(
-                arg.value if isinstance(arg, Constant) else arg for arg in ground.args
-            )
-            facts.setdefault(atom.predicate, set()).add(values)
-        return facts
-
     def __str__(self) -> str:
         body = ", ".join(str(a) for a in self.body)
         return f"{self.head} :- {body}"
-
-
-def make_query(head: Atom, body: Iterable[Atom]) -> ConjunctiveQuery:
-    """Build a conjunctive query and verify that it is safe."""
-    query = ConjunctiveQuery(head, tuple(body))
-    query.check_safe()
-    return query

@@ -73,15 +73,6 @@ class FunctionTerm:
         return f"FunctionTerm({self.functor!r}, {self.args!r})"
 
 
-def is_ground(term: Term) -> bool:
-    """Return True when *term* contains no variables."""
-    if isinstance(term, Variable):
-        return False
-    if isinstance(term, FunctionTerm):
-        return all(is_ground(a) for a in term.args)
-    return True
-
-
 def term_variables(term: Term) -> Iterator[Variable]:
     """Yield every variable occurring in *term* (with repetitions)."""
     if isinstance(term, Variable):
@@ -125,21 +116,9 @@ class Atom:
                 seen.setdefault(var, None)
         return tuple(seen)
 
-    def constants(self) -> tuple[Constant, ...]:
-        """All constants appearing directly as arguments."""
-        return tuple(a for a in self.args if isinstance(a, Constant))
-
-    def is_ground(self) -> bool:
-        return all(is_ground(a) for a in self.args)
-
     def substitute(self, subst: Substitution) -> "Atom":
         """Return a copy of the atom with *subst* applied to its args."""
         return Atom(self.predicate, tuple(substitute_term(a, subst) for a in self.args))
-
-    def rename(self, suffix: str) -> "Atom":
-        """Rename every variable by appending *suffix* to its name."""
-        mapping = {v: Variable(v.name + suffix) for v in self.variables()}
-        return self.substitute(mapping)
 
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
@@ -147,12 +126,3 @@ class Atom:
 
     def __repr__(self) -> str:
         return f"Atom({self.predicate!r}, {self.args!r})"
-
-
-def fresh_variables(atoms: Iterator[Atom] | tuple[Atom, ...], suffix: str) -> dict[Variable, Variable]:
-    """Build a renaming that appends *suffix* to every variable in *atoms*."""
-    mapping: dict[Variable, Variable] = {}
-    for atom in atoms:
-        for var in atom.variables():
-            mapping.setdefault(var, Variable(var.name + suffix))
-    return mapping

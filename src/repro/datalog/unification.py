@@ -1,27 +1,16 @@
-"""Unification and one-way matching of terms and atoms.
+"""Unification of terms and atoms.
 
-Two operations are provided:
-
-* :func:`unify_terms` / :func:`unify_atoms` -- full two-way unification
-  producing a most general unifier (MGU).  Used by the bucket algorithm
-  to decide whether a source atom can cover a query subgoal.
-* :func:`match_atom` -- one-way matching of a pattern atom against a
-  ground atom.  Used by the datalog engine when joining subgoals
-  against facts.
+:func:`unify_terms` / :func:`unify_atoms` compute a most general
+unifier (MGU).  The bucket algorithm uses them to decide whether a
+source atom can cover a query subgoal, and the soundness test to
+assemble a plan's expansion.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.datalog.terms import (
-    Atom,
-    Constant,
-    FunctionTerm,
-    Term,
-    Variable,
-    substitute_term,
-)
+from repro.datalog.terms import Atom, Constant, FunctionTerm, Term, Variable
 
 
 def _walk(term: Term, subst: dict[Variable, Term]) -> Term:
@@ -104,44 +93,3 @@ def resolve(term: Term, subst: dict[Variable, Term]) -> Term:
 def resolve_atom(atom: Atom, subst: dict[Variable, Term]) -> Atom:
     """Fully apply a triangular substitution to every argument of *atom*."""
     return Atom(atom.predicate, tuple(resolve(a, subst) for a in atom.args))
-
-
-def match_atom(
-    pattern: Atom, fact: Atom, subst: Optional[dict[Variable, Term]] = None
-) -> Optional[dict[Variable, Term]]:
-    """One-way match: bind variables of *pattern* so it equals *fact*.
-
-    *fact* must be ground.  Unlike unification, variables occurring in
-    *fact* are treated as errors by construction (facts are ground), so
-    a plain recursive descent suffices.
-    """
-    if pattern.predicate != fact.predicate or pattern.arity != fact.arity:
-        return None
-    if subst is None:
-        subst = {}
-    else:
-        subst = dict(subst)
-    for p_arg, f_arg in zip(pattern.args, fact.args):
-        if not _match_term(p_arg, f_arg, subst):
-            return None
-    return subst
-
-
-def _match_term(pattern: Term, value: Term, subst: dict[Variable, Term]) -> bool:
-    pattern = substitute_term(pattern, subst)
-    if isinstance(pattern, Variable):
-        subst[pattern] = value
-        return True
-    if isinstance(pattern, Constant):
-        return isinstance(value, Constant) and pattern.value == value.value
-    if isinstance(pattern, FunctionTerm):
-        if (
-            not isinstance(value, FunctionTerm)
-            or pattern.functor != value.functor
-            or len(pattern.args) != len(value.args)
-        ):
-            return False
-        return all(
-            _match_term(p, v, subst) for p, v in zip(pattern.args, value.args)
-        )
-    return False

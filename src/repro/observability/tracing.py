@@ -30,7 +30,7 @@ class Stopwatch:
     """A bare ``perf_counter`` timer usable as a context manager.
 
     This is the timer primitive every span uses; code that needs an
-    elapsed time without a tracer (e.g. ``timed_ordering``) uses it
+    elapsed time without a tracer (e.g. AnyK's per-plan delay) uses it
     directly.
     """
 

@@ -25,20 +25,16 @@ per measure by the one rule in :mod:`repro.ordering.regimes`.
 """
 
 from repro.errors import OrderingError
-from repro.ordering.adaptive import AdaptiveOrderer
-from repro.ordering.anyk import AnyKOrderer
-
 from repro.ordering.abstraction import (
-    AbstractPlan,
-    AbstractSource,
-    AbstractionHeuristic,
     ExtensionSimilarityHeuristic,
     OutputCountHeuristic,
     RandomHeuristic,
 )
+from repro.ordering.adaptive import AdaptiveOrderer
+from repro.ordering.anyk import AnyKOrderer
 from repro.ordering.base import OrderedPlan, OrderingStats, PlanOrderer
 from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
-from repro.ordering.drips import DripsPlanner, drips_search
+from repro.ordering.drips import DripsPlanner
 from repro.ordering.greedy import GreedyOrderer
 from repro.ordering.idrips import IDripsOrderer
 from repro.ordering.regimes import AUTO_ORDERER, resolve_orderer_name
@@ -68,11 +64,7 @@ def orderer_class(name: str, utility: UtilityMeasure) -> type[PlanOrderer]:
 
 __all__ = [
     "AUTO_ORDERER",
-    "AbstractPlan",
     "AdaptiveOrderer",
-    "AnyKOrderer",
-    "AbstractSource",
-    "AbstractionHeuristic",
     "DripsPlanner",
     "ExhaustiveOrderer",
     "ExtensionSimilarityHeuristic",
@@ -86,7 +78,6 @@ __all__ = [
     "PlanOrderer",
     "RandomHeuristic",
     "StreamerOrderer",
-    "drips_search",
     "orderer_class",
     "resolve_orderer_name",
 ]

@@ -148,8 +148,7 @@ class AdaptiveOrderer(PlanOrderer):
         they would without the wrapper — and once per restart.
     epoch:
         The :class:`~repro.resilience.health.HealthEpoch` to watch
-        (``ResilienceManager.epoch``).  ``None`` disables re-ordering
-        entirely: the wrapper becomes a transparent pass-through.
+        (``ResilienceManager.epoch``).
     """
 
     name = "adaptive"
@@ -159,12 +158,11 @@ class AdaptiveOrderer(PlanOrderer):
         utility: UtilityMeasure,
         *,
         inner_factory: Callable[[UtilityMeasure], PlanOrderer],
-        epoch=None,
-        cache: bool = False,
+        epoch,
         registry: Optional[MetricRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        super().__init__(utility, cache=cache, registry=registry, tracer=tracer)
+        super().__init__(utility, registry=registry, tracer=tracer)
         self.inner_factory = inner_factory
         self.epoch = epoch
         #: Optional BoundJournal; set via :meth:`bind_journal` by the
@@ -203,9 +201,6 @@ class AdaptiveOrderer(PlanOrderer):
         if self.tracer.enabled:
             inner.tracer = self.tracer
         return inner
-
-    def _epoch_value(self) -> int:
-        return self.epoch.value if self.epoch is not None else 0
 
     # -- the trigger test --------------------------------------------------------
 
@@ -261,7 +256,7 @@ class AdaptiveOrderer(PlanOrderer):
             return pending.pop(plan.key)
 
         emitted = 0
-        seen_epoch = self._epoch_value()
+        seen_epoch = self.epoch.value
         inner = self._make_inner(executed).order_spaces(
             remaining, k, inner_on_emit
         )
@@ -270,41 +265,40 @@ class AdaptiveOrderer(PlanOrderer):
                 entry = next(inner, None)
                 if entry is None:
                     break
-                if self.epoch is not None:
-                    self._epoch_checks.inc()
-                    current = self._epoch_value()
-                    if current != seen_epoch:
-                        # Re-score under the epoch we are about to act
-                        # on; a bump racing in *during* the check is
-                        # caught at the next plan.
-                        seen_epoch = current
-                        shifted, head_value, frontier_hi = (
-                            self._ranking_shifted(entry, remaining, executed)
-                        )
-                        if shifted:
-                            self._reorders.inc()
-                            journal = self.journal
-                            if journal is not None and journal.enabled:
-                                journal.emit(
-                                    "plan.reordered",
-                                    rank=emitted + 1,
-                                    epoch=current,
-                                    old_head=list(entry.plan.key),
-                                    head_utility=head_value,
-                                    frontier_hi=frontier_hi,
-                                )
-                            old_head = entry.plan.key
-                            inner.close()
-                            inner = self._make_inner(executed).order_spaces(
-                                remaining, k - emitted, inner_on_emit
+                self._epoch_checks.inc()
+                current = self.epoch.value
+                if current != seen_epoch:
+                    # Re-score under the epoch we are about to act on; a
+                    # bump racing in *during* the check is caught at the
+                    # next plan.
+                    seen_epoch = current
+                    shifted, head_value, frontier_hi = self._ranking_shifted(
+                        entry, remaining, executed
+                    )
+                    if shifted:
+                        self._reorders.inc()
+                        journal = self.journal
+                        if journal is not None and journal.enabled:
+                            journal.emit(
+                                "plan.reordered",
+                                rank=emitted + 1,
+                                epoch=current,
+                                old_head=list(entry.plan.key),
+                                head_utility=head_value,
+                                frontier_hi=frontier_hi,
                             )
-                            entry = next(inner, None)
-                            if entry is None:
-                                break
-                            if entry.plan.key != old_head:
-                                self._head_churn.inc()
-                        else:
-                            self._suppressed.inc()
+                        old_head = entry.plan.key
+                        inner.close()
+                        inner = self._make_inner(executed).order_spaces(
+                            remaining, k - emitted, inner_on_emit
+                        )
+                        entry = next(inner, None)
+                        if entry is None:
+                            break
+                        if entry.plan.key != old_head:
+                            self._head_churn.inc()
+                    else:
+                        self._suppressed.inc()
                 emitted += 1
                 plan = entry.plan
                 yield OrderedPlan(plan, entry.utility, emitted)

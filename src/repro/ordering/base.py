@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from repro.errors import OrderingError
 from repro.observability.caching import CachingUtilityMeasure
 from repro.observability.metrics import MetricRegistry
-from repro.observability.tracing import NOOP_TRACER, Stopwatch, Tracer
+from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.ordering.frontier import Frontier, best_first
 from repro.reformulation.plans import PlanSpace, QueryPlan
 from repro.utility.base import ExecutionContext, Slots, UtilityMeasure
@@ -303,16 +303,6 @@ class PlanOrderer(ABC):
         with self.tracer.span(f"{self.name}.order", k=k):
             return list(self.order(space, k, on_emit))
 
-    def order_spaces_list(
-        self,
-        spaces: "list[PlanSpace] | tuple[PlanSpace, ...]",
-        k: int,
-        on_emit: Optional[EmitCallback] = None,
-    ) -> list[OrderedPlan]:
-        """Eagerly collect a multi-space ordering into a list."""
-        with self.tracer.span(f"{self.name}.order_spaces", k=k):
-            return list(self.order_spaces(spaces, k, on_emit))
-
     @staticmethod
     def _check_k(k: int) -> None:
         if k <= 0:
@@ -320,20 +310,3 @@ class PlanOrderer(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} utility={self.utility.name!r}>"
-
-
-def timed_ordering(
-    orderer: PlanOrderer,
-    space: PlanSpace,
-    k: int,
-) -> tuple[list[OrderedPlan], float]:
-    """Run an ordering to completion, returning (plans, elapsed seconds).
-
-    Timing goes through the observability
-    :class:`~repro.observability.tracing.Stopwatch` (the same primitive
-    spans use), and the run is recorded as a ``<name>.order`` span on
-    the orderer's tracer when tracing is enabled.
-    """
-    with Stopwatch() as watch:
-        plans = orderer.order_list(space, k)
-    return plans, watch.elapsed

@@ -43,8 +43,9 @@ class Node:
         self.plan = plan
         self.interval: Optional[Interval] = None
         self.key: NodeKey = plan.key
-        #: Bumped on every interval change; lets heap entries detect
-        #: that they are stale without eager deletion.
+        #: Bumped each time the interval is computed; lets heap entries
+        #: detect that they are stale without eager deletion.  Setting
+        #: the interval to None needs no bump: no entry accepts None.
         self.version = 0
 
     @property
@@ -116,9 +117,6 @@ class DominanceGraph:
         self._link_gauge.dec(dropped_links)
         return freed
 
-    def __contains__(self, key: NodeKey) -> bool:
-        return key in self._nodes
-
     def get(self, key: NodeKey) -> Optional[Node]:
         return self._nodes.get(key)
 
@@ -136,17 +134,15 @@ class DominanceGraph:
 
     # -- links ------------------------------------------------------------------
 
-    def has_link(self, source: Node, target: Node) -> bool:
-        return target.key in self._out.get(source.key, {})
-
     def add_link(self, source: Node, target: Node) -> None:
-        """Create ``source -> target`` with an empty E set."""
+        """Create ``source -> target`` with an empty E set.
+
+        Streamer links only from the champion to a nondominated target,
+        and a linked target is dominated, so no link is created twice.
+        """
         if source.key == target.key:
             raise OrderingError("self-domination link")
-        targets = self._out[source.key]
-        if target.key in targets:
-            return
-        targets[target.key] = []
+        self._out[source.key][target.key] = []
         self._in_degree[target.key] += 1
         self._nondominated.discard(target.key)
         self._links_added.inc()
@@ -169,9 +165,6 @@ class DominanceGraph:
                     (self._nodes[source_key], self._nodes[target_key], removed)
                 )
         return out
-
-    def link_count(self) -> int:
-        return sum(len(targets) for targets in self._out.values())
 
 
 def head_certainly_best(

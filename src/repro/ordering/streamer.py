@@ -33,8 +33,11 @@ Implementation notes beyond Figure 5 (also summarized in DESIGN.md §3):
 * **Heap-ordered processing.** Nondominated plans are kept in two lazy
   priority queues: a max-heap by interval upper bound selects the plan
   to refine or output, and a min-heap by upper bound yields the plans
-  the champion newly dominates.  Entries carry a per-node version and
-  are skipped when stale.
+  the champion newly dominates.  Entries carry the node's version at
+  push time, bumped each time its interval is computed, and are skipped
+  when stale.  Invalidation needs no bump of its own: it leaves the
+  interval None, which no entry accepts, and every later value comes
+  from a fresh evaluation, which bumps.
 * **Early output.** A concrete plan whose upper bound tops the heap
   already beats every remaining plan (dominated plans are bounded by
   their dominators' witnesses), so it is output even if abstract
@@ -101,7 +104,9 @@ class StreamerOrderer(PlanOrderer):
         graph = DominanceGraph(registry=self.registry)
         refine_heap: list[HeapEntry] = []  # max-heap by hi (negated)
         link_heap: list[HeapEntry] = []  # min-heap by hi
-        pending: set[NodeKey] = set()
+        # Nondominated plans of unknown utility, by key: created,
+        # invalidated or freed since step 2.a last ran.
+        pending: dict[NodeKey, Node] = {}
         champion: Optional[Node] = None
 
         def push(node: Node) -> None:
@@ -119,7 +124,7 @@ class StreamerOrderer(PlanOrderer):
         def on_freed(freed: list[Node]) -> None:
             for node in freed:
                 if node.interval is None:
-                    pending.add(node.key)
+                    pending[node.key] = node
                 else:
                     push(node)
 
@@ -127,22 +132,17 @@ class StreamerOrderer(PlanOrderer):
             root = graph.add_plan(
                 top_plan(space.buckets, self.heuristic, space_id)
             )
-            pending.add(root.key)
+            pending[root.key] = root
 
         emitted = 0
         while emitted < k and len(graph) > 0:
             # Step 2.a: evaluate nondominated plans with unknown utility.
-            fresh: list[Node] = []
-            for key in pending:
-                node = graph.get(key)
-                if node is None or graph.is_dominated(node):
-                    continue
-                if node.interval is None:
-                    self._evaluate(node, context)
-                    node.version += 1
-                push(node)
-                fresh.append(node)
+            fresh = list(pending.values())
             pending.clear()
+            for node in fresh:
+                self._evaluate(node, context)
+                node.version += 1
+                push(node)
 
             champion = self._update_champion(graph, champion, fresh)
 
@@ -152,7 +152,7 @@ class StreamerOrderer(PlanOrderer):
                 while link_heap and link_heap[0][0] <= lo:
                     _hi, key, version = heapq.heappop(link_heap)
                     node = current(key, version)
-                    if node is None or node is champion or graph.is_dominated(node):
+                    if node is None or node is champion:
                         continue
                     mutual = node.interval.lo >= champion.interval.hi
                     if mutual and not champion.key < node.key:
@@ -169,14 +169,8 @@ class StreamerOrderer(PlanOrderer):
                     top = node
                     break
             if top is None:
-                if pending:
-                    continue
-                nil_nondominated = [
-                    n for n in graph.nondominated() if n.interval is None
-                ]
-                if nil_nondominated:
-                    pending.update(n.key for n in nil_nondominated)
-                    continue
+                # Step 2.a scored every nondominated plan and gave it a
+                # current refine_heap entry, so this cannot happen.
                 raise OrderingError("dominance graph has no processable plan")
 
             if not top.is_concrete:
@@ -185,7 +179,8 @@ class StreamerOrderer(PlanOrderer):
                     champion = None
                 on_freed(graph.remove_node(top))
                 for child in top.plan.refine():
-                    pending.add(graph.add_plan(child).key)
+                    node = graph.add_plan(child)
+                    pending[node.key] = node
                 self.stats.refinements += 1
                 continue
 
@@ -224,15 +219,12 @@ class StreamerOrderer(PlanOrderer):
         champion: Optional[Node],
         fresh: list[Node],
     ) -> Optional[Node]:
-        """Keep the champion the nondominated plan with maximal lo."""
-        if champion is not None:
-            alive = graph.get(champion.key)
-            if (
-                alive is not champion
-                or graph.is_dominated(champion)
-                or champion.interval is None
-            ):
-                champion = None
+        """Keep the champion the nondominated plan with maximal lo.
+
+        A champion stays valid until the loop resets it: only it creates
+        links, so nothing dominates it, and it is reset before it is
+        refined, output or invalidated.
+        """
         if champion is None:
             scored = [n for n in graph.nondominated() if n.interval is not None]
             if not scored:
@@ -276,7 +268,7 @@ class StreamerOrderer(PlanOrderer):
         self,
         graph: DominanceGraph,
         removed: QueryPlan,
-        pending: set[NodeKey],
+        pending: dict[NodeKey, Node],
     ) -> None:
         """Step 2.d: nil the utility of plans not independent of *removed*."""
         for node in graph.nodes():
@@ -286,6 +278,5 @@ class StreamerOrderer(PlanOrderer):
                 node.plan.slots_members(), removed
             ):
                 node.interval = None
-                node.version += 1
                 if not graph.is_dominated(node):
-                    pending.add(node.key)
+                    pending[node.key] = node

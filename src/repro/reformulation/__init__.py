@@ -7,35 +7,18 @@ the two alternative reformulation algorithms discussed in Section 7
 """
 
 from repro.reformulation.buckets import build_buckets
-from repro.reformulation.inverse_rules import (
-    answer_with_inverse_rules,
-    inverse_rule_plan_space,
-    inverse_rules,
-    inverse_rules_program,
-)
-from repro.reformulation.minicon import (
-    MCD,
-    generate_mcds,
-    minicon_plan_queries,
-    minicon_plan_spaces,
-)
+from repro.reformulation.inverse_rules import answer_with_inverse_rules
+from repro.reformulation.minicon import minicon_plan_queries
 from repro.reformulation.plans import Bucket, PlanSpace, QueryPlan
-from repro.reformulation.soundness import expand_plan, is_sound, plan_query
+from repro.reformulation.soundness import is_sound, plan_query
 
 __all__ = [
-    "MCD",
     "Bucket",
     "PlanSpace",
     "QueryPlan",
     "answer_with_inverse_rules",
     "build_buckets",
-    "expand_plan",
-    "generate_mcds",
-    "inverse_rule_plan_space",
-    "inverse_rules",
-    "inverse_rules_program",
     "is_sound",
     "minicon_plan_queries",
-    "minicon_plan_spaces",
     "plan_query",
 ]

@@ -49,29 +49,6 @@ def inverse_rules(source: SourceDescription) -> tuple[Rule, ...]:
     return tuple(rules)
 
 
-def exported_position_map(
-    catalog: Catalog, predicate: str, arity: int
-) -> tuple[bool, ...]:
-    """Which columns of a schema relation are recoverable at all.
-
-    Position ``i`` is True when *some* source's inverse rule for
-    *predicate* carries a non-Skolem term there — i.e. at least one
-    source exposes (or pins to a constant) that column.  An all-Skolem
-    column can never feed a query head variable: every source covering
-    the relation projected it away.  Used by the scenario linter's
-    ``unrecoverable-head-variable`` rule.
-    """
-    exported = [False] * arity
-    for source in catalog.sources:
-        for rule in inverse_rules(source):
-            if rule.head.predicate != predicate or rule.head.arity != arity:
-                continue
-            for index, arg in enumerate(rule.head.args):
-                if not isinstance(arg, FunctionTerm):
-                    exported[index] = True
-    return tuple(exported)
-
-
 def inverse_rules_program(
     catalog: Catalog, query: ConjunctiveQuery
 ) -> Program:
@@ -96,7 +73,6 @@ def inverse_rule_plan_space(
     resulting plan space is ordered exactly like a bucket-algorithm
     space; plans still undergo the soundness test.
     """
-    from repro.datalog.terms import FunctionTerm, Variable
     from repro.datalog.unification import unify_atoms
     from repro.reformulation.plans import Bucket, PlanSpace
 
@@ -155,4 +131,4 @@ def answer_with_inverse_rules(
     """
     program = inverse_rules_program(catalog, query)
     edb = {pred: set(map(tuple, facts)) for pred, facts in source_facts.items()}
-    return answer_query(program, edb, query.name, drop_skolems=True)
+    return answer_query(program, edb, query.name)

@@ -94,9 +94,6 @@ class MCD:
     phi: tuple[tuple[Variable, Term], ...]
     head_map: tuple[tuple[Variable, Term], ...]
 
-    def phi_dict(self) -> dict[Variable, Term]:
-        return dict(self.phi)
-
     def head_dict(self) -> dict[Variable, Term]:
         return dict(self.head_map)
 
@@ -295,9 +292,6 @@ def combine_mcds(
 ) -> Iterator[tuple[MCD, ...]]:
     """All MCD sets whose covered sets partition the query subgoals."""
     all_goals = frozenset(range(len(query.subgoals)))
-    by_min: dict[int, list[MCD]] = {}
-    for mcd in mcds:
-        by_min.setdefault(min(mcd.covered), []).append(mcd)
 
     def recurse(
         remaining: frozenset[int], chosen: tuple[MCD, ...]
@@ -342,11 +336,9 @@ def minicon_plan_queries(
             continue
         body = tuple(resolve_atom(atom, subst) for atom in atoms)
         head = resolve_atom(query.head, subst)
+        # Condition C1 maps every head variable to an exported column,
+        # so the rewriting is safe.
         rewriting = ConjunctiveQuery(head, body)
-        if not rewriting.is_safe():
-            # A distinguished variable ended up unconstrained; this
-            # combination cannot produce it and is discarded.
-            continue
         key = (str(head),) + tuple(str(atom) for atom in body)
         if key not in seen:
             seen.add(key)

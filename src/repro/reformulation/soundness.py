@@ -131,8 +131,6 @@ def _search(
         list(_candidate_unifications(source.view, query.subgoal(slot)))
         for slot, source in enumerate(plan.sources)
     ]
-    if any(not options for options in per_slot):
-        return
 
     def recurse(slot: int, prefix: tuple[int, ...]) -> Iterator[tuple[ConjunctiveQuery, ConjunctiveQuery]]:
         if slot == len(per_slot):

@@ -13,8 +13,7 @@ motivate Greedy (Section 3).  All measures implement the
 * sound plan-independence oracles.
 """
 
-from repro.utility.base import ExecutionContext, UtilityMeasure
-from repro.utility.boxes import Box, DisjointBoxUnion
+from repro.utility.base import UtilityMeasure
 from repro.utility.cost import BindJoinCost, LinearCost
 from repro.utility.coverage import CoverageUtility
 from repro.utility.intervals import Interval
@@ -22,10 +21,7 @@ from repro.utility.monetary import MonetaryCostPerTuple
 
 __all__ = [
     "BindJoinCost",
-    "Box",
     "CoverageUtility",
-    "DisjointBoxUnion",
-    "ExecutionContext",
     "Interval",
     "LinearCost",
     "MonetaryCostPerTuple",

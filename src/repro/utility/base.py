@@ -172,13 +172,6 @@ class UtilityMeasure(ABC):
             "it defines no per-source preference key"
         )
 
-    # -- helpers for subclasses ------------------------------------------------------
-
-    @staticmethod
-    def slots_of(plan: PlanLike) -> Slots:
-        """View a concrete plan as singleton slots."""
-        return tuple((source,) for source in plan.sources)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 

@@ -5,7 +5,7 @@ set of a query plan is the Cartesian product of its per-slot source
 extensions — a *box* whose sides are bitmasks.  This module provides
 exact arithmetic on such boxes:
 
-* size, intersection, disjointness (per-dimension bit operations);
+* size, emptiness, disjointness (per-dimension bit operations);
 * subtraction of one box from another into at most ``d`` disjoint
   fragments (the same recursive-splitting idea the paper's Greedy uses
   to remove a plan from a plan space, Section 4);
@@ -42,27 +42,9 @@ def box_is_empty(box: Box) -> bool:
     return any(mask == 0 for mask in box)
 
 
-def box_intersect(first: Box, second: Box) -> Box:
-    if len(first) != len(second):
-        raise UtilityError("boxes have different dimensionality")
-    return tuple(a & b for a, b in zip(first, second))
-
-
 def boxes_disjoint(first: Box, second: Box) -> bool:
     """Product boxes are disjoint iff they are disjoint in some dimension."""
     return any((a & b) == 0 for a, b in zip(first, second))
-
-
-def box_union_sides(first: Box, second: Box) -> Box:
-    """Per-dimension union (the smallest box containing both)."""
-    if len(first) != len(second):
-        raise UtilityError("boxes have different dimensionality")
-    return tuple(a | b for a, b in zip(first, second))
-
-
-def box_contains(outer: Box, inner: Box) -> bool:
-    """True when *inner* is a (per-dimension) sub-box of *outer*."""
-    return all((i & ~o) == 0 for o, i in zip(outer, inner))
 
 
 def box_subtract(box: Box, other: Box) -> list[Box]:
@@ -106,14 +88,6 @@ class DisjointBoxUnion:
         self._size = 0
 
     @property
-    def dimensions(self) -> int:
-        return self._dimensions
-
-    @property
-    def pieces(self) -> tuple[Box, ...]:
-        return tuple(self._pieces)
-
-    @property
     def size(self) -> int:
         """Total number of tuples covered by the union."""
         return self._size
@@ -131,8 +105,7 @@ class DisjointBoxUnion:
         """Number of tuples of *box* already covered by the union.
 
         This is the hot path of the coverage utility (one piece scan
-        per plan evaluation), so the per-piece intersection is inlined
-        rather than built from :func:`box_intersect`.
+        per plan evaluation), so the per-piece intersection is inlined.
         """
         self._check(box)
         covered = 0
@@ -180,10 +153,6 @@ class DisjointBoxUnion:
         """Number of tuples of *box* not yet covered by the union."""
         return box_size(box) - self.covered_within(box)
 
-    def intersects(self, box: Box) -> bool:
-        self._check(box)
-        return any(not boxes_disjoint(box, piece) for piece in self._pieces)
-
     def add(self, box: Box) -> int:
         """Add *box* to the union; return the number of new tuples.
 
@@ -195,8 +164,6 @@ class DisjointBoxUnion:
             return 0
         fresh: list[Box] = [box]
         for piece in self._pieces:
-            if not fresh:
-                break
             next_fresh: list[Box] = []
             for fragment in fresh:
                 next_fresh.extend(box_subtract(fragment, piece))
@@ -205,12 +172,6 @@ class DisjointBoxUnion:
         self._pieces.extend(fresh)
         self._size += added
         return added
-
-    def copy(self) -> "DisjointBoxUnion":
-        clone = DisjointBoxUnion(self._dimensions)
-        clone._pieces = list(self._pieces)
-        clone._size = self._size
-        return clone
 
     def __iter__(self) -> Iterator[Box]:
         return iter(self._pieces)

@@ -257,28 +257,3 @@ class BindJoinCost(UtilityMeasure):
         return all(
             a.name != b.name for a, b in zip(first.sources, second.sources)
         )
-
-    def has_independent_witness(
-        self, slots: Slots, executed: Sequence[PlanLike]
-    ) -> bool:
-        if not self.caching:
-            return True
-        # A witness exists iff every slot has a member not used at that
-        # slot by any executed plan; picking those members yields a
-        # concrete plan sharing no source operation with any of them.
-        for slot, members in enumerate(slots):
-            used = {plan.sources[slot].name for plan in executed}
-            if all(source.name in used for source in members):
-                return False
-        return True
-
-    def all_members_independent(self, slots: Slots, plan: PlanLike) -> bool:
-        if not self.caching:
-            return True
-        # A member combination shares an operation with *plan* exactly
-        # when it picks the plan's source at some slot, so all
-        # combinations are independent iff no slot offers that source.
-        return all(
-            plan.sources[slot].name not in {s.name for s in members}
-            for slot, members in enumerate(slots)
-        )

@@ -31,7 +31,7 @@ Structural properties:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, cast
 
 from repro.sources.catalog import SourceDescription
 from repro.sources.overlap import OverlapModel
@@ -108,7 +108,7 @@ class CoverageUtility(UtilityMeasure):
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, plan: PlanLike, context: ExecutionContext) -> float:
-        covered = self._covered(context)
+        covered = cast(CoverageContext, context).covered
         return covered.residual(plan_box(self.model, plan)) / self._total
 
     def evaluate_slots(self, slots: Slots, context: ExecutionContext) -> Interval:
@@ -129,7 +129,7 @@ class CoverageUtility(UtilityMeasure):
         ``residual(I)``/``residual(U)`` pair, especially before many
         plans have executed.
         """
-        covered = self._covered(context)
+        covered = cast(CoverageContext, context).covered
         lower_box: list[int] = []
         upper_box: list[int] = []
         size_min = 1
@@ -148,13 +148,6 @@ class CoverageUtility(UtilityMeasure):
         lo = max(box_size(inter_box) - covered_inter, size_min - covered_union, 0)
         hi = min(box_size(union_box) - covered_union, size_max - covered_inter)
         return Interval(lo / self._total, max(lo, hi) / self._total)
-
-    def _covered(self, context: ExecutionContext) -> DisjointBoxUnion:
-        if isinstance(context, CoverageContext):
-            return context.covered
-        # A bare context (no executions recorded through us) has an
-        # empty covered set.
-        return DisjointBoxUnion(len(self.model.universe_sizes))
 
     # -- independence --------------------------------------------------------------
 

@@ -15,7 +15,6 @@ correctness tests compare orderers that share the same arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import UtilityError
@@ -41,15 +40,6 @@ class Interval:
         """The degenerate interval containing exactly *value*."""
         return Interval(value, value)
 
-    @staticmethod
-    def hull(intervals: "list[Interval] | tuple[Interval, ...]") -> "Interval":
-        """Smallest interval containing all the given intervals."""
-        if not intervals:
-            raise UtilityError("hull of no intervals")
-        return Interval(
-            min(i.lo for i in intervals), max(i.hi for i in intervals)
-        )
-
     # -- predicates --------------------------------------------------------------
 
     @property
@@ -63,12 +53,6 @@ class Interval:
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def dominates(self, other: "Interval") -> bool:
         """Drips dominance test: ``self.lo >= other.hi`` (paper, 5.1).
 
@@ -76,9 +60,6 @@ class Interval:
         other, so the plans abstracted by *other* can be discarded.
         """
         return self.lo >= other.hi
-
-    def strictly_dominates(self, other: "Interval") -> bool:
-        return self.lo > other.hi
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -124,23 +105,6 @@ class Interval:
 
     def __rtruediv__(self, other: "Interval | float | int") -> "Interval":
         return _coerce(other) / self
-
-    def intersect(self, other: "Interval") -> "Interval":
-        """Intersection; raises if the intervals are disjoint."""
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def widen(self, amount: float) -> "Interval":
-        """Pad both ends outward by *amount* (>= 0).
-
-        An infinite bound stays that bound (``inf - inf`` would be NaN).
-        """
-        if amount < 0:
-            raise UtilityError("widen amount must be non-negative")
-        lo, hi = self.lo, self.hi
-        return Interval(
-            lo if math.isinf(lo) else lo - amount,
-            hi if math.isinf(hi) else hi + amount,
-        )
 
     def __str__(self) -> str:
         if self.is_point:

@@ -114,22 +114,3 @@ class MonetaryCostPerTuple(UtilityMeasure):
         if not self.caching:
             return True
         return all(a.name != b.name for a, b in zip(first.sources, second.sources))
-
-    def has_independent_witness(
-        self, slots: Slots, executed: Sequence[PlanLike]
-    ) -> bool:
-        if not self.caching:
-            return True
-        for slot, members in enumerate(slots):
-            used = {plan.sources[slot].name for plan in executed}
-            if all(source.name in used for source in members):
-                return False
-        return True
-
-    def all_members_independent(self, slots: Slots, plan: PlanLike) -> bool:
-        if not self.caching:
-            return True
-        return all(
-            plan.sources[slot].name not in {s.name for s in members}
-            for slot, members in enumerate(slots)
-        )

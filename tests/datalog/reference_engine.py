@@ -146,15 +146,11 @@ def _fire_rule(
 def evaluate_program(
     program: Program,
     edb: Mapping[str, Iterable[tuple[object, ...]]],
-    max_rounds: Optional[int] = None,
 ) -> Database:
     """Compute the fixpoint of *program* over the facts in *edb*.
 
     Returns a database containing both the EDB facts and all derived
-    IDB facts.  ``max_rounds`` bounds the number of semi-naive rounds
-    (useful as a safety net for programs with Skolem terms, which in
-    pathological recursive cases may not terminate); None means no
-    bound.
+    IDB facts.
     """
     database: Database = {pred: set(facts) for pred, facts in edb.items()}
     # Round 0: naive firing over the EDB.
@@ -166,11 +162,7 @@ def evaluate_program(
             database.setdefault(rule.head.predicate, set()).update(fresh)
             delta.setdefault(rule.head.predicate, set()).update(fresh)
 
-    rounds = 0
     while delta:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
         next_delta: Database = {}
         for rule in program.rules:
             if not any(atom.predicate in delta for atom in rule.body):

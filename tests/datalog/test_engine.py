@@ -91,16 +91,6 @@ class TestAnswerQuery:
         answers = answer_query(program, {"v": {(1,)}}, "q")
         assert answers == set()
 
-    def test_skolem_answers_kept_on_request(self):
-        program = parse_program(
-            """
-            r(X, f_v_Y(X)) :- v(X)
-            q(X, Y) :- r(X, Y)
-            """
-        )
-        answers = answer_query(program, {"v": {(1,)}}, "q", drop_skolems=False)
-        assert len(answers) == 1
-
     def test_skolem_join_recovers_certain_answer(self):
         # v stores pairs (A, B) projected from r1(A, C), r2(C, B); the
         # skolemized C joins consistently so (A, B) is certain.

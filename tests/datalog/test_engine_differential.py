@@ -12,7 +12,7 @@ import pytest
 
 from repro.datalog.engine import evaluate_program, evaluate_rule, evaluate_rule_body
 from repro.datalog.parser import parse_atom, parse_program
-from repro.datalog.program import Rule
+from repro.datalog.program import Program, Rule
 from repro.datalog.terms import Atom, Constant, FunctionTerm, Variable
 from repro.errors import ReformulationError
 from repro.execution.engine import evaluate_conjunctive_query
@@ -213,21 +213,18 @@ def test_inverse_rule_programs_reach_the_same_fixpoint(seed):
     program = inverse_rules_program(scenario.catalog, scenario.query)
     edb = scenario.source_facts
     assert evaluate_program(program, edb) == reference.evaluate_program(program, edb)
-    for max_rounds in (0, 1):
-        assert evaluate_program(
-            program, edb, max_rounds=max_rounds
-        ) == reference.evaluate_program(program, edb, max_rounds=max_rounds)
 
 
 def test_recursive_program_with_constants_and_skolem_heads():
-    program = parse_program(
-        """
-        t(X, Y) :- e(X, Y)
-        t(X, Z) :- t(X, Y), e(Y, Z)
-        r(X, "seen") :- t(1, X)
-        """
-    ).extended(
-        [Rule(Atom("w", (X, pattern("sk", X, Constant("c")))), atoms("t(X, X)"))]
+    program = Program(
+        parse_program(
+            """
+            t(X, Y) :- e(X, Y)
+            t(X, Z) :- t(X, Y), e(Y, Z)
+            r(X, "seen") :- t(1, X)
+            """
+        ).rules
+        + (Rule(Atom("w", (X, pattern("sk", X, Constant("c")))), atoms("t(X, X)")),)
     )
     edb = {"e": {(1, 2), (2, 3), (3, 1), (3, 4)}}
     got = evaluate_program(program, edb)

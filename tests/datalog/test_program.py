@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DatalogError
-from repro.datalog.parser import parse_program, parse_rule
+from repro.datalog.parser import parse_rule
 from repro.datalog.program import Program, Rule
 from repro.datalog.terms import Atom, FunctionTerm, Variable
 
@@ -22,59 +22,8 @@ class TestRule:
         skolem = FunctionTerm("f", (Variable("X"),))
         rule = Rule(Atom("p", (skolem,)), (Atom("v", (Variable("X"),)),))
         assert rule.is_safe()
-        assert rule.head_has_function_terms()
 
     def test_program_rejects_unsafe_rules(self):
         bad = Rule(Atom("q", (Variable("Z"),)), (Atom("r", (Variable("X"),)),))
         with pytest.raises(DatalogError):
             Program((bad,))
-
-
-class TestProgramStructure:
-    def test_idb_and_edb_predicates(self):
-        program = parse_program(
-            """
-            p(X) :- e(X, Y)
-            q(X) :- p(X), f(X)
-            """
-        )
-        assert program.idb_predicates() == {"p", "q"}
-        assert program.edb_predicates() == {"e", "f"}
-
-    def test_rules_for(self):
-        program = parse_program(
-            """
-            p(X) :- e(X, Y)
-            p(X) :- f(X)
-            """
-        )
-        assert len(program.rules_for("p")) == 2
-        assert program.rules_for("missing") == ()
-
-    def test_nonrecursive_program(self):
-        program = parse_program("p(X) :- e(X, Y)")
-        assert not program.is_recursive()
-
-    def test_recursive_program_detected(self):
-        program = parse_program(
-            """
-            p(X, Y) :- e(X, Y)
-            p(X, Z) :- e(X, Y), p(Y, Z)
-            """
-        )
-        assert program.is_recursive()
-
-    def test_mutual_recursion_detected(self):
-        program = parse_program(
-            """
-            p(X) :- q(X)
-            q(X) :- p(X)
-            p(X) :- e(X)
-            """
-        )
-        assert program.is_recursive()
-
-    def test_extended_appends_rules(self):
-        program = parse_program("p(X) :- e(X)")
-        extended = program.extended([parse_rule("q(X) :- p(X)")])
-        assert len(extended) == 2

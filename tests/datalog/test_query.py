@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DatalogError
 from repro.datalog.parser import parse_query
-from repro.datalog.query import ConjunctiveQuery, make_query
+from repro.datalog.query import ConjunctiveQuery
 from repro.datalog.terms import Atom, Variable
 
 
@@ -17,11 +17,6 @@ class TestStructure:
     def test_variables_head_first(self):
         query = parse_query("q(B) :- r(A, B)")
         assert query.variables() == (Variable("B"), Variable("A"))
-
-    def test_distinguished_and_existential(self):
-        query = parse_query("q(X) :- r(X, Y), s(Y, Z)")
-        assert query.distinguished_variables() == (Variable("X"),)
-        assert set(query.existential_variables()) == {Variable("Y"), Variable("Z")}
 
     def test_predicates_deduplicated(self):
         query = parse_query("q(X) :- r(X, Y), r(Y, X)")
@@ -45,12 +40,6 @@ class TestSafety:
         with pytest.raises(DatalogError):
             query.check_safe()
 
-    def test_make_query_checks_safety(self):
-        with pytest.raises(DatalogError):
-            make_query(
-                Atom("q", (Variable("Z"),)), [Atom("r", (Variable("X"),))]
-            )
-
 
 class TestTransformations:
     def test_rename_apart_changes_all_variables(self):
@@ -64,17 +53,3 @@ class TestTransformations:
         renamed = query.rename_apart("_1")
         # Y occurrences stay equal after renaming.
         assert renamed.subgoal(0).args[1] == renamed.subgoal(1).args[0]
-
-    def test_freeze_builds_canonical_database(self):
-        query = parse_query("q(X) :- r(X, Y), s(Y)")
-        frozen = query.freeze()
-        assert set(frozen) == {"r", "s"}
-        (r_fact,) = frozen["r"]
-        (s_fact,) = frozen["s"]
-        # Shared variable Y freezes to the same constant in both facts.
-        assert r_fact[1] == s_fact[0]
-
-    def test_freeze_keeps_constants(self):
-        query = parse_query('q(M) :- play_in("ford", M)')
-        (fact,) = query.freeze()["play_in"]
-        assert fact[0] == "ford"

@@ -7,8 +7,6 @@ from repro.datalog.terms import (
     Constant,
     FunctionTerm,
     Variable,
-    fresh_variables,
-    is_ground,
     substitute_term,
     term_variables,
 )
@@ -39,11 +37,6 @@ class TestFunctionTerms:
         term = FunctionTerm("f_v1_M", (Variable("A"), Constant(1)))
         assert str(term) == "f_v1_M(A, 1)"
 
-    def test_nested_ground_check(self):
-        ground = FunctionTerm("f", (Constant(1), Constant(2)))
-        assert is_ground(ground)
-        assert not is_ground(FunctionTerm("f", (Variable("X"),)))
-
     def test_term_variables_recurses(self):
         term = FunctionTerm("f", (Variable("X"), FunctionTerm("g", (Variable("Y"),))))
         assert set(term_variables(term)) == {Variable("X"), Variable("Y")}
@@ -71,23 +64,10 @@ class TestAtoms:
         atom = Atom("r", (Variable("X"), Variable("Y"), Variable("X")))
         assert atom.variables() == (Variable("X"), Variable("Y"))
 
-    def test_atom_constants(self):
-        atom = Atom("r", (Constant("a"), Variable("X")))
-        assert atom.constants() == (Constant("a"),)
-
-    def test_atom_is_ground(self):
-        assert Atom("r", (Constant(1),)).is_ground()
-        assert not Atom("r", (Variable("X"),)).is_ground()
-
     def test_atom_substitute(self):
         atom = Atom("r", (Variable("X"), Variable("Y")))
         result = atom.substitute({Variable("X"): Constant(1)})
         assert result == Atom("r", (Constant(1), Variable("Y")))
-
-    def test_atom_rename_appends_suffix(self):
-        atom = Atom("r", (Variable("X"), Constant(1)))
-        renamed = atom.rename("_1")
-        assert renamed == Atom("r", (Variable("X_1"), Constant(1)))
 
     def test_atom_str(self):
         atom = Atom("play_in", (Constant("ford"), Variable("M")))
@@ -98,16 +78,3 @@ class TestAtoms:
         b = Atom("r", (Variable("X"),))
         assert a == b
         assert hash(a) == hash(b)
-
-
-def test_fresh_variables_covers_all_atoms():
-    atoms = (
-        Atom("r", (Variable("X"), Variable("Y"))),
-        Atom("s", (Variable("Y"), Variable("Z"))),
-    )
-    mapping = fresh_variables(atoms, "_7")
-    assert mapping == {
-        Variable("X"): Variable("X_7"),
-        Variable("Y"): Variable("Y_7"),
-        Variable("Z"): Variable("Z_7"),
-    }

@@ -2,7 +2,6 @@
 
 from repro.datalog.terms import Atom, Constant, FunctionTerm, Variable
 from repro.datalog.unification import (
-    match_atom,
     resolve,
     resolve_atom,
     unify_atoms,
@@ -71,28 +70,3 @@ class TestUnifyAtoms:
         subst = unify_atoms(Atom("r", (X, Y)), Atom("r", (Y, Constant(3))))
         resolved = resolve_atom(Atom("r", (X, Y)), subst)
         assert resolved == Atom("r", (Constant(3), Constant(3)))
-
-
-class TestMatchAtom:
-    def test_match_binds_pattern_variables(self):
-        binding = match_atom(
-            Atom("r", (X, Y)), Atom("r", (Constant(1), Constant(2)))
-        )
-        assert binding == {X: Constant(1), Y: Constant(2)}
-
-    def test_match_respects_existing_bindings(self):
-        binding = match_atom(
-            Atom("r", (X, X)), Atom("r", (Constant(1), Constant(2)))
-        )
-        assert binding is None
-
-    def test_match_constant_mismatch(self):
-        assert (
-            match_atom(Atom("r", (Constant(9),)), Atom("r", (Constant(1),)))
-            is None
-        )
-
-    def test_match_does_not_mutate_input_substitution(self):
-        start: dict = {}
-        match_atom(Atom("r", (X,)), Atom("r", (Constant(1),)), start)
-        assert start == {}

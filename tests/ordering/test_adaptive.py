@@ -16,13 +16,13 @@ from repro.errors import NotApplicableError, OrderingError
 from repro.observability.journal import EventJournal
 from repro.ordering import (
     AdaptiveOrderer,
-    AnyKOrderer,
     ExhaustiveOrderer,
     GreedyOrderer,
     IDripsOrderer,
     PIOrderer,
     StreamerOrderer,
 )
+from repro.ordering.anyk import AnyKOrderer
 from repro.resilience.health import HealthEpoch, SourceHealthTracker
 from repro.resilience.measure import HealthAwareMeasure
 from repro.utility.cost import BindJoinCost
@@ -116,6 +116,23 @@ class TestResort:
         assert rest[0].plan.key != victim.key
         assert [entry.rank for entry in [first, *rest]] == [1, 2, 3, 4]
 
+    def test_a_resort_that_moves_the_next_plan_counts_as_churn(self):
+        # PI keeps the utilities it computed before the outage, so its
+        # next plan is the doomed one until the wrapper restarts it.
+        scenario, tracker, live = failure_aware_setup()
+        epoch = HealthEpoch()
+        adaptive = AdaptiveOrderer(live, inner_factory=PIOrderer, epoch=epoch)
+        victim = PIOrderer(live).order_list(scenario.space, 2)[1].plan
+        stream = adaptive.order(scenario.space, 4)
+        next(stream)
+        for source in victim.sources:
+            for _ in range(6):
+                tracker.record_failure(source.name)
+        epoch.bump()
+        assert next(stream).plan.key != victim.key
+        churn = adaptive.registry.counter("ordering.adaptive.head_churn")
+        assert churn.value == 1
+
     def test_reorder_emits_a_shift_witness(self):
         scenario, tracker, live = failure_aware_setup()
         epoch = HealthEpoch()
@@ -175,15 +192,6 @@ class TestResort:
         checks = adaptive.registry.counter("ordering.adaptive.epoch_checks")
         assert checks.value == 4
 
-    def test_no_epoch_means_transparent_passthrough(self):
-        scenario = lav_scenario(3)
-        adaptive = AdaptiveOrderer(
-            scenario.linear_cost(), inner_factory=ExhaustiveOrderer
-        )
-        adaptive.order_list(scenario.space, 4)
-        checks = adaptive.registry.counter("ordering.adaptive.epoch_checks")
-        assert checks.value == 0
-
 
 class TestConstruction:
     def test_inapplicable_inner_surfaces_at_construction(self):
@@ -195,13 +203,17 @@ class TestConstruction:
             GreedyOrderer(scenario.coverage())
         with pytest.raises(NotApplicableError):
             AdaptiveOrderer(
-                scenario.coverage(), inner_factory=GreedyOrderer
+                scenario.coverage(),
+                inner_factory=GreedyOrderer,
+                epoch=HealthEpoch(),
             )
 
     def test_k_is_validated(self):
         scenario = lav_scenario(3)
         adaptive = AdaptiveOrderer(
-            scenario.linear_cost(), inner_factory=ExhaustiveOrderer
+            scenario.linear_cost(),
+            inner_factory=ExhaustiveOrderer,
+            epoch=HealthEpoch(),
         )
         with pytest.raises(OrderingError):
             adaptive.order_list(scenario.space, 0)

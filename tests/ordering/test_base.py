@@ -6,7 +6,7 @@ from repro.errors import OrderingError
 from repro.observability.caching import CachingUtilityMeasure
 from repro.observability.metrics import MetricRegistry
 from repro.observability.tracing import NOOP_TRACER, Tracer
-from repro.ordering.base import OrderedPlan, OrderingStats, PlanOrderer, timed_ordering
+from repro.ordering.base import OrderedPlan, OrderingStats, PlanOrderer
 from repro.ordering.bruteforce import PIOrderer
 
 
@@ -66,34 +66,22 @@ class TestOrdererPlumbing:
         orderer = PIOrderer(tiny_domain.linear_cost())
         assert "linear-cost" in repr(orderer)
 
-    def test_timed_ordering(self, tiny_domain):
+    def test_order_list_returns_ordered_plans(self, tiny_domain):
         orderer = PIOrderer(tiny_domain.linear_cost())
-        plans, seconds = timed_ordering(orderer, tiny_domain.space, 3)
-        assert len(plans) == 3
-        assert seconds >= 0.0
-
-    def test_timed_ordering_returns_ordered_plans(self, tiny_domain):
-        """The (plans, elapsed) shape is API: plans are OrderedPlan
-        records in rank order, elapsed is a float."""
-        orderer = PIOrderer(tiny_domain.linear_cost())
-        plans, seconds = timed_ordering(orderer, tiny_domain.space, 3)
-        assert isinstance(seconds, float)
+        plans = orderer.order_list(tiny_domain.space, 3)
         assert all(isinstance(entry, OrderedPlan) for entry in plans)
         assert [entry.rank for entry in plans] == [1, 2, 3]
 
-    def test_timed_ordering_records_span_when_traced(self, tiny_domain):
+    def test_order_list_records_span_when_traced(self, tiny_domain):
         tracer = Tracer()
         orderer = PIOrderer(tiny_domain.linear_cost(), tracer=tracer)
-        timed_ordering(orderer, tiny_domain.space, 3)
+        orderer.order_list(tiny_domain.space, 3)
         span = tracer.get("PI.order")
         assert span is not None and span.calls == 1
         # The per-evaluation spans nest under the ordering span.
         assert tracer.get("PI.order/utility.eval").calls > 0
-        # The span agrees with the stopwatch up to measurement noise —
-        # both wrap the same order_list call.
-        _plans, elapsed = timed_ordering(orderer, tiny_domain.space, 3)
+        orderer.order_list(tiny_domain.space, 3)
         assert tracer.get("PI.order").calls == 2
-        assert elapsed >= 0.0
 
 
 class TestInstrumentationPlumbing:

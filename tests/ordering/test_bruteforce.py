@@ -6,6 +6,8 @@ from tests.conftest import assert_descending, assert_valid_ordering
 
 from repro.errors import OrderingError
 from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
+from repro.utility.base import UtilityMeasure
+from repro.utility.intervals import Interval
 
 
 class TestExhaustive:
@@ -98,3 +100,25 @@ class TestPI:
             assert replay.evaluate(entry.plan, ctx) == pytest.approx(entry.utility)
             if next(flags):
                 ctx.record(entry.plan)
+
+
+class Flat(UtilityMeasure):
+    """Every plan ties with every other, in every context."""
+
+    name = "flat"
+
+    def evaluate(self, plan, context):
+        return 0.0
+
+    def evaluate_slots(self, slots, context):
+        return Interval.point(0.0)
+
+
+@pytest.mark.parametrize("cls", [ExhaustiveOrderer, PIOrderer])
+def test_ties_go_to_the_smallest_plan_key(cls, tiny_domain):
+    # Definition 2.1 allows any pick among tied maxima; these two
+    # promise the smallest key.  PI evaluates every plan whatever it
+    # picks, so no evaluation count can see this rule.
+    results = cls(Flat()).order_list(tiny_domain.space, tiny_domain.space.size)
+    keys = [entry.plan.key for entry in results]
+    assert keys == sorted(keys)

@@ -27,7 +27,6 @@ def graph() -> DominanceGraph:
 class TestNodes:
     def test_add_and_lookup(self, graph):
         node = graph.add_plan(leaf_plan("a"))
-        assert node.key in graph
         assert graph.get(node.key) is node
         assert len(graph) == 1
 
@@ -49,20 +48,12 @@ class TestLinks:
         graph.add_link(a, b)
         assert graph.is_dominated(b)
         assert graph.nondominated() == [a]
-        assert graph.has_link(a, b)
-        assert not graph.has_link(b, a)
+        assert [(s.key, t.key) for s, t, _e in graph.links()] == [(a.key, b.key)]
 
     def test_self_link_rejected(self, graph):
         a = graph.add_plan(leaf_plan("a"))
         with pytest.raises(OrderingError):
             graph.add_link(a, a)
-
-    def test_duplicate_link_is_noop(self, graph):
-        a = graph.add_plan(leaf_plan("a"))
-        b = graph.add_plan(leaf_plan("b"))
-        graph.add_link(a, b)
-        graph.add_link(a, b)
-        assert graph.link_count() == 1
 
     def test_remove_link_frees_target(self, graph):
         a = graph.add_plan(leaf_plan("a"))
@@ -70,7 +61,7 @@ class TestLinks:
         graph.add_link(a, b)
         graph.remove_link(a.key, b.key)
         assert not graph.is_dominated(b)
-        assert graph.link_count() == 0
+        assert graph.links() == []
 
     def test_multiple_dominators(self, graph):
         a = graph.add_plan(leaf_plan("a"))

@@ -19,13 +19,16 @@ from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
 from repro.ordering.greedy import GreedyOrderer
 from repro.ordering.idrips import IDripsOrderer
 from repro.ordering.streamer import StreamerOrderer
+from repro.resilience.health import HealthEpoch
 
 K = 6
 
 
 def _adaptive(measure):
     """The adaptive wrapper is itself a conforming orderer."""
-    return AdaptiveOrderer(measure, inner_factory=ExhaustiveOrderer)
+    return AdaptiveOrderer(
+        measure, inner_factory=ExhaustiveOrderer, epoch=HealthEpoch()
+    )
 
 
 # (orderer class, measure factory name) — each paired with a measure

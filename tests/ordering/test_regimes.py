@@ -20,12 +20,12 @@ from repro.observability.caching import CachingUtilityMeasure
 from repro.ordering import (
     AUTO_ORDERER,
     ORDERER_TABLE,
-    AnyKOrderer,
     PIOrderer,
     StreamerOrderer,
     orderer_class,
     resolve_orderer_name,
 )
+from repro.ordering.anyk import AnyKOrderer
 from repro.resilience.health import SourceHealthTracker
 from repro.resilience.measure import HealthAwareMeasure
 from repro.service import server

@@ -9,6 +9,7 @@ from repro.ordering.abstraction import RandomHeuristic
 from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
 from repro.ordering.idrips import IDripsOrderer
 from repro.ordering.streamer import StreamerOrderer
+from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 
 class TestApplicability:
@@ -92,6 +93,30 @@ class TestRecycling:
         streamer.order_list(medium_domain.space, k)
         idrips.order_list(medium_domain.space, k)
         assert streamer.stats.plans_evaluated < idrips.stats.plans_evaluated
+
+    def test_a_link_remembers_every_plan_removed_since_its_creation(self):
+        # E(p, q) must grow by each removed plan that can touch p.  A
+        # link that forgets one keeps dominating after its witness
+        # lost utility, and rank 7 here goes to a plan worth less than
+        # one still pending.
+        domain = generate_domain(
+            SyntheticParams(query_length=2, bucket_size=5, seed=2)
+        )
+        results = StreamerOrderer(domain.coverage()).order_list(domain.space, 8)
+        assert_valid_ordering(results, domain.space, domain.coverage())
+
+    def test_a_plan_outside_a_links_source_is_not_remembered(self):
+        # Work row for `_revalidate_links`' fast path: a removed plan
+        # independent of every member of p cannot spoil a witness, so E
+        # does not grow.  Growing it anyway makes later witness checks
+        # fail: more links are dropped and more plans re-evaluated.
+        domain = generate_domain(
+            SyntheticParams(query_length=2, bucket_size=6, seed=1, overlap_rate=0.1)
+        )
+        orderer = StreamerOrderer(domain.coverage())
+        orderer.order_list(domain.space, 20)
+        stats = orderer.stats
+        assert (stats.plans_evaluated, stats.links_invalidated) == (138, 43)
 
     def test_first_iteration_far_below_pi(self, medium_domain):
         streamer = StreamerOrderer(medium_domain.coverage())

@@ -136,3 +136,15 @@ class TestConstantHandling:
         catalog.add_source("w(Y) :- r(c, Y)")
         query = parse_query("q(Y) :- r(c, Y)")
         assert len(generate_mcds(query, catalog)) == 1
+
+
+def test_a_rewriting_two_mcds_reach_is_listed_once():
+    # Either r-atom of s covers the subgoal, and both MCDs rewrite the
+    # query to the same conjunct.
+    catalog = Catalog({"r": 2})
+    catalog.add_source("s(A) :- r(A, A), r(B, A)")
+    query = parse_query("q(X) :- r(Y, X)")
+    assert len(generate_mcds(query, catalog)) == 2
+    assert [str(r) for r in minicon_plan_queries(query, catalog)] == [
+        "q(X) :- s(X)"
+    ]

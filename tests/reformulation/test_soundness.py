@@ -89,6 +89,24 @@ class TestSpecializingSources:
         w = catalog.source("w")
         assert is_sound(query, QueryPlan((w,)))
 
+    def test_a_source_constant_selects_a_join_column(self):
+        # w pins r's first column to c, so the join on X must carry c
+        # into t's column; without it the plan is rejected as unsound.
+        catalog = Catalog({"r": 2, "s": 1})
+        w = catalog.add_source("w(Y) :- r(c, Y)")
+        t = catalog.add_source("t(X) :- s(X)")
+        query = parse_query("q(Y) :- r(X, Y), s(X)")
+        assert str(plan_query(query, QueryPlan((w, t)))) == 'q(Y) :- w(Y), t("c")'
+
+    def test_a_repeated_source_column_equates_its_query_terms(self):
+        # w exports one column for both positions of r, so X = Y, and
+        # the join with t runs on that one column.
+        catalog = Catalog({"r": 2, "s": 1})
+        w = catalog.add_source("w(A) :- r(A, A)")
+        t = catalog.add_source("t(B) :- s(B)")
+        query = parse_query("q(X) :- r(X, Y), s(Y)")
+        assert str(plan_query(query, QueryPlan((w, t)))) == "q(Y) :- w(Y), t(Y)"
+
     def test_multiple_unifiable_atoms_searched(self):
         catalog = Catalog({"r": 2})
         # Two r-atoms: only the second one matches the needed pattern.

@@ -50,12 +50,6 @@ class TestDefaults:
         with pytest.raises(UtilityError):
             measure.source_preference_key(0, source)
 
-    def test_slots_of_singletonizes(self, tiny_domain):
-        plan = next(tiny_domain.space.plans())
-        slots = UtilityMeasure.slots_of(plan)
-        assert all(len(members) == 1 for members in slots)
-        assert tuple(m[0] for m in slots) == plan.sources
-
     def test_repr(self):
         assert "constant" in repr(_Minimal())
 

@@ -7,12 +7,9 @@ from repro.errors import UtilityError
 from repro.utility.boxes import (
     Box,
     DisjointBoxUnion,
-    box_contains,
-    box_intersect,
     box_is_empty,
     box_size,
     box_subtract,
-    box_union_sides,
     boxes_disjoint,
     enumerate_box,
 )
@@ -27,23 +24,9 @@ class TestBoxBasics:
         assert box_is_empty((0b1, 0))
         assert not box_is_empty((0b1, 0b1))
 
-    def test_intersect(self):
-        assert box_intersect((0b110, 0b11), (0b011, 0b10)) == (0b010, 0b10)
-
-    def test_intersect_dimension_mismatch(self):
-        with pytest.raises(UtilityError):
-            box_intersect((1,), (1, 1))
-
     def test_disjoint_needs_one_empty_dimension(self):
         assert boxes_disjoint((0b1, 0b1), (0b10, 0b1))
         assert not boxes_disjoint((0b11, 0b1), (0b10, 0b1))
-
-    def test_union_sides(self):
-        assert box_union_sides((0b01, 0b1), (0b10, 0b1)) == (0b11, 0b1)
-
-    def test_contains(self):
-        assert box_contains((0b111, 0b11), (0b101, 0b10))
-        assert not box_contains((0b101, 0b11), (0b111, 0b10))
 
     def test_enumerate_box(self):
         assert set(enumerate_box((0b101, 0b10))) == {(0, 1), (2, 1)}
@@ -53,6 +36,12 @@ class TestSubtract:
     def test_disjoint_subtract_returns_original(self):
         box = (0b1, 0b1)
         assert box_subtract(box, (0b10, 0b1)) == [box]
+
+    def test_a_box_missed_in_a_later_dimension_stays_whole(self):
+        # Splitting it would give the same tuples in more pieces, and
+        # every coverage evaluation scans every piece of the union.
+        box = (0b11, 0b1)
+        assert box_subtract(box, (0b01, 0b10)) == [box]
 
     def test_full_subtract_returns_nothing(self):
         assert box_subtract((0b1, 0b1), (0b11, 0b11)) == []
@@ -113,20 +102,6 @@ class TestDisjointBoxUnion:
         with pytest.raises(UtilityError):
             union.covered_within((0b1,))
 
-    def test_copy_is_independent(self):
-        union = DisjointBoxUnion(1)
-        union.add((0b1,))
-        clone = union.copy()
-        clone.add((0b10,))
-        assert union.size == 1
-        assert clone.size == 2
-
-    def test_intersects(self):
-        union = DisjointBoxUnion(2)
-        union.add((0b1, 0b1))
-        assert union.intersects((0b1, 0b11))
-        assert not union.intersects((0b10, 0b11))
-
 
 # -- hypothesis: union behaves exactly like a set of tuples -------------------
 
@@ -162,9 +137,7 @@ def test_union_pieces_stay_disjoint(added):
     pieces = list(union)
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            assert boxes_disjoint(pieces[i], pieces[j]) or box_is_empty(
-                box_intersect(pieces[i], pieces[j])
-            )
+            assert boxes_disjoint(pieces[i], pieces[j])
 
 
 @given(boxes_2d(), boxes_2d())

@@ -132,21 +132,6 @@ class TestCaching:
         measure = BindJoinCost()
         assert measure.independent(QueryPlan((A, B)), QueryPlan((A, B)))
 
-    def test_witness_requires_unused_member_per_slot(self):
-        measure = BindJoinCost(caching=True)
-        slots = ((A, B), (C, D))
-        executed = [QueryPlan((A, C)), QueryPlan((B, C))]
-        # Slot 0 exhausted (both a and b used at slot 0)? a,b both used
-        # at slot 0 -> no witness.
-        assert not measure.has_independent_witness(slots, executed)
-        assert measure.has_independent_witness(slots, [QueryPlan((A, C))])
-
-    def test_all_members_independent(self):
-        measure = BindJoinCost(caching=True)
-        slots = ((A, B), (C,))
-        assert measure.all_members_independent(slots, QueryPlan((C, D)))
-        assert not measure.all_members_independent(slots, QueryPlan((A, D)))
-
     def test_interval_with_partial_caching_lowers_floor(self):
         measure = BindJoinCost(access_overhead=1.0, domain_sizes=100.0, caching=True)
         ctx = measure.new_context()

@@ -127,13 +127,25 @@ class TestIndependence:
         )
 
 
+class TestSlotCache:
+    def test_a_slots_extensions_are_read_once(self, model, coverage, monkeypatch):
+        # Streamer re-evaluates the same abstract slots after every
+        # execution; their intersection and union masks do not change.
+        reads = []
+        extension = model.extension
+        monkeypatch.setattr(
+            model, "extension", lambda *key: reads.append(key) or extension(*key)
+        )
+        slots, context = ((A, B), (X, Y)), coverage.new_context()
+        first = coverage.evaluate_slots(slots, context)
+        assert len(reads) == 4
+        context.record(QueryPlan((A, X)))
+        del reads[:]
+        assert coverage.evaluate_slots(slots, context) != first
+        assert reads == []
+
+
 class TestContextHandling:
-    def test_bare_context_treated_as_empty(self, coverage):
-        from repro.utility.base import ExecutionContext
-
-        bare = ExecutionContext()
-        assert coverage.evaluate(QueryPlan((A, X)), bare) == pytest.approx(0.25)
-
     def test_record_via_context(self, coverage):
         ctx = coverage.new_context()
         ctx.record(QueryPlan((A, X)))

@@ -17,14 +17,6 @@ class TestConstruction:
         with pytest.raises(UtilityError):
             Interval(2.0, 1.0)
 
-    def test_hull(self):
-        hull = Interval.hull([Interval(0, 1), Interval(3, 4), Interval(-1, 0)])
-        assert hull == Interval(-1, 4)
-
-    def test_hull_of_nothing_rejected(self):
-        with pytest.raises(UtilityError):
-            Interval.hull([])
-
 
 class TestPredicates:
     def test_contains(self):
@@ -32,19 +24,9 @@ class TestPredicates:
         assert Interval(1, 3).contains(1)
         assert not Interval(1, 3).contains(3.5)
 
-    def test_contains_interval(self):
-        assert Interval(0, 10).contains_interval(Interval(2, 3))
-        assert not Interval(0, 10).contains_interval(Interval(5, 11))
-
-    def test_overlaps(self):
-        assert Interval(0, 2).overlaps(Interval(1, 3))
-        assert not Interval(0, 1).overlaps(Interval(2, 3))
-
     def test_dominates(self):
         assert Interval(5, 6).dominates(Interval(1, 5))
         assert not Interval(4, 6).dominates(Interval(1, 5))
-        assert Interval(5, 6).strictly_dominates(Interval(1, 4))
-        assert not Interval(5, 6).strictly_dominates(Interval(1, 5))
 
     def test_width(self):
         assert Interval(1, 4).width == 3
@@ -76,20 +58,6 @@ class TestArithmetic:
         assert 10 - Interval(1, 2) == Interval(8, 9)
         assert 8 / Interval(2, 4) == Interval(2, 4)
 
-    def test_intersect(self):
-        assert Interval(0, 5).intersect(Interval(3, 9)) == Interval(3, 5)
-
-    def test_widen(self):
-        assert Interval(1, 2).widen(0.5) == Interval(0.5, 2.5)
-        with pytest.raises(UtilityError):
-            Interval(1, 2).widen(-1)
-
-    def test_widen_keeps_infinite_bounds(self):
-        inf = float("inf")
-        assert Interval(inf, inf).widen(inf) == Interval(inf, inf)
-        assert Interval(-inf, 3).widen(1) == Interval(-inf, 4)
-        assert Interval(0, 1).widen(inf) == Interval(-inf, inf)
-
     @pytest.mark.parametrize("lo,hi", [("nan", 1), (0, "nan"), ("nan", "nan")])
     def test_nan_bounds_rejected(self, lo, hi):
         with pytest.raises(UtilityError):
@@ -113,6 +81,14 @@ def interval_and_member(draw):
     return interval, value
 
 
+def holds_up_to_rounding(interval, value):
+    """Is *value* in *interval*, tolerating float rounding at its edges?"""
+    if interval.contains(value):
+        return True  # also the overflow case, where inf - inf would be nan
+    slack = 1e-6 * max(1.0, abs(interval.lo), abs(interval.hi))
+    return interval.lo - slack <= value <= interval.hi + slack
+
+
 class TestProperties:
     """Outward-conservativeness: x op y lands in the result interval."""
 
@@ -132,14 +108,10 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     def test_mul_contains_members(self, first, second):
         (i1, x), (i2, y) = first, second
-        product = (i1 * i2)
-        # Tolerate float rounding at the very edges.
-        slack = 1e-6 * max(1.0, abs(product.lo), abs(product.hi))
-        assert product.widen(slack).contains(x * y)
+        assert holds_up_to_rounding(i1 * i2, x * y)
 
     @given(interval_and_member(), interval_and_member())
-    # The quotient overflows to inf, and widening [inf, inf] by inf
-    # used to compute inf - inf = nan.
+    # The quotient overflows to [inf, inf].
     @example(
         (Interval(260851.0, 260851.0), 260851.0),
         (Interval(6.3e-304, 6.3e-304), 6.3e-304),
@@ -149,18 +121,9 @@ class TestProperties:
         (i1, x), (i2, y) = first, second
         if i2.lo <= 0 <= i2.hi:
             return
-        quotient = i1 / i2
-        slack = 1e-6 * max(1.0, abs(quotient.lo), abs(quotient.hi))
-        assert quotient.widen(slack).contains(x / y)
+        assert holds_up_to_rounding(i1 / i2, x / y)
 
     @given(intervals())
     @settings(max_examples=100, deadline=None)
     def test_negation_involution(self, interval):
         assert -(-interval) == interval
-
-    @given(intervals(), intervals())
-    @settings(max_examples=100, deadline=None)
-    def test_hull_contains_both(self, i1, i2):
-        hull = Interval.hull([i1, i2])
-        assert hull.contains_interval(i1)
-        assert hull.contains_interval(i2)

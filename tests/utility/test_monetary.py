@@ -75,13 +75,6 @@ class TestCachingVariant:
         assert measure.independent(QueryPlan((A, C)), QueryPlan((B, A)))
         assert not measure.independent(QueryPlan((A, C)), QueryPlan((A, B)))
 
-    def test_witness_and_all_members(self):
-        measure = MonetaryCostPerTuple(caching=True)
-        slots = ((A, B), (C,))
-        assert measure.has_independent_witness(slots, [QueryPlan((A, B))])
-        assert not measure.all_members_independent(slots, QueryPlan((A, C)))
-        assert measure.all_members_independent(slots, QueryPlan((C, A)))
-
     def test_interval_with_caching_contains_members(self):
         measure = MonetaryCostPerTuple(domain_sizes=50.0, caching=True)
         ctx = measure.new_context()
