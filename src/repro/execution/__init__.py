@@ -8,22 +8,7 @@ are discarded (and do not count as executed for conditional-utility
 purposes).
 """
 
-from repro.execution.engine import evaluate_conjunctive_query, execute_plan
-from repro.execution.instances import materialize_instances
+from repro.execution.engine import execute_plan
 from repro.execution.mediator import AnswerBatch, Mediator
-from repro.execution.simulator import (
-    ExecutionSimulator,
-    PlanRun,
-    SimulationReport,
-)
 
-__all__ = [
-    "AnswerBatch",
-    "ExecutionSimulator",
-    "Mediator",
-    "PlanRun",
-    "SimulationReport",
-    "evaluate_conjunctive_query",
-    "execute_plan",
-    "materialize_instances",
-]
+__all__ = ["AnswerBatch", "Mediator", "execute_plan"]

@@ -48,10 +48,6 @@ from repro.resilience.manager import ResilienceManager
 from repro.sources.catalog import Catalog
 from repro.utility.base import UtilityMeasure
 
-#: Builds an orderer for a utility measure.
-OrdererFactory = Callable[[UtilityMeasure], PlanOrderer]
-
-
 @dataclass(frozen=True)
 class AnswerBatch:
     """The outcome of processing one plan from the ordering.
@@ -113,10 +109,7 @@ class SessionReport:
         return "ok"
 
     def as_dict(self) -> dict[str, object]:
-        payload = {"status": self.status, **vars(self)}
-        payload["sources_skipped"] = list(self.sources_skipped)
-        payload["breaker_states"] = dict(self.breaker_states)
-        return payload
+        return {"status": self.status, **vars(self)}
 
 
 @dataclass(slots=True)
@@ -139,12 +132,18 @@ class AnytimeRun:
 
     Constructing a run is the **prepare** stage: bind the journal to
     the request, reformulate, resolve the orderer (binding the journal
-    into it and lending it *tracer* when it has none of its own), fix
-    the plan budget, and set up the soundness table the orderer's
-    ``on_emit`` reads.  The per-plan stages are :meth:`plans`,
+    into it), fix the plan budget, and set up the soundness table the
+    orderer's ``on_emit`` reads.  The per-plan stages are :meth:`plans`,
     :meth:`execute` and :meth:`settle`; :meth:`close` must run however
     the request ends.  A driver decides only *which thread* runs which
     stage, and must settle plans in rank order.
+
+    *tracer* is the request's.  Each stage is timed once, under the
+    layer name the end-to-end benchmark reports it by:
+    ``reformulation.buckets.build`` here,
+    ``reformulation.soundness.check`` in :meth:`plans` (the thread that
+    resumes the orderer, and so already records its spans) and
+    ``execution.engine.execute`` in :meth:`execute`.
     """
 
     def __init__(
@@ -169,7 +168,9 @@ class AnytimeRun:
         self.journaling = self.journal.enabled
         self.report = SessionReport()
         self.watch = Stopwatch().start()
-        self.space = mediator.reformulate(query)
+        self.tracer = tracer
+        with tracer.span("reformulation.buckets.build"):
+            self.space = mediator.reformulate(query)
         if orderer is None:
             orderer = mediator.make_orderer(utility)
         bind = getattr(orderer, "bind_journal", None)
@@ -177,11 +178,6 @@ class AnytimeRun:
             # Adaptive orderers journal their re-sorts; duck-typed so
             # any caller-supplied orderer with the hook benefits too.
             bind(self.journal)
-        # Let the ordering spans nest under the request's trace; the
-        # stage running ``plans`` owns the orderer for the whole run.
-        self._adopted_tracer = orderer.tracer is NOOP_TRACER and tracer.enabled
-        if self._adopted_tracer:
-            orderer.tracer = tracer
         self.orderer = orderer
         self.budget = mediator.resolve_budget(self.space, max_plans)
         self._soundness: dict[tuple[str, ...], bool] = {}
@@ -190,12 +186,7 @@ class AnytimeRun:
     def _on_emit(self, plan: QueryPlan) -> bool:
         # ``plans`` has always decided soundness for this plan before
         # the orderer asks.
-        try:
-            return self._soundness[plan.key]
-        except KeyError:
-            raise ExecutionError(
-                f"orderer asked about unprocessed plan {plan}"
-            ) from None
+        return self._soundness[plan.key]
 
     def plans(self) -> Iterator[StagedPlan]:
         """Pull plans best-first, deciding soundness as each appears.
@@ -206,17 +197,16 @@ class AnytimeRun:
         The generator is lazy: nothing is ordered or checked for plan
         ``i+1`` until the caller asks for it.
         """
-        mediator, query = self.mediator, self.query
+        mediator, query, tracer = self.mediator, self.query, self.tracer
         journal, journaling = self.journal, self.journaling
         soundness = self._soundness
         for ordered in self.orderer.order(
             self.space, self.budget, on_emit=self._on_emit
         ):
             plan = ordered.plan
-            # Drift resolved: both drivers go through the mediator's
-            # overridable, traced check (the session used to call
-            # ``plan_query`` bare).
-            executable = mediator.check_soundness(query, plan)
+            # Both drivers go through the mediator's overridable check.
+            with tracer.span("reformulation.soundness.check"):
+                executable = mediator.check_soundness(query, plan)
             sound = executable is not None
             soundness[plan.key] = sound
             if journaling:
@@ -234,6 +224,7 @@ class AnytimeRun:
         item: StagedPlan,
         run_query: Callable[[ConjunctiveQuery], frozenset],
         backoff=None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         """Admit and run one plan, recording the outcome on *item*.
 
@@ -243,12 +234,16 @@ class AnytimeRun:
         service's workers), and so is the retry schedule (*backoff*:
         ``delay(failed_attempts)`` gives the seconds to wait or None to
         give up, ``wait(seconds)`` sleeps; with none, a plan gets one
-        attempt).  A failed plan never raises here: the error stays on
-        the item for :meth:`settle` to raise or degrade.
+        attempt).  Spans are single-threaded, so a driver running this
+        stage on a thread of its own passes that thread's *tracer*; by
+        default it is the request's.  A failed plan never raises here:
+        the error stays on the item for :meth:`settle` to raise or
+        degrade.
         """
         executable = item.executable
         if executable is None:
             return
+        span = (self.tracer if tracer is None else tracer).span
         resilience = self.mediator.resilience
         sources: tuple[str, ...] = ()
         if resilience is not None:
@@ -265,7 +260,8 @@ class AnytimeRun:
             # per plan on the inline driver's only thread.
             started = perf_counter()
             try:
-                item.answers = run_query(executable)
+                with span("execution.engine.execute"):
+                    item.answers = run_query(executable)
             # Drift resolved: any exception marks the plan failed (the
             # sequential loop used to catch ExecutionError only), and
             # every source-attributed attempt — not just the last —
@@ -391,10 +387,6 @@ class AnytimeRun:
 
     def close(self) -> None:
         """Finish the request, whether it drained, stopped early or raised."""
-        if self._adopted_tracer:
-            # An adopted tracer must not leak into the caller's orderer,
-            # so the orderer can be reused across mediators.
-            self.orderer.tracer = NOOP_TRACER
         resilience = self.mediator.resilience
         if resilience is not None:
             self.report.breaker_states = resilience.breaker_states()
@@ -408,20 +400,14 @@ class Mediator:
         self,
         catalog: Catalog,
         source_facts: Mapping[str, set[tuple[object, ...]]],
-        orderer_factory: Optional[OrdererFactory] = None,
         *,
         registry: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
         journal: Optional[EventJournal] = None,
         resilience: Optional[ResilienceManager] = None,
     ) -> None:
         self.catalog = catalog
-        self.source_facts = {
-            name: set(facts) for name, facts in source_facts.items()
-        }
-        self.orderer_factory = orderer_factory
+        self.source_facts = source_facts
         self.registry = registry if registry is not None else MetricRegistry()
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
         #: Lifecycle event stream (see repro.observability.journal);
         #: disabled by default, shared with sessions built on this
         #: mediator.  Correlation ids come from the ``request_id``
@@ -457,25 +443,22 @@ class Mediator:
     # Each is safe to call on its own.
 
     def reformulate(self, query: ConjunctiveQuery) -> PlanSpace:
-        """Build the bucket plan space for *query* (traced)."""
-        with self.tracer.span("mediator.reformulate"):
-            return build_buckets(query, self.catalog)
+        """Build the bucket plan space for *query*."""
+        return build_buckets(query, self.catalog)
 
     def check_soundness(
         self, query: ConjunctiveQuery, plan: QueryPlan
     ) -> Optional[ConjunctiveQuery]:
         """The plan's executable source-level query, or None if unsound."""
-        with self.tracer.span("mediator.soundness"):
-            return plan_query(query, plan)
+        return plan_query(query, plan)
 
     def execute_query(
         self, executable: ConjunctiveQuery
     ) -> frozenset[tuple[object, ...]]:
         """Evaluate a (sound) plan's query over the source instances."""
-        with self.tracer.span("mediator.execute"):
-            return frozenset(
-                evaluate_conjunctive_query(executable, self.execution_database())
-            )
+        return frozenset(
+            evaluate_conjunctive_query(executable, self.execution_database())
+        )
 
     def record_batch(self, batch: AnswerBatch) -> None:
         """Fold one processed plan into the ``mediator.*`` counters.
@@ -500,9 +483,8 @@ class Mediator:
         return space.size if max_plans is None else min(max_plans, space.size)
 
     def make_orderer(self, utility: UtilityMeasure) -> PlanOrderer:
-        """An orderer from the configured factory, else ``auto``'s choice."""
-        factory = self.orderer_factory or orderer_class(AUTO_ORDERER, utility)
-        return factory(utility)
+        """``auto``'s choice of orderer for *utility*."""
+        return orderer_class(AUTO_ORDERER, utility)(utility)
 
     # -- the inline driver -------------------------------------------------------
 
@@ -523,11 +505,12 @@ class Mediator:
         events this run emits (when the mediator's journal is on).
 
         One thread, no queue: pulling batch ``i`` does no ordering,
-        soundness or execution work for plan ``i+1``.
+        soundness or execution work for plan ``i+1``.  It records no
+        spans; a traced request goes through ``PipelinedSession``.
         """
         run = AnytimeRun(
             self, query, utility, orderer=orderer, max_plans=max_plans,
-            request_id=request_id, tracer=self.tracer,
+            request_id=request_id, tracer=NOOP_TRACER,
         )
         try:
             for item in run.plans():
@@ -535,17 +518,6 @@ class Mediator:
                 yield run.settle(item)
         finally:
             run.close()
-
-    def answer_all(
-        self,
-        query: ConjunctiveQuery,
-        utility: UtilityMeasure,
-    ) -> set[tuple[object, ...]]:
-        """All answers: the union over every sound plan."""
-        answers: set[tuple[object, ...]] = set()
-        for batch in self.answer(query, utility):
-            answers.update(batch.answers)
-        return answers
 
     def certain_answers(self, query: ConjunctiveQuery) -> set[tuple[object, ...]]:
         """Ground truth via inverse rules (independent code path)."""

@@ -29,7 +29,6 @@ from typing import Iterable, Optional, Sequence
 from repro.errors import ExecutionError
 from repro.reformulation.plans import QueryPlan
 from repro.resilience.health import SourceHealthTracker
-from repro.utility.base import PlanLike
 from repro.utility.cost import SourceOp
 
 
@@ -42,8 +41,6 @@ class PlanRun:
     finished_at: float
     attempts: int
     succeeded: bool
-    output_estimate: float
-    cache_hits: int
 
     @property
     def duration(self) -> float:
@@ -66,9 +63,6 @@ class SimulationReport:
             if run.succeeded:
                 return run.finished_at
         return None
-
-    def completion_times(self) -> list[float]:
-        return [run.finished_at for run in self.runs]
 
 
 class ExecutionSimulator:
@@ -118,35 +112,25 @@ class ExecutionSimulator:
 
     # -- single plan ---------------------------------------------------------------
 
-    def run_plan(self, plan: PlanLike) -> PlanRun:
+    def run_plan(self, plan: QueryPlan) -> PlanRun:
         """Execute one plan; the virtual clock advances by its cost."""
         started = self._clock
         attempts = 0
         succeeded = False
-        flow = 0.0
-        cache_hits = 0
         while attempts < self.max_attempts and not succeeded:
             attempts += 1
-            attempt_cost, flow, failed_at, hits = self._attempt(plan)
+            attempt_cost, succeeded = self._attempt(plan)
             self._clock += attempt_cost
-            cache_hits += hits
-            succeeded = failed_at is None
-        if not isinstance(plan, QueryPlan):
-            plan = QueryPlan(tuple(plan.sources))
         return PlanRun(
             plan=plan,
             started_at=started,
             finished_at=self._clock,
             attempts=attempts,
             succeeded=succeeded,
-            output_estimate=flow if succeeded else 0.0,
-            cache_hits=cache_hits,
         )
 
-    def _attempt(
-        self, plan: PlanLike
-    ) -> tuple[float, float, Optional[int], int]:
-        """One execution attempt: (cost, final flow, failed slot, hits).
+    def _attempt(self, plan: QueryPlan) -> tuple[float, bool]:
+        """One execution attempt: (cost, whether it succeeded).
 
         Cost accrues slot by slot until a failure aborts the attempt;
         partial work is paid for, matching the expected-cost-to-success
@@ -154,7 +138,6 @@ class ExecutionSimulator:
         """
         cost = 0.0
         flow = 0.0
-        cache_hits = 0
         for slot, source in enumerate(plan.sources):
             stats = source.stats
             if slot == 0:
@@ -163,46 +146,25 @@ class ExecutionSimulator:
                 flow = flow * stats.n_tuples / self.domain_size(slot)
             op: SourceOp = (source.name, slot)
             if self.caching and op in self._cache:
-                cache_hits += 1
                 continue
             if self._rng.random() < stats.failure_prob:
                 # The failed access still pays its overhead.
                 cost += self.access_overhead
                 if self.health is not None:
                     self.health.record_failure(source.name)
-                return cost, flow, slot, cache_hits
+                return cost, False
             cost += self.access_overhead + stats.transfer_cost * flow
             if self.health is not None:
                 self.health.record_success(source.name)
             if self.caching:
                 self._cache.add(op)
-        return cost, flow, None, cache_hits
+        return cost, True
 
     # -- ordered sequences ------------------------------------------------------------
 
-    def run_ordering(self, plans: Iterable[PlanLike]) -> SimulationReport:
+    def run_ordering(self, plans: Iterable[QueryPlan]) -> SimulationReport:
         """Execute plans back to back, accumulating virtual time."""
         report = SimulationReport()
         for plan in plans:
             report.runs.append(self.run_plan(plan))
         return report
-
-    def expected_plan_cost(self, plan: PlanLike) -> float:
-        """The closed-form expectation the failure-aware measure uses.
-
-        ``cost(p) / prod_i (1 - f_i)`` with full (non-aborted) attempt
-        cost — the simulator's mean converges to this from below
-        because failed attempts abort early and pay only partial cost.
-        """
-        cost = 0.0
-        flow = 0.0
-        success = 1.0
-        for slot, source in enumerate(plan.sources):
-            stats = source.stats
-            if slot == 0:
-                flow = float(stats.n_tuples)
-            else:
-                flow = flow * stats.n_tuples / self.domain_size(slot)
-            cost += self.access_overhead + stats.transfer_cost * flow
-            success *= 1.0 - stats.failure_prob
-        return cost / success

@@ -1,19 +1,19 @@
-"""Observability: tracing spans, metric registry, memoized evaluation.
+"""Observability: tracing spans, metric registry, event journal, memoization.
 
 The measurement substrate behind the repository's performance claims
-(ISSUE: the paper's Section 5/6 comparisons are *quantitative*).
-Three pieces:
+(the paper's Section 5/6 comparisons are *quantitative*).  Five
+modules:
 
 * :mod:`repro.observability.tracing` — nestable wall-time spans with a
   free disabled mode (:data:`NOOP_TRACER` is the default everywhere);
 * :mod:`repro.observability.metrics` — counters, gauges and timing
-  histograms in a :class:`MetricRegistry` with JSON/CSV exporters;
-  ``OrderingStats`` is now a view over such a registry;
+  histograms in a :class:`MetricRegistry` with a JSON exporter;
+  ``OrderingStats`` is a view over such a registry;
 * :mod:`repro.observability.caching` — :class:`CachingUtilityMeasure`,
   an exact memoization wrapper for utility measures reporting
   hit/miss counters through the registry;
 * :mod:`repro.observability.journal` — :class:`EventJournal`, the
-  thread-safe JSON-lines event stream with request correlation ids
+  thread-safe JSON-lines event sink with request correlation ids
   (:data:`NOOP_JOURNAL` is the default everywhere);
 * :mod:`repro.observability.prometheus` — text-format exposition of a
   registry for scrapers (:func:`render_registry`).
@@ -22,42 +22,7 @@ See ``docs/observability.md`` for usage.
 """
 
 from repro.observability.caching import CachingUtilityMeasure
-from repro.observability.journal import (
-    EVENT_SCHEMA,
-    EventJournal,
-    NOOP_JOURNAL,
-    validate_event,
-)
-from repro.observability.prometheus import render_export, render_registry
-from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-)
-from repro.observability.tracing import (
-    NOOP_TRACER,
-    Span,
-    SpanStats,
-    Stopwatch,
-    Tracer,
-)
+from repro.observability.metrics import MetricRegistry
+from repro.observability.tracing import Tracer
 
-__all__ = [
-    "CachingUtilityMeasure",
-    "Counter",
-    "EVENT_SCHEMA",
-    "EventJournal",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "NOOP_JOURNAL",
-    "NOOP_TRACER",
-    "Span",
-    "SpanStats",
-    "Stopwatch",
-    "Tracer",
-    "render_export",
-    "render_registry",
-    "validate_event",
-]
+__all__ = ["CachingUtilityMeasure", "MetricRegistry", "Tracer"]

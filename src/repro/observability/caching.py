@@ -24,15 +24,13 @@ The prefix token makes the wrapper *exact*: a memoized value is
 only reused in a context with the identical executed sequence, so
 orderings with and without the cache are byte-identical.  The table
 is allocated under a lock (one cache serves every session thread of a
-``QueryService``) and emptied by :meth:`CachingUtilityMeasure.clear`;
-tokens are never reused, so a context in flight across a clear stays
-exact.  The win
-comes from the orderers' repetition patterns — iDrips rebuilding
+``QueryService``) and lives as long as the cache.  The win comes
+from the orderers' repetition patterns — iDrips rebuilding
 abstract pools each iteration, brute force rescanning surviving plans,
 Greedy re-scoring its heap — which re-evaluate the same signature in
 the same context many times over.
 
-Hits and misses are counted per kind (concrete/abstract) through a
+Hits, misses and entries are counted through a
 :class:`~repro.observability.metrics.MetricRegistry` under the
 ``utility_cache.*`` names.
 
@@ -85,13 +83,11 @@ class CachingUtilityMeasure(DelegatingMeasure):
         self.registry = registry if registry is not None else MetricRegistry()
         self._hits = self.registry.counter("utility_cache.hits")
         self._misses = self.registry.counter("utility_cache.misses")
-        self._concrete_hits = self.registry.counter("utility_cache.concrete_hits")
-        self._abstract_hits = self.registry.counter("utility_cache.abstract_hits")
         self._size = self.registry.gauge("utility_cache.entries")
         self._concrete: dict[tuple, float] = {}
         self._abstract: dict[tuple, Interval] = {}
         # (token of the prefix before, plan.key) -> token of the prefix;
-        # allocated under the lock, never reused (module docstring).
+        # allocated under the lock (module docstring).
         self._prefixes: dict[tuple[int, tuple[str, ...]], int] = {}
         self._prefix_lock = threading.Lock()
         self._tokens = itertools.count(1)
@@ -131,13 +127,6 @@ class CachingUtilityMeasure(DelegatingMeasure):
     def cache_size(self) -> int:
         return len(self._concrete) + len(self._abstract)
 
-    def clear(self) -> None:
-        self._concrete.clear()
-        self._abstract.clear()
-        with self._prefix_lock:
-            self._prefixes.clear()
-        self._size.set(0)
-
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, plan: PlanLike, context: ExecutionContext) -> float:
@@ -151,7 +140,6 @@ class CachingUtilityMeasure(DelegatingMeasure):
             self._size.set(self.cache_size())
             return value
         self._hits.inc()
-        self._concrete_hits.inc()
         return value
 
     def evaluate_slots(self, slots: Slots, context: ExecutionContext) -> Interval:
@@ -165,11 +153,4 @@ class CachingUtilityMeasure(DelegatingMeasure):
             self._size.set(self.cache_size())
             return interval
         self._hits.inc()
-        self._abstract_hits.inc()
         return interval
-
-    def __repr__(self) -> str:
-        return (
-            f"<CachingUtilityMeasure over {self.inner!r} "
-            f"hits={self.hits} misses={self.misses}>"
-        )

@@ -9,23 +9,23 @@ processes (executed / skipped / failed / unsound), each retry, each
 breaker transition, and the answer-progress marks the anytime argument
 is judged on (time-to-first-answer, time-to-k-th-answer).
 
-Every event carries a **request correlation id** so one ``grep`` (or
-:meth:`EventJournal.events`) reconstructs a request's entire path
-through frontend → server → session → mediator → resilience.  Plan
-events additionally carry the plan's ``rank``, correlating them with
-the wire-protocol batch records.
+Every event carries a **request correlation id** so one ``grep`` of
+the journal file reconstructs a request's entire path through
+frontend → server → session → mediator → resilience.  Plan events
+additionally carry the plan's ``rank``, correlating them with the
+wire-protocol batch records.
 
 Journalling is opt-in exactly like tracing: the module-level
 :data:`NOOP_JOURNAL` is the default everywhere, its :meth:`emit`
 returns after a single attribute check, and hot paths with several
-fields to assemble guard on ``journal.enabled`` first.  Events are
-kept in memory (bounded by ``capacity``) and optionally mirrored to a
-JSON-lines stream as they happen, so a crash loses nothing already
-flushed.
+fields to assemble guard on ``journal.enabled`` first.  The journal is
+a sink, not a store: each event is written to its stream as it
+happens and nothing is kept, so a long-running server's journal costs
+no memory; :func:`read_jsonl` reads a stream back.
 
-The event vocabulary is closed: :data:`EVENT_SCHEMA` names every
-event type and the fields it must carry, and :func:`validate_event`
-enforces it — the schema is a contract with external log tooling, not
+The event vocabulary is closed: :data:`EVENT_SCHEMA` names every event
+type and the fields it must carry, and :func:`validate_event` enforces
+it — the schema is a contract with external log tooling, not
 documentation that drifts.  See ``docs/observability.md`` for the
 rendered table.
 """
@@ -117,28 +117,22 @@ def validate_event(record: dict) -> None:
 
 
 class EventJournal:
-    """Thread-safe, bounded, optionally streaming event recorder.
+    """Thread-safe event emitter that keeps nothing per event.
 
-    ``capacity`` bounds the in-memory buffer (oldest events are
-    dropped once exceeded — the stream sink, if any, keeps the full
-    history).  ``stream`` is any text-file-like object; each event is
-    written as one JSON line and flushed, so ``tail -f`` works.
+    ``stream`` is any text-file-like object; each event is written to
+    it as one JSON line and flushed, so ``tail -f`` works and a crash
+    loses nothing already emitted.  ``len(journal)`` counts the events
+    emitted; without a stream that count is all that remains.
     """
 
     def __init__(
         self,
         *,
         enabled: bool = True,
-        capacity: int = 100_000,
         stream: Optional[IO[str]] = None,
-        clock=time.time,
         tags: Optional[Mapping[str, object]] = None,
     ) -> None:
-        if capacity < 1:
-            raise ObservabilityError(f"capacity must be >= 1, got {capacity}")
         self.enabled = enabled
-        self.capacity = capacity
-        self.clock = clock
         #: Constant fields stamped on every record — how a cluster
         #: worker marks all its events with its ``shard`` id, so one
         #: request_id reconstructs a request's whole cross-process path
@@ -151,11 +145,7 @@ class EventJournal:
                 )
         self._stream = stream
         self._lock = threading.Lock()
-        self._events: list[dict] = []
         self._seq = 0
-        self._dropped = 0
-
-    # -- emission ----------------------------------------------------------------
 
     def emit(self, event: str, *, request_id: str = "", **fields: object) -> None:
         """Record one event (no-op when disabled).
@@ -174,11 +164,7 @@ class EventJournal:
         with self._lock:
             self._seq += 1
             record["seq"] = self._seq
-            record["ts"] = self.clock()
-            self._events.append(record)
-            if len(self._events) > self.capacity:
-                del self._events[0]
-                self._dropped += 1
+            record["ts"] = time.time()
             stream = self._stream
             if stream is not None:
                 stream.write(json.dumps(record, sort_keys=True, default=str))
@@ -189,79 +175,10 @@ class EventJournal:
         """A view that stamps *request_id* on every emitted event."""
         return BoundJournal(self, request_id)
 
-    # -- introspection -----------------------------------------------------------
-
     def __len__(self) -> int:
+        """The number of events emitted so far."""
         with self._lock:
-            return len(self._events)
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted from the in-memory buffer (capacity overflow)."""
-        with self._lock:
-            return self._dropped
-
-    def events(
-        self,
-        *,
-        request_id: Optional[str] = None,
-        event: Optional[str] = None,
-    ) -> list[dict]:
-        """A snapshot of recorded events, optionally filtered."""
-        with self._lock:
-            snapshot = list(self._events)
-        return [
-            dict(record)
-            for record in snapshot
-            if (request_id is None or record.get("request_id") == request_id)
-            and (event is None or record.get("event") == event)
-        ]
-
-    def request_ids(self) -> list[str]:
-        """Distinct non-empty correlation ids, in first-seen order."""
-        with self._lock:
-            snapshot = list(self._events)
-        seen: dict[str, None] = {}
-        for record in snapshot:
-            rid = record.get("request_id")
-            if rid:
-                seen.setdefault(str(rid), None)
-        return list(seen)
-
-    def validate(self) -> None:
-        """Validate every buffered event against :data:`EVENT_SCHEMA`."""
-        for record in self.events():
-            validate_event(record)
-
-    # -- export ------------------------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """The buffered events as newline-terminated JSON lines."""
-        lines = [
-            json.dumps(record, sort_keys=True, default=str)
-            for record in self.events()
-        ]
-        return "".join(line + "\n" for line in lines)
-
-    def write(self, path: str) -> int:
-        """Write the buffer as a JSON-lines file; returns event count."""
-        events = self.events()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in events:
-                handle.write(json.dumps(record, sort_keys=True, default=str))
-                handle.write("\n")
-        return len(events)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self._dropped = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"<EventJournal enabled={self.enabled} events={len(self)} "
-            f"dropped={self.dropped}>"
-        )
+            return self._seq
 
 
 class BoundJournal:
@@ -288,9 +205,6 @@ class BoundJournal:
 
     def bind(self, request_id: str) -> "BoundJournal":
         return BoundJournal(self._journal, request_id)
-
-    def __repr__(self) -> str:
-        return f"<BoundJournal {self.request_id!r} of {self._journal!r}>"
 
 
 def read_jsonl(lines: Iterator[str] | list[str]) -> list[dict]:

@@ -4,7 +4,7 @@ This subsumes the ad-hoc ``OrderingStats`` counters: every orderer's
 stats object is now a *view* over counters living in a
 :class:`MetricRegistry`, so one registry can hold the counters of a
 whole experiment run — several algorithms, the mediator, the utility
-cache — and export them together as JSON or CSV.
+cache — and export them together as JSON.
 
 Naming convention: dotted paths, ``<component>.<metric>``, e.g.
 ``ordering.iDrips.concrete_evaluations`` or ``utility_cache.hits``.
@@ -12,13 +12,9 @@ Naming convention: dotted paths, ``<component>.<metric>``, e.g.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import threading
-from typing import Iterator, Mapping, Optional, Sequence
-
-from repro.observability.tracing import Stopwatch
+from typing import Mapping, Optional, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry"]
 
@@ -116,10 +112,6 @@ class Histogram:
                 return
         self.bucket_counts[-1] += 1
 
-    def time(self) -> "_HistogramTimer":
-        """Context manager observing the block's wall time."""
-        return _HistogramTimer(self)
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -128,7 +120,9 @@ class Histogram:
         """The *q*-quantile (0..1) estimated from the bucket counts.
 
         Standard Prometheus-style estimation: find the bucket the
-        target rank falls into, then interpolate linearly inside it.
+        target rank falls into, then interpolate linearly inside it
+        (the first bucket starts at 0: every histogram here times
+        something).
         The estimate is clamped to the observed ``[min, max]`` so tiny
         samples do not report a p99 beyond anything ever seen, and the
         overflow bucket reports ``max`` (its upper edge is infinite).
@@ -143,10 +137,7 @@ class Histogram:
         for index, bound in enumerate(self.bounds):
             in_bucket = self.bucket_counts[index]
             if in_bucket > 0 and cumulative + in_bucket >= rank:
-                if index > 0:
-                    lower = self.bounds[index - 1]
-                else:
-                    lower = 0.0 if self.min >= 0.0 else self.min
+                lower = self.bounds[index - 1] if index > 0 else 0.0
                 fraction = (rank - cumulative) / in_bucket
                 estimate = lower + (bound - lower) * fraction
                 return min(max(estimate, self.min), self.max)
@@ -238,21 +229,6 @@ def _bounds_from_export(name: str, payload: Mapping[str, object]) -> tuple[float
     return tuple(sorted(bounds))
 
 
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_watch")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._watch = Stopwatch()
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._watch.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._histogram.observe(self._watch.stop())
-
-
 class MetricRegistry:
     """Get-or-create registry of named metrics with exporters."""
 
@@ -336,18 +312,6 @@ class MetricRegistry:
 
     # -- introspection ----------------------------------------------------------
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._metrics
-
-    def names(self) -> Iterator[str]:
-        with self._lock:
-            return iter(tuple(self._metrics))
-
     def get(self, name: str):
         with self._lock:
             return self._metrics.get(name)
@@ -366,33 +330,8 @@ class MetricRegistry:
             payload.update(extra)
         return json.dumps(payload, indent=indent, sort_keys=True)
 
-    def to_csv(self) -> str:
-        """Flat ``name,kind,field,value`` rows for spreadsheet import."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["name", "kind", "field", "value"])
-        with self._lock:
-            metrics = sorted(self._metrics.items())
-        for name, metric in metrics:
-            payload = metric.as_dict()
-            kind = payload.pop("kind")
-            for field, value in payload.items():
-                if isinstance(value, dict):  # histogram buckets
-                    for sub, count in value.items():
-                        writer.writerow([name, kind, f"{field}.{sub}", count])
-                else:
-                    writer.writerow([name, kind, field, value])
-        return buffer.getvalue()
-
     def write_json(self, path: str, extra: Optional[dict] = None) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json(extra=extra))
             handle.write("\n")
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(self.to_csv())
-
-    def reset(self) -> None:
-        with self._lock:
-            self._metrics.clear()

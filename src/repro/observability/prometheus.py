@@ -1,6 +1,6 @@
 """Prometheus text-format exposition for the metric registry.
 
-The registry's JSON/CSV exporters are for offline analysis; a running
+The registry's JSON exporter is for offline analysis; a running
 service needs the pull format every scraper already speaks.  This
 module renders a :class:`~repro.observability.metrics.MetricRegistry`
 (or a previously written JSON export of one) as `Prometheus text
@@ -20,7 +20,7 @@ both call into these renderers.
 from __future__ import annotations
 
 import re
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.errors import ObservabilityError
 from repro.observability.metrics import MetricRegistry
@@ -35,16 +35,12 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _NAMESPACE = "repro"
 
 
-def sanitize_metric_name(name: str, *, namespace: str = _NAMESPACE) -> str:
-    """A dotted registry path as a legal Prometheus metric name."""
+def sanitize_metric_name(name: str) -> str:
+    """A dotted registry path as a legal, ``repro_``-prefixed metric name."""
     flat = _NAME_RE.sub("_", name.strip())
     if not flat:
         raise ObservabilityError(f"cannot derive a metric name from {name!r}")
-    if namespace:
-        flat = f"{namespace}_{flat}"
-    if flat[0].isdigit():
-        flat = f"_{flat}"
-    return flat
+    return f"{_NAMESPACE}_{flat}"
 
 
 def _format_value(value: object) -> str:
@@ -115,11 +111,7 @@ _RENDERERS = {
 }
 
 
-def render_export(
-    metrics: Mapping[str, Mapping[str, object]],
-    *,
-    namespace: str = _NAMESPACE,
-) -> str:
+def render_export(metrics: Mapping[str, Mapping[str, object]]) -> str:
     """Prometheus text from a ``MetricRegistry.as_dict()`` payload.
 
     Also accepts the ``{"metrics": {...}}`` envelope that
@@ -144,30 +136,10 @@ def render_export(
             raise ObservabilityError(
                 f"metric {name!r} has unknown kind {kind!r}"
             )
-        lines.extend(
-            renderer(sanitize_metric_name(name, namespace=namespace), payload)
-        )
+        lines.extend(renderer(sanitize_metric_name(name), payload))
     return "".join(line + "\n" for line in lines)
 
 
-def render_registry(
-    registry: MetricRegistry,
-    *,
-    namespace: str = _NAMESPACE,
-    extra_gauges: Optional[Mapping[str, float]] = None,
-) -> str:
-    """One registry (plus ad-hoc gauges) as Prometheus text.
-
-    ``extra_gauges`` lets callers expose point-in-time state that does
-    not live in the registry — e.g. the breaker board's current states
-    encoded as numbers — without registering permanent metrics.
-    """
-    text = render_export(registry.as_dict(), namespace=namespace)
-    if extra_gauges:
-        lines = []
-        for name in sorted(extra_gauges):
-            flat = sanitize_metric_name(name, namespace=namespace)
-            lines.append(f"# TYPE {flat} gauge")
-            lines.append(f"{flat} {_format_value(extra_gauges[name])}")
-        text += "".join(line + "\n" for line in lines)
-    return text
+def render_registry(registry: MetricRegistry) -> str:
+    """One registry as Prometheus text."""
+    return render_export(registry.as_dict())

@@ -5,7 +5,7 @@ emitted*; wall-clock numbers only mean something when we know which
 stage spent them.  A :class:`Tracer` records a tree of named spans —
 ``greedy.order`` containing many ``utility.eval`` spans — aggregating
 per *path* (the ``/``-joined chain of enclosing span names): call
-count, total / min / max wall time, plus any user-attached attributes.
+count and total / min / max wall time.
 
 Tracing is opt-in.  The module-level :data:`NOOP_TRACER` is the
 default everywhere; its ``span()`` hands back one shared no-op context
@@ -21,7 +21,7 @@ each worker should own its tracer and merge the exported dicts.
 from __future__ import annotations
 
 import time
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = ["Span", "SpanStats", "Stopwatch", "Tracer", "NOOP_TRACER"]
 
@@ -60,7 +60,7 @@ class Stopwatch:
 class SpanStats:
     """Aggregate of every completed span sharing one path."""
 
-    __slots__ = ("path", "calls", "total_s", "min_s", "max_s", "attributes")
+    __slots__ = ("path", "calls", "total_s", "min_s", "max_s")
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -68,15 +68,12 @@ class SpanStats:
         self.total_s = 0.0
         self.min_s = float("inf")
         self.max_s = 0.0
-        self.attributes: dict[str, object] = {}
 
-    def record(self, elapsed: float, attributes: Optional[dict]) -> None:
+    def record(self, elapsed: float) -> None:
         self.calls += 1
         self.total_s += elapsed
         self.min_s = min(self.min_s, elapsed)
         self.max_s = max(self.max_s, elapsed)
-        if attributes:
-            self.attributes.update(attributes)
 
     def absorb(self, payload: dict) -> None:
         """Fold another tracer's exported stats for this path in.
@@ -84,45 +81,32 @@ class SpanStats:
         *payload* is one value of :meth:`Tracer.as_dict` — ``mean_s``
         is derived and ignored; calls/total add, min/max extend.
         """
-        calls = int(payload.get("calls", 0))
-        if calls <= 0:
-            return
-        self.calls += calls
+        self.calls += int(payload.get("calls", 0))
         self.total_s += float(payload.get("total_s", 0.0))
         self.min_s = min(self.min_s, float(payload.get("min_s", float("inf"))))
         self.max_s = max(self.max_s, float(payload.get("max_s", 0.0)))
-        attributes = payload.get("attributes")
-        if attributes:
-            self.attributes.update(attributes)
 
     def as_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {
+        return {
             "calls": self.calls,
             "total_s": self.total_s,
             "mean_s": self.total_s / self.calls if self.calls else 0.0,
             "min_s": self.min_s if self.calls else 0.0,
             "max_s": self.max_s,
         }
-        if self.attributes:
-            payload["attributes"] = dict(self.attributes)
-        return payload
 
 
 class Span:
     """One live span; records into its tracer when the block exits."""
 
-    __slots__ = ("_tracer", "name", "path", "attributes", "_watch", "elapsed")
+    __slots__ = ("_tracer", "name", "path", "_watch", "elapsed")
 
-    def __init__(self, tracer: "Tracer", name: str, attributes: dict) -> None:
+    def __init__(self, tracer: "Tracer", name: str) -> None:
         self._tracer = tracer
         self.name = name
         self.path = ""
-        self.attributes = attributes
         self._watch = Stopwatch()
         self.elapsed = 0.0
-
-    def set_attribute(self, key: str, value: object) -> None:
-        self.attributes[key] = value
 
     def __enter__(self) -> "Span":
         self.path = self._tracer._push(self.name)
@@ -138,11 +122,6 @@ class _NoopSpan:
     """Shared do-nothing span handed out by disabled tracers."""
 
     __slots__ = ()
-    elapsed = 0.0
-    path = ""
-
-    def set_attribute(self, key: str, value: object) -> None:
-        pass
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -169,11 +148,11 @@ class Tracer:
 
     # -- recording --------------------------------------------------------------
 
-    def span(self, name: str, **attributes: object):
+    def span(self, name: str):
         """A context manager timing one occurrence of *name*."""
         if not self.enabled:
             return _NOOP_SPAN
-        return Span(self, name, attributes)
+        return Span(self, name)
 
     def _push(self, name: str) -> str:
         self._stack.append(name)
@@ -184,7 +163,7 @@ class Tracer:
         stats = self._spans.get(span.path)
         if stats is None:
             stats = self._spans[span.path] = SpanStats(span.path)
-        stats.record(span.elapsed, span.attributes)
+        stats.record(span.elapsed)
 
     # -- merging ----------------------------------------------------------------
 
@@ -212,15 +191,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._spans)
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._spans
-
-    def get(self, path: str) -> Optional[SpanStats]:
-        return self._spans.get(path)
-
-    def paths(self) -> Iterator[str]:
-        return iter(self._spans)
-
     def as_dict(self) -> dict[str, dict[str, object]]:
         """``{span path: {calls, total_s, mean_s, min_s, max_s}}``."""
         return {
@@ -237,10 +207,6 @@ class Tracer:
                 f"{payload['total_s']:>12.6f} {payload['mean_s']:>12.6f}"
             )
         return "\n".join(lines)
-
-    def reset(self) -> None:
-        self._stack.clear()
-        self._spans.clear()
 
 
 #: The default tracer: permanently disabled, shared by everyone.

@@ -300,7 +300,7 @@ class PlanOrderer(ABC):
         on_emit: Optional[EmitCallback] = None,
     ) -> list[OrderedPlan]:
         """Eagerly collect the ordering into a list."""
-        with self.tracer.span(f"{self.name}.order", k=k):
+        with self.tracer.span(f"{self.name}.order"):
             return list(self.order(space, k, on_emit))
 
     @staticmethod

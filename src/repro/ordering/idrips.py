@@ -67,7 +67,7 @@ class IDripsOrderer(PlanOrderer):
                 AbstractPlan(trees, space_id)
                 for space_id, (_space, trees) in spaces.items()
             ]
-            with self.tracer.span("idrips.iteration", rank=rank):
+            with self.tracer.span("idrips.iteration"):
                 winner, value = drips_search(
                     pool, self.utility, context, self.stats, self.tracer
                 )

@@ -45,8 +45,8 @@ from repro.execution.mediator import AnswerBatch, Mediator
 from repro.observability.caching import CachingUtilityMeasure
 from repro.observability.journal import EventJournal, NOOP_JOURNAL
 from repro.observability.metrics import MetricRegistry
-from repro.observability.prometheus import render_registry
-from repro.observability.tracing import Tracer
+from repro.observability.prometheus import render_export
+from repro.observability.tracing import NOOP_TRACER, Tracer
 # The table and the ``auto`` rule are repro.ordering's; they are
 # re-exported because clients of the service address orderers by name.
 from repro.ordering import (
@@ -275,8 +275,9 @@ class QueryService:
         return measure
 
     def _make_orderer(
-        self, name: str, utility: UtilityMeasure, *, adaptive: bool = False
+        self, name: str, utility: UtilityMeasure, tracer: Tracer, adaptive: bool
     ):
+        """The request's orderer, recording its spans into *tracer*."""
         factory = orderer_class(name, utility)
         if adaptive and self.resilience is not None:
             return AdaptiveOrderer(
@@ -284,8 +285,9 @@ class QueryService:
                 inner_factory=factory,
                 epoch=self.resilience.epoch,
                 registry=self.registry,
+                tracer=tracer,
             )
-        return factory(utility)
+        return factory(utility, tracer=tracer)
 
     def resolve_adaptivity(
         self, policy: RequestPolicy, requested_orderer: str
@@ -317,14 +319,11 @@ class QueryService:
 
         The service registry always renders; a resilience manager built
         over its *own* registry (the CLI's chaos setup does this)
-        contributes its metrics too, so one scrape sees breaker-state
-        gauges alongside the ``service.*`` series.
+        contributes its metrics too (:meth:`registry_export`), so one
+        scrape sees breaker-state gauges alongside the ``service.*``
+        series.
         """
-        text = render_registry(self.registry)
-        resilience = self.resilience
-        if resilience is not None and resilience.registry is not self.registry:
-            text += render_registry(resilience.registry)
-        return text
+        return render_export(self.registry_export())
 
     def registry_export(self) -> dict:
         """Every metric this service owns as one ``as_dict`` export.
@@ -421,7 +420,7 @@ class QueryService:
         measure_name = request.measure or self.config.default_measure
         requested = request.orderer or self.config.default_orderer
         orderer_name = requested
-        tracer = Tracer(enabled=self.config.trace_requests)
+        tracer = Tracer() if self.config.trace_requests else NOOP_TRACER
         batches: list[AnswerBatch] = []
         answers: set = set()
         try:
@@ -440,9 +439,8 @@ class QueryService:
                         orderer=orderer_name,
                     )
             orderer = self._make_orderer(
-                orderer_name,
-                utility,
-                adaptive=self.resolve_adaptivity(policy, requested),
+                orderer_name, utility, tracer,
+                self.resolve_adaptivity(policy, requested),
             )
             session = PipelinedSession(
                 self.mediator,

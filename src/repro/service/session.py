@@ -47,7 +47,7 @@ from repro.execution.mediator import (
     SessionReport,
     StagedPlan,
 )
-from repro.observability.tracing import Tracer
+from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.ordering.base import PlanOrderer
 from repro.service.backends import ExecutionBackend, InMemoryBackend
 from repro.service.policy import RequestPolicy
@@ -163,10 +163,9 @@ class PipelinedSession:
         self.queue_depth = queue_depth
         self.backend = backend if backend is not None else InMemoryBackend()
         self.policy = policy if policy is not None else RequestPolicy()
-        self.tracer = tracer if tracer is not None else mediator.tracer
+        self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.last_report: Optional[SessionReport] = None
         registry = mediator.registry
-        self._plans_pipelined = registry.counter("service.plans_pipelined")
         self._retries = registry.counter("service.retries")
         self._execute_hist = registry.histogram("service.execute_s")
 
@@ -189,22 +188,20 @@ class PipelinedSession:
         """
         policy = policy if policy is not None else self.policy
         run = _SessionRun(policy, request_id)
-        with self.tracer.span("service.reformulate"):
-            core = AnytimeRun(
-                self.mediator, query, utility,
-                orderer=orderer, max_plans=policy.max_plans,
-                request_id=request_id, tracer=self.tracer,
-            )
+        core = AnytimeRun(
+            self.mediator, query, utility,
+            orderer=orderer, max_plans=policy.max_plans,
+            request_id=request_id, tracer=self.tracer,
+        )
         report = self.last_report = core.report
         plans = core.plans()
         backend, database = self.backend, self.mediator.execution_database()
 
-        def executor(tracer: Tracer) -> Callable[[StagedPlan], None]:
-            def run_query(executable: ConjunctiveQuery) -> frozenset:
-                with tracer.span("service.worker.execute"):
-                    return backend.execute(executable, database)
+        def run_query(executable: ConjunctiveQuery) -> frozenset:
+            return backend.execute(executable, database)
 
-            return lambda item: core.execute(item, run_query, run)
+        def executor(tracer: Tracer) -> Callable[[StagedPlan], None]:
+            return lambda item: core.execute(item, run_query, run, tracer)
 
         # Decided once, before plan 1: threads buy overlap only while
         # execution waits, and whether it can is the backend's to say.
@@ -242,7 +239,6 @@ class PipelinedSession:
                         return
                     batch = core.settle(item)
                     with self.mediator.registry.lock:
-                        self._plans_pipelined.inc()
                         self._retries.inc(item.retries)
                         if item.execute_s:
                             self._execute_hist.observe(item.execute_s)

@@ -38,11 +38,9 @@ PACKAGE = Path(repro.__file__).parent
 ROWS = [
     # A lock-free read of state every other method reads under the lock.
     ("COD001", "observability/journal.py",
-     "    def __len__(self) -> int:\n"
      "        with self._lock:\n"
-     "            return len(self._events)\n",
-     "    def __len__(self) -> int:\n"
-     "        return len(self._events)\n"),
+     "            return self._seq\n",
+     "        return self._seq\n"),
     # A chaos counter bumped outside the lock that guards its other bump.
     ("COD001", "resilience/chaos.py",
      "            if fault.permanent_outage:\n"

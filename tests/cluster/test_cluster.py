@@ -5,6 +5,7 @@ serves most tests (worker spawn is the expensive part), and the
 crash/restart tests get their own short-lived clusters.
 """
 
+import io
 import json
 import threading
 from dataclasses import replace
@@ -28,6 +29,7 @@ from repro.service.metricsd import start_metrics_server
 from repro.service.policy import RequestPolicy
 from repro.service.server import ServiceConfig
 from repro.service.workloads import service_workload
+from tests.journal_reader import events
 
 pytestmark = pytest.mark.slow
 
@@ -79,7 +81,9 @@ def wait_router_idle(cluster, timeout_s=10.0):
 
 @pytest.fixture(scope="module")
 def cluster():
-    instance = Cluster(worker_specs(2), journal=EventJournal())
+    sink = io.StringIO()
+    instance = Cluster(worker_specs(2), journal=EventJournal(stream=sink))
+    instance.sink = sink
     instance.start()
     try:
         yield instance
@@ -144,15 +148,15 @@ class TestRouting:
         # The emit happens a hair after the client sees the summary
         # (the router thread finishes its bookkeeping); poll briefly.
         deadline = time.monotonic() + 5.0
-        events = []
-        while time.monotonic() < deadline and not events:
-            events = cluster.journal.events(
-                request_id="journal-1", event="cluster.routed"
+        routed = []
+        while time.monotonic() < deadline and not routed:
+            routed = events(
+                cluster.sink, request_id="journal-1", event="cluster.routed"
             )
-            if not events:
+            if not routed:
                 time.sleep(0.01)
-        assert len(events) == 1
-        assert events[0]["shard"] in (0, 1)
+        assert len(routed) == 1
+        assert routed[0]["shard"] in (0, 1)
 
 
 class TestAggregation:
@@ -229,7 +233,9 @@ class TestTagLine:
 class TestCrashRecovery:
     @pytest.fixture()
     def crashy_cluster(self):
-        instance = Cluster(worker_specs(2), journal=EventJournal())
+        sink = io.StringIO()
+        instance = Cluster(worker_specs(2), journal=EventJournal(stream=sink))
+        instance.sink = sink
         instance.start()
         try:
             yield instance
@@ -267,7 +273,7 @@ class TestCrashRecovery:
         assert replies[-1]["status"] == "ok"
         states = [
             event["state"]
-            for event in cluster.journal.events(event="cluster.worker")
+            for event in events(cluster.sink, event="cluster.worker")
             if event["shard"] == shard
         ]
         assert "died" in states

@@ -17,6 +17,7 @@ states tier-1's real clusters never reach — ``restart_failed`` and
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ import pytest
 from repro.cluster.spec import WorkerSpec
 from repro.cluster.supervisor import MAX_RESTARTS_PER_SHARD, ClusterSupervisor
 from repro.observability.journal import EventJournal
+from tests.journal_reader import events
 
 
 class _StubProcess:
@@ -63,13 +65,18 @@ class _StubConn:
 
 @pytest.fixture
 def supervisor():
-    return ClusterSupervisor([WorkerSpec(shard=0)], journal=EventJournal())
+    sink = io.StringIO()
+    instance = ClusterSupervisor(
+        [WorkerSpec(shard=0)], journal=EventJournal(stream=sink)
+    )
+    instance.sink = sink
+    return instance
 
 
 def worker_states(supervisor):
     return [
         record.get("state")
-        for record in supervisor.journal.events(event="cluster.worker")
+        for record in events(supervisor.sink, event="cluster.worker")
     ]
 
 

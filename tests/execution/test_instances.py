@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ExecutionError
 from repro.execution.engine import execute_plan
 from repro.execution.instances import (
     element_value,
@@ -10,6 +11,7 @@ from repro.execution.instances import (
 )
 from repro.utility.coverage import plan_box
 from repro.utility.boxes import box_size
+from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 
 class TestProductQuery:
@@ -32,6 +34,13 @@ class TestMaterialization:
             for source in bucket.sources:
                 mask = tiny_domain.model.extension(bucket.index, source.name)
                 assert len(source_facts[source.name]) == mask.bit_count()
+
+    def test_a_model_for_another_width_is_refused(self, tiny_domain):
+        wider = generate_domain(
+            SyntheticParams(query_length=3, bucket_size=3, seed=7)
+        )
+        with pytest.raises(ExecutionError, match="buckets"):
+            materialize_instances(tiny_domain.space, wider.model)
 
     def test_schema_is_union_of_sources(self, tiny_domain):
         source_facts, schema_facts = materialize_instances(

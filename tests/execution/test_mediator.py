@@ -13,9 +13,10 @@ class TestMovieMediation:
     def test_all_answers_equal_certain_answers(self, movies):
         mediator = Mediator(movies.catalog, movies.source_facts)
         utility = LinearCost()
-        assert mediator.answer_all(movies.query, utility) == (
-            mediator.certain_answers(movies.query)
+        answers = set().union(
+            *(batch.answers for batch in mediator.answer(movies.query, utility))
         )
+        assert answers == mediator.certain_answers(movies.query)
 
     def test_batches_in_decreasing_utility(self, movies):
         mediator = Mediator(movies.catalog, movies.source_facts)
@@ -120,38 +121,35 @@ class TestMediatorObservability:
 
     def test_tracer_spans_cover_pipeline_stages(self, movies):
         from repro.observability.tracing import Tracer
+        from repro.service.session import PipelinedSession
 
         tracer = Tracer()
-        mediator = Mediator(
-            movies.catalog, movies.source_facts, tracer=tracer
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts), tracer=tracer
         )
-        list(mediator.answer(movies.query, LinearCost()))
-        assert "mediator.reformulate" in tracer
-        assert tracer.get("mediator.soundness").calls > 0
-        assert tracer.get("mediator.execute").calls > 0
-
-    def test_orderer_adopts_mediator_tracer_for_the_run(self, movies):
-        from repro.observability.tracing import NOOP_TRACER, Tracer
-
-        tracer = Tracer()
-        mediator = Mediator(
-            movies.catalog, movies.source_facts, tracer=tracer
+        _batches, report = session.run(movies.query, LinearCost())
+        assert tracer.as_dict()["reformulation.buckets.build"]["calls"] == 1
+        assert (
+            tracer.as_dict()["reformulation.soundness.check"]["calls"]
+            == report.plans_processed
         )
-        orderer = GreedyOrderer(LinearCost())
-        list(mediator.answer(movies.query, LinearCost(), orderer=orderer))
-        # The ordering's evaluations were recorded on the shared trace...
-        assert any("utility.eval" in path for path in tracer.paths())
-        # ...but the adoption is scoped to the run: the caller's orderer
-        # comes back with its own (no-op) tracer, reusable elsewhere.
-        assert orderer.tracer is NOOP_TRACER
+        assert (
+            tracer.as_dict()["execution.engine.execute"]["calls"] == report.sound_plans
+        )
 
     def test_explicit_orderer_tracer_wins(self, movies):
         from repro.observability.tracing import Tracer
+        from repro.service.session import PipelinedSession
 
-        mediator = Mediator(
-            movies.catalog, movies.source_facts, tracer=Tracer()
+        tracer, own = Tracer(), Tracer()
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts), tracer=tracer
         )
-        own = Tracer()
         orderer = GreedyOrderer(LinearCost(), tracer=own)
-        list(mediator.answer(movies.query, LinearCost(), orderer=orderer))
+        session.run(movies.query, LinearCost(), orderer=orderer)
+        # The run never swaps an orderer's tracer: the ordering spans
+        # land where the orderer was built to record them.
         assert orderer.tracer is own
+        assert "utility.eval" in own.as_dict()
+        assert "utility.eval" not in tracer.as_dict()
+        assert "reformulation.soundness.check" in tracer.as_dict()

@@ -6,8 +6,8 @@ Two invariants the service layer leans on:
   union of all ``answers`` — no tuple is ever reported new twice, and
   every answer is reported new exactly once;
 * breaking out of the stream early is safe: the caller's orderer is
-  left reusable (no leaked tracer), and the metric registry reflects
-  exactly the consumed prefix.
+  left reusable, and the metric registry reflects exactly the consumed
+  prefix.
 """
 
 import types
@@ -16,7 +16,6 @@ import pytest
 
 from repro.execution.mediator import Mediator
 from repro.observability.metrics import MetricRegistry
-from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.ordering.bruteforce import PIOrderer
 from repro.utility.cost import LinearCost
 from repro.workloads.random_lav import ordering_scenario
@@ -83,41 +82,6 @@ class TestEarlyBreak:
             mediator.reformulate(movies.query), 4
         )
         assert full[0].plan.key == consumed[0].plan.key
-
-    def test_tracer_restored_after_finish(self, movies):
-        mediator = Mediator(
-            movies.catalog, movies.source_facts, tracer=Tracer(enabled=True)
-        )
-        utility = LinearCost()
-        orderer = PIOrderer(utility)
-        list(mediator.answer(movies.query, utility, orderer=orderer))
-        assert orderer.tracer is NOOP_TRACER
-
-    def test_tracer_restored_after_early_break(self, movies):
-        """Satellite regression: an adopted tracer must not leak into
-        the caller's orderer when the caller stops iterating early."""
-        mediator = Mediator(
-            movies.catalog, movies.source_facts, tracer=Tracer(enabled=True)
-        )
-        utility = LinearCost()
-        orderer = PIOrderer(utility)
-        stream = mediator.answer(movies.query, utility, orderer=orderer)
-        next(stream)
-        assert orderer.tracer is mediator.tracer  # adopted while running
-        stream.close()
-        assert orderer.tracer is NOOP_TRACER
-
-    def test_caller_supplied_tracer_never_touched(self, movies):
-        mediator = Mediator(
-            movies.catalog, movies.source_facts, tracer=Tracer(enabled=True)
-        )
-        utility = LinearCost()
-        private = Tracer(enabled=True)
-        orderer = PIOrderer(utility, tracer=private)
-        stream = mediator.answer(movies.query, utility, orderer=orderer)
-        next(stream)
-        stream.close()
-        assert orderer.tracer is private
 
 
 class TestReadOnlyDatabase:

@@ -18,6 +18,7 @@ from repro.analysis.concurrency.facts import extract_module
 from repro.execution.mediator import Mediator
 from repro.observability.journal import EventJournal
 from repro.observability.metrics import MetricRegistry
+from repro.observability.tracing import Tracer
 from repro.resilience.manager import ResilienceManager
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
@@ -27,6 +28,12 @@ LOOP_MODULES = [
     CodeModule.from_file(str(path))
     for package in ("execution", "service")
     for path in sorted((PACKAGE / package).glob("*.py"))
+]
+
+STAGE_SPANS = [
+    "reformulation.buckets.build",
+    "reformulation.soundness.check",
+    "execution.engine.execute",
 ]
 
 PER_PLAN_EVENTS = [
@@ -86,6 +93,34 @@ class TestOneLoop:
         )
         assert len(sites) == 1, sites
 
+    @pytest.mark.parametrize("stage", STAGE_SPANS)
+    def test_one_timing_site_per_stage(self, stage):
+        sites = [
+            (module.path, node.lineno)
+            for module in LOOP_MODULES
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.Call)
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == stage
+        ]
+        assert len(sites) == 1, sites
+
+    def test_no_orderer_tracer_is_swapped(self):
+        # One tracer enters a request, at the orderer's construction; no
+        # stage lends an orderer a tracer and so none can leak one.
+        swaps = [
+            (module.path, node.lineno)
+            for module in LOOP_MODULES
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Attribute)
+            and target.attr == "tracer"
+            and not (isinstance(target.value, ast.Name) and target.value.id == "self")
+        ]
+        assert swaps == []
+
     def test_inline_driver_has_no_thread_queue_or_retry(self):
         names = method_names("Mediator", "answer")
         assert not names & {
@@ -112,6 +147,10 @@ class TestRemovedParameters:
         ):
             with pytest.raises(TypeError):
                 PipelinedSession(mediator, **removed)
+
+    def test_the_mediator_takes_no_tracer(self, movies):
+        with pytest.raises(TypeError):
+            Mediator(movies.catalog, movies.source_facts, tracer=Tracer())
 
     def test_adaptive_flag_is_gone_from_all_four_signatures(self, movies):
         mediator = Mediator(

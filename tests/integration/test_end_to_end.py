@@ -29,7 +29,9 @@ class TestThreeReformulationBackendsAgree:
 
         from repro.utility.cost import LinearCost
 
-        bucket_answers = mediator.answer_all(domain.query, LinearCost())
+        bucket_answers = set().union(
+            *(b.answers for b in mediator.answer(domain.query, LinearCost()))
+        )
         inverse_answers = answer_with_inverse_rules(
             domain.catalog, domain.query, domain.source_facts
         )

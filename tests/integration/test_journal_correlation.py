@@ -16,6 +16,7 @@ Two contracts from the telemetry work:
 """
 
 import functools
+import io
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.service.session import PipelinedSession
 from repro.utility.cost import BindJoinCost, LinearCost
 from repro.workloads.movies import movie_domain
 from repro.workloads.random_lav import ordering_scenario
+from tests.journal_reader import events
 
 # -- correlation through a live chaos run ------------------------------------------
 
@@ -44,9 +46,11 @@ FAST_POLICY = RequestPolicy(
 
 @pytest.fixture
 def chaos_journal():
-    """A full loadgen run against a chaos-backed TCP server, journaled."""
+    """A full loadgen run against a chaos-backed TCP server, journaled;
+    returns the journal's sink."""
     movies = movie_domain()
-    journal = EventJournal()
+    sink = io.StringIO()
+    journal = EventJournal(stream=sink)
     service = QueryService(
         movies.catalog,
         movies.source_facts,
@@ -74,21 +78,20 @@ def chaos_journal():
         server.server_close()
         service.shutdown()
     assert report.completed == REQUESTS and report.errors == 0
-    return journal
+    return sink
 
 
 class TestCorrelation:
     def test_every_event_validates(self, chaos_journal):
-        chaos_journal.validate()
-        assert chaos_journal.dropped == 0
+        assert events(chaos_journal)
 
     def test_one_request_id_links_the_whole_path(self, chaos_journal):
-        received = chaos_journal.events(event="request.received")
+        received = events(chaos_journal, event="request.received")
         assert len(received) == REQUESTS
         for record in received:
             rid = record["request_id"]
             assert rid
-            chain = chaos_journal.events(request_id=rid)
+            chain = events(chaos_journal, request_id=rid)
             kinds = [r["event"] for r in chain]
             # Frontend -> server -> session -> completion, all present
             # under the one id.
@@ -104,11 +107,9 @@ class TestCorrelation:
             assert kinds.index("plan.emitted") > admitted
 
     def test_per_plan_events_account_for_the_report(self, chaos_journal):
-        for done in chaos_journal.events(event="request.completed"):
+        for done in events(chaos_journal, event="request.completed"):
             rid = done["request_id"]
-            emitted = chaos_journal.events(
-                request_id=rid, event="plan.emitted"
-            )
+            emitted = events(chaos_journal, request_id=rid, event="plan.emitted")
             if done["status"] == "ok":
                 # Every plan the session processed left an emission
                 # event, and the completion record agrees on the count.
@@ -119,14 +120,14 @@ class TestCorrelation:
                     "plan.executed", "plan.skipped",
                     "plan.failed", "plan.unsound",
                 )
-                for record in chaos_journal.events(request_id=rid, event=event)
+                for record in events(chaos_journal, request_id=rid, event=event)
             ]
             assert len(terminal) == len(emitted)
 
     def test_anytime_marks_match_completion(self, chaos_journal):
-        for done in chaos_journal.events(event="request.completed"):
+        for done in events(chaos_journal, event="request.completed"):
             rid = done["request_id"]
-            firsts = chaos_journal.events(request_id=rid, event="answer.first")
+            firsts = events(chaos_journal, request_id=rid, event="answer.first")
             if done["first_answer_s"] is None:
                 assert firsts == []
                 continue
@@ -134,8 +135,8 @@ class TestCorrelation:
             assert first["elapsed_s"] == pytest.approx(
                 done["first_answer_s"]
             )
-            progress = chaos_journal.events(
-                request_id=rid, event="answer.progress"
+            progress = events(
+                chaos_journal, request_id=rid, event="answer.progress"
             )
             assert progress
             # The k-th-answer curve is monotone in both coordinates.
@@ -148,15 +149,15 @@ class TestCorrelation:
     def test_chaos_leaves_resilience_events(self, chaos_journal):
         # The smoke profile kills v4; the breaker must have opened on
         # some request's watch and later plans skipped the source.
-        failures = chaos_journal.events(event="source.failure")
+        failures = events(chaos_journal, event="source.failure")
         assert failures
         assert all(record["request_id"] for record in failures)
-        transitions = chaos_journal.events(event="breaker.transition")
+        transitions = events(chaos_journal, event="breaker.transition")
         assert any(
             record["source"] == "v4" and record["to_state"] == "open"
             for record in transitions
         )
-        skipped = chaos_journal.events(event="plan.skipped")
+        skipped = events(chaos_journal, event="plan.skipped")
         assert any("v4" in record["sources"] for record in skipped)
 
 
@@ -198,11 +199,11 @@ def test_journal_on_stream_is_identical(seed, measure_name):
     expected = journal_off_stream(seed, measure_name)
     scenario = lav_scenario(seed)
     utility = getattr(scenario, measure_name)()
-    journal = EventJournal()
+    sink = io.StringIO()
     mediator = Mediator(
         scenario.scenario.catalog,
         scenario.scenario.source_facts,
-        journal=journal,
+        journal=EventJournal(stream=sink),
     )
     observed = batch_stream(
         mediator.answer(
@@ -213,8 +214,7 @@ def test_journal_on_stream_is_identical(seed, measure_name):
         )
     )
     assert observed == expected
-    journal.validate()
-    assert len(journal.events(event="plan.emitted")) == len(expected)
+    assert len(events(sink, event="plan.emitted")) == len(expected)
 
 
 # -- AnyK-backed mediation under a correlated request_id ---------------------------
@@ -237,11 +237,11 @@ class TestAnyKJournalCorrelation:
 
         scenario = lav_scenario(seed)
         utility = getattr(scenario, measure_name)()
-        journal = EventJournal()
+        sink = io.StringIO()
         mediator = Mediator(
             scenario.scenario.catalog,
             scenario.scenario.source_facts,
-            journal=journal,
+            journal=EventJournal(stream=sink),
         )
         request_id = f"anyk-{measure_name}-{seed}"
         batches = list(
@@ -252,14 +252,13 @@ class TestAnyKJournalCorrelation:
                 request_id=request_id,
             )
         )
-        journal.validate()
-        return journal, request_id, batches
+        return sink, request_id, batches
 
     @pytest.mark.parametrize("measure_name", MEASURES)
     @pytest.mark.parametrize("seed", RANDOM_LAV_SEEDS[::4])
     def test_emitted_utilities_never_increase(self, seed, measure_name):
-        journal, request_id, batches = self._run(seed, measure_name)
-        emitted = journal.events(request_id=request_id, event="plan.emitted")
+        sink, request_id, batches = self._run(seed, measure_name)
+        emitted = events(sink, request_id=request_id, event="plan.emitted")
         assert len(emitted) == len(batches) > 0
         utilities = [record["utility"] for record in emitted]
         assert all(
@@ -270,15 +269,15 @@ class TestAnyKJournalCorrelation:
     @pytest.mark.parametrize("measure_name", MEASURES)
     @pytest.mark.parametrize("seed", RANDOM_LAV_SEEDS[::4])
     def test_ranks_and_seq_are_causal(self, seed, measure_name):
-        journal, request_id, batches = self._run(seed, measure_name)
-        chain = journal.events(request_id=request_id)
+        sink, request_id, batches = self._run(seed, measure_name)
+        chain = events(sink, request_id=request_id)
         assert chain, "no events correlated under the request_id"
         assert all(
             record["request_id"] == request_id for record in chain
         )
         seqs = [record["seq"] for record in chain]
         assert seqs == sorted(seqs), "journal seq not monotone"
-        emitted = journal.events(request_id=request_id, event="plan.emitted")
+        emitted = events(sink, request_id=request_id, event="plan.emitted")
         assert [record["rank"] for record in emitted] == list(
             range(1, len(emitted) + 1)
         )
@@ -295,12 +294,12 @@ def test_pipelined_journal_on_stream_is_identical(seed):
     expected = journal_off_stream(seed, "linear_cost")
     scenario = lav_scenario(seed)
     utility = scenario.linear_cost()
-    journal = EventJournal()
+    sink = io.StringIO()
     session = PipelinedSession(
         Mediator(
             scenario.scenario.catalog,
             scenario.scenario.source_facts,
-            journal=journal,
+            journal=EventJournal(stream=sink),
         ),
         executor_workers=3,
         queue_depth=4,
@@ -313,8 +312,7 @@ def test_pipelined_journal_on_stream_is_identical(seed):
     )
     assert batch_stream(batches) == expected
     assert report.status == "ok"
-    journal.validate()
-    chain = journal.events(request_id=f"pipelined-{seed}")
+    chain = events(sink, request_id=f"pipelined-{seed}")
     assert len([r for r in chain if r["event"] == "plan.emitted"]) == len(
         expected
     )

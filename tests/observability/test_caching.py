@@ -52,15 +52,6 @@ class TestWrapperPlumbing:
             0, source
         )
 
-    def test_clear_resets_entries(self):
-        domain = small_domain_for(0)
-        cached = CachingUtilityMeasure(domain.linear_cost())
-        plan = next(domain.space.plans())
-        cached.evaluate(plan, cached.new_context())
-        assert cached.cache_size() == 1
-        cached.clear()
-        assert cached.cache_size() == 0
-
 
 class TestHitMissAccounting:
     def test_repeat_evaluation_hits(self):
@@ -74,7 +65,6 @@ class TestHitMissAccounting:
         assert first == second
         assert cached.misses == 1
         assert cached.hits == 1
-        assert registry.get("utility_cache.concrete_hits").value == 1
         assert registry.get("utility_cache.entries").value == 1
 
     def test_slots_cached_separately(self):
@@ -85,8 +75,7 @@ class TestHitMissAccounting:
         first = cached.evaluate_slots(slots, context)
         second = cached.evaluate_slots(slots, context)
         assert first == second
-        assert cached.hits == 1
-        assert cached.registry.get("utility_cache.abstract_hits").value == 1
+        assert (cached.misses, cached.hits) == (1, 1)
 
     def test_context_free_measure_ignores_executed_plans(self):
         domain = small_domain_for(0)
@@ -255,20 +244,6 @@ class TestPrefixTokens:
         assert len(handed_out) == len(cached._prefixes)
         assert len(handed_out) >= threads * share + rounds
 
-    def test_clear_empties_the_table_and_keeps_live_contexts_exact(self):
-        domain = small_domain_for(0)
-        cached = CachingUtilityMeasure(domain.coverage())
-        plans = list(domain.space.plans())
-        context = cached.new_context()
-        context.record(plans[0])
-        before = cached._context_token(context)
-        cached.clear()
-        assert cached._prefixes == {}
-        # A context in flight keeps its token; a prefix interned after
-        # the clear can never be handed the same one.
-        assert cached._context_token(context) == before
-        assert before not in tokens_along(cached, plans[1:4])
-
     def test_context_free_measure_builds_no_table(self):
         domain = small_domain_for(0)
         orderer = IDripsOrderer(domain.linear_cost(), cache=True)
@@ -289,13 +264,18 @@ class TestPrefixTokens:
 
 
 class CountingList(list):
-    """``context.executed`` that counts whole-prefix walks."""
+    """``context.executed`` that counts whole-prefix walks and reads."""
 
     iterations = 0
+    reads = 0
 
     def __iter__(self):
         type(self).iterations += 1
         return super().__iter__()
+
+    def __getitem__(self, index):
+        type(self).reads += 1
+        return super().__getitem__(index)
 
 
 class TestCachedEvaluationWork:
@@ -316,7 +296,7 @@ class TestCachedEvaluationWork:
         slots = tuple(bucket.sources for bucket in domain.space.buckets)
         context = self.context_with_prefix(cached, (plans * 6)[:200])
         assert len(context.executed) == 200
-        CountingList.iterations = 0
+        CountingList.iterations = CountingList.reads = 0
         for plan in plans:
             cached.evaluate(plan, context)
             cached.evaluate_slots(slots, context)
@@ -325,6 +305,8 @@ class TestCachedEvaluationWork:
             cached.evaluate_slots(slots, context)
         assert (cached.misses, cached.hits) == (len(plans) + 1, 3 * len(plans) - 1)
         assert CountingList.iterations == 0
+        # The prefix is folded once, by the first evaluation.
+        assert CountingList.reads == 200
         # One table entry per recorded plan, not per evaluation.
         assert len(cached._prefixes) == 200
 
@@ -345,5 +327,6 @@ class TestCachedEvaluationWork:
         assert abstract.slots[0].key is abstract.slots[0].key
         # Slots that are equal by source name still share the entry.
         rebuilt = tuple(tuple(members) for members in abstract.slots_members())
+        hits = cached.hits
         cached.evaluate_slots(rebuilt, context)
-        assert cached.registry.get("utility_cache.abstract_hits").value == 1
+        assert cached.hits == hits + 1

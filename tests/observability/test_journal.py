@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import threading
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.observability.journal import (
 from repro.service.server import QueryRequest, QueryService
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
+from tests.journal_reader import events
 from tests.service.helpers import BACKENDS
 
 #: One representative payload per event type, used to prove the whole
@@ -63,18 +67,31 @@ class TestSchema:
 
     @pytest.mark.parametrize("event", sorted(EVENT_SCHEMA))
     def test_schema_round_trip(self, event):
-        """Emit -> validate -> to_jsonl -> read_jsonl, per event type."""
-        journal = EventJournal(clock=lambda: 12.5)
+        """Emit -> stream -> read_jsonl -> validate, per event type."""
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink)
         journal.emit(event, request_id="req-1", **SAMPLE_FIELDS[event])
-        journal.validate()
-        (record,) = read_jsonl(journal.to_jsonl().splitlines())
+        (record,) = read_jsonl(sink.getvalue().splitlines())
         validate_event(record)
         assert record["event"] == event
         assert record["request_id"] == "req-1"
         assert record["seq"] == 1
-        assert record["ts"] == 12.5
+        assert isinstance(record["ts"], float)
         for field in EVENT_SCHEMA[event]:
             assert field in record
+
+    def test_the_documented_table_is_the_schema(self):
+        doc = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+        table = doc.read_text(encoding="utf-8").split(
+            "| event | required fields | emitted by |", 1
+        )[1].split("\n\n", 1)[0]
+        documented = {}
+        for line in table.splitlines()[2:]:
+            event, fields = line.strip("|").split(" | ")[:2]
+            documented[event.strip(" `")] = frozenset(
+                field.strip(" `") for field in fields.split(",")
+            )
+        assert documented == EVENT_SCHEMA
 
     def test_unknown_event_rejected(self):
         with pytest.raises(ObservabilityError, match="unknown journal event"):
@@ -110,52 +127,38 @@ class TestEventJournal:
         NOOP_JOURNAL.emit("plan.unsound", rank=1)
         assert len(NOOP_JOURNAL) == 0
 
+    def test_len_counts_the_events_emitted(self):
+        journal = EventJournal()
+        for rank in range(5):
+            journal.emit("plan.unsound", rank=rank)
+        assert len(journal) == 5
+
     def test_seq_is_monotonic(self):
-        journal = EventJournal()
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink)
         for rank in range(5):
             journal.emit("plan.unsound", rank=rank)
-        seqs = [record["seq"] for record in journal.events()]
-        assert seqs == [1, 2, 3, 4, 5]
-
-    def test_capacity_evicts_oldest_and_counts_drops(self):
-        journal = EventJournal(capacity=3)
-        for rank in range(5):
-            journal.emit("plan.unsound", rank=rank)
-        assert len(journal) == 3
-        assert journal.dropped == 2
-        assert [r["rank"] for r in journal.events()] == [2, 3, 4]
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ObservabilityError):
-            EventJournal(capacity=0)
-
-    def test_filtering_by_request_and_event(self):
-        journal = EventJournal()
-        journal.emit("plan.unsound", request_id="a", rank=1)
-        journal.emit("plan.unsound", request_id="b", rank=2)
-        journal.emit("answer.first", request_id="a", rank=1, elapsed_s=0.1)
-        assert len(journal.events(request_id="a")) == 2
-        assert len(journal.events(event="plan.unsound")) == 2
-        assert len(journal.events(request_id="a", event="answer.first")) == 1
-        assert journal.request_ids() == ["a", "b"]
+        assert [record["seq"] for record in events(sink)] == [1, 2, 3, 4, 5]
 
     def test_bind_stamps_request_id(self):
-        journal = EventJournal()
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink)
         bound = journal.bind("req-9")
         assert bound.enabled
         bound.emit("plan.unsound", rank=1)
-        (record,) = journal.events()
+        (record,) = events(sink)
         assert record["request_id"] == "req-9"
 
     def test_bind_rebinding_replaces_id(self):
-        journal = EventJournal()
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink)
         rebound = journal.bind("old").bind("new")
         rebound.emit("plan.unsound", rank=1)
-        assert journal.events()[0]["request_id"] == "new"
+        assert events(sink)[0]["request_id"] == "new"
 
     def test_stream_mirrors_every_event(self):
         sink = io.StringIO()
-        journal = EventJournal(stream=sink, clock=lambda: 1.0)
+        journal = EventJournal(stream=sink)
         journal.emit("plan.unsound", request_id="r", rank=1)
         journal.emit("plan.unsound", request_id="r", rank=2)
         lines = sink.getvalue().strip().splitlines()
@@ -165,26 +168,36 @@ class TestEventJournal:
             validate_event(record)
         assert [r["rank"] for r in parsed] == [1, 2]
 
-    def test_write_and_read_back(self, tmp_path):
-        journal = EventJournal()
-        journal.emit("plan.unsound", request_id="r", rank=1)
-        path = tmp_path / "journal.jsonl"
-        count = journal.write(str(path))
-        assert count == 1
-        records = read_jsonl(path.read_text().splitlines())
-        assert records == journal.events()
+    def test_each_event_is_flushed(self, tmp_path):
+        """What ``tail -f`` (and a crashed server's journal) shows: the
+        event is in the file while the sink is still open."""
+        path = tmp_path / "events.jsonl"
+        with open(path, "w", encoding="utf-8") as sink:
+            EventJournal(stream=sink).emit("plan.unsound", rank=1)
+            (record,) = read_jsonl(path.read_text(encoding="utf-8").splitlines())
+        assert record["rank"] == 1
 
-    def test_reset_clears_buffer_and_drops(self):
-        journal = EventJournal(capacity=1)
-        journal.emit("plan.unsound", rank=1)
-        journal.emit("plan.unsound", rank=2)
-        assert journal.dropped == 1
-        journal.reset()
-        assert len(journal) == 0
-        assert journal.dropped == 0
+    def test_the_journal_keeps_nothing(self):
+        """A sink, not a store: 10 000 events leave no memory behind."""
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            journal = EventJournal(stream=devnull)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for rank in range(10_000):
+                    journal.emit(
+                        "plan.executed", request_id="r", rank=rank,
+                        answers=3, new_answers=1, execute_s=0.001,
+                    )
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert len(journal) == 10_000
+        assert kept < 512 * 1024
 
     def test_concurrent_emits_lose_nothing(self):
-        journal = EventJournal()
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink)
         per_thread = 200
 
         def emitter(worker: int) -> None:
@@ -201,7 +214,7 @@ class TestEventJournal:
         for thread in threads:
             thread.join()
         assert len(journal) == 4 * per_thread
-        seqs = sorted(r["seq"] for r in journal.events())
+        seqs = sorted(r["seq"] for r in events(sink))
         assert seqs == list(range(1, 4 * per_thread + 1))
 
 
@@ -269,17 +282,20 @@ class TestTags:
     """Constant fields stamped on every record (cluster shard ids)."""
 
     def test_tags_appear_on_every_record(self):
-        journal = EventJournal(tags={"shard": 2}, clock=lambda: 1.0)
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink, tags={"shard": 2})
         journal.emit("request.received", request_id="r1", query="q(X) :- rel0(X)")
         journal.emit("cluster.routed", request_id="r1", shard=2)
-        for record in journal.events():
+        records = events(sink)
+        assert len(records) == 2
+        for record in records:
             assert record["shard"] == 2
-        journal.validate()
 
     def test_event_fields_win_over_tags(self):
-        journal = EventJournal(tags={"shard": 0})
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink, tags={"shard": 0})
         journal.emit("cluster.routed", request_id="r1", shard=5)
-        (record,) = journal.events()
+        (record,) = events(sink)
         assert record["shard"] == 5
 
     def test_envelope_collision_rejected(self):
@@ -287,8 +303,9 @@ class TestTags:
             EventJournal(tags={"seq": 9})
 
     def test_tags_survive_jsonl_round_trip(self):
-        journal = EventJournal(tags={"shard": 1}, clock=lambda: 1.0)
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink, tags={"shard": 1})
         journal.emit("cluster.worker", shard=1, state="started")
-        (record,) = read_jsonl(journal.to_jsonl().splitlines())
+        (record,) = read_jsonl(sink.getvalue().splitlines())
         assert record["shard"] == 1
         validate_event(record)

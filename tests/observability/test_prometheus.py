@@ -20,16 +20,12 @@ class TestSanitize:
             == "repro_service_first_answer_s"
         )
 
-    def test_namespace_override(self):
-        assert sanitize_metric_name("a.b", namespace="x") == "x_a_b"
-        assert sanitize_metric_name("a.b", namespace="") == "a_b"
-
     def test_leading_digit_prefixed(self):
-        assert sanitize_metric_name("9lives", namespace="") == "_9lives"
+        assert sanitize_metric_name("9lives") == "repro_9lives"
 
     def test_empty_rejected(self):
         with pytest.raises(ObservabilityError):
-            sanitize_metric_name("   ", namespace="")
+            sanitize_metric_name("   ")
 
     def test_hostile_characters_flattened(self):
         flat = sanitize_metric_name("breaker{v-1}.state")
@@ -78,14 +74,6 @@ class TestRenderRegistry:
         assert 'repro_latency_s_quantile{quantile="0.50"}' in text
         assert 'repro_latency_s_quantile{quantile="0.90"}' in text
         assert 'repro_latency_s_quantile{quantile="0.99"}' in text
-
-    def test_extra_gauges_appended(self):
-        registry = MetricRegistry()
-        text = render_registry(
-            registry, extra_gauges={"breaker.v1.state": 2.0}
-        )
-        assert "# TYPE repro_breaker_v1_state gauge" in text
-        assert "repro_breaker_v1_state 2" in text
 
     def test_every_line_is_comment_or_sample(self):
         registry = MetricRegistry()

@@ -76,12 +76,11 @@ class TestOrdererPlumbing:
         tracer = Tracer()
         orderer = PIOrderer(tiny_domain.linear_cost(), tracer=tracer)
         orderer.order_list(tiny_domain.space, 3)
-        span = tracer.get("PI.order")
-        assert span is not None and span.calls == 1
+        assert tracer.as_dict()["PI.order"]["calls"] == 1
         # The per-evaluation spans nest under the ordering span.
-        assert tracer.get("PI.order/utility.eval").calls > 0
+        assert tracer.as_dict()["PI.order/utility.eval"]["calls"] > 0
         orderer.order_list(tiny_domain.space, 3)
-        assert tracer.get("PI.order").calls == 2
+        assert tracer.as_dict()["PI.order"]["calls"] == 2
 
 
 class TestInstrumentationPlumbing:

@@ -165,18 +165,16 @@ class TestMediatorDefault:
         catalog, facts = scenario.scenario.catalog, scenario.scenario.source_facts
         query = scenario.scenario.query
 
-        def answers(mediator):
-            batches = list(mediator.answer(query, scenario.coverage()))
+        def answers(orderer=None):
+            utility = scenario.coverage()
+            if orderer is not None:
+                orderer = orderer(utility)
+            batches = list(mediator.answer(query, utility, orderer=orderer))
             return frozenset().union(*(batch.new_answers for batch in batches))
 
-        default = Mediator(catalog, facts)
-        assert type(default.make_orderer(scenario.coverage())) is StreamerOrderer
-        assert answers(default) == answers(Mediator(catalog, facts, PIOrderer))
-
-    def test_an_explicit_factory_still_wins(self, movies):
-        mediator = Mediator(movies.catalog, movies.source_facts, PIOrderer)
-        utility = repro.LinearCost()
-        assert type(mediator.make_orderer(utility)) is PIOrderer
+        mediator = Mediator(catalog, facts)
+        assert type(mediator.make_orderer(scenario.coverage())) is StreamerOrderer
+        assert answers() == answers(PIOrderer)
 
 
 SRC = Path(repro.__file__).parent

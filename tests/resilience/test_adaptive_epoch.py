@@ -9,6 +9,7 @@ an admission probe.  A healthy run must keep epoch 0 so the adaptive
 orderer provably never re-sorts.
 """
 
+import io
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from repro.ordering import AdaptiveOrderer, ExhaustiveOrderer
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.manager import ResilienceManager
 from repro.workloads.random_lav import ordering_scenario
+from tests.journal_reader import events
 
 
 class FakeClock:
@@ -97,14 +99,13 @@ class TestEpochBumpRules:
         assert manager.epoch.value > before
 
     def test_epoch_advances_are_journaled(self):
-        journal = EventJournal()
-        manager = manager_with(FakeClock(), journal=journal)
+        sink = io.StringIO()
+        manager = manager_with(FakeClock(), journal=EventJournal(stream=sink))
         manager.record_failure(("v1",), request_id="r1")
-        events = journal.events(event="health.epoch")
-        assert events
-        reasons = {record["reason"] for record in events}
+        epochs = events(sink, event="health.epoch")
+        assert epochs
+        reasons = {record["reason"] for record in epochs}
         assert "source.failure" in reasons
-        journal.validate()
 
 
 class _Src:
@@ -240,9 +241,10 @@ class TestTransitionsFollowThePlanNotTheBoard:
         def make(cls):
             clock = FakeClock()
             board = BreakerBoard(failure_threshold=2, cooldown_s=5.0, clock=clock)
-            journal = EventJournal()
+            sink = io.StringIO()
+            journal = EventJournal(stream=sink)
             manager = cls(board=board, tracker=StubTracker(), journal=journal)
-            return manager, clock, journal
+            return manager, clock, sink
 
         def apply(manager, clock, kind, names, seconds, request_id):
             if kind == "admit":
@@ -275,16 +277,15 @@ class TestTransitionsFollowThePlanNotTheBoard:
                 reference, reference_clock, *step
             )
             assert manager.epoch.value == reference.epoch.value
-        def untimed(journal):
+        def untimed(sink):
             return [
                 {k: v for k, v in record.items() if k != "ts"}
-                for record in journal.events()
+                for record in events(sink)
             ]
 
-        events = untimed(journal)
-        assert events == untimed(reference_journal)
-        assert any(r["event"] == "breaker.transition" for r in events)
-        journal.validate()
+        records = untimed(journal)
+        assert records == untimed(reference_journal)
+        assert any(r["event"] == "breaker.transition" for r in records)
 
     @pytest.mark.parametrize("registered", [3, 300])
     def test_state_reads_do_not_grow_with_the_board(self, registered, state_reads):

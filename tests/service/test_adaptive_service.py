@@ -7,6 +7,7 @@ service without a resilience manager never adapts — there is no health
 signal to react to.
 """
 
+import io
 import time
 
 import pytest
@@ -31,6 +32,7 @@ from repro.service.server import (
 )
 from repro.utility.cost import BindJoinCost, LinearCost
 from repro.workloads.random_lav import ordering_scenario
+from tests.journal_reader import events
 
 FAST_POLICY = RequestPolicy(
     retry=RetryPolicy(max_attempts=2, base_s=0.001, cap_s=0.002)
@@ -199,11 +201,12 @@ class TestFeedbackLoopEndToEnd:
         resilience = ResilienceManager(
             min_observations=1, board=BreakerBoard(cooldown_s=0.05)
         )
+        sink = io.StringIO()
         service = adaptive_service(
             movies,
             backend=ChaosBackend(bundled_profile("flapping"), seed=7),
             resilience=resilience,
-            journal=EventJournal(),
+            journal=EventJournal(stream=sink),
             queue_depth=1,
             executor_workers=1,
         )
@@ -215,12 +218,11 @@ class TestFeedbackLoopEndToEnd:
                 )
                 # Graceful degradation: chaos never aborts a request.
                 assert result.status in ("ok", "degraded")
-                reordered = service.journal.events(event="plan.reordered")
+                reordered = events(sink, event="plan.reordered")
                 if reordered:
                     break
                 time.sleep(0.06)  # let the breaker cooldowns elapse
             assert reordered, "no plan.reordered under flapping chaos"
-            service.journal.validate()
             registry = service.registry.as_dict()
 
             def counter(name):
@@ -269,12 +271,12 @@ class ColdStart:
     """One cold-start head-outage request, read back from its journal."""
 
     def __init__(self, scenario, adaptivity):
-        journal = EventJournal()
+        sink = io.StringIO()
         service = outage_service(
             scenario,
             adaptivity=adaptivity,
             backend=ChaosBackend(OUTAGE_CHAOS, seed=0),
-            journal=journal,
+            journal=EventJournal(stream=sink),
         )
         try:
             self.result = service.execute(
@@ -282,8 +284,7 @@ class ColdStart:
             )
         finally:
             service.shutdown()
-        journal.validate()
-        self.events = journal.events(request_id="cold")
+        self.events = events(sink, request_id="cold")
         (self.first,) = self.of("answer.first")
         self.failed = [
             e["rank"]

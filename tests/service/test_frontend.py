@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import io
 import json
 import socket
 import threading
@@ -23,6 +24,7 @@ from repro.service.policy import RequestPolicy, RetryPolicy
 from repro.service.server import QueryService, ServiceConfig
 from repro.service.workloads import service_workload
 from repro.utility.cost import LinearCost
+from tests.journal_reader import events
 from tests.service.helpers import read_replies, roundtrip, wait_until, wedge
 
 
@@ -268,7 +270,7 @@ class TestOneRoadOverTCP:
         # Fails at the parent commit: a non-ReproError got an error
         # record from the dispatcher's catch-all but no service.errors
         # and no request.admitted / request.completed.
-        journal = EventJournal()
+        sink = io.StringIO()
 
         def broken_factory():
             raise RuntimeError("factory exploded")
@@ -277,7 +279,7 @@ class TestOneRoadOverTCP:
             movies.catalog,
             movies.source_facts,
             measures={"linear": LinearCost, "broken": broken_factory},
-            journal=journal,
+            journal=EventJournal(stream=sink),
         )
         with serving(service) as server, connect("127.0.0.1", server.port) as sock:
             stream = sock.makefile("rwb")
@@ -299,9 +301,9 @@ class TestOneRoadOverTCP:
         assert service.registry.counter("service.errors").value == 1
         assert service.registry.gauge("service.active").value == 0
         assert [
-            event["event"] for event in journal.events(request_id="boom")
+            event["event"] for event in events(sink, request_id="boom")
         ] == ["request.received", "request.admitted", "request.completed"]
-        assert journal.events(request_id="boom")[-1]["status"] == "error"
+        assert events(sink, request_id="boom")[-1]["status"] == "error"
 
     def test_an_inapplicable_orderer_is_one_error_record(self):
         catalog, facts, measures, query = service_workload("random-lav", 0)
@@ -373,7 +375,7 @@ class TestOneRoadOverTCP:
     def test_a_client_that_hangs_up_cancels_its_request(self, medium_domain):
         # At the parent commit every plan of the space was ordered,
         # executed and encoded for nobody, and the status was ok.
-        journal = EventJournal()
+        sink = io.StringIO()
         slow = ChaosBackend(
             ChaosProfile("slow", {}, default=FaultProfile(latency_s=0.01))
         )
@@ -382,7 +384,7 @@ class TestOneRoadOverTCP:
             {},
             measures={"linear": medium_domain.linear_cost},
             backend=slow,
-            journal=journal,
+            journal=EventJournal(stream=sink),
         )
         space = medium_domain.space.size
         assert space >= 200
@@ -401,10 +403,10 @@ class TestOneRoadOverTCP:
             stream.close()
             sock.close()
             wait_until(
-                lambda: journal.events(event="request.completed"), timeout_s=30.0
+                lambda: events(sink, event="request.completed"), timeout_s=30.0
             )
             slow.interrupt()
-        (completed,) = journal.events(event="request.completed")
+        (completed,) = events(sink, event="request.completed")
         assert completed["status"] == "cancelled"
         registry = service.registry
         assert registry.counter("service.cancelled").value == 1

@@ -101,3 +101,18 @@ class TestServicePrometheusText:
             server.server_close()
         assert body.startswith("# TYPE repro_")
         assert "repro_service_requests_total" in body
+
+    def test_a_separate_resilience_registry_is_scraped_too(self, movies):
+        # What ``serve --chaos`` builds: the manager owns its registry.
+        from repro.resilience.manager import ResilienceManager
+        from repro.service.server import QueryRequest
+
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            resilience=ResilienceManager(registry=MetricRegistry()),
+        )
+        assert service.execute(QueryRequest(movies.query)).ok
+        text = service.prometheus_text()
+        assert "repro_service_requests_total 1" in text
+        assert "repro_resilience_breaker_v1_state 0" in text

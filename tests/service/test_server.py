@@ -1,5 +1,6 @@
 """Tests for the multi-query service: concurrency, sharing, shedding."""
 
+import io
 import threading
 import time
 
@@ -8,6 +9,7 @@ import pytest
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.observability.journal import EventJournal
 from repro.observability.metrics import MetricRegistry
+from repro.resilience.manager import ResilienceManager
 from repro.service import protocol
 from repro.service.policy import CancellationToken, RequestPolicy
 from repro.service.server import (
@@ -20,7 +22,15 @@ from repro.service.server import (
 )
 from repro.utility.cost import LinearCost
 from repro.utility.coverage import CoverageUtility
-from tests.service.helpers import wait_until, wedge
+from tests.journal_reader import events
+from tests.service.helpers import BACKENDS, wait_until, wedge
+
+#: The layer names ``AnytimeRun`` times each stage of a request under.
+STAGES = (
+    "reformulation.buckets.build",
+    "reformulation.soundness.check",
+    "execution.engine.execute",
+)
 
 
 def make_service(movies, **config_kwargs):
@@ -72,12 +82,46 @@ class TestDirectExecution:
         )
         assert result.deadline_exceeded
         assert result.error is None
+        registry = service.registry
+        assert registry.counter("service.deadline_exceeded").value == 1
 
-    def test_per_request_tracing(self, movies):
-        service = make_service(movies, trace_requests=True)
+    def test_an_adaptive_request_traces_its_orderer(self, movies):
+        # ``auto`` under a resilience manager wraps the orderer, and
+        # the wrapper hands the request's tracer to each inner one.
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            config=ServiceConfig(trace_requests=True),
+            resilience=ResilienceManager(),
+        )
         result = service.execute(QueryRequest(query=movies.query))
-        assert result.spans
-        assert any("service" in path for path in result.spans)
+        assert result.ok
+        assert "utility.eval" in result.spans
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_a_served_trace_covers_the_stages(self, movies, backend):
+        # Each stage once, under its ``per_layer`` name, on either path.
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            config=ServiceConfig(trace_requests=True),
+            backend=BACKENDS[backend](),
+        )
+        try:
+            result = service.execute(QueryRequest(query=movies.query))
+        finally:
+            service.shutdown()
+        assert result.ok
+        spans, report = result.spans, result.report
+        names = [path.rsplit("/", 1)[-1] for path in spans]
+        for stage in STAGES:
+            assert names.count(stage) == 1, (stage, sorted(spans))
+        assert "utility.eval" in names
+        assert spans["reformulation.buckets.build"]["calls"] == 1
+        checks = spans["reformulation.soundness.check"]["calls"]
+        assert checks == report.plans_processed
+        executions = spans["execution.engine.execute"]["calls"]
+        assert executions == report.sound_plans
 
 
 class TestSharedState:
@@ -119,6 +163,8 @@ class TestSharedState:
         assert registry.counter("service.completed").value == 3
         assert registry.counter("service.answers").value > 0
         assert registry.gauge("service.active").value == 0
+        assert registry.histogram("service.first_answer_s").count == 3
+        assert registry.histogram("service.total_s").count == 3
 
 
 class TestConcurrency:
@@ -164,7 +210,8 @@ class TestAdmissionGate:
     def test_overload_is_shed_at_once_in_process(self, movies):
         # Unreachable at the parent commit: only submit() could shed.
         registry = MetricRegistry()
-        journal = EventJournal()
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink)
         service = QueryService(
             movies.catalog,
             movies.source_facts,
@@ -183,9 +230,10 @@ class TestAdmissionGate:
         with pytest.raises(ServiceOverloadedError, match="1 waiting"):
             service.execute(QueryRequest(query=movies.query, request_id="shed"))
         assert time.monotonic() - started < 1.0
-        (rejected,) = journal.events(event="request.rejected")
+        (rejected,) = events(sink, event="request.rejected")
         assert rejected["request_id"] == "shed"
         assert rejected["code"] == "overloaded"
+        assert registry.gauge("service.active").value == 1  # the running one
         release.set()
         for thread in (running, waiting):
             thread.join(timeout=30.0)
@@ -235,7 +283,8 @@ class TestAdmissionGate:
         # acquire and the try, two of these and every later request
         # was rejected with service.active stuck at 2.
         registry = MetricRegistry()
-        journal = EventJournal()
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink)
 
         def broken_factory():
             raise RuntimeError("factory exploded")
@@ -262,10 +311,10 @@ class TestAdmissionGate:
         assert registry.counter("service.accepted").value == 3
         # An admitted request's error is journaled as one.
         assert [
-            event["event"] for event in journal.events(request_id="bad-0")
+            event["event"] for event in events(sink, request_id="bad-0")
         ] == ["request.admitted", "request.completed"]
-        (completed,) = journal.events(
-            event="request.completed", request_id="bad-1"
+        (completed,) = events(
+            sink, event="request.completed", request_id="bad-1"
         )
         assert completed["status"] == "error"
 
@@ -310,7 +359,8 @@ class TestAdmissionGate:
 
 class TestShutdown:
     def test_shutdown_waits_for_in_flight_and_closes_the_gate(self, movies):
-        journal = EventJournal()
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink)
         service = QueryService(
             movies.catalog,
             movies.source_facts,
@@ -334,7 +384,7 @@ class TestShutdown:
         late = service.execute(QueryRequest(query=movies.query, request_id="late"))
         assert late.status == "rejected"
         assert time.monotonic() - started < 1.0  # at once, no admission wait
-        (rejected,) = journal.events(event="request.rejected")
+        (rejected,) = events(sink, event="request.rejected")
         assert (rejected["request_id"], rejected["code"]) == ("late", "shutdown")
 
     def test_shutdown_gives_up_after_its_timeout(self, movies):
@@ -404,7 +454,8 @@ class TestAutoOrderer:
             assert resolve_orderer_name(name, utility) == name
 
     def test_journal_logs_the_resolved_name(self, movies):
-        journal = EventJournal()
+        sink = io.StringIO()
+        journal = EventJournal(stream=sink)
         service = QueryService(
             movies.catalog,
             movies.source_facts,
@@ -413,7 +464,7 @@ class TestAutoOrderer:
         )
         result = service.execute(QueryRequest(query=movies.query))
         assert result.ok
-        (admitted,) = journal.events(event="request.admitted")
+        (admitted,) = events(sink, event="request.admitted")
         assert admitted["orderer"] == "anyk"
 
     def test_auto_stream_is_byte_identical_to_pi(self, movies):

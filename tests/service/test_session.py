@@ -1,5 +1,6 @@
 """Tests for the anytime session, inline and pipelined."""
 
+import io
 import threading
 import time
 
@@ -7,8 +8,9 @@ import pytest
 
 from repro.errors import ExecutionError, TransientExecutionError
 from repro.execution.mediator import Mediator
+from repro.observability.journal import EventJournal
 from repro.observability.metrics import MetricRegistry
-from repro.observability.tracing import NOOP_TRACER, Tracer
+from repro.observability.tracing import Tracer
 from repro.ordering.bruteforce import PIOrderer
 from repro.ordering.greedy import GreedyOrderer
 from repro.resilience.chaos import ChaosBackend, ChaosProfile, FaultProfile
@@ -18,6 +20,7 @@ from repro.service.server import QueryRequest, QueryService
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
 from repro.workloads.movies import movie_domain
+from tests.journal_reader import events
 from tests.service.helpers import BACKENDS, calm_chaos
 
 
@@ -276,8 +279,13 @@ class TestRetries:
             ChaosProfile("flaky", {}, default=FaultProfile(transient_prob=0.4)),
             seed=11,
         )
+        sink = io.StringIO()
         session = PipelinedSession(
-            Mediator(movies.catalog, movies.source_facts), backend=backend
+            Mediator(
+                movies.catalog, movies.source_facts,
+                journal=EventJournal(stream=sink),
+            ),
+            backend=backend,
         )
         policy = RequestPolicy(
             retry=RetryPolicy(max_attempts=50, base_s=0.0, cap_s=0.0)
@@ -285,6 +293,10 @@ class TestRetries:
         batches, report = session.run(movies.query, utility, policy=policy)
         assert [batch_signature(b) for b in batches] == expected
         assert report.retries == backend.failures_injected > 0
+        # One ``plan.retry`` before each backoff pause.
+        assert len(events(sink, event="plan.retry")) == report.retries
+        retries = session.mediator.registry.counter("service.retries")
+        assert retries.value == report.retries
 
 
 class TestInstrumentation:
@@ -296,19 +308,31 @@ class TestInstrumentation:
         session = PipelinedSession(mediator)
         batches, report = session.run(movies.query, LinearCost())
         value = lambda name: registry.counter(name).value  # noqa: E731
-        assert value("service.plans_pipelined") == len(batches)
         assert value("mediator.plans_processed") == len(batches)
         assert value("mediator.sound_plans") == report.sound_plans
+        execute_s = registry.histogram("service.execute_s")
+        assert execute_s.count == report.sound_plans
 
-    def test_tracer_adoption_is_restored(self, movies):
-        tracer = Tracer(enabled=True)
-        mediator = Mediator(movies.catalog, movies.source_facts)
-        session = PipelinedSession(mediator, tracer=tracer)
-        orderer = PIOrderer(LinearCost())
-        assert orderer.tracer is NOOP_TRACER
-        session.run(movies.query, LinearCost(), orderer=orderer)
-        assert orderer.tracer is NOOP_TRACER
-        assert "service.reformulate" in tracer
+    def test_workers_never_record_into_the_request_tracer(self, movies):
+        # Spans are single-threaded: each worker records into its own
+        # tracer, merged into the request's once the workers joined.
+        threads = []
+
+        class Watched(Tracer):
+            def _pop(self, span):
+                threads.append(threading.current_thread().name)
+                super()._pop(span)
+
+        tracer = Watched()
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts),
+            backend=calm_chaos(),
+            tracer=tracer,
+        )
+        _batches, report = session.run(movies.query, LinearCost())
+        assert not [name for name in threads if "exec" in name]
+        spans = tracer.as_dict()
+        assert spans["execution.engine.execute"]["calls"] == report.sound_plans
 
     def test_report_timings_populated(self, movies):
         session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
