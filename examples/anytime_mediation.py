@@ -14,7 +14,7 @@ Run with::
     python examples/anytime_mediation.py
 """
 
-from repro import CoverageUtility, PIOrderer, StreamerOrderer, generate_domain
+from repro import PIOrderer, StreamerOrderer, generate_domain
 from repro.execution.instances import materialize_instances
 from repro.execution.mediator import Mediator
 
@@ -38,7 +38,7 @@ def main() -> None:
     )
 
     mediator = Mediator(domain.catalog, source_facts)
-    utility = domain.coverage()
+    utility = domain.measure("coverage")
 
     # Ground truth: every answer any sound plan can produce.
     all_answers = mediator.certain_answers(domain.query)
@@ -55,7 +55,9 @@ def main() -> None:
     # Adversarial ordering: the same first 25 plans, worst-first.
     worst_first = list(
         mediator.answer(
-            domain.query, domain.coverage(), orderer=PIOrderer(domain.coverage())
+            domain.query,
+            domain.measure("coverage"),
+            orderer=PIOrderer(domain.measure("coverage")),
         )
     )[::-1][:25]
     bad = coverage_curve(worst_first, len(all_answers))

@@ -30,11 +30,14 @@ from repro import (
 )
 
 
+def group(source) -> str:
+    """A camera source is named after its group: ``chain3``."""
+    return source.name.rstrip("0123456789")
+
+
 def main() -> None:
     domain = camera_domain(seed=7)
-    reseller_groups = sorted(
-        {g for name, g in domain.groups.items() if domain.model.has_extension(0, name)}
-    )
+    reseller_groups = sorted({group(s) for s in domain.space.buckets[0].sources})
     print(f"Camera domain: {len(domain.catalog)} sources, groups: {reseller_groups}")
     print(f"Plan space: {domain.space.size} plans "
           f"({len(domain.space.buckets[0])} resellers x "
@@ -51,8 +54,7 @@ def main() -> None:
         print(
             f"  #{entry.rank}: {reseller.name:12s} + {reviews.name:8s} "
             f"covers {entry.utility:6.2%} new answer tuples "
-            f"(groups: {domain.groups[reseller.name]}/"
-            f"{domain.groups[reviews.name]})"
+            f"(groups: {group(reseller)}/{group(reviews)})"
         )
     pi = PIOrderer(CoverageUtility(domain.model))
     pi.order_list(domain.space, k)

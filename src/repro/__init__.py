@@ -89,7 +89,7 @@ from repro.utility import (
     UtilityMeasure,
 )
 from repro.workloads import (
-    SyntheticDomain,
+    Domain,
     SyntheticParams,
     camera_domain,
     generate_domain,
@@ -111,6 +111,7 @@ __all__ = [
     "Constant",
     "CoverageUtility",
     "DatalogError",
+    "Domain",
     "DripsPlanner",
     "ExecutionError",
     "ExhaustiveOrderer",
@@ -127,6 +128,7 @@ __all__ = [
     "OrderingError",
     "OrderingStats",
     "OutputCountHeuristic",
+    "OverlapModel",
     "PIOrderer",
     "ParseError",
     "PipelinedSession",
@@ -144,9 +146,8 @@ __all__ = [
     "SourceDescription",
     "SourceStats",
     "StreamerOrderer",
-    "Tracer",
-    "SyntheticDomain",
     "SyntheticParams",
+    "Tracer",
     "UtilityError",
     "UtilityMeasure",
     "Variable",

@@ -12,6 +12,7 @@ not run (bad pattern, unreadable file, unknown scenario).
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 # Importing the rule modules registers their checkers (the concurrency
@@ -29,6 +30,12 @@ from repro.analysis.registry import (
 )
 from repro.analysis.scenario import ScenarioContext
 from repro.errors import AnalysisError
+from repro.workloads.cameras import camera_domain
+from repro.workloads.domain import Domain
+from repro.workloads.movies import movie_domain
+from repro.workloads.paper_example import paper_example
+from repro.workloads.random_lav import ordering_scenario
+from repro.workloads.synthetic import generate_domain
 
 
 def discover_python_files(paths: Sequence[str]) -> list[str]:
@@ -129,99 +136,20 @@ def lint_scenarios(
 # -- the bundled scenarios ---------------------------------------------------------
 
 
-def _movies_scenario() -> ScenarioContext:
-    from repro.utility.cost import BindJoinCost, LinearCost
-    from repro.workloads.movies import movie_domain
-
-    domain = movie_domain()
-    return ScenarioContext(
-        name="movies",
-        catalog=domain.catalog,
-        query=domain.query,
-        measures=(
-            LinearCost(),
-            BindJoinCost(domain_sizes=200.0),
-            BindJoinCost(domain_sizes=200.0, uniform_transfer=False,
-                         failure_aware=True),
-        ),
-    )
-
-
-def _cameras_scenario() -> ScenarioContext:
-    from repro.utility.cost import BindJoinCost, LinearCost
-    from repro.utility.coverage import CoverageUtility
-    from repro.workloads.cameras import camera_domain
-
-    domain = camera_domain()
-    return ScenarioContext(
-        name="cameras",
-        catalog=domain.catalog,
-        query=domain.query,
-        measures=(
-            LinearCost(),
-            BindJoinCost(domain_sizes=500.0),
-            CoverageUtility(domain.model),
-        ),
-    )
-
-
-def _paper_example_scenario() -> ScenarioContext:
-    from repro.utility.cost import LinearCost
-    from repro.utility.coverage import CoverageUtility
-    from repro.workloads.paper_example import paper_example
-
-    domain = paper_example()
-    return ScenarioContext(
-        name="paper-example",
-        catalog=domain.catalog,
-        query=domain.query,
-        measures=(LinearCost(), CoverageUtility(domain.model)),
-    )
-
-
-def _synthetic_scenario() -> ScenarioContext:
-    from repro.workloads.synthetic import generate_domain
-
-    domain = generate_domain(bucket_size=12, query_length=2, seed=3)
-    return ScenarioContext(
-        name="synthetic",
-        catalog=domain.catalog,
-        query=domain.query,
-        measures=(
-            domain.linear_cost(),
-            domain.bind_join_cost(),
-            domain.coverage(),
-            domain.failure_cost(),
-            domain.monetary(),
-        ),
-    )
-
-
-def _random_lav_scenario() -> ScenarioContext:
-    from repro.utility.cost import LinearCost
-    from repro.workloads.random_lav import ordering_scenario
-
-    domain = ordering_scenario(0)
-    return ScenarioContext(
-        name="random-lav",
-        catalog=domain.scenario.catalog,
-        query=domain.scenario.query,
-        measures=(
-            LinearCost(),
-            domain.bind_join_cost(),
-            domain.coverage(),
-        ),
-    )
-
-
-#: Lazily-built named scenario factories, so ``repro lint --scenario``
-#: works out of the box on the bundled workloads.
-BUILTIN_SCENARIOS: dict[str, Callable[[], ScenarioContext]] = {
-    "movies": _movies_scenario,
-    "cameras": _cameras_scenario,
-    "paper-example": _paper_example_scenario,
-    "synthetic": _synthetic_scenario,
-    "random-lav": _random_lav_scenario,
+#: The bundled workloads ``repro lint --scenario`` checks: how to build
+#: each domain, and which of its measures to check.
+BUILTIN_SCENARIOS: dict[str, tuple[Callable[[], Domain], tuple[str, ...]]] = {
+    "movies": (movie_domain, ("linear", "bind-join", "failure")),
+    "cameras": (camera_domain, ("linear", "bind-join", "coverage")),
+    "paper-example": (paper_example, ("linear", "coverage")),
+    "synthetic": (
+        partial(generate_domain, bucket_size=12, query_length=2, seed=3),
+        ("linear", "bind-join", "coverage", "failure", "monetary"),
+    ),
+    "random-lav": (
+        partial(ordering_scenario, 0),
+        ("linear", "bind-join", "coverage"),
+    ),
 }
 
 
@@ -230,13 +158,15 @@ def builtin_scenarios(names: Sequence[str] = ()) -> list[ScenarioContext]:
     built = []
     for name in names or BUILTIN_SCENARIOS:
         try:
-            factory = BUILTIN_SCENARIOS[name]
+            make, measure_names = BUILTIN_SCENARIOS[name]
         except KeyError:
             known = ", ".join(sorted(BUILTIN_SCENARIOS))
             raise AnalysisError(
                 f"unknown scenario {name!r}; bundled scenarios: {known}"
             ) from None
-        built.append(factory())
+        domain = make()
+        measures = tuple(map(domain.measure, measure_names))
+        built.append(ScenarioContext(name, domain.catalog, domain.query, measures))
     return built
 
 

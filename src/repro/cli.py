@@ -38,24 +38,26 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
 from repro import __version__
-from repro.errors import ReproError
+from repro.errors import ReproError, ServiceError
 from repro.ordering import AUTO_ORDERER, ORDERER_TABLE, orderer_class
+from repro.service.workloads import WORKLOAD_NAMES
+from repro.workloads import MEASURES
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.execution.mediator import Mediator
     from repro.ordering.greedy import GreedyOrderer
-    from repro.utility.cost import LinearCost
     from repro.workloads.movies import movie_domain
 
     domain = movie_domain()
     print(f"Query: {domain.query}")
     mediator = Mediator(domain.catalog, domain.source_facts)
-    utility = LinearCost()
+    utility = domain.measure("linear")
     for batch in mediator.answer(domain.query, utility, orderer=GreedyOrderer(utility)):
         flag = "+" if batch.sound else "-"
         print(f"{flag} #{batch.rank} {batch.plan} u={batch.utility:.1f}")
@@ -74,19 +76,6 @@ def _make_orderer(name: str, utility, **instrumentation):
     return orderer_class(name, utility)(utility, **instrumentation)
 
 
-def _make_measure(name: str, domain):
-    table = {
-        "coverage": lambda: domain.coverage(),
-        "linear": lambda: domain.linear_cost(),
-        "bind-join": lambda: domain.bind_join_cost(),
-        "failure": lambda: domain.failure_cost(),
-        "failure-caching": lambda: domain.failure_cost(caching=True),
-        "monetary": lambda: domain.monetary(),
-        "monetary-caching": lambda: domain.monetary(caching=True),
-    }
-    return table[name]()
-
-
 def _cmd_order(args: argparse.Namespace) -> int:
     from repro.observability import MetricRegistry, Tracer
     from repro.workloads.synthetic import SyntheticParams, generate_domain
@@ -99,7 +88,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     )
-    utility = _make_measure(args.measure, domain)
+    utility = domain.measure(args.measure)
     registry = MetricRegistry()
     tracer = Tracer(enabled=bool(args.trace or args.metrics_out))
     orderer = _make_orderer(
@@ -142,7 +131,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     )
-    utility = domain.failure_cost()
+    utility = domain.measure("failure")
     orderer = _make_orderer(args.orderer, utility)
     ordered = [
         entry.plan for entry in orderer.order(domain.space, args.k)
@@ -194,7 +183,7 @@ def _simulate_adaptive(args: argparse.Namespace, domain, sim_seed: int):
     tracker = SourceHealthTracker()
     epoch = HealthEpoch()
     live = HealthAwareMeasure(
-        domain.failure_cost(), tracker, min_observations=1
+        domain.measure("failure"), tracker, min_observations=1
     )
     orderer = AdaptiveOrderer(
         live,
@@ -363,9 +352,11 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     from repro.service.loadgen import build_query_mix, run_load
     from repro.service.workloads import service_workload
 
+    host, _, port_text = args.connect.rpartition(":")
+    if not port_text.isdigit():
+        raise ServiceError(f"--connect wants HOST:PORT, got {args.connect!r}")
     catalog, _facts, _measures, query = service_workload(args.workload, args.seed)
     mix = build_query_mix(catalog, args.queries, seed=args.seed, include=query)
-    host, _, port_text = args.connect.rpartition(":")
     report = run_load(
         host or "127.0.0.1",
         int(port_text),
@@ -407,8 +398,11 @@ def _cmd_metrics_dump(args: argparse.Namespace) -> int:
             "metrics-dump: need a JSON export path or --url", file=sys.stderr
         )
         return 2
-    with open(args.path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    try:
+        with open(args.path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ObservabilityError(f"cannot read {args.path}: {exc}") from None
     try:
         sys.stdout.write(render_export(payload))
     except ObservabilityError as exc:
@@ -448,19 +442,32 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         select=_split_patterns(args.select),
         ignore=_split_patterns(args.ignore),
     )
-    try:
-        print(render_text(diagnostics))
-    except BrokenPipeError:
-        # Downstream pager/head closed early; the exit code is the
-        # contract, not the truncated output.
-        pass
+    print(render_text(diagnostics))
     return 1 if diagnostics else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
+    try:
+        status = _run(sys.argv[1:] if argv is None else list(argv))
+        # Flushed here so that a reader who left early is met below,
+        # not by the interpreter's exit-time flush.
+        sys.stdout.flush()
+        return status
+    except ReproError as exc:
+        # The library's own refusals (an orderer that does not apply to
+        # the measure, a zero-sized pipeline, an unreadable input file)
+        # are messages for the user; anything else is a defect and
+        # keeps its traceback.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # Whoever read stdout (a pager, `head`) closed it early: stop
+        # quietly, and send what is still buffered nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: list[str]) -> int:
     # Forwarded subcommands take their own option sets; hand the tail
     # over verbatim (argparse.REMAINDER chokes on leading options).
     if argv and argv[0] == "experiments":
@@ -480,9 +487,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     order = sub.add_parser("order", help="order a synthetic domain's plans")
     order.add_argument("--algorithm", default="streamer",
                        choices=ORDERER_CHOICES)
-    order.add_argument("--measure", default="coverage",
-                       choices=("coverage", "linear", "bind-join", "failure",
-                                "failure-caching", "monetary", "monetary-caching"))
+    order.add_argument("--measure", default="coverage", choices=tuple(MEASURES))
     order.add_argument("--bucket-size", type=int, default=8)
     order.add_argument("--query-length", type=int, default=3)
     order.add_argument("--overlap", type=float, default=0.3)
@@ -515,8 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                "from the simulator's observed source health")
 
     serve = sub.add_parser("serve", help="JSON-lines TCP query service")
-    serve.add_argument("--workload", default="movies",
-                       choices=("movies", "random-lav"))
+    serve.add_argument("--workload", default="movies", choices=WORKLOAD_NAMES)
     serve.add_argument("--seed", type=int, default=0,
                        help="workload seed (random-lav)")
     serve.add_argument("--host", default="127.0.0.1")
@@ -594,8 +598,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     bench = sub.add_parser("bench-serve",
                            help="load-generate against the query service")
-    bench.add_argument("--workload", default="movies",
-                       choices=("movies", "random-lav"))
+    bench.add_argument("--workload", default="movies", choices=WORKLOAD_NAMES)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--connect", metavar="HOST:PORT",
                        default="127.0.0.1:7462",
@@ -648,28 +651,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       help="HTTP timeout for --url (seconds)")
 
     args = parser.parse_args(argv)
-    try:
-        if args.command == "demo":
-            return _cmd_demo(args)
-        if args.command == "order":
-            return _cmd_order(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "bench-serve":
-            return _cmd_bench_serve(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "metrics-dump":
-            return _cmd_metrics_dump(args)
-    except ReproError as exc:
-        # The library's own refusals (an orderer that does not apply to
-        # the measure, a zero-sized pipeline) are messages for the user;
-        # anything else is a defect and keeps its traceback.
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command}")
+    return _COMMANDS[args.command](args)
+
+
+_COMMANDS = {
+    "demo": _cmd_demo,
+    "order": _cmd_order,
+    "simulate": _cmd_simulate,
+    "serve": _cmd_serve,
+    "bench-serve": _cmd_bench_serve,
+    "lint": _cmd_lint,
+    "metrics-dump": _cmd_metrics_dump,
+}
 
 
 if __name__ == "__main__":

@@ -21,28 +21,23 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import statistics
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from repro.errors import InternalError
 from repro.experiments.figure6 import PANELS, SWEEPS
-from repro.experiments.harness import AlgorithmSpec, PanelSpec
+from repro.experiments.harness import AlgorithmSpec, PanelSpec, algorithm, run_panel
 from repro.ordering.abstraction import (
     AbstractionHeuristic,
     ExtensionSimilarityHeuristic,
     OutputCountHeuristic,
     RandomHeuristic,
 )
-from repro.ordering.base import OrderingStats
-from repro.ordering.bruteforce import PIOrderer
 from repro.ordering.drips import DripsPlanner
-from repro.ordering.greedy import GreedyOrderer
 from repro.ordering.idrips import IDripsOrderer
 from repro.ordering.streamer import StreamerOrderer
-from repro.utility.coverage import CoverageUtility
+from repro.workloads.domain import Domain
 from repro.workloads.paper_example import paper_example
-from repro.workloads.synthetic import SyntheticDomain, SyntheticParams, generate_domain
+from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 Cell = Union[int, str]
 #: A table's computed rows: label cells -> count cells.
@@ -74,25 +69,12 @@ def _line(cells: Sequence[object]) -> str:
     return "| " + " | ".join(str(cell) for cell in cells) + " |"
 
 
-def _stats(algorithm: AlgorithmSpec, domain: SyntheticDomain, k: int) -> OrderingStats:
-    orderer = algorithm.build(domain)
-    returned = len(orderer.order_list(domain.space, k))
-    if returned != min(k, domain.space.size):
-        raise InternalError(f"{algorithm.name} returned {returned} of {k} plans")
-    return orderer.stats
-
-
 def _counts(
     spec: PanelSpec, bucket_size: int, field: str = "plans_evaluated"
 ) -> tuple[int, ...]:
     """*field* per algorithm of *spec*, the mean over its seeds rounded."""
-    per_seed = []
-    for seed in spec.seeds:
-        domain = spec.domain(bucket_size, seed)
-        per_seed.append(
-            [getattr(_stats(algo, domain, spec.k), field) for algo in spec.algorithms]
-        )
-    return tuple(round(statistics.mean(column)) for column in zip(*per_seed))
+    rows = run_panel(spec, bucket_sizes=(bucket_size,)).rows
+    return tuple(round(getattr(row, field)) for row in rows)
 
 
 # -- the tables ------------------------------------------------------------------
@@ -120,8 +102,8 @@ def _first_iteration(seed: int) -> tuple[Cell, ...]:
     """Section 6: Streamer's first iteration against PI's, coverage."""
     spec = _coverage(
         1,
-        AlgorithmSpec("Streamer", lambda d: StreamerOrderer(d.coverage())),
-        AlgorithmSpec("PI", lambda d: PIOrderer(d.coverage())),
+        algorithm("streamer", "coverage"),
+        algorithm("pi", "coverage"),
         seeds=(seed,),
     )
     streamer, pi = _counts(spec, 16, "first_plan_evaluations")
@@ -129,7 +111,7 @@ def _first_iteration(seed: int) -> tuple[Cell, ...]:
 
 
 #: The ablation's heuristics, in EXPERIMENTS.md's row order.
-HEURISTICS: dict[str, Callable[[SyntheticDomain], AbstractionHeuristic]] = {
+HEURISTICS: dict[str, Callable[[Domain], AbstractionHeuristic]] = {
     "output-count": lambda d: OutputCountHeuristic(),
     "extension-similarity": lambda d: ExtensionSimilarityHeuristic(d.model),
     "random": lambda d: RandomHeuristic(seed=0),
@@ -141,8 +123,12 @@ def _ablation(heuristic: str) -> tuple[int, ...]:
     make = HEURISTICS[heuristic]
     spec = _coverage(
         10,
-        AlgorithmSpec("Streamer", lambda d: StreamerOrderer(d.coverage(), make(d))),
-        AlgorithmSpec("iDrips", lambda d: IDripsOrderer(d.coverage(), make(d))),
+        AlgorithmSpec(
+            "Streamer", lambda d: StreamerOrderer(d.measure("coverage"), make(d))
+        ),
+        AlgorithmSpec(
+            "iDrips", lambda d: IDripsOrderer(d.measure("coverage"), make(d))
+        ),
         seeds=(0, 1, 2),
     )
     return _counts(spec, 16)
@@ -153,24 +139,23 @@ _GREEDY = PanelSpec(
     "greedy",
     "linear cost",
     10,
-    (
-        AlgorithmSpec("Greedy", lambda d: GreedyOrderer(d.linear_cost())),
-        AlgorithmSpec("PI", lambda d: PIOrderer(d.linear_cost())),
-    ),
+    (algorithm("greedy", "linear", "Greedy"), algorithm("pi", "linear")),
 )
 
 
 def _drips(figure3: bool) -> tuple[int, ...]:
     """Section 5.1: Drips' best plan of a 3 x 3 coverage space."""
     if figure3:
-        example = paper_example()
-        space, utility = example.space, CoverageUtility(example.model)
+        domain = paper_example()
     else:
         domain = generate_domain(SyntheticParams(query_length=2, bucket_size=3, seed=7))
-        space, utility = domain.space, domain.coverage()
-    drips = DripsPlanner(utility)
-    drips.best_plan(space)
-    return space.size, drips.stats.concrete_evaluations, drips.stats.plans_evaluated
+    drips = DripsPlanner(domain.measure("coverage"))
+    drips.best_plan(domain.space)
+    return (
+        domain.space.size,
+        drips.stats.concrete_evaluations,
+        drips.stats.plans_evaluated,
+    )
 
 
 def _sweep(label: object, spec: PanelSpec, cheap: bool) -> CountRow:

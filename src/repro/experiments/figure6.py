@@ -21,17 +21,17 @@ Run from the command line::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.experiments.harness import AlgorithmSpec, PanelResult, PanelSpec, run_panel
-from repro.ordering.anyk import AnyKOrderer
-from repro.ordering.bruteforce import PIOrderer
-from repro.ordering.greedy import GreedyOrderer
-from repro.ordering.idrips import IDripsOrderer
-from repro.ordering.streamer import StreamerOrderer
-from repro.workloads.synthetic import SyntheticDomain
+from repro.errors import ReproError
+from repro.experiments.harness import (
+    AlgorithmSpec,
+    PanelResult,
+    PanelSpec,
+    algorithm,
+    run_panel,
+)
 
 #: Bucket-size sweeps per mode.
 QUICK_SIZES = (4, 8, 12)
@@ -39,61 +39,25 @@ DEFAULT_SIZES = (4, 8, 12, 16)
 FULL_SIZES = (8, 16, 24, 32, 40)
 
 
-def _pi(measure: Callable[[SyntheticDomain], object]) -> AlgorithmSpec:
-    return AlgorithmSpec("PI", lambda d: PIOrderer(measure(d)))
-
-
-def _idrips(measure: Callable[[SyntheticDomain], object]) -> AlgorithmSpec:
-    return AlgorithmSpec("iDrips", lambda d: IDripsOrderer(measure(d)))
-
-
-def _streamer(measure: Callable[[SyntheticDomain], object]) -> AlgorithmSpec:
-    return AlgorithmSpec("Streamer", lambda d: StreamerOrderer(measure(d)))
-
-
-def _coverage(domain: SyntheticDomain) -> object:
-    return domain.coverage()
-
-
-def _failure_nocache(domain: SyntheticDomain) -> object:
-    return domain.failure_cost(caching=False)
-
-
-def _failure_cache(domain: SyntheticDomain) -> object:
-    return domain.failure_cost(caching=True)
-
-
-def _monetary_nocache(domain: SyntheticDomain) -> object:
-    return domain.monetary(caching=False)
-
-
-def _monetary_cache(domain: SyntheticDomain) -> object:
-    return domain.monetary(caching=True)
-
-
-def _named(name: str, spec: AlgorithmSpec) -> AlgorithmSpec:
-    return AlgorithmSpec(name, spec.build)
+def _trio(measure: str) -> tuple[AlgorithmSpec, ...]:
+    """PI, iDrips and Streamer on *measure*."""
+    return tuple(algorithm(name, measure) for name in ("pi", "idrips", "streamer"))
 
 
 #: Figure 6's four measure families; each is plotted at k = 1, 10, 100.
 _FAMILIES: tuple[tuple[str, str, tuple[AlgorithmSpec, ...]], ...] = (
     # (a)-(c): plan coverage -- Streamer applicable (diminishing returns).
-    ("abc", "plan coverage",
-     (_pi(_coverage), _idrips(_coverage), _streamer(_coverage))),
+    ("abc", "plan coverage", _trio("coverage")),
     # (d)-(f): cost with source failure, no caching -- full independence.
-    ("def", "failure cost (no caching)",
-     (_pi(_failure_nocache), _idrips(_failure_nocache),
-      _streamer(_failure_nocache))),
+    ("def", "failure cost (no caching)", _trio("failure")),
     # (g)-(i): cost with failure + caching -- diminishing returns fails,
     # Streamer is not applicable (paper, Section 6).
-    ("ghi", "failure cost (caching)",
-     (_pi(_failure_cache), _idrips(_failure_cache))),
+    ("ghi", "failure cost (caching)", _trio("failure-caching")[:2]),
     # (j)-(l): average monetary cost per tuple, both caching options.
     ("jkl", "monetary cost/tuple",
-     (_pi(_monetary_nocache), _idrips(_monetary_nocache),
-      _streamer(_monetary_nocache),
-      _named("PI+cache", _pi(_monetary_cache)),
-      _named("iDrips+cache", _idrips(_monetary_cache)))),
+     (*_trio("monetary"),
+      algorithm("pi", "monetary-caching", "PI+cache"),
+      algorithm("idrips", "monetary-caching", "iDrips+cache"))),
 )
 
 #: Every Figure 6 panel, keyed a-l as in the paper.
@@ -104,42 +68,8 @@ PANELS: dict[str, PanelSpec] = {
 }
 
 
-def breakdown_spec(k: int = 10, cache: bool = False) -> PanelSpec:
-    """Every ordering algorithm on one measure, for the
-    evaluation/timing breakdown section of the harness report.
-
-    Linear cost (measure (1)) is fully monotonic, context-free and
-    utility-diminishing, so PI, iDrips, Streamer, Greedy *and* AnyK are
-    all applicable — the only measure family where all five algorithms
-    can be compared head-to-head.  ``cache=True`` additionally opts every
-    algorithm into :class:`~repro.observability.caching.CachingUtilityMeasure`.
-    """
-
-    def _linear(domain: SyntheticDomain) -> object:
-        return domain.linear_cost()
-
-    algorithms = (
-        AlgorithmSpec("PI", lambda d: PIOrderer(_linear(d), cache=cache)),
-        AlgorithmSpec("iDrips", lambda d: IDripsOrderer(_linear(d), cache=cache)),
-        AlgorithmSpec(
-            "Streamer", lambda d: StreamerOrderer(_linear(d), cache=cache)
-        ),
-        AlgorithmSpec("Greedy", lambda d: GreedyOrderer(_linear(d), cache=cache)),
-        AlgorithmSpec("AnyK", lambda d: AnyKOrderer(_linear(d), cache=cache)),
-    )
-    return PanelSpec(
-        "breakdown",
-        "linear cost, all five algorithms" + (" (memoized)" if cache else ""),
-        k,
-        algorithms,
-    )
-
-
-def overlap_sweep_spec(
-    overlap_rate: float, k: int = 20, algorithms: Optional[tuple[AlgorithmSpec, ...]] = None
-) -> PanelSpec:
+def overlap_sweep_spec(overlap_rate: float, k: int = 20) -> PanelSpec:
     """Section 6 in-text claim: Streamer degrades as overlap grows."""
-    algos = algorithms or (_pi(_coverage), _streamer(_coverage))
     # Six groups per bucket give 15 group pairs, so the overlap rate
     # actually moves the number of overlapping source pairs; several
     # seeds average out the coin flips.
@@ -147,7 +77,7 @@ def overlap_sweep_spec(
         f"overlap-{overlap_rate}",
         f"coverage, overlap rate {overlap_rate}",
         k,
-        algos,
+        (algorithm("pi", "coverage"), algorithm("streamer", "coverage")),
         bucket_sizes=(12,),
         overlap_rate=overlap_rate,
         seeds=(0, 1, 2),
@@ -161,8 +91,7 @@ def query_length_spec(query_length: int, k: int = 10) -> PanelSpec:
         f"qlen-{query_length}",
         f"failure cost, query length {query_length}",
         k,
-        (_pi(_failure_nocache), _idrips(_failure_nocache),
-         _streamer(_failure_nocache)),
+        _trio("failure"),
         bucket_sizes=(8,),
         query_length=query_length,
     )
@@ -194,8 +123,11 @@ def _count_tables(path: str, *, write: bool) -> int:
     # Imported here: the count tables are built from this module's specs.
     from repro.experiments import counts
 
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc.strerror}") from None
     generated = counts.generate()
     if write:
         with open(path, "w", encoding="utf-8") as handle:
@@ -221,19 +153,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--quick", action="store_true", help="small bucket sizes")
     parser.add_argument("--full", action="store_true", help="paper-scale sizes")
-    parser.add_argument(
-        "--breakdown",
-        action="store_true",
-        help="print per-algorithm evaluation breakdowns "
-        "(includes the all-four-algorithms linear-cost panel)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write every panel's rows (timings + evaluation counters) "
-        "as JSON to PATH",
-    )
     tables = parser.add_mutually_exclusive_group()
     tables.add_argument(
         "--check",
@@ -254,28 +173,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.full:
         sizes = FULL_SIZES
 
-    results = run_panels(args.panel, sizes)
-    for result in results:
+    for result in run_panels(args.panel, sizes):
         print(result.format_table())
         print()
-        if args.breakdown:
-            print(result.format_breakdown())
-            print()
-
-    if args.breakdown:
-        four_way = run_panel(breakdown_spec(), bucket_sizes=sizes)
-        results.append(four_way)
-        print(four_way.format_table())
-        print()
-        print(four_way.format_breakdown())
-        print()
-
-    if args.metrics_out:
-        payload = {result.spec.panel_id: result.as_dict() for result in results}
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote panel metrics to {args.metrics_out}")
     return 0
 
 

@@ -11,16 +11,20 @@ returns mean timings plus the evaluation counters.
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.errors import InternalError
 from repro.observability.tracing import Stopwatch
+from repro.ordering import ORDERER_TABLE
 from repro.ordering.base import PlanOrderer
-from repro.workloads.synthetic import SyntheticDomain, SyntheticParams, generate_domain
+from repro.workloads.domain import Domain
+from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 #: Builds an orderer (with its utility measure) for a generated domain.
-OrdererBuilder = Callable[[SyntheticDomain], PlanOrderer]
+OrdererBuilder = Callable[[Domain], PlanOrderer]
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,13 @@ class AlgorithmSpec:
 
     name: str
     build: OrdererBuilder
+
+
+def algorithm(orderer: str, measure: str, name: Optional[str] = None) -> AlgorithmSpec:
+    """The :data:`~repro.ordering.ORDERER_TABLE` orderer *orderer* on the
+    domain's *measure*, named after the orderer unless *name* is given."""
+    cls = ORDERER_TABLE[orderer]
+    return AlgorithmSpec(name or cls.name, lambda d: cls(d.measure(measure)))
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,7 @@ class PanelSpec:
     seeds: tuple[int, ...] = (0,)
     groups_per_bucket: Optional[int] = None
 
-    def domain(self, bucket_size: int, seed: int) -> SyntheticDomain:
+    def domain(self, bucket_size: int, seed: int) -> Domain:
         return generate_domain(
             SyntheticParams(
                 query_length=self.query_length,
@@ -59,33 +70,13 @@ class PanelSpec:
 
 @dataclass
 class PanelRow:
-    """Mean results for one (algorithm, bucket size) cell."""
+    """Mean results over the seeds for one (algorithm, bucket size) cell."""
 
     algorithm: str
     bucket_size: int
     seconds: float
     plans_evaluated: float
     first_plan_evaluations: float
-    plans_returned: int
-    #: Evaluation breakdown (mean over seeds): where the work went.
-    concrete_evaluations: float = 0.0
-    abstract_evaluations: float = 0.0
-    cache_hits: float = 0.0
-    cache_misses: float = 0.0
-
-    def as_dict(self) -> dict[str, float | int | str]:
-        return {
-            "algorithm": self.algorithm,
-            "bucket_size": self.bucket_size,
-            "seconds": self.seconds,
-            "plans_evaluated": self.plans_evaluated,
-            "concrete_evaluations": self.concrete_evaluations,
-            "abstract_evaluations": self.abstract_evaluations,
-            "first_plan_evaluations": self.first_plan_evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "plans_returned": self.plans_returned,
-        }
 
 
 @dataclass
@@ -94,9 +85,6 @@ class PanelResult:
 
     spec: PanelSpec
     rows: list[PanelRow] = field(default_factory=list)
-
-    def series(self, algorithm: str) -> list[PanelRow]:
-        return [r for r in self.rows if r.algorithm == algorithm]
 
     def row(self, algorithm: str, bucket_size: int) -> PanelRow:
         for candidate in self.rows:
@@ -135,107 +123,46 @@ class PanelResult:
             )
         return "\n".join(lines)
 
-    def format_breakdown(self) -> str:
-        """Per-algorithm evaluation breakdown: where the work is spent.
-
-        The hardware-independent companion of :meth:`format_table`:
-        concrete versus abstract utility evaluations and the
-        evaluations paid before the first plan — the quantities behind
-        the paper's Section 6 explanations.
-        """
-        lines = [
-            f"Panel {self.spec.panel_id}: evaluation breakdown "
-            f"(k={self.spec.k})",
-            f"{'algorithm':>14} {'bucket':>8} {'total':>10} {'concrete':>10} "
-            f"{'abstract':>10} {'to 1st':>10}",
-        ]
-        for algo in self.spec.algorithms:
-            for bucket_size in self.spec.bucket_sizes:
-                row = self.row(algo.name, bucket_size)
-                lines.append(
-                    f"{row.algorithm:>14} {bucket_size:>8} "
-                    f"{row.plans_evaluated:>10.0f} "
-                    f"{row.concrete_evaluations:>10.0f} "
-                    f"{row.abstract_evaluations:>10.0f} "
-                    f"{row.first_plan_evaluations:>10.0f}"
-                )
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-friendly dump of the panel (for ``--metrics-out``)."""
-        return {
-            "panel_id": self.spec.panel_id,
-            "title": self.spec.title,
-            "k": self.spec.k,
-            "query_length": self.spec.query_length,
-            "overlap_rate": self.spec.overlap_rate,
-            "seeds": list(self.spec.seeds),
-            "rows": [row.as_dict() for row in self.rows],
-        }
-
-
-def time_ordering(orderer: PlanOrderer, domain: SyntheticDomain, k: int) -> tuple[float, int]:
-    """Seconds to the k-th plan and the number of plans returned."""
-    with Stopwatch() as watch:
-        plans = orderer.order_list(domain.space, k)
-    return watch.elapsed, len(plans)
-
 
 def run_panel(
     spec: PanelSpec,
     bucket_sizes: Optional[Sequence[int]] = None,
 ) -> PanelResult:
-    """Run every (algorithm, bucket size, seed) cell of a panel."""
-    sizes = tuple(bucket_sizes) if bucket_sizes is not None else spec.bucket_sizes
-    result = PanelResult(
-        PanelSpec(
-            spec.panel_id,
-            spec.title,
-            spec.k,
-            spec.algorithms,
-            sizes,
-            spec.query_length,
-            spec.overlap_rate,
-            spec.seeds,
-            spec.groups_per_bucket,
-        )
-    )
-    for bucket_size in sizes:
-        for algo in spec.algorithms:
-            seconds: list[float] = []
-            evaluated: list[float] = []
-            concrete: list[float] = []
-            abstract: list[float] = []
-            first_evals: list[float] = []
-            hits: list[float] = []
-            misses: list[float] = []
-            returned = 0
-            for seed in spec.seeds:
-                domain = spec.domain(bucket_size, seed)
+    """Run every (bucket size, seed, algorithm) cell of a panel.
+
+    Each seed's domain is generated once and ordered by every
+    algorithm; each run must return ``min(k, plans)`` plans.
+    """
+    if bucket_sizes is not None:
+        spec = dataclasses.replace(spec, bucket_sizes=tuple(bucket_sizes))
+    result = PanelResult(spec)
+    for bucket_size in spec.bucket_sizes:
+        runs: dict[str, list[tuple[float, PlanOrderer]]] = {
+            algo.name: [] for algo in spec.algorithms
+        }
+        for seed in spec.seeds:
+            domain = spec.domain(bucket_size, seed)
+            for algo in spec.algorithms:
                 orderer = algo.build(domain)
-                elapsed, count = time_ordering(orderer, domain, spec.k)
-                seconds.append(elapsed)
-                evaluated.append(orderer.stats.plans_evaluated)
-                concrete.append(orderer.stats.concrete_evaluations)
-                abstract.append(orderer.stats.abstract_evaluations)
-                first_evals.append(orderer.stats.first_plan_evaluations)
-                cache_hits = orderer.registry.get("utility_cache.hits")
-                cache_misses = orderer.registry.get("utility_cache.misses")
-                hits.append(cache_hits.value if cache_hits else 0)
-                misses.append(cache_misses.value if cache_misses else 0)
-                returned = count
+                with Stopwatch() as watch:
+                    returned = len(orderer.order_list(domain.space, spec.k))
+                if returned != min(spec.k, domain.space.size):
+                    raise InternalError(
+                        f"{algo.name} returned {returned} of {spec.k} plans"
+                    )
+                runs[algo.name].append((watch.elapsed, orderer))
+        for name, cells in runs.items():
             result.rows.append(
                 PanelRow(
-                    algorithm=algo.name,
+                    algorithm=name,
                     bucket_size=bucket_size,
-                    seconds=statistics.mean(seconds),
-                    plans_evaluated=statistics.mean(evaluated),
-                    first_plan_evaluations=statistics.mean(first_evals),
-                    plans_returned=returned,
-                    concrete_evaluations=statistics.mean(concrete),
-                    abstract_evaluations=statistics.mean(abstract),
-                    cache_hits=statistics.mean(hits),
-                    cache_misses=statistics.mean(misses),
+                    seconds=statistics.mean(t for t, _ in cells),
+                    plans_evaluated=statistics.mean(
+                        o.stats.plans_evaluated for _, o in cells
+                    ),
+                    first_plan_evaluations=statistics.mean(
+                        o.stats.first_plan_evaluations for _, o in cells
+                    ),
                 )
             )
     return result

@@ -118,6 +118,10 @@ def render_export(metrics: Mapping[str, Mapping[str, object]]) -> str:
     ``MetricRegistry.to_json`` writes, so a file produced by
     ``--metrics-out`` converts directly (``repro metrics-dump``).
     """
+    if not isinstance(metrics, Mapping):
+        raise ObservabilityError(
+            f"a metrics export is a JSON object, not {type(metrics).__name__}"
+        )
     inner = metrics.get("metrics")
     if isinstance(inner, Mapping) and all(
         isinstance(v, Mapping) for v in inner.values()

@@ -9,16 +9,28 @@ objects), and ``bench-serve``'s query mix.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.datalog.query import ConjunctiveQuery
 from repro.errors import ServiceError
 from repro.sources.catalog import Catalog
 
-__all__ = ["WORKLOAD_NAMES", "service_workload"]
+__all__ = ["SERVED_MEASURES", "WORKLOAD_NAMES", "service_workload"]
+
+#: The measures each workload serves, by :data:`repro.workloads.MEASURES`
+#: name; a workload's first is its default.  The movie workload's
+#: "failure" is the health-reactive option: a failure-aware bind-join
+#: cost that, behind a resilience manager's HealthAwareMeasure,
+#: re-ranks plans as observed failure rates move — the measure the
+#: adaptive chaos jobs serve with.
+SERVED_MEASURES: dict[str, tuple[str, ...]] = {
+    "movies": ("linear", "failure"),
+    "random-lav": ("linear", "bind-join", "coverage", "monetary"),
+}
 
 #: Names accepted by :func:`service_workload` (and the CLI flags).
-WORKLOAD_NAMES = ("movies", "random-lav")
+WORKLOAD_NAMES = tuple(SERVED_MEASURES)
 
 
 def service_workload(
@@ -26,40 +38,19 @@ def service_workload(
 ) -> tuple[Catalog, dict, dict[str, Callable], ConjunctiveQuery]:
     """(catalog, source_facts, measure factories, canonical query)."""
     if name == "movies":
-        from repro.utility.cost import BindJoinCost, LinearCost
         from repro.workloads.movies import movie_domain
 
         domain = movie_domain()
-        # "failure" is the health-reactive option: a failure-aware
-        # bind-join cost that, behind a resilience manager's
-        # HealthAwareMeasure, re-ranks plans as observed failure rates
-        # move — the measure the adaptive chaos jobs serve with.
-        measures: dict[str, Callable] = {
-            "linear": LinearCost,
-            "failure": lambda: BindJoinCost(failure_aware=True),
-        }
-        return (
-            domain.catalog,
-            domain.source_facts,
-            measures,
-            domain.query,
-        )
-    if name != "random-lav":
+    elif name == "random-lav":
+        from repro.workloads.random_lav import ordering_scenario
+
+        domain = ordering_scenario(seed)
+    else:
         raise ServiceError(
             f"unknown workload {name!r}; have {', '.join(WORKLOAD_NAMES)}"
         )
-    from repro.workloads.random_lav import ordering_scenario
-
-    scenario = ordering_scenario(seed)
     measures = {
-        "linear": scenario.linear_cost,
-        "bind-join": scenario.bind_join_cost,
-        "coverage": scenario.coverage,
-        "monetary": scenario.monetary,
+        measure: partial(domain.measure, measure)
+        for measure in SERVED_MEASURES[name]
     }
-    return (
-        scenario.scenario.catalog,
-        scenario.scenario.source_facts,
-        measures,
-        scenario.scenario.query,
-    )
+    return domain.catalog, domain.source_facts, measures, domain.query

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 from repro.errors import CatalogError
 from repro.datalog.parser import parse_query
 from repro.datalog.query import ConjunctiveQuery
-from repro.datalog.terms import Atom, Variable
+from repro.datalog.terms import Atom
 from repro.sources.statistics import SourceStats
 
 
@@ -55,13 +55,6 @@ class SourceDescription:
     @property
     def arity(self) -> int:
         return self.view.head.arity
-
-    def head_variables(self) -> tuple[Variable, ...]:
-        return self.view.head.variables()
-
-    def covers_predicate(self, predicate: str) -> bool:
-        """Does the view body mention the given schema relation?"""
-        return any(atom.predicate == predicate for atom in self.view.body)
 
     def renamed_view(self, suffix: str) -> ConjunctiveQuery:
         """The view with every variable renamed apart by *suffix*.
@@ -119,9 +112,6 @@ class Catalog:
     @property
     def schema(self) -> dict[str, int]:
         return dict(self._schema)
-
-    def has_relation(self, name: str) -> bool:
-        return name in self._schema
 
     # -- sources ----------------------------------------------------------------
 

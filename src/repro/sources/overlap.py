@@ -65,9 +65,6 @@ class OverlapModel:
     def universe_size(self, bucket: int) -> int:
         return self._universe_sizes[bucket]
 
-    def full_mask(self, bucket: int) -> int:
-        return (1 << self._universe_sizes[bucket]) - 1
-
     def total_universe_size(self) -> int:
         total = 1
         for size in self._universe_sizes:
@@ -83,44 +80,3 @@ class OverlapModel:
                 f"no extension registered for source {source_name!r} "
                 f"in bucket {bucket}"
             ) from None
-
-    def has_extension(self, bucket: int, source_name: str) -> bool:
-        return (bucket, source_name) in self._extensions
-
-    def set_extension(self, bucket: int, source_name: str, mask: int) -> None:
-        self._check_mask(bucket, source_name, mask)
-        self._extensions[(bucket, source_name)] = mask
-
-    # -- derived quantities -------------------------------------------------------
-
-    def coverage_fraction(self, bucket: int, source_name: str) -> float:
-        """Fraction of the bucket universe the source covers."""
-        return self.extension(bucket, source_name).bit_count() / self._universe_sizes[
-            bucket
-        ]
-
-    def overlap_count(self, bucket: int, first: str, second: str) -> int:
-        """Number of universe elements covered by both sources."""
-        return (
-            self.extension(bucket, first) & self.extension(bucket, second)
-        ).bit_count()
-
-    def overlap_fraction(self, bucket: int, first: str, second: str) -> float:
-        """|A & B| / |A|: how much of *first* is shared with *second*."""
-        mask = self.extension(bucket, first)
-        if mask == 0:
-            return 0.0
-        return (mask & self.extension(bucket, second)).bit_count() / mask.bit_count()
-
-    def jaccard(self, bucket: int, first: str, second: str) -> float:
-        """Jaccard similarity of the two extensions."""
-        a = self.extension(bucket, first)
-        b = self.extension(bucket, second)
-        union = (a | b).bit_count()
-        if union == 0:
-            return 1.0
-        return (a & b).bit_count() / union
-
-    def disjoint(self, bucket: int, first: str, second: str) -> bool:
-        """True when the two extensions share no tuple."""
-        return (self.extension(bucket, first) & self.extension(bucket, second)) == 0

@@ -43,13 +43,3 @@ class SourceStats:
             )
         if self.access_fee < 0 or self.fee_per_item < 0:
             raise CatalogError("fees must be non-negative")
-
-    def with_tuples(self, n_tuples: int) -> "SourceStats":
-        """Return a copy with a different tuple count."""
-        return SourceStats(
-            n_tuples=n_tuples,
-            transfer_cost=self.transfer_cost,
-            failure_prob=self.failure_prob,
-            access_fee=self.access_fee,
-            fee_per_item=self.fee_per_item,
-        )

@@ -17,15 +17,13 @@ Query: *"cameras on offer together with a review"*::
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.datalog.parser import parse_query
-from repro.datalog.query import ConjunctiveQuery
-from repro.reformulation.plans import PlanSpace
 from repro.reformulation.buckets import build_buckets
 from repro.sources.catalog import Catalog
 from repro.sources.overlap import OverlapModel
 from repro.sources.statistics import SourceStats
+from repro.workloads.domain import Domain, bucket_domain_sizes
 
 #: (group name, member count, camera-range fraction, fee level, items)
 _RESELLER_GROUPS = (
@@ -46,26 +44,18 @@ _CAMERAS = 96
 _REVIEW_PAIRS = 128
 
 
-@dataclass
-class CameraDomain:
-    """Catalog, query, plan space and overlap model for the camera story."""
+def camera_domain(seed: int = 0) -> Domain:
+    """Build the Section 3 camera domain (deterministic per seed).
 
-    catalog: Catalog
-    query: ConjunctiveQuery
-    space: PlanSpace
-    model: OverlapModel
-    groups: dict[str, str]  # source name -> group name
-
-
-def camera_domain(seed: int = 0) -> CameraDomain:
-    """Build the Section 3 camera domain (deterministic per seed)."""
+    A source is named after its group: ``discount3`` is the fourth
+    discount reseller.
+    """
     rng = random.Random(seed)
     catalog = Catalog()
     catalog.add_relation("offer", 1)
     catalog.add_relation("review_of", 2)
 
     extensions: dict[tuple[int, str], int] = {}
-    groups: dict[str, str] = {}
 
     def add_group_sources(
         bucket: int,
@@ -88,7 +78,6 @@ def camera_domain(seed: int = 0) -> CameraDomain:
             for bit in rng.sample(range(band_size), size):
                 mask |= 1 << (band_start + bit)
             extensions[(bucket, name)] = mask
-            groups[name] = group_name
             stats = SourceStats(
                 n_tuples=max(1, round(items * rng.uniform(0.8, 1.2))),
                 transfer_cost=rng.uniform(0.5, 1.5),
@@ -112,4 +101,6 @@ def camera_domain(seed: int = 0) -> CameraDomain:
     query = parse_query("q(C, R) :- offer(C), review_of(C, R)")
     space = build_buckets(query, catalog)
     model = OverlapModel((_CAMERAS, _REVIEW_PAIRS), extensions)
-    return CameraDomain(catalog, query, space, model, groups)
+    return Domain(
+        catalog, query, space, model, bucket_domain_sizes(space.buckets)
+    )

@@ -18,14 +18,12 @@ argument hold by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.datalog.query import ConjunctiveQuery
 from repro.execution.instances import product_query
 from repro.reformulation.plans import Bucket, PlanSpace
 from repro.sources.catalog import Catalog, SourceDescription
 from repro.sources.overlap import OverlapModel
 from repro.sources.statistics import SourceStats
+from repro.workloads.domain import Domain
 
 #: Universe size of each bucket.
 _UNIVERSE = 20
@@ -50,17 +48,7 @@ _EXTENSIONS = {
 }
 
 
-@dataclass
-class PaperExample:
-    """Catalog, query, plan space, and overlap model for Figure 3."""
-
-    catalog: Catalog
-    query: ConjunctiveQuery
-    space: PlanSpace
-    model: OverlapModel
-
-
-def paper_example() -> PaperExample:
+def paper_example() -> Domain:
     """Build the Section 5.1/5.2 example domain."""
     catalog = Catalog({"r1": 1, "r2": 1})
     sources: dict[str, SourceDescription] = {}
@@ -76,4 +64,4 @@ def paper_example() -> PaperExample:
     )
     query = product_query(2)
     model = OverlapModel((_UNIVERSE, _UNIVERSE), _EXTENSIONS)
-    return PaperExample(catalog, query, PlanSpace(buckets, query), model)
+    return Domain(catalog, query, PlanSpace(buckets, query), model)

@@ -28,13 +28,25 @@ from typing import Optional
 from repro.datalog.query import ConjunctiveQuery
 from repro.datalog.terms import Atom, Variable
 from repro.errors import ReformulationError
+from repro.execution.instances import product_query
 from repro.reformulation.plans import Bucket, PlanSpace
 from repro.sources.catalog import Catalog, SourceDescription
 from repro.sources.overlap import OverlapModel
 from repro.sources.statistics import SourceStats
-from repro.utility.cost import BindJoinCost, LinearCost
-from repro.utility.coverage import CoverageUtility
-from repro.utility.monetary import MonetaryCostPerTuple
+from repro.workloads.domain import Domain, bucket_domain_sizes
+
+#: Constants in a random schema instance, facts drawn per relation,
+#: and the chance a view's tuple is kept in its source (sources are
+#: incomplete, as in the paper).
+_DOMAIN_SIZE = 5
+_FACTS_PER_RELATION = 8
+_SOURCE_COMPLETENESS = 0.7
+#: The smallest plan space :func:`ordering_scenario` accepts, and the
+#: universe width of its overlap model.
+_MIN_PLANS = 6
+_SCENARIO_UNIVERSE_BITS = 24
+#: The universe width of :func:`fuzz_ordering_space`'s overlap model.
+_FUZZ_UNIVERSE_BITS = 16
 
 
 @dataclass
@@ -53,9 +65,6 @@ def random_scenario(
     n_sources: int = 5,
     query_subgoals: int = 2,
     view_subgoals: int = 2,
-    domain_size: int = 5,
-    facts_per_relation: int = 8,
-    source_completeness: float = 0.7,
 ) -> RandomScenario:
     """Build a random scenario; deterministic per seed.
 
@@ -77,11 +86,11 @@ def random_scenario(
         arities[name] = arity
 
     # Random schema instance.
-    domain = [f"c{i}" for i in range(domain_size)]
+    domain = [f"c{i}" for i in range(_DOMAIN_SIZE)]
     schema_facts: dict[str, set[tuple[object, ...]]] = {}
     for name, arity in arities.items():
         rows = set()
-        for _ in range(facts_per_relation):
+        for _ in range(_FACTS_PER_RELATION):
             rows.add(tuple(rng.choice(domain) for _ in range(arity)))
         schema_facts[name] = rows
 
@@ -102,30 +111,24 @@ def random_scenario(
 
     source_facts: dict[str, set[tuple[object, ...]]] = {}
     for index in range(n_sources):
-        for _attempt in range(20):
-            body = random_body(rng.randint(1, view_subgoals))
-            body_vars = sorted(
-                {v for atom in body for v in atom.variables()},
-                key=lambda v: v.name,
-            )
-            head_size = rng.randint(1, len(body_vars))
-            head_vars = tuple(rng.sample(body_vars, head_size))
-            name = f"src{index}"
-            view = ConjunctiveQuery(Atom(name, head_vars), body)
-            try:
-                catalog.add_source(view)
-            except ReformulationError:
-                continue
-            extension = evaluate_conjunctive_query(view, schema_facts)
-            kept = {
-                row
-                for row in extension
-                if rng.random() < source_completeness
-            }
-            source_facts[name] = kept
-            break
-        else:
-            raise ReformulationError(f"could not build view {index}")
+        body = random_body(rng.randint(1, view_subgoals))
+        body_vars = sorted(
+            {v for atom in body for v in atom.variables()},
+            key=lambda v: v.name,
+        )
+        head_size = rng.randint(1, len(body_vars))
+        head_vars = tuple(rng.sample(body_vars, head_size))
+        name = f"src{index}"
+        # Safe by construction: the head takes only body variables.
+        view = ConjunctiveQuery(Atom(name, head_vars), body)
+        catalog.add_source(view)
+        extension = evaluate_conjunctive_query(view, schema_facts)
+        kept = {
+            row
+            for row in extension
+            if rng.random() < _SOURCE_COMPLETENESS
+        }
+        source_facts[name] = kept
 
     # Random query; retried until it is safe (always, by construction).
     body = random_body(query_subgoals)
@@ -139,60 +142,24 @@ def random_scenario(
     return RandomScenario(catalog, query, source_facts, schema_facts)
 
 
-@dataclass
-class OrderingScenario:
-    """A random LAV scenario dressed up as a plan-ordering domain.
-
-    The bucket algorithm's plan space over a :func:`random_scenario`
-    catalog, with every source re-equipped with randomized
-    :class:`SourceStats` and a random :class:`OverlapModel`, so all
-    four utility measures are evaluable.  Mirrors the factory API of
-    :class:`~repro.workloads.synthetic.SyntheticDomain`.
-
-    Transfer costs are deliberately *uniform* across sources so the
-    uniform-transfer bind-join measure really is fully monotonic
-    (Section 3's proviso) on these scenarios.
-    """
-
-    scenario: RandomScenario
-    space: PlanSpace
-    model: OverlapModel
-    domain_sizes: tuple[float, ...]
-
-    def coverage(self) -> CoverageUtility:
-        return CoverageUtility(self.model)
-
-    def linear_cost(self) -> LinearCost:
-        return LinearCost(access_overhead=1.0)
-
-    def bind_join_cost(self) -> BindJoinCost:
-        return BindJoinCost(
-            access_overhead=1.0,
-            domain_sizes=self.domain_sizes,
-            uniform_transfer=True,
-        )
-
-    def monetary(self) -> MonetaryCostPerTuple:
-        return MonetaryCostPerTuple(domain_sizes=self.domain_sizes)
-
-
-def ordering_scenario(
-    seed: int,
-    min_plans: int = 6,
-    universe_bits: int = 24,
-    **scenario_kwargs: object,
-) -> OrderingScenario:
+def ordering_scenario(seed: int) -> Domain:
     """A random LAV scenario whose plan space supports ordering tests.
 
     Draws :func:`random_scenario` instances at seeds derived
     deterministically from *seed* until the bucket algorithm yields a
-    plan space with at least *min_plans* plans, then enriches it:
+    plan space with at least six plans, then enriches its space:
 
-    * every source gets randomized :class:`SourceStats` (one per
-      source *name* — a source appearing in several buckets keeps one
-      identity) with uniform transfer cost;
+    * every source gets randomized :class:`SourceStats` (one
+      description per source *name*: a source appearing in several
+      buckets keeps its last draw) with uniform transfer cost, so the
+      uniform-transfer bind-join measure really is fully monotonic
+      (Section 3's proviso) on these scenarios;
     * every (bucket, source) pair gets a random extension bitmask in a
-      *universe_bits*-bit universe, forming the :class:`OverlapModel`.
+      24-bit universe, forming the :class:`OverlapModel`.
+
+    The domain's catalog, query and instances are the drawn
+    scenario's, whose sources keep the ``SourceStats()`` defaults; only
+    its space carries the random statistics.
     """
     from repro.reformulation.buckets import build_buckets
 
@@ -203,33 +170,32 @@ def ordering_scenario(
     space = None
     for attempt in range(100):
         candidate_seed = seed * 1009 + attempt
-        candidate = random_scenario(candidate_seed, **scenario_kwargs)
+        candidate = random_scenario(candidate_seed)
         try:
             candidate_space = build_buckets(candidate.query, candidate.catalog)
         except ReformulationError:
             continue
-        if candidate_space.size >= min_plans:
+        if candidate_space.size >= _MIN_PLANS:
             scenario, space = candidate, candidate_space
             break
     if scenario is None or space is None:
         raise ReformulationError(
-            f"no random scenario with >= {min_plans} plans near seed {seed}"
+            f"no random scenario with >= {_MIN_PLANS} plans near seed {seed}"
         )
 
     enriched: dict[str, SourceDescription] = {}
     for bucket in space.buckets:
         for source in bucket.sources:
-            if source.name not in enriched:
-                stats = SourceStats(
-                    n_tuples=rng.randint(1, 200),
-                    transfer_cost=1.0,
-                    failure_prob=rng.uniform(0.0, 0.3),
-                    access_fee=rng.uniform(0.5, 3.0),
-                    fee_per_item=rng.uniform(0.01, 0.2),
-                )
-                enriched[source.name] = SourceDescription(
-                    source.name, source.view, stats
-                )
+            stats = SourceStats(
+                n_tuples=rng.randint(1, 200),
+                transfer_cost=1.0,
+                failure_prob=rng.uniform(0.0, 0.3),
+                access_fee=rng.uniform(0.5, 3.0),
+                fee_per_item=rng.uniform(0.01, 0.2),
+            )
+            enriched[source.name] = SourceDescription(
+                source.name, source.view, stats
+            )
 
     buckets = tuple(
         Bucket(
@@ -242,77 +208,21 @@ def ordering_scenario(
     rich_space = PlanSpace(buckets, space.query)
 
     extensions = {
-        (bucket.index, source.name): rng.getrandbits(universe_bits) or 1
+        (bucket.index, source.name): (
+            rng.getrandbits(_SCENARIO_UNIVERSE_BITS) or 1
+        )
         for bucket in buckets
         for source in bucket.sources
     }
-    model = OverlapModel([universe_bits] * len(buckets), extensions)
-    domain_sizes = tuple(
-        3.0 * max(source.stats.n_tuples for source in bucket.sources)
-        for bucket in buckets
+    return Domain(
+        scenario.catalog,
+        scenario.query,
+        rich_space,
+        OverlapModel([_SCENARIO_UNIVERSE_BITS] * len(buckets), extensions),
+        bucket_domain_sizes(buckets),
+        scenario.source_facts,
+        uniform_transfer=True,
     )
-    return OrderingScenario(scenario, rich_space, model, domain_sizes)
-
-
-@dataclass
-class FuzzSpace:
-    """A directly-constructed bucket product for orderer fuzzing.
-
-    Unlike :class:`OrderingScenario` there is no LAV reformulation in
-    the loop: the buckets are fabricated, which lets the generator
-    reach shapes reformulation rarely produces — heavy-tailed bucket
-    sizes (one giant bucket next to singletons), adversarial fee
-    structures (everything tied, everything free, fees spanning orders
-    of magnitude), non-uniform transfer costs, and the degenerate
-    single-bucket space.  Mirrors the measure-factory API of
-    :class:`~repro.workloads.synthetic.SyntheticDomain`.
-    """
-
-    seed: int
-    space: PlanSpace
-    model: OverlapModel
-    domain_sizes: tuple[float, ...]
-    #: Which adversarial fee structure was drawn ("iid", "tied",
-    #: "zero", or "extreme") — printed by the fuzz suite on failure.
-    fee_profile: str
-    #: True when every source shares one transfer cost, the proviso
-    #: under which the bind-join measure is fully monotonic.
-    uniform_transfer: bool
-
-    def coverage(self) -> CoverageUtility:
-        return CoverageUtility(self.model)
-
-    def linear_cost(self) -> LinearCost:
-        return LinearCost(access_overhead=1.0)
-
-    def bind_join_cost(self) -> BindJoinCost:
-        return BindJoinCost(
-            access_overhead=1.0,
-            domain_sizes=self.domain_sizes,
-            uniform_transfer=self.uniform_transfer,
-        )
-
-    def failure_cost(self, caching: bool = False) -> BindJoinCost:
-        return BindJoinCost(
-            access_overhead=1.0,
-            domain_sizes=self.domain_sizes,
-            failure_aware=True,
-            caching=caching,
-        )
-
-    def monetary(self, caching: bool = False) -> MonetaryCostPerTuple:
-        return MonetaryCostPerTuple(
-            domain_sizes=self.domain_sizes, caching=caching
-        )
-
-    def describe(self) -> str:
-        """One line a failing fuzz test can print for replay."""
-        sizes = "x".join(str(len(b)) for b in self.space.buckets)
-        return (
-            f"fuzz_ordering_space(seed={self.seed}): buckets {sizes} "
-            f"({self.space.size} plans), fees={self.fee_profile}, "
-            f"uniform_transfer={self.uniform_transfer}"
-        )
 
 
 #: Adversarial fee structures the fuzz generator cycles through.
@@ -351,19 +261,22 @@ def _fuzz_bucket_sizes(
         sizes[largest] = max(1, sizes[largest] // 2)
 
 
-def fuzz_ordering_space(
-    seed: int,
-    max_plans: int = 2000,
-    universe_bits: int = 16,
-) -> FuzzSpace:
+def fuzz_ordering_space(seed: int, max_plans: int = 2000) -> Domain:
     """A randomized plan space for brute-force cross-checks.
+
+    Unlike :func:`ordering_scenario` there is no LAV reformulation in
+    the loop: the buckets are fabricated, which lets the generator
+    reach shapes reformulation rarely produces — heavy-tailed bucket
+    sizes (one giant bucket next to singletons), adversarial fee
+    structures (:data:`FEE_PROFILES`, one per seed in turn), non-uniform
+    transfer costs, and the degenerate single-bucket space.
 
     Deterministic per *seed*.  Every seventh seed draws the degenerate
     single-bucket space; the rest draw 2–4 buckets with heavy-tailed
     (Pareto) sizes, clamped so the product never exceeds *max_plans*
     and stays brute-forceable.  The *empty*-bucket degenerate case
-    cannot be represented — :class:`PlanSpace` rejects it at
-    construction (see :func:`empty_bucket_space`).
+    cannot be represented: :class:`PlanSpace` rejects it at
+    construction.
     """
     rng = random.Random(seed * 9973 + 29)
     width = 1 if seed % 7 == 3 else rng.randint(2, 4)
@@ -398,32 +311,19 @@ def fuzz_ordering_space(
                 )
             )
             extensions[(bucket_index, name)] = (
-                rng.getrandbits(universe_bits) or 1
+                rng.getrandbits(_FUZZ_UNIVERSE_BITS) or 1
             )
         buckets.append(Bucket(bucket_index, tuple(members)))
 
-    space = PlanSpace(tuple(buckets))
-    model = OverlapModel([universe_bits] * width, extensions)
-    domain_sizes = tuple(
-        3.0 * max(source.stats.n_tuples for source in bucket.sources)
-        for bucket in buckets
+    query = product_query(width)
+    return Domain(
+        catalog,
+        query,
+        PlanSpace(tuple(buckets), query),
+        OverlapModel([_FUZZ_UNIVERSE_BITS] * width, extensions),
+        bucket_domain_sizes(buckets),
+        uniform_transfer=uniform_transfer,
     )
-    return FuzzSpace(
-        seed, space, model, domain_sizes, fee_profile, uniform_transfer
-    )
-
-
-def empty_bucket_space() -> PlanSpace:
-    """The degenerate empty-bucket case.
-
-    Always raises :class:`~repro.errors.ReformulationError`: a bucket
-    with no covering sources means the query has no conjunctive plans
-    at all, and :class:`PlanSpace` rejects the construction rather
-    than letting orderers meet a zero-plan product.  Kept here so the
-    fuzz suite documents the boundary alongside the cases it *can*
-    generate.
-    """
-    return PlanSpace((Bucket(0, ()),))
 
 
 def certain_answers_three_ways(

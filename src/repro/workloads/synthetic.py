@@ -35,15 +35,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ReformulationError
-from repro.datalog.query import ConjunctiveQuery
 from repro.execution.instances import product_query
 from repro.reformulation.plans import Bucket, PlanSpace
 from repro.sources.catalog import Catalog, SourceDescription
 from repro.sources.overlap import OverlapModel
 from repro.sources.statistics import SourceStats
-from repro.utility.cost import BindJoinCost, LinearCost
-from repro.utility.coverage import CoverageUtility
-from repro.utility.monetary import MonetaryCostPerTuple
+from repro.workloads.domain import Domain, bucket_domain_sizes
+
+#: Tuples a source reports per element of its own group's block.
+_TUPLES_PER_ELEMENT = 4.0
+#: How far a member's extension strays from its group core.
+_MUTATION_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,6 @@ class SyntheticParams:
     overlap_rate: float = 0.3
     groups_per_bucket: Optional[int] = None
     bits_per_group: int = 32
-    tuples_per_element: float = 4.0
-    #: How far a member's extension strays from its group core.
-    mutation_rate: float = 0.05
     seed: int = 0
 
     def resolved_groups(self) -> int:
@@ -74,45 +73,9 @@ class SyntheticParams:
             raise ReformulationError("overlap_rate must be in [0, 1]")
 
 
-@dataclass
-class SyntheticDomain:
-    """A generated experiment domain with utility-measure factories."""
-
-    params: SyntheticParams
-    catalog: Catalog
-    query: ConjunctiveQuery
-    space: PlanSpace
-    model: OverlapModel
-    domain_sizes: tuple[float, ...]
-
-    # -- utility factories (fresh measure per call; contexts are per-run) --------
-
-    def coverage(self) -> CoverageUtility:
-        return CoverageUtility(self.model)
-
-    def linear_cost(self) -> LinearCost:
-        return LinearCost(access_overhead=1.0)
-
-    def bind_join_cost(self) -> BindJoinCost:
-        return BindJoinCost(access_overhead=1.0, domain_sizes=self.domain_sizes)
-
-    def failure_cost(self, caching: bool = False) -> BindJoinCost:
-        return BindJoinCost(
-            access_overhead=1.0,
-            domain_sizes=self.domain_sizes,
-            failure_aware=True,
-            caching=caching,
-        )
-
-    def monetary(self, caching: bool = False) -> MonetaryCostPerTuple:
-        return MonetaryCostPerTuple(
-            domain_sizes=self.domain_sizes, caching=caching
-        )
-
-
 def generate_domain(
     params: Optional[SyntheticParams] = None, **overrides: object
-) -> SyntheticDomain:
+) -> Domain:
     """Generate a reproducible synthetic domain.
 
     Either pass a :class:`SyntheticParams` or keyword overrides, e.g.
@@ -164,9 +127,7 @@ def generate_domain(
         for j in range(params.bucket_size):
             group = j * groups // params.bucket_size
             name = f"v{bucket_index}_{j}"
-            mask = _member_mask(
-                rng, group, partners[group], cores, block, params.mutation_rate
-            )
+            mask = _member_mask(rng, group, partners[group], cores, block)
             extensions[(bucket_index, name)] = mask
             own_bits = _popcount_in_block(mask, group, block)
             stats = SourceStats(
@@ -174,7 +135,7 @@ def generate_domain(
                     1,
                     round(
                         own_bits
-                        * params.tuples_per_element
+                        * _TUPLES_PER_ELEMENT
                         * rng.uniform(0.95, 1.05)
                     ),
                 ),
@@ -195,11 +156,9 @@ def generate_domain(
     query = product_query(width)
     space = PlanSpace(tuple(buckets), query)
     model = OverlapModel([universe] * width, extensions)
-    domain_sizes = tuple(
-        3.0 * max(s.stats.n_tuples for s in bucket.sources)
-        for bucket in buckets
+    return Domain(
+        catalog, query, space, model, bucket_domain_sizes(buckets)
     )
-    return SyntheticDomain(params, catalog, query, space, model, domain_sizes)
 
 
 def _random_mask(rng: random.Random, block: int, density: float) -> int:
@@ -217,22 +176,21 @@ def _member_mask(
     partner_groups: dict[int, int],
     cores: list[int],
     block: int,
-    mutation_rate: float,
 ) -> int:
     """The group core, lightly mutated, plus slivers in partner blocks.
 
-    A member keeps each core bit with probability ``1 - mutation_rate``
+    A member keeps each core bit with probability ``1 - _MUTATION_RATE``
     and gains each non-core bit of its home block with probability
-    ``mutation_rate * core_density`` — so members stay close to the
+    ``_MUTATION_RATE * core_density`` — so members stay close to the
     core (tight abstraction intervals) while remaining distinct.
     """
     core = cores[group]
     core_size = core.bit_count()
-    gain_rate = mutation_rate * core_size / max(1, block - core_size)
+    gain_rate = _MUTATION_RATE * core_size / max(1, block - core_size)
     own = 0
     for bit in range(block):
         present = bool(core >> bit & 1)
-        if present and rng.random() >= mutation_rate:
+        if present and rng.random() >= _MUTATION_RATE:
             own |= 1 << bit
         elif not present and rng.random() < gain_rate:
             own |= 1 << bit

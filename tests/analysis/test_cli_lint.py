@@ -132,6 +132,10 @@ class TestScenarioFlag:
         assert main(["lint", "--scenario", "--workload", "movies"]) == 0
         assert "no findings" in capsys.readouterr().out
 
+    def test_scenario_run_skips_the_code_rules(self, bad_file, capsys):
+        assert main(["lint", "--scenario", "--workload", "movies", bad_file]) == 0
+        assert "no findings" in capsys.readouterr().out
+
     def test_workload_is_repeatable(self, capsys):
         # The second name is linted too: a bad one there fails the run.
         assert main(["lint", "--scenario", "--workload", "movies",

@@ -6,7 +6,6 @@ crash/restart tests get their own short-lived clusters.
 """
 
 import io
-import json
 import threading
 from dataclasses import replace
 import time

@@ -11,17 +11,23 @@ from repro.reformulation.plans import PlanSpace
 from repro.resilience.breaker import CircuitBreaker
 from repro.sources.catalog import Catalog
 from repro.utility.base import UtilityMeasure
-from repro.workloads.movies import MovieDomain, movie_domain
-from repro.workloads.synthetic import SyntheticDomain, SyntheticParams, generate_domain
+from repro.workloads.domain import Domain
+from repro.workloads.movies import movie_domain
+from repro.workloads.synthetic import SyntheticParams, generate_domain
+
+
+def shared(model, bucket: int, first: str, second: str) -> int:
+    """How many universe elements two sources' extensions share."""
+    return (model.extension(bucket, first) & model.extension(bucket, second)).bit_count()
 
 
 @pytest.fixture
-def movies() -> MovieDomain:
+def movies() -> Domain:
     return movie_domain()
 
 
 @pytest.fixture
-def tiny_domain() -> SyntheticDomain:
+def tiny_domain() -> Domain:
     """A 3x3 plan space, like the paper's running example."""
     return generate_domain(
         SyntheticParams(query_length=2, bucket_size=3, seed=7)
@@ -29,7 +35,7 @@ def tiny_domain() -> SyntheticDomain:
 
 
 @pytest.fixture
-def small_domain() -> SyntheticDomain:
+def small_domain() -> Domain:
     """A two-bucket space small enough for brute-force cross-checks."""
     return generate_domain(
         SyntheticParams(query_length=2, bucket_size=8, seed=3)
@@ -37,7 +43,7 @@ def small_domain() -> SyntheticDomain:
 
 
 @pytest.fixture
-def medium_domain() -> SyntheticDomain:
+def medium_domain() -> Domain:
     """Query length 3, as in the paper's experiments."""
     return generate_domain(
         SyntheticParams(query_length=3, bucket_size=6, seed=5)

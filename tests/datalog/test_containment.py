@@ -1,6 +1,5 @@
 """Tests for conjunctive-query containment."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import containment
@@ -10,7 +9,7 @@ from repro.datalog.containment import (
 )
 from repro.datalog.parser import parse_query
 from repro.datalog.query import ConjunctiveQuery
-from repro.datalog.terms import Atom, Constant, Variable
+from repro.datalog.terms import Atom, Variable
 
 
 def test_the_most_constrained_subgoal_is_matched_first(monkeypatch):

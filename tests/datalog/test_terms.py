@@ -1,7 +1,5 @@
 """Tests for terms, atoms and substitutions."""
 
-import pytest
-
 from repro.datalog.terms import (
     Atom,
     Constant,

@@ -57,7 +57,7 @@ class TestSyntheticMediation:
             small_domain.space, small_domain.model
         )
         mediator = Mediator(small_domain.catalog, source_facts)
-        utility = small_domain.coverage()
+        utility = small_domain.measure("coverage")
         batches = list(
             mediator.answer(
                 small_domain.query,

@@ -26,7 +26,7 @@ SEEDS = [0, 3, 7, 11, 15]
 def scenario_mediator(seed, **kwargs):
     scenario = ordering_scenario(seed)
     return scenario, Mediator(
-        scenario.scenario.catalog, scenario.scenario.source_facts, **kwargs
+        scenario.catalog, scenario.source_facts, **kwargs
     )
 
 
@@ -35,7 +35,7 @@ class TestNewAnswersPartition:
     def test_partition_property(self, seed):
         scenario, mediator = scenario_mediator(seed)
         batches = list(
-            mediator.answer(scenario.scenario.query, scenario.linear_cost())
+            mediator.answer(scenario.query, scenario.measure("linear"))
         )
         union_answers = set()
         union_new = set()
@@ -54,7 +54,7 @@ class TestNewAnswersPartition:
     def test_unsound_batches_carry_nothing(self, seed=2):
         scenario, mediator = scenario_mediator(seed)
         for batch in mediator.answer(
-            scenario.scenario.query, scenario.linear_cost()
+            scenario.query, scenario.measure("linear")
         ):
             if not batch.sound:
                 assert batch.answers == frozenset()

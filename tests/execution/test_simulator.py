@@ -139,7 +139,7 @@ class TestOrderingValue:
         minimizes simulated time to the first completed plan."""
         from repro.ordering.bruteforce import PIOrderer
 
-        utility = small_domain.bind_join_cost()
+        utility = small_domain.measure("bind-join")
         ordered = [
             r.plan for r in PIOrderer(utility).order_list(small_domain.space, 10)
         ]

@@ -1,5 +1,8 @@
 """Tests for the experiment harness and Figure 6 panel specs."""
 
+import dataclasses
+import statistics
+
 import pytest
 
 from repro.experiments import figure6
@@ -9,7 +12,8 @@ from repro.experiments.figure6 import (
     overlap_sweep_spec,
     query_length_spec,
 )
-from repro.experiments.harness import AlgorithmSpec, PanelSpec, run_panel
+from repro.experiments.harness import AlgorithmSpec, PanelSpec, algorithm, run_panel
+from repro.errors import InternalError
 from repro.ordering.bruteforce import PIOrderer
 
 
@@ -49,13 +53,11 @@ class TestRunPanel:
         for row in result.rows:
             assert row.seconds >= 0
             assert row.plans_evaluated > 0
-            assert row.plans_returned == 1
 
-    def test_row_lookup_and_series(self):
+    def test_row_lookup(self):
         result = run_panel(PANELS["a"], bucket_sizes=(3,))
         row = result.row("PI", 3)
         assert row.algorithm == "PI"
-        assert len(result.series("PI")) == 1
         with pytest.raises(KeyError):
             result.row("PI", 99)
 
@@ -64,19 +66,44 @@ class TestRunPanel:
         table = result.format_table()
         assert "Panel 6.a" in table
         assert "PI" in table and "Streamer" in table
+        evaluations = table.splitlines()[-1].split()[-3:]
+        assert evaluations == [
+            f"{result.row(algo.name, 3).plans_evaluated:.0f}"
+            for algo in PANELS["a"].algorithms
+        ]
+
+    def test_an_orderer_short_of_k_plans_is_an_internal_error(self):
+        class Short(PIOrderer):
+            def order_list(self, space, k):
+                return super().order_list(space, k - 1)
+
+        spec = PanelSpec(
+            "t", "test", 2,
+            (AlgorithmSpec("short", lambda d: Short(d.measure("linear"))),),
+            bucket_sizes=(3,), query_length=2,
+        )
+        with pytest.raises(InternalError, match="short returned 1 of 2 plans"):
+            run_panel(spec)
 
     def test_custom_spec_seeds_averaged(self):
         spec = PanelSpec(
             "t",
             "test",
-            1,
-            (AlgorithmSpec("PI", lambda d: PIOrderer(d.linear_cost())),),
-            bucket_sizes=(3,),
+            3,
+            (algorithm("streamer", "coverage"),),
+            bucket_sizes=(6,),
             query_length=2,
             seeds=(0, 1),
         )
-        result = run_panel(spec)
-        assert len(result.rows) == 1
+        (row,) = run_panel(spec).rows
+        single = [
+            run_panel(dataclasses.replace(spec, seeds=(seed,))).rows[0]
+            for seed in (0, 1)
+        ]
+        assert single[0].plans_evaluated != single[1].plans_evaluated
+        assert row.plans_evaluated == statistics.mean(
+            r.plans_evaluated for r in single
+        )
 
 
 class TestSweepSpecs:
@@ -90,76 +117,25 @@ class TestSweepSpecs:
         assert spec.query_length == 5
 
 
-class TestBreakdown:
-    def test_breakdown_spec_has_all_five_algorithms(self):
-        from repro.experiments.figure6 import breakdown_spec
-
-        names = [a.name for a in breakdown_spec().algorithms]
-        assert names == ["PI", "iDrips", "Streamer", "Greedy", "AnyK"]
-
-    def test_breakdown_rows_populate_evaluation_split(self):
-        from repro.experiments.figure6 import breakdown_spec
-
-        result = run_panel(breakdown_spec(k=3), bucket_sizes=(4,))
-        for algo in ("PI", "iDrips", "Streamer", "Greedy", "AnyK"):
-            row = result.row(algo, 4)
-            assert row.plans_evaluated == pytest.approx(
-                row.concrete_evaluations + row.abstract_evaluations
-            )
-        # iDrips abstracts; plain brute force does not.
-        assert result.row("iDrips", 4).abstract_evaluations > 0
-        assert result.row("PI", 4).abstract_evaluations == 0
-
-    def test_format_breakdown_lists_every_algorithm(self):
-        from repro.experiments.figure6 import breakdown_spec
-
-        result = run_panel(breakdown_spec(k=3), bucket_sizes=(4,))
-        text = result.format_breakdown()
-        for name in ("PI", "iDrips", "Streamer", "Greedy", "AnyK"):
-            assert name in text
-        assert "concrete" in text and "abstract" in text
-
-    def test_cached_breakdown_reports_hits(self):
-        from repro.experiments.figure6 import breakdown_spec
-
-        result = run_panel(breakdown_spec(k=3, cache=True), bucket_sizes=(4,))
-        assert any(row.cache_misses > 0 for row in result.rows)
-        assert all(row.cache_hits >= 0 for row in result.rows)
-
-    def test_figure6_breakdown_flag(self, capsys):
-        assert figure6_main(["--quick", "--panel", "a", "--breakdown"]) == 0
-        out = capsys.readouterr().out
-        assert "evaluation breakdown" in out
-        assert "Greedy" in out
-
+class TestFigure6Command:
     def test_figure6_runs_a_sweep_by_name(self, capsys, monkeypatch):
         short = (query_length_spec(1), query_length_spec(2))
         monkeypatch.setattr(figure6, "SWEEPS", {"qlen": short})
         assert figure6_main(["--panel", "qlen"]) == 0
         out = capsys.readouterr().out
         assert "Panel qlen-1" in out and "Panel qlen-2" in out
+        # A sweep keeps its own bucket size, 8, not the panels' sizes.
+        assert bucket_column(out) == [8, 8]
 
-    def test_figure6_metrics_out(self, capsys, tmp_path):
-        import json
+    def test_quick_runs_the_small_sizes(self, capsys):
+        assert figure6_main(["--quick", "--panel", "a"]) == 0
+        assert bucket_column(capsys.readouterr().out) == list(figure6.QUICK_SIZES)
 
-        path = tmp_path / "panels.json"
-        assert figure6_main(
-            ["--quick", "--panel", "a", "--metrics-out", str(path)]
-        ) == 0
-        assert f"wrote panel metrics to {path}" in capsys.readouterr().out
-        payload = json.loads(path.read_text())
-        assert payload["6.a"]["rows"]
 
-    def test_as_dict_round_trips_through_json(self):
-        import json
-
-        from repro.experiments.figure6 import breakdown_spec
-
-        result = run_panel(breakdown_spec(k=2), bucket_sizes=(3,))
-        payload = json.loads(json.dumps(result.as_dict()))
-        assert payload["panel_id"] == "breakdown"
-        assert len(payload["rows"]) == 5
-        row = payload["rows"][0]
-        assert {"algorithm", "seconds", "plans_evaluated",
-                "concrete_evaluations", "abstract_evaluations",
-                "cache_hits", "cache_misses"} <= set(row)
+def bucket_column(out):
+    """The bucket sizes of every table row printed."""
+    return [
+        int(line.split()[0])
+        for line in out.splitlines()
+        if line.strip() and line.split()[0].isdigit()
+    ]

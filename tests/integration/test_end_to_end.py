@@ -58,7 +58,7 @@ class TestOrderedMediationOnSynthetic:
 
     def test_streamed_answers_complete(self, setup):
         domain, mediator = setup
-        utility = domain.coverage()
+        utility = domain.measure("coverage")
         total = set()
         for batch in mediator.answer(
             domain.query, utility, orderer=StreamerOrderer(utility)
@@ -72,7 +72,7 @@ class TestOrderedMediationOnSynthetic:
         of plans yields well over half of the answers, and a tenth of
         the plan space (at least three plans) already half."""
         domain, mediator = setup
-        utility = domain.coverage()
+        utility = domain.measure("coverage")
         batches = list(
             mediator.answer(domain.query, utility, orderer=make(utility))
         )
@@ -85,7 +85,7 @@ class TestOrderedMediationOnSynthetic:
 
     def test_predicted_coverage_matches_execution(self, setup):
         domain, mediator = setup
-        utility = domain.coverage()
+        utility = domain.measure("coverage")
         total = domain.model.total_universe_size()
         for batch in mediator.answer(
             domain.query, utility, orderer=PIOrderer(utility), max_plans=10
@@ -100,7 +100,7 @@ class TestFullPipelineQueryLength3:
         )
         source_facts, _ = materialize_instances(domain.space, domain.model)
         mediator = Mediator(domain.catalog, source_facts)
-        utility = domain.coverage()
+        utility = domain.measure("coverage")
         batches = list(
             mediator.answer(
                 domain.query,
@@ -121,6 +121,6 @@ class TestBucketsFeedOrderers:
             SyntheticParams(query_length=2, bucket_size=5, seed=8)
         )
         space = build_buckets(domain.query, domain.catalog)
-        orderer = StreamerOrderer(domain.coverage())
+        orderer = StreamerOrderer(domain.measure("coverage"))
         results = orderer.order_list(space, 5)
         assert len(results) == 5

@@ -21,11 +21,11 @@ def golden_domain():
 
 
 def test_golden_linear_cost_ordering(golden_domain):
-    results = GreedyOrderer(golden_domain.linear_cost()).order_list(
+    results = GreedyOrderer(golden_domain.measure("linear")).order_list(
         golden_domain.space, 5
     )
     got = [(r.plan.key, round(r.utility, 6)) for r in results]
-    reference = PIOrderer(golden_domain.linear_cost()).order_list(
+    reference = PIOrderer(golden_domain.measure("linear")).order_list(
         golden_domain.space, 5
     )
     assert got == [(r.plan.key, round(r.utility, 6)) for r in reference]
@@ -37,7 +37,7 @@ def test_golden_linear_cost_ordering(golden_domain):
 
 def test_golden_coverage_first_plans(golden_domain):
     """The first plans and their exact coverages for seed 2024."""
-    results = StreamerOrderer(golden_domain.coverage()).order_list(
+    results = StreamerOrderer(golden_domain.measure("coverage")).order_list(
         golden_domain.space, 3
     )
     total = golden_domain.model.total_universe_size()
@@ -46,7 +46,7 @@ def test_golden_coverage_first_plans(golden_domain):
     assert all(c > 0 for c in counts)
     assert counts == sorted(counts, reverse=True)
     # Cross-check against brute force.
-    reference = PIOrderer(golden_domain.coverage()).order_list(
+    reference = PIOrderer(golden_domain.measure("coverage")).order_list(
         golden_domain.space, 3
     )
     assert [round(r.utility * total) for r in reference] == counts

@@ -164,7 +164,7 @@ class TestCorrelation:
 # -- journalling does not perturb the answer stream --------------------------------
 
 RANDOM_LAV_SEEDS = list(range(20))
-RANDOM_LAV_MEASURES = ("linear_cost", "bind_join_cost", "coverage", "monetary")
+RANDOM_LAV_MEASURES = ("linear", "bind-join", "coverage", "monetary")
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,13 +182,13 @@ def batch_stream(batches):
 @functools.lru_cache(maxsize=None)
 def journal_off_stream(seed: int, measure_name: str):
     scenario = lav_scenario(seed)
-    utility = getattr(scenario, measure_name)()
+    utility = scenario.measure(measure_name)
     mediator = Mediator(
-        scenario.scenario.catalog, scenario.scenario.source_facts
+        scenario.catalog, scenario.source_facts
     )
     return batch_stream(
         mediator.answer(
-            scenario.scenario.query, utility, orderer=PIOrderer(utility)
+            scenario.query, utility, orderer=PIOrderer(utility)
         )
     )
 
@@ -198,16 +198,16 @@ def journal_off_stream(seed: int, measure_name: str):
 def test_journal_on_stream_is_identical(seed, measure_name):
     expected = journal_off_stream(seed, measure_name)
     scenario = lav_scenario(seed)
-    utility = getattr(scenario, measure_name)()
+    utility = scenario.measure(measure_name)
     sink = io.StringIO()
     mediator = Mediator(
-        scenario.scenario.catalog,
-        scenario.scenario.source_facts,
+        scenario.catalog,
+        scenario.source_facts,
         journal=EventJournal(stream=sink),
     )
     observed = batch_stream(
         mediator.answer(
-            scenario.scenario.query,
+            scenario.query,
             utility,
             orderer=PIOrderer(utility),
             request_id=f"sweep-{seed}",
@@ -230,23 +230,23 @@ class TestAnyKJournalCorrelation:
     run under the one request_id in causal ``seq`` order.
     """
 
-    MEASURES = ("linear_cost", "bind_join_cost")
+    MEASURES = ("linear", "bind-join")
 
     def _run(self, seed: int, measure_name: str):
         from repro.ordering.anyk import AnyKOrderer
 
         scenario = lav_scenario(seed)
-        utility = getattr(scenario, measure_name)()
+        utility = scenario.measure(measure_name)
         sink = io.StringIO()
         mediator = Mediator(
-            scenario.scenario.catalog,
-            scenario.scenario.source_facts,
+            scenario.catalog,
+            scenario.source_facts,
             journal=EventJournal(stream=sink),
         )
         request_id = f"anyk-{measure_name}-{seed}"
         batches = list(
             mediator.answer(
-                scenario.scenario.query,
+                scenario.query,
                 utility,
                 orderer=AnyKOrderer(utility),
                 request_id=request_id,
@@ -291,21 +291,21 @@ class TestAnyKJournalCorrelation:
 def test_pipelined_journal_on_stream_is_identical(seed):
     """Spot-check the concurrent path: journaled pipelined session vs
     the journal-off sequential stream."""
-    expected = journal_off_stream(seed, "linear_cost")
+    expected = journal_off_stream(seed, "linear")
     scenario = lav_scenario(seed)
-    utility = scenario.linear_cost()
+    utility = scenario.measure("linear")
     sink = io.StringIO()
     session = PipelinedSession(
         Mediator(
-            scenario.scenario.catalog,
-            scenario.scenario.source_facts,
+            scenario.catalog,
+            scenario.source_facts,
             journal=EventJournal(stream=sink),
         ),
         executor_workers=3,
         queue_depth=4,
     )
     batches, report = session.run(
-        scenario.scenario.query,
+        scenario.query,
         utility,
         orderer=PIOrderer(utility),
         request_id=f"pipelined-{seed}",

@@ -3,6 +3,8 @@ cache-correctness property: orderings with and without the cache must
 be identical, with the cache actually being hit on workloads that
 repeat subplans."""
 
+from functools import partial
+
 import itertools
 import sys
 import threading
@@ -30,13 +32,13 @@ def small_domain_for(seed):
 class TestWrapperPlumbing:
     def test_stacking_caches_rejected(self):
         domain = small_domain_for(0)
-        cached = CachingUtilityMeasure(domain.linear_cost())
+        cached = CachingUtilityMeasure(domain.measure("linear"))
         with pytest.raises(TypeError):
             CachingUtilityMeasure(cached)
 
     def test_flags_and_name_copied(self):
         domain = small_domain_for(0)
-        inner = domain.linear_cost()
+        inner = domain.measure("linear")
         cached = CachingUtilityMeasure(inner)
         assert cached.name == inner.name + "+memo"
         assert cached.is_fully_monotonic == inner.is_fully_monotonic
@@ -45,7 +47,7 @@ class TestWrapperPlumbing:
 
     def test_preference_key_delegates(self):
         domain = small_domain_for(0)
-        inner = domain.linear_cost()
+        inner = domain.measure("linear")
         cached = CachingUtilityMeasure(inner)
         source = domain.space.buckets[0].sources[0]
         assert cached.source_preference_key(0, source) == inner.source_preference_key(
@@ -57,7 +59,7 @@ class TestHitMissAccounting:
     def test_repeat_evaluation_hits(self):
         domain = small_domain_for(0)
         registry = MetricRegistry()
-        cached = CachingUtilityMeasure(domain.linear_cost(), registry=registry)
+        cached = CachingUtilityMeasure(domain.measure("linear"), registry=registry)
         plan = next(domain.space.plans())
         context = cached.new_context()
         first = cached.evaluate(plan, context)
@@ -69,7 +71,7 @@ class TestHitMissAccounting:
 
     def test_slots_cached_separately(self):
         domain = small_domain_for(0)
-        cached = CachingUtilityMeasure(domain.linear_cost())
+        cached = CachingUtilityMeasure(domain.measure("linear"))
         context = cached.new_context()
         slots = tuple(bucket.sources for bucket in domain.space.buckets)
         first = cached.evaluate_slots(slots, context)
@@ -79,7 +81,7 @@ class TestHitMissAccounting:
 
     def test_context_free_measure_ignores_executed_plans(self):
         domain = small_domain_for(0)
-        cached = CachingUtilityMeasure(domain.linear_cost())
+        cached = CachingUtilityMeasure(domain.measure("linear"))
         plans = list(domain.space.plans())
         context = cached.new_context()
         cached.evaluate(plans[0], context)
@@ -89,7 +91,7 @@ class TestHitMissAccounting:
 
     def test_context_sensitive_measure_keys_on_executed_sequence(self):
         domain = small_domain_for(0)
-        cached = CachingUtilityMeasure(domain.coverage())
+        cached = CachingUtilityMeasure(domain.measure("coverage"))
         plans = list(domain.space.plans())
         context = cached.new_context()
         before = cached.evaluate(plans[0], context)
@@ -110,7 +112,7 @@ ORDERERS = {
     "streamer": StreamerOrderer,
     "greedy": GreedyOrderer,
 }
-MEASURES = ("linear_cost", "coverage", "monetary")
+MEASURES = ("linear", "coverage", "monetary")
 
 
 class TestCacheCorrectness:
@@ -119,7 +121,7 @@ class TestCacheCorrectness:
     @pytest.mark.parametrize("orderer_name", sorted(ORDERERS))
     def test_cached_ordering_identical(self, seed, measure_name, orderer_name):
         domain = small_domain_for(seed)
-        make = getattr(domain, measure_name)
+        make = partial(domain.measure, measure_name)
         cls = ORDERERS[orderer_name]
         if cls is GreedyOrderer and not make().is_fully_monotonic:
             pytest.skip("greedy needs a fully monotonic measure")
@@ -134,14 +136,14 @@ class TestCacheCorrectness:
 
     @pytest.mark.parametrize(
         "orderer_name, measure_name",
-        [("exhaustive", "linear_cost"), ("exhaustive", "monetary"),
-         ("idrips", "linear_cost"), ("idrips", "monetary")],
+        [("exhaustive", "linear"), ("exhaustive", "monetary"),
+         ("idrips", "linear"), ("idrips", "monetary")],
     )
     def test_repeated_subplans_actually_hit(self, orderer_name, measure_name):
         """These algorithms re-evaluate identical signatures in
         identical contexts, so the memo must report hits."""
         domain = small_domain_for(3)
-        make = getattr(domain, measure_name)
+        make = partial(domain.measure, measure_name)
         orderer = ORDERERS[orderer_name](make(), cache=True)
         orderer.order_list(domain.space, 10)
         hits = orderer.registry.get("utility_cache.hits")
@@ -164,7 +166,7 @@ class TestPrefixTokens:
 
     def test_equal_tokens_iff_equal_executed_sequences(self):
         domain = small_domain_for(1)
-        cached = CachingUtilityMeasure(domain.coverage())
+        cached = CachingUtilityMeasure(domain.measure("coverage"))
         plans = list(domain.space.plans())[:5]
         sequences = [
             list(picked)
@@ -183,14 +185,14 @@ class TestPrefixTokens:
 
     def test_equal_plans_built_apart_share_a_token(self):
         domain = small_domain_for(1)
-        cached = CachingUtilityMeasure(domain.coverage())
+        cached = CachingUtilityMeasure(domain.measure("coverage"))
         plans = list(domain.space.plans())[:3]
         rebuilt = [QueryPlan(tuple(plan.sources)) for plan in plans]
         assert tokens_along(cached, plans) == tokens_along(cached, rebuilt)
 
     def test_replayed_context_equals_the_live_one(self):
         domain = small_domain_for(2)
-        cached = CachingUtilityMeasure(domain.coverage())
+        cached = CachingUtilityMeasure(domain.measure("coverage"))
         plans = list(domain.space.plans())
         live = cached.new_context()
         for plan in plans[:4]:
@@ -205,7 +207,7 @@ class TestPrefixTokens:
     def test_threads_interning_prefixes_never_share_or_split_a_token(self):
         # QueryService shares one cache across its session threads.
         domain = small_domain_for(3)
-        cached = CachingUtilityMeasure(domain.coverage())
+        cached = CachingUtilityMeasure(domain.measure("coverage"))
         plans = list(domain.space.plans())
         threads, share, rounds = 8, 4, 60
         common = plans[threads * share:]
@@ -246,15 +248,15 @@ class TestPrefixTokens:
 
     def test_context_free_measure_builds_no_table(self):
         domain = small_domain_for(0)
-        orderer = IDripsOrderer(domain.linear_cost(), cache=True)
+        orderer = IDripsOrderer(domain.measure("linear"), cache=True)
         orderer.order_list(domain.space, 10)
         assert orderer.utility.hits > 0
         assert orderer.utility._prefixes == {}
 
     def test_a_context_folded_by_another_cache_starts_over(self):
         domain = small_domain_for(0)
-        first = CachingUtilityMeasure(domain.coverage())
-        second = CachingUtilityMeasure(domain.coverage())
+        first = CachingUtilityMeasure(domain.measure("coverage"))
+        second = CachingUtilityMeasure(domain.measure("coverage"))
         plans = list(domain.space.plans())
         tokens_along(first, plans[:6])  # first's tokens run ahead
         context = first.new_context()
@@ -291,7 +293,7 @@ class TestCachedEvaluationWork:
 
     def test_no_walk_of_the_executed_prefix(self):
         domain = small_domain_for(4)
-        cached = CachingUtilityMeasure(domain.coverage())
+        cached = CachingUtilityMeasure(domain.measure("coverage"))
         plans = list(domain.space.plans())
         slots = tuple(bucket.sources for bucket in domain.space.buckets)
         context = self.context_with_prefix(cached, (plans * 6)[:200])
@@ -312,7 +314,7 @@ class TestCachedEvaluationWork:
 
     def test_keys_carry_identities_instead_of_rebuilding_them(self):
         domain = small_domain_for(4)
-        cached = CachingUtilityMeasure(domain.coverage())
+        cached = CachingUtilityMeasure(domain.measure("coverage"))
         plan = next(domain.space.plans())
         abstract = top_plan(domain.space.buckets, OutputCountHeuristic())
         context = self.context_with_prefix(cached, [plan])

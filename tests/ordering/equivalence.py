@@ -38,12 +38,12 @@ SWEEP_SEEDS = tuple(range(20))
 
 #: ... under the four utility-measure families (factory names on the
 #: scenario/domain objects).
-SWEEP_MEASURES = ("linear_cost", "bind_join_cost", "coverage", "monetary")
+SWEEP_MEASURES = ("linear", "bind-join", "coverage", "monetary")
 
 #: The fully monotonic subset on LAV scenarios (uniform transfer makes
 #: bind-join monotonic there) — where iDrips, Greedy and AnyK are
 #: all exact and comparable.
-MONOTONIC_SWEEP_MEASURES = ("linear_cost", "bind_join_cost")
+MONOTONIC_SWEEP_MEASURES = ("linear", "bind-join")
 
 
 @functools.lru_cache(maxsize=None)

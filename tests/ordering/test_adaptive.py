@@ -10,6 +10,8 @@ suppresses (ranking provably unchanged) or restarts the inner orderer
 over the residual space.
 """
 
+from functools import partial
+
 import io
 
 import pytest
@@ -68,7 +70,7 @@ class TestHealthyPathIdentity:
 
     def test_wrapped_stream_matches_inner_exactly(self, seed, measure_name):
         scenario = lav_scenario(seed)
-        make = getattr(scenario, measure_name)
+        make = partial(scenario.measure, measure_name)
         epoch = HealthEpoch()
         for name in factory_names(make()):
             factory = INNER_FACTORIES[name]
@@ -168,7 +170,7 @@ class TestResort:
         # head still dominates, so the wrapper must not restart.
         scenario = lav_scenario(3)
         epoch = HealthEpoch()
-        make = scenario.linear_cost
+        make = partial(scenario.measure, "linear")
         plain = stream_of(ExhaustiveOrderer(make()), scenario.space, 4)
         adaptive = AdaptiveOrderer(
             make(), inner_factory=ExhaustiveOrderer, epoch=epoch
@@ -186,7 +188,7 @@ class TestResort:
     def test_epoch_checks_are_counted(self):
         scenario = lav_scenario(3)
         adaptive = AdaptiveOrderer(
-            scenario.linear_cost(),
+            scenario.measure("linear"),
             inner_factory=ExhaustiveOrderer,
             epoch=HealthEpoch(),
         )
@@ -202,10 +204,10 @@ class TestConstruction:
         # first iteration.
         scenario = lav_scenario(3)
         with pytest.raises(NotApplicableError):
-            GreedyOrderer(scenario.coverage())
+            GreedyOrderer(scenario.measure("coverage"))
         with pytest.raises(NotApplicableError):
             AdaptiveOrderer(
-                scenario.coverage(),
+                scenario.measure("coverage"),
                 inner_factory=GreedyOrderer,
                 epoch=HealthEpoch(),
             )
@@ -213,7 +215,7 @@ class TestConstruction:
     def test_k_is_validated(self):
         scenario = lav_scenario(3)
         adaptive = AdaptiveOrderer(
-            scenario.linear_cost(),
+            scenario.measure("linear"),
             inner_factory=ExhaustiveOrderer,
             epoch=HealthEpoch(),
         )
@@ -232,12 +234,12 @@ class TestConstruction:
             seen.append(plan.key)
             return next(verdicts)
 
-        plain = ExhaustiveOrderer(scenario.coverage()).order_list(
+        plain = ExhaustiveOrderer(scenario.measure("coverage")).order_list(
             scenario.space, 4, on_emit
         )
         seen.clear()
         adaptive = AdaptiveOrderer(
-            scenario.coverage(),
+            scenario.measure("coverage"),
             inner_factory=ExhaustiveOrderer,
             epoch=HealthEpoch(),
         )

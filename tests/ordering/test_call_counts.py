@@ -51,7 +51,7 @@ def wide_domain():
 @pytest.mark.parametrize("case", BUDGETS, ids=[c[0] for c in BUDGETS])
 def test_pulling_k_plans_stays_within_evaluation_budget(case, wide_domain):
     name, cls, budget = case
-    measure = CachingUtilityMeasure(wide_domain.linear_cost())
+    measure = CachingUtilityMeasure(wide_domain.measure("linear"))
     results = cls(measure).order_list(wide_domain.space, K)
     assert len(results) == K
     width = wide_domain.space.width
@@ -74,7 +74,7 @@ def test_budget_scales_linearly_in_k(case, wide_domain):
     name, cls, _budget = case
     counts = {}
     for k in (K, 2 * K):
-        measure = CachingUtilityMeasure(wide_domain.linear_cost())
+        measure = CachingUtilityMeasure(wide_domain.measure("linear"))
         cls(measure).order_list(wide_domain.space, k)
         counts[k] = measure.misses
     assert counts[2 * K] <= 2 * counts[K] + wide_domain.space.width, (
@@ -93,8 +93,8 @@ def test_anyk_budget_holds_on_bind_join():
     from repro.workloads.random_lav import fuzz_ordering_space
 
     fuzz = fuzz_ordering_space(39)
-    inner = fuzz.bind_join_cost()
-    assert fuzz.uniform_transfer, fuzz.describe()
+    inner = fuzz.measure("bind-join")
+    assert fuzz.uniform_transfer
     assert inner.is_fully_monotonic and inner.context_free
     measure = CachingUtilityMeasure(inner)
     AnyKOrderer(measure).order_list(fuzz.space, K)
@@ -110,6 +110,6 @@ def test_first_plan_touches_width_plus_one_evaluations(bucket_size):
         SyntheticParams(query_length=3, bucket_size=bucket_size, seed=0)
     )
     for cls in (GreedyOrderer, AnyKOrderer):
-        measure = CachingUtilityMeasure(domain.linear_cost())
+        measure = CachingUtilityMeasure(domain.measure("linear"))
         cls(measure).order_list(domain.space, 1)
         assert measure.misses <= 1 + domain.space.width

@@ -11,18 +11,18 @@ from repro.ordering.drips import DripsPlanner, drips_search
 
 class TestBestPlan:
     def test_finds_true_best_for_coverage(self, small_domain):
-        drips = DripsPlanner(small_domain.coverage())
+        drips = DripsPlanner(small_domain.measure("coverage"))
         plan, value = drips.best_plan(small_domain.space)
-        reference = ExhaustiveOrderer(small_domain.coverage())
+        reference = ExhaustiveOrderer(small_domain.measure("coverage"))
         (best,) = reference.order_list(small_domain.space, 1)
         assert value == pytest.approx(best.utility)
 
     def test_finds_true_best_for_costs(self, small_domain):
         for utility in (
-            small_domain.linear_cost(),
-            small_domain.bind_join_cost(),
-            small_domain.failure_cost(),
-            small_domain.monetary(),
+            small_domain.measure("linear"),
+            small_domain.measure("bind-join"),
+            small_domain.measure("failure"),
+            small_domain.measure("monetary"),
         ):
             drips = DripsPlanner(utility)
             _plan, value = drips.best_plan(small_domain.space)
@@ -31,7 +31,7 @@ class TestBestPlan:
             assert value == pytest.approx(best.utility), utility.name
 
     def test_respects_execution_context(self, small_domain):
-        utility = small_domain.coverage()
+        utility = small_domain.measure("coverage")
         context = utility.new_context()
         drips = DripsPlanner(utility)
         first, _ = drips.best_plan(small_domain.space, context)
@@ -48,14 +48,14 @@ class TestBestPlan:
         assert value == pytest.approx(best)
 
     def test_evaluates_fewer_plans_than_bruteforce(self, medium_domain):
-        drips = DripsPlanner(medium_domain.coverage())
+        drips = DripsPlanner(medium_domain.measure("coverage"))
         drips.best_plan(medium_domain.space)
         assert drips.stats.plans_evaluated < medium_domain.space.size
 
     def test_random_heuristic_still_exact(self, small_domain):
-        drips = DripsPlanner(small_domain.coverage(), RandomHeuristic(9))
+        drips = DripsPlanner(small_domain.measure("coverage"), RandomHeuristic(9))
         _plan, value = drips.best_plan(small_domain.space)
-        reference = ExhaustiveOrderer(small_domain.coverage())
+        reference = ExhaustiveOrderer(small_domain.measure("coverage"))
         (best,) = reference.order_list(small_domain.space, 1)
         assert value == pytest.approx(best.utility)
 
@@ -65,15 +65,15 @@ class TestDripsSearch:
         with pytest.raises(OrderingError):
             drips_search(
                 [],
-                small_domain.coverage(),
-                small_domain.coverage().new_context(),
+                small_domain.measure("coverage"),
+                small_domain.measure("coverage").new_context(),
                 OrderingStats(),
             )
 
     def test_pool_of_concrete_plans(self, tiny_domain):
         """A pool of fully concrete plans degenerates to argmax."""
         heuristic = OutputCountHeuristic()
-        utility = tiny_domain.linear_cost()
+        utility = tiny_domain.measure("linear")
         stats = OrderingStats()
         root = top_plan(tiny_domain.space.buckets, heuristic)
 
@@ -94,7 +94,7 @@ class TestDripsSearch:
 
     def test_elimination_counter_counts_pruned(self, medium_domain):
         stats = OrderingStats()
-        utility = medium_domain.coverage()
+        utility = medium_domain.measure("coverage")
         root = top_plan(medium_domain.space.buckets, OutputCountHeuristic())
         drips_search([root], utility, utility.new_context(), stats)
         assert stats.eliminations > 0
@@ -107,7 +107,7 @@ class TestWorkedExampleShape:
     hand-picked run; the exact number depends on the intervals)."""
 
     def test_three_by_three_savings(self, tiny_domain):
-        drips = DripsPlanner(tiny_domain.coverage())
+        drips = DripsPlanner(tiny_domain.measure("coverage"))
         plan, value = drips.best_plan(tiny_domain.space)
         assert tiny_domain.space.contains(plan)
         assert drips.stats.concrete_evaluations < tiny_domain.space.size

@@ -9,6 +9,8 @@ The shared machinery (orderer rosters, utility-stream assertions, the
 ``tests/ordering/equivalence.py``; this suite drives it.
 """
 
+from functools import partial
+
 import pytest
 
 from tests.conftest import assert_valid_ordering
@@ -41,13 +43,13 @@ def domain_for(seed: int, overlap: float = 0.3):
 
 
 MEASURES = {
-    "coverage": lambda d: d.coverage(),
-    "failure": lambda d: d.failure_cost(),
-    "failure+caching": lambda d: d.failure_cost(caching=True),
-    "monetary": lambda d: d.monetary(),
-    "monetary+caching": lambda d: d.monetary(caching=True),
-    "linear": lambda d: d.linear_cost(),
-    "bind-join": lambda d: d.bind_join_cost(),
+    "coverage": lambda d: d.measure("coverage"),
+    "failure": lambda d: d.measure("failure"),
+    "failure+caching": lambda d: d.measure("failure-caching"),
+    "monetary": lambda d: d.measure("monetary"),
+    "monetary+caching": lambda d: d.measure("monetary-caching"),
+    "linear": lambda d: d.measure("linear"),
+    "bind-join": lambda d: d.measure("bind-join"),
 }
 
 
@@ -89,9 +91,9 @@ def test_tie_free_measures_identical_sequences(seed, measure_name):
 def test_coverage_agreement_across_overlap_rates(overlap):
     domain = domain_for(seed=11, overlap=overlap)
     k = 10
-    pi = PIOrderer(domain.coverage()).order_list(domain.space, k)
-    streamer = StreamerOrderer(domain.coverage()).order_list(domain.space, k)
-    idrips = IDripsOrderer(domain.coverage()).order_list(domain.space, k)
+    pi = PIOrderer(domain.measure("coverage")).order_list(domain.space, k)
+    streamer = StreamerOrderer(domain.measure("coverage")).order_list(domain.space, k)
+    idrips = IDripsOrderer(domain.measure("coverage")).order_list(domain.space, k)
     assert [r.utility for r in streamer] == pytest.approx(
         [r.utility for r in pi]
     )
@@ -103,13 +105,13 @@ def test_coverage_agreement_across_overlap_rates(overlap):
 #: Satellite property sweep: random LAV scenarios, >= 20 seeds.
 RANDOM_LAV_SEEDS = list(SWEEP_SEEDS)
 
-#: The four utility-measure families, via OrderingScenario factories.
+#: The four utility-measure families, via Domain factories.
 RANDOM_LAV_MEASURES = SWEEP_MEASURES
 
 
 def lav_orderers(scenario, measure_name):
     """Every applicable orderer, brute force first (see the kit)."""
-    return applicable_orderers(getattr(scenario, measure_name))
+    return applicable_orderers(partial(scenario.measure, measure_name))
 
 
 @pytest.mark.parametrize("seed", RANDOM_LAV_SEEDS)
@@ -123,7 +125,7 @@ def test_random_lav_orderings_valid(seed, measure_name):
         results = orderer.order_list(scenario.space, k)
         assert len(results) == k, f"{orderer.name} returned too few plans"
         assert_valid_ordering(
-            results, scenario.space, getattr(scenario, measure_name)()
+            results, scenario.space, scenario.measure(measure_name)
         ), f"{orderer.name} on {measure_name}, seed {seed}"
 
 
@@ -152,10 +154,10 @@ def test_random_lav_greedy_applies_to_both_monotone_measures():
     """The uniform-transfer construction really yields fully monotonic
     bind-join costs (Section 3's proviso)."""
     scenario = lav_scenario(0)
-    assert scenario.linear_cost().is_fully_monotonic
-    assert scenario.bind_join_cost().is_fully_monotonic
-    assert not scenario.coverage().is_fully_monotonic
-    assert not scenario.monetary().is_fully_monotonic
+    assert scenario.measure("linear").is_fully_monotonic
+    assert scenario.measure("bind-join").is_fully_monotonic
+    assert not scenario.measure("coverage").is_fully_monotonic
+    assert not scenario.measure("monetary").is_fully_monotonic
 
 
 class TestAnyKStreamEquivalence:
@@ -174,7 +176,7 @@ class TestAnyKStreamEquivalence:
         assert_matches_bruteforce(
             AnyKOrderer,
             scenario.space,
-            getattr(scenario, measure_name),
+            partial(scenario.measure, measure_name),
             k,
             label=f"anyk vs bruteforce, {measure_name}, seed {seed}",
         )
@@ -183,7 +185,7 @@ class TestAnyKStreamEquivalence:
     @pytest.mark.parametrize("measure_name", MONOTONIC_SWEEP_MEASURES)
     def test_anyk_matches_idrips_on_monotonic(self, seed, measure_name):
         scenario = lav_scenario(seed)
-        make = getattr(scenario, measure_name)
+        make = partial(scenario.measure, measure_name)
         assert make().is_fully_monotonic
         k = min(8, scenario.space.size)
         assert_streams_equivalent(
@@ -198,8 +200,8 @@ def test_query_length_one():
         SyntheticParams(query_length=1, bucket_size=10, seed=6)
     )
     k = 5
-    pi = PIOrderer(domain.coverage()).order_list(domain.space, k)
-    streamer = StreamerOrderer(domain.coverage()).order_list(domain.space, k)
+    pi = PIOrderer(domain.measure("coverage")).order_list(domain.space, k)
+    streamer = StreamerOrderer(domain.measure("coverage")).order_list(domain.space, k)
     assert [r.utility for r in streamer] == pytest.approx([r.utility for r in pi])
 
 
@@ -208,8 +210,8 @@ def test_query_length_four():
         SyntheticParams(query_length=4, bucket_size=4, seed=6)
     )
     k = 8
-    pi = PIOrderer(domain.coverage()).order_list(domain.space, k)
-    streamer = StreamerOrderer(domain.coverage()).order_list(domain.space, k)
-    idrips = IDripsOrderer(domain.coverage()).order_list(domain.space, k)
+    pi = PIOrderer(domain.measure("coverage")).order_list(domain.space, k)
+    streamer = StreamerOrderer(domain.measure("coverage")).order_list(domain.space, k)
+    idrips = IDripsOrderer(domain.measure("coverage")).order_list(domain.space, k)
     assert [r.utility for r in streamer] == pytest.approx([r.utility for r in pi])
     assert [r.utility for r in idrips] == pytest.approx([r.utility for r in pi])

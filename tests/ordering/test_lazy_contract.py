@@ -34,19 +34,19 @@ def _adaptive(measure):
 # (orderer class, measure factory name) — each paired with a measure
 # the algorithm is applicable to.
 CASES = [
-    ("exhaustive", ExhaustiveOrderer, "linear_cost"),
-    ("pi", PIOrderer, "linear_cost"),
-    ("idrips", IDripsOrderer, "linear_cost"),
-    ("greedy", GreedyOrderer, "linear_cost"),  # fully monotonic
+    ("exhaustive", ExhaustiveOrderer, "linear"),
+    ("pi", PIOrderer, "linear"),
+    ("idrips", IDripsOrderer, "linear"),
+    ("greedy", GreedyOrderer, "linear"),  # fully monotonic
     ("streamer", StreamerOrderer, "coverage"),  # diminishing returns
-    ("anyk", AnyKOrderer, "linear_cost"),  # fully monotonic
+    ("anyk", AnyKOrderer, "linear"),  # fully monotonic
     ("adaptive", _adaptive, "coverage"),  # wrapper forwards the contract
 ]
 
 
 def make(case, domain):
     _, cls, measure_name = case
-    return cls(getattr(domain, measure_name)())
+    return cls(domain.measure(measure_name))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])

@@ -5,6 +5,8 @@ with ``order_spaces`` must reproduce the single-space ordering — and
 MiniCon's generalized plan spaces must be orderable directly.
 """
 
+from functools import partial
+
 import pytest
 
 from tests.conftest import assert_valid_ordering
@@ -40,8 +42,8 @@ def split_into_subspaces(space):
 
 @pytest.mark.parametrize("name", sorted(ORDERERS))
 def test_multi_space_matches_single_space(small_domain, name):
-    measure_factory = (
-        small_domain.linear_cost if name == "Greedy" else small_domain.failure_cost
+    measure_factory = partial(
+        small_domain.measure, "linear" if name == "Greedy" else "failure"
     )
     k = 12
     make = ORDERERS[name]
@@ -57,12 +59,12 @@ def test_multi_space_matches_single_space(small_domain, name):
 
 def test_greedy_multi_space(small_domain):
     k = 12
-    single = GreedyOrderer(small_domain.linear_cost()).order_list(
+    single = GreedyOrderer(small_domain.measure("linear")).order_list(
         small_domain.space, k
     )
     pieces = split_into_subspaces(small_domain.space)
     multi = list(
-        GreedyOrderer(small_domain.linear_cost()).order_spaces(pieces, k)
+        GreedyOrderer(small_domain.measure("linear")).order_spaces(pieces, k)
     )
     assert [r.utility for r in multi] == pytest.approx(
         [r.utility for r in single]
@@ -72,9 +74,9 @@ def test_greedy_multi_space(small_domain):
 def test_multi_space_coverage_is_valid_ordering(small_domain):
     pieces = split_into_subspaces(small_domain.space)
     results = list(
-        StreamerOrderer(small_domain.coverage()).order_spaces(pieces, 15)
+        StreamerOrderer(small_domain.measure("coverage")).order_spaces(pieces, 15)
     )
-    assert_valid_ordering(results, small_domain.space, small_domain.coverage())
+    assert_valid_ordering(results, small_domain.space, small_domain.measure("coverage"))
 
 
 def test_minicon_generalized_spaces_are_orderable():

@@ -38,7 +38,7 @@ from tests.ordering.equivalence import (
     utility_stream,
 )
 
-#: What the rule says for the seven names of ``cli._make_measure`` on a
+#: What the rule says for the seven names of ``repro.workloads.MEASURES`` on a
 #: synthetic domain (whose per-source transfer costs make bind-join
 #: non-monotonic; caching breaks diminishing returns).
 CLI_MEASURES = {
@@ -66,7 +66,7 @@ class TestTheRuleOnEveryMeasure:
     def test_auto_names_the_regime_winner_and_it_constructs(
         self, measure_name, wrapper, small_domain
     ):
-        utility = WRAPPERS[wrapper](cli._make_measure(measure_name, small_domain))
+        utility = WRAPPERS[wrapper](small_domain.measure(measure_name))
         name = resolve_orderer_name(AUTO_ORDERER, utility)
         assert name == CLI_MEASURES[measure_name]
         # No NotApplicableError: the winner applies to its own regime.
@@ -76,23 +76,23 @@ class TestTheRuleOnEveryMeasure:
 
     def test_auto_is_never_the_baseline(self, small_domain):
         picked = {
-            resolve_orderer_name(AUTO_ORDERER, cli._make_measure(name, small_domain))
+            resolve_orderer_name(AUTO_ORDERER, small_domain.measure(name))
             for name in CLI_MEASURES
         }
         assert picked == {"anyk", "streamer", "idrips"}
 
     def test_unknown_name_is_an_ordering_error(self, small_domain):
         with pytest.raises(OrderingError, match="unknown orderer 'quantum'"):
-            orderer_class("quantum", small_domain.coverage())
+            orderer_class("quantum", small_domain.measure("coverage"))
 
 
 #: The measures ``auto`` used to send to PI.
 FORMERLY_PI = {
-    "coverage": lambda fuzz: fuzz.coverage(),
-    "failure": lambda fuzz: fuzz.failure_cost(),
-    "failure+caching": lambda fuzz: fuzz.failure_cost(caching=True),
-    "monetary": lambda fuzz: fuzz.monetary(),
-    "monetary+caching": lambda fuzz: fuzz.monetary(caching=True),
+    "coverage": lambda fuzz: fuzz.measure("coverage"),
+    "failure": lambda fuzz: fuzz.measure("failure"),
+    "failure+caching": lambda fuzz: fuzz.measure("failure-caching"),
+    "monetary": lambda fuzz: fuzz.measure("monetary"),
+    "monetary+caching": lambda fuzz: fuzz.measure("monetary-caching"),
 }
 
 
@@ -112,7 +112,7 @@ def test_auto_is_exact_beside_pi(seed, measure_name):
     k = min(8, fuzz.space.size)
     auto = orderer_class(AUTO_ORDERER, make(fuzz))(make(fuzz))
     assert not isinstance(auto, PIOrderer)
-    label = f"{auto.name} vs PI, {measure_name}, {fuzz.describe()}"
+    label = f"{auto.name} vs PI, {measure_name}, fuzz_ordering_space({seed})"
     results = auto.order_list(fuzz.space, k)
     assert len(results) == k, label
     assert_valid_ordering(results, fuzz.space, make(fuzz))
@@ -131,10 +131,10 @@ def test_a_tie_under_a_context_reading_measure_may_fork_the_stream():
     satisfy Definition 2.1.  A client that left the choice to ``auto``
     may see either."""
     fuzz = fuzz_ordering_space(1, max_plans=400)
-    streamer = StreamerOrderer(fuzz.coverage()).order_list(fuzz.space, 4)
-    pi = PIOrderer(fuzz.coverage()).order_list(fuzz.space, 4)
+    streamer = StreamerOrderer(fuzz.measure("coverage")).order_list(fuzz.space, 4)
+    pi = PIOrderer(fuzz.measure("coverage")).order_list(fuzz.space, 4)
     for results in (streamer, pi):
-        assert_valid_ordering(results, fuzz.space, fuzz.coverage())
+        assert_valid_ordering(results, fuzz.space, fuzz.measure("coverage"))
     assert streamer[0].utility == pi[0].utility
     assert streamer[0].plan.key != pi[0].plan.key
     assert streamer[2].utility != pytest.approx(pi[2].utility)
@@ -146,13 +146,13 @@ class TestAnyKIsTheLatticeOrderer:
             NotApplicableError,
             match="AnyK requires a fully monotonic measure.*'auto' picks 'streamer'",
         ):
-            AnyKOrderer(small_domain.coverage())
+            AnyKOrderer(small_domain.measure("coverage"))
 
     def test_every_guard_names_what_auto_picks(self, small_domain):
         for name, measure, picks in (
-            ("greedy", small_domain.failure_cost(caching=True), "idrips"),
-            ("streamer", small_domain.monetary(caching=True), "idrips"),
-            ("anyk", small_domain.monetary(), "streamer"),
+            ("greedy", small_domain.measure("failure-caching"), "idrips"),
+            ("streamer", small_domain.measure("monetary-caching"), "idrips"),
+            ("anyk", small_domain.measure("monetary"), "streamer"),
         ):
             with pytest.raises(NotApplicableError, match=f"'auto' picks '{picks}'"):
                 ORDERER_TABLE[name](measure)
@@ -162,18 +162,18 @@ class TestMediatorDefault:
     @pytest.mark.parametrize("seed", SWEEP_SEEDS[::5])
     def test_coverage_is_ordered_by_streamer_with_pi_s_answers(self, seed):
         scenario = lav_scenario(seed)
-        catalog, facts = scenario.scenario.catalog, scenario.scenario.source_facts
-        query = scenario.scenario.query
+        catalog, facts = scenario.catalog, scenario.source_facts
+        query = scenario.query
 
         def answers(orderer=None):
-            utility = scenario.coverage()
+            utility = scenario.measure("coverage")
             if orderer is not None:
                 orderer = orderer(utility)
             batches = list(mediator.answer(query, utility, orderer=orderer))
             return frozenset().union(*(batch.new_answers for batch in batches))
 
         mediator = Mediator(catalog, facts)
-        assert type(mediator.make_orderer(scenario.coverage())) is StreamerOrderer
+        assert type(mediator.make_orderer(scenario.measure("coverage"))) is StreamerOrderer
         assert answers() == answers(PIOrderer)
 
 

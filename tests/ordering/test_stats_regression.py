@@ -18,11 +18,11 @@ from repro.workloads.paper_example import paper_example
 from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 ORDERERS = {
-    "exhaustive": lambda d: ExhaustiveOrderer(d.coverage()),
-    "pi": lambda d: PIOrderer(d.coverage()),
-    "idrips": lambda d: IDripsOrderer(d.coverage()),
-    "streamer": lambda d: StreamerOrderer(d.coverage()),
-    "greedy": lambda d: GreedyOrderer(d.linear_cost()),
+    "exhaustive": lambda d: ExhaustiveOrderer(d.measure("coverage")),
+    "pi": lambda d: PIOrderer(d.measure("coverage")),
+    "idrips": lambda d: IDripsOrderer(d.measure("coverage")),
+    "streamer": lambda d: StreamerOrderer(d.measure("coverage")),
+    "greedy": lambda d: GreedyOrderer(d.measure("linear")),
 }
 
 
@@ -58,7 +58,7 @@ class TestCountersMonotoneDuringRun:
         )
 
     def test_first_plan_snapshot_sticky_across_run(self, domain):
-        orderer = PIOrderer(domain.coverage())
+        orderer = PIOrderer(domain.measure("coverage"))
         iterator = orderer.order(domain.space, 10)
         next(iterator)
         after_first = orderer.stats.first_plan_evaluations
@@ -103,8 +103,8 @@ class TestSharedRegistry:
         self, domain
     ):
         registry = MetricRegistry()
-        pi = PIOrderer(domain.coverage(), registry=registry)
-        idrips = IDripsOrderer(domain.coverage(), registry=registry)
+        pi = PIOrderer(domain.measure("coverage"), registry=registry)
+        idrips = IDripsOrderer(domain.measure("coverage"), registry=registry)
         pi.order_list(domain.space, 5)
         idrips.order_list(domain.space, 5)
         payload = registry.as_dict()

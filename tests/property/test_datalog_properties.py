@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datalog.engine import evaluate_program, evaluate_rule_body
 from repro.datalog.program import Program, Rule
-from repro.datalog.terms import Atom, Constant, Variable
+from repro.datalog.terms import Atom, Variable
 
 
 def naive_fixpoint(program: Program, edb) -> dict:

@@ -34,13 +34,13 @@ def domains():
 
 def measures_of(domain):
     return [
-        domain.coverage(),
-        domain.linear_cost(),
-        domain.bind_join_cost(),
-        domain.failure_cost(),
-        domain.failure_cost(caching=True),
-        domain.monetary(),
-        domain.monetary(caching=True),
+        domain.measure("coverage"),
+        domain.measure("linear"),
+        domain.measure("bind-join"),
+        domain.measure("failure"),
+        domain.measure("failure-caching"),
+        domain.measure("monetary"),
+        domain.measure("monetary-caching"),
     ]
 
 

@@ -33,7 +33,7 @@ ORDERER_FACTORIES = {
 
 def make(domain, name):
     cls, measure = ORDERER_FACTORIES[name]
-    utility = domain.coverage() if measure == "coverage" else domain.linear_cost()
+    utility = domain.measure("coverage") if measure == "coverage" else domain.measure("linear")
     return cls(utility)
 
 
@@ -86,4 +86,4 @@ def test_coverage_orderings_all_valid(domain):
     k = 8
     for name in ("PI", "iDrips", "Streamer"):
         results = make(domain, name).order_list(domain.space, k)
-        assert_valid_ordering(results, domain.space, domain.coverage())
+        assert_valid_ordering(results, domain.space, domain.measure("coverage"))

@@ -1,7 +1,5 @@
 """Tests for the inverse-rules reformulation."""
 
-import pytest
-
 from repro.datalog.parser import parse_query
 from repro.datalog.terms import FunctionTerm
 from repro.reformulation.inverse_rules import (

@@ -155,7 +155,7 @@ class TestProbeRollbackRegression:
         manager = self.blocked_probe()
         scenario = ordering_scenario(seed=3)
         orderer = AdaptiveOrderer(
-            scenario.linear_cost(),
+            scenario.measure("linear"),
             inner_factory=ExhaustiveOrderer,
             epoch=manager.epoch,
         )
@@ -194,11 +194,11 @@ class TestHealthyRunKeepsEpochZero:
         manager = manager_with(FakeClock())
         scenario = ordering_scenario(seed=5)
         adaptive = AdaptiveOrderer(
-            scenario.linear_cost(),
+            scenario.measure("linear"),
             inner_factory=ExhaustiveOrderer,
             epoch=manager.epoch,
         )
-        plain = ExhaustiveOrderer(scenario.linear_cost())
+        plain = ExhaustiveOrderer(scenario.measure("linear"))
         k = 6
         wrapped = [
             (e.plan.key, e.utility, e.rank)

@@ -24,7 +24,7 @@ from repro.utility.cost import BindJoinCost, LinearCost
 from repro.workloads.random_lav import ordering_scenario
 
 RANDOM_LAV_SEEDS = list(range(20))
-RANDOM_LAV_MEASURES = ("linear_cost", "bind_join_cost", "coverage", "monetary")
+RANDOM_LAV_MEASURES = ("linear", "bind-join", "coverage", "monetary")
 
 
 class FakePlan:
@@ -157,12 +157,12 @@ def lav_scenario(seed: int):
 
 def batch_stream(scenario, utility):
     mediator = Mediator(
-        scenario.scenario.catalog, scenario.scenario.source_facts
+        scenario.catalog, scenario.source_facts
     )
     return tuple(
         (b.rank, b.plan.key, b.sound, b.answers, b.new_answers, b.utility)
         for b in mediator.answer(
-            scenario.scenario.query, utility, orderer=PIOrderer(utility)
+            scenario.query, utility, orderer=PIOrderer(utility)
         )
     )
 
@@ -171,8 +171,8 @@ def batch_stream(scenario, utility):
 @pytest.mark.parametrize("seed", RANDOM_LAV_SEEDS)
 def test_wrapped_measure_is_byte_identical_when_healthy(seed, measure_name):
     scenario = lav_scenario(seed)
-    plain = batch_stream(scenario, getattr(scenario, measure_name)())
+    plain = batch_stream(scenario, scenario.measure(measure_name))
     wrapped = HealthAwareMeasure(
-        getattr(scenario, measure_name)(), SourceHealthTracker()
+        scenario.measure(measure_name), SourceHealthTracker()
     )
     assert batch_stream(scenario, wrapped) == plain

@@ -94,8 +94,8 @@ def outage_service(scenario, *, adaptivity, backend=None, journal=None):
     alike and hide the ordering-level effect.
     """
     return QueryService(
-        scenario.scenario.catalog,
-        scenario.scenario.source_facts,
+        scenario.catalog,
+        scenario.source_facts,
         measures={
             "failure": lambda: BindJoinCost(
                 access_overhead=1.0,
@@ -251,7 +251,7 @@ class TestFeedbackLoopEndToEnd:
                 service = outage_service(
                     outage_scenario, adaptivity=adaptivity
                 )
-                query = outage_scenario.scenario.query
+                query = outage_scenario.query
             try:
                 result = service.execute(QueryRequest(query))
                 assert result.ok
@@ -280,7 +280,7 @@ class ColdStart:
         )
         try:
             self.result = service.execute(
-                QueryRequest(scenario.scenario.query, request_id="cold")
+                QueryRequest(scenario.query, request_id="cold")
             )
         finally:
             service.shutdown()

@@ -42,7 +42,7 @@ def movies_case():
 
 def lav_case():
     """A random-LAV scenario: unsound plans as well as failing ones."""
-    scenario = ordering_scenario(3).scenario
+    scenario = ordering_scenario(3)
     probe = Mediator(scenario.catalog, scenario.source_facts)
     sound = [
         batch.plan

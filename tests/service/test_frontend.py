@@ -8,6 +8,7 @@ import socket
 import threading
 import time
 import weakref
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -382,7 +383,7 @@ class TestOneRoadOverTCP:
         service = QueryService(
             medium_domain.catalog,
             {},
-            measures={"linear": medium_domain.linear_cost},
+            measures={"linear": partial(medium_domain.measure, "linear")},
             backend=slow,
             journal=EventJournal(stream=sink),
         )

@@ -20,7 +20,7 @@ from repro.workloads.random_lav import ordering_scenario
 from tests.service.helpers import BACKENDS
 
 RANDOM_LAV_SEEDS = list(range(20))
-RANDOM_LAV_MEASURES = ("linear_cost", "bind_join_cost", "coverage", "monetary")
+RANDOM_LAV_MEASURES = ("linear", "bind-join", "coverage", "monetary")
 
 
 @functools.lru_cache(maxsize=None)
@@ -31,12 +31,12 @@ def lav_scenario(seed: int):
 @functools.lru_cache(maxsize=None)
 def sequential_stream(seed: int, measure_name: str):
     scenario = lav_scenario(seed)
-    utility = getattr(scenario, measure_name)()
-    mediator = Mediator(scenario.scenario.catalog, scenario.scenario.source_facts)
+    utility = scenario.measure(measure_name)
+    mediator = Mediator(scenario.catalog, scenario.source_facts)
     return tuple(
         (b.rank, b.plan.key, b.sound, b.answers, b.new_answers)
         for b in mediator.answer(
-            scenario.scenario.query, utility, orderer=PIOrderer(utility)
+            scenario.query, utility, orderer=PIOrderer(utility)
         )
     )
 
@@ -47,15 +47,15 @@ def sequential_stream(seed: int, measure_name: str):
 def test_pipelined_stream_matches_sequential(seed, measure_name, backend):
     expected = sequential_stream(seed, measure_name)
     scenario = lav_scenario(seed)
-    utility = getattr(scenario, measure_name)()
+    utility = scenario.measure(measure_name)
     session = PipelinedSession(
-        Mediator(scenario.scenario.catalog, scenario.scenario.source_facts),
+        Mediator(scenario.catalog, scenario.source_facts),
         executor_workers=3,
         queue_depth=4,
         backend=BACKENDS[backend](),
     )
     batches, report = session.run(
-        scenario.scenario.query, utility, orderer=PIOrderer(utility)
+        scenario.query, utility, orderer=PIOrderer(utility)
     )
     observed = tuple(
         (b.rank, b.plan.key, b.sound, b.answers, b.new_answers)
@@ -73,16 +73,16 @@ def test_union_of_answers_matches_certain_answers_path(seed, backend):
     sequential union (which the execution suite ties to certain
     answers elsewhere)."""
     scenario = lav_scenario(seed)
-    utility = scenario.linear_cost()
+    utility = scenario.measure("linear")
     mediator = Mediator(
-        scenario.scenario.catalog, scenario.scenario.source_facts
+        scenario.catalog, scenario.source_facts
     )
     expected = set().union(
-        *(b.answers for b in mediator.answer(scenario.scenario.query, utility))
+        *(b.answers for b in mediator.answer(scenario.query, utility))
     )
     session = PipelinedSession(
         mediator, executor_workers=2, backend=BACKENDS[backend]()
     )
-    batches, _ = session.run(scenario.scenario.query, utility)
+    batches, _ = session.run(scenario.query, utility)
     union = set().union(*(b.answers for b in batches)) if batches else set()
     assert union == expected

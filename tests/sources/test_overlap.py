@@ -26,7 +26,7 @@ class TestConstruction:
             OverlapModel((4,), {(0, "a"): 0b10000})
 
     def test_negative_mask_rejected(self):
-        with pytest.raises(CatalogError):
+        with pytest.raises(CatalogError, match="negative mask"):
             OverlapModel((4,), {(0, "a"): -1})
 
     def test_bad_bucket_rejected(self):
@@ -46,43 +46,9 @@ class TestAccessors:
     def test_total_universe(self, model):
         assert model.total_universe_size() == 32
 
-    def test_full_mask(self, model):
-        assert model.full_mask(1) == 0b1111
-
     def test_extension_lookup(self, model):
         assert model.extension(0, "a") == 0b0000_1111
 
     def test_missing_extension_raises(self, model):
         with pytest.raises(CatalogError):
             model.extension(0, "zzz")
-
-    def test_has_extension(self, model):
-        assert model.has_extension(1, "x")
-        assert not model.has_extension(0, "x")
-
-    def test_set_extension_validates(self, model):
-        with pytest.raises(CatalogError):
-            model.set_extension(1, "x", 0b10000)
-        model.set_extension(1, "x", 0b1111)
-        assert model.extension(1, "x") == 0b1111
-
-
-class TestDerivedQuantities:
-    def test_coverage_fraction(self, model):
-        assert model.coverage_fraction(0, "a") == pytest.approx(0.5)
-
-    def test_overlap_count(self, model):
-        assert model.overlap_count(0, "a", "b") == 2
-        assert model.overlap_count(0, "a", "c") == 0
-
-    def test_overlap_fraction_directional(self, model):
-        assert model.overlap_fraction(0, "a", "b") == pytest.approx(0.5)
-        assert model.overlap_fraction(0, "b", "a") == pytest.approx(0.5)
-
-    def test_jaccard(self, model):
-        assert model.jaccard(0, "a", "b") == pytest.approx(2 / 6)
-        assert model.jaccard(1, "x", "y") == 0.0
-
-    def test_disjoint(self, model):
-        assert model.disjoint(0, "a", "c")
-        assert not model.disjoint(0, "a", "b")

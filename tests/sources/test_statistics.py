@@ -33,14 +33,7 @@ class TestValidation:
             SourceStats(fee_per_item=-1)
 
 
-class TestWithTuples:
-    def test_with_tuples_replaces_count_only(self):
-        stats = SourceStats(n_tuples=10, transfer_cost=2.0, failure_prob=0.1)
-        updated = stats.with_tuples(55)
-        assert updated.n_tuples == 55
-        assert updated.transfer_cost == 2.0
-        assert updated.failure_prob == 0.1
-
+class TestImmutability:
     def test_immutability(self):
         stats = SourceStats()
         with pytest.raises(Exception):

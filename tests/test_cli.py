@@ -170,6 +170,26 @@ class TestSimulate:
         assert "best-first" in out
         assert "worst-first" in out
 
+    def test_each_order_runs_on_a_fresh_simulator(self, capsys):
+        # One plan, so both orders execute the same plan: from a reset
+        # clock, cache and seed they must report the same times.
+        assert main(["simulate", "--bucket-size", "4", "-k", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        best = next(line for line in lines if "best-first" in line)
+        worst = next(line for line in lines if "worst-first" in line)
+        assert best.split(":", 1)[1] == worst.split(":", 1)[1]
+
+    def test_adaptive_run_reorders_when_failures_are_seen(self, capsys):
+        # Seed 1 fails sources mid-stream; each new failure bumps the
+        # health epoch, and the adaptive orderer re-checks its frontier.
+        assert main(
+            ["simulate", "--bucket-size", "4", "-k", "10", "--seed", "1",
+             "--adaptive"]
+        ) == 0
+        adaptive = capsys.readouterr().out.splitlines()[-1]
+        assert adaptive.strip().startswith("adaptive")
+        assert "(3 mid-stream re-order(s))" in adaptive
+
     def test_sim_seed_defaults_to_domain_seed(self, capsys):
         base = ["simulate", "--bucket-size", "4", "-k", "5", "--seed", "2"]
         assert main(base) == 0
@@ -242,6 +262,26 @@ class TestBenchServe:
             == 0
         )
         assert "completed                4" in capsys.readouterr().out
+
+    def test_errored_requests_exit_1(self, capsys, served_movies):
+        # random-LAV queries name relations the movie catalog lacks.
+        assert main(
+            ["bench-serve", "--connect", served_movies, "--workload",
+             "random-lav", "--requests", "2", "--concurrency", "1",
+             "--queries", "1"]
+        ) == 1
+        assert "errors                   2" in capsys.readouterr().out
+
+    def test_degradation_out_writes_the_load_report(self, served_movies, tmp_path):
+        path = tmp_path / "load.json"
+        assert main(
+            ["bench-serve", "--connect", served_movies, "--requests", "2",
+             "--concurrency", "1", "--queries", "1",
+             "--degradation-out", str(path)]
+        ) == 0
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert report["completed"] == 2
+        assert report["degradation"]["reported"] == 2
 
     def test_connect_defaults_to_serves_port(self, monkeypatch):
         import repro.service.loadgen as loadgen
@@ -490,3 +530,131 @@ class TestForwarding:
             main(["bench-serve", *flags])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_serve_exposes_metrics_and_stops_on_sigterm():
+    """A backgrounded ``serve --metrics-port`` answers ``/metrics``, and
+    ``kill`` (TERM) stops it cleanly, as the CI smoke jobs stop it."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import urllib.request
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--metrics-port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        metrics_line = server.stdout.readline()
+        assert metrics_line.startswith("metrics on http://127.0.0.1:")
+        url = metrics_line.split()[-1]
+        with urllib.request.urlopen(url, timeout=10) as response:
+            assert "# TYPE" in response.read().decode("utf-8")
+        assert server.stdout.readline().startswith("serving movies on ")
+        server.send_signal(signal.SIGTERM)
+        out, _ = server.communicate(timeout=10)
+    finally:
+        server.kill()
+        server.wait(timeout=10)
+    assert server.returncode == 0
+    assert "shutting down" in out
+
+
+class TestMetricsDump:
+    def test_converts_an_export(self, capsys, tmp_path):
+        from repro.observability.metrics import MetricRegistry
+
+        registry = MetricRegistry()
+        registry.counter("service.requests").inc(3)
+        path = tmp_path / "metrics.json"
+        registry.write_json(str(path))
+        assert main(["metrics-dump", str(path)]) == 0
+        assert "service_requests_total 3" in capsys.readouterr().out
+
+    def test_scrapes_a_metrics_endpoint(self, capsys):
+        from repro.service.metricsd import start_metrics_server
+
+        server, thread = start_metrics_server(lambda: "up 1\n")
+        try:
+            url = f"http://127.0.0.1:{server.port}/metrics"
+            assert main(["metrics-dump", "--url", url]) == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert capsys.readouterr().out == "up 1\n"
+
+    def test_a_file_that_is_not_an_export_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["metrics-dump", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("metrics-dump: ")
+
+    def test_needs_a_path_or_a_url(self, capsys):
+        assert main(["metrics-dump"]) == 2
+        assert "need a JSON export path or --url" in capsys.readouterr().err
+
+
+class TestOutsideInput:
+    """Input from outside the program (an address, a file, a reader on
+    stdout) that is not usable ends the command with a message, not a
+    traceback: one ``repro:`` line on stderr and exit 2, or, when the
+    reader of stdout has gone, a quiet stop."""
+
+    @pytest.mark.parametrize(
+        "argv, closed_stdout, status",
+        [
+            (["bench-serve", "--connect", "localhost"], False, 2),
+            (["metrics-dump", "{tmp}/missing.json"], False, 2),
+            (["metrics-dump", "{tmp}/not-json.json"], False, 2),
+            (["experiments", "--check", "{tmp}/missing.md"], False, 2),
+            (["experiments", "--write", "{tmp}/missing.md"], False, 2),
+            (["order", "--bucket-size", "8", "-k", "3"], True, 1),
+        ],
+        ids=["no-port", "missing-export", "not-json", "check-missing",
+             "write-missing", "closed-pipe"],
+    )
+    def test_ends_without_a_traceback(
+        self, tmp_path, argv, closed_stdout, status
+    ):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        (tmp_path / "not-json.json").write_text("{not json", encoding="utf-8")
+        read_end, write_end = os.pipe()
+        if closed_stdout:
+            os.close(read_end)  # every write to stdout now fails
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        # Block-buffered stdout, as a shell pipe gives it: the closed
+        # pipe must then be met inside the command, not at exit.
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro",
+                 *(arg.format(tmp=tmp_path) for arg in argv)],
+                stdout=write_end if closed_stdout else subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+            if not closed_stdout:
+                os.close(read_end)
+        assert result.returncode == status, result.stderr
+        lines = result.stderr.splitlines()
+        if closed_stdout:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("repro: "), lines

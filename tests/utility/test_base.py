@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import UtilityError
-from repro.utility.base import ExecutionContext, Slots, UtilityMeasure
+from repro.utility.base import ExecutionContext, UtilityMeasure
 from repro.utility.intervals import Interval
 
 

@@ -8,7 +8,6 @@ from repro.reformulation.plans import QueryPlan
 from repro.sources.catalog import SourceDescription
 from repro.sources.statistics import SourceStats
 from repro.utility.cost import BindJoinCost, CachingContext, LinearCost
-from repro.utility.intervals import Interval
 
 
 def make_source(name: str, n: int, alpha: float, fail: float = 0.0) -> SourceDescription:

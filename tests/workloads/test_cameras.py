@@ -1,10 +1,15 @@
 """Tests for the Section 3 digital-camera domain."""
 
-import pytest
+from tests.conftest import shared
 
 from repro.ordering.streamer import StreamerOrderer
 from repro.utility.coverage import CoverageUtility
 from repro.workloads.cameras import camera_domain
+
+
+def group(source_name):
+    """A camera source is named after its group: ``chain3``."""
+    return source_name.rstrip("0123456789")
 
 
 class TestStructure:
@@ -14,7 +19,7 @@ class TestStructure:
 
     def test_reseller_groups_present(self):
         domain = camera_domain()
-        groups = set(domain.groups.values())
+        groups = {group(source.name) for source in domain.catalog}
         assert {"discount", "specialist", "chain", "retail", "free", "paid"} <= groups
 
     def test_deterministic_per_seed(self):
@@ -26,14 +31,24 @@ class TestStructure:
 
     def test_same_group_sources_overlap(self):
         domain = camera_domain()
-        chains = [n for n, g in domain.groups.items() if g == "chain"]
-        assert not domain.model.disjoint(0, chains[0], chains[1])
+        chains = [s.name for s in domain.catalog if group(s.name) == "chain"]
+        assert shared(domain.model, 0, chains[0], chains[1])
+
+    def test_groups_occupy_their_own_bands(self):
+        domain = camera_domain()
+        lowest = {}
+        for source in domain.space.buckets[0].sources:
+            mask = domain.model.extension(0, source.name)
+            low = (mask & -mask).bit_length() - 1  # its lowest element
+            name = group(source.name)
+            lowest[name] = min(low, lowest.get(name, low))
+        assert len(set(lowest.values())) == len(lowest)
 
     def test_every_source_in_model(self):
         domain = camera_domain()
         for bucket in domain.space.buckets:
             for source in bucket.sources:
-                assert domain.model.has_extension(bucket.index, source.name)
+                assert domain.model.extension(bucket.index, source.name)
 
 
 class TestOrderingOnCameras:

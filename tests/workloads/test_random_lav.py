@@ -87,8 +87,15 @@ class TestOrderingScenario:
     def test_space_meets_minimum_size(self):
         from repro.workloads.random_lav import ordering_scenario
 
-        scenario = ordering_scenario(1, min_plans=8)
-        assert scenario.space.size >= 8
+        assert all(ordering_scenario(seed).space.size >= 6 for seed in range(8))
+
+    def test_refuses_when_no_draw_is_large_enough(self, monkeypatch):
+        from repro.errors import ReformulationError
+        from repro.workloads import random_lav
+
+        monkeypatch.setattr(random_lav, "_MIN_PLANS", 10**9)
+        with pytest.raises(ReformulationError, match="no random scenario"):
+            random_lav.ordering_scenario(0)
 
     def test_every_source_has_extension_and_stats(self):
         from repro.workloads.random_lav import ordering_scenario
@@ -96,7 +103,7 @@ class TestOrderingScenario:
         scenario = ordering_scenario(2)
         for bucket in scenario.space.buckets:
             for source in bucket.sources:
-                assert scenario.model.has_extension(bucket.index, source.name)
+                assert scenario.model.extension(bucket.index, source.name)
                 assert source.stats.n_tuples >= 1
                 assert source.stats.transfer_cost == 1.0  # uniform
 
@@ -105,12 +112,7 @@ class TestOrderingScenario:
 
         scenario = ordering_scenario(3)
         plan = next(scenario.space.plans())
-        for make in (
-            scenario.coverage,
-            scenario.linear_cost,
-            scenario.bind_join_cost,
-            scenario.monetary,
-        ):
-            measure = make()
+        for name in ("coverage", "linear", "bind-join", "monetary"):
+            measure = scenario.measure(name)
             value = measure.evaluate(plan, measure.new_context())
             assert isinstance(value, float)

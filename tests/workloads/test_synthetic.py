@@ -2,6 +2,8 @@
 
 import pytest
 
+from tests.conftest import shared
+
 from repro.errors import ReformulationError
 from repro.workloads.synthetic import SyntheticParams, generate_domain
 
@@ -33,6 +35,17 @@ class TestParams:
 
 
 class TestGeneratedStructure:
+    def test_every_extension_is_nonempty_on_narrow_blocks(self):
+        # Four bits per group (the shape of the benchmark's any-k
+        # clones): a member can lose its whole core to mutation, and
+        # then keeps the core instead of an empty extension.
+        domain = generate_domain(
+            SyntheticParams(bucket_size=47, bits_per_group=4, seed=0)
+        )
+        for bucket in domain.space.buckets:
+            for source in bucket.sources:
+                assert domain.model.extension(bucket.index, source.name)
+
     def test_shape(self):
         domain = generate_domain(bucket_size=8, query_length=3, seed=0)
         assert domain.space.width == 3
@@ -96,7 +109,7 @@ class TestOverlapStructure:
         # First half = group 0; all pairs inside overlap.
         for i in range(4):
             for j in range(i + 1, 4):
-                assert not domain.model.disjoint(0, names[i], names[j])
+                assert shared(domain.model, 0, names[i], names[j])
 
     def test_zero_overlap_rate_separates_groups(self):
         domain = generate_domain(
@@ -111,7 +124,7 @@ class TestOverlapStructure:
         names = [s.name for s in domain.space.buckets[0].sources]
         for left in names[:4]:
             for right in names[4:]:
-                assert domain.model.disjoint(0, left, right)
+                assert not shared(domain.model, 0, left, right)
 
     def test_full_overlap_rate_connects_groups(self):
         domain = generate_domain(
@@ -124,7 +137,7 @@ class TestOverlapStructure:
             )
         )
         names = [s.name for s in domain.space.buckets[0].sources]
-        assert not domain.model.disjoint(0, names[0], names[7])
+        assert shared(domain.model, 0, names[0], names[7])
 
     def test_mutation_keeps_members_near_core(self):
         domain = generate_domain(
@@ -132,23 +145,24 @@ class TestOverlapStructure:
                 bucket_size=6,
                 query_length=1,
                 groups_per_bucket=2,
-                mutation_rate=0.05,
                 seed=8,
             )
         )
         names = [s.name for s in domain.space.buckets[0].sources]
-        # Same-group Jaccard should be high.
-        assert domain.model.jaccard(0, names[0], names[1]) > 0.6
+        # Same-group Jaccard similarity should be high.
+        first = domain.model.extension(0, names[0])
+        second = domain.model.extension(0, names[1])
+        assert (first & second).bit_count() / (first | second).bit_count() > 0.6
 
 
 class TestUtilityFactories:
     def test_factories_build(self):
         domain = generate_domain(bucket_size=4, query_length=2, seed=9)
-        assert domain.coverage().name == "coverage"
-        assert domain.linear_cost().is_fully_monotonic
-        assert domain.failure_cost().failure_aware
-        assert domain.failure_cost(caching=True).caching
-        assert domain.monetary(caching=True).caching
+        assert domain.measure("coverage").name == "coverage"
+        assert domain.measure("linear").is_fully_monotonic
+        assert domain.measure("failure").failure_aware
+        assert domain.measure("failure-caching").caching
+        assert domain.measure("monetary-caching").caching
 
     def test_domain_sizes_positive(self):
         domain = generate_domain(bucket_size=4, query_length=3, seed=9)
