@@ -9,7 +9,7 @@ over different vocabularies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import DatalogError
 from repro.datalog.terms import Atom, Substitution, Variable
@@ -21,6 +21,15 @@ class ConjunctiveQuery:
 
     head: Atom
     body: tuple[Atom, ...]
+    #: Slot certificates of the plans checked against this query, per
+    #: (slot, source name): kept on the query the request holds, like
+    #: ``SourceDescription.renamed_view`` keeps renamed views
+    #: (:func:`repro.reformulation.soundness.plan_query` fills it).  No
+    #: lock: an entry depends only on the query, slot and view, so two
+    #: threads racing to fill it write equal values.
+    _certificates: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.body, tuple):

@@ -10,10 +10,15 @@ chosen subgoal, the functions below search over the possible
 per-subgoal unifications; a plan is sound when *some* choice yields a
 contained expansion, and :func:`plan_query` returns the corresponding
 executable conjunctive query over the source relations.
+
+Most plans skip that search: a plan whose every (slot, source) entry
+is a one-subgoal MCD (:mod:`repro.reformulation.minicon`, Property 1)
+is sound by construction (:func:`_certify`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator, Optional
 
 from repro.errors import ReformulationError
@@ -22,6 +27,7 @@ from repro.datalog.query import ConjunctiveQuery
 from repro.datalog.terms import Atom, Constant, Term, Variable
 from repro.datalog.unification import resolve, resolve_atom, unify_terms
 from repro.reformulation.plans import PlanSpace, QueryPlan
+from repro.sources.catalog import SourceDescription
 
 
 def _candidate_unifications(
@@ -171,12 +177,65 @@ def plan_query(
 
     Returns the conjunctive query over source relations whose
     expansion is contained in the user query, or None when the plan is
-    unsound.
+    unsound.  A plan whose every slot is certified skips the search.
     """
+    if len(plan) == len(query.body):
+        atoms = []
+        for slot, source in enumerate(plan.sources):
+            # Kept beside its view: source names repeat across catalogs.
+            key = (slot, source.name)
+            entry = query._certificates.get(key)
+            if entry is None or entry[0] is not source.view:
+                entry = (source.view, _certify(query, slot, source))
+                query._certificates[key] = entry
+            if entry[1] is None:
+                break
+            atoms.append(entry[1])
+        else:
+            return ConjunctiveQuery(query.head, tuple(atoms))
     for candidate, expansion in _search(query, plan):
         if is_contained(expansion, query):
             return candidate
     return None
+
+
+def _certify(
+    query: ConjunctiveQuery, slot: int, source: SourceDescription
+) -> Optional[Atom]:
+    """The plan atom of *source* at *slot* if the entry is certified.
+
+    Only the slot's first candidate unification counts, the one
+    :func:`_search` tries first.  It is certified when it repeats no
+    exported column, and every column it does not export (an existential
+    variable or a constant of the view) holds a *free* query variable,
+    one that the body uses once and the head never: each constant, head
+    and join term of the query lands on an exported column.  Then
+    ``_assemble`` builds these atoms (a constant selects only a free
+    variable), and the identity, sending each free variable to the term
+    under it, maps the query into the expansion: the first choice of
+    the search is sound, and it is what :func:`plan_query` returns.
+    """
+    subgoal = query.subgoal(slot)
+    choice = next(_candidate_unifications(source.view, subgoal), None)
+    if choice is None:
+        return None
+    view = source.renamed_view(f"_s{slot}")
+    exported = set(view.head.variables())
+    occurrences = Counter(arg for atom in query.body for arg in atom.args)
+    free = {
+        arg for arg, n in occurrences.items() if n == 1 and isinstance(arg, Variable)
+    } - set(query.head.args)
+    mapping: dict[Variable, Term] = {}
+    for s_arg, q_arg in zip(view.body[choice].args, subgoal.args):
+        if s_arg in exported:
+            if s_arg in mapping:
+                return None
+            mapping[s_arg] = q_arg
+        elif q_arg not in free:
+            return None
+    return Atom(
+        view.head.predicate, tuple(mapping.get(arg, arg) for arg in view.head.args)
+    )
 
 
 def sound_plans(query: ConjunctiveQuery, space: PlanSpace) -> Iterator[QueryPlan]:

@@ -280,6 +280,8 @@ PRESENT = {
         lambda: "unify_terms(q_arg, s_arg, rho)" in source(soundness._assemble),
     "`plan_query` returns only a contained rewriting":
         lambda: "if is_contained(expansion, query)" in source(soundness.plan_query),
+    "the slot certificate (`_certify`)":
+        lambda: "_certify(query, slot, source)" in source(soundness.plan_query),
     # -- inverse rules and MiniCon -----------------------------------------------------------
     "inverse rules Skolemize existential variables":
         lambda: "var not in head_vars" in source(inverse_rules.inverse_rules),

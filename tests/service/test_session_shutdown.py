@@ -2,11 +2,12 @@
 
 ``_TICK_S`` is only a liveness bound.  With it stretched to 2 s, any
 shutdown path that relies on a poll expiring — a worker that never got
-its ``_DONE`` marker, a producer left on a full queue — costs at least
-2 s, so 140 back-to-back requests finishing inside that budget shows
-that none of them waited one out.  The pipelined arm is the one with
-threads to shut down; the inline arm holds the same requests to the
-same budget without any.
+its ``_DONE`` marker, a producer left on a full queue — costs its
+request at least 2 s, so every one of 140 requests ending inside half
+of that shows that none of them waited one out.  Each request is timed
+on its own: a busy host slows them all, but does not add them up.  The
+pipelined arm is the one with threads to shut down; the inline arm
+holds the same requests to the same bound without any.
 """
 
 import threading
@@ -43,16 +44,25 @@ def test_no_request_waits_out_a_poll(movies, monkeypatch, workers, depth, backen
         backend=BACKENDS[backend](),
     )
     utility = LinearCost()
-    started = time.perf_counter()
+
+    def no_poll_since(started):
+        wall = time.perf_counter() - started
+        assert wall < STRETCHED_TICK_S / 2, f"{wall:.2f}s: a shutdown polled"
+
     for _ in range(100):
+        started = time.perf_counter()
         batches, report = session.run(movies.query, utility)
+        no_poll_since(started)
         assert report.exhausted and len(batches) == 9
     for _ in range(20):
+        started = time.perf_counter()
         _, report = session.run(
             movies.query, utility, policy=RequestPolicy(first_k_answers=1)
         )
+        no_poll_since(started)
         assert report.satisfied
     for _ in range(20):
+        started = time.perf_counter()
         token = CancellationToken()
         stream = session.stream(
             movies.query, utility, policy=RequestPolicy(cancellation=token)
@@ -60,9 +70,8 @@ def test_no_request_waits_out_a_poll(movies, monkeypatch, workers, depth, backen
         next(stream)
         token.cancel()
         list(stream)
+        no_poll_since(started)
         # A deep queue may have finished every plan before the cancel.
         report = session.last_report
         assert report.cancelled or report.exhausted
-    elapsed = time.perf_counter() - started
-    assert elapsed < STRETCHED_TICK_S, f"{elapsed:.2f}s: a shutdown polled"
     assert service_threads() == []

@@ -302,15 +302,21 @@ class TestServeValidation:
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("flag", ["--executor-workers", "--queue-depth"])
     def test_zero_sized_pipeline_is_refused_before_binding(
-        self, flag, workers, capsys
+        self, flag, workers, capsys, monkeypatch
     ):
-        # Port 1 cannot be bound unprivileged: reaching the bind would
-        # raise OSError (or serve forever), not end in a ServiceError's
-        # one-line refusal.  With two workers the spec's ServiceConfig
-        # refuses before any process is spawned.
-        assert main(
-            ["serve", "--port", "1", "--workers", workers, flag, "0"]
-        ) == 2
+        # Reaching either bind (one worker's server, or the cluster that
+        # spawns two) raises at once instead of serving forever.  With
+        # two workers the spec's ServiceConfig refuses before any
+        # process is spawned.
+        import repro.cluster.runtime as runtime
+        import repro.service.frontend as frontend
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve bound a server it should refuse")
+
+        monkeypatch.setattr(frontend, "start_server", no_server)
+        monkeypatch.setattr(runtime, "Cluster", no_server)
+        assert main(["serve", "--workers", workers, flag, "0"]) == 2
         assert "must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
