@@ -70,15 +70,9 @@ from repro.reformulation import (
     minicon_plan_queries,
     plan_query,
 )
-from repro.service import (
-    CancellationToken,
-    PipelinedSession,
-    QueryRequest,
-    QueryService,
-    RequestPolicy,
-    RetryPolicy,
-    ServiceConfig,
-)
+from repro.service.policy import CancellationToken, RequestPolicy, RetryPolicy
+from repro.service.server import QueryRequest, QueryService, ServiceConfig
+from repro.service.session import PipelinedSession
 from repro.sources import Catalog, OverlapModel, SourceDescription, SourceStats
 from repro.utility import (
     BindJoinCost,

@@ -22,7 +22,8 @@ class ConjunctiveQuery:
     head: Atom
     body: tuple[Atom, ...]
     #: Slot certificates of the plans checked against this query, per
-    #: (slot, source name): kept on the query the request holds, like
+    #: (slot, source name), and the query's free variables under
+    #: ``"free"``: kept on the query the request holds, like
     #: ``SourceDescription.renamed_view`` keeps renamed views
     #: (:func:`repro.reformulation.soundness.plan_query` fills it).  No
     #: lock: an entry depends only on the query, slot and view, so two

@@ -199,6 +199,10 @@ def plan_query(
     return None
 
 
+#: Where ``query._certificates`` keeps the query's free variables.
+_FREE = "free"
+
+
 def _certify(
     query: ConjunctiveQuery, slot: int, source: SourceDescription
 ) -> Optional[Atom]:
@@ -221,10 +225,15 @@ def _certify(
         return None
     view = source.renamed_view(f"_s{slot}")
     exported = set(view.head.variables())
-    occurrences = Counter(arg for atom in query.body for arg in atom.args)
-    free = {
-        arg for arg, n in occurrences.items() if n == 1 and isinstance(arg, Variable)
-    } - set(query.head.args)
+    free = query._certificates.get(_FREE)
+    if free is None:
+        # A property of the query alone: worked out on its first miss.
+        occurrences = Counter(arg for atom in query.body for arg in atom.args)
+        free = query._certificates[_FREE] = {
+            arg
+            for arg, n in occurrences.items()
+            if n == 1 and isinstance(arg, Variable)
+        } - set(query.head.args)
     mapping: dict[Variable, Term] = {}
     for s_arg, q_arg in zip(view.body[choice].args, subgoal.args):
         if s_arg in exported:

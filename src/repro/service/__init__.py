@@ -20,33 +20,3 @@ production direction):
 
 See ``docs/service.md`` for the architecture tour.
 """
-
-from repro.service.backends import ExecutionBackend, InMemoryBackend
-from repro.service.policy import (
-    CancellationToken,
-    Deadline,
-    RequestPolicy,
-    RetryPolicy,
-)
-from repro.service.server import (
-    QueryRequest,
-    QueryService,
-    RequestResult,
-    ServiceConfig,
-)
-from repro.service.session import PipelinedSession, SessionReport
-
-__all__ = [
-    "CancellationToken",
-    "Deadline",
-    "ExecutionBackend",
-    "InMemoryBackend",
-    "PipelinedSession",
-    "QueryRequest",
-    "QueryService",
-    "RequestPolicy",
-    "RequestResult",
-    "RetryPolicy",
-    "ServiceConfig",
-    "SessionReport",
-]

@@ -59,6 +59,3 @@ class InMemoryBackend(ExecutionBackend):
         self, executable: ConjunctiveQuery, database: Database
     ) -> frozenset[tuple[object, ...]]:
         return frozenset(evaluate_conjunctive_query(executable, database))
-
-    def __repr__(self) -> str:
-        return "<InMemoryBackend>"

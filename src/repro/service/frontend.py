@@ -220,8 +220,6 @@ def start_server(
 
 
 def connect(host: str, port: int, timeout: float = 10.0) -> socket.socket:
-    """A client socket for the JSON-lines protocol (loadgen + tests)."""
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.settimeout(timeout)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
+    """A client socket for the JSON-lines protocol (loadgen + tests);
+    *timeout* bounds the connect and every read."""
+    return socket.create_connection((host, port), timeout=timeout)

@@ -14,7 +14,6 @@ instants (:class:`Deadline`), so every thread of a session agrees on
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,9 +53,6 @@ class CancellationToken:
         """Sleep up to *timeout* seconds; True if cancelled meanwhile."""
         return self._event.wait(timeout)
 
-    def __repr__(self) -> str:
-        return f"<CancellationToken cancelled={self.cancelled}>"
-
 
 class Deadline:
     """An absolute monotonic-clock instant a request must finish by."""
@@ -90,73 +86,33 @@ class Deadline:
         remaining = self.remaining()
         return timeout if remaining is None else min(timeout, remaining)
 
-    def __repr__(self) -> str:
-        if self.at is None:
-            return "<Deadline none>"
-        return f"<Deadline in {self.remaining():.3f}s>"
+
+#: The backoff schedule: attempt ``n`` (1-based) that fails is retried
+#: after ``BACKOFF_BASE_S * BACKOFF_FACTOR**(n-1)`` seconds, capped at
+#: ``BACKOFF_CAP_S``.  No jitter, so service runs replay exactly.
+BACKOFF_BASE_S = 0.01
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_S = 1.0
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff for transient execution failures.
-
-    Attempt ``n`` (1-based) that fails is retried after
-    ``base * factor**(n-1)`` seconds, capped at ``cap`` — the classic
-    schedule.  With ``jitter=0`` (the default) the schedule is fully
-    deterministic, so service runs replay exactly.
-
-    ``jitter`` opts into *decorrelated* jitter: the delay is spread
-    over ``[d*(1-jitter), d*(1+2*jitter)]`` (still capped at ``cap``),
-    which desynchronizes retry storms when many cluster workers lose
-    the same source at the same instant.  The draw is a pure hash of
-    ``(jitter_seed, salt, failed_attempts)`` — no global RNG — so
-    chaos replays with the same seed and request ids stay bit-for-bit
-    reproducible while *different* requests spread out.
-    """
+    """How often a transient execution failure is tried, in all."""
 
     max_attempts: int = 1
-    base_s: float = 0.01
-    factor: float = 2.0
-    cap_s: float = 1.0
-    jitter: float = 0.0
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ServiceError(
                 f"max_attempts must be at least 1, got {self.max_attempts}"
             )
-        if self.base_s < 0 or self.cap_s < 0 or self.factor < 1.0:
-            raise ServiceError(
-                f"invalid backoff parameters {self.base_s}/{self.factor}/{self.cap_s}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ServiceError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
 
-    def _draw(self, salt: str, failed_attempts: int) -> float:
-        """A deterministic uniform draw in [0, 1) for this retry."""
-        payload = f"{self.jitter_seed}:{salt}:{failed_attempts}".encode()
-        digest = hashlib.sha256(payload).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
-
-    def delay(self, failed_attempts: int, *, salt: str = "") -> float:
-        """Backoff before the next try, after *failed_attempts* failures.
-
-        *salt* individualizes the jitter stream (the session passes its
-        request id); it has no effect when ``jitter == 0``.
-        """
-        if failed_attempts < 1:
-            raise ServiceError("delay() is asked after at least one failure")
-        base = self.base_s * self.factor ** (failed_attempts - 1)
-        if self.jitter > 0.0:
-            # Decorrelated: uniformly inside [1-j, 1+2j] around the
-            # exponential schedule, biased long so backoff pressure is
-            # never *reduced* on average.
-            spread = self._draw(salt, failed_attempts) * 3.0 * self.jitter
-            base *= 1.0 - self.jitter + spread
-        return min(self.cap_s, base)
+    def delay(self, failed_attempts: int) -> float:
+        """Backoff before the next try, after *failed_attempts* failures."""
+        return min(
+            BACKOFF_CAP_S,
+            BACKOFF_BASE_S * BACKOFF_FACTOR ** (failed_attempts - 1),
+        )
 
 
 @dataclass(frozen=True)
@@ -174,7 +130,8 @@ class RequestPolicy:
         produced — the paper's "first answers fast" contract as an
         explicit budget.
     ``retry``
-        Backoff schedule for :class:`~repro.errors.TransientExecutionError`.
+        How often a :class:`~repro.errors.TransientExecutionError` is
+        tried, with the module's backoff between tries.
     ``cancellation``
         Optional shared token for caller-initiated cancellation.
     ``adaptivity``

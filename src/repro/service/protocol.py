@@ -311,14 +311,7 @@ def request_from_record(
             int(first_k) if first_k is not None else defaults.first_k_answers
         ),
         retry=(
-            RetryPolicy(
-                max_attempts=int(retry_attempts),
-                base_s=defaults.retry.base_s,
-                factor=defaults.retry.factor,
-                cap_s=defaults.retry.cap_s,
-                jitter=defaults.retry.jitter,
-                jitter_seed=defaults.retry.jitter_seed,
-            )
+            RetryPolicy(max_attempts=int(retry_attempts))
             if retry_attempts is not None
             else defaults.retry
         ),

@@ -34,12 +34,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
-from repro.errors import (
-    InternalError,
-    ReproError,
-    ServiceError,
-    ServiceOverloadedError,
-)
+from repro.errors import ReproError, ServiceError, ServiceOverloadedError
 from repro.datalog.query import ConjunctiveQuery
 from repro.execution.mediator import AnswerBatch, Mediator
 from repro.observability.caching import CachingUtilityMeasure
@@ -78,6 +73,10 @@ __all__ = [
 #: :meth:`QueryService.execute` (it is the session's consumer).
 BatchCallback = Callable[[AnswerBatch], None]
 
+#: How long a request waits at the admission gate for a permit, unless
+#: its own deadline is shorter, before it ends ``rejected``.
+ADMISSION_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -102,7 +101,6 @@ class ServiceConfig:
     backlog: int = 32
     executor_workers: int = 2
     queue_depth: int = 8
-    admission_timeout_s: float = 30.0
     default_measure: str = "linear"
     default_orderer: str = AUTO_ORDERER
     default_policy: RequestPolicy = field(default_factory=RequestPolicy)
@@ -142,14 +140,6 @@ class RequestResult:
     report: Optional[SessionReport] = None
     error: Optional[str] = None
     spans: Optional[dict] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def deadline_exceeded(self) -> bool:
-        return self.status == "deadline_exceeded"
 
 
 class QueryService:
@@ -241,8 +231,8 @@ class QueryService:
 
     @property
     def measure_names(self) -> list[str]:
-        """The measures a request may name, sorted."""
-        return sorted(self._measure_factories)
+        """The measures a request may name, in the order they were given."""
+        return list(self._measure_factories)
 
     def shared_measure(self, name: str) -> UtilityMeasure:
         """The cross-request shared utility measure called *name*.
@@ -356,7 +346,7 @@ class QueryService:
         Every caller, in-process or the connection's handler, passes
         the same gate: at most ``max_concurrent`` requests run, at most
         ``backlog`` more wait for a permit — each up to
-        ``admission_timeout_s`` or its own deadline, then it is
+        ``ADMISSION_TIMEOUT_S`` or its own deadline, then it is
         *rejected*, not errored — and anyone beyond that is shed at
         once with :class:`~repro.errors.ServiceOverloadedError`.  What
         the gate hands out is given back on every way out of here.
@@ -375,7 +365,7 @@ class QueryService:
                 )
                 raise ServiceOverloadedError(shed.error)
             held.callback(self._places.release)
-            wait = config.admission_timeout_s
+            wait = ADMISSION_TIMEOUT_S
             if policy.deadline_s is not None:
                 wait = min(wait, policy.deadline_s)
             if not self._permits.acquire(timeout=wait):
@@ -461,10 +451,6 @@ class QueryService:
                 if on_batch is not None:
                     on_batch(batch)
             report = session.last_report
-            if report is None:
-                raise InternalError(
-                    "session stream finished without leaving a report"
-                )
         except Exception as exc:
             self._m_errors.inc()
             if self.journal.enabled:

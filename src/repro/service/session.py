@@ -38,7 +38,6 @@ from contextlib import contextmanager, nullcontext, suppress
 from queue import Empty, Full, Queue
 from typing import Callable, Iterator, Optional
 
-from repro.errors import ExecutionError, InternalError
 from repro.datalog.query import ConjunctiveQuery
 from repro.execution.mediator import (
     AnswerBatch,
@@ -55,10 +54,10 @@ from repro.utility.base import UtilityMeasure
 
 __all__ = ["PipelinedSession", "SessionReport"]
 
-#: Poll granularity for queue hand-offs and condition waits.  Only a
-#: liveness bound (threads notice stop/deadline at least this often);
-#: normal hand-offs and shutdown are notification-driven and never
-#: wait this long.
+#: How often the consumer looks for a cancellation or a deadline while
+#: it waits for a rank, and how long it gives a thread to stop.  Only a
+#: liveness bound: hand-offs and shutdown are notification-driven and
+#: never wait this long.
 _TICK_S = 0.05
 
 #: Queue marker: no more plans.  One is enough for the whole pool —
@@ -77,7 +76,7 @@ class _SessionRun:
     and backoff sleeps end early on shutdown or at the deadline.
     """
 
-    def __init__(self, policy: RequestPolicy, request_id: str) -> None:
+    def __init__(self, policy: RequestPolicy) -> None:
         self.cond = threading.Condition()
         #: The pipeline's result at each rank: an executed plan, or how
         #: the stream ends there — ``_EXHAUSTED``, the producer's
@@ -87,7 +86,6 @@ class _SessionRun:
         self.retry = policy.retry
         self.deadline = policy.start_deadline()
         self.token = policy.token()
-        self.request_id = request_id
 
     def aborted(self) -> bool:
         return (
@@ -97,7 +95,7 @@ class _SessionRun:
     def delay(self, failed_attempts: int) -> Optional[float]:
         if failed_attempts >= self.retry.max_attempts or self.aborted():
             return None
-        return self.retry.delay(failed_attempts, salt=self.request_id)
+        return self.retry.delay(failed_attempts)
 
     def wait(self, seconds: float) -> None:
         self.stop.wait(self.deadline.clamp(seconds))
@@ -141,7 +139,8 @@ class PipelinedSession:
     layer creates a session per admitted request); the mediator — and
     with it the registry, journal and resilience manager every session
     on it shares — and the backend may be shared freely.
-    ``executor_workers`` and ``queue_depth`` size the pipeline only.
+    ``executor_workers`` and ``queue_depth`` size the pipeline only;
+    :class:`~repro.service.server.ServiceConfig` checks their bounds.
     """
 
     def __init__(
@@ -151,18 +150,12 @@ class PipelinedSession:
         executor_workers: int = 2,
         queue_depth: int = 8,
         backend: Optional[ExecutionBackend] = None,
-        policy: Optional[RequestPolicy] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if executor_workers < 1:
-            raise ExecutionError("executor_workers must be at least 1")
-        if queue_depth < 1:
-            raise ExecutionError("queue_depth must be at least 1")
         self.mediator = mediator
         self.executor_workers = executor_workers
         self.queue_depth = queue_depth
         self.backend = backend if backend is not None else InMemoryBackend()
-        self.policy = policy if policy is not None else RequestPolicy()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.last_report: Optional[SessionReport] = None
         registry = mediator.registry
@@ -186,8 +179,8 @@ class PipelinedSession:
         closed early), :attr:`last_report` describes the run;
         ``request_id`` correlates its journal events.
         """
-        policy = policy if policy is not None else self.policy
-        run = _SessionRun(policy, request_id)
+        policy = policy if policy is not None else RequestPolicy()
+        run = _SessionRun(policy)
         core = AnytimeRun(
             self.mediator, query, utility,
             orderer=orderer, max_plans=policy.max_plans,
@@ -259,16 +252,6 @@ class PipelinedSession:
         on the way out, stop every thread and collect it."""
         work_q: Queue = Queue(maxsize=self.queue_depth)
 
-        def put_abortable(item) -> bool:
-            """Enqueue unless the session is shutting down."""
-            while not run.stop.is_set():
-                try:
-                    work_q.put(item, timeout=_TICK_S)
-                    return True
-                except Full:
-                    continue
-            return False
-
         def produce() -> None:
             produced = 0
             end: object = None  # aborted: deadline, cancel or shutdown
@@ -278,31 +261,26 @@ class PipelinedSession:
                     if item is None:
                         end = _EXHAUSTED
                         break
-                    if not put_abortable(item):
-                        break
+                    # On a full queue this blocks until a worker takes
+                    # a plan, or the consumer drains the queue on its
+                    # way out (see the ``finally`` below).
+                    work_q.put(item)
                     produced += 1
             except BaseException as exc:  # surfaced on the consumer
                 end = exc
             finally:
                 run.publish(produced + 1, end)
-                put_abortable(_DONE)
 
         def work(tracer: Tracer) -> None:
             execute = executor(tracer)
-            while True:
-                try:
-                    item = work_q.get(timeout=_TICK_S)
-                except Empty:
-                    if run.stop.is_set():
-                        return
-                    continue
-                if item is _DONE:
-                    _leave_done(work_q)
-                    return
+            # The consumer leaves ``_DONE`` on its way out, so a worker
+            # waiting here is always woken.
+            while (item := work_q.get()) is not _DONE:
                 abandoned = run.aborted()
                 if not abandoned:
                     execute(item)
                 run.publish(item.ordered.rank, None if abandoned else item)
+            _leave_done(work_q)
 
         producer = threading.Thread(
             target=produce, name="repro-service-producer", daemon=True
@@ -338,9 +316,8 @@ class PipelinedSession:
             while producer.is_alive():
                 _drain(work_q)
                 producer.join(timeout=_TICK_S)
-            # The producer is gone (its own _DONE may have been refused
-            # or drained above), so nothing refills the queue: empty it
-            # and leave the marker that wakes every worker in turn.
+            # The producer is gone, so nothing refills the queue: empty
+            # it and leave the marker that wakes every worker in turn.
             _drain(work_q)
             _leave_done(work_q)
             for worker in workers:
@@ -351,24 +328,3 @@ class PipelinedSession:
                 for worker_tracer in worker_tracers:
                     if len(worker_tracer):
                         self.tracer.merge(worker_tracer)
-
-    def run(
-        self,
-        query: ConjunctiveQuery,
-        utility: UtilityMeasure,
-        *,
-        orderer: Optional[PlanOrderer] = None,
-        policy: Optional[RequestPolicy] = None,
-        request_id: str = "",
-    ) -> tuple[list[AnswerBatch], SessionReport]:
-        """Collect the whole stream; returns (batches, report)."""
-        batches = list(
-            self.stream(
-                query, utility,
-                orderer=orderer, policy=policy, request_id=request_id,
-            )
-        )
-        report = self.last_report
-        if report is None:
-            raise InternalError("stream() finished without leaving a report")
-        return batches, report

@@ -72,12 +72,14 @@ ROWS = [
      "            assert best_key is not None, (\n"
      '                "non-empty remaining set produced no best plan"\n'
      "            )\n"),
-    ("COD003", "service/session.py",
-     "        if report is None:\n"
-     '            raise InternalError("stream() finished without leaving a '
-     'report")\n',
-     "        assert report is not None, "
-     '"stream() finished without leaving a report"\n'),
+    ("COD003", "experiments/harness.py",
+     "                if returned != min(spec.k, domain.space.size):\n"
+     "                    raise InternalError(\n"
+     '                        f"{algo.name} returned {returned} of {spec.k} plans"\n'
+     "                    )\n",
+     "                assert returned == min(spec.k, domain.space.size), (\n"
+     '                    f"{algo.name} returned {returned} of {spec.k} plans"\n'
+     "                )\n"),
     # The producer's failure never reaches the consumer.
     ("COD004", "service/session.py",
      "            except BaseException as exc:  # surfaced on the consumer\n"

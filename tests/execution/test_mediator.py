@@ -7,6 +7,7 @@ from repro.execution.mediator import Mediator
 from repro.ordering.greedy import GreedyOrderer
 from repro.ordering.streamer import StreamerOrderer
 from repro.utility.cost import LinearCost
+from tests.service.helpers import run
 
 
 class TestMovieMediation:
@@ -127,7 +128,7 @@ class TestMediatorObservability:
         session = PipelinedSession(
             Mediator(movies.catalog, movies.source_facts), tracer=tracer
         )
-        _batches, report = session.run(movies.query, LinearCost())
+        _batches, report = run(session, movies.query, LinearCost())
         assert tracer.as_dict()["reformulation.buckets.build"]["calls"] == 1
         assert (
             tracer.as_dict()["reformulation.soundness.check"]["calls"]
@@ -146,7 +147,7 @@ class TestMediatorObservability:
             Mediator(movies.catalog, movies.source_facts), tracer=tracer
         )
         orderer = GreedyOrderer(LinearCost(), tracer=own)
-        session.run(movies.query, LinearCost(), orderer=orderer)
+        run(session, movies.query, LinearCost(), orderer=orderer)
         # The run never swaps an orderer's tracer: the ordering spans
         # land where the orderer was built to record them.
         assert orderer.tracer is own

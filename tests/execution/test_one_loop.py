@@ -152,7 +152,7 @@ class TestRemovedParameters:
         with pytest.raises(TypeError):
             Mediator(movies.catalog, movies.source_facts, tracer=Tracer())
 
-    def test_adaptive_flag_is_gone_from_all_four_signatures(self, movies):
+    def test_adaptive_flag_is_gone_from_every_signature(self, movies):
         mediator = Mediator(
             movies.catalog, movies.source_facts, resilience=ResilienceManager()
         )
@@ -164,5 +164,3 @@ class TestRemovedParameters:
             mediator.answer(movies.query, utility, adaptive=True)
         with pytest.raises(TypeError):
             session.stream(movies.query, utility, adaptive=True)
-        with pytest.raises(TypeError):
-            session.run(movies.query, utility, adaptive=True)

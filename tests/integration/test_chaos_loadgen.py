@@ -25,12 +25,11 @@ from repro.service.policy import RequestPolicy, RetryPolicy
 from repro.service.server import QueryRequest, QueryService, ServiceConfig
 from repro.utility.cost import BindJoinCost, LinearCost
 from repro.workloads.movies import movie_domain
+from tests.service.helpers import backoff
 
 REQUESTS = 20
 QUERY = "q(T, R) :- play_in(A, T), review_of(R, T)"
-FAST_POLICY = RequestPolicy(
-    retry=RetryPolicy(max_attempts=2, base_s=0.001, cap_s=0.002)
-)
+FAST_POLICY = RequestPolicy(retry=RetryPolicy(max_attempts=2))
 
 
 @pytest.fixture
@@ -50,7 +49,8 @@ def chaos_served():
     )
     server, _thread = start_server(service, port=0)
     try:
-        yield server, resilience
+        with backoff():
+            yield server, resilience
     finally:
         server.shutdown()
         server.server_close()
@@ -145,10 +145,11 @@ def test_same_seed_reproduces_the_same_injected_faults():
             resilience=ResilienceManager(),
         )
         try:
-            for index in range(6):
-                service.execute(
-                    QueryRequest(movies.query, request_id=f"r{index}")
-                )
+            with backoff():
+                for index in range(6):
+                    service.execute(
+                        QueryRequest(movies.query, request_id=f"r{index}")
+                    )
         finally:
             service.shutdown()
         return backend.outcomes

@@ -34,14 +34,13 @@ from repro.utility.cost import BindJoinCost, LinearCost
 from repro.workloads.movies import movie_domain
 from repro.workloads.random_lav import ordering_scenario
 from tests.journal_reader import events
+from tests.service.helpers import backoff, run
 
 # -- correlation through a live chaos run ------------------------------------------
 
 REQUESTS = 12
 QUERY = "q(T, R) :- play_in(A, T), review_of(R, T)"
-FAST_POLICY = RequestPolicy(
-    retry=RetryPolicy(max_attempts=2, base_s=0.001, cap_s=0.002)
-)
+FAST_POLICY = RequestPolicy(retry=RetryPolicy(max_attempts=2))
 
 
 @pytest.fixture
@@ -65,14 +64,15 @@ def chaos_journal():
     )
     server, _thread = start_server(service, port=0)
     try:
-        report = run_load(
-            "127.0.0.1",
-            server.port,
-            [QUERY],
-            requests=REQUESTS,
-            concurrency=3,
-            timeout_s=30.0,
-        )
+        with backoff():
+            report = run_load(
+                "127.0.0.1",
+                server.port,
+                [QUERY],
+                requests=REQUESTS,
+                concurrency=3,
+                timeout_s=30.0,
+            )
     finally:
         server.shutdown()
         server.server_close()
@@ -304,8 +304,8 @@ def test_pipelined_journal_on_stream_is_identical(seed):
         executor_workers=3,
         queue_depth=4,
     )
-    batches, report = session.run(
-        scenario.query,
+    batches, report = run(
+        session, scenario.query,
         utility,
         orderer=PIOrderer(utility),
         request_id=f"pipelined-{seed}",

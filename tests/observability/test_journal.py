@@ -23,7 +23,7 @@ from repro.service.server import QueryRequest, QueryService
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
 from tests.journal_reader import events
-from tests.service.helpers import BACKENDS
+from tests.service.helpers import BACKENDS, run
 
 #: One representative payload per event type, used to prove the whole
 #: vocabulary round-trips through emit -> validate -> jsonl -> parse.
@@ -227,7 +227,7 @@ def _drain_session(backend):
     def drain(movies):
         mediator = Mediator(movies.catalog, movies.source_facts)
         session = PipelinedSession(mediator, backend=BACKENDS[backend]())
-        batches, _report = session.run(movies.query, LinearCost())
+        batches, _report = run(session, movies.query, LinearCost())
         return batches
 
     return drain

@@ -26,8 +26,9 @@ from repro.service.server import QueryRequest, QueryService, ServiceConfig
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
 from repro.workloads.movies import movie_domain
+from tests.service.helpers import backoff, run
 
-FAST_RETRY = RetryPolicy(max_attempts=2, base_s=0.001, cap_s=0.002)
+FAST_RETRY = RetryPolicy(max_attempts=2)
 
 
 class FakePlan:
@@ -140,9 +141,12 @@ class TestSessionDegradation:
             mediator,
             executor_workers=2,
             backend=ChaosBackend(bundled_profile("smoke"), seed=seed),
-            policy=RequestPolicy(retry=FAST_RETRY),
         )
-        return session.run(movies.query, LinearCost())
+        with backoff():
+            return run(
+                session, movies.query, LinearCost(),
+                policy=RequestPolicy(retry=FAST_RETRY),
+            )
 
     def test_report_carries_degradation_accounting(self, movies):
         resilience = ResilienceManager()
@@ -166,10 +170,12 @@ class TestSessionDegradation:
         session = PipelinedSession(
             mediator,
             backend=ChaosBackend(bundled_profile("smoke"), seed=7),
-            policy=RequestPolicy(retry=FAST_RETRY),
         )
-        with pytest.raises(ExecutionError):
-            session.run(movies.query, LinearCost())
+        with pytest.raises(ExecutionError), backoff():
+            run(
+                session, movies.query, LinearCost(),
+                policy=RequestPolicy(retry=FAST_RETRY),
+            )
 
     def test_healthy_run_reports_zeroed_degradation(self, movies):
         resilience = ResilienceManager()
@@ -177,7 +183,7 @@ class TestSessionDegradation:
             movies.catalog, movies.source_facts, resilience=resilience
         )
         session = PipelinedSession(mediator, executor_workers=2)
-        _, report = session.run(movies.query, LinearCost())
+        _, report = run(session, movies.query, LinearCost())
         assert report.status == "ok"
         assert report.plans_skipped == 0
         assert report.plans_failed == 0
@@ -233,10 +239,11 @@ class TestBreakersOnAndOff:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        return {
-            arm: self.serve(arm)
-            for arm in ("healthy", "breakers-on", "breakers-off")
-        }
+        with backoff():
+            return {
+                arm: self.serve(arm)
+                for arm in ("healthy", "breakers-on", "breakers-off")
+            }
 
     def test_every_request_completes_ok(self, runs):
         for results, _backend in runs.values():

@@ -1,11 +1,15 @@
 """Helpers shared by the service tests: wire round trips, wedged
-requests, and one backend per session path."""
+requests, whole session streams, a short retry backoff, and one
+backend per session path."""
 
+import contextlib
 import threading
 import time
 
+import pytest
+
 from repro.resilience.chaos import ChaosBackend, ChaosProfile
-from repro.service import protocol
+from repro.service import policy, protocol
 from repro.service.backends import InMemoryBackend
 
 
@@ -17,6 +21,21 @@ def calm_chaos():
 #: A session runs inline over a backend that never blocks and through
 #: its pipeline over one that does; tests of the session take both.
 BACKENDS = {"inline": InMemoryBackend, "pipelined": calm_chaos}
+
+
+def run(session, query, utility, **kwargs):
+    """One request's whole stream: ``(batches, report)``."""
+    batches = list(session.stream(query, utility, **kwargs))
+    return batches, session.last_report
+
+
+@contextlib.contextmanager
+def backoff(base_s=0.001, cap_s=0.002):
+    """Retry backoff of *base_s*, doubling up to *cap_s*, while inside."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(policy, "BACKOFF_BASE_S", base_s)
+        patch.setattr(policy, "BACKOFF_CAP_S", cap_s)
+        yield
 
 
 def read_replies(stream):

@@ -33,10 +33,9 @@ from repro.service.server import (
 from repro.utility.cost import BindJoinCost, LinearCost
 from repro.workloads.random_lav import ordering_scenario
 from tests.journal_reader import events
+from tests.service.helpers import backoff
 
-FAST_POLICY = RequestPolicy(
-    retry=RetryPolicy(max_attempts=2, base_s=0.001, cap_s=0.002)
-)
+FAST_POLICY = RequestPolicy(retry=RetryPolicy(max_attempts=2))
 
 #: The head-outage setting.  On the random-LAV scenario at seed 3 the
 #: statically best-ranked plans all read ``src0``; every access to it
@@ -47,7 +46,9 @@ OUTAGE_CHAOS = ChaosProfile(
     name="head-outage",
     faults={"src0": FaultProfile(transient_prob=1.0, latency_s=0.02)},
 )
-OUTAGE_RETRY = RetryPolicy(max_attempts=2, base_s=0.005, cap_s=0.01)
+OUTAGE_RETRY = RetryPolicy(max_attempts=2)
+#: Its backoff: 5 ms, capped at 10 ms.
+OUTAGE_BACKOFF = {"base_s": 0.005, "cap_s": 0.01}
 #: A one-deep pipeline keeps the producer close to execution, so the
 #: first failure can still re-order plans not yet emitted.
 OUTAGE_QUEUE_DEPTH = 1
@@ -213,9 +214,10 @@ class TestFeedbackLoopEndToEnd:
         try:
             reordered = []
             for index in range(8):
-                result = service.execute(
-                    QueryRequest(movies.query, request_id=f"r{index}")
-                )
+                with backoff():
+                    result = service.execute(
+                        QueryRequest(movies.query, request_id=f"r{index}")
+                    )
                 # Graceful degradation: chaos never aborts a request.
                 assert result.status in ("ok", "degraded")
                 reordered = events(sink, event="plan.reordered")
@@ -254,7 +256,7 @@ class TestFeedbackLoopEndToEnd:
                 query = outage_scenario.query
             try:
                 result = service.execute(QueryRequest(query))
-                assert result.ok
+                assert result.status == "ok"
                 return [
                     (batch.rank, batch.plan.key, batch.utility, batch.sound)
                     for batch in result.batches
@@ -279,9 +281,10 @@ class ColdStart:
             journal=EventJournal(stream=sink),
         )
         try:
-            self.result = service.execute(
-                QueryRequest(scenario.query, request_id="cold")
-            )
+            with backoff(**OUTAGE_BACKOFF):
+                self.result = service.execute(
+                    QueryRequest(scenario.query, request_id="cold")
+                )
         finally:
             service.shutdown()
         self.events = events(sink, request_id="cold")

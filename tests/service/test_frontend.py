@@ -66,6 +66,15 @@ class TestQueryOverTCP:
         assert any(b["new_answers"] for b in batches)
         assert summary["spans"]  # trace_requests=True
 
+    def test_a_request_without_an_id_gets_one_for_every_line(self, served, movies):
+        with connect("127.0.0.1", served.port) as sock:
+            replies = roundtrip(
+                sock.makefile("rwb"), protocol.request_record(str(movies.query))
+            )
+        ids = {reply["id"] for reply in replies}
+        assert len(replies) > 1 and len(ids) == 1
+        assert ids.pop().startswith("req-")
+
     def test_idle_connection_does_not_pin_its_last_result(self, served, movies):
         service = served.service
         seen = []
@@ -215,10 +224,14 @@ class TestProtocolErrors:
         with connect("127.0.0.1", served.port) as sock:
             stream = sock.makefile("rwb")
             replies = roundtrip(
-                stream, protocol.request_record("not a datalog query !!!")
+                stream,
+                protocol.request_record(
+                    "not a datalog query !!!", request_id="q7"
+                ),
             )
         assert replies[-1]["type"] == "error"
         assert replies[-1]["code"] == "bad_request"
+        assert replies[-1]["id"] == "q7"  # the client can tell which one
 
     def test_blank_lines_are_ignored(self, served, movies):
         with connect("127.0.0.1", served.port) as sock:
@@ -331,16 +344,15 @@ class TestOneRoadOverTCP:
                 stream, protocol.request_record(str(query), measure="coverage")
             )[-1]["status"] == "ok"
 
-    def test_overload_and_admission_timeout(self, movies):
+    def test_overload_and_admission_timeout(self, movies, monkeypatch):
         # Both unreachable on the wire at the parent commit: the pool
         # was as large as the semaphore, and only the queue could shed.
+        monkeypatch.setattr("repro.service.server.ADMISSION_TIMEOUT_S", 0.5)
         service = QueryService(
             movies.catalog,
             movies.source_facts,
             measures={"linear": LinearCost},
-            config=ServiceConfig(
-                max_concurrent=1, backlog=1, admission_timeout_s=0.5
-            ),
+            config=ServiceConfig(max_concurrent=1, backlog=1),
         )
         release, holding = wedge(service)
         query = protocol.request_record(str(movies.query))
@@ -440,16 +452,13 @@ class TestProtocolUnits:
                 protocol.request_from_record(bad)
 
     def test_request_defaults_merge(self):
-        defaults = RequestPolicy(
-            deadline_s=9.0, retry=RetryPolicy(max_attempts=4, base_s=0.5)
-        )
+        defaults = RequestPolicy(deadline_s=9.0, retry=RetryPolicy(max_attempts=4))
         request = protocol.request_from_record(
             {"type": "query", "query": "q(X) :- r(X)", "retry_attempts": 2},
             default_policy=defaults,
         )
         assert request.policy.deadline_s == 9.0
         assert request.policy.retry.max_attempts == 2
-        assert request.policy.retry.base_s == 0.5  # backoff shape kept
 
     def test_rows_are_sorted_and_json_safe(self):
         sock_free = protocol.encode_line({"rows": [["b", 2], ["a", 1]]})
@@ -504,8 +513,9 @@ class _MisbehavingServer(threading.Thread):
                 continue
             except OSError:
                 return
-            with conn:
-                reader = conn.makefile("rb")
+            # The reader holds the socket open too: both are closed here,
+            # or the client waits out its timeout instead of seeing EOF.
+            with conn, conn.makefile("rb") as reader:
                 reader.readline()  # consume the client's request
                 if self.payload:
                     conn.sendall(self.payload)
@@ -519,15 +529,22 @@ class _MisbehavingServer(threading.Thread):
 class TestClientHardening:
     """Transport failures become per-request errors, never crashes."""
 
+    #: The client's socket timeout.  Every failure here is seen at once,
+    #: so a run that waits out this timeout tests the wrong path.
+    TIMEOUT_S = 2.0
+
     def drive(self, port, requests=4, concurrency=2):
-        return run_load(
+        started = time.monotonic()
+        report = run_load(
             "127.0.0.1",
             port,
             ["q(T, R) :- play_in(A, T), review_of(R, T)"],
             requests=requests,
             concurrency=concurrency,
-            timeout_s=2.0,
+            timeout_s=self.TIMEOUT_S,
         )
+        assert time.monotonic() - started < self.TIMEOUT_S / 2
+        return report
 
     def test_half_written_frame_counts_as_request_error(self):
         server = _MisbehavingServer(b'{"type": "summary", "status"')

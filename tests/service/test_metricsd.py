@@ -33,11 +33,15 @@ def _get(port: int, path: str):
 
 
 class TestMetricsEndpoint:
-    def test_scrape_is_parseable_prometheus_text(self, metrics_server):
+    def test_scrape_is_parseable_prometheus_text(self, metrics_server, capsys):
         with _get(metrics_server.port, "/metrics") as response:
             assert response.status == 200
             assert response.headers["Content-Type"] == CONTENT_TYPE
-            body = response.read().decode("utf-8")
+            payload = response.read()
+            assert int(response.headers["Content-Length"]) == len(payload)
+        body = payload.decode("utf-8")
+        # A scrape every few seconds must not write to the server's stderr.
+        assert capsys.readouterr().err == ""
         assert "repro_requests_total 5" in body
         assert "repro_depth 2" in body
         # Every non-comment line is `name{labels} value` or `name value`
@@ -93,7 +97,7 @@ class TestServicePrometheusText:
 
             assert service.execute(
                 QueryRequest(movies.query, request_id="scrape-1")
-            ).ok
+            ).status == "ok"
             with _get(server.port, "/metrics") as response:
                 body = response.read().decode("utf-8")
         finally:
@@ -112,7 +116,7 @@ class TestServicePrometheusText:
             movies.source_facts,
             resilience=ResilienceManager(registry=MetricRegistry()),
         )
-        assert service.execute(QueryRequest(movies.query)).ok
+        assert service.execute(QueryRequest(movies.query)).status == "ok"
         text = service.prometheus_text()
         assert "repro_service_requests_total 1" in text
         assert "repro_resilience_breaker_v1_state 0" in text

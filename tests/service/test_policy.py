@@ -6,12 +6,14 @@ import time
 import pytest
 
 from repro.errors import ServiceError, TransientExecutionError
+from repro.service import policy as policy_module
 from repro.service.policy import (
     CancellationToken,
     Deadline,
     RequestPolicy,
     RetryPolicy,
 )
+from tests.service.helpers import backoff
 
 
 class TestDeadline:
@@ -63,33 +65,23 @@ class TestCancellationToken:
 
 class TestRetryPolicy:
     def test_exponential_schedule(self):
-        policy = RetryPolicy(max_attempts=5, base_s=0.1, factor=2.0, cap_s=10.0)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.4)
+        policy = RetryPolicy(max_attempts=5)
+        assert policy.delay(1) == pytest.approx(0.01)
+        assert policy.delay(2) == pytest.approx(0.02)
+        assert policy.delay(3) == pytest.approx(0.04)
 
-    def test_cap_applies(self):
-        policy = RetryPolicy(max_attempts=9, base_s=1.0, factor=10.0, cap_s=2.5)
+    def test_cap_applies(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "BACKOFF_BASE_S", 1.0)
+        monkeypatch.setattr(policy_module, "BACKOFF_FACTOR", 10.0)
+        monkeypatch.setattr(policy_module, "BACKOFF_CAP_S", 2.5)
+        policy = RetryPolicy(max_attempts=9)
         assert policy.delay(1) == pytest.approx(1.0)
         assert policy.delay(2) == pytest.approx(2.5)
         assert policy.delay(8) == pytest.approx(2.5)
 
-    def test_delay_requires_a_failure(self):
+    def test_invalid_attempts_rejected(self):
         with pytest.raises(ServiceError):
-            RetryPolicy().delay(0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"base_s": -0.1},
-            {"cap_s": -1.0},
-            {"factor": 0.5},
-        ],
-    )
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ServiceError):
-            RetryPolicy(**kwargs)
+            RetryPolicy(max_attempts=0)
 
     def test_single_attempt_policy_never_backs_off(self):
         # max_attempts=1 means "no retries": the executor loop asks for
@@ -100,11 +92,10 @@ class TestRetryPolicy:
     def test_attempt_exhaustion_reraises_last_error(self):
         """The canonical retry loop: attempts stop at max_attempts.
 
-        This mirrors ``PipelinedSession.execute_with_retries`` — a
-        transient failure backs off and retries; once the budget is
+        A transient failure backs off and retries; once the budget is
         spent the last error propagates unchanged.
         """
-        policy = RetryPolicy(max_attempts=3, base_s=0.0)
+        policy = RetryPolicy(max_attempts=3)
         token = CancellationToken()
         attempts = 0
 
@@ -113,7 +104,7 @@ class TestRetryPolicy:
             attempts += 1
             raise TransientExecutionError(f"attempt {attempts} failed")
 
-        with pytest.raises(TransientExecutionError, match="attempt 3"):
+        with pytest.raises(TransientExecutionError, match="attempt 3"), backoff(0.0, 0.0):
             for attempt in range(1, policy.max_attempts + 1):
                 try:
                     flaky()
@@ -127,80 +118,19 @@ class TestRetryPolicy:
     def test_cancellation_wakes_a_backoff_sleep(self):
         # A 30-second backoff must end the instant the token fires,
         # not after the full delay.
-        policy = RetryPolicy(max_attempts=2, base_s=30.0, cap_s=30.0)
+        policy = RetryPolicy(max_attempts=2)
         token = CancellationToken()
         timer = threading.Timer(0.02, token.cancel)
         timer.start()
         try:
             started = time.monotonic()
-            cancelled = token.wait(policy.delay(1))
+            with backoff(30.0, 30.0):
+                cancelled = token.wait(policy.delay(1))
             elapsed = time.monotonic() - started
         finally:
             timer.cancel()
         assert cancelled
         assert elapsed < 5.0
-
-
-class TestRetryJitter:
-    """Opt-in seed-deterministic decorrelated jitter on the backoff."""
-
-    def test_zero_jitter_is_the_exact_legacy_schedule(self):
-        plain = RetryPolicy(max_attempts=5, base_s=0.1, factor=2.0, cap_s=10.0)
-        seeded = RetryPolicy(
-            max_attempts=5, base_s=0.1, factor=2.0, cap_s=10.0,
-            jitter=0.0, jitter_seed=42,
-        )
-        for attempt in range(1, 5):
-            assert seeded.delay(attempt, salt="req-1") == plain.delay(attempt)
-
-    def test_jittered_delay_stays_in_the_decorrelated_band(self):
-        policy = RetryPolicy(
-            max_attempts=6, base_s=0.1, factor=2.0, cap_s=10.0,
-            jitter=0.5, jitter_seed=7,
-        )
-        for attempt in range(1, 6):
-            base = 0.1 * 2.0 ** (attempt - 1)
-            lo, hi = base * 0.5, min(10.0, base * 2.0)
-            for salt in ("req-a", "req-b", "req-c"):
-                delay = policy.delay(attempt, salt=salt)
-                assert lo <= delay <= hi
-
-    def test_same_seed_and_salt_reproduce_the_schedule(self):
-        def schedule():
-            policy = RetryPolicy(
-                max_attempts=4, base_s=0.05, jitter=0.3, jitter_seed=11
-            )
-            return [policy.delay(n, salt="req-x") for n in range(1, 4)]
-
-        assert schedule() == schedule()
-
-    def test_different_salts_decorrelate(self):
-        # Two requests retrying in lockstep must not thunder together.
-        policy = RetryPolicy(max_attempts=4, base_s=0.1, jitter=0.9)
-        first = [policy.delay(n, salt="req-a") for n in range(1, 4)]
-        second = [policy.delay(n, salt="req-b") for n in range(1, 4)]
-        assert first != second
-
-    def test_different_seeds_decorrelate(self):
-        one = RetryPolicy(
-            max_attempts=2, base_s=1.0, cap_s=10.0, jitter=0.9, jitter_seed=1
-        )
-        two = RetryPolicy(
-            max_attempts=2, base_s=1.0, cap_s=10.0, jitter=0.9, jitter_seed=2
-        )
-        assert one.delay(1, salt="s") != two.delay(1, salt="s")
-
-    def test_cap_still_binds_over_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=9, base_s=1.0, factor=10.0, cap_s=2.5, jitter=1.0
-        )
-        for attempt in range(3, 9):
-            assert policy.delay(attempt, salt="s") <= 2.5
-
-    @pytest.mark.parametrize("kwargs", [{"jitter": -0.1}, {"jitter": 1.5}])
-    def test_invalid_jitter_rejected(self, kwargs):
-        with pytest.raises(ServiceError):
-            RetryPolicy(**kwargs)
 
 
 class TestRequestPolicy:

@@ -10,7 +10,7 @@ from repro.errors import ServiceError, ServiceOverloadedError
 from repro.observability.journal import EventJournal
 from repro.observability.metrics import MetricRegistry
 from repro.resilience.manager import ResilienceManager
-from repro.service import protocol
+from repro.service import protocol, server
 from repro.service.policy import CancellationToken, RequestPolicy
 from repro.service.server import (
     AUTO_ORDERER,
@@ -50,7 +50,7 @@ class TestDirectExecution:
         result = service.execute(
             QueryRequest(query=movies.query), on_batch=streamed.append
         )
-        assert result.ok
+        assert result.status == "ok"
         assert result.batches == streamed
         assert result.answers
         assert result.report is not None
@@ -73,6 +73,26 @@ class TestDirectExecution:
         assert result.status == "error"
         assert "quantum" in (result.error or "")
 
+    def test_a_request_without_a_policy_gets_the_default(self, movies):
+        service = make_service(
+            movies, default_policy=RequestPolicy(max_plans=2)
+        )
+        result = service.execute(QueryRequest(query=movies.query))
+        assert [batch.rank for batch in result.batches] == [1, 2]
+        assert result.report.plans_processed == 2
+
+    def test_a_request_without_an_orderer_gets_the_default(self, movies):
+        sink = io.StringIO()
+        service = QueryService(
+            movies.catalog,
+            movies.source_facts,
+            config=ServiceConfig(default_orderer="greedy"),
+            journal=EventJournal(stream=sink),
+        )
+        service.execute(QueryRequest(query=movies.query, request_id="r"))
+        (admitted,) = events(sink, event="request.admitted", request_id="r")
+        assert admitted["orderer"] == "greedy"
+
     def test_deadline_exceeded_is_a_status_not_an_error(self, movies):
         service = make_service(movies)
         result = service.execute(
@@ -80,7 +100,7 @@ class TestDirectExecution:
                 query=movies.query, policy=RequestPolicy(deadline_s=0.0)
             )
         )
-        assert result.deadline_exceeded
+        assert result.status == "deadline_exceeded"
         assert result.error is None
         registry = service.registry
         assert registry.counter("service.deadline_exceeded").value == 1
@@ -95,7 +115,7 @@ class TestDirectExecution:
             resilience=ResilienceManager(),
         )
         result = service.execute(QueryRequest(query=movies.query))
-        assert result.ok
+        assert result.status == "ok"
         assert "utility.eval" in result.spans
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -111,7 +131,7 @@ class TestDirectExecution:
             result = service.execute(QueryRequest(query=movies.query))
         finally:
             service.shutdown()
-        assert result.ok
+        assert result.status == "ok"
         spans, report = result.spans, result.report
         names = [path.rsplit("/", 1)[-1] for path in spans]
         for stage in STAGES:
@@ -131,7 +151,7 @@ class TestSharedState:
         measure = service.shared_measure("linear")
         hits_before = measure.hits
         result = service.execute(QueryRequest(query=movies.query))
-        assert result.ok
+        assert result.status == "ok"
         assert measure.hits > hits_before
 
     def test_shared_measure_is_one_instance_per_name(self, movies):
@@ -158,7 +178,7 @@ class TestSharedState:
             registry=registry,
         )
         for _ in range(3):
-            assert service.execute(QueryRequest(query=movies.query)).ok
+            assert service.execute(QueryRequest(query=movies.query)).status == "ok"
         assert registry.counter("service.requests").value == 3
         assert registry.counter("service.completed").value == 3
         assert registry.counter("service.answers").value > 0
@@ -184,7 +204,7 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert len(results) == 12
-        assert all(r.ok for r in results)
+        assert all(r.status == "ok" for r in results)
         answer_sets = {r.answers for r in results}
         assert len(answer_sets) == 1  # all byte-identical
 
@@ -238,15 +258,16 @@ class TestAdmissionGate:
         for thread in (running, waiting):
             thread.join(timeout=30.0)
             assert not thread.is_alive()
-        assert ran[0].ok and waited[0].ok  # the waiter was served, not shed
+        assert ran[0].status == waited[0].status == "ok"  # the waiter was served, not shed
         assert registry.counter("service.rejected").value == 1
         assert registry.counter("service.requests").value == 3
         assert registry.gauge("service.active").value == 0
         # The shed request gave nothing back it did not hold.
         assert service._places._value == 2 and service._permits._value == 1
 
-    def test_rejected_when_admission_times_out(self, movies):
-        service = make_service(movies, max_concurrent=1, admission_timeout_s=0.05)
+    def test_rejected_when_admission_times_out(self, movies, monkeypatch):
+        monkeypatch.setattr(server, "ADMISSION_TIMEOUT_S", 0.05)
+        service = make_service(movies, max_concurrent=1)
         release, holding = wedge(service)
         running, ran = execute_in_thread(service, QueryRequest(query=movies.query))
         assert holding.wait(timeout=10.0)
@@ -257,8 +278,8 @@ class TestAdmissionGate:
         finally:
             release.set()
             running.join(timeout=30.0)
-        assert ran[0].ok
-        assert service.execute(QueryRequest(query=movies.query)).ok
+        assert ran[0].status == "ok"
+        assert service.execute(QueryRequest(query=movies.query)).status == "ok"
 
     def test_deadline_clamps_the_admission_wait(self, movies):
         service = make_service(movies, max_concurrent=1)  # 30 s admission timeout
@@ -278,7 +299,7 @@ class TestAdmissionGate:
             release.set()
             running.join(timeout=30.0)
 
-    def test_a_raising_request_gives_its_permit_back(self, movies):
+    def test_a_raising_request_gives_its_permit_back(self, movies, monkeypatch):
         # Fails at the parent commit: the factory raised between the
         # acquire and the try, two of these and every later request
         # was rejected with service.active stuck at 2.
@@ -289,11 +310,12 @@ class TestAdmissionGate:
         def broken_factory():
             raise RuntimeError("factory exploded")
 
+        monkeypatch.setattr(server, "ADMISSION_TIMEOUT_S", 0.05)
         service = QueryService(
             movies.catalog,
             movies.source_facts,
             measures={"linear": LinearCost, "broken": broken_factory},
-            config=ServiceConfig(max_concurrent=2, admission_timeout_s=0.05),
+            config=ServiceConfig(max_concurrent=2),
             registry=registry,
             journal=journal,
         )
@@ -306,7 +328,7 @@ class TestAdmissionGate:
             assert result.status == "error"
             assert result.error == "RuntimeError: factory exploded"
         assert registry.gauge("service.active").value == 0
-        assert service.execute(QueryRequest(query=movies.query)).ok
+        assert service.execute(QueryRequest(query=movies.query)).status == "ok"
         assert registry.counter("service.errors").value == 2
         assert registry.counter("service.accepted").value == 3
         # An admitted request's error is journaled as one.
@@ -379,7 +401,7 @@ class TestShutdown:
         closer.join(timeout=30.0)
         running.join(timeout=30.0)
         assert not closer.is_alive() and not running.is_alive()
-        assert ran[0].ok  # in flight at shutdown: finished, not torn
+        assert ran[0].status == "ok"  # in flight at shutdown: finished, not torn
         started = time.monotonic()
         late = service.execute(QueryRequest(query=movies.query, request_id="late"))
         assert late.status == "rejected"
@@ -399,7 +421,7 @@ class TestShutdown:
         finally:
             release.set()
             running.join(timeout=30.0)
-        assert ran[0].ok
+        assert ran[0].status == "ok"
         service.shutdown()  # idempotent, and quick with nothing in flight
 
 
@@ -463,7 +485,7 @@ class TestAutoOrderer:
             journal=journal,
         )
         result = service.execute(QueryRequest(query=movies.query))
-        assert result.ok
+        assert result.status == "ok"
         (admitted,) = events(sink, event="request.admitted")
         assert admitted["orderer"] == "anyk"
 
@@ -475,7 +497,7 @@ class TestAutoOrderer:
         explicit = service.execute(
             QueryRequest(query=movies.query, orderer="pi")
         )
-        assert auto.ok and explicit.ok
+        assert auto.status == explicit.status == "ok"
         encode = lambda result: [  # noqa: E731
             protocol.encode_line(protocol.batch_record("x", batch))
             for batch in result.batches

@@ -17,7 +17,7 @@ from repro.execution.mediator import Mediator
 from repro.ordering.bruteforce import PIOrderer
 from repro.service.session import PipelinedSession
 from repro.workloads.random_lav import ordering_scenario
-from tests.service.helpers import BACKENDS
+from tests.service.helpers import BACKENDS, run
 
 RANDOM_LAV_SEEDS = list(range(20))
 RANDOM_LAV_MEASURES = ("linear", "bind-join", "coverage", "monetary")
@@ -54,8 +54,8 @@ def test_pipelined_stream_matches_sequential(seed, measure_name, backend):
         queue_depth=4,
         backend=BACKENDS[backend](),
     )
-    batches, report = session.run(
-        scenario.query, utility, orderer=PIOrderer(utility)
+    batches, report = run(
+        session, scenario.query, utility, orderer=PIOrderer(utility)
     )
     observed = tuple(
         (b.rank, b.plan.key, b.sound, b.answers, b.new_answers)
@@ -83,6 +83,6 @@ def test_union_of_answers_matches_certain_answers_path(seed, backend):
     session = PipelinedSession(
         mediator, executor_workers=2, backend=BACKENDS[backend]()
     )
-    batches, _ = session.run(scenario.query, utility)
+    batches, _ = run(session, scenario.query, utility)
     union = set().union(*(b.answers for b in batches)) if batches else set()
     assert union == expected

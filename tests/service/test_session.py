@@ -21,7 +21,7 @@ from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
 from repro.workloads.movies import movie_domain
 from tests.journal_reader import events
-from tests.service.helpers import BACKENDS, calm_chaos
+from tests.service.helpers import BACKENDS, backoff, calm_chaos, run
 
 
 def batch_signature(batch):
@@ -54,8 +54,8 @@ class TestEquivalenceWithSequentialMediator:
             mediator, executor_workers=workers, queue_depth=depth,
             backend=BACKENDS[backend](),
         )
-        batches, report = session.run(
-            movies.query, utility, orderer=PIOrderer(utility)
+        batches, report = run(
+            session, movies.query, utility, orderer=PIOrderer(utility)
         )
         assert [batch_signature(b) for b in batches] == expected
         assert report.status == "ok"
@@ -77,8 +77,8 @@ class TestEquivalenceWithSequentialMediator:
         session = PipelinedSession(
             mediator, executor_workers=3, backend=BACKENDS[backend]()
         )
-        batches, _ = session.run(
-            movies.query, utility, orderer=GreedyOrderer(utility)
+        batches, _ = run(
+            session, movies.query, utility, orderer=GreedyOrderer(utility)
         )
         assert [batch_signature(b) for b in batches] == expected
 
@@ -88,8 +88,8 @@ class TestEquivalenceWithSequentialMediator:
         session = PipelinedSession(
             mediator, executor_workers=4, backend=BACKENDS[backend]()
         )
-        first, _ = session.run(movies.query, utility)
-        second, _ = session.run(movies.query, utility)
+        first, _ = run(session, movies.query, utility)
+        second, _ = run(session, movies.query, utility)
         assert [batch_signature(b) for b in first] == [
             batch_signature(b) for b in second
         ]
@@ -108,8 +108,8 @@ class TestBudgets:
             Mediator(movies.catalog, movies.source_facts),
             backend=BACKENDS[backend](),
         )
-        batches, report = session.run(
-            movies.query, utility, policy=RequestPolicy(max_plans=3)
+        batches, report = run(
+            session, movies.query, utility, policy=RequestPolicy(max_plans=3)
         )
         assert [batch_signature(b) for b in batches] == expected
         assert report.plans_processed == 3
@@ -120,16 +120,40 @@ class TestBudgets:
             Mediator(movies.catalog, movies.source_facts),
             backend=BACKENDS[backend](),
         )
-        batches, report = session.run(
-            movies.query, utility, policy=RequestPolicy(first_k_answers=2)
+        batches, report = run(
+            session, movies.query, utility, policy=RequestPolicy(first_k_answers=2)
         )
         assert report.satisfied
         assert report.answers >= 2
         total = len(set().union(*(b.new_answers for b in batches)))
         assert total == report.answers
         # A full run has more plans than the satisfied prefix.
-        full, _ = session.run(movies.query, utility)
+        full, _ = run(session, movies.query, utility)
         assert len(batches) < len(full)
+
+    def test_a_satisfied_request_stops_ordering(self, movies, backend):
+        # Once the consumer has left, the producer orders at most the
+        # plan it was putting: every plan past the queue, the worker and
+        # that one is work nobody reads.
+        ordered = []
+
+        class Counting(PIOrderer):
+            def order(self, *args, **kwargs):
+                for plan in super().order(*args, **kwargs):
+                    ordered.append(plan)
+                    yield plan
+
+        session = PipelinedSession(
+            Mediator(movies.catalog, movies.source_facts),
+            executor_workers=1, queue_depth=1, backend=BACKENDS[backend](),
+        )
+        batches, report = run(
+            session, movies.query, LinearCost(),
+            orderer=Counting(LinearCost()),
+            policy=RequestPolicy(first_k_answers=1),
+        )
+        assert report.satisfied and len(batches) < 9
+        assert len(ordered) <= len(batches) + 3
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -139,8 +163,8 @@ class TestDeadlinesAndCancellation:
             Mediator(movies.catalog, movies.source_facts),
             backend=BACKENDS[backend](),
         )
-        batches, report = session.run(
-            movies.query, LinearCost(), policy=RequestPolicy(deadline_s=0.0)
+        batches, report = run(
+            session, movies.query, LinearCost(), policy=RequestPolicy(deadline_s=0.0)
         )
         assert batches == []
         assert report.deadline_exceeded
@@ -154,8 +178,8 @@ class TestDeadlinesAndCancellation:
             Mediator(movies.catalog, movies.source_facts),
             backend=BACKENDS[backend](),
         )
-        batches, report = session.run(
-            movies.query,
+        batches, report = run(
+            session, movies.query,
             LinearCost(),
             policy=RequestPolicy(cancellation=token),
         )
@@ -218,9 +242,35 @@ class TestDeadlinesAndCancellation:
         next(stream)
         stream.close()  # consumer walks away after one batch
         # The same session streams the identical full run afterwards.
-        full, report = session.run(movies.query, utility)
+        full, report = run(session, movies.query, utility)
         assert report.exhausted
         assert full[0].rank == 1
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_an_orderer_failure_reaches_the_consumer(movies, backend):
+    # On the pipeline the orderer runs on the producer thread: its
+    # exception must end the stream on the consumer, not end it quietly.
+    class Failing(PIOrderer):
+        def order(self, *args, **kwargs):
+            for rank, plan in enumerate(super().order(*args, **kwargs), 1):
+                if rank == 3:
+                    raise RuntimeError("the orderer broke")
+                yield plan
+
+    session = PipelinedSession(
+        Mediator(movies.catalog, movies.source_facts),
+        backend=BACKENDS[backend](),
+    )
+    delivered = []
+    with pytest.raises(RuntimeError, match="the orderer broke"):
+        for batch in session.stream(
+            movies.query, LinearCost(), orderer=Failing(LinearCost()),
+            # Bounds the wait should the failure never reach the consumer.
+            policy=RequestPolicy(deadline_s=10.0),
+        ):
+            delivered.append(batch.rank)
+    assert delivered == [1, 2]
 
 
 class FailFirst(ChaosBackend):
@@ -241,15 +291,18 @@ class FailFirst(ChaosBackend):
 
 
 class TestRetries:
+    @pytest.fixture(autouse=True)
+    def no_backoff(self):
+        with backoff(0.0, 0.0):
+            yield
+
     def test_transient_failures_are_retried_to_success(self, movies):
         backend = FailFirst(2)
         session = PipelinedSession(
             Mediator(movies.catalog, movies.source_facts), backend=backend
         )
-        policy = RequestPolicy(
-            retry=RetryPolicy(max_attempts=3, base_s=0.0, cap_s=0.0)
-        )
-        batches, report = session.run(movies.query, LinearCost(), policy=policy)
+        policy = RequestPolicy(retry=RetryPolicy(max_attempts=3))
+        batches, report = run(session, movies.query, LinearCost(), policy=policy)
         assert report.status == "ok"
         assert report.exhausted
         assert report.retries >= 2
@@ -261,11 +314,9 @@ class TestRetries:
         session = PipelinedSession(
             Mediator(movies.catalog, movies.source_facts), backend=backend
         )
-        policy = RequestPolicy(
-            retry=RetryPolicy(max_attempts=2, base_s=0.0, cap_s=0.0)
-        )
+        policy = RequestPolicy(retry=RetryPolicy(max_attempts=2))
         with pytest.raises(ExecutionError, match="attempt"):
-            session.run(movies.query, LinearCost(), policy=policy)
+            run(session, movies.query, LinearCost(), policy=policy)
 
     def test_flaky_equivalence_once_retries_win(self, movies):
         """With enough attempts the flaky run produces the exact
@@ -287,10 +338,8 @@ class TestRetries:
             ),
             backend=backend,
         )
-        policy = RequestPolicy(
-            retry=RetryPolicy(max_attempts=50, base_s=0.0, cap_s=0.0)
-        )
-        batches, report = session.run(movies.query, utility, policy=policy)
+        policy = RequestPolicy(retry=RetryPolicy(max_attempts=50))
+        batches, report = run(session, movies.query, utility, policy=policy)
         assert [batch_signature(b) for b in batches] == expected
         assert report.retries == backend.failures_injected > 0
         # One ``plan.retry`` before each backoff pause.
@@ -306,7 +355,7 @@ class TestInstrumentation:
             movies.catalog, movies.source_facts, registry=registry
         )
         session = PipelinedSession(mediator)
-        batches, report = session.run(movies.query, LinearCost())
+        batches, report = run(session, movies.query, LinearCost())
         value = lambda name: registry.counter(name).value  # noqa: E731
         assert value("mediator.plans_processed") == len(batches)
         assert value("mediator.sound_plans") == report.sound_plans
@@ -329,14 +378,14 @@ class TestInstrumentation:
             backend=calm_chaos(),
             tracer=tracer,
         )
-        _batches, report = session.run(movies.query, LinearCost())
+        _batches, report = run(session, movies.query, LinearCost())
         assert not [name for name in threads if "exec" in name]
         spans = tracer.as_dict()
         assert spans["execution.engine.execute"]["calls"] == report.sound_plans
 
     def test_report_timings_populated(self, movies):
         session = PipelinedSession(Mediator(movies.catalog, movies.source_facts))
-        _, report = session.run(movies.query, LinearCost())
+        _, report = run(session, movies.query, LinearCost())
         assert report.elapsed_s > 0.0
         assert report.first_answer_s is not None
         assert 0.0 < report.first_answer_s <= report.elapsed_s
@@ -378,8 +427,8 @@ class TestPipeliningNeverDelays:
                 queue_depth=8,
                 backend=PaddedBackend(blocking),
             )
-            _, reports[name] = session.run(
-                movies.query, LinearCost(), orderer=PIOrderer(LinearCost())
+            _, reports[name] = run(
+                session, movies.query, LinearCost(), orderer=PIOrderer(LinearCost())
             )
         return reports
 
@@ -409,7 +458,7 @@ def started_threads(movies, monkeypatch, backend):
         executor_workers=3,
         backend=backend,
     )
-    batches, report = session.run(movies.query, LinearCost())
+    batches, report = run(session, movies.query, LinearCost())
     assert report.exhausted and len(batches) == 9
     return started
 
@@ -449,20 +498,11 @@ class TestThreadCensus:
             Mediator(movies.catalog, movies.source_facts),
             backend=BACKENDS[backend](),
         )
-        batches, report = session.run(
-            movies.query,
+        batches, report = run(
+            session, movies.query,
             LinearCost(),
             orderer=Recording(LinearCost()),
             policy=RequestPolicy(cancellation=token),
         )
         assert batches == [] and report.cancelled
         assert ordered_on == []
-
-
-class TestValidation:
-    def test_worker_and_queue_bounds(self, movies):
-        mediator = Mediator(movies.catalog, movies.source_facts)
-        with pytest.raises(ExecutionError):
-            PipelinedSession(mediator, executor_workers=0)
-        with pytest.raises(ExecutionError):
-            PipelinedSession(mediator, queue_depth=0)

@@ -20,7 +20,7 @@ from repro.service import session as session_module
 from repro.service.policy import CancellationToken, RequestPolicy
 from repro.service.session import PipelinedSession
 from repro.utility.cost import LinearCost
-from tests.service.helpers import BACKENDS
+from tests.service.helpers import BACKENDS, run
 
 STRETCHED_TICK_S = 2.0
 
@@ -51,13 +51,13 @@ def test_no_request_waits_out_a_poll(movies, monkeypatch, workers, depth, backen
 
     for _ in range(100):
         started = time.perf_counter()
-        batches, report = session.run(movies.query, utility)
+        batches, report = run(session, movies.query, utility)
         no_poll_since(started)
         assert report.exhausted and len(batches) == 9
     for _ in range(20):
         started = time.perf_counter()
-        _, report = session.run(
-            movies.query, utility, policy=RequestPolicy(first_k_answers=1)
+        _, report = run(
+            session, movies.query, utility, policy=RequestPolicy(first_k_answers=1)
         )
         no_poll_since(started)
         assert report.satisfied
