@@ -33,6 +33,9 @@ Database = dict[str, set[tuple[object, ...]]]
 Relations = Mapping[str, set[tuple[object, ...]]]
 Facts = Iterable[tuple[object, ...]]
 
+#: Where ``ConjunctiveQuery._prepared`` keeps its compiled join.
+_JOIN = "join"
+
 
 def _compile_args(
     args: tuple[Term, ...], slot_of: dict[Variable, int], constants: list[object]
@@ -161,17 +164,25 @@ def _solve(
     rule: Union[Rule, ConjunctiveQuery, None] = None,
 ) -> Iterator:
     """Compile *body*, join it and project every solution: to the head row
-    of *rule* (whose body it is), or to a fresh ``{Variable: value}`` dict."""
-    slot_of: dict[Variable, int] = {}
-    constants: list[object] = []
-    steps = [_compile_args(atom.args, slot_of, constants) for atom in body]
-    project = (
-        _head_projection(rule, slot_of, constants)  # may add head constants
-        if rule is not None
-        # zip stops at the last variable: the constants behind are dropped.
-        else lambda slots: dict(zip(slot_of, slots))
-    )
-    slots = [None] * len(slot_of) + constants[::-1]
+    of *rule* (whose body it is), or to a fresh ``{Variable: value}`` dict.
+    A conjunctive query run without *delta* keeps its compiled join."""
+    keep = delta is None and isinstance(rule, ConjunctiveQuery)
+    compiled = rule._prepared.get(_JOIN) if keep else None
+    if compiled is None:
+        slot_of: dict[Variable, int] = {}
+        constants: list[object] = []
+        steps = [_compile_args(atom.args, slot_of, constants) for atom in body]
+        project = (
+            _head_projection(rule, slot_of, constants)  # may add head constants
+            if rule is not None
+            # zip stops at the last variable: the constants behind are dropped.
+            else lambda slots: dict(zip(slot_of, slots))
+        )
+        compiled = steps, project, [None] * len(slot_of) + constants[::-1]
+        if keep:
+            rule._prepared[_JOIN] = compiled
+    steps, project, template = compiled
+    slots = template.copy()
     joins = (_run_steps(steps, f, slots) for f in _fact_lists(body, database, delta))
     return map(project, chain.from_iterable(joins))
 

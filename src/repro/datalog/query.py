@@ -21,14 +21,14 @@ class ConjunctiveQuery:
 
     head: Atom
     body: tuple[Atom, ...]
-    #: Slot certificates of the plans checked against this query, per
-    #: (slot, source name), and the query's free variables under
-    #: ``"free"``: kept on the query the request holds, like
-    #: ``SourceDescription.renamed_view`` keeps renamed views
-    #: (:func:`repro.reformulation.soundness.plan_query` fills it).  No
-    #: lock: an entry depends only on the query, slot and view, so two
-    #: threads racing to fill it write equal values.
-    _certificates: dict = field(
+    #: What depends only on this query and the views or catalog an entry
+    #: names: slot certificates, free variables and search verdicts
+    #: (``soundness.plan_query``), the bucket space
+    #: (``Mediator.reformulate``), the compiled join (``engine._solve``).
+    #: Kept like ``SourceDescription.renamed_view`` keeps renamed views,
+    #: for every request holding the object.  No lock: two threads
+    #: racing to fill an entry write equal values.
+    _prepared: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

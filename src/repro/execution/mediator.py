@@ -48,6 +48,10 @@ from repro.resilience.manager import ResilienceManager
 from repro.sources.catalog import Catalog
 from repro.utility.base import UtilityMeasure
 
+#: Where ``ConjunctiveQuery._prepared`` keeps its bucket space.
+_SPACE = "space"
+
+
 @dataclass(frozen=True)
 class AnswerBatch:
     """The outcome of processing one plan from the ordering.
@@ -233,9 +237,10 @@ class AnytimeRun:
         inline, a backend over ``execution_database()`` in the
         service's workers), and so is the retry schedule (*backoff*:
         ``delay(failed_attempts)`` gives the seconds to wait or None to
-        give up, ``wait(seconds)`` sleeps; with none, a plan gets one
-        attempt).  Spans are single-threaded, so a driver running this
-        stage on a thread of its own passes that thread's *tracer*; by
+        give up, ``wait(seconds)`` sleeps and says whether to try again;
+        with none, a plan gets one attempt).  Spans are single-threaded,
+        so a driver running this stage on a thread of its own passes
+        that thread's *tracer*; by
         default it is the request's.  A failed plan never raises here:
         the error stays on the item for :meth:`settle` to raise or
         degrade.
@@ -288,8 +293,9 @@ class AnytimeRun:
                         attempt=attempts,
                         delay_s=delay,
                     )
-                if delay > 0.0:
-                    backoff.wait(delay)
+                if delay > 0.0 and not backoff.wait(delay):
+                    item.error = exc  # the request ended during the backoff
+                    return
             else:
                 item.execute_s += perf_counter() - started
                 if resilience is not None:
@@ -443,8 +449,15 @@ class Mediator:
     # Each is safe to call on its own.
 
     def reformulate(self, query: ConjunctiveQuery) -> PlanSpace:
-        """Build the bucket plan space for *query*."""
-        return build_buckets(query, self.catalog)
+        """Build the bucket plan space for *query*, or reuse the one kept
+        on it for this catalog at this size (a catalog only grows)."""
+        catalog = self.catalog
+        kept = query._prepared.get(_SPACE)
+        if kept is None or kept[0] is not catalog or kept[1] != len(catalog):
+            kept = query._prepared[_SPACE] = (
+                catalog, len(catalog), build_buckets(query, catalog)
+            )
+        return kept[2]
 
     def check_soundness(
         self, query: ConjunctiveQuery, plan: QueryPlan

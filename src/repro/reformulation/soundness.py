@@ -19,6 +19,7 @@ is sound by construction (:func:`_certify`).
 from __future__ import annotations
 
 from collections import Counter
+from operator import is_
 from typing import Iterator, Optional
 
 from repro.errors import ReformulationError
@@ -170,6 +171,16 @@ def is_sound(query: ConjunctiveQuery, plan: QueryPlan) -> bool:
     )
 
 
+#: Search verdicts kept per query: the first plans of its stream to
+#: need the search.  A plan past them is searched on every request.
+SEARCH_VERDICTS = 64
+
+#: Where ``query._prepared`` keeps the query's free variables, and its
+#: search verdicts per plan key (beside the views, compared by identity).
+_FREE = "free"
+_VERDICTS = "verdicts"
+
+
 def plan_query(
     query: ConjunctiveQuery, plan: QueryPlan
 ) -> Optional[ConjunctiveQuery]:
@@ -177,30 +188,34 @@ def plan_query(
 
     Returns the conjunctive query over source relations whose
     expansion is contained in the user query, or None when the plan is
-    unsound.  A plan whose every slot is certified skips the search.
+    unsound.  A plan whose every slot is certified skips the search;
+    another plan's verdict is kept on the query (:data:`SEARCH_VERDICTS`).
     """
+    prepared = query._prepared
     if len(plan) == len(query.body):
         atoms = []
         for slot, source in enumerate(plan.sources):
             # Kept beside its view: source names repeat across catalogs.
             key = (slot, source.name)
-            entry = query._certificates.get(key)
+            entry = prepared.get(key)
             if entry is None or entry[0] is not source.view:
                 entry = (source.view, _certify(query, slot, source))
-                query._certificates[key] = entry
+                prepared[key] = entry
             if entry[1] is None:
                 break
             atoms.append(entry[1])
         else:
             return ConjunctiveQuery(query.head, tuple(atoms))
-    for candidate, expansion in _search(query, plan):
-        if is_contained(expansion, query):
-            return candidate
-    return None
-
-
-#: Where ``query._certificates`` keeps the query's free variables.
-_FREE = "free"
+    views = [source.view for source in plan.sources]
+    verdicts = prepared.setdefault(_VERDICTS, {})
+    kept = verdicts.get(plan.key)
+    if kept is not None and all(map(is_, kept[0], views)):
+        return kept[1]
+    sound = (pq for pq, expansion in _search(query, plan) if is_contained(expansion, query))
+    verdict = next(sound, None)
+    if len(verdicts) < SEARCH_VERDICTS or plan.key in verdicts:
+        verdicts[plan.key] = (views, verdict)
+    return verdict
 
 
 def _certify(
@@ -225,11 +240,11 @@ def _certify(
         return None
     view = source.renamed_view(f"_s{slot}")
     exported = set(view.head.variables())
-    free = query._certificates.get(_FREE)
+    free = query._prepared.get(_FREE)
     if free is None:
         # A property of the query alone: worked out on its first miss.
         occurrences = Counter(arg for atom in query.body for arg in atom.args)
-        free = query._certificates[_FREE] = {
+        free = query._prepared[_FREE] = {
             arg
             for arg, n in occurrences.items()
             if n == 1 and isinstance(arg, Variable)

@@ -123,7 +123,9 @@ class _Handler(JsonLinesHandler):
     def serve_query(self, record: dict, request_id: str, line: bytes) -> None:
         service = self.server.service
         request = protocol.request_from_record(
-            record, default_policy=service.config.default_policy
+            record,
+            default_policy=service.config.default_policy,
+            parse=service.prepared_query,
         )
         hung_up = CancellationToken()
         request = dataclasses.replace(

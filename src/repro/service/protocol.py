@@ -70,10 +70,11 @@ import json
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import ParseError, ProtocolError
 from repro.datalog.parser import parse_query
+from repro.datalog.query import ConjunctiveQuery
 from repro.execution.mediator import AnswerBatch
 from repro.service.policy import RequestPolicy, RetryPolicy
 from repro.service.server import QueryRequest, RequestResult
@@ -262,9 +263,11 @@ def request_record(
 
 
 def request_from_record(
-    record: dict, *, default_policy: Optional[RequestPolicy] = None
+    record: dict, *, default_policy: Optional[RequestPolicy] = None,
+    parse: Callable[[str], ConjunctiveQuery] = parse_query,
 ) -> QueryRequest:
-    """Parse a ``query`` record into a :class:`QueryRequest`.
+    """Parse a ``query`` record into a :class:`QueryRequest`; a server's
+    *parse* is :meth:`QueryService.prepared_query`.
 
     Raises :class:`~repro.errors.ProtocolError` on malformed records
     so the front end can answer with an error record instead of
@@ -277,7 +280,7 @@ def request_from_record(
     if not isinstance(text, str) or not text.strip():
         raise ProtocolError("missing 'query' text")
     try:
-        query = parse_query(text)
+        query = parse(text)
     except ParseError as exc:
         raise ProtocolError(f"unparsable query: {exc}") from None
 

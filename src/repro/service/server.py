@@ -10,7 +10,9 @@ One :class:`QueryService` owns a mediator (catalog + source instances
   cache for request N+1 (the measures themselves are stateless; all
   per-request state lives in the execution contexts),
 * the :class:`~repro.observability.metrics.MetricRegistry`, exposing
-  ``service.*`` counters and latency histograms.
+  ``service.*`` counters and latency histograms,
+* one parsed query per query text (:meth:`QueryService.prepared_query`),
+  which keeps its bucket space, soundness verdicts and compiled joins.
 
 Per request: a fresh orderer, a fresh
 :class:`~repro.service.session.PipelinedSession`, and (when request
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from repro.errors import ReproError, ServiceError, ServiceOverloadedError
+from repro.datalog.parser import parse_query
 from repro.datalog.query import ConjunctiveQuery
 from repro.execution.mediator import AnswerBatch, Mediator
 from repro.observability.caching import CachingUtilityMeasure
@@ -76,6 +79,9 @@ BatchCallback = Callable[[AnswerBatch], None]
 #: How long a request waits at the admission gate for a permit, unless
 #: its own deadline is shorter, before it ends ``rejected``.
 ADMISSION_TIMEOUT_S = 30.0
+
+#: Query texts a service keeps parsed; past it the oldest is dropped.
+PREPARED_QUERIES = 256
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,8 @@ class QueryService:
             )
         self._shared_measures: dict[str, UtilityMeasure] = {}
         self._measure_lock = threading.Lock()
+        self._prepared: dict[str, ConjunctiveQuery] = {}
+        self._prepared_lock = threading.Lock()
         # The admission gate (see execute): a permit to run, and a
         # place in the building — running or waiting — to shed beyond.
         self._permits = threading.Semaphore(self.config.max_concurrent)
@@ -263,6 +271,20 @@ class QueryService:
                     )
                 self._shared_measures[name] = measure
         return measure
+
+    def prepared_query(self, text: str) -> ConjunctiveQuery:
+        """The one parsed query of *text*, shared by every request with
+        it; raises :class:`~repro.errors.ParseError` for bad text."""
+        with self._prepared_lock:
+            query = self._prepared.get(text)
+        if query is None:
+            # Parsed outside the lock: of two racing parses, one is kept.
+            parsed = parse_query(text)
+            with self._prepared_lock:
+                query = self._prepared.setdefault(text, parsed)
+                if len(self._prepared) > PREPARED_QUERIES:
+                    del self._prepared[next(iter(self._prepared))]
+        return query
 
     def _make_orderer(
         self, name: str, utility: UtilityMeasure, tracer: Tracer, adaptive: bool

@@ -73,10 +73,11 @@ class _SessionRun:
 
     Also the ``backoff`` the execute stage consults: retries stop at
     the policy's attempt limit or as soon as the request is aborted,
-    and backoff sleeps end early on shutdown or at the deadline.
+    and backoff sleeps end early on cancellation, on shutdown or at the
+    deadline.
     """
 
-    def __init__(self, policy: RequestPolicy) -> None:
+    def __init__(self, policy: RequestPolicy, pipelined: bool) -> None:
         self.cond = threading.Condition()
         #: The pipeline's result at each rank: an executed plan, or how
         #: the stream ends there — ``_EXHAUSTED``, the producer's
@@ -86,6 +87,9 @@ class _SessionRun:
         self.retry = policy.retry
         self.deadline = policy.start_deadline()
         self.token = policy.token()
+        #: What a backoff sleeps on: ``stop``, which the consumer sets as
+        #: it leaves, unless the consumer is the sleeper (inline).
+        self.wake = self.stop if pipelined else self.token
 
     def aborted(self) -> bool:
         return (
@@ -97,8 +101,10 @@ class _SessionRun:
             return None
         return self.retry.delay(failed_attempts)
 
-    def wait(self, seconds: float) -> None:
-        self.stop.wait(self.deadline.clamp(seconds))
+    def wait(self, seconds: float) -> bool:
+        """Sleep out a backoff; True to try again, False once aborted."""
+        self.wake.wait(self.deadline.clamp(seconds))
+        return not self.aborted()
 
     def publish(self, rank: int, result: object) -> None:
         with self.cond:
@@ -180,7 +186,11 @@ class PipelinedSession:
         ``request_id`` correlates its journal events.
         """
         policy = policy if policy is not None else RequestPolicy()
-        run = _SessionRun(policy)
+        backend = self.backend
+        # Decided once, before plan 1: threads buy overlap only while
+        # execution waits, and whether it can is the backend's to say.
+        pipelined = backend.blocking
+        run = _SessionRun(policy, pipelined)
         core = AnytimeRun(
             self.mediator, query, utility,
             orderer=orderer, max_plans=policy.max_plans,
@@ -188,7 +198,7 @@ class PipelinedSession:
         )
         report = self.last_report = core.report
         plans = core.plans()
-        backend, database = self.backend, self.mediator.execution_database()
+        database = self.mediator.execution_database()
 
         def run_query(executable: ConjunctiveQuery) -> frozenset:
             return backend.execute(executable, database)
@@ -196,9 +206,7 @@ class PipelinedSession:
         def executor(tracer: Tracer) -> Callable[[StagedPlan], None]:
             return lambda item: core.execute(item, run_query, run, tracer)
 
-        # Decided once, before plan 1: threads buy overlap only while
-        # execution waits, and whether it can is the backend's to say.
-        if backend.blocking:
+        if pipelined:
             source = self._pipeline(run, plans, executor)
         else:
             execute = executor(self.tracer)
@@ -209,6 +217,8 @@ class PipelinedSession:
                 item = next(plans, _EXHAUSTED)
                 if item is not _EXHAUSTED:
                     execute(item)
+                    if item.error is not None and run.aborted():
+                        return None  # the abort cut its retries short
                 return item
 
             source = nullcontext(take)

@@ -101,9 +101,7 @@ ROWS = [
      "            time.sleep(PROBE_INTERVAL_S)\n"),
     # A session's retry backoff no longer ends when the session stops.
     ("COD006", "service/session.py",
-     "    def wait(self, seconds: float) -> None:\n"
-     "        self.stop.wait(self.deadline.clamp(seconds))\n",
-     "    def wait(self, seconds: float) -> None:\n"
+     "        self.wake.wait(self.deadline.clamp(seconds))\n",
      "        from time import sleep\n"
      "\n"
      "        sleep(self.deadline.clamp(seconds))\n"),

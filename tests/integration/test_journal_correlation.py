@@ -17,6 +17,7 @@ Two contracts from the telemetry work:
 
 import functools
 import io
+import threading
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.observability.journal import EventJournal
 from repro.ordering.bruteforce import PIOrderer
 from repro.resilience.chaos import ChaosBackend, bundled_profile
 from repro.resilience.manager import ResilienceManager
+from repro.service.backends import InMemoryBackend
 from repro.service.frontend import start_server
 from repro.service.loadgen import run_load
 from repro.service.policy import RequestPolicy, RetryPolicy
@@ -287,6 +289,20 @@ class TestAnyKJournalCorrelation:
         )
 
 
+class ThreadNotingBackend(InMemoryBackend):
+    """Declared blocking, so a session runs its pipeline over it; notes
+    the thread of every execution."""
+
+    blocking = True
+
+    def __init__(self) -> None:
+        self.threads = set()
+
+    def execute(self, executable, database):
+        self.threads.add(threading.current_thread().name)
+        return super().execute(executable, database)
+
+
 @pytest.mark.parametrize("seed", RANDOM_LAV_SEEDS[::5])
 def test_pipelined_journal_on_stream_is_identical(seed):
     """Spot-check the concurrent path: journaled pipelined session vs
@@ -295,6 +311,7 @@ def test_pipelined_journal_on_stream_is_identical(seed):
     scenario = lav_scenario(seed)
     utility = scenario.measure("linear")
     sink = io.StringIO()
+    backend = ThreadNotingBackend()
     session = PipelinedSession(
         Mediator(
             scenario.catalog,
@@ -303,6 +320,7 @@ def test_pipelined_journal_on_stream_is_identical(seed):
         ),
         executor_workers=3,
         queue_depth=4,
+        backend=backend,
     )
     batches, report = run(
         session, scenario.query,
@@ -312,6 +330,10 @@ def test_pipelined_journal_on_stream_is_identical(seed):
     )
     assert batch_stream(batches) == expected
     assert report.status == "ok"
+    assert backend.threads, "no plan was executed"
+    assert all(
+        name.startswith("repro-service-exec-") for name in backend.threads
+    ), f"plans ran off the pipeline's workers: {sorted(backend.threads)}"
     chain = events(sink, request_id=f"pipelined-{seed}")
     assert len([r for r in chain if r["event"] == "plan.emitted"]) == len(
         expected

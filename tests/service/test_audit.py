@@ -115,7 +115,11 @@ PRESENT = {
     'an aborted request retries nothing':
         lambda: 'or self.aborted():' in text('service/session.py'),
     'a backoff ends when the session stops':
-        lambda: '        self.stop.wait(self.deadline.clamp(seconds))' in text('service/session.py'),
+        lambda: '        self.wake.wait(self.deadline.clamp(seconds))' in text('service/session.py'),
+    'an inline backoff ends on cancellation (`wake` is the token)':
+        lambda: '        self.wake = self.stop if pipelined else self.token' in text('service/session.py'),
+    'an inline plan whose retries an abort cut short is not settled':
+        lambda: '                    if item.error is not None and run.aborted():\n                        return None' in text('service/session.py'),
     '`publish` wakes the consumer':
         lambda: '            self.results[rank] = result\n            self.cond.notify_all()' in text('service/session.py'),
     '`take` returns None once aborted (hand-off 3)':
@@ -127,7 +131,7 @@ PRESENT = {
     '`last_report`':
         lambda: '        report = self.last_report = core.report' in text('service/session.py'),
     'only a blocking backend gets the pipeline':
-        lambda: '        if backend.blocking:\n            source = self._pipeline' in text('service/session.py'),
+        lambda: '        if pipelined:\n            source = self._pipeline' in text('service/session.py'),
     'the inline path stops once aborted':
         lambda: '                if run.aborted():\n                    return None' in text('service/session.py'),
     "the producer's exception is raised on the consumer":
@@ -202,6 +206,10 @@ PRESENT = {
         lambda: '                self._shared_measures[name] = measure' in text('service/server.py'),
     'the unknown-measure refusal':
         lambda: '                except KeyError:' in text('service/server.py'),
+    'one parsed query per text (`prepared_query`)':
+        lambda: '            query = self._prepared.get(text)' in text('service/server.py'),
+    'the text table drops its oldest text (`PREPARED_QUERIES`)':
+        lambda: '                    del self._prepared[next(iter(self._prepared))]' in text('service/server.py'),
     'a resilience manager wraps each measure':
         lambda: '                    measure = resilience.health_measure(measure)' in text('service/server.py'),
     'a cacheable measure is cached across requests':
@@ -278,6 +286,8 @@ PRESENT = {
         lambda: '                hung_up.cancel()' in text('service/frontend.py'),
     'the handler names the request before it runs':
         lambda: 'request.request_id or service.next_request_id()' in text('service/frontend.py'),
+    "the handler parses through the service's table":
+        lambda: '            parse=service.prepared_query,' in text('service/frontend.py'),
     '`request.received`':
         lambda: '"request.received"' in text('service/frontend.py'),
     'a shed request is an `overloaded` record':

@@ -16,8 +16,11 @@ poll runs out costs its request at least that long and fails the bound.
 Two tests keep the real ``_TICK_S``, because nothing but a poll can
 wake the consumer there: the producer on a full queue while every
 worker is still executing, and a worker in a retry's backoff, the one
-other place a request waits.  The latter is held to the rest, except
-that the attempt its interrupted backoff was waiting for still runs.
+other place a request waits.  Both are held to the rest.
+
+The inline path has no hand-off, but its one thread can wait in a
+retry's backoff too; the last test cancels it there from another
+thread.
 """
 
 import threading
@@ -111,6 +114,20 @@ def handoffs(monkeypatch):
 
     monkeypatch.setattr(session_module, "Queue", WatchedQueue)
     return seen
+
+
+@pytest.fixture
+def in_backoff(monkeypatch):
+    """Set once a request starts sleeping out a retry's backoff."""
+    entered = threading.Event()
+    wait = session_module._SessionRun.wait
+
+    def watched_wait(run, seconds):
+        entered.set()
+        return wait(run, seconds)
+
+    monkeypatch.setattr(session_module._SessionRun, "wait", watched_wait)
+    return entered
 
 
 @pytest.fixture
@@ -258,18 +275,9 @@ class TestHandOffs:
         )
         assert_clean_abort(how, backend, *outcome)
 
-    def test_a_worker_in_a_retry_backoff(self, movies, clock, monkeypatch, how):
+    def test_a_worker_in_a_retry_backoff(self, movies, clock, in_backoff, how):
         # The one worker waits out a 30 s backoff after its first failed
-        # attempt.  The abort wakes it; the attempt it was waiting for
-        # runs, and no further one.
-        in_backoff = threading.Event()
-        wait = session_module._SessionRun.wait
-
-        def watched_wait(run, seconds):
-            in_backoff.set()
-            wait(run, seconds)
-
-        monkeypatch.setattr(session_module._SessionRun, "wait", watched_wait)
+        # attempt.  The abort wakes it, and no further attempt runs.
         backend = FailingBackend()
         with backoff(30.0, 30.0):
             outcome = drive(
@@ -277,4 +285,46 @@ class TestHandOffs:
                 at=(in_backoff,), retry=RetryPolicy(max_attempts=50),
                 executor_workers=1, queue_depth=1,
             )
-        assert_clean_abort(how, backend, *outcome, executed_after=1)
+        assert_clean_abort(how, backend, *outcome)
+
+
+class InlineFailingBackend(FailingBackend):
+    """Every attempt fails in a retryable way, on the inline path."""
+
+    blocking = False
+
+
+def test_an_inline_backoff_ends_on_cancellation(movies, in_backoff):
+    # Inline, the thread in the backoff is the consumer itself, so
+    # only the request's token can wake it: a cancellation from
+    # another thread ends the request at once, not a backoff later.
+    backend = InlineFailingBackend()
+    session = PipelinedSession(
+        Mediator(movies.catalog, movies.source_facts), backend=backend
+    )
+    token = CancellationToken()
+    policy = RequestPolicy(
+        cancellation=token, retry=RetryPolicy(max_attempts=50)
+    )
+
+    def canceller():
+        assert in_backoff.wait(WAIT_S), "no backoff was reached"
+        backend.aborted.set()
+        token.cancel()
+
+    helper = threading.Thread(target=canceller, name="test-canceller")
+    helper.start()
+    started = time.perf_counter()
+    with backoff(policy_module.BACKOFF_CAP_S, policy_module.BACKOFF_CAP_S):
+        batches = list(
+            session.stream(
+                movies.query, LinearCost(), orderer=PIOrderer(LinearCost()),
+                policy=policy,
+            )
+        )
+    wall = time.perf_counter() - started
+    helper.join(WAIT_S)
+    assert session.last_report.status == "cancelled"
+    assert batches == []
+    assert backend.after_abort == 0, "an attempt ran after the cancellation"
+    assert wall < policy_module.BACKOFF_CAP_S / 4, f"{wall:.2f}s: slept it out"
