@@ -1,8 +1,10 @@
 """Helpers shared by the service tests: wire round trips, wedged
-requests, whole session streams, a short retry backoff, and one
-backend per session path."""
+requests, whole session streams, a short retry backoff, one backend
+per session path, and a client that resets its connection."""
 
 import contextlib
+import socket
+import struct
 import threading
 import time
 
@@ -61,6 +63,18 @@ def wait_until(condition, timeout_s=10.0):
     while not condition():
         assert time.monotonic() < deadline, "condition never held"
         time.sleep(0.005)
+
+
+def reset(sock):
+    """Close *sock* with a TCP reset instead of an orderly FIN."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def join_threads_since(before):
+    """Join every thread started since the snapshot *before*."""
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=5.0)
 
 
 def wedge(service):

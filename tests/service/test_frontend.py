@@ -26,7 +26,14 @@ from repro.service.server import QueryService, ServiceConfig
 from repro.service.workloads import service_workload
 from repro.utility.cost import LinearCost
 from tests.journal_reader import events
-from tests.service.helpers import read_replies, roundtrip, wait_until, wedge
+from tests.service.helpers import (
+    join_threads_since,
+    read_replies,
+    reset,
+    roundtrip,
+    wait_until,
+    wedge,
+)
 
 
 @pytest.fixture
@@ -242,6 +249,19 @@ class TestProtocolErrors:
                 stream, protocol.request_record(str(movies.query))
             )
         assert replies[-1]["status"] == "ok"
+
+    def test_a_client_that_resets_its_connection_ends_quietly(
+        self, served, capsys
+    ):
+        # The handler is blocked reading half a line when the reset
+        # arrives; socketserver would print the error's traceback.
+        before = set(threading.enumerate())
+        sock = connect("127.0.0.1", served.port)
+        sock.sendall(b'{"type": ')
+        wait_until(lambda: len(set(threading.enumerate()) - before) == 1)
+        reset(sock)
+        join_threads_since(before)
+        assert capsys.readouterr().err == ""
 
 
 @contextlib.contextmanager

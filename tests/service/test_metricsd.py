@@ -1,5 +1,7 @@
 """Tests for the Prometheus metrics HTTP endpoint."""
 
+import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -10,6 +12,7 @@ from repro.observability.prometheus import render_registry
 from repro.service.metricsd import CONTENT_TYPE, start_metrics_server
 from repro.service.server import QueryService, ServiceConfig
 from repro.utility.cost import LinearCost
+from tests.service.helpers import join_threads_since, reset
 
 
 @pytest.fixture
@@ -54,6 +57,24 @@ class TestMetricsEndpoint:
             assert name
             if value not in ("+Inf", "-Inf"):
                 float(value)
+
+    def test_a_scraper_that_hangs_up_ends_quietly(self, capsys):
+        # The scraper reads the first bytes of a response far larger
+        # than the socket buffers, then resets its connection while the
+        # body is still being written; socketserver would print the
+        # error's traceback.
+        server, _thread = start_metrics_server(lambda: "x" * (8 << 20))
+        try:
+            before = set(threading.enumerate())
+            sock = socket.create_connection(("127.0.0.1", server.port))
+            sock.sendall(b"GET /metrics HTTP/1.0\r\n\r\n")
+            assert sock.recv(1)
+            reset(sock)
+            join_threads_since(before)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert capsys.readouterr().err == ""
 
     def test_healthz(self, metrics_server):
         with _get(metrics_server.port, "/healthz") as response:
