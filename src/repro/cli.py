@@ -89,6 +89,11 @@ def _cmd_order(args: argparse.Namespace) -> int:
         )
     )
     utility = domain.measure(args.measure)
+    if args.cache and not utility.cacheable:
+        args.usage_error(
+            f"--cache memoizes context-free measures only; {args.measure!r} "
+            "depends on the plans already executed"
+        )
     registry = MetricRegistry()
     tracer = Tracer(enabled=bool(args.trace or args.metrics_out))
     orderer = _make_orderer(
@@ -495,11 +500,13 @@ def _run(argv: list[str]) -> int:
     order.add_argument("-k", type=int, default=5)
     order.add_argument("--cache", action="store_true",
                        help="memoize utility evaluations "
-                            "(CachingUtilityMeasure)")
+                            "(CachingUtilityMeasure; context-free "
+                            "measures only)")
     order.add_argument("--trace", action="store_true",
                        help="print the span timing table after ordering")
     order.add_argument("--metrics-out", metavar="PATH", default=None,
                        help="write metrics + span timings as JSON to PATH")
+    order.set_defaults(usage_error=order.error)
 
     sub.add_parser(
         "experiments", help="Figure 6 tables, EXPERIMENTS.md counts (forwarded)"

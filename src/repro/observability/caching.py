@@ -1,6 +1,6 @@
 """Memoized utility evaluation with hit/miss accounting.
 
-:class:`CachingUtilityMeasure` wraps any
+:class:`CachingUtilityMeasure` wraps a context-free
 :class:`~repro.utility.base.UtilityMeasure` and memoizes both point
 and interval evaluations.  Cache keys are built from identities the
 objects already carry, never recomputed per evaluation:
@@ -10,25 +10,19 @@ objects already carry, never recomputed per evaluation:
   per plan);
 * an abstract plan by its slots themselves: the per-slot member
   tuples, whose sources hash and compare by name, so equal name
-  tuples are one entry whoever built them;
-* a context by an exact *prefix token*: 0 for no executed plans, and
-  for a longer prefix the integer interned from ``(token of the prefix
-  before, plan.key)`` in a table this cache owns.  Two contexts get the
-  same token iff they executed the same plans in the same order; a
-  context remembers how far it was folded, so an evaluation pays for
-  the plans recorded since the last one, not for the whole prefix.
-  Context-free measures, where the executed set provably cannot change
-  the value, always use 0 and build no table.
+  tuples are one entry whoever built them.
 
-The prefix token makes the wrapper *exact*: a memoized value is
-only reused in a context with the identical executed sequence, so
-orderings with and without the cache are byte-identical.  The table
-is allocated under a lock (one cache serves every session thread of a
-``QueryService``) and lives as long as the cache.  The win comes
-from the orderers' repetition patterns — iDrips rebuilding
-abstract pools each iteration, brute force rescanning surviving plans,
-Greedy re-scoring its heap — which re-evaluate the same signature in
-the same context many times over.
+Only context-free measures are memoized, so no key carries a context
+and the cache is *exact*: orderings with and without it are
+byte-identical.  A context-dependent value, u(p | p1 ... p(i-1)), is
+asked for again only after the context has recorded another plan, so
+it could hit only in another run that executed the same prefix; the
+constructor refuses such a measure, as it refuses one whose values
+follow live source health (both are ``not cacheable``).  The win comes
+from the orderers' repetition patterns — iDrips rebuilding abstract
+pools each iteration, brute force rescanning surviving plans, Greedy
+re-scoring its heap — and, in a ``QueryService``, from one request
+warming the cache for the next.
 
 Hits, misses and entries are counted through a
 :class:`~repro.observability.metrics.MetricRegistry` under the
@@ -46,8 +40,6 @@ the constructor enforces it.
 
 from __future__ import annotations
 
-import itertools
-import threading
 from typing import Optional
 
 from repro.observability.metrics import MetricRegistry
@@ -74,9 +66,14 @@ class CachingUtilityMeasure(DelegatingMeasure):
         if isinstance(inner, CachingUtilityMeasure):
             raise TypeError("refusing to stack utility caches")
         if not inner.cacheable:
+            why = (
+                "its values follow live source health"
+                if inner.context_free
+                else "its values depend on the plans already executed"
+            )
             raise TypeError(
-                f"refusing to cache {inner.name!r}: its values follow live "
-                "source health (see repro.resilience.measure)"
+                f"refusing to cache {inner.name!r}: {why} "
+                "(see repro.resilience.measure)"
             )
         super().__init__(inner)
         self.name = f"{inner.name}+memo"
@@ -86,35 +83,8 @@ class CachingUtilityMeasure(DelegatingMeasure):
         self._size = self.registry.gauge("utility_cache.entries")
         self._concrete: dict[tuple, float] = {}
         self._abstract: dict[tuple, Interval] = {}
-        # (token of the prefix before, plan.key) -> token of the prefix;
-        # allocated under the lock (module docstring).
-        self._prefixes: dict[tuple[int, tuple[str, ...]], int] = {}
-        self._prefix_lock = threading.Lock()
-        self._tokens = itertools.count(1)
 
     # -- cache plumbing ---------------------------------------------------------
-
-    def _context_token(self, context: ExecutionContext) -> int:
-        """The prefix token of ``context.executed`` (module docstring).
-
-        Folds in only the plans recorded since this context was last
-        seen, so the cost is O(1) amortised over a run.
-        """
-        if self.inner.context_free:
-            return 0
-        owner, folded, token = context.prefix_cursor
-        if owner is not self:
-            folded = token = 0
-        executed = context.executed
-        if folded != len(executed):
-            with self._prefix_lock:
-                for index in range(folded, len(executed)):
-                    link = (token, executed[index].key)
-                    token = self._prefixes.get(link, 0)
-                    if not token:
-                        token = self._prefixes[link] = next(self._tokens)
-            context.prefix_cursor = (self, len(executed), token)
-        return token
 
     @property
     def hits(self) -> int:
@@ -130,7 +100,7 @@ class CachingUtilityMeasure(DelegatingMeasure):
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, plan: PlanLike, context: ExecutionContext) -> float:
-        key = (plan.key, self._context_token(context))
+        key = plan.key
         try:
             value = self._concrete[key]
         except KeyError:
@@ -143,12 +113,11 @@ class CachingUtilityMeasure(DelegatingMeasure):
         return value
 
     def evaluate_slots(self, slots: Slots, context: ExecutionContext) -> Interval:
-        key = (slots, self._context_token(context))
         try:
-            interval = self._abstract[key]
+            interval = self._abstract[slots]
         except KeyError:
             interval = self.inner.evaluate_slots(slots, context)
-            self._abstract[key] = interval
+            self._abstract[slots] = interval
             self._misses.inc()
             self._size.set(self.cache_size())
             return interval

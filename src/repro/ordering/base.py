@@ -24,7 +24,8 @@ any other metrics.  A :class:`~repro.observability.tracing.Tracer` can
 be attached for wall-time spans; the default is the free no-op tracer.
 Utility caching (``cache=True``) wraps the measure in
 :class:`~repro.observability.caching.CachingUtilityMeasure`, reporting
-hit/miss counters through the same registry.
+hit/miss counters through the same registry; like the wrapper, it
+refuses a measure that is not ``cacheable``.
 """
 
 from __future__ import annotations

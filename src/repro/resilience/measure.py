@@ -25,12 +25,16 @@ that picks between the first two):
 * a base measure goes under **either**
   :class:`~repro.observability.caching.CachingUtilityMeasure` **or**
   :class:`HealthAwareMeasure` — never a cache over a health-aware
-  measure.  The cache keys utilities by source-name signatures, which
-  do not change when the substituted rates do, so cached entries
-  would go stale the moment health drifts.  A
-  ``HealthAwareMeasure`` therefore declares ``cacheable = False``
-  (wrappers forward the flag) and ``CachingUtilityMeasure`` — hence
-  also ``PlanOrderer(cache=True)`` — refuses such a measure;
+  measure, and never a cache over a context-dependent one.  The cache
+  keys utilities by source-name signatures alone, which do not change
+  when the substituted rates do, so cached entries would go stale the
+  moment health drifts; and a value conditioned on the executed plans
+  could hit only in another run with the same prefix.  One predicate,
+  ``UtilityMeasure.cacheable``, says both: it is the measure's
+  ``context_free``, a ``HealthAwareMeasure`` answers False, and
+  wrappers forward it.  ``CachingUtilityMeasure`` — hence also
+  ``PlanOrderer(cache=True)`` — refuses a measure that is not
+  cacheable, and the service serves such a measure unwrapped;
 * ``_ReplayMeasure`` exists only inside
   :class:`~repro.ordering.adaptive.AdaptiveOrderer` and is always
   outermost, over whichever of the two the request was given.
@@ -103,7 +107,10 @@ class HealthAwareMeasure(DelegatingMeasure):
         self.tracker = tracker
         self.min_observations = min_observations
         self.name = f"{inner.name}+health"
-        self.cacheable = False  # the rates move under a cache's keys
+
+    @property
+    def cacheable(self) -> bool:
+        return False  # the rates move under a cache's keys
 
     # -- substitution ------------------------------------------------------------
 

@@ -50,11 +50,11 @@ class _MetricsHandler(BaseHTTPRequestHandler):
     def _respond(
         self, status: int, body: bytes, content_type: str = "text/plain"
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
         try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
             pass  # scraper went away mid-response

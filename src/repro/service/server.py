@@ -245,11 +245,13 @@ class QueryService:
     def shared_measure(self, name: str) -> UtilityMeasure:
         """The cross-request shared utility measure called *name*.
 
-        Without resilience this is a :class:`CachingUtilityMeasure` —
-        request N's utility evaluations warm the cache for request
-        N+1.  With a resilience manager it is the manager's
-        health-aware wrapper instead, deliberately *uncached* (the
-        composition rule is in :mod:`repro.resilience.measure`).
+        A context-free measure without resilience is a
+        :class:`CachingUtilityMeasure` — request N's utility
+        evaluations warm the cache for request N+1.  With a resilience
+        manager every measure is the manager's health-aware wrapper, and
+        without one a context-dependent measure is served bare; neither
+        is ``cacheable`` (the composition rule is in
+        :mod:`repro.resilience.measure`).
         """
         resilience = self.resilience
         with self._measure_lock:

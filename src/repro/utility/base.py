@@ -59,12 +59,6 @@ class ExecutionContext:
 
     def __init__(self) -> None:
         self.executed: list[PlanLike] = []
-        #: ``(cache, plans folded, token)``: how far a
-        #: :class:`~repro.observability.caching.CachingUtilityMeasure`
-        #: has folded ``executed`` into its prefix token.  Only the
-        #: cache reads or writes it; it relies on ``executed`` growing
-        #: through :meth:`record` alone.
-        self.prefix_cursor: tuple[object, int, int] = (None, 0, 0)
 
     def record(self, plan: PlanLike) -> None:
         """Mark *plan* as executed."""
@@ -94,10 +88,18 @@ class UtilityMeasure(ABC):
     #: True when utility ignores the executed set entirely.
     context_free: bool = True
 
-    #: False when values depend on live source health, so memoizing
-    #: them would go stale; wrappers forward their inner measure's flag
-    #: (composition rule: :mod:`repro.resilience.measure`).
-    cacheable: bool = True
+    @property
+    def cacheable(self) -> bool:
+        """May a memoized value of this measure be reused?
+
+        Only a context-free one: an orderer re-evaluates a plan only
+        after its context has recorded another, so a context-dependent
+        value could hit only in another run with the same executed
+        prefix.  Wrappers forward their inner measure's answer, and a
+        health-aware one says False (composition rule:
+        :mod:`repro.resilience.measure`).
+        """
+        return self.context_free
 
     # -- contexts ---------------------------------------------------------------
 
@@ -192,7 +194,10 @@ class DelegatingMeasure(UtilityMeasure):
         self.is_fully_monotonic = inner.is_fully_monotonic
         self.has_diminishing_returns = inner.has_diminishing_returns
         self.context_free = inner.context_free
-        self.cacheable = inner.cacheable
+
+    @property
+    def cacheable(self) -> bool:
+        return self.inner.cacheable
 
     def new_context(self) -> ExecutionContext:
         return self.inner.new_context()

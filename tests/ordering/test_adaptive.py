@@ -165,6 +165,35 @@ class TestResort:
         # re-scored head, which is why the re-sort was not suppressed.
         assert event["frontier_hi"] > event["head_utility"]
 
+    @pytest.mark.parametrize("inner_name", ["exhaustive", "idrips", "streamer"])
+    def test_a_restarted_orderer_continues_from_every_executed_plan(
+        self, inner_name
+    ):
+        # Coverage is conditional: after the restart each plan must be
+        # the argmax of u(p | every plan already executed), which only
+        # holds if the executed prefix is replayed into the new context.
+        scenario = lav_scenario(3)
+        epoch = HealthEpoch()
+        adaptive = AdaptiveOrderer(
+            scenario.measure("coverage"),
+            inner_factory=INNER_FACTORIES[inner_name],
+            epoch=epoch,
+        )
+        stream = adaptive.order(scenario.space, 8)
+        got = [next(stream) for _ in range(3)]
+        epoch.bump()
+        got.extend(stream)
+        assert adaptive.reorders == 1
+        oracle = scenario.measure("coverage")
+        context = oracle.new_context()
+        remaining = list(scenario.space.plans())
+        for entry in got:
+            best = max(oracle.evaluate(plan, context) for plan in remaining)
+            assert entry.utility == pytest.approx(best), entry.rank
+            assert oracle.evaluate(entry.plan, context) == pytest.approx(best)
+            remaining.remove(entry.plan)
+            context.record(entry.plan)
+
     def test_insensitive_measure_suppresses_the_resort(self):
         # LinearCost never reads failure rates: the epoch moves but the
         # head still dominates, so the wrapper must not restart.

@@ -355,7 +355,7 @@ class TestOneRoadOverTCP:
                     "na",
                     "error",
                     "AnyK requires a fully monotonic measure, which "
-                    "'coverage+memo' does not provide; 'auto' picks "
+                    "'coverage' does not provide; 'auto' picks "
                     "'streamer' for it",
                 )
             ]

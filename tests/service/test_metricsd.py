@@ -76,6 +76,32 @@ class TestMetricsEndpoint:
             server.server_close()
         assert capsys.readouterr().err == ""
 
+    def test_a_scraper_that_hangs_up_before_the_headers_ends_quietly(
+        self, capsys
+    ):
+        # The reset lands while the text is still being rendered, so
+        # the first write that fails is the flush of the headers.
+        rendering, hung_up = threading.Event(), threading.Event()
+
+        def text_fn():
+            rendering.set()
+            assert hung_up.wait(timeout=5.0)
+            return "x"
+
+        server, _thread = start_metrics_server(text_fn)
+        try:
+            before = set(threading.enumerate())
+            sock = socket.create_connection(("127.0.0.1", server.port))
+            sock.sendall(b"GET /metrics HTTP/1.0\r\n\r\n")
+            assert rendering.wait(timeout=5.0)
+            reset(sock)
+            hung_up.set()
+            join_threads_since(before)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert capsys.readouterr().err == ""
+
     def test_healthz(self, metrics_server):
         with _get(metrics_server.port, "/healthz") as response:
             assert response.status == 200

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.errors import ServiceError, ServiceOverloadedError
+from repro.observability.caching import CachingUtilityMeasure
 from repro.observability.journal import EventJournal
 from repro.observability.metrics import MetricRegistry
 from repro.resilience.manager import ResilienceManager
@@ -20,6 +21,7 @@ from repro.service.server import (
     ServiceConfig,
     resolve_orderer_name,
 )
+from repro.service.workloads import service_workload
 from repro.utility.cost import LinearCost
 from repro.utility.coverage import CoverageUtility
 from tests.journal_reader import events
@@ -153,6 +155,22 @@ class TestSharedState:
         result = service.execute(QueryRequest(query=movies.query))
         assert result.status == "ok"
         assert measure.hits > hits_before
+
+    def test_a_context_dependent_measure_is_served_uncached(self):
+        catalog, facts, measures, query = service_workload("random-lav", 0)
+        service = QueryService(catalog, facts, measures=measures)
+        assert type(service.shared_measure("coverage")) is CoverageUtility
+        linear = service.shared_measure("linear")
+        assert isinstance(linear, CachingUtilityMeasure)
+        service.execute(QueryRequest(query=query, measure="linear"))
+        entries = service.registry.get("utility_cache.entries").value
+        assert entries > 0
+        result = service.execute(QueryRequest(query=query, measure="coverage"))
+        assert result.status == "ok" and result.report.plans_processed > 0
+        assert service.registry.get("utility_cache.entries").value == entries
+        hits = linear.hits
+        service.execute(QueryRequest(query=query, measure="linear"))
+        assert linear.hits > hits
 
     def test_shared_measure_is_one_instance_per_name(self, movies):
         service = make_service(movies)

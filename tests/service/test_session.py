@@ -14,6 +14,7 @@ from repro.observability.tracing import Tracer
 from repro.ordering.bruteforce import PIOrderer
 from repro.ordering.greedy import GreedyOrderer
 from repro.resilience.chaos import ChaosBackend, ChaosProfile, FaultProfile
+from repro.service import session as session_module
 from repro.service.backends import InMemoryBackend
 from repro.service.policy import CancellationToken, RequestPolicy, RetryPolicy
 from repro.service.server import QueryRequest, QueryService
@@ -131,29 +132,52 @@ class TestBudgets:
         full, _ = run(session, movies.query, utility)
         assert len(batches) < len(full)
 
-    def test_a_satisfied_request_stops_ordering(self, movies, backend):
+    def test_a_satisfied_request_stops_ordering(
+        self, movies, backend, monkeypatch
+    ):
         # Once the consumer has left, the producer orders at most the
-        # plan it was putting: every plan past the queue, the worker and
-        # that one is work nobody reads.
-        ordered = []
+        # plan it was ordering then: every later plan is work nobody
+        # reads.  Only plans ordered after the consumer set the
+        # request's stop event count, and until the request is
+        # satisfied the orderer waits for the consumer to come within
+        # two batches before it orders another plan, so a starved
+        # consumer cannot let the pipeline finish the space first.
+        runs, batches, left_when_ordered = [], [], []
+        consumed = threading.Condition()
 
-        class Counting(PIOrderer):
+        class Recorded(session_module._SessionRun):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+        class Paced(PIOrderer):
             def order(self, *args, **kwargs):
                 for plan in super().order(*args, **kwargs):
-                    ordered.append(plan)
+                    left_when_ordered.append(runs[-1].stop.is_set())
                     yield plan
+                    with consumed:
+                        while not (
+                            len(batches) + 2 > len(left_when_ordered)
+                            or session.last_report.satisfied
+                        ):
+                            consumed.wait(timeout=0.005)
 
+        monkeypatch.setattr(session_module, "_SessionRun", Recorded)
         session = PipelinedSession(
             Mediator(movies.catalog, movies.source_facts),
             executor_workers=1, queue_depth=1, backend=BACKENDS[backend](),
         )
-        batches, report = run(
-            session, movies.query, LinearCost(),
-            orderer=Counting(LinearCost()),
+        for batch in session.stream(
+            movies.query, LinearCost(),
+            orderer=Paced(LinearCost()),
             policy=RequestPolicy(first_k_answers=1),
-        )
-        assert report.satisfied and len(batches) < 9
-        assert len(ordered) <= len(batches) + 3
+        ):
+            with consumed:
+                batches.append(batch)
+                consumed.notify_all()
+        assert session.last_report.satisfied and len(batches) < 9
+        assert sum(left_when_ordered) <= 1
+        assert len(left_when_ordered) < movies.space.size
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))

@@ -67,7 +67,7 @@ from repro.sources.catalog import Catalog, SourceDescription
 from repro.sources.overlap import OverlapModel
 from repro.sources.statistics import SourceStats
 from repro.utility import boxes, cost, monetary
-from repro.utility.base import UtilityMeasure
+from repro.utility.base import ExecutionContext, UtilityMeasure
 from repro.utility.boxes import DisjointBoxUnion
 from repro.utility.coverage import CoverageUtility
 from repro.utility.cost import LinearCost
@@ -493,6 +493,14 @@ PROBES = {
             lambda: prometheus.sanitize_metric_name("9a") != "repro_9a",
         "`render_registry(extra_gauges=)`":
             lambda: "extra_gauges" in params(prometheus.render_registry),
+        "context-free measures use token 0 and build no table":
+            lambda: has(caching.CachingUtilityMeasure, "_context_token"),
+        "a context folded by another cache starts over":
+            lambda: has(ExecutionContext(), "prefix_cursor"),
+        "a context remembers how far it was folded":
+            lambda: has(ExecutionContext(), "prefix_cursor"),
+        "tokens interned under the lock":
+            lambda: has(caching.CachingUtilityMeasure(LinearCost()), "_prefixes"),
         "`CachingUtilityMeasure.clear()`": lambda: has(caching.CachingUtilityMeasure, "clear"),
         "`utility_cache.concrete_hits` / `abstract_hits`":
             lambda: cache_registers("utility_cache.concrete_hits", "utility_cache.abstract_hits"),

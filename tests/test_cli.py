@@ -145,6 +145,22 @@ class TestOrderObservability:
         assert "utility_cache.misses" in metrics
         assert metrics["utility_cache.misses"]["value"] > 0
 
+    @pytest.mark.parametrize("measure", ["coverage", "monetary-caching"])
+    def test_cache_over_a_context_dependent_measure_is_a_usage_error(
+        self, capsys, measure
+    ):
+        argv = ["order", "--bucket-size", "4", "-k", "2", "--cache"]
+        if measure != "coverage":  # coverage is --measure's default
+            argv += ["--measure", measure]
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        assert stopped.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert f"context-free measures only; {measure!r}" in line
+
     def test_cache_preserves_printed_ordering(self, capsys):
         args = [
             "order", "--algorithm", "pi", "--measure", "linear",
