@@ -1,7 +1,7 @@
 """Static analysis for the repro codebase and its scenarios.
 
-The package hosts a shared diagnostics core (the rule table,
-severities, a text report) and three rule families:
+The package hosts a shared diagnostics core (the finding record and a
+text report) and three rule families, each a tuple of checkers:
 
 * the **scenario linter** (:mod:`repro.analysis.scenario`) spot-checks
   each utility measure's declared structural flags on the bundled
@@ -22,17 +22,9 @@ Entry points: ``repro lint`` on the command line, or
 from repro.analysis.diagnostics import (
     Diagnostic,
     Location,
-    Severity,
     render_text,
     sort_diagnostics,
     summarize,
-)
-from repro.analysis.registry import (
-    FAMILY_CODE,
-    FAMILY_CONCURRENCY,
-    FAMILY_SCENARIO,
-    RULES,
-    Rule,
 )
 from repro.analysis.runner import (
     BUILTIN_SCENARIOS,
@@ -48,14 +40,8 @@ from repro.analysis.scenario import ScenarioContext
 __all__ = [
     "BUILTIN_SCENARIOS",
     "Diagnostic",
-    "FAMILY_CODE",
-    "FAMILY_CONCURRENCY",
-    "FAMILY_SCENARIO",
     "Location",
-    "RULES",
-    "Rule",
     "ScenarioContext",
-    "Severity",
     "builtin_scenarios",
     "lint_code",
     "lint_concurrency",

@@ -1,40 +1,24 @@
-"""Shared AST plumbing for the code-rule family.
+"""Shared AST plumbing for the code and concurrency rule families.
 
-A :class:`CodeModule` bundles a parsed module with its source text and
-the per-line suppression directives.  Suppressions use the form::
-
-    risky_call()  # lint: allow[lock-discipline] reason...
-
-naming the rule by slug or id; the directive may sit on the flagged
-line or on the line directly above it.  Rules never look at
-suppressions themselves — the runner filters centrally so every rule
-gets them for free.
+A :class:`CodeModule` is one parsed module and its path; the helpers
+below name the attribute chains, lock names and yields the rules read.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-import tokenize
-from dataclasses import dataclass, field
-from io import StringIO
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import AnalysisError
 
-#: ``# lint: allow[rule, rule2] optional free-text reason``
-_ALLOW_RE = re.compile(r"#\s*lint:\s*allow\[([^\]]+)\]")
-
 
 @dataclass
 class CodeModule:
-    """One parsed Python module plus its lint-relevant source context."""
+    """One parsed Python module."""
 
     path: str
-    source: str
     tree: ast.Module
-    #: line number -> frozenset of allowed rule ids/slugs on that line.
-    allows: dict[int, frozenset[str]] = field(default_factory=dict)
 
     @classmethod
     def from_source(cls, source: str, path: str = "<string>") -> "CodeModule":
@@ -44,7 +28,7 @@ class CodeModule:
             raise AnalysisError(
                 f"cannot parse {path}: {exc.msg} (line {exc.lineno})"
             ) from exc
-        return cls(path, source, tree, _collect_allows(source))
+        return cls(path, tree)
 
     @classmethod
     def from_file(cls, path: str) -> "CodeModule":
@@ -54,41 +38,6 @@ class CodeModule:
         except OSError as exc:
             raise AnalysisError(f"cannot read {path}: {exc}") from exc
         return cls.from_source(source, path)
-
-    def allowed(self, line: int, rule_id: str, slug: str) -> bool:
-        """Is the rule suppressed at *line* (same line or the one above)?"""
-        for candidate in (line, line - 1):
-            names = self.allows.get(candidate)
-            if names and (rule_id in names or slug in names):
-                return True
-        return False
-
-
-def _collect_allows(source: str) -> dict[int, frozenset[str]]:
-    """Map line numbers to the rule names allowed there.
-
-    Uses the tokenizer rather than a per-line regex so directives
-    inside string literals don't count as suppressions.
-    """
-    allows: dict[int, frozenset[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _ALLOW_RE.search(token.string)
-            if match is None:
-                continue
-            names = frozenset(
-                name.strip() for name in match.group(1).split(",") if name.strip()
-            )
-            if names:
-                line = token.start[0]
-                allows[line] = allows.get(line, frozenset()) | names
-    except tokenize.TokenError:
-        # A tokenizer hiccup only costs suppressions, not findings.
-        pass
-    return allows
 
 
 # -- small AST helpers ------------------------------------------------------------
@@ -155,39 +104,6 @@ def base_names(cls: ast.ClassDef) -> tuple[str, ...]:
         elif isinstance(base, ast.Name):
             names.append(base.id)
     return tuple(names)
-
-
-def has_yield(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """Does the function body itself yield (nested defs excluded)?"""
-    for node in _walk_own_body(func):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-    return False
-
-
-def first_yield_line(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Optional[int]:
-    """Line of the function's first own yield, or None."""
-    best: Optional[int] = None
-    for node in _walk_own_body(func):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            if best is None or node.lineno < best:
-                best = node.lineno
-    return best
-
-
-def _walk_own_body(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested defs."""
-    stack: list[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def names_in(node: ast.AST) -> set[str]:

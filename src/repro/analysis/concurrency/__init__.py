@@ -17,27 +17,39 @@ deadlock cycles (CON001), thread-escaping unguarded state (CON002),
 blocking under a held mutex (CON003), and conformance of journal
 emit sites to the live event schema (CON004).
 
-Entry point: :func:`build_model` — or ``repro lint --concurrency`` /
-``repro lint --select CON`` from the command line.
+Entry point: :func:`build_model` — or ``repro lint --concurrency``
+from the command line.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-# Importing the rule modules registers their checkers.
-from repro.analysis.concurrency import contracts as _contracts  # noqa: F401
-from repro.analysis.concurrency import rules as _rules  # noqa: F401
+from repro.analysis.astutils import CodeModule
+from repro.analysis.concurrency.contracts import check_journal_contract
 from repro.analysis.concurrency.facts import ModuleFacts, extract_module
 from repro.analysis.concurrency.model import ProgramModel
-from repro.analysis.astutils import CodeModule
+from repro.analysis.concurrency.rules import (
+    check_blocking_under_lock,
+    check_potential_deadlock,
+    check_unguarded_shared_state,
+)
 
 __all__ = [
+    "CONCURRENCY_RULES",
     "ModuleFacts",
     "ProgramModel",
     "build_model",
     "extract_module",
 ]
+
+#: The concurrency family, run once over the joined model.
+CONCURRENCY_RULES = (
+    check_potential_deadlock,
+    check_unguarded_shared_state,
+    check_blocking_under_lock,
+    check_journal_contract,
+)
 
 
 def build_model(modules: Iterable[CodeModule]) -> ProgramModel:

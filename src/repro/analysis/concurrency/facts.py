@@ -4,13 +4,13 @@ Each module is reduced to a :class:`ModuleFacts` record — classes,
 their lock attributes, and per-method summaries of what runs with
 which locks held.  Facts are purely syntactic and local to one file;
 :mod:`repro.analysis.concurrency.model` later joins them into a
-whole-program view (alias resolution, call-graph closure, lock-order
+whole-program view (type inference, call-graph closure, lock-order
 graph).
 
 The extractor deliberately shares COD001's vocabulary (``with
 self.<lock>:`` regions, ``self.<attr>`` accesses) but records *where*
-and *under which locks* every access, call, and blocking operation
-happens, instead of collapsing to a guarded/unguarded bit.
+every access happens and *under which locks* every call and blocking
+operation happens, instead of collapsing to a guarded/unguarded bit.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.analysis.astutils import (
     attribute_chain,
     base_names,
     is_lock_name,
+    lock_context_attr,
 )
 
 #: A dotted attribute path, e.g. ``("self", "registry", "lock")``.
@@ -31,8 +32,7 @@ Chain = tuple[str, ...]
 
 #: ``threading`` constructor name -> lock kind.  The kind matters for
 #: cycle reporting: re-acquiring an RLock/Condition on the same
-#: instance is legal, re-acquiring a plain Lock self-deadlocks, and
-#: semaphores are admission bounds rather than mutexes.
+#: instance is legal, re-acquiring a plain Lock self-deadlocks.
 LOCK_CTORS = {
     "Lock": "lock",
     "RLock": "rlock",
@@ -41,49 +41,28 @@ LOCK_CTORS = {
     "BoundedSemaphore": "semaphore",
 }
 
-#: Constructors whose instances are internally synchronized; attributes
-#: holding one are exempt from CON002 (the object IS the guard).
-THREADSAFE_CTORS = frozenset(
-    {
-        "Queue",
-        "LifoQueue",
-        "PriorityQueue",
-        "SimpleQueue",
-        "Event",
-        "Barrier",
-        "deque",
-        *LOCK_CTORS,
-    }
-)
-
 #: Attribute-call names treated as potentially long-blocking I/O.
 _SOCKET_BLOCKERS = frozenset(
     {"recv", "recv_into", "accept", "sendall", "readline", "connect",
      "create_connection"}
 )
 
-#: Receiver-name fragments that mark a ``.join()`` target as a
-#: thread/process handle rather than a string.
-_JOINABLE_FRAGMENTS = ("thread", "worker", "proc", "producer", "consumer")
-
 
 @dataclass(frozen=True)
 class Acquisition:
-    """One lock acquisition site (``with`` item or ``.acquire()``)."""
+    """One lock acquisition site: a ``with`` item."""
 
     chain: Chain
     line: int
-    held: tuple[Chain, ...]
 
 
 @dataclass(frozen=True)
 class Access:
-    """One ``self.<attr>`` access with the locks held at that point."""
+    """One ``self.<attr>`` access: a store or delete, or a read."""
 
     attr: str
     line: int
     is_write: bool
-    held: tuple[Chain, ...]
 
 
 @dataclass(frozen=True)
@@ -105,8 +84,6 @@ class CallSite:
     #: Positional/keyword args that are themselves attribute chains
     #: (``registry=self.registry``) — keyed by position int or kw name.
     arg_chains: tuple[tuple[object, Chain], ...] = ()
-    #: Args that are direct constructor calls (``registry=MetricRegistry()``).
-    arg_ctors: tuple[tuple[object, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -117,20 +94,17 @@ class BlockingCall:
     kind: str
     line: int
     held: tuple[Chain, ...]
-    receiver: Optional[Chain] = None
 
 
 @dataclass(frozen=True)
 class ThreadSpawn:
-    """A thread entry point registered in this method.
+    """A ``Thread(target=self.<method>)`` spawn in this method.
 
-    ``target`` is ``("self", "method")`` (possibly a nested-def
-    qualname like ``stream.produce``), ``("self", "attr.method")`` for
-    a spawn through a typed attribute, or ``("func", "name")`` for a
-    module-level function target.
+    ``target`` is the method's qualname in the spawning class: a plain
+    method, or a nested def like ``_pipeline.produce``.
     """
 
-    target: tuple[str, str]
+    target: str
     line: int
 
 
@@ -164,8 +138,6 @@ class ClassFacts:
     param_attrs: dict[str, str] = field(default_factory=dict)
     #: attr -> class name of the constructor assigned to it.
     attr_types: dict[str, str] = field(default_factory=dict)
-    #: attrs holding internally-synchronized objects (queues, events).
-    threadsafe_attrs: set[str] = field(default_factory=set)
     #: method/property name -> own lock attr it returns.
     lock_props: dict[str, str] = field(default_factory=dict)
     #: __init__ parameters after self, in declaration order.
@@ -178,13 +150,11 @@ class ClassFacts:
 
 @dataclass(frozen=True)
 class EmitSite:
-    """One ``journal.emit(...)`` call site (for CON004)."""
+    """One ``.emit(...)`` call site (for CON004)."""
 
     event: Optional[str]
     literal_kwargs: frozenset[str]
-    has_dynamic: bool
     line: int
-    receiver: str
 
 
 @dataclass
@@ -192,7 +162,6 @@ class ModuleFacts:
     """The phase-1 summary of one parsed module."""
 
     path: str
-    module: CodeModule
     classes: dict[str, ClassFacts] = field(default_factory=dict)
     functions: dict[str, MethodFacts] = field(default_factory=dict)
     emits: list[EmitSite] = field(default_factory=list)
@@ -227,42 +196,10 @@ def _ctor_candidates(value: ast.expr) -> list[str]:
     return names
 
 
-def _param_candidates(value: ast.expr, params: set[str]) -> list[str]:
-    """__init__ params the RHS may alias (directly or via or/ternary)."""
-    found: list[str] = []
-    stack = [value]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Name) and node.id in params:
-            found.append(node.id)
-        elif isinstance(node, ast.IfExp):
-            stack.extend((node.body, node.orelse))
-        elif isinstance(node, ast.BoolOp):
-            stack.extend(node.values)
-    return found
-
-
-def _lockish_chain(node: ast.AST) -> Optional[Chain]:
-    """The attribute chain of *node* when its last segment looks lock-ish."""
-    chain = attribute_chain(node)
-    if chain and len(chain) >= 2 and is_lock_name(chain[-1]):
-        return chain
-    return None
-
-
 def _has_timeout(call: ast.Call) -> bool:
     if call.args:
         return True
     return any(kw.arg in ("timeout",) for kw in call.keywords)
-
-
-def _joinable(receiver: Chain, local_types: dict[str, str]) -> bool:
-    last = receiver[-1].lower()
-    if any(fragment in last for fragment in _JOINABLE_FRAGMENTS):
-        return True
-    if len(receiver) == 1:
-        return local_types.get(receiver[0], "") in ("Thread", "Process")
-    return False
 
 
 # -- the per-function walker --------------------------------------------------------
@@ -271,10 +208,8 @@ def _joinable(receiver: Chain, local_types: dict[str, str]) -> bool:
 class _FunctionWalker:
     """Walks one function body tracking the set of held locks.
 
-    ``with <lock>:`` regions are precise; a statement-level
-    ``.acquire()`` conservatively holds to the end of the enclosing
-    block unless a ``.release()`` on the same chain appears later in
-    that block.
+    Only ``with <lock>:`` regions hold a lock; an explicit
+    ``.acquire()``/``.release()`` pair is not modelled.
     """
 
     def __init__(
@@ -295,115 +230,52 @@ class _FunctionWalker:
     def _snapshot(self) -> tuple[Chain, ...]:
         return tuple(self._held)
 
-    def _canon(self, chain: Chain) -> Chain:
-        """Rewrite a local-rooted chain to carry its receiver type.
-
-        ``run.cond`` where ``run = _SessionRun(...)`` becomes
-        ``("@type", "_SessionRun", "cond")`` so phase 2 can resolve it
-        without the (extraction-local) variable environment.
-        """
-        if chain and chain[0] != "self" and chain[0] in self.local_types:
-            return ("@type", self.local_types[chain[0]], *chain[1:])
-        return chain
-
     # -- statements -----------------------------------------------------------------
 
     def walk_body(self, body: list[ast.stmt]) -> None:
-        acquired_here: list[Chain] = []
         for stmt in body:
-            released = self._walk_stmt(stmt, acquired_here)
-            for chain in released:
-                if chain in acquired_here:
-                    acquired_here.remove(chain)
-                    self._held.remove(chain)
-        for chain in acquired_here:
-            self._held.remove(chain)
+            self._walk_stmt(stmt)
 
-    def _walk_stmt(
-        self, stmt: ast.stmt, acquired_here: list[Chain]
-    ) -> list[Chain]:
-        """Walk one statement; returns chains released by it."""
+    def _walk_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self._walk_nested_def(stmt)
-            return []
-        if isinstance(stmt, ast.ClassDef):
-            return []
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             self._walk_with(stmt)
-            return []
-        if isinstance(stmt, (ast.If, ast.While)):
+        elif isinstance(stmt, (ast.If, ast.While)):
             self._walk_expr(stmt.test)
-            # `if not lock.acquire(timeout=...): return` — the success
-            # path below holds the lock for the rest of the block.
-            for call in self._own_calls(stmt.test):
-                chain = attribute_chain(call.func)
-                if (
-                    chain
-                    and len(chain) >= 2
-                    and chain[-1] == "acquire"
-                    and is_lock_name(chain[-2])
-                ):
-                    lock = self._canon(chain[:-1])
-                    if lock not in self._held:
-                        self.facts.acquisitions.append(
-                            Acquisition(lock, call.lineno, self._snapshot())
-                        )
-                        self._held.append(lock)
-                        acquired_here.append(lock)
             self.walk_body(stmt.body)
             self.walk_body(stmt.orelse)
-            return []
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._walk_expr(stmt.iter)
             self._walk_expr(stmt.target)
             self.walk_body(stmt.body)
             self.walk_body(stmt.orelse)
-            return []
-        if isinstance(stmt, ast.Try):
+        elif isinstance(stmt, ast.Try):
             self.walk_body(stmt.body)
             for handler in stmt.handlers:
                 self.walk_body(handler.body)
             self.walk_body(stmt.orelse)
             self.walk_body(stmt.finalbody)
-            return []
-        # Leaf statements: record local constructor types, then walk
-        # every expression, then look for explicit acquire/release.
-        if isinstance(stmt, ast.Assign):
-            ctor = _ctor_name(stmt.value)
-            if ctor is not None:
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        self.local_types[target.id] = ctor
-        released: list[Chain] = []
-        for node in ast.iter_child_nodes(stmt):
-            self._walk_expr(node)
-        for call in self._own_calls(stmt):
-            chain = attribute_chain(call.func)
-            if not chain or len(chain) < 2:
-                continue
-            if chain[-1] == "acquire" and is_lock_name(chain[-2]):
-                lock = self._canon(chain[:-1])
-                if lock not in self._held:
-                    self.facts.acquisitions.append(
-                        Acquisition(lock, call.lineno, self._snapshot())
-                    )
-                    self._held.append(lock)
-                    acquired_here.append(lock)
-            elif chain[-1] == "release" and is_lock_name(chain[-2]):
-                released.append(self._canon(chain[:-1]))
-        return released
+        else:
+            # Leaf statements: record local constructor types, then
+            # walk every expression.
+            if isinstance(stmt, ast.Assign):
+                ctor = _ctor_name(stmt.value)
+                if ctor is not None:
+                    for target in stmt.targets:
+                        if isinstance(target, ast.Name):
+                            self.local_types[target.id] = ctor
+            for node in ast.iter_child_nodes(stmt):
+                self._walk_expr(node)
 
     def _walk_with(self, stmt: ast.With | ast.AsyncWith) -> None:
         pushed: list[Chain] = []
         for item in stmt.items:
             self._walk_expr(item.context_expr)
-            chain = _lockish_chain(item.context_expr)
-            if chain is not None:
-                chain = self._canon(chain)
+            chain = lock_context_attr(item)
             if chain is not None and chain not in self._held:
                 self.facts.acquisitions.append(
-                    Acquisition(chain, item.context_expr.lineno,
-                                self._snapshot())
+                    Acquisition(chain, item.context_expr.lineno)
                 )
                 self._held.append(chain)
                 pushed.append(chain)
@@ -434,25 +306,9 @@ class _FunctionWalker:
 
     # -- expressions ----------------------------------------------------------------
 
-    def _own_calls(self, node: ast.AST) -> list[ast.Call]:
-        """Calls under *node*, nested function bodies excluded."""
-        found: list[ast.Call] = []
-        stack: list[ast.AST] = [node]
-        while stack:
-            current = stack.pop()
-            if isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            if isinstance(current, ast.Call):
-                found.append(current)
-            stack.extend(ast.iter_child_nodes(current))
-        return found
-
     def _walk_expr(self, node: ast.AST) -> None:
         """Record accesses/calls/blocking under *node* (no nested defs)."""
         call_funcs: set[int] = set()
-        subscript_writes: set[int] = set()
         stack: list[ast.AST] = [node]
         order: list[ast.AST] = []
         while stack:
@@ -467,36 +323,24 @@ class _FunctionWalker:
                     current.func, ast.Name
                 ):
                     call_funcs.add(id(current.func))
-            if isinstance(current, ast.Subscript) and isinstance(
-                current.ctx, (ast.Store, ast.Del)
-            ):
-                subscript_writes.add(id(current.value))
             stack.extend(ast.iter_child_nodes(current))
         for current in order:
             if isinstance(current, ast.Call):
                 self._record_call(current)
             elif isinstance(current, ast.Attribute):
-                self._record_attribute(current, call_funcs, subscript_writes)
+                self._record_attribute(current, call_funcs)
 
     def _record_attribute(
         self,
         node: ast.Attribute,
         call_funcs: set[int],
-        subscript_writes: set[int],
     ) -> None:
         if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
             return
         if id(node) in call_funcs:
             return
-        attr = node.attr
-        if is_lock_name(attr):
-            return
-        is_write = isinstance(node.ctx, (ast.Store, ast.Del)) or (
-            id(node) in subscript_writes
-        )
-        self.facts.accesses.append(
-            Access(attr, node.lineno, is_write, self._snapshot())
-        )
+        is_write = isinstance(node.ctx, (ast.Store, ast.Del))
+        self.facts.accesses.append(Access(node.attr, node.lineno, is_write))
 
     def _record_call(self, call: ast.Call) -> None:
         func = call.func
@@ -513,37 +357,16 @@ class _FunctionWalker:
         # Call-graph edges.
         callee = self._encode_callee(func, chain)
         if callee is not None:
-            arg_chains: list[tuple[object, Chain]] = []
-            arg_ctors: list[tuple[object, str]] = []
-            for index, arg in enumerate(call.args):
-                self._classify_arg(index, arg, arg_chains, arg_ctors)
-            for kw in call.keywords:
-                if kw.arg is not None:
-                    self._classify_arg(kw.arg, kw.value, arg_chains, arg_ctors)
-            self.facts.calls.append(
-                CallSite(
-                    callee,
-                    call.lineno,
-                    held,
-                    tuple(arg_chains),
-                    tuple(arg_ctors),
-                )
+            args = [
+                *enumerate(call.args),
+                *((kw.arg, kw.value) for kw in call.keywords if kw.arg),
+            ]
+            arg_chains = tuple(
+                (key, chain)
+                for key, chain in ((key, attribute_chain(value)) for key, value in args)
+                if chain is not None and chain[0] == "self"
             )
-
-    @staticmethod
-    def _classify_arg(
-        key: object,
-        value: ast.expr,
-        arg_chains: list[tuple[object, Chain]],
-        arg_ctors: list[tuple[object, str]],
-    ) -> None:
-        chain = attribute_chain(value)
-        if chain is not None and chain[0] == "self":
-            arg_chains.append((key, chain))
-            return
-        ctor = _ctor_name(value)
-        if ctor is not None:
-            arg_ctors.append((key, ctor))
+            self.facts.calls.append(CallSite(callee, call.lineno, held, arg_chains))
 
     def _encode_callee(
         self, func: ast.expr, chain: Optional[Chain]
@@ -563,30 +386,20 @@ class _FunctionWalker:
 
     def _spawn_target(
         self, call: ast.Call, chain: Optional[Chain]
-    ) -> Optional[tuple[str, str]]:
-        last = chain[-1] if chain else ""
-        target_expr: Optional[ast.expr] = None
-        if last == "Thread":
-            for kw in call.keywords:
-                if kw.arg == "target":
-                    target_expr = kw.value
-        elif last == "submit" and call.args:
-            # executor.submit(fn, ...) — only executor-ish receivers.
-            receiver = chain[:-1] if chain else ()
-            if receiver and "executor" in receiver[-1].lower():
-                target_expr = call.args[0]
-        if target_expr is None:
+    ) -> Optional[str]:
+        if self.cls is None or not chain or chain[-1] != "Thread":
             return None
-        target_chain = attribute_chain(target_expr)
-        if target_chain is not None and target_chain[0] == "self":
-            return ("self", ".".join(target_chain[1:]))
-        if isinstance(target_expr, ast.Name):
-            name = target_expr.id
-            # A sibling nested def becomes a pseudo-method qualname.
-            qual = f"{self.facts.qualname}.{name}"
-            if self.cls is not None and qual in self.sink:
-                return ("self", qual)
-            return ("func", name)
+        for kw in call.keywords:
+            if kw.arg != "target":
+                continue
+            target_chain = attribute_chain(kw.value)
+            if target_chain is not None and target_chain[0] == "self":
+                return ".".join(target_chain[1:])
+            if isinstance(kw.value, ast.Name):
+                # A sibling nested def becomes a pseudo-method qualname.
+                qual = f"{self.facts.qualname}.{kw.value.id}"
+                if qual in self.sink:
+                    return qual
         return None
 
     def _blocking(
@@ -597,35 +410,13 @@ class _FunctionWalker:
         last = chain[-1]
         receiver = chain[:-1]
         held = self._snapshot()
-        if chain[0] == "subprocess":
-            return BlockingCall(
-                f"subprocess.{'.'.join(chain[1:])}()",
-                "subprocess", call.lineno, held,
-            )
         if last in _SOCKET_BLOCKERS and receiver:
-            if last == "connect" and is_lock_name(receiver[-1]):
-                return None
             return BlockingCall(
-                f"{'.'.join(chain)}()", "socket I/O", call.lineno, held,
-                receiver,
+                f"{'.'.join(chain)}()", "socket I/O", call.lineno, held
             )
         if last == "join" and receiver and not _has_timeout(call):
-            if not _joinable(receiver, self.local_types):
-                return None
             return BlockingCall(
-                f"{'.'.join(chain)}() without timeout",
-                "join", call.lineno, held, receiver,
-            )
-        if last == "wait" and receiver and not _has_timeout(call):
-            # cond.wait() under its own condition is the whole point of
-            # a condition variable — only flag it under *other* locks.
-            canon_receiver = self._canon(receiver)
-            others = tuple(h for h in held if h != canon_receiver)
-            if canon_receiver in held and not others:
-                return None
-            return BlockingCall(
-                f"{'.'.join(chain)}() without timeout",
-                "wait", call.lineno, others, canon_receiver,
+                f"{'.'.join(chain)}() without timeout", "join", call.lineno, held
             )
         return None
 
@@ -675,20 +466,14 @@ def _extract_class(cls: ast.ClassDef, path: str) -> ClassFacts:
                 for ctor in ctors:
                     if ctor in LOCK_CTORS:
                         facts.lock_attrs.setdefault(attr, LOCK_CTORS[ctor])
-                    elif ctor in THREADSAFE_CTORS:
-                        facts.threadsafe_attrs.add(attr)
                     else:
                         facts.attr_types.setdefault(attr, ctor)
-                if in_init:
-                    for param in _param_candidates(node.value, init_params):
-                        facts.param_attrs.setdefault(attr, param)
-                if is_lock_name(attr) and attr not in facts.lock_attrs:
-                    # A lock-named attr of unknown provenance still
-                    # participates in the graph, with unknown kind.
-                    if not ctors or all(
-                        c not in THREADSAFE_CTORS for c in ctors
-                    ):
-                        facts.lock_attrs.setdefault(attr, "unknown")
+                if (
+                    in_init
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in init_params
+                ):
+                    facts.param_attrs.setdefault(attr, node.value.id)
         # Lock-returning helpers: `def lock(self): return self._lock`.
         if not in_init and len(method.body) >= 1:
             returns = [
@@ -722,39 +507,30 @@ def _extract_class(cls: ast.ClassDef, path: str) -> ClassFacts:
     return facts
 
 
-def _extract_emits(tree: ast.Module, path: str) -> list[EmitSite]:
+def _extract_emits(tree: ast.Module) -> list[EmitSite]:
     emits: list[EmitSite] = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
         if not (
-            isinstance(node.func, ast.Attribute) and node.func.attr == "emit"
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "emit"
         ):
-            continue
-        chain = attribute_chain(node.func)
-        receiver = ".".join(chain[:-1]) if chain else ""
-        if "journal" not in receiver.lower():
             continue
         event: Optional[str] = None
         if node.args and isinstance(node.args[0], ast.Constant) and isinstance(
             node.args[0].value, str
         ):
             event = node.args[0].value
-        has_dynamic = any(kw.arg is None for kw in node.keywords) or (
-            bool(node.args) and event is None
-        )
         literal_kwargs = frozenset(
             kw.arg for kw in node.keywords if kw.arg is not None
         )
-        emits.append(
-            EmitSite(event, literal_kwargs, has_dynamic, node.lineno, receiver)
-        )
+        emits.append(EmitSite(event, literal_kwargs, node.lineno))
     return emits
 
 
 def extract_module(module: CodeModule) -> ModuleFacts:
     """Reduce one parsed module to its concurrency facts."""
-    facts = ModuleFacts(path=module.path, module=module)
+    facts = ModuleFacts(path=module.path)
     for stmt in module.tree.body:
         if isinstance(stmt, ast.ClassDef):
             cls_facts = _extract_class(stmt, module.path)
@@ -770,5 +546,5 @@ def extract_module(module: CodeModule) -> ModuleFacts:
             facts.functions[stmt.name] = m_facts
             walker = _FunctionWalker(m_facts, facts.functions, {}, None)
             walker.walk_body(stmt.body)
-    facts.emits = _extract_emits(module.tree, module.path)
+    facts.emits = _extract_emits(module.tree)
     return facts

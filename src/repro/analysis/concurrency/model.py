@@ -3,19 +3,17 @@
 Joins every module's :class:`~repro.analysis.concurrency.facts.ModuleFacts`
 into one view:
 
-* **lock identity** — attribute aliases are resolved through constructor
-  assignments (``self.registry = registry or MetricRegistry()``),
-  lock-returning properties (``MetricRegistry.lock`` → ``_lock``), and
-  constructor-site parameter passing (``C(lock=self._lock)``), then
-  unified with a union-find so every syntactic path to the same lock
-  lands on one canonical node;
+* **lock identity** — a lock chain resolves through attribute types
+  (``self.registry = registry or MetricRegistry()``, or inferred from
+  a construction site) and lock-returning properties
+  (``MetricRegistry.lock`` → ``_lock``) to one ``Class.attr`` node;
 * **call graph** — call sites are resolved through ``self``, typed
   attributes, typed locals, and module-level names, and per-method
-  *may-acquire* / *may-block* summaries are closed under the call
-  graph (a bounded fixpoint);
-* **lock-order graph** — an edge ``A → B`` means some code path
-  acquires B (directly or transitively) while holding A; each edge
-  carries human-readable witnesses.
+  *may-acquire* summaries are closed under the call graph (a bounded
+  fixpoint);
+* **lock-order graph** — an edge ``A → B`` means some method calls,
+  while holding A, a method that may acquire B; each edge carries a
+  human-readable witness.
 
 Identity is type-level: all instances of a class share that class's
 lock nodes.  That is conservative for ordering (two instances can
@@ -26,7 +24,7 @@ false-negative classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.analysis.concurrency.facts import (
@@ -35,11 +33,6 @@ from repro.analysis.concurrency.facts import (
     MethodFacts,
     ModuleFacts,
 )
-
-#: Lock kinds that behave as mutual exclusion for CON003 purposes —
-#: blocking while holding a semaphore is admission control, not a
-#: critical-section stall.
-MUTEX_KINDS = frozenset({"lock", "rlock", "condition", "unknown"})
 
 #: A method key: ("ClassName", "qualname") or ("", "function_name").
 MethodKey = tuple[str, str]
@@ -54,31 +47,13 @@ class Witness:
     text: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class LockOrderEdge:
     """``held`` was held while ``acquired`` was taken somewhere."""
 
     held: str
     acquired: str
-    witnesses: list[Witness] = field(default_factory=list)
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
-
-    def find(self, key: str) -> str:
-        parent = self._parent.get(key, key)
-        if parent == key:
-            return key
-        root = self.find(parent)
-        self._parent[key] = root
-        return root
-
-    def union(self, winner: str, other: str) -> None:
-        root_w, root_o = self.find(winner), self.find(other)
-        if root_w != root_o:
-            self._parent[root_o] = root_w
+    witness: Witness
 
 
 class ProgramModel:
@@ -95,13 +70,10 @@ class ProgramModel:
         self.functions: dict[str, MethodFacts] = {}
         #: Every analyzable method, keyed for call-graph traversal.
         self.methods: dict[MethodKey, MethodFacts] = {}
-        self._aliases = _UnionFind()
-        #: canonical node -> lock kind.
+        #: lock node -> lock kind.
         self.kinds: dict[str, str] = {}
         #: method key -> {lock node -> acquisition witness}.
         self.may_acquire: dict[MethodKey, dict[str, Witness]] = {}
-        #: method key -> {blocking desc -> witness}.
-        self.may_block: dict[MethodKey, dict[str, Witness]] = {}
         #: (held node, acquired node) -> edge.
         self.edges: dict[tuple[str, str], LockOrderEdge] = {}
         self._build()
@@ -111,7 +83,7 @@ class ProgramModel:
     def _build(self) -> None:
         self._index()
         self._infer_attr_types()
-        self._unify_locks()
+        self._lock_kinds()
         self._close_summaries()
         self._build_edges()
 
@@ -140,39 +112,26 @@ class ProgramModel:
     # -- attribute-type inference ---------------------------------------------------
 
     def _infer_attr_types(self) -> None:
-        """Propagate constructor types through constructor call sites.
+        """Propagate attribute types through constructor call sites.
 
         ``QueryService(registry=self.registry)`` teaches
         ``QueryService.registry`` the type the caller's ``registry``
-        attribute already has.  A few rounds reach the fixpoint; the
-        bound only guards against pathological alias chains.
+        attribute already has.  One pass in method order.
         """
-        for _ in range(5):
-            changed = False
-            for key in sorted(self.methods):
-                method = self.methods[key]
-                caller_cls = self.class_of(method.class_name)
-                for call in method.calls:
-                    target = self._ctor_class(call.callee)
-                    if target is None:
+        for key in sorted(self.methods):
+            method = self.methods[key]
+            caller_cls = self.class_of(method.class_name)
+            for call in method.calls:
+                target = self._ctor_class(call.callee)
+                if target is None:
+                    continue
+                for param, chain in self._call_chains(call, target):
+                    attr = self._param_attr(target, param)
+                    if attr is None or attr in target.attr_types:
                         continue
-                    for param, ctor in self._call_params(call, target):
-                        attr = self._param_attr(target, param)
-                        if attr is None or attr in target.attr_types:
-                            continue
-                        if ctor is not None:
-                            target.attr_types[attr] = ctor
-                            changed = True
-                    for param, chain in self._call_chains(call, target):
-                        attr = self._param_attr(target, param)
-                        if attr is None or attr in target.attr_types:
-                            continue
-                        inferred = self._chain_type(caller_cls, chain)
-                        if inferred is not None:
-                            target.attr_types[attr] = inferred
-                            changed = True
-            if not changed:
-                break
+                    inferred = self._chain_type(caller_cls, chain)
+                    if inferred is not None:
+                        target.attr_types[attr] = inferred
 
     def _ctor_class(self, callee: Chain) -> Optional[ClassFacts]:
         if len(callee) == 2 and callee[0] == "@name":
@@ -193,13 +152,6 @@ class ProgramModel:
         if isinstance(key, int) and 0 <= key < len(cls.init_params):
             return cls.init_params[key]
         return None
-
-    def _call_params(self, call, cls: ClassFacts):
-        for key, ctor in call.arg_ctors:
-            param = self._param_name(cls, key)
-            if param is not None:
-                yield param, ctor
-        return
 
     def _call_chains(self, call, cls: ClassFacts):
         for key, chain in call.arg_chains:
@@ -229,52 +181,18 @@ class ProgramModel:
 
     # -- lock identity --------------------------------------------------------------
 
-    def _unify_locks(self) -> None:
-        for module in self.modules:
-            for cls_name in sorted(module.classes):
-                cls = module.classes[cls_name]
-                if cls_name in self._ambiguous:
-                    continue
-                for attr, kind in sorted(cls.lock_attrs.items()):
-                    node = f"{cls_name}.{attr}"
-                    existing = self.kinds.get(node)
-                    if existing is None or existing == "unknown":
-                        self.kinds[node] = kind
-        # Constructor-site lock passing: C(lock=self._lock) aliases
-        # C.<attr-of-that-param> with the caller's lock node.
-        for key in sorted(self.methods):
-            method = self.methods[key]
-            caller_cls = self.class_of(method.class_name)
-            for call in method.calls:
-                target = self._ctor_class(call.callee)
-                if target is None:
-                    continue
-                for param, chain in self._call_chains(call, target):
-                    attr = self._param_attr(target, param)
-                    if attr is None or attr not in target.lock_attrs:
-                        continue
-                    source = self._resolve_chain(caller_cls, chain)
-                    if source is None:
-                        continue
-                    self._aliases.union(source, f"{target.name}.{attr}")
+    def _lock_kinds(self) -> None:
+        for cls_name in sorted(self.classes):
+            for attr, kind in sorted(self.classes[cls_name].lock_attrs.items()):
+                self.kinds[f"{cls_name}.{attr}"] = kind
 
-    def _resolve_chain(
+    def lock_node(
         self, cls: Optional[ClassFacts], chain: Chain
     ) -> Optional[str]:
-        """Resolve a lock chain to a raw (pre-union) node key."""
-        if not chain:
+        """The ``Class.attr`` node of a ``self.…`` lock chain, if it resolves."""
+        if cls is None or not chain or chain[0] != "self":
             return None
-        if chain[0] == "@type":
-            start = self.class_of(chain[1])
-            if start is None:
-                return f"{chain[1]}.{'.'.join(chain[2:])}"
-            return self._resolve_from(start, chain[2:])
-        if chain[0] == "self":
-            if cls is None:
-                return None
-            return self._resolve_from(cls, chain[1:])
-        # Bare-name or unresolvable root: keep it opaque but stable.
-        return ".".join(chain)
+        return self._resolve_from(cls, chain[1:])
 
     def _resolve_from(
         self, cls: ClassFacts, rest: Chain
@@ -282,37 +200,16 @@ class ProgramModel:
         if not rest:
             return None
         current = cls
-        for index, segment in enumerate(rest[:-1]):
+        for segment in rest[:-1]:
             next_name = current.attr_types.get(segment)
             next_cls = self.class_of(next_name) if next_name else None
             if next_cls is None:
-                # Unresolvable middle segment: class-local opaque node.
-                return f"{current.name}.{'.'.join(rest[index:])}"
+                return None
             current = next_cls
         last = rest[-1]
         if last in current.lock_props:
             last = current.lock_props[last]
         return f"{current.name}.{last}"
-
-    def lock_node(
-        self, cls: Optional[ClassFacts], chain: Chain
-    ) -> Optional[str]:
-        """The canonical (post-union) lock node of a chain, if any."""
-        raw = self._resolve_chain(cls, chain)
-        if raw is None:
-            return None
-        return self._aliases.find(raw)
-
-    def node_kind(self, node: str) -> str:
-        kind = self.kinds.get(node)
-        if kind is not None:
-            return kind
-        lowered = node.lower()
-        if "semaphore" in lowered:
-            return "semaphore"
-        if "cond" in lowered:
-            return "condition"
-        return "unknown"
 
     # -- call resolution ------------------------------------------------------------
 
@@ -331,8 +228,6 @@ class ProgramModel:
                 return None
             # self.attr.m() flattened as "attr.m" (or deeper).
             parts = name.split(".")
-            if name in cls.methods:  # nested-def qualname
-                return (cls.name, name)
             target_type = self._chain_owner(cls, parts)
             if target_type is not None and parts[-1] in target_type.methods:
                 return (target_type.name, parts[-1])
@@ -398,16 +293,7 @@ class ProgramModel:
                     f"{self.display(key)} acquires {node}",
                 )
             self.may_acquire[key] = acquired
-            blocked: dict[str, Witness] = {}
-            for blocker in method.blocking:
-                if blocker.desc in blocked:
-                    continue
-                blocked[blocker.desc] = Witness(
-                    method.path, blocker.line,
-                    f"{self.display(key)} blocks on {blocker.desc}",
-                )
-            self.may_block[key] = blocked
-        # Close both summaries under the call graph.
+        # Close the summaries under the call graph.
         for _ in range(len(self.methods) + 1):
             changed = False
             for key in sorted(self.methods):
@@ -422,49 +308,15 @@ class ProgramModel:
                         if node not in self.may_acquire[key]:
                             self.may_acquire[key][node] = witness
                             changed = True
-                    for desc, witness in self.may_block.get(
-                        target, {}
-                    ).items():
-                        if desc not in self.may_block[key]:
-                            self.may_block[key][desc] = witness
-                            changed = True
             if not changed:
                 break
 
     # -- the lock-order graph -------------------------------------------------------
 
-    def _add_edge(
-        self, held: str, acquired: str, witness: Witness
-    ) -> None:
-        edge = self.edges.get((held, acquired))
-        if edge is None:
-            edge = LockOrderEdge(held, acquired)
-            self.edges[(held, acquired)] = edge
-        if len(edge.witnesses) < 3:
-            edge.witnesses.append(witness)
-
     def _build_edges(self) -> None:
         for key in sorted(self.methods):
             method = self.methods[key]
             cls = self.class_of(method.class_name)
-            # Direct nesting: with A: with B: ...
-            for acq in method.acquisitions:
-                node = self.lock_node(cls, acq.chain)
-                if node is None:
-                    continue
-                for held_chain in acq.held:
-                    held = self.lock_node(cls, held_chain)
-                    if held is None or held == node:
-                        continue
-                    self._add_edge(
-                        held, node,
-                        Witness(
-                            method.path, acq.line,
-                            f"{self.display(key)} acquires {node} while "
-                            f"holding {held}",
-                        ),
-                    )
-            # Transitive: call something that may acquire, lock held.
             for call in method.calls:
                 if not call.held:
                     continue
@@ -485,9 +337,10 @@ class ProgramModel:
                         if held == node:
                             # Same lock again through a call: a
                             # self-deadlock only for plain Locks.
-                            if self.node_kind(node) != "lock":
+                            if self.kinds.get(node) != "lock":
                                 continue
-                        self._add_edge(
+                        # An edge keeps the first witness, in method order.
+                        self.edges.setdefault((held, node), LockOrderEdge(
                             held, node,
                             Witness(
                                 method.path, call.line,
@@ -496,49 +349,22 @@ class ProgramModel:
                                 f"({origin.file}:{origin.line} acquires "
                                 f"{node})",
                             ),
-                        )
+                        ))
 
     # -- cycle detection ------------------------------------------------------------
 
     def lock_cycles(self) -> list[tuple[list[str], list[Witness]]]:
-        """Every elementary lock-order cycle, canonicalized and sorted.
+        """Every two-lock cycle and every self-edge, sorted.
 
-        Returns ``(cycle_nodes, witnesses)`` pairs where
-        ``cycle_nodes`` is ``[a, b, ..., a]`` starting at the cycle's
-        lexicographically smallest node, and the witnesses cover each
-        edge in order (first witness per edge).
+        Returns ``(cycle_nodes, witnesses)`` pairs: ``[a, b, a]`` with
+        ``a < b`` and the witness of each edge in order, or ``[a, a]``
+        for a plain ``Lock`` re-acquired through a call while held.
         """
-        graph: dict[str, list[str]] = {}
-        for held, acquired in sorted(self.edges):
-            graph.setdefault(held, []).append(acquired)
-        seen: set[tuple[str, ...]] = set()
-        cycles: list[tuple[list[str], list[Witness]]] = []
-        for start in sorted(graph):
-            stack = [(start, [start])]
-            while stack:
-                node, path = stack.pop()
-                for nxt in graph.get(node, ()):
-                    if nxt == start and (len(path) > 1 or (
-                        (start, start) in self.edges
-                    )):
-                        cycle = path + [start]
-                        key = self._canonical_cycle(cycle)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        witnesses = [
-                            self.edges[(cycle[i], cycle[i + 1])].witnesses[0]
-                            for i in range(len(cycle) - 1)
-                        ]
-                        cycles.append((cycle, witnesses))
-                    elif nxt not in path and len(path) < 6:
-                        stack.append((nxt, path + [nxt]))
-        cycles.sort(key=lambda pair: tuple(pair[0]))
+        cycles = []
+        for (held, acquired), edge in sorted(self.edges.items()):
+            if held == acquired:
+                cycles.append(([held, held], [edge.witness]))
+            elif held < acquired and (acquired, held) in self.edges:
+                back = self.edges[(acquired, held)]
+                cycles.append(([held, acquired, held], [edge.witness, back.witness]))
         return cycles
-
-    @staticmethod
-    def _canonical_cycle(cycle: list[str]) -> tuple[str, ...]:
-        body = cycle[:-1]
-        smallest = min(range(len(body)), key=lambda i: body[i])
-        rotated = body[smallest:] + body[:smallest]
-        return tuple(rotated)

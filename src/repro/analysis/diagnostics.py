@@ -2,31 +2,15 @@
 
 Every rule family — the scenario linter over catalogs/queries, the AST
 lint pass over the codebase and the whole-program concurrency pass —
-reports its findings as :class:`Diagnostic` records: rule id, severity,
-location, message, and an optional fix hint.  :func:`render_text` is
-the one report format.
+reports its findings as :class:`Diagnostic` records: rule id, location
+and message.  Any finding fails a lint run.  :func:`render_text` is the
+one report format.
 """
 
 from __future__ import annotations
 
-import enum
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-
-class Severity(enum.IntEnum):
-    """Finding severities, ordered so comparisons mean what they say.
-
-    Both fail a lint run; the severity only says how sure the rule is
-    that the finding is a defect.
-    """
-
-    WARNING = 20
-    ERROR = 30
-
-    def __str__(self) -> str:
-        return self.name.lower()
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -56,18 +40,11 @@ class Diagnostic:
     """One finding of one rule at one location."""
 
     rule: str
-    severity: Severity
     message: str
     location: Location
-    fix_hint: str = ""
-    #: Extra structured context (plan keys, source names, ...).
-    data: Mapping[str, object] = field(default_factory=dict)
 
     def __str__(self) -> str:
-        text = f"{self.location}: {self.rule} {self.severity}: {self.message}"
-        if self.fix_hint:
-            text += f"  [hint: {self.fix_hint}]"
-        return text
+        return f"{self.location}: {self.rule}: {self.message}"
 
 
 def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
@@ -85,16 +62,11 @@ def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
 
 
 def summarize(diagnostics: Sequence[Diagnostic]) -> str:
-    """``2 errors, 1 warning`` — or ``no findings``."""
+    """``2 findings`` — or ``no findings``."""
     if not diagnostics:
         return "no findings"
-    counts = Counter(d.severity for d in diagnostics)
-    parts = []
-    for severity in sorted(counts, reverse=True):
-        n = counts[severity]
-        noun = str(severity) + ("s" if n != 1 else "")
-        parts.append(f"{n} {noun}")
-    return ", ".join(parts)
+    count = len(diagnostics)
+    return f"{count} finding" + ("s" if count != 1 else "")
 
 
 def render_text(diagnostics: Sequence[Diagnostic]) -> str:

@@ -23,8 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from repro.analysis.diagnostics import Diagnostic, Location, Severity
-from repro.analysis.registry import FAMILY_SCENARIO, rule
+from repro.analysis.diagnostics import Diagnostic, Location
 from repro.datalog.query import ConjunctiveQuery
 from repro.errors import ReproError, UtilityError
 from repro.reformulation.buckets import bucket_candidates
@@ -74,16 +73,11 @@ def _diagnostic(
     context: ScenarioContext,
     measure: UtilityMeasure,
     message: str,
-    fix_hint: str,
-    **data: object,
 ) -> Diagnostic:
     return Diagnostic(
         rule="SCN006",
-        severity=Severity.ERROR,
         message=f"measure {measure.name!r}: {message}",
         location=Location(context.name),
-        fix_hint=fix_hint,
-        data={"measure": measure.name, **data},
     )
 
 
@@ -140,9 +134,6 @@ def _check_point_slots(
             measure,
             f"slots restricted to plan {plan} evaluate to {interval}, not "
             f"to the plan's own utility {value:g}",
-            "evaluate_slots on singleton slots must be the point "
-            "evaluate() gives; interval pruning reads this bound",
-            plan=list(plan.key),
         )
         return  # one counterexample per check is enough
 
@@ -177,9 +168,6 @@ def _check_executions(
                 f"interval evaluation is unsound: after {step} "
                 f"execution(s) evaluate_slots gave {interval} but plan "
                 f"{plan} evaluates to {value:g}",
-                "evaluate_slots must bound evaluate() for every concrete "
-                "plan of the slots, in every execution context",
-                plan=list(plan.key),
             )
         for plan, before, after in zip(plans, previous, values):
             if (
@@ -193,9 +181,6 @@ def _check_executions(
                     f"claims context freeness but plan {plan} moves from "
                     f"{before:g} to {after:g} when execution {step} is "
                     f"recorded",
-                    "clear context_free (and re-derive "
-                    "has_diminishing_returns)",
-                    plan=list(plan.key),
                 )
             if (
                 measure.has_diminishing_returns
@@ -208,9 +193,6 @@ def _check_executions(
                     f"claims diminishing returns but plan {plan} improves "
                     f"from {before:g} to {after:g} when execution {step} "
                     f"is recorded",
-                    "clear has_diminishing_returns (Streamer must not run "
-                    "on this measure)",
-                    plan=list(plan.key),
                 )
         previous = values
     yield from found.values()
@@ -241,7 +223,6 @@ def _check_full_monotonicity(
             measure,
             f"claims full monotonicity but defines no source preference "
             f"key ({exc})",
-            "implement source_preference_key or clear is_fully_monotonic",
         )
         return
     preferred = [
@@ -268,25 +249,17 @@ def _check_full_monotonicity(
                 f"{best.name!r} is preferred over {current.name!r} yet "
                 f"swapping it into plan {plan} lowers utility by "
                 f"{before - after:g}",
-                "clear is_fully_monotonic or fix source_preference_key; "
-                "Greedy would emit a suboptimal plan here",
-                bucket=bucket,
             )
             return
 
 
-@rule(
-    "SCN006",
-    "measure-property",
-    FAMILY_SCENARIO,
-    Severity.ERROR,
-    "utility measure's declared structural flags fail a sampled check",
-    "The orderers trust evaluate_slots, is_fully_monotonic, "
-    "context_free and has_diminishing_returns blindly (Greedy and "
-    "Streamer are unsound without them); a sampled counterexample "
-    "proves a flag is a lie.",
-)
 def check_measure_properties(context: ScenarioContext) -> Iterator[Diagnostic]:
+    """SCN006: a utility measure's declared structural flags fail a sampled check.
+
+    The orderers trust evaluate_slots, is_fully_monotonic, context_free
+    and has_diminishing_returns blindly (Greedy and Streamer are unsound
+    without them); a sampled counterexample proves a flag is a lie.
+    """
     plans = _sample_plans(context)
     if not plans:
         return

@@ -416,36 +416,17 @@ def _cmd_metrics_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_patterns(values: Optional[Sequence[str]]) -> tuple[str, ...]:
-    patterns: list[str] = []
-    for value in values or ():
-        patterns.extend(p.strip() for p in value.split(",") if p.strip())
-    return tuple(patterns)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import RULES, render_text, run_lint
-
-    if args.list_rules:
-        for rule_id in sorted(RULES):
-            rule = RULES[rule_id]
-            print(
-                f"{rule.id}  {rule.slug:28s} {rule.family:12s} "
-                f"{str(rule.severity):8s} {rule.summary}"
-            )
-        return 0
+    from repro.analysis import render_text, run_lint
 
     # Family flags narrow the run; with none given, all families run.
-    # A bad pattern, path or workload is an AnalysisError: exit 2.
+    # A missing or unparsable path is an AnalysisError: exit 2.
     explicit = args.code or args.scenario or args.concurrency
     diagnostics = run_lint(
         code_paths=tuple(args.paths),
-        scenario_names=tuple(args.workload or ()),
         run_code=args.code or not explicit,
         run_scenarios=args.scenario or not explicit,
         run_concurrency=args.concurrency or not explicit,
-        select=_split_patterns(args.select),
-        ignore=_split_patterns(args.ignore),
     )
     print(render_text(diagnostics))
     return 1 if diagnostics else 0
@@ -633,18 +614,10 @@ def _run(argv: list[str]) -> int:
     lint.add_argument("--code", action="store_true",
                       help="run only the AST code rules")
     lint.add_argument("--scenario", action="store_true",
-                      help="run only the scenario rules")
+                      help="run only the scenario rule, over every bundled "
+                           "workload")
     lint.add_argument("--concurrency", action="store_true",
                       help="run only the whole-program concurrency rules")
-    lint.add_argument("--workload", action="append", metavar="NAME",
-                      help="scenario to lint (repeatable; default: all "
-                           "bundled workloads)")
-    lint.add_argument("--select", action="append", metavar="RULES",
-                      help="comma-separated rule ids/slugs/prefixes to run")
-    lint.add_argument("--ignore", action="append", metavar="RULES",
-                      help="comma-separated rule ids/slugs/prefixes to skip")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalog and exit")
 
     dump = sub.add_parser("metrics-dump",
                           help="metrics JSON export -> Prometheus text")

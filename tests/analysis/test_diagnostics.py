@@ -5,38 +5,21 @@ import pytest
 from repro.analysis.diagnostics import (
     Diagnostic,
     Location,
-    Severity,
     sort_diagnostics,
 )
 
 
-def make(rule="COD999", severity=Severity.WARNING, message="m",
-         file="f.py", line=3, column=1, **kwargs):
+def make(rule="COD999", message="m", file="f.py", line=3, column=1):
     return Diagnostic(
         rule=rule,
-        severity=severity,
         message=message,
         location=Location(file, line, column),
-        **kwargs,
     )
 
 
-class TestSeverity:
-    def test_ordering(self):
-        assert Severity.WARNING < Severity.ERROR
-
-    def test_str_is_lowercase_name(self):
-        assert str(Severity.WARNING) == "warning"
-
-
 class TestDiagnostic:
-    def test_format_carries_location_rule_and_hint(self):
-        rendered = str(make(message="bad thing", fix_hint="do better"))
-        assert "f.py:3:1" in rendered
-        assert "COD999" in rendered
-        assert "warning" in rendered
-        assert "bad thing" in rendered
-        assert "do better" in rendered
+    def test_format_carries_location_rule_and_message(self):
+        assert str(make(message="bad thing")) == "f.py:3:1: COD999: bad thing"
 
 
 class TestLocation:

@@ -23,8 +23,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import RULES
+from repro.analysis import code_rules
 from repro.analysis.astutils import CodeModule
+from repro.analysis.code_rules import CODE_RULES
+from repro.analysis.concurrency import CONCURRENCY_RULES, build_model, contracts, rules
 from repro.analysis.runner import (
     builtin_scenarios,
     lint_code,
@@ -32,8 +34,24 @@ from repro.analysis.runner import (
     lint_scenarios,
     load_modules,
 )
+from repro.analysis.scenario import check_measure_properties
 
 PACKAGE = Path(repro.__file__).parent
+
+#: Every shipped rule's checker by rule id.
+CHECKERS = {
+    "COD001": code_rules.check_lock_discipline,
+    "COD002": code_rules.check_lazy_orderer_contract,
+    "COD003": code_rules.check_production_assert,
+    "COD004": code_rules.check_broad_except,
+    "COD006": code_rules.check_bare_sleep,
+    "COD007": code_rules.check_library_print,
+    "CON001": rules.check_potential_deadlock,
+    "CON002": rules.check_unguarded_shared_state,
+    "CON003": rules.check_blocking_under_lock,
+    "CON004": contracts.check_journal_contract,
+    "SCN006": check_measure_properties,
+}
 
 ROWS = [
     # A lock-free read of state every other method reads under the lock.
@@ -222,7 +240,10 @@ def rebind_module(path, source, monkeypatch):
 
 
 def test_every_kept_rule_has_a_row():
-    assert sorted({row[0] for row in ROWS}) == sorted(RULES)
+    assert set(CHECKERS.values()) == {
+        *CODE_RULES, *CONCURRENCY_RULES, check_measure_properties
+    }
+    assert sorted({row[0] for row in ROWS}) == sorted(CHECKERS)
 
 
 def row_ids():
@@ -242,19 +263,18 @@ def test_rule_catches_its_seeded_mutation(
     assert [d for d in clean_findings if d.rule == rule] == []
     source = mutated(path, snippet, replacement)
     target = str(PACKAGE / path)
+    check = CHECKERS[rule]
     if rule.startswith("COD"):
-        findings = lint_code(
-            [CodeModule.from_source(source, target)], select=[rule]
-        )
+        findings = list(check(CodeModule.from_source(source, target)))
     elif rule.startswith("CON"):
         modules = [
             CodeModule.from_source(source, target) if m.path == target else m
             for m in tree
         ]
-        findings = lint_concurrency(modules, select=[rule])
+        findings = list(check(build_model(modules)))
     else:
         rebind_module(path, source, monkeypatch)
-        findings = lint_scenarios(builtin_scenarios(), select=[rule])
+        findings = [d for c in builtin_scenarios() for d in check(c)]
         target = findings[0].location.file if findings else target
     assert findings, f"{rule} missed its seeded mutation in {path}"
     assert all(d.location.file == target for d in findings)

@@ -3,37 +3,24 @@
 from repro.analysis.diagnostics import (
     Diagnostic,
     Location,
-    Severity,
     render_text,
     summarize,
 )
 
 
-def make(severity=Severity.WARNING, message="m", file="f.py", line=3,
-         fix_hint=""):
-    return Diagnostic(
-        rule="COD999",
-        severity=severity,
-        message=message,
-        location=Location(file, line),
-        fix_hint=fix_hint,
-    )
+def make(message="m", file="f.py", line=3):
+    return Diagnostic(rule="COD999", message=message, location=Location(file, line))
 
 
 class TestSummarize:
     def test_empty(self):
         assert summarize([]) == "no findings"
 
-    def test_counts_by_severity_worst_first(self):
-        text = summarize([
-            make(Severity.WARNING),
-            make(Severity.ERROR),
-            make(Severity.ERROR),
-        ])
-        assert text == "2 errors, 1 warning"
+    def test_counts_the_findings(self):
+        assert summarize([make(), make()]) == "2 findings"
 
     def test_singular_noun(self):
-        assert summarize([make(Severity.ERROR)]) == "1 error"
+        assert summarize([make()]) == "1 finding"
 
 
 class TestRenderText:
@@ -41,7 +28,7 @@ class TestRenderText:
         text = render_text([make(message="first"), make(message="second")])
         lines = text.splitlines()
         assert len(lines) == 3
-        assert lines[-1] == "2 warnings"
+        assert lines[-1] == "2 findings"
 
     def test_findings_come_out_sorted(self):
         text = render_text([
@@ -49,7 +36,3 @@ class TestRenderText:
             make(file="a.py", message="earlier"),
         ])
         assert text.index("a.py") < text.index("z.py")
-
-    def test_hints_follow_the_message(self):
-        text = render_text([make(message="boom", fix_hint="try harder")])
-        assert "boom  [hint: try harder]" in text

@@ -34,16 +34,14 @@ def pick(items):
 @pytest.fixture
 def tree(tmp_path):
     (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "__pycache__").mkdir()
     (tmp_path / "pkg" / "bad.py").write_text(BAD_MODULE)
     (tmp_path / "pkg" / "clean.py").write_text(CLEAN_MODULE)
     (tmp_path / "pkg" / "notes.txt").write_text("not python")
-    (tmp_path / "pkg" / "__pycache__" / "bad.cpython-310.py").write_text("x=")
     return tmp_path
 
 
 class TestDiscovery:
-    def test_walks_directories_and_skips_pycache(self, tree):
+    def test_walks_directories_for_python_files(self, tree):
         files = discover_python_files([str(tree)])
         names = [f.rsplit("/", 1)[-1] for f in files]
         assert names == ["bad.py", "clean.py"]
@@ -65,10 +63,6 @@ class TestLintCode:
 
 
 class TestScenarioFamily:
-    def test_unknown_scenario_name_is_a_usage_error(self):
-        with pytest.raises(AnalysisError, match="unknown scenario"):
-            builtin_scenarios(["nope"])
-
     def test_bundled_scenarios_are_clean(self):
         # The shipped workloads' measures hold to their declared flags.
         contexts = builtin_scenarios()
@@ -80,7 +74,6 @@ class TestRunLint:
     def test_combines_families(self, tree):
         diagnostics = run_lint(
             code_paths=[str(tree)],
-            scenario_names=["movies"],
             run_code=True,
             run_scenarios=True,
         )

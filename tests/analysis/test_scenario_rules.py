@@ -6,16 +6,12 @@ flags lie (known-bad) next to honest measures (known-clean).
 
 import pytest
 
-from repro.analysis.diagnostics import Severity
-from repro.analysis.runner import (
-    BUILTIN_SCENARIOS,
-    builtin_scenarios,
-    lint_scenarios,
-)
+from repro.analysis.runner import BUILTIN_SCENARIOS, builtin_scenarios
 from repro.analysis.scenario import (
     ScenarioContext,
     _sample_plans,
     _supports_model,
+    check_measure_properties,
 )
 from repro.datalog.parser import parse_query
 from repro.errors import UtilityError
@@ -43,7 +39,7 @@ def lint_measures(catalog, *measures, query=QUERY):
         query=parse_query(query),
         measures=measures,
     )
-    return lint_scenarios([context], select=["SCN006"])
+    return list(check_measure_properties(context))
 
 
 def messages(catalog, *measures):
@@ -164,7 +160,7 @@ class TestMeasureProperties:
     def test_catches_reversed_preference_key(self, catalog):
         (finding,) = lint_measures(catalog, ReversedKeyMeasure())
         assert "full monotonicity violated" in finding.message
-        assert finding.data["bucket"] == 0
+        assert "in bucket 0" in finding.message
 
     def test_catches_context_freeness_lie(self, catalog):
         found = messages(catalog, ContextDependentButClaimsFree())
@@ -221,10 +217,8 @@ class TestMeasureProperties:
     def test_findings_point_at_the_scenario_and_the_measure(self, catalog):
         (finding,) = lint_measures(catalog, PointBlindMeasure())
         assert finding.rule == "SCN006"
-        assert finding.severity is Severity.ERROR
         assert finding.location.file == "fixture"
-        assert finding.data["measure"] == "point-blind"
-        assert finding.fix_hint
+        assert finding.message.startswith("measure 'point-blind': ")
 
     def test_large_spaces_are_sampled_deterministically(self):
         catalog = Catalog({"r": 1, "s": 1, "t": 1})
@@ -241,13 +235,18 @@ class TestMeasureProperties:
         assert [plan.key for plan in _sample_plans(context)] == first
 
 
+@pytest.fixture(scope="module")
+def bundled():
+    return {context.name: context for context in builtin_scenarios()}
+
+
 class TestBundledScenarios:
     # SCN006 skips a scenario with an empty plan space and a measure
     # that cannot evaluate it; silence on a bundled workload must mean
     # every measure was checked, not that none was.
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
-    def test_every_measure_is_checked(self, name):
-        (context,) = builtin_scenarios([name])
+    def test_every_measure_is_checked(self, name, bundled):
+        context = bundled[name]
         plans = _sample_plans(context)
         assert plans
         assert context.measures

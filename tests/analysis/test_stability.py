@@ -5,9 +5,15 @@ must render **byte-identical** output — no set-iteration order,
 timestamps, or ids may leak into the report.
 """
 
+from collections import Counter
+from pathlib import Path
+
+import repro
 from repro.analysis.astutils import CodeModule
+from repro.analysis.concurrency import build_model
+from repro.analysis.concurrency.rules import _thread_entries
 from repro.analysis.diagnostics import render_text
-from repro.analysis.runner import lint_concurrency, run_lint
+from repro.analysis.runner import lint_concurrency, load_modules, run_lint
 
 BUGGY_SRC = '''
 import threading
@@ -51,7 +57,51 @@ class TestDoubleRunIdentity:
             for _ in range(2)
         ]
         assert reports[0] == reports[1]
-        assert reports[0].endswith("1 warning")
+        assert reports[0].endswith("1 finding")
+
+    def test_the_trees_program_model_is_pinned(self):
+        # What docs/analysis.md quotes of ``lint --concurrency src/repro``,
+        # and the oracle that deleting an analyzer mechanism left the
+        # model of the real tree as it was.
+        model = build_model(load_modules([str(Path(repro.__file__).parent)]))
+        assert model.kinds == {
+            "BreakerBoard._lock": "lock",
+            "ChaosBackend._lock": "lock",
+            "CircuitBreaker._lock": "rlock",
+            "ClusterSupervisor._lock": "lock",
+            "EventJournal._lock": "lock",
+            "HealthEpoch._lock": "lock",
+            "MetricRegistry._lock": "lock",
+            "QueryService._measure_lock": "lock",
+            "QueryService._permits": "semaphore",
+            "QueryService._places": "semaphore",
+            "QueryService._prepared_lock": "lock",
+            "ResilienceManager._seen_lock": "lock",
+            "SourceHealthTracker._lock": "lock",
+            "_Cursor._lock": "lock",
+            "_SessionRun.cond": "condition",
+        }
+        acquired = {node for nodes in model.may_acquire.values() for node in nodes}
+        assert len(acquired) == 13
+        assert acquired < set(model.kinds)
+        assert sorted(model.edges) == [
+            ("QueryService._measure_lock", "MetricRegistry._lock")
+        ]
+        assert sorted(
+            f"{cls}.{method}"
+            for cls, methods in _thread_entries(model).items()
+            for method in methods
+        ) == [
+            "ClusterSupervisor._probe_loop",
+            "PipelinedSession._pipeline.produce",
+            "PipelinedSession._pipeline.work",
+            "_ClientWorker.run",
+        ]
+        assert Counter(
+            blocker.kind
+            for method in model.methods.values()
+            for blocker in method.blocking
+        ) == {"socket I/O": 10, "join": 1}
 
     def test_diagnostics_come_out_in_canonical_order(self):
         ordering = [

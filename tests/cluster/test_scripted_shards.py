@@ -9,6 +9,7 @@ real ones.
 """
 
 import socketserver
+import sys
 import threading
 
 import pytest
@@ -60,8 +61,8 @@ class _ScriptedHandler(socketserver.StreamRequestHandler):
             replies = self.server.script(record)
             self.wfile.writelines(replies)
             self.wfile.flush()
-            if replies != [summary(record)]:
-                return  # hang up
+            if self.server.hangs_up:
+                return
 
 
 class ScriptedShard(socketserver.ThreadingTCPServer):
@@ -70,24 +71,33 @@ class ScriptedShard(socketserver.ThreadingTCPServer):
     def __init__(self, script):
         super().__init__(("127.0.0.1", 0), _ScriptedHandler)
         self.script = SCRIPTS[script]
+        #: Only a script that ends in a summary keeps the connection.
+        self.hangs_up = script != "summary"
+        #: What a handler raised, kept for the fixture to report.
+        self.errors = []
         threading.Thread(
             target=self.serve_forever, kwargs={"poll_interval": 0.01},
             daemon=True,
         ).start()
+
+    def handle_error(self, request, client_address):
+        self.errors.append(sys.exc_info()[1])
 
 
 @pytest.fixture
 def cluster():
     """``cluster(*scripts)``: a router whose shard k runs scripts[k]."""
     servers = []
+    shards = []
 
     def build(*scripts, backlog_per_shard=32):
         supervisor = ClusterSupervisor(
             [WorkerSpec(shard=shard) for shard in range(len(scripts))]
         )
         for shard, script in enumerate(scripts):
-            servers.append(ScriptedShard(script))
-            supervisor._handles[shard].port = servers[-1].server_address[1]
+            shards.append(ScriptedShard(script))
+            servers.append(shards[-1])
+            supervisor._handles[shard].port = shards[-1].server_address[1]
         router = start_router(supervisor, backlog_per_shard)[0]
         servers.append(router)
         return router
@@ -96,6 +106,7 @@ def cluster():
     for server in reversed(servers):
         server.shutdown()
         server.server_close()
+    assert [error for shard in shards for error in shard.errors] == []
 
 
 def two_shards(primary, other):

@@ -11,8 +11,7 @@ over every plan of small random synthetic spaces.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.runner import lint_scenarios
-from repro.analysis.scenario import ScenarioContext
+from repro.analysis.scenario import ScenarioContext, check_measure_properties
 from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 
@@ -52,7 +51,7 @@ def measure_findings(domain, kind):
         query=domain.query,
         measures=tuple(measures_of(domain)),
     )
-    findings = lint_scenarios([context], select=["SCN006"])
+    findings = list(check_measure_properties(context))
     return [d.message for d in findings if kind in d.message]
 
 

@@ -1,8 +1,8 @@
-"""The six audit tables against the tree.
+"""The seven audit tables against the tree.
 
-``docs/cluster.md``, ``observability.md``, ``algorithms.md``,
-``resilience.md``, ``service.md`` and ``workloads.md`` each end in an
-audit table: one row per mechanism, ending in a verdict.  A row whose
+``docs/analysis.md``, ``cluster.md``, ``observability.md``,
+``algorithms.md``, ``resilience.md``, ``service.md`` and ``workloads.md``
+each end in an audit table: one row per mechanism, ending in a verdict.  A row whose
 verdict starts with "kept" names, as ``path::[Class::]test``, the tier-1
 test that failed under the mechanism's seeded no-op, and its probe checks
 that tier-1 still collects that test.  Any other row was deleted, and
@@ -17,11 +17,15 @@ import contextlib
 import dataclasses
 import functools
 import importlib
+import importlib.util
 import inspect
 import io
 import itertools
+import os
 import re
 import socket
+import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,15 @@ import repro.resilience
 import repro.service as service_package
 import repro.service.backends
 from repro import cli
+from repro.analysis import code_rules
+from repro.analysis import diagnostics as analysis_diagnostics
+from repro.analysis import runner as analysis_runner
+from repro.analysis.astutils import CodeModule
+from repro.analysis.concurrency import build_model
+from repro.analysis.concurrency import contracts as concurrency_contracts
+from repro.analysis.concurrency import facts as concurrency_facts
+from repro.analysis.concurrency import model as concurrency_model
+from repro.analysis.concurrency import rules as concurrency_rules
 from repro.cli import main
 from repro.cluster import hashing, router, spec, supervisor
 from repro.cluster.hashing import ConsistentHashRing
@@ -79,6 +92,7 @@ from repro.workloads.synthetic import SyntheticParams
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 TABLES = {
+    "analysis": "analysis.md",
     "cluster": "cluster.md",
     "observability": "observability.md",
     "ordering": "algorithms.md",
@@ -398,7 +412,635 @@ def connect_disables_nagle():
 
 
 #: The entry of every row that does not name a killing test, by table.
+def code_module(name):
+    return CodeModule.from_source(textwrap.dedent(ANALYSIS_SOURCES[name]), f"{name}.py")
+
+
+def lint_model(*names):
+    return build_model(code_module(name) for name in names)
+
+
+def module_facts(name):
+    return concurrency_facts.extract_module(code_module(name))
+
+
+def method_facts(name):
+    """The facts of ``C.m`` in one of the sources below."""
+    return module_facts(name).classes["C"].methods["m"]
+
+
+def accessed(name):
+    """``C.m``'s accessed attributes, each mapped to whether it was written."""
+    return {access.attr: access.is_write for access in method_facts(name).accesses}
+
+
+def findings(check, name):
+    """The messages *check* reports on one source: a module, or its model."""
+    subject = code_module(name) if check.__module__ == code_rules.__name__ else lint_model(name)
+    return [diagnostic.message for diagnostic in check(subject)]
+
+
+def resolves(name, caller, callee):
+    model = lint_model(name)
+    method = model.methods[caller]
+    return any(model.resolve_call(method, call.callee) == callee for call in method.calls)
+
+
+def skips_pycache():
+    with tempfile.TemporaryDirectory() as root:
+        os.mkdir(os.path.join(root, "__pycache__"))
+        for path in ("a.py", os.path.join("__pycache__", "b.py")):
+            open(os.path.join(root, path), "w").close()
+        return len(analysis_runner.discover_python_files([root])) == 1
+
+
+#: What the analyzer's probes lint: each source shows one mechanism's shape.
+ANALYSIS_SOURCES = {
+    "unknown_origin": """\
+class C:
+    def __init__(self, lock):
+        self._lock = lock
+""",
+    "param_or": """\
+class C:
+    def __init__(self, a, b):
+        self.x = a or b
+""",
+    "class_in_function": """\
+class C:
+    def m(self):
+        class Inner:
+            seen = self.count
+""",
+    "if_acquire": """\
+import threading
+
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def m(self):
+        if not self._lock.acquire(timeout=1):
+            return
+""",
+    "stmt_acquire": """\
+import threading
+
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def m(self):
+        self._lock.acquire()
+        self._lock.release()
+""",
+    "typed_local": """\
+class C:
+    def m(self):
+        pass
+
+def f():
+    c = C()
+    c.m()
+""",
+    "typed_local_lock": """\
+import threading
+
+class R:
+    def __init__(self):
+        self.cond = threading.Condition()
+
+def f():
+    run = R()
+    with run.cond:
+        pass
+""",
+    "subscript_store": """\
+class C:
+    def m(self, k):
+        self._d[k] = 1
+""",
+    "method_lookup": """\
+class C:
+    def m(self):
+        self.n()
+
+    def n(self):
+        pass
+""",
+    "lock_read": """\
+class C:
+    def m(self):
+        return self._lock
+""",
+    "submit": """\
+class C:
+    def m(self):
+        self.executor.submit(self.work)
+
+    def work(self):
+        pass
+""",
+    "func_target": """\
+import threading
+
+def helper():
+    pass
+
+class C:
+    def m(self):
+        threading.Thread(target=helper).start()
+""",
+    "subprocess_call": """\
+import subprocess
+
+def f():
+    subprocess.run(["true"])
+""",
+    "lock_connect": """\
+class C:
+    def m(self):
+        self._lock.connect()
+""",
+    "string_join": """\
+class C:
+    def m(self):
+        self.names.join()
+""",
+    "bare_wait": """\
+class C:
+    def m(self):
+        self._done.wait()
+""",
+    "bus_emit": """\
+def f(bus):
+    bus.emit("request.admitted")
+""",
+    "dup_class_a": """\
+class D:
+    pass
+""",
+    "dup_class_b": """\
+class D:
+    pass
+""",
+    "dup_function_a": """\
+def g():
+    pass
+""",
+    "dup_function_b": """\
+def g():
+    pass
+""",
+    "two_hop_types": """\
+class W:
+    pass
+
+class M:
+    def __init__(self, x):
+        self.x = x
+
+class A:
+    def __init__(self, n):
+        self.n = n
+        self.m = M(self.n)
+
+class Z:
+    def __init__(self):
+        self.w = W()
+        self.a = A(self.w)
+""",
+    "untyped_middle": """\
+class C:
+    def __init__(self, dep):
+        self.dep = dep
+
+    def m(self):
+        with self.dep.lock:
+            pass
+""",
+    "bare_root": """\
+def f(other):
+    with other.lock:
+        pass
+""",
+    "nested_qualname": """\
+class C:
+    def outer(self):
+        def inner():
+            pass
+
+    def m(self):
+        self.outer.inner()
+""",
+    "sibling_def": """\
+class C:
+    def m(self):
+        def helper():
+            pass
+
+        def run():
+            helper()
+""",
+    "module_function": """\
+def g():
+    pass
+
+def f():
+    g()
+""",
+    "nested_withs": """\
+import threading
+
+class C:
+    def __init__(self):
+        self._a_lock = threading.Lock()
+        self._b_lock = threading.Lock()
+
+    def m(self):
+        with self._a_lock:
+            with self._b_lock:
+                pass
+""",
+    "three_lock_cycle": """\
+import threading
+
+class C:
+    def __init__(self):
+        self._a_lock = threading.Lock()
+        self._b_lock = threading.Lock()
+        self._c_lock = threading.Lock()
+
+    def take_a(self):
+        with self._a_lock:
+            pass
+
+    def take_b(self):
+        with self._b_lock:
+            pass
+
+    def take_c(self):
+        with self._c_lock:
+            pass
+
+    def one(self):
+        with self._a_lock:
+            self.take_b()
+
+    def two(self):
+        with self._b_lock:
+            self.take_c()
+
+    def three(self):
+        with self._c_lock:
+            self.take_a()
+""",
+    "spawn_through_attribute": """\
+import threading
+
+class W:
+    def run(self):
+        pass
+
+class S:
+    def __init__(self):
+        self.w = W()
+
+    def start(self):
+        threading.Thread(target=self.w.run).start()
+""",
+    "guarded_counter": """\
+import threading
+
+class Worker:
+    def __init__(self):
+        self.count = 0
+        self._lock = threading.Lock()
+
+    def start(self):
+        threading.Thread(target=self._run).start()
+
+    def _run(self):
+        with self._lock:
+            self.count += 1
+
+    def snapshot(self):
+        with self._lock:
+            return self.count
+""",
+    "reentry": """\
+import threading
+
+class Board:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def states(self):
+        with self._lock:
+            return 1
+
+    def describe(self):
+        with self._lock:
+            return self.states()
+""",
+    "semaphore_io": """\
+import threading
+
+class Sender:
+    def __init__(self, sock):
+        self._semaphore = threading.Semaphore(4)
+        self.sock = sock
+
+    def send(self, data):
+        with self._semaphore:
+            self.sock.sendall(data)
+""",
+    "blocking_callee": """\
+import threading
+
+class Relay:
+    def __init__(self, sock):
+        self._lock = threading.Lock()
+        self.sock = sock
+
+    def _push(self, data):
+        self.sock.sendall(data)
+
+    def send(self, data):
+        with self._lock:
+            self._push(data)
+""",
+    "unknown_event": """\
+class S:
+    def go(self):
+        self.journal.emit("no.such.event")
+""",
+    "kwargs_emit": """\
+class S:
+    def go(self, extra):
+        self.journal.emit("request.admitted", **extra)
+""",
+    "nested_class": """\
+import threading
+
+class Outer:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def m(self):
+        with self._lock:
+            self.x = 1
+
+    class Inner:
+        def peek(self):
+            return self.x
+""",
+    "method_swap": """\
+import threading
+
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def m(self):
+        with self._lock:
+            self.helper()
+
+    def swap(self, fn):
+        self.helper = fn
+""",
+    "receiver_call": """\
+import threading
+
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def add(self, x):
+        with self._lock:
+            self._items.append(x)
+
+    def peek(self):
+        return self._items
+""",
+    "subscript_write": """\
+import threading
+
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def put(self, k):
+        with self._lock:
+            self._d[k] = 1
+
+    def peek(self):
+        return self._d
+""",
+    "plan_parameter": """\
+class O(PlanOrderer):
+    def order(self, space):
+        everything = list(space)
+        yield from everything
+""",
+    "after_yield": """\
+class O(PlanOrderer):
+    def order(self, space):
+        yield None
+        rest = list(space.plans())
+""",
+    "delegating_materialiser": """\
+class O(PlanOrderer):
+    def order(self, space):
+        ranked = list(space.plans())
+        return self.order_spaces([ranked])
+""",
+    "eager_return": """\
+class O(PlanOrderer):
+    def order(self, space):
+        return [max(space.plans())]
+""",
+    "bare_except": """\
+def f(task):
+    try:
+        task()
+    except:
+        pass
+""",
+    "reraise": """\
+def f(task, cleanup):
+    try:
+        task()
+    except Exception:
+        cleanup()
+        raise
+""",
+    "sleep_in_function": """\
+import time
+
+def backoff():
+    time.sleep(1)
+""",
+    "lock_swap": """\
+import threading
+
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def reset(self):
+        with self._lock:
+            self._cond = threading.Condition()
+
+    def peek(self):
+        return self._cond
+""",
+    "plan_cache": """\
+class PlanCache:
+    def order(self, space):
+        return list(space.plans())
+""",
+}
+
+
 PROBES = {
+    "analysis": {
+        "a lock-named attribute of unknown origin gets kind `unknown`":
+            lambda: bool(lint_model("unknown_origin").kinds),
+        "queue, event and lock attributes are exempt from CON002 (`THREADSAFE_CTORS`, `threadsafe_attrs`)":
+            lambda: "threadsafe_attrs" in fields(concurrency_facts.ClassFacts),
+        "their `or`/ternary alternatives (`self.x = x or y`)":
+            lambda: bool(module_facts("param_or").classes["C"].param_attrs),
+        "a class defined in a function is skipped":
+            lambda: "count" not in accessed("class_in_function"),
+        "`if not lock.acquire(...)` acquisitions":
+            lambda: bool(lint_model("if_acquire").may_acquire[("C", "m")]),
+        "statement-level `acquire()` / `release()`":
+            lambda: bool(lint_model("stmt_acquire").may_acquire[("C", "m")]),
+        "local constructor types (`c = C(...)`)":
+            lambda: resolves("typed_local", ("", "f"), ("C", "m")),
+        "locks through a typed local (`run.cond` → `_SessionRun.cond`)":
+            lambda: "R.cond" in lint_model("typed_local_lock").may_acquire[("", "f")],
+        "a subscript store through `self` is a write (`self._d[k] = v`)":
+            lambda: accessed("subscript_store").get("_d") is True,
+        "a method lookup (`self.m()`) is not an access":
+            lambda: "n" not in accessed("method_lookup"),
+        "a lock-named attribute is not an access": lambda: "_lock" not in accessed("lock_read"),
+        "`executor.submit(fn)` spawns": lambda: bool(method_facts("submit").spawns),
+        'a module-function spawn target (`("func", name)`)':
+            lambda: bool(method_facts("func_target").spawns),
+        "call arguments that are constructor calls (`arg_ctors`) and the attribute types they taught":
+            lambda: "arg_ctors" in fields(concurrency_facts.CallSite),
+        "callee: a typed local (`c.m()`)": lambda: resolves("typed_local", ("", "f"), ("C", "m")),
+        "`subprocess` blockers":
+            lambda: bool(module_facts("subprocess_call").functions["f"].blocking),
+        "`connect` on a lock-named receiver is not I/O":
+            lambda: not method_facts("lock_connect").blocking,
+        "a join receiver must look like a thread handle (name fragment, or a local `Thread`/`Process`)":
+            lambda: not method_facts("string_join").blocking,
+        "timeout-less `wait()` blockers, exempt under their own condition":
+            lambda: bool(method_facts("bare_wait").blocking),
+        "only a receiver named like a journal emits": lambda: not module_facts("bus_emit").emits,
+        "an emit with `**kwargs` is dynamic (`EmitSite.has_dynamic`)":
+            lambda: "has_dynamic" in fields(concurrency_facts.EmitSite),
+        "`EmitSite.receiver`": lambda: "receiver" in fields(concurrency_facts.EmitSite),
+        "`ModuleFacts.module`": lambda: "module" in fields(concurrency_facts.ModuleFacts),
+        "the locks held at an acquisition (`Acquisition.held`)":
+            lambda: "held" in fields(concurrency_facts.Acquisition),
+        "the locks held at an access (`Access.held`)":
+            lambda: "held" in fields(concurrency_facts.Access),
+        "a blocker's receiver, exempt from CON003 when it is a held lock (`BlockingCall.receiver`)":
+            lambda: "receiver" in fields(concurrency_facts.BlockingCall),
+        "an ambiguous class name is dropped":
+            lambda: lint_model("dup_class_a", "dup_class_b").class_of("D") is None,
+        "an ambiguous function name is dropped":
+            lambda: "g" not in lint_model("dup_function_a", "dup_function_b").functions,
+        "type inference runs to a fixpoint (five rounds)":
+            lambda: lint_model("two_hop_types").classes["M"].attr_types.get("x") == "W",
+        "constructor-site lock aliasing (`C(lock=self._lock)`) and `_UnionFind`":
+            lambda: has(concurrency_model, "_UnionFind"),
+        "a known kind overrides `unknown` for one node": None,
+        "a lock chain through an untyped attribute is an opaque class-local node":
+            lambda: bool(lint_model("untyped_middle").may_acquire[("C", "m")]),
+        "a lock chain rooted at a local or module name is an opaque node":
+            lambda: bool(lint_model("bare_root").may_acquire[("", "f")]),
+        "`node_kind`'s fallback from a node's name (`semaphore`, `cond`)":
+            lambda: has(concurrency_model.ProgramModel, "node_kind"),
+        "call resolution: `self.a.b()` naming a nested def":
+            lambda: resolves("nested_qualname", ("C", "m"), ("C", "outer.inner")),
+        "call resolution: a typed local (`c.m()`)":
+            lambda: resolves("typed_local", ("", "f"), ("C", "m")),
+        "call resolution: a sibling or enclosing nested def by bare name":
+            lambda: resolves("sibling_def", ("C", "m.run"), ("C", "m.helper")),
+        "call resolution: a module-level function by bare name":
+            lambda: resolves("module_function", ("", "f"), ("", "g")),
+        "may-block summaries (`ProgramModel.may_block`)":
+            lambda: hasattr(lint_model("module_function"), "may_block"),
+        "lock-order edges from direct nesting (`with A: with B:`)":
+            lambda: bool(lint_model("nested_withs").edges),
+        "up to three witnesses per edge":
+            lambda: "witnesses" in fields(concurrency_model.LockOrderEdge),
+        "cycles through three to six locks":
+            lambda: bool(lint_model("three_lock_cycle").lock_cycles()),
+        "cycle canonicalisation and de-duplication": None,
+        "a spawn through an attribute makes another class's method an entry":
+            lambda: "W" in concurrency_rules._thread_entries(lint_model("spawn_through_attribute")),
+        "a common lock on both sides clears a CON002 conflict":
+            lambda: not findings(concurrency_rules.check_unguarded_shared_state, "guarded_counter"),
+        "CON001's own message for a self-deadlock":
+            lambda: "non-reentrant" in " ".join(findings(concurrency_rules.check_potential_deadlock, "reentry")),
+        "CON003: semaphores are not mutexes (`MUTEX_KINDS`)":
+            lambda: not findings(concurrency_rules.check_blocking_under_lock, "semaphore_io"),
+        "CON003: blocking reached through a call made under a lock, de-duplicated per line":
+            lambda: bool(findings(concurrency_rules.check_blocking_under_lock, "blocking_callee")),
+        "CON004: an event missing from `EVENT_SCHEMA`":
+            lambda: bool(findings(concurrency_contracts.check_journal_contract, "unknown_event")),
+        "CON004: an emit with `**kwargs` is skipped":
+            lambda: not findings(concurrency_contracts.check_journal_contract, "kwargs_emit"),
+        "CON004: `request_id` never counts as missing": None,
+        "COD001: a nested class is skipped":
+            lambda: not findings(code_rules.check_lock_discipline, "nested_class"),
+        "COD001: a method lookup (`self.m()`) is not state":
+            lambda: not findings(code_rules.check_lock_discipline, "method_swap"),
+        "COD001: a call on an attribute (`self._d.get(k)`) writes it":
+            lambda: bool(findings(code_rules.check_lock_discipline, "receiver_call")),
+        "COD001: a subscript store (`self._d[k] = v`) writes the attribute":
+            lambda: bool(findings(code_rules.check_lock_discipline, "subscript_write")),
+        "COD001: lock-named attributes are not state":
+            lambda: not findings(code_rules.check_lock_discipline, "lock_swap"),
+        "COD002: only classes whose base ends in `Orderer`":
+            lambda: not findings(code_rules.check_lazy_orderer_contract, "plan_cache"),
+        "COD002: over a plan-space parameter (`list(space)`)":
+            lambda: bool(findings(code_rules.check_lazy_orderer_contract, "plan_parameter")),
+        "COD002: only before the first `yield` (`first_yield_line`)":
+            lambda: not findings(code_rules.check_lazy_orderer_contract, "after_yield"),
+        "COD002: only generators are checked (`has_yield`)":
+            lambda: not findings(code_rules.check_lazy_orderer_contract, "delegating_materialiser"),
+        "COD002: a non-generator must delegate to another `order*()` (`_delegates`)":
+            lambda: bool(findings(code_rules.check_lazy_orderer_contract, "eager_return")),
+        "COD004: a bare `except:`":
+            lambda: bool(findings(code_rules.check_broad_except, "bare_except")),
+        "COD004: a handler that re-raises is exempt":
+            lambda: not findings(code_rules.check_broad_except, "reraise"),
+        "COD006 and COD007 messages name the enclosing function (`_enclosing_function`)":
+            lambda: "backoff()" in " ".join(findings(code_rules.check_bare_sleep, "sleep_in_function")),
+        "COD007: Windows path separators in the allow-list":
+            lambda: not list(code_rules.check_library_print(CodeModule.from_source('print("x")\n', "src\\repro\\cli.py"))),
+        "`Severity` (two levels, counted in the summary line)":
+            lambda: has(analysis_diagnostics, "Severity"),
+        "`Diagnostic.fix_hint`": lambda: "fix_hint" in fields(analysis_diagnostics.Diagnostic),
+        "`Diagnostic.data`": lambda: "data" in fields(analysis_diagnostics.Diagnostic),
+        "the rule registry: `Rule`, `RULES`, the `@rule` decorator, slugs, summaries":
+            lambda: importlib.util.find_spec("repro.analysis.registry") is not None,
+        "rule selection: `select_rules`, `Rule.matches`, `run_lint(select=, ignore=)`":
+            lambda: bool({"select", "ignore"} & params(analysis_runner.run_lint)),
+        "inline `# lint: allow[...]` suppressions (`CodeModule.allowed`, `_collect_allows`)":
+            lambda: has(CodeModule, "allowed", "allows"),
+        "`CodeModule.source`": lambda: "source" in fields(CodeModule),
+        "scenario names: `builtin_scenarios(names)`, `run_lint(scenario_names=)`":
+            lambda: "scenario_names" in params(analysis_runner.run_lint),
+        "discovery skips `__pycache__` and `.git`": lambda: skips_pycache(),
+    },
     "cluster": {
         "`ConsistentHashRing.add` / `remove`": lambda: has(ConsistentHashRing, "add", "remove"),
         "the ring's `__len__`, `__contains__`, `__repr__` and `shards`":
@@ -709,6 +1351,12 @@ PROBES = {
             lambda: has(counts, "_stats"),
         "`cli._make_measure` (now `Domain.measure`)": lambda: has(cli, "_make_measure"),
         "`_cmd_lint`'s own closed-pipe handler (now `main`'s)": None,
+        "`lint --list-rules`": lambda: "--list-rules" in help_text("lint"),
+        "`--select` / `--ignore` split on commas":
+            lambda: "--select" in help_text("lint") or "--ignore" in help_text("lint"),
+        "`lint --workload`": lambda: "--workload" in help_text("lint"),
+        "`builtin_scenarios`' unknown-scenario refusal":
+            lambda: "names" in params(analysis_runner.builtin_scenarios),
     },
 }
 
