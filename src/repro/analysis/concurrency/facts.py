@@ -41,7 +41,8 @@ LOCK_CTORS = {
     "BoundedSemaphore": "semaphore",
 }
 
-#: Attribute-call names treated as potentially long-blocking I/O.
+#: Attribute-call names treated as potentially long-blocking I/O, on any
+#: receiver but bare ``self`` (a method of the class, resolved as a call).
 _SOCKET_BLOCKERS = frozenset(
     {"recv", "recv_into", "accept", "sendall", "readline", "connect",
      "create_connection"}
@@ -410,7 +411,7 @@ class _FunctionWalker:
         last = chain[-1]
         receiver = chain[:-1]
         held = self._snapshot()
-        if last in _SOCKET_BLOCKERS and receiver:
+        if last in _SOCKET_BLOCKERS and receiver and receiver != ("self",):
             return BlockingCall(
                 f"{'.'.join(chain)}()", "socket I/O", call.lineno, held
             )

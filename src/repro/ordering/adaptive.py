@@ -16,9 +16,9 @@ orderer:
   resilience layer's :class:`~repro.resilience.health.HealthEpoch` is
   unchanged — one integer comparison per plan;
 * when the epoch moved, it re-scores the would-be head under the live
-  measure and interval-evaluates the residual plan subspaces
-  (maintained with :meth:`~repro.reformulation.plans.PlanSpace.split_off`,
-  exactly the bookkeeping Greedy and iDrips use).  If the head's
+  measure and interval-evaluates the residual plan subspaces (the
+  plans emitted since the last move are split out then, with
+  :meth:`~repro.reformulation.plans.PlanSpace.split_off`).  If the head's
   re-scored utility still dominates every residual interval
   (:func:`~repro.ordering.dominance.head_certainly_best` — the Drips
   dominance test), the ranking provably did not shift and the stream
@@ -216,9 +216,7 @@ class AdaptiveOrderer(PlanOrderer):
         interval evaluation per residual subspace (at most ``m`` more
         than the spaces tracked, from splitting the head out).
         """
-        context = self.utility.new_context()
-        for plan in executed:
-            context.record(plan)
+        context = _ReplayMeasure(self.utility, executed).new_context()
         head_value = self._evaluate_plan(head.plan, context)
         rest = _split_out(remaining, head.plan)
         if not rest:
@@ -245,6 +243,7 @@ class AdaptiveOrderer(PlanOrderer):
         # Unpacking (not list()) keeps COD002 honest: the spaces handed
         # in are copied for residual bookkeeping, never the plans.
         remaining = [*spaces]
+        unfolded: list[QueryPlan] = []  # emitted, not yet split out
         executed: list[QueryPlan] = []
         #: Soundness answers for the inner orderer's ``on_emit``,
         #: recorded when the outer consumer resumes this generator —
@@ -272,6 +271,9 @@ class AdaptiveOrderer(PlanOrderer):
                     # bump racing in *during* the check is caught at the
                     # next plan.
                     seen_epoch = current
+                    for done in unfolded:
+                        remaining = _split_out(remaining, done)
+                    unfolded.clear()
                     shifted, head_value, frontier_hi = self._ranking_shifted(
                         entry, remaining, executed
                     )
@@ -304,12 +306,12 @@ class AdaptiveOrderer(PlanOrderer):
                 yield OrderedPlan(plan, entry.utility, emitted)
                 # Resumed: the consumer has decided soundness.  Record
                 # the answer for the inner orderer (asked on its next
-                # resumption) and fold the plan out of the residual
-                # space either way — emitted is emitted.
+                # resumption) and queue the plan for the residual space
+                # either way — emitted is emitted.
                 sound = True if on_emit is None else on_emit(plan)
                 pending[plan.key] = sound
                 if sound:
                     executed.append(plan)
-                remaining = _split_out(remaining, plan)
+                unfolded.append(plan)
         finally:
             inner.close()

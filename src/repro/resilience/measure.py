@@ -20,7 +20,8 @@ to the unwrapped measure.
 **The one legal wrapper composition** (every site that stacks measure
 wrappers follows it; :meth:`QueryService.shared_measure
 <repro.service.server.QueryService.shared_measure>` is the one place
-that picks between the first two):
+that picks between the first two, and it health-wraps only a
+``failure_aware`` measure, the one kind substitution can move):
 
 * a base measure goes under **either**
   :class:`~repro.observability.caching.CachingUtilityMeasure` **or**
@@ -164,9 +165,6 @@ class HealthAwareMeasure(DelegatingMeasure):
 
     def evaluate_slots(self, slots: Slots, context: ExecutionContext) -> Interval:
         return self.inner.evaluate_slots(self._substitute_slots(slots), context)
-
-    def source_preference_key(self, bucket: int, source: SourceDescription) -> float:
-        return self.inner.source_preference_key(bucket, self.substitute(source))
 
     def __repr__(self) -> str:
         return f"<HealthAwareMeasure {self.name!r}>"

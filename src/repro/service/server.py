@@ -245,13 +245,12 @@ class QueryService:
     def shared_measure(self, name: str) -> UtilityMeasure:
         """The cross-request shared utility measure called *name*.
 
-        A context-free measure without resilience is a
-        :class:`CachingUtilityMeasure` — request N's utility
-        evaluations warm the cache for request N+1.  With a resilience
-        manager every measure is the manager's health-aware wrapper, and
-        without one a context-dependent measure is served bare; neither
-        is ``cacheable`` (the composition rule is in
-        :mod:`repro.resilience.measure`).
+        A context-free measure is a :class:`CachingUtilityMeasure` —
+        request N's utility evaluations warm the cache for request N+1
+        — and a context-dependent one is served bare.  With a
+        resilience manager a ``failure_aware`` measure is instead the
+        manager's health-aware wrapper, which is not ``cacheable`` (the
+        composition rule is in :mod:`repro.resilience.measure`).
         """
         resilience = self.resilience
         with self._measure_lock:
@@ -265,7 +264,7 @@ class QueryService:
                         f"have {self.measure_names}"
                     ) from None
                 measure = factory()
-                if resilience is not None:
+                if resilience is not None and measure.failure_aware:
                     measure = resilience.health_measure(measure)
                 if measure.cacheable:
                     measure = CachingUtilityMeasure(
@@ -291,9 +290,10 @@ class QueryService:
     def _make_orderer(
         self, name: str, utility: UtilityMeasure, tracer: Tracer, adaptive: bool
     ):
-        """The request's orderer, recording its spans into *tracer*."""
+        """The request's orderer, recording its spans into *tracer*;
+        an adaptive one only over a measure that health can re-rank."""
         factory = orderer_class(name, utility)
-        if adaptive and self.resilience is not None:
+        if adaptive and utility.failure_aware:
             return AdaptiveOrderer(
                 utility,
                 inner_factory=factory,

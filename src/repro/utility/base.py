@@ -25,6 +25,9 @@ ordering algorithms can check their own applicability:
 ``context_free``
     Utility is independent of the executed set entirely (implies
     diminishing returns; makes every plan pair independent).
+``failure_aware``
+    Utility reads the sources' ``stats.failure_prob`` (only measure
+    (2) with failure probabilities does), so live health can move it.
 """
 
 from __future__ import annotations
@@ -87,6 +90,9 @@ class UtilityMeasure(ABC):
 
     #: True when utility ignores the executed set entirely.
     context_free: bool = True
+
+    #: True when utility reads the sources' failure priors.
+    failure_aware: bool = False
 
     @property
     def cacheable(self) -> bool:
@@ -194,6 +200,7 @@ class DelegatingMeasure(UtilityMeasure):
         self.is_fully_monotonic = inner.is_fully_monotonic
         self.has_diminishing_returns = inner.has_diminishing_returns
         self.context_free = inner.context_free
+        self.failure_aware = inner.failure_aware
 
     @property
     def cacheable(self) -> bool:

@@ -279,6 +279,18 @@ class TestBlockingUnderLock:
         bounded = JOIN_SRC.replace(".join()", ".join(timeout=1.0)")
         assert rules_hit(("fx/joins.py", bounded), check=check_blocking_under_lock) == []
 
+    def test_a_method_of_the_class_named_like_socket_io_is_clean(self):
+        # The datalog parser's ``self.accept(...)`` is its own method,
+        # which the call graph resolves; on another receiver the same
+        # name is socket I/O.
+        assert rules_hit(
+            ("fx/accepts.py", ACCEPT_SRC), check=check_blocking_under_lock
+        ) == []
+        on_a_socket = ACCEPT_SRC.replace("self.accept()", "conn.accept()")
+        assert rules_hit(
+            ("fx/accepts.py", on_a_socket), check=check_blocking_under_lock
+        ) == ["CON003"]
+
 
 
 JOIN_SRC = '''
@@ -293,6 +305,22 @@ class Pool:
     def close(self):
         with self._lock:
             self._worker_thread.join()
+'''
+
+ACCEPT_SRC = '''
+import threading
+
+
+class Parser:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def accept(self):
+        return True
+
+    def step(self, conn):
+        with self._lock:
+            return self.accept()
 '''
 
 # -- CON004: journal emit sites vs EVENT_SCHEMA ------------------------------------

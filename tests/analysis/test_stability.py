@@ -101,7 +101,7 @@ class TestDoubleRunIdentity:
             blocker.kind
             for method in model.methods.values()
             for blocker in method.blocking
-        ) == {"socket I/O": 10, "join": 1}
+        ) == {"socket I/O": 6, "join": 1}
 
     def test_diagnostics_come_out_in_canonical_order(self):
         ordering = [

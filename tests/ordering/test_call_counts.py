@@ -18,15 +18,27 @@ Budgets, on a context-free fully monotonic measure:
   ceiling that still catches any fall-back to full materialization.
 * Everyone stays strictly below the plan-space size — the whole point
   of not materializing the product.
+
+The adaptive wrapper's own budget is counted in calls: it reads its
+residual space only when the health epoch moves, so a stream whose
+epoch stands still makes no ``PlanSpace.contains`` or ``split_off``
+call at all.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.observability.caching import CachingUtilityMeasure
+from repro.ordering.adaptive import AdaptiveOrderer
 from repro.ordering.anyk import AnyKOrderer
+from repro.ordering.bruteforce import ExhaustiveOrderer
 from repro.ordering.greedy import GreedyOrderer
 from repro.ordering.idrips import IDripsOrderer
 from repro.ordering.streamer import StreamerOrderer
+from repro.reformulation.plans import PlanSpace
+from repro.resilience.health import HealthEpoch
+from repro.workloads.random_lav import ordering_scenario
 from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 K = 10
@@ -113,3 +125,51 @@ def test_first_plan_touches_width_plus_one_evaluations(bucket_size):
         measure = CachingUtilityMeasure(domain.measure("linear"))
         cls(measure).order_list(domain.space, 1)
         assert measure.misses <= 1 + domain.space.width
+
+
+def count_residual_calls(monkeypatch):
+    """A live tally of ``PlanSpace.contains`` and ``split_off`` calls."""
+    calls = Counter()
+    for name in ("contains", "split_off"):
+        method = getattr(PlanSpace, name)
+
+        def counted(space, plan, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(space, plan)
+
+        monkeypatch.setattr(PlanSpace, name, counted)
+    return calls
+
+
+class TestAdaptiveResidual:
+    """Exhaustive itself never splits a space, so every counted call is
+    the adaptive wrapper's residual bookkeeping."""
+
+    def adaptive(self, epoch):
+        scenario = ordering_scenario(3)
+        orderer = AdaptiveOrderer(
+            scenario.measure("coverage"),
+            inner_factory=ExhaustiveOrderer,
+            epoch=epoch,
+        )
+        return orderer.order(scenario.space, scenario.space.size), scenario
+
+    def test_an_unmoved_epoch_never_splits_the_residual(self, monkeypatch):
+        calls = count_residual_calls(monkeypatch)
+        stream, scenario = self.adaptive(HealthEpoch())
+        assert len(list(stream)) == scenario.space.size
+        assert calls == Counter()
+
+    def test_one_bump_folds_the_emitted_plans_out(self, monkeypatch):
+        calls = count_residual_calls(monkeypatch)
+        epoch = HealthEpoch()
+        stream, scenario = self.adaptive(epoch)
+        emitted = [next(stream) for _ in range(3)]
+        assert calls == Counter()
+        epoch.bump()
+        emitted.extend(stream)
+        assert calls["contains"] > 0
+        assert calls["split_off"] > 0
+        # Folding late drops no plan and repeats none.
+        keys = [entry.plan.key for entry in emitted]
+        assert sorted(keys) == sorted(p.key for p in scenario.space.plans())

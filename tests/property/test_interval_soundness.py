@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.scenario import ScenarioContext, check_measure_properties
+from repro.resilience.health import SourceHealthTracker
+from repro.resilience.measure import HealthAwareMeasure
 from repro.workloads.synthetic import SyntheticParams, generate_domain
 
 
@@ -31,8 +33,26 @@ def domains():
     )
 
 
+def under_live_health(domain):
+    """Failure-aware bind-join over a tracker that has observed some
+    sources: one in three fails outright (its rate is clamped), one in
+    three reads 0.36, and the rest keep their catalog priors."""
+    tracker = SourceHealthTracker()
+    for index, source in enumerate(domain.catalog):
+        outcomes = ((), (False,), (True, False, False))[index % 3]
+        for ok in outcomes:
+            if ok:
+                tracker.record_success(source.name)
+            else:
+                tracker.record_failure(source.name)
+    return HealthAwareMeasure(
+        domain.measure("failure"), tracker, min_observations=1
+    )
+
+
 def measures_of(domain):
     return [
+        under_live_health(domain),
         domain.measure("coverage"),
         domain.measure("linear"),
         domain.measure("bind-join"),

@@ -3,7 +3,7 @@
 The headline property is the acceptance criterion: with no observed
 health (an empty tracker), wrapping a measure in
 :class:`HealthAwareMeasure` changes *nothing* — the mediator's batch
-stream is byte-identical across the 20-seed x 4-measure random-LAV
+stream is byte-identical across the 20-seed x 6-measure random-LAV
 sweep.  Substitution itself is then covered at the unit level.
 """
 
@@ -19,12 +19,14 @@ from repro.ordering.bruteforce import PIOrderer
 from repro.resilience.health import SourceHealthTracker
 from repro.resilience.manager import ResilienceManager
 from repro.resilience.measure import MAX_FAILURE_PROB, HealthAwareMeasure
-from repro.service.server import QueryService
+from repro.service.server import QueryService, ServiceConfig
 from repro.utility.cost import BindJoinCost, LinearCost
 from repro.workloads.random_lav import ordering_scenario
 
 RANDOM_LAV_SEEDS = list(range(20))
-RANDOM_LAV_MEASURES = ("linear", "bind-join", "coverage", "monetary")
+RANDOM_LAV_MEASURES = (
+    "linear", "bind-join", "coverage", "monetary", "failure", "failure-caching"
+)
 
 
 class FakePlan:
@@ -68,17 +70,35 @@ class TestWrapperComposition:
         with pytest.raises(TypeError, match="live source health"):
             CachingUtilityMeasure(_ReplayMeasure(self.live(), ()))
 
-    def test_service_picks_exactly_one_wrapper(self, movies):
-        for manager, expected in (
-            (None, CachingUtilityMeasure),
-            (ResilienceManager(), HealthAwareMeasure),
-        ):
-            service = QueryService(
-                movies.catalog, movies.source_facts, resilience=manager
-            )
-            measure = service.shared_measure("linear")
-            assert type(measure) is expected
-            assert type(measure.inner) is LinearCost
+    @pytest.mark.parametrize(
+        "measure_name, wrapper",
+        [
+            ("linear", CachingUtilityMeasure),
+            ("monetary", CachingUtilityMeasure),
+            ("coverage", None),
+            ("failure", HealthAwareMeasure),
+        ],
+    )
+    def test_service_picks_exactly_one_wrapper(self, measure_name, wrapper):
+        # Under a manager only a failure-aware measure is health-wrapped;
+        # every other one is served as it is without a manager.
+        scenario = lav_scenario(3)
+        base = type(scenario.measure(measure_name))
+        service = QueryService(
+            scenario.catalog,
+            scenario.source_facts,
+            measures={
+                measure_name: functools.partial(scenario.measure, measure_name)
+            },
+            config=ServiceConfig(default_measure=measure_name),
+            resilience=ResilienceManager(),
+        )
+        measure = service.shared_measure(measure_name)
+        if wrapper is None:
+            assert type(measure) is base
+        else:
+            assert type(measure) is wrapper
+            assert type(measure.inner) is base
 
 
 class TestSubstitution:

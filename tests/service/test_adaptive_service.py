@@ -269,6 +269,33 @@ class TestFeedbackLoopEndToEnd:
         assert stream == run("off")
 
 
+class TestOnlyFailureAwareMeasuresAdapt:
+    """Under a manager, health wraps and re-orders only a measure that
+    reads failure priors; any other is served as without a manager."""
+
+    def linear(self, movies, resilience):
+        """The batches of one ``linear`` request, and the epoch checks."""
+        service = adaptive_service(
+            movies, adaptivity="auto", resilience=resilience
+        )
+        try:
+            result = service.execute(QueryRequest(movies.query, measure="linear"))
+            assert result.status == "ok"
+            checks = service.registry.counter("ordering.adaptive.epoch_checks")
+            return [
+                (b.rank, b.plan.key, b.utility, b.sound, b.answers, b.new_answers)
+                for b in result.batches
+            ], checks.value
+        finally:
+            service.shutdown()
+
+    def test_a_linear_request_builds_no_adaptive_orderer(self, movies):
+        managed, checks = self.linear(movies, ResilienceManager())
+        assert checks == 0
+        assert managed
+        assert managed == self.linear(movies, None)[0]
+
+
 class ColdStart:
     """One cold-start head-outage request, read back from its journal."""
 

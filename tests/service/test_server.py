@@ -108,15 +108,22 @@ class TestDirectExecution:
         assert registry.counter("service.deadline_exceeded").value == 1
 
     def test_an_adaptive_request_traces_its_orderer(self, movies):
-        # ``auto`` under a resilience manager wraps the orderer, and
-        # the wrapper hands the request's tracer to each inner one.
+        # ``auto`` under a resilience manager wraps the orderer of a
+        # failure-aware measure, and the wrapper hands the request's
+        # tracer to each inner one.
         service = QueryService(
             movies.catalog,
             movies.source_facts,
+            measures={
+                "linear": LinearCost,
+                "failure": lambda: movies.measure("failure"),
+            },
             config=ServiceConfig(trace_requests=True),
             resilience=ResilienceManager(),
         )
-        result = service.execute(QueryRequest(query=movies.query))
+        result = service.execute(
+            QueryRequest(query=movies.query, measure="failure")
+        )
         assert result.status == "ok"
         assert "utility.eval" in result.spans
 

@@ -1251,6 +1251,8 @@ PROBES = {
         "`HealthAwareMeasure.frozen`, `health_measure(frozen=)`":
             lambda: has(HealthAwareMeasure, "frozen")
             or "frozen" in params(ResilienceManager.health_measure),
+        "`HealthAwareMeasure.source_preference_key`":
+            lambda: own(HealthAwareMeasure, "source_preference_key"),
         "`ResilienceManager(health_aware=)`":
             lambda: "health_aware" in params(ResilienceManager),
         "`ResilienceManager(graceful=)`": lambda: "graceful" in params(ResilienceManager),
